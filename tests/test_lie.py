@@ -18,6 +18,7 @@ from seaweeds import (
     index,
     is_regular,
     kirillov_matrix,
+    rank,
     sample_form,
 )
 from seaweeds.lie import StructureError, kernel_dim
@@ -98,6 +99,56 @@ def test_realization_compatibility_enforced():
     with pytest.raises(StructureError):
         # x2 and x0 do not commute in this wrong realization
         LieAlgebra(3, {(0, 1): {2: 1}}, realization=(e12, e23, e23))
+
+
+def _heisenberg_matrices(x=1, y=1, z=1):
+    e12 = Matrix.from_rows([[0, x, 0], [0, 0, 0], [0, 0, 0]])
+    e23 = Matrix.from_rows([[0, 0, 0], [0, 0, y], [0, 0, 0]])
+    e13 = Matrix.from_rows([[0, 0, z], [0, 0, 0], [0, 0, 0]])
+    return e12, e23, e13
+
+
+def test_rational_structure_constant_realized():
+    # [x, y] = z/2 with z = 2 e13: [e12, e23] = e13 = z/2
+    h = LieAlgebra(3, {(0, 1): {2: F(1, 2)}}, realization=_heisenberg_matrices(z=2))
+    assert bracket(h.basis_element(0), h.basis_element(1)) == elem(h, [0, 0, F(1, 2)])
+    with pytest.raises(StructureError):
+        LieAlgebra(3, {(0, 1): {2: F(1, 3)}}, realization=_heisenberg_matrices(z=2))
+
+
+def test_rational_realization_entries():
+    # x = e12/2, y = e23, z = e13/2: [x, y] = e13/2 = z
+    mats = _heisenberg_matrices(x=F(1, 2), z=F(1, 2))
+    h = LieAlgebra(3, {(0, 1): {2: 1}}, realization=mats)
+    assert h.realization == mats
+    with pytest.raises(StructureError):
+        LieAlgebra(3, {(0, 1): {2: 2}}, realization=mats)
+
+
+def rescaled(g, scales):
+    """The same algebra in the basis x_i / scales[i]: the structure constants
+    and the realization become non-integral, the index does not change."""
+    structure = {}
+    for i, j, r, c in g.structure_items():
+        structure.setdefault((i, j), {})[r] = c * scales[r] / (scales[i] * scales[j])
+    mats = tuple(m.scale(F(1, s)) for m, s in zip(g.realization, scales))
+    return LieAlgebra(g.dim, structure, realization=mats, label="rescaled")
+
+
+def test_index_and_kernel_dim_agree_on_rational_algebra():
+    g = gl(3)
+    scales = [2, 3, 5, 7, 1, 2, 3, 5, 7]
+    h = rescaled(g, scales)
+    rep = index(h, seed=41)
+    assert rep.index == 3
+    assert kernel_dim(h, rep.witness_form) == rep.index
+    rng = random.Random(8)
+    for _ in range(5):
+        phi = sample_form(g, rng.randint(0, 10**6), bound=5)
+        # phi'(x_r / s_r) = phi(x_r) / s_r, a form with rational coordinates
+        psi = OneForm(h, tuple(c / s for c, s in zip(phi.coords, scales)))
+        assert kernel_dim(h, psi) == kernel_dim(g, phi)
+        assert kernel_dim(h, psi) == h.dim - rank(kirillov_matrix(h, psi))
 
 
 # -- kirillov matrix -------------------------------------------------------------

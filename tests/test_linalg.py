@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from seaweeds.linalg import (
     poly_gcd,
     rank,
     rref,
+    rref_int_rows,
     solve,
 )
 
@@ -134,6 +136,34 @@ def test_rref_pivots():
     reduced, pivots = rref(M([[0, 2, 4], [0, 1, 2]]))
     assert pivots == (1,)
     assert reduced.rows == ((F(0), F(1), F(2)),)
+
+
+def random_int_matrices(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        mag = rng.choice((1, 3, 10**6))
+        rows = [[rng.randint(-mag, mag) for _ in range(n)] for _ in range(m)]
+        # sprinkle in rank deficiency
+        if m > 1 and rng.random() < 0.4:
+            scale = rng.randint(-2, 2)
+            rows[-1] = [scale * x for x in rows[0]]
+        cases.append(rows)
+    cases.append([[0, 0], [0, 0]])
+    cases.append([])
+    return cases
+
+
+def test_rref_output_is_primitive_with_positive_pivot():
+    for rows in random_int_matrices(3, count=40):
+        pivots, out = rref_int_rows(rows)
+        for piv, row in zip(pivots, out):
+            assert row[piv] > 0
+            g = 0
+            for v in row:
+                g = gcd(g, abs(v))
+            assert g in (0, 1)
 
 
 # -- minimal polynomial / squarefree -------------------------------------------
