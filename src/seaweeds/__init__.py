@@ -7,7 +7,6 @@ testing the equivalence "index-one seaweed is contact iff it admits a stable
 form" on enumerated composition pairs.
 """
 
-from .backend import BACKEND_NAME
 from .classify import ClassificationRecord, classify, exit_status, report
 from .construct import (
     AmbientAlgebra,
@@ -62,6 +61,10 @@ from .meander import MeanderGraph, census, meander, meander_index, meander_svg
 from .serialize import algebra_from_json, algebra_to_json, certificate_to_json, verify_document
 
 __version__ = "0.1.0"
+
+# Name of the exact arithmetic path, printed by tooling that records its
+# environment; there is one, in pure Python.
+BACKEND_NAME = "python"
 
 __all__ = [
     "AmbientAlgebra",

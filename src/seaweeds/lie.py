@@ -6,6 +6,10 @@ basis element.  Antisymmetry, the Jacobi identity, and (when present)
 compatibility of the realization with the table are verified at construction,
 always; every downstream computation silently depends on them.
 
+Structure constants and realization entries are stored as ints when they are
+integral and as Fractions otherwise.  Python mixes the two exactly, so one
+code path serves every algebra, and integral ones run on int arithmetic.
+
 The Kirillov form of a one-form phi is the skew matrix
 B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
 kernel dimension of B_phi over all phi.  The index is computed by randomized
@@ -20,9 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .backend import rank_int_rows
-from .linalg import Matrix, Subspace, _int_rows, as_scalar, nullspace
+from .linalg import Matrix, Subspace, _int_rows, as_scalar, nullspace, rank_int_rows
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 10**6
@@ -30,6 +34,12 @@ DEFAULT_BOUND = 10**6
 
 class StructureError(ValueError):
     """Structure constants violate antisymmetry, Jacobi, or the realization."""
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    x = as_scalar(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class LieAlgebra:
@@ -40,7 +50,7 @@ class LieAlgebra:
     given; they must agree up to sign.
     """
 
-    __slots__ = ("dim", "label", "_table", "_int_table", "realization", "_int_grids")
+    __slots__ = ("dim", "label", "_table", "_integral", "realization")
 
     def __init__(self, dim, structure, realization=None, label=""):
         if dim < 0:
@@ -56,7 +66,7 @@ class LieAlgebra:
             for r, c in terms.items():
                 if not 0 <= r < dim:
                     raise StructureError(f"target index {r} out of range")
-                c = as_scalar(c)
+                c = _exact(c)
                 if c:
                     cleaned[r] = c
             if i == j:
@@ -67,33 +77,19 @@ class LieAlgebra:
                 full[(i, j)] = cleaned
         table = {}
         for (i, j), terms in full.items():
-            opposite = full.get((j, i))
-            if opposite is not None:
-                if i < j:
-                    continue  # handled from the (min,max) side
-                # i > j here: check against the stored orientation
-            if opposite is not None and {r: -c for r, c in opposite.items()} != terms:
-                raise StructureError(f"antisymmetry violated on pair ({j},{i})")
-            key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-            table[key] = tuple(sorted((r, sign * c) for r, c in terms.items()))
-        # re-check pairs where both orientations were supplied
-        for (i, j), terms in full.items():
-            if i < j and (j, i) in full:
+            if i < j:
+                table[(i, j)] = tuple(sorted(terms.items()))
+            elif (j, i) in full:
                 if {r: -c for r, c in full[(j, i)].items()} != terms:
-                    raise StructureError(f"antisymmetry violated on pair ({i},{j})")
+                    raise StructureError(f"antisymmetry violated on pair ({j},{i})")
+            else:
+                table[(j, i)] = tuple(sorted((r, -c) for r, c in terms.items()))
         self._table = table
-
-        integral = all(c.denominator == 1 for terms in table.values() for _, c in terms)
-        self._int_table = (
-            {key: tuple((r, int(c)) for r, c in terms) for key, terms in table.items()}
-            if integral
-            else None
-        )
+        self._integral = all(type(c) is int for terms in table.values() for _, c in terms)
 
         self._check_jacobi()
 
         self.realization = tuple(realization) if realization is not None else None
-        self._int_grids = None
         if self.realization is not None:
             self._check_realization()
 
@@ -128,6 +124,8 @@ class LieAlgebra:
                         raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
     def _check_realization(self):
+        """[X_i, X_j] must equal sum_r c_ijr X_r for every pair i < j; pairs
+        absent from the table must commute."""
         mats = self.realization
         if len(mats) != self.dim:
             raise StructureError("realization must have one matrix per basis element")
@@ -137,64 +135,28 @@ class LieAlgebra:
         for m in mats:
             if m.nrows != n or m.ncols != n:
                 raise StructureError("realization matrices must be square of equal size")
-        grids = []
-        integral = self._int_table is not None
-        for m in mats:
-            grid = []
-            for row in m.rows:
-                if integral and not all(x.denominator == 1 for x in row):
-                    integral = False
-                grid.append([x for x in row])
-            grids.append(grid)
-        if integral:
-            igrids = [[[int(x) for x in row] for row in m.rows] for m in mats]
-            self._int_grids = igrids
-            for (i, j), terms in self._table.items():
-                a, b = igrids[i], igrids[j]
+        grids = [[[_exact(x) for x in row] for row in m.rows] for m in mats]
+        for i in range(self.dim):
+            a = grids[i]
+            for j in range(i + 1, self.dim):
+                b = grids[j]
                 exp = [[0] * n for _ in range(n)]
-                for r, c in terms:
-                    g = igrids[r]
-                    ci = int(c)
+                for r, c in self._table.get((i, j), ()):
+                    g = grids[r]
                     for u in range(n):
                         gu, eu = g[u], exp[u]
                         for v in range(n):
-                            eu[v] += ci * gu[v]
+                            eu[v] += c * gu[v]
                 for u in range(n):
-                    au = a[u]
-                    bu = b[u]
+                    au, bu, eu = a[u], b[u], exp[u]
                     for v in range(n):
                         comm = sum(au[k] * b[k][v] for k in range(n)) - sum(
                             bu[k] * a[k][v] for k in range(n)
                         )
-                        if comm != exp[u][v]:
+                        if comm != eu[v]:
                             raise StructureError(
                                 f"realization incompatible with table on pair ({i},{j})"
                             )
-            # pairs not in the table must commute
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    if (i, j) in self._table:
-                        continue
-                    a, b = igrids[i], igrids[j]
-                    for u in range(n):
-                        for v in range(n):
-                            if sum(a[u][k] * b[k][v] for k in range(n)) != sum(
-                                b[u][k] * a[k][v] for k in range(n)
-                            ):
-                                raise StructureError(
-                                    f"realization incompatible with table on pair ({i},{j})"
-                                )
-        else:
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                    exp = Matrix.zeros(n, n)
-                    for r, c in self._table.get((i, j), ()):
-                        exp = exp + mats[r].scale(c)
-                    if comm != exp:
-                        raise StructureError(
-                            f"realization incompatible with table on pair ({i},{j})"
-                        )
 
     # -- basic structure access ---------------------------------------------
 
@@ -208,7 +170,8 @@ class LieAlgebra:
         return tuple((r, -c) for r, c in terms)
 
     def structure_items(self):
-        """Sorted sparse table: iterable of (i, j, r, c) with i < j, c != 0."""
+        """Sorted sparse table: iterable of (i, j, r, c) with i < j, c != 0;
+        c is an int when integral, else a Fraction."""
         for (i, j) in sorted(self._table):
             for r, c in self._table[(i, j)]:
                 yield i, j, r, c
@@ -231,24 +194,15 @@ class LieAlgebra:
         """Integer row list of B_phi for integer phi, row-scaled if the table
         is non-integral (scaling preserves rank and kernel)."""
         dim = self.dim
-        if self._int_table is not None:
-            rows = [[0] * dim for _ in range(dim)]
-            for (i, j), terms in self._int_table.items():
-                v = 0
-                for r, c in terms:
-                    v += c * int_coords[r]
-                if v:
-                    rows[i][j] = v
-                    rows[j][i] = -v
-            return rows
-        zero = Fraction(0)
-        rows = [[zero] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for (i, j), terms in self._table.items():
-            v = sum((c * int_coords[r] for r, c in terms), zero)
+            v = 0
+            for r, c in terms:
+                v += c * int_coords[r]
             if v:
                 rows[i][j] = v
                 rows[j][i] = -v
-        return _int_rows(rows)
+        return rows if self._integral else _int_rows(rows)
 
     def __repr__(self):
         name = self.label or "LieAlgebra"
@@ -359,8 +313,11 @@ def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
     """dim ker B_form, via exact elimination."""
     if g.dim == 0:
         return 0
-    rows = _int_rows(kirillov_matrix(g, form).rows)
-    return g.dim - rank_int_rows(rows)
+    den = 1
+    for x in form.coords:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in form.coords]
+    return g.dim - rank_int_rows(g.kirillov_int_rows(ints))
 
 
 def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:

@@ -1,25 +1,30 @@
 """Exact rational linear algebra.
 
 Everything runs over Q with `fractions.Fraction` scalars: results are always
-in lowest terms with positive denominator and no rounding ever occurs.  The
-predicates evaluated downstream (rank conditions, kernel membership,
-squarefreeness) are polynomial conditions with rational coefficients, so
-generic behaviour over Q coincides with generic behaviour over C; see the
-README for the full argument.
+in lowest terms with positive denominator and no rounding ever occurs.
+
+Genericity over Q is genericity over C.  Every predicate evaluated
+downstream (a rank condition on a Kirillov matrix, kernel membership,
+squarefreeness of a minimal polynomial) says that some polynomials with
+rational coefficients in the coordinates of a form do or do not vanish.  The
+set where a nonzero polynomial vanishes is a proper Zariski-closed subset of
+C^n, and since Q^n is Zariski-dense in C^n it cannot contain all rational
+points.  So a property that holds on a nonempty Zariski-open subset of C^n
+(a regular form, a contact form, a stable form) also holds at some rational
+point, and the minimum of a kernel dimension over rational forms equals its
+minimum over complex forms.  Every witness found here is rational, so the
+same certificate proves the claim over C.
 
 Subspaces are stored in reduced row echelon form, making equality of
-subspaces equality of representations.  The elimination itself is delegated
-to the active backend (compiled or pure Python, see `seaweeds.backend`),
-which works on denominator-cleared integer rows.
+subspaces equality of representations.  Elimination works on
+denominator-cleared integer rows (`rank_int_rows`, `rref_int_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-from .backend import rank_int_rows, rref_int_rows
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -42,6 +47,110 @@ def _int_rows(rows):
             den = lcm(den, x.denominator)
         out.append([int(x * den) for x in row])
     return out
+
+
+def _content(row, start):
+    g = 0
+    for k in range(start, len(row)):
+        v = row[k]
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return 1
+    return g
+
+
+def rank_int_rows(rows):
+    """Rank of an integer matrix, by fraction-free forward elimination.
+
+    Growth is contained by stripping the gcd of every updated row, so all
+    divisions are exact.
+    """
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(n):
+        piv = -1
+        for i in range(rank, m):
+            if work[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for i in range(rank + 1, m):
+            ri = work[i]
+            a = ri[col]
+            if not a:
+                continue
+            for k in range(col, n):
+                ri[k] = p * ri[k] - a * prow[k]
+            g = _content(ri, col)
+            if g > 1:
+                for k in range(col, n):
+                    ri[k] //= g
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def rref_int_rows(rows):
+    """Reduced echelon form of an integer matrix over the rationals.
+
+    Returns ``(pivot_columns, pivot_rows)`` where every output row is
+    primitive (content 1) with a positive pivot entry and zeros above and
+    below each pivot.  Dividing a row by its pivot entry recovers the
+    rational RREF row, so the output is a canonical representation of the
+    row space.
+    """
+    m = len(rows)
+    if m == 0:
+        return [], []
+    n = len(rows[0])
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r0 = len(pivots)
+        piv = -1
+        for i in range(r0, m):
+            if work[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        work[r0], work[piv] = work[piv], work[r0]
+        prow = work[r0]
+        p = prow[col]
+        for i in range(m):
+            if i == r0:
+                continue
+            ri = work[i]
+            a = ri[col]
+            if not a:
+                continue
+            for k in range(n):
+                ri[k] = p * ri[k] - a * prow[k]
+            g = _content(ri, 0)
+            if g > 1:
+                for k in range(n):
+                    ri[k] //= g
+        pivots.append(col)
+        if len(pivots) == m:
+            break
+    out = []
+    for i, col in enumerate(pivots):
+        ri = work[i]
+        g = _content(ri, 0)
+        if ri[col] < 0:
+            g = -g
+        out.append([v // g for v in ri])
+    return pivots, out
 
 
 def _frac_rows_from_rref(pivots, int_rows):

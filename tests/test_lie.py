@@ -130,7 +130,7 @@ def rescaled(g, scales):
     and the realization become non-integral, the index does not change."""
     structure = {}
     for i, j, r, c in g.structure_items():
-        structure.setdefault((i, j), {})[r] = c * scales[r] / (scales[i] * scales[j])
+        structure.setdefault((i, j), {})[r] = F(c * scales[r], scales[i] * scales[j])
     mats = tuple(m.scale(F(1, s)) for m, s in zip(g.realization, scales))
     return LieAlgebra(g.dim, structure, realization=mats, label="rescaled")
 
