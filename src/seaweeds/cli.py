@@ -6,7 +6,9 @@ SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
 flags always win.  Exit codes: classify returns 0 on success, 2 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable/basis return 1 when the search comes up empty;
-verify returns 0 for valid, 1 for invalid, 2 for unreadable input.
+verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
+input (a malformed pair, a missing --n, a rank over the sweep limits, a
+non-integer environment default) exits 2 with a one-line error on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import os
 import sys
 
-from . import classify as classify_mod
 from .classify import LIMITS, classify, exit_status, report
 from .construct import AmbientAlgebra, Composition, flag_seaweed, parse_pair, seaweed
 from .contact import contact_basis, find_contact_form, find_stable_form
@@ -27,7 +28,12 @@ from .serialize import algebra_to_json, certificate_to_json, frac_to_str, verify
 
 def _env_int(name, fallback):
     value = os.environ.get(name)
-    return int(value) if value else fallback
+    if not value:
+        return fallback
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _env_str(name, fallback):
@@ -77,7 +83,7 @@ def _compositions(args):
     if args.pair:
         return parse_pair(args.pair)
     if args.top is None or args.bot is None:
-        raise SystemExit("error: give a TOP|BOTTOM pair or both --top and --bot")
+        raise ValueError("give a TOP|BOTTOM pair or both --top and --bot")
     return Composition.parse(args.top), Composition.parse(args.bot)
 
 
@@ -88,7 +94,7 @@ def _build_algebra(args):
         n = args.n if args.n is not None else top.total
         return seaweed(family, n, top, bottom)
     if args.n is None:
-        raise SystemExit(f"error: --n is required for family {family}")
+        raise ValueError(f"--n is required for family {family}")
     return flag_seaweed(AmbientAlgebra(family, args.n), top, bottom)
 
 
@@ -308,12 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except classify_mod.LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

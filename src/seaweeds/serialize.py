@@ -47,6 +47,8 @@ def frac_from_str(s) -> Fraction:
         return Fraction(s)
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -166,18 +168,41 @@ def _rebuild_record_algebra(record: dict) -> LieAlgebra:
     return seaweed(family, n, top, bottom)
 
 
+# Record status field -> the certificate a FOUND status must embed.
+_EVIDENCE = {"contact": "contact", "stable": "stability"}
+
+
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
     Certificate documents carry an embedded algebra; classification reports
     name each record's seaweed by family and compositions, which is rebuilt.
+    A document is invalid when it gives nothing to check (no records, no
+    certificates), when a record claims FOUND without embedding the
+    certificate, or when a record carries certificates but its index is not
+    one (the searches run only on index-one seaweeds).  A document of the
+    wrong shape raises ValueError.
     """
+    try:
+        return _verify_document(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
+
+
+def _verify_document(doc: dict) -> bool:
     if "records" in doc:
+        if not doc["records"]:
+            return False
         ok = True
         for record in doc["records"]:
             certs = record.get("certificates") or {}
+            for status, kind in _EVIDENCE.items():
+                if record.get(status) == "FOUND" and kind not in certs:
+                    return False
             if not certs:
                 continue
+            if record["index"] != 1:
+                return False
             g = _rebuild_record_algebra(record)
             for cert in certs.values():
                 ok = verify_certificate(g, cert) and ok
@@ -188,4 +213,6 @@ def verify_document(doc: dict) -> bool:
     certs = doc.get("certificates")
     if certs is None:
         certs = [doc["certificate"]] if "certificate" in doc else []
+    if not certs:
+        return False
     return all(verify_certificate(g, cert) for cert in certs)

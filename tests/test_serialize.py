@@ -130,3 +130,40 @@ def test_verify_report_document_tampered():
             break
     assert tampered
     assert not verify_document(doc)
+
+
+def test_verify_rejects_documents_with_nothing_to_check():
+    assert not verify_document({"records": []})
+    h = heisenberg()
+    assert not verify_document({"schema": 1, "algebra": algebra_to_json(h), "certificates": []})
+    assert not verify_document({"schema": 1, "algebra": algebra_to_json(h)})
+
+
+def _index_one_report():
+    records = classify("GL", 3, seed=5, embed_certificates=True)
+    doc = json.loads(report(records, "json"))
+    record = next(r for r in doc["records"] if r.get("certificates"))
+    return doc, record
+
+
+def test_verify_rejects_found_status_without_certificate():
+    for status, kind in (("contact", "contact"), ("stable", "stability")):
+        doc, record = _index_one_report()
+        assert record[status] == "FOUND"
+        del record["certificates"][kind]
+        assert not verify_document(doc)
+
+
+def test_verify_rejects_certificates_on_index_other_than_one():
+    doc, record = _index_one_report()
+    record["index"] = 99
+    assert not verify_document(doc)
+
+
+def test_verify_malformed_document_raises_value_error():
+    doc, record = _index_one_report()
+    del record["index"]
+    with pytest.raises(ValueError, match="malformed document"):
+        verify_document(doc)
+    with pytest.raises(ValueError, match="zero denominator"):
+        frac_from_str("1/0")
