@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import Matrix, Subspace, _int_rows, as_scalar, nullspace, rank_int_rows
 
@@ -313,10 +312,8 @@ def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
     """dim ker B_form, via exact elimination."""
     if g.dim == 0:
         return 0
-    den = 1
-    for x in form.coords:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in form.coords]
+    # B_{c phi} = c B_phi, so clearing the form's denominators keeps the rank
+    (ints,) = _int_rows([form.coords])
     return g.dim - rank_int_rows(g.kirillov_int_rows(ints))
 
 

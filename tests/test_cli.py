@@ -73,14 +73,14 @@ def write(tmp_path, doc):
     return str(path)
 
 
-def contact_document(capsys, tmp_path):
+def contact_document(capsys):
     code, out, _ = run(capsys, "contact", "2,1|3", "--family", "GL", "--format", "json")
     assert code == 0
     return json.loads(out)
 
 
 def test_verify_exit_codes(capsys, tmp_path):
-    doc = contact_document(capsys, tmp_path)
+    doc = contact_document(capsys)
     assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
     doc["certificates"][0]["pairing"] = "2/1"
     assert run(capsys, "verify", write(tmp_path, doc))[:2] == (1, "INVALID\n")
@@ -89,14 +89,14 @@ def test_verify_exit_codes(capsys, tmp_path):
 
 
 def test_verify_exit_2_on_zero_denominator(capsys, tmp_path):
-    doc = contact_document(capsys, tmp_path)
+    doc = contact_document(capsys)
     doc["certificates"][0]["form"][0] = "1/0"
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert code == 2 and not out and "zero denominator" in err
 
 
 def test_verify_exit_2_on_missing_keys(capsys, tmp_path):
-    doc = contact_document(capsys, tmp_path)
+    doc = contact_document(capsys)
     del doc["certificates"][0]["reeb"]
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert code == 2 and not out and "reeb" in err
