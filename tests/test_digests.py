@@ -15,9 +15,14 @@ from seaweeds import classify, report
 ATTEMPTS, BOUND, TRIALS = 64, 10**6, 3
 
 DIGESTS = {
+    ("GL", 4): "5369f9580aca1ca36609455b4e4c104dd930687841a4b4094567ccf4eec04ed0",
     ("SL", 4): "75a0f91fff4bd408e3a4c7f9164cc3b3133bf0412d5341a248fc00b7c927b81e",
     ("SP", 2): "ec92d4262020d10c981d4eaee6ed3a3d8b79555a751a1cf2d9beb8ea666606fe",
     ("SO", 5): "4fc8acb3ad46295268c0099210e1490249db2406a74686b60a5c27742dc4adff",
+    # the benchmark workloads, as recorded in perfbench/NOTES.md
+    ("SL", 5): "eee8f9e87468ab54d58ce04fd9454deccc73f0a47a802f1c9bf4d042c8616304",
+    ("SP", 3): "921ea9530780793066769569f0cf982fe831085ecf2040eb158c23a2237b5812",
+    ("SO", 7): "716a40269ad279d6a4c7aa7548b115b218c1be74dc9281181d434f7bb5075579",
 }
 
 
