@@ -17,7 +17,6 @@ from .construct import (
     matrix_span,
     parse_pair,
     seaweed,
-    sln_seaweed,
 )
 from .contact import (
     ContactBasis,
@@ -120,6 +119,5 @@ __all__ = [
     "report",
     "sample_form",
     "seaweed",
-    "sln_seaweed",
     "verify_document",
 ]

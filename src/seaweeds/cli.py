@@ -8,7 +8,9 @@ COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable/basis return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
 input (a malformed pair, a missing --n, a rank over the sweep limits, a
-non-integer environment default) exits 2 with a one-line error on stderr.
+non-integer environment default, an environment default outside the
+subcommand's choices) exits 2 with a one-line error on stderr before any
+work is done.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 
 from .classify import LIMITS, classify, exit_status, report
-from .construct import AmbientAlgebra, Composition, flag_seaweed, parse_pair, seaweed
+from .construct import Composition, parse_pair, seaweed
 from .contact import contact_basis, find_contact_form, find_stable_form
 from .lie import index
 from .meander import census, meander, meander_index, meander_svg
@@ -40,6 +42,24 @@ def _env_str(name, fallback):
     return os.environ.get(name) or fallback
 
 
+def _env_choice(parser, flag, env, choices, fallback):
+    """Add a choice option whose default comes from the environment.
+
+    argparse checks ``choices`` only on values given on the command line, so
+    the option is also recorded for ``_check_env_choices``.
+    """
+    parser.add_argument(flag, choices=choices, default=_env_str(env, fallback))
+    checks = parser.get_default("env_choices") or ()
+    parser.set_defaults(env_choices=checks + ((flag[2:], env, choices),))
+
+
+def _check_env_choices(args):
+    for dest, env, choices in getattr(args, "env_choices", ()):
+        value = getattr(args, dest)
+        if value not in choices:
+            raise ValueError(f"{env}={value!r} is not one of {', '.join(choices)}")
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -55,11 +75,7 @@ def _add_common(parser, *, formats=("text", "json"), with_search=False):
         parser.add_argument(
             "--attempts", type=int, default=_env_int("SEAWEEDS_ATTEMPTS", 64)
         )
-    parser.add_argument(
-        "--format",
-        choices=formats,
-        default=_env_str("SEAWEEDS_FORMAT", formats[0]),
-    )
+    _env_choice(parser, "--format", "SEAWEEDS_FORMAT", formats, formats[0])
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -67,11 +83,7 @@ def _add_algebra_args(parser):
     parser.add_argument(
         "pair", nargs="?", help='composition pair "TOP|BOTTOM", e.g. "2,1|3"'
     )
-    parser.add_argument(
-        "--family",
-        choices=sorted(LIMITS),
-        default=_env_str("SEAWEEDS_FAMILY", "GL"),
-    )
+    _env_choice(parser, "--family", "SEAWEEDS_FAMILY", sorted(LIMITS), "GL")
     parser.add_argument("--top", help='top composition, e.g. "2,1"')
     parser.add_argument("--bot", help='bottom composition, e.g. "3"')
     parser.add_argument(
@@ -89,13 +101,12 @@ def _compositions(args):
 
 def _build_algebra(args):
     top, bottom = _compositions(args)
-    family = args.family.upper()
-    if family in ("GL", "SL"):
-        n = args.n if args.n is not None else top.total
-        return seaweed(family, n, top, bottom)
-    if args.n is None:
-        raise ValueError(f"--n is required for family {family}")
-    return flag_seaweed(AmbientAlgebra(family, args.n), top, bottom)
+    n = args.n
+    if n is None:
+        if args.family in ("SP", "SO"):
+            raise ValueError(f"--n is required for family {args.family}")
+        n = top.total
+    return seaweed(args.family, n, top, bottom)
 
 
 def _cmd_index(args):
@@ -282,24 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top")
     p.add_argument("--bot")
     p.add_argument("--svg", help="write an SVG drawing to this path")
-    p.add_argument(
-        "--format", choices=("text", "json"), default=_env_str("SEAWEEDS_FORMAT", "text")
-    )
+    _env_choice(p, "--format", "SEAWEEDS_FORMAT", ("text", "json"), "text")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_meander)
 
     p = sub.add_parser("classify", help="sweep all composition pairs of a family")
-    p.add_argument(
-        "--family", choices=sorted(LIMITS), default=_env_str("SEAWEEDS_FAMILY", "GL")
-    )
+    _env_choice(p, "--family", "SEAWEEDS_FAMILY", sorted(LIMITS), "GL")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=_env_int("SEAWEEDS_SEED", 0))
     p.add_argument("--attempts", type=int, default=_env_int("SEAWEEDS_ATTEMPTS", 64))
     p.add_argument("--bound", type=int, default=_env_int("SEAWEEDS_BOUND", 10**6))
     p.add_argument("--trials", type=int, default=_env_int("SEAWEEDS_TRIALS", 3))
-    p.add_argument(
-        "--format", choices=("json", "csv", "text"), default=_env_str("SEAWEEDS_FORMAT", "json")
-    )
+    _env_choice(p, "--format", "SEAWEEDS_FORMAT", ("json", "csv", "text"), "json")
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")
     p.add_argument("--embed", action="store_true", help="embed certificates in records")
@@ -316,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_env_choices(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,22 @@
 """Seaweed subalgebras of gl(n), sl(n), sp(2n), so(n) from composition pairs.
 
-Two independent constructions are provided.  ``gln_seaweed`` realizes the
-type-A block picture directly: the basis is every elementary matrix e_ij
-whose row block (under the top composition a) is at most its column block and
-whose row block under the bottom composition b is at least its column block.
-``flag_seaweed`` is the basis-free double-flag stabilizer inside any of the
-four ambient families: matrices preserving the forward coordinate flag with
-subspace sizes the prefix sums of a, and the reversed coordinate flag with
-sizes the prefix sums of reversed(b) (equivalently, the spans of the last
-n - q coordinates for prefix sums q of b).  The two constructions produce the
-identical canonical subspace of gl(n); the exhaustive agreement sweep is part
-of the acceptance suite.
+Every seaweed is built by ``flag_seaweed``: it is the stabilizer, inside one
+of the four ambient families, of two coordinate flags (Dergachev-Kirillov
+2000), the forward flag with subspace sizes the prefix sums of a and the
+reversed flag with sizes the prefix sums of reversed(b) (equivalently, the
+spans of the last n - q coordinates for prefix sums q of b).  Stabilizing
+them kills a set of off-diagonal matrix entries.  No off-diagonal entry is
+shared by two matrices of the canonical ambient basis: GL basis matrices are
+elementary, SL ones are off-diagonal elementary or e_ii - e_{N-1,N-1}, and
+each SP/SO one lives on one orbit {(i,j), (N-1-j, N-1-i)}.  So the
+stabilizer is spanned by the ambient basis matrices whose support avoids the
+killed entries, and its structure constants are the ambient table restricted
+to them.  The ambient basis, its supports and its table are built once per
+family and rank from sparse commutators.
+
+``gln_seaweed`` is the type-A block picture written out directly.  It is an
+independent reference for the tests: it yields the same basis, table and
+realization as the GL flag stabilizer.
 
 For sp and so the ambient bilinear form is antidiagonal, so coordinate flags
 bounded by floor(N/2) are isotropic and upper-triangular members form a
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linalg import Matrix, Subspace, nullspace
 from .lie import LieAlgebra, StructureError
@@ -122,7 +129,8 @@ def _elementary(n: int, i: int, j: int) -> Matrix:
 
 
 def gln_seaweed(a: Composition, b: Composition) -> LieAlgebra:
-    """Type-A seaweed in the block picture.
+    """Type-A seaweed in the block picture; a test reference for
+    ``seaweed("GL", ...)``, which the sweeps use.
 
     Basis: all e_ij with blockA(i) <= blockA(j) and blockB(i) >= blockB(j),
     in row-major order (which is also the canonical echelon order of the
@@ -163,86 +171,6 @@ def gln_seaweed(a: Composition, b: Composition) -> LieAlgebra:
     return LieAlgebra(len(pairs), structure, realization=mats, label=f"GL{n}[{a}|{b}]")
 
 
-def sln_seaweed(a: Composition, b: Composition) -> LieAlgebra:
-    """Trace-zero reduction of the gl(n) seaweed (one linear constraint).
-
-    Basis: off-diagonal e_ij of the gl seaweed in row-major order, with each
-    diagonal e_ii (i < n-1) replaced by h_i = e_ii - e_{n-1,n-1} and the last
-    diagonal dropped.  Every seaweed contains the full diagonal, so the
-    dimension drops by exactly one.
-    """
-    n = a.total
-    if n != b.total:
-        raise ValueError("composition totals differ")
-    if n < 2:
-        raise ValueError("sl(n) needs n >= 2")
-    blk_a, blk_b = _block_lookup(a), _block_lookup(b)
-    m = n - 1
-    basis = []  # sparse dicts {(u,v): coeff}
-    for i in range(n):
-        for j in range(n):
-            if blk_a[i] > blk_a[j] or blk_b[i] < blk_b[j]:
-                continue
-            if i == j == m:
-                continue
-            if i == j:
-                basis.append({(i, i): 1, (m, m): -1})
-            else:
-                basis.append({(i, j): 1})
-    offdiag_index = {}
-    diag_index = {}
-    for t, elem in enumerate(basis):
-        (u, v), _ = next(iter(elem.items()))
-        if u == v:
-            diag_index[u] = t
-        else:
-            offdiag_index[(u, v)] = t
-
-    def to_coords(sparse):
-        # express a trace-zero sparse elementary combination in the basis
-        coords = {}
-        diag = {}
-        for (u, v), c in sparse.items():
-            if not c:
-                continue
-            if u == v:
-                diag[u] = diag.get(u, 0) + c
-            else:
-                t = offdiag_index.get((u, v))
-                assert t is not None, "seaweed not closed under bracket"
-                coords[t] = coords.get(t, 0) + c
-        for u, c in diag.items():
-            if u == m or not c:
-                continue
-            coords[diag_index[u]] = coords.get(diag_index[u], 0) + c
-        assert sum(diag.values()) == 0, "bracket left the trace-zero space"
-        return {t: c for t, c in coords.items() if c}
-
-    structure = {}
-    for t1 in range(len(basis)):
-        for t2 in range(t1 + 1, len(basis)):
-            prod = {}
-            for (u, v), c1 in basis[t1].items():
-                for (k, l), c2 in basis[t2].items():
-                    c = c1 * c2
-                    if v == k:
-                        prod[(u, l)] = prod.get((u, l), 0) + c
-                    if l == u:
-                        prod[(k, v)] = prod.get((k, v), 0) - c
-            coords = to_coords(prod)
-            if coords:
-                structure[(t1, t2)] = coords
-
-    def realize(sparse):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (u, v), c in sparse.items():
-            rows[u][v] += Fraction(c)
-        return Matrix(tuple(tuple(r) for r in rows))
-
-    mats = tuple(realize(e) for e in basis)
-    return LieAlgebra(len(basis), structure, realization=mats, label=f"SL{n}[{a}|{b}]")
-
-
 class AmbientAlgebra:
     """One of the four reductive matrix families, with its defining form.
 
@@ -264,6 +192,10 @@ class AmbientAlgebra:
         elif family == "SO":
             if n < 2:
                 raise ValueError("so matrix size must be at least 2")
+            size = n
+        elif family == "SL":
+            if n < 2:
+                raise ValueError("sl(n) needs n >= 2")
             size = n
         else:
             if n < 1:
@@ -320,41 +252,74 @@ def _ambient_basis(family: str, n: int) -> tuple[Matrix, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _ambient_table(family: str, n: int):
-    """Structure constants of the ambient algebra in its canonical basis.
+class _AmbientView(NamedTuple):
+    """Sparse view of an ambient family's canonical basis."""
 
-    Extraction uses the echelon shape of the vectorized basis: coordinates of
-    any member are just its values at the pivot positions.
+    supports: tuple[frozenset, ...]  # nonzero entries (u, v) of each basis matrix
+    shared: frozenset  # entries in the support of more than one basis matrix
+    table: dict  # (i, j) with i < j -> {r: c}, the nonzero [x_i, x_j]
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """XY - YX for sparse matrices given as {(u, v): c}."""
+    out = {}
+    for (u, v), p in x.items():
+        for (k, l), q in y.items():
+            if v == k:
+                out[(u, l)] = out.get((u, l), 0) + p * q
+            if l == u:
+                out[(k, v)] = out.get((k, v), 0) - p * q
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ambient_view(family: str, n: int) -> _AmbientView:
+    """Supports, shared entries and structure constants of the ambient basis.
+
+    The basis is in reduced echelon form, so each matrix has a pivot entry
+    (its first nonzero in row-major order) equal to 1 and absent from every
+    other basis matrix: the coordinates of any member are its values at the
+    pivots.  The table is read off the sparse commutators that way, and a
+    commutator its pivot coordinates do not reproduce raises StructureError.
     """
     mats = _ambient_basis(family, n)
-    vecs = [m.vec() for m in mats]
-    pivots = [next(k for k, x in enumerate(v) if x) for v in vecs]
+    sparse = [
+        {(u, v): x for u, row in enumerate(m.rows) for v, x in enumerate(row) if x}
+        for m in mats
+    ]
+    owner = {min(entries): k for k, entries in enumerate(sparse)}
+    seen, shared = set(), set()
+    for entries in sparse:
+        shared.update(seen.intersection(entries))
+        seen.update(entries)
     table = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).vec()
-            coords = {r: comm[p] for r, p in enumerate(pivots) if comm[p]}
-            residual = list(comm)
+    for i, x in enumerate(sparse):
+        for j in range(i + 1, len(sparse)):
+            comm = _commutator(x, sparse[j])
+            coords = {owner[e]: c for e, c in comm.items() if c and e in owner}
             for r, c in coords.items():
-                vr = vecs[r]
-                for k in range(len(residual)):
-                    residual[k] -= c * vr[k]
-            if any(residual):
+                for e, v in sparse[r].items():
+                    comm[e] = comm.get(e, 0) - c * v
+            if any(comm.values()):
                 raise StructureError("ambient family is not closed under bracket")
             if coords:
                 table[(i, j)] = coords
-    return table
+    supports = tuple(frozenset(entries) for entries in sparse)
+    return _AmbientView(supports, frozenset(shared), table)
 
 
 def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
     """Double-flag stabilizer seaweed inside the ambient algebra.
 
     Members preserve V_p = span(e_0..e_{p-1}) for every prefix sum p of a and
-    W_q = span(e_{N-q}..e_{N-1}) for every prefix sum q of reversed(b).
-    Computed as the nullspace of the stacked entry-killing constraints over
-    the ambient basis; structure constants are induced through the ambient
-    table and the realization is attached.
+    W_q = span(e_{N-q}..e_{N-1}) for every prefix sum q of reversed(b), that
+    is, they vanish on the entries those flags kill.  The basis is the
+    ambient basis matrices whose support avoids every killed entry, in
+    ambient order; the structure constants are the ambient table restricted
+    to them, and the realization reuses the ambient matrices.  Raises
+    StructureError if a killed entry is shared by two ambient basis matrices
+    (the kept matrices would then not span the stabilizer) or a bracket of
+    kept matrices leaves them.
     """
     size = amb.matrix_size
     if amb.family in ("GL", "SL"):
@@ -365,8 +330,6 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
             raise ValueError(
                 f"composition totals must be at most {amb.max_flag} for isotropic flags"
             )
-    mats = amb.basis_matrices()
-    k_amb = len(mats)
     killed = set()
     for p in a.prefix_sums():
         if p < size:
@@ -374,78 +337,25 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     for q in b.reversed().prefix_sums():
         if q < size:
             killed.update((r, c) for r in range(size - q) for c in range(size - q, size))
-    rows = [tuple(m.rows[r][c] for m in mats) for (r, c) in sorted(killed)]
-    if rows:
-        coords_space = nullspace(Matrix(tuple(rows)))
-    else:
-        coords_space = Subspace.full(k_amb)
-
-    amb_table = _ambient_table(amb.family, amb.n)
-
-    def amb_bracket(x, y):
-        # bilinear expansion over the nonzero supports (basis rows are sparse)
-        out = [Fraction(0)] * k_amb
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj or i == j:
-                    continue
-                terms = amb_table.get((i, j)) if i < j else amb_table.get((j, i))
-                if not terms:
-                    continue
-                coef = xi * yj if i < j else -xi * yj
-                for r, c in terms.items():
-                    out[r] += coef * c
-        return out
-
-    basis_coords = coords_space.basis
-    piv = []
-    for row in basis_coords:
-        piv.append(next(k for k, x in enumerate(row) if x))
+    view = _ambient_view(amb.family, amb.n)
+    if not view.shared.isdisjoint(killed):
+        raise StructureError("a killed entry is shared by two ambient basis matrices")
+    kept = [k for k, support in enumerate(view.supports) if support.isdisjoint(killed)]
+    position = {k: t for t, k in enumerate(kept)}
     structure = {}
-    for t1 in range(len(basis_coords)):
-        for t2 in range(t1 + 1, len(basis_coords)):
-            br = amb_bracket(basis_coords[t1], basis_coords[t2])
-            coords = {s: br[p] for s, p in enumerate(piv) if br[p]}
-            residual = br
-            for s, c in coords.items():
-                brow = basis_coords[s]
-                for k in range(k_amb):
-                    residual[k] -= c * brow[k]
-            if any(residual):
+    for (i, j), terms in view.table.items():
+        if i in position and j in position:
+            if not position.keys() >= terms.keys():
                 raise StructureError("flag stabilizer is not closed under bracket")
-            if coords:
-                structure[(t1, t2)] = coords
-
-    def realize(coords):
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for c, m in zip(coords, mats):
-            if c:
-                for u in range(size):
-                    mr = m.rows[u]
-                    ru = rows[u]
-                    for v in range(size):
-                        if mr[v]:
-                            ru[v] += c * mr[v]
-        return Matrix(tuple(tuple(r) for r in rows))
-
+            structure[(position[i], position[j])] = {position[r]: c for r, c in terms.items()}
     label = f"{amb.family}{size}[{a}|{b}]"
-    real = tuple(realize(c) for c in basis_coords)
-    return LieAlgebra(len(basis_coords), structure, realization=real, label=label)
+    mats = amb.basis_matrices()
+    real = tuple(mats[k] for k in kept)
+    return LieAlgebra(len(kept), structure, realization=real, label=label)
 
 
 def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
     """Uniform entry point used by the classifier and the CLI."""
-    family = family.upper()
-    if family == "GL":
-        if a.total != n or b.total != n:
-            raise ValueError(f"composition totals must equal n={n}")
-        return gln_seaweed(a, b)
-    if family == "SL":
-        if a.total != n or b.total != n:
-            raise ValueError(f"composition totals must equal n={n}")
-        return sln_seaweed(a, b)
     return flag_seaweed(AmbientAlgebra(family, n), a, b)
 
 

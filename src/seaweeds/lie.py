@@ -72,16 +72,16 @@ class LieAlgebra:
                 if cleaned:
                     raise StructureError(f"[x_{i},x_{i}] must vanish")
                 continue
-            if cleaned:
-                full[(i, j)] = cleaned
+            full[(i, j)] = cleaned  # kept when empty: it still has to agree
         table = {}
         for (i, j), terms in full.items():
             if i < j:
-                table[(i, j)] = tuple(sorted(terms.items()))
+                if terms:
+                    table[(i, j)] = tuple(sorted(terms.items()))
             elif (j, i) in full:
                 if {r: -c for r, c in full[(j, i)].items()} != terms:
                     raise StructureError(f"antisymmetry violated on pair ({j},{i})")
-            else:
+            elif terms:
                 table[(j, i)] = tuple(sorted((r, -c) for r, c in terms.items()))
         self._table = table
         self._integral = all(type(c) is int for terms in table.values() for _, c in terms)

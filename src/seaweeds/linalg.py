@@ -34,7 +34,13 @@ class AmbientMismatch(ValueError):
 
 
 def as_scalar(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; a float is refused, since its binary value is rarely
+    the rational that was meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact scalar {x!r}: give an int, a Fraction or a 'p/q' string")
+    return Fraction(x)
 
 
 def _int_rows(rows):

@@ -36,6 +36,7 @@ from .construct import Composition, seaweed
 from .contact import ContactCertificate, StabilityCertificate
 from .lie import Element, LieAlgebra, OneForm, kirillov_matrix
 from .linalg import Matrix, Subspace, intersect, nullspace
+from .meander import meander, meander_index
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -172,16 +173,32 @@ def _rebuild_record_algebra(record: dict) -> LieAlgebra:
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
+def _index_claims_hold(record: dict) -> bool:
+    """The statuses and verdict follow from the index (the searches run on
+    index-one seaweeds only), and a GL/SL index equals the meander census."""
+    statuses = {record["contact"], record["stable"]}
+    if record["index"] != 1:
+        if statuses != {"SKIPPED"} or record["verdict"] != "CONSISTENT":
+            return False
+    elif "SKIPPED" in statuses:
+        return False
+    if record["family"] in ("GL", "SL"):
+        graph = meander(Composition(tuple(record["top"])), Composition(tuple(record["bottom"])))
+        return record["index"] == meander_index(graph, record["family"])
+    return True
+
+
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
     Certificate documents carry an embedded algebra; classification reports
     name each record's seaweed by family and compositions, which is rebuilt.
     A document is invalid when it gives nothing to check (no records, no
-    certificates), when a record claims FOUND without embedding the
-    certificate, or when a record carries certificates but its index is not
-    one (the searches run only on index-one seaweeds).  A document of the
-    wrong shape raises ValueError.
+    certificates), when a record's statuses or verdict disagree with its
+    index or a GL/SL index disagrees with the meander census, when a record
+    claims FOUND without embedding the certificate, or when a record carries
+    certificates but its index is not one (the searches run only on
+    index-one seaweeds).  A document of the wrong shape raises ValueError.
     """
     try:
         return _verify_document(doc)
@@ -195,6 +212,8 @@ def _verify_document(doc: dict) -> bool:
             return False
         ok = True
         for record in doc["records"]:
+            if not _index_claims_hold(record):
+                return False
             certs = record.get("certificates") or {}
             for status, kind in _EVIDENCE.items():
                 if record.get(status) == "FOUND" and kind not in certs:

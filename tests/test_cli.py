@@ -51,6 +51,37 @@ def test_exit_2_on_non_integer_env_default(capsys, monkeypatch):
     assert code == 2 and err == "error: SEAWEEDS_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "env,value,argv",
+    [
+        ("SEAWEEDS_FORMAT", "xml", ("index", "2|2")),
+        ("SEAWEEDS_FORMAT", "csv", ("index", "2|2")),
+        ("SEAWEEDS_FAMILY", "XX", ("index", "2|2")),
+        ("SEAWEEDS_FORMAT", "xml", ("meander", "2|2")),
+        ("SEAWEEDS_FORMAT", "xml", ("classify", "--family", "GL", "--n", "3")),
+        ("SEAWEEDS_FAMILY", "XX", ("classify", "--n", "3")),
+    ],
+)
+def test_exit_2_on_env_default_outside_choices(capsys, monkeypatch, env, value, argv):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the defaults were checked")
+
+    monkeypatch.setattr("seaweeds.cli.classify", no_sweep)
+    monkeypatch.setenv(env, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {env}=") and err.count("\n") == 1
+
+
+def test_env_default_checked_against_the_chosen_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("SEAWEEDS_FORMAT", "csv")
+    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "2")
+    assert code == 0 and out.startswith("family,n,top,bottom,")
+    # an explicit flag wins over a default the subcommand would refuse
+    code, out, _ = run(capsys, "index", "2|2", "--format", "json")
+    assert code == 0 and json.loads(out)["index"] == 2
+
+
 def test_env_defaults_and_flags(capsys, monkeypatch):
     monkeypatch.setenv("SEAWEEDS_SEED", "7")
     monkeypatch.setenv("SEAWEEDS_FORMAT", "json")

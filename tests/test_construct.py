@@ -6,15 +6,19 @@ from seaweeds import (
     AmbientAlgebra,
     Composition,
     bracket,
+    construct,
     enumerate_compositions,
     flag_seaweed,
     gln_seaweed,
     matrix_span,
     parse_pair,
     seaweed,
-    sln_seaweed,
 )
-from seaweeds.linalg import Matrix, rank
+from seaweeds.classify import LIMITS
+from seaweeds.construct import _ambient_view
+from seaweeds.lie import StructureError
+from seaweeds.linalg import Matrix, intersect, nullspace, rank
+from seaweeds.serialize import algebra_to_json
 
 F = Fraction
 
@@ -90,29 +94,31 @@ def test_gln_transpose_symmetry_of_dimension():
                 assert gln_seaweed(a, b).dim == gln_seaweed(b, a).dim
 
 
-# -- sln_seaweed -------------------------------------------------------------------
+# -- sl seaweeds -------------------------------------------------------------------
 
 
 def test_sln_drops_one_dimension():
     for a, b in [(C(2), C(2)), (C(2, 1), C(3)), (C(1, 1, 1), C(3))]:
-        assert sln_seaweed(a, b).dim == gln_seaweed(a, b).dim - 1
+        assert seaweed("SL", a.total, a, b).dim == gln_seaweed(a, b).dim - 1
 
 
 def test_sl2_structure():
-    sl2 = sln_seaweed(C(2), C(2))  # basis h = e00 - e11, e = e01, f = e10
+    sl2 = seaweed("SL", 2, C(2), C(2))  # basis h = e00 - e11, e = e01, f = e10
     h, e, f = (sl2.basis_element(i) for i in range(3))
     assert bracket(h, e) == e.scale(2)
     assert bracket(h, f) == f.scale(-2)
     assert bracket(e, f) == h
 
 
-def test_sln_matches_flag_construction():
-    amb = AmbientAlgebra("SL", 3)
-    for pair in [(C(2, 1), C(3)), (C(1, 2), C(2, 1)), (C(3), C(3))]:
-        direct = sln_seaweed(*pair)
-        via_flags = flag_seaweed(amb, *pair)
-        assert direct.dim == via_flags.dim
-        assert matrix_span(direct) == matrix_span(via_flags)
+def test_sl_is_trace_zero_part_of_gl_block_seaweed():
+    for n in range(2, 5):
+        trace_row = tuple(F(1) if t % (n + 1) == 0 else F(0) for t in range(n * n))
+        trace_zero = nullspace(Matrix((trace_row,)))
+        for a in enumerate_compositions(n):
+            for b in enumerate_compositions(n):
+                sl, gl = seaweed("SL", n, a, b), gln_seaweed(a, b)
+                assert sl.dim == gl.dim - 1
+                assert matrix_span(sl) == intersect(matrix_span(gl), trace_zero)
 
 
 # -- flag_seaweed ------------------------------------------------------------------
@@ -123,6 +129,36 @@ def test_flag_matches_block_construction_small():
     for a in enumerate_compositions(3):
         for b in enumerate_compositions(3):
             assert matrix_span(flag_seaweed(amb, a, b)) == matrix_span(gln_seaweed(a, b))
+
+
+def test_gl_seaweed_equals_block_reference():
+    # the full table and realization, not just the span
+    for n in range(1, 5):
+        for a in enumerate_compositions(n):
+            for b in enumerate_compositions(n):
+                assert algebra_to_json(seaweed("GL", n, a, b)) == algebra_to_json(gln_seaweed(a, b))
+
+
+def test_shared_ambient_entries_are_diagonal():
+    # flag stabilizers only kill off-diagonal entries, so a shared entry on
+    # the diagonal never merges two basis matrices into one constraint
+    first = {"GL": 1, "SL": 2, "SP": 1, "SO": 2}
+    for family, limit in LIMITS.items():
+        for n in range(first[family], limit + 1):
+            assert all(u == v for u, v in _ambient_view(family, n).shared), (family, n)
+
+
+def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch):
+    # GL2[1,1|2] kills e10, ambient index 2
+    view = _ambient_view("GL", 2)
+    amb, a, b = AmbientAlgebra("GL", 2), C(1, 1), C(2)
+    for bad in (
+        view._replace(shared=frozenset({(1, 0)})),
+        view._replace(table={**view.table, (0, 1): {2: 1}}),
+    ):
+        monkeypatch.setattr(construct, "_ambient_view", lambda family, n, bad=bad: bad)
+        with pytest.raises(StructureError):
+            flag_seaweed(amb, a, b)
 
 
 def test_flag_full_gl():

@@ -24,7 +24,7 @@ from seaweeds import (
     meander,
     meander_index,
     reductive_type_witness,
-    sln_seaweed,
+    seaweed,
 )
 from seaweeds.contact import PreconditionError, dual_functional
 from seaweeds.lie import kirillov_kernel
@@ -129,7 +129,7 @@ def test_volume_agrees_with_kernel_characterization():
         abelian(3),
         gln_seaweed(C(2, 1), C(3)),
         gln_seaweed(C(3), C(1, 2)),
-        sln_seaweed(C(2), C(2)),
+        seaweed("SL", 2, C(2), C(2)),
     ]
     checked = 0
     for g in pool:
@@ -233,7 +233,7 @@ def test_searches_are_deterministic():
 
 
 def test_forward_direction_contact_implies_stable():
-    for g in (heisenberg(), gln_seaweed(C(2, 1), C(3)), sln_seaweed(C(2), C(2))):
+    for g in (heisenberg(), gln_seaweed(C(2, 1), C(3)), seaweed("SL", 2, C(2), C(2))):
         cert = find_contact_form(g, seed=21)
         assert cert is not None
         assert is_stable_form(g, cert.form) is not None
@@ -265,13 +265,13 @@ def test_reductive_witness_rejects_nonzero_center():
 
 
 def test_reductive_witness_rejects_fat_kernel():
-    sl2 = sln_seaweed(C(2), C(2))
+    sl2 = seaweed("SL", 2, C(2), C(2))
     with pytest.raises(PreconditionError):
         reductive_type_witness(sl2, form(sl2, [0, 0, 0]))
 
 
 def test_reductive_witness_on_contact_sl2():
-    sl2 = sln_seaweed(C(2), C(2))
+    sl2 = seaweed("SL", 2, C(2), C(2))
     cert = find_contact_form(sl2, seed=14)
     assert cert is not None
     assert reductive_type_witness(sl2, cert.form)

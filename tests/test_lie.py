@@ -77,6 +77,23 @@ def test_antisymmetry_enforced():
         LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
 
 
+def test_antisymmetry_checked_against_an_empty_orientation():
+    with pytest.raises(StructureError):
+        LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {}})
+    with pytest.raises(StructureError):
+        LieAlgebra(3, {(0, 1): {2: 0}, (1, 0): {2: 1}})
+    assert not list(LieAlgebra(3, {(0, 1): {}, (1, 0): {2: 0}}).structure_items())
+
+
+def test_float_scalars_refused():
+    with pytest.raises(TypeError, match="inexact"):
+        LieAlgebra(3, {(0, 1): {2: 0.1}})
+    e12, e23, e13 = _heisenberg_matrices()
+    float_e12 = Matrix(tuple(tuple(float(x) for x in row) for row in e12.rows))
+    with pytest.raises(TypeError, match="inexact"):
+        LieAlgebra(3, {(0, 1): {2: 1}}, realization=(float_e12, e23, e13))
+
+
 def test_self_bracket_must_vanish():
     with pytest.raises(StructureError):
         LieAlgebra(2, {(0, 0): {1: 1}})
@@ -271,9 +288,9 @@ def test_center_gl_is_scalars():
 
 
 def test_center_sl2_trivial():
-    from seaweeds import sln_seaweed
+    from seaweeds import seaweed
 
-    sl2 = sln_seaweed(Composition((2,)), Composition((2,)))
+    sl2 = seaweed("SL", 2, Composition((2,)), Composition((2,)))
     assert center(sl2).dim == 0
 
 

@@ -160,6 +160,30 @@ def test_verify_rejects_certificates_on_index_other_than_one():
     assert not verify_document(doc)
 
 
+def test_verify_rejects_statuses_that_disagree_with_the_index():
+    doc, record = _index_one_report()
+    record["contact"] = "SKIPPED"
+    assert not verify_document(doc)
+    doc = json.loads(report(classify("SP", 2, seed=5, embed_certificates=True), "json"))
+    other = next(r for r in doc["records"] if r["index"] != 1)
+    other["stable"] = "NOT_FOUND"
+    assert not verify_document(doc)
+    other["stable"] = "SKIPPED"
+    other["verdict"] = "COUNTEREXAMPLE"
+    assert not verify_document(doc)
+    other["verdict"] = "CONSISTENT"
+    assert verify_document(doc)
+
+
+def test_verify_rejects_gl_sl_index_off_the_meander_census():
+    for family in ("GL", "SL"):
+        doc = json.loads(report(classify(family, 3, seed=5, embed_certificates=True), "json"))
+        assert verify_document(doc)
+        record = next(r for r in doc["records"] if r["index"] == 3 - (family == "SL"))
+        record["index"] += 2  # statuses stay SKIPPED, as an index other than one requires
+        assert not verify_document(doc)
+
+
 def test_verify_malformed_document_raises_value_error():
     doc, record = _index_one_report()
     del record["index"]
