@@ -16,6 +16,7 @@ ATTEMPTS, BOUND, TRIALS = 64, 10**6, 3
 
 DIGESTS = {
     ("GL", 4): "5369f9580aca1ca36609455b4e4c104dd930687841a4b4094567ccf4eec04ed0",
+    ("GL", 5): "d99312e6060fb6502c77be3be160e3d86c284d40f58753e3ee8de6e7a3a9ccf9",
     ("SL", 4): "75a0f91fff4bd408e3a4c7f9164cc3b3133bf0412d5341a248fc00b7c927b81e",
     ("SP", 2): "ec92d4262020d10c981d4eaee6ed3a3d8b79555a751a1cf2d9beb8ea666606fe",
     ("SO", 5): "4fc8acb3ad46295268c0099210e1490249db2406a74686b60a5c27742dc4adff",
