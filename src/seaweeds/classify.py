@@ -18,6 +18,9 @@ searches.  Verdict policy:
   (neither property present).
 * zero-attempt budgets leave searches inconclusive: UNRESOLVED.
 
+The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
+also uses to re-derive each record's verdict.
+
 Index trials that disagree trigger one re-run with the coordinate bound
 multiplied by 100; the reported index is the minimum kernel dimension seen.
 Per-record determinism comes from derived seeds (seed XOR record ordinal),
@@ -33,12 +36,18 @@ import json
 from dataclasses import dataclass
 
 from .construct import Composition, enumerate_compositions, seaweed
-from .contact import find_contact_form, find_stable_form, is_stable_form
+from .contact import (
+    CONSISTENT,
+    FOUND,
+    NOT_FOUND,
+    SKIPPED,
+    find_contact_form,
+    find_stable_form,
+    is_stable_form,
+    search_verdict,
+)
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .serialize import certificate_to_json
-
-FOUND, NOT_FOUND, SKIPPED = "FOUND", "NOT_FOUND", "SKIPPED"
-CONSISTENT, COUNTEREXAMPLE, UNRESOLVED = "CONSISTENT", "COUNTEREXAMPLE", "UNRESOLVED"
 
 DEFAULT_ATTEMPTS = 64
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
@@ -138,16 +147,7 @@ def classify(
                 s_cert = is_stable_form(g, c_cert.form)
             contact_status = FOUND if c_cert is not None else NOT_FOUND
             stable_status = FOUND if s_cert is not None else NOT_FOUND
-            if attempts < 1:
-                verdict = UNRESOLVED
-            elif contact_status == FOUND and stable_status == FOUND:
-                verdict = CONSISTENT
-            elif contact_status == FOUND:
-                verdict = COUNTEREXAMPLE
-            elif stable_status == FOUND:
-                verdict = UNRESOLVED
-            else:
-                verdict = CONSISTENT
+            verdict = search_verdict(contact_status, stable_status, attempts)
             if embed_certificates:
                 if c_cert is not None:
                     certs["contact"] = certificate_to_json(c_cert)

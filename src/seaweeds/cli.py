@@ -10,7 +10,8 @@ verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
 input (a malformed pair, a missing --n, a rank over the sweep limits, a
 non-integer environment default, an environment default outside the
 subcommand's choices) exits 2 with a one-line error on stderr before any
-work is done.
+work is done.  An environment default is checked only when the chosen
+subcommand takes that option and the command line leaves it out.
 """
 
 from __future__ import annotations
@@ -28,36 +29,34 @@ from .meander import census, meander, meander_index, meander_svg
 from .serialize import algebra_to_json, certificate_to_json, frac_to_str, verify_document
 
 
-def _env_int(name, fallback):
-    value = os.environ.get(name)
-    if not value:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _env_option(parser, flag, env, fallback, choices=None):
+    """Add an option whose default comes from the environment.
 
-
-def _env_str(name, fallback):
-    return os.environ.get(name) or fallback
-
-
-def _env_choice(parser, flag, env, choices, fallback):
-    """Add a choice option whose default comes from the environment.
-
-    argparse checks ``choices`` only on values given on the command line, so
-    the option is also recorded for ``_check_env_choices``.
+    An integer option when ``choices`` is None, else a choice option.  The
+    default is left unset here and filled in by ``_apply_env_defaults``, so
+    a variable is read and checked only when the chosen subcommand takes
+    the option and the command line does not give it.
     """
-    parser.add_argument(flag, choices=choices, default=_env_str(env, fallback))
-    checks = parser.get_default("env_choices") or ()
-    parser.set_defaults(env_choices=checks + ((flag[2:], env, choices),))
+    parser.add_argument(flag, type=None if choices else int, choices=choices)
+    defaults = parser.get_default("env_defaults") or ()
+    parser.set_defaults(env_defaults=defaults + ((flag[2:], env, fallback, choices),))
 
 
-def _check_env_choices(args):
-    for dest, env, choices in getattr(args, "env_choices", ()):
-        value = getattr(args, dest)
-        if value not in choices:
+def _apply_env_defaults(args):
+    for dest, env, fallback, choices in getattr(args, "env_defaults", ()):
+        if getattr(args, dest) is not None:
+            continue
+        value = os.environ.get(env)
+        if not value:
+            value = fallback
+        elif choices is None:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{env} must be an integer, got {value!r}") from None
+        elif value not in choices:
             raise ValueError(f"{env}={value!r} is not one of {', '.join(choices)}")
+        setattr(args, dest, value)
 
 
 def _emit(text: str, out: str | None):
@@ -69,13 +68,11 @@ def _emit(text: str, out: str | None):
 
 
 def _add_common(parser, *, formats=("text", "json"), with_search=False):
-    parser.add_argument("--seed", type=int, default=_env_int("SEAWEEDS_SEED", 0))
-    parser.add_argument("--bound", type=int, default=_env_int("SEAWEEDS_BOUND", 10**6))
+    _env_option(parser, "--seed", "SEAWEEDS_SEED", 0)
+    _env_option(parser, "--bound", "SEAWEEDS_BOUND", 10**6)
     if with_search:
-        parser.add_argument(
-            "--attempts", type=int, default=_env_int("SEAWEEDS_ATTEMPTS", 64)
-        )
-    _env_choice(parser, "--format", "SEAWEEDS_FORMAT", formats, formats[0])
+        _env_option(parser, "--attempts", "SEAWEEDS_ATTEMPTS", 64)
+    _env_option(parser, "--format", "SEAWEEDS_FORMAT", formats[0], formats)
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -83,7 +80,7 @@ def _add_algebra_args(parser):
     parser.add_argument(
         "pair", nargs="?", help='composition pair "TOP|BOTTOM", e.g. "2,1|3"'
     )
-    _env_choice(parser, "--family", "SEAWEEDS_FAMILY", sorted(LIMITS), "GL")
+    _env_option(parser, "--family", "SEAWEEDS_FAMILY", "GL", sorted(LIMITS))
     parser.add_argument("--top", help='top composition, e.g. "2,1"')
     parser.add_argument("--bot", help='bottom composition, e.g. "3"')
     parser.add_argument(
@@ -270,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="randomized index of one seaweed")
     _add_algebra_args(p)
     _add_common(p)
-    p.add_argument("--trials", type=int, default=_env_int("SEAWEEDS_TRIALS", 3))
+    _env_option(p, "--trials", "SEAWEEDS_TRIALS", 3)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("contact", help="search for a contact form")
@@ -293,18 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top")
     p.add_argument("--bot")
     p.add_argument("--svg", help="write an SVG drawing to this path")
-    _env_choice(p, "--format", "SEAWEEDS_FORMAT", ("text", "json"), "text")
+    _env_option(p, "--format", "SEAWEEDS_FORMAT", "text", ("text", "json"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_meander)
 
     p = sub.add_parser("classify", help="sweep all composition pairs of a family")
-    _env_choice(p, "--family", "SEAWEEDS_FAMILY", sorted(LIMITS), "GL")
+    _env_option(p, "--family", "SEAWEEDS_FAMILY", "GL", sorted(LIMITS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_env_int("SEAWEEDS_SEED", 0))
-    p.add_argument("--attempts", type=int, default=_env_int("SEAWEEDS_ATTEMPTS", 64))
-    p.add_argument("--bound", type=int, default=_env_int("SEAWEEDS_BOUND", 10**6))
-    p.add_argument("--trials", type=int, default=_env_int("SEAWEEDS_TRIALS", 3))
-    _env_choice(p, "--format", "SEAWEEDS_FORMAT", ("json", "csv", "text"), "json")
+    _env_option(p, "--seed", "SEAWEEDS_SEED", 0)
+    _env_option(p, "--attempts", "SEAWEEDS_ATTEMPTS", 64)
+    _env_option(p, "--bound", "SEAWEEDS_BOUND", 10**6)
+    _env_option(p, "--trials", "SEAWEEDS_TRIALS", 3)
+    _env_option(p, "--format", "SEAWEEDS_FORMAT", "json", ("json", "csv", "text"))
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")
     p.add_argument("--embed", action="store_true", help="embed certificates in records")
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_env_choices(args)
+        _apply_env_defaults(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

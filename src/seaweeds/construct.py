@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import Matrix, Subspace, nullspace
-from .lie import LieAlgebra, StructureError
+from .lie import LieAlgebra, StructureError, _commutator, _sparse_matrix
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
@@ -260,18 +260,6 @@ class _AmbientView(NamedTuple):
     table: dict  # (i, j) with i < j -> {r: c}, the nonzero [x_i, x_j]
 
 
-def _commutator(x: dict, y: dict) -> dict:
-    """XY - YX for sparse matrices given as {(u, v): c}."""
-    out = {}
-    for (u, v), p in x.items():
-        for (k, l), q in y.items():
-            if v == k:
-                out[(u, l)] = out.get((u, l), 0) + p * q
-            if l == u:
-                out[(k, v)] = out.get((k, v), 0) - p * q
-    return out
-
-
 @lru_cache(maxsize=None)
 def _ambient_view(family: str, n: int) -> _AmbientView:
     """Supports, shared entries and structure constants of the ambient basis.
@@ -283,10 +271,7 @@ def _ambient_view(family: str, n: int) -> _AmbientView:
     commutator its pivot coordinates do not reproduce raises StructureError.
     """
     mats = _ambient_basis(family, n)
-    sparse = [
-        {(u, v): x for u, row in enumerate(m.rows) for v, x in enumerate(row) if x}
-        for m in mats
-    ]
+    sparse = [_sparse_matrix(m) for m in mats]
     owner = {min(entries): k for k, entries in enumerate(sparse)}
     seen, shared = set(), set()
     for entries in sparse:

@@ -14,6 +14,10 @@ Stability uses the kernel-bracket criterion: phi is stable iff
 [ker B_phi, g] meets ker B_phi only in 0.  Certificates carry everything
 needed to re-check the defining equations from scratch.
 
+``search_verdict`` is the one statement of what the outcomes of the two
+searches on an index-one algebra say about the equivalence "contact iff
+stable"; the classifier assigns it and report verification re-derives it.
+
 All operations accept arbitrary finite-dimensional algebras over Q, not just
 seaweeds.
 """
@@ -28,9 +32,9 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
-    intersect,
     inverse,
     is_squarefree,
+    meets_trivially,
     minimal_polynomial,
     nullspace,
     rank,
@@ -49,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ATTEMPTS = 64
 EPSILON_STEPS = 20
+
+FOUND, NOT_FOUND, SKIPPED = "FOUND", "NOT_FOUND", "SKIPPED"
+CONSISTENT, COUNTEREXAMPLE, UNRESOLVED = "CONSISTENT", "COUNTEREXAMPLE", "UNRESOLVED"
 
 
 class PreconditionError(ValueError):
@@ -131,22 +138,33 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     return rank(bordered) == n + 1
 
 
+def bracket_span(g: LieAlgebra, kernel: Subspace) -> Subspace:
+    """[kernel, g]: the span of [k, x_j] over the kernel basis and all j."""
+    vectors = []
+    for k in kernel.basis:
+        vectors.extend(g.ad_columns(k))
+    return Subspace.from_vectors(vectors, g.dim)
+
+
 def is_stable_form(g: LieAlgebra, form: OneForm) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially."""
     kernel = kirillov_kernel(g, form)
-    vectors = []
-    for k in kernel.basis:
-        for j in range(g.dim):
-            y = [Fraction(0)] * g.dim
-            y[j] = Fraction(1)
-            vectors.append(g.bracket_coords(list(k), y))
-    span = Subspace.from_vectors(vectors, g.dim)
-    inter = intersect(kernel, span)
-    if inter.dim != 0:
+    span = bracket_span(g, kernel)
+    if not meets_trivially(kernel, span):
         return None
     return StabilityCertificate(
         form=form, kernel=kernel, bracket_span=span, intersection_dim=0
     )
+
+
+def search_verdict(contact: str, stable: str, attempts: int) -> str:
+    """Verdict on an index-one algebra from its two search statuses (FOUND or
+    NOT_FOUND) and the per-search attempt budget."""
+    if attempts < 1:
+        return UNRESOLVED
+    if contact == FOUND:
+        return CONSISTENT if stable == FOUND else COUNTEREXAMPLE
+    return UNRESOLVED if stable == FOUND else CONSISTENT
 
 
 def find_contact_form(

@@ -6,6 +6,19 @@ basis element.  Antisymmetry, the Jacobi identity, and (when present)
 compatibility of the realization with the table are verified at construction,
 always; every downstream computation silently depends on them.
 
+Both checks are sparse: their cost grows with the nonzero structure constants
+and matrix entries, not with all pairs and triples of basis elements.  The
+Jacobi check sums only the triples reached from a nonzero structure constant
+c_ijr through a neighbour of x_r, the only triples with a nonzero term; that
+is O(sum over c_ijr != 0 of deg(x_r)) triples, where deg counts the basis
+elements that bracket nontrivially with x_r (for gl(n) seaweeds O(n^4)
+triples, not C(n^2, 3)).  The realization check turns each matrix into its
+nonzero entries once, then computes [X_i, X_j] - sum_r c_ijr X_r as a sparse
+commutator only for the pairs in the table and the pairs whose supports meet
+(O(n^3) pairs for gl(n) seaweeds, whose basis matrices have one nonzero
+entry), each in O(nnz_i * nnz_j + sum_r nnz_r).  Every other pair of matrices
+commutes and is absent from the table.
+
 Structure constants and realization entries are stored as ints when they are
 integral and as Fractions otherwise.  Python mixes the two exactly, so one
 code path serves every algebra, and integral ones run on int arithmetic.
@@ -39,6 +52,29 @@ def _exact(x):
     """x as an int when it is integral, else as a Fraction."""
     x = as_scalar(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _sparse_matrix(m: Matrix) -> dict:
+    """The nonzero entries of m as {(u, v): c}.  Zero entries are only
+    checked for exactness, so a float is refused wherever it stands."""
+    out = {}
+    for u, row in enumerate(m.rows):
+        for v, x in enumerate(row):
+            if x or isinstance(x, float):
+                out[(u, v)] = _exact(x)
+    return out
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """XY - YX for sparse matrices given as {(u, v): c}."""
+    out = {}
+    for (u, v), p in x.items():
+        for (k, l), q in y.items():
+            if v == k:
+                out[(u, l)] = out.get((u, l), 0) + p * q
+            if l == u:
+                out[(k, v)] = out.get((k, v), 0) - p * q
+    return out
 
 
 class LieAlgebra:
@@ -95,36 +131,36 @@ class LieAlgebra:
     # -- construction-time checks -------------------------------------------
 
     def _check_jacobi(self):
-        table = self._table
-        dim = self.dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ij = table.get((i, j))
-                for k in range(j + 1, dim):
-                    jk = table.get((j, k))
-                    ik = table.get((i, k))
-                    if not (ij or jk or ik):
-                        continue
-                    # [x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] = 0
-                    acc = {}
-                    if jk:
-                        for r, c in jk:
-                            for s, d in self._basis_bracket(i, r):
-                                acc[s] = acc.get(s, 0) + c * d
-                    if ik:  # [x_j,[x_k,x_i]] = -[x_j,[x_i,x_k]]
-                        for r, c in ik:
-                            for s, d in self._basis_bracket(j, r):
-                                acc[s] = acc.get(s, 0) - c * d
-                    if ij:
-                        for r, c in ij:
-                            for s, d in self._basis_bracket(k, r):
-                                acc[s] = acc.get(s, 0) + c * d
-                    if any(acc.values()):
-                        raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
+        """Sum the triples {i, j, k} with c_ijr != 0 and x_k a neighbour of
+        x_r: in every other triple each nested bracket
+        [x_k, [x_i, x_j]] = sum_r c_ijr [x_k, x_r] vanishes."""
+        bracket, neighbours = {}, {}
+        for (i, j), terms in self._table.items():
+            bracket[(i, j)] = terms
+            bracket[(j, i)] = tuple((r, -c) for r, c in terms)
+            neighbours.setdefault(i, []).append(j)
+            neighbours.setdefault(j, []).append(i)
+        triples = set()
+        for (i, j), terms in self._table.items():
+            for r, _ in terms:
+                for k in neighbours.get(r, ()):
+                    if k != i and k != j:
+                        triples.add(tuple(sorted((i, j, k))))
+        for i, j, k in sorted(triples):
+            # [x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] = 0
+            acc = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for r, x in bracket.get((b, c), ()):
+                    for t, y in bracket.get((a, r), ()):
+                        acc[t] = acc.get(t, 0) + x * y
+            if any(acc.values()):
+                raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
     def _check_realization(self):
         """[X_i, X_j] must equal sum_r c_ijr X_r for every pair i < j; pairs
-        absent from the table must commute."""
+        absent from the table must commute.  Besides the table's pairs, only
+        pairs where a row of one support meets a column of the other can
+        fail to commute."""
         mats = self.realization
         if len(mats) != self.dim:
             raise StructureError("realization must have one matrix per basis element")
@@ -134,39 +170,27 @@ class LieAlgebra:
         for m in mats:
             if m.nrows != n or m.ncols != n:
                 raise StructureError("realization matrices must be square of equal size")
-        grids = [[[_exact(x) for x in row] for row in m.rows] for m in mats]
-        for i in range(self.dim):
-            a = grids[i]
-            for j in range(i + 1, self.dim):
-                b = grids[j]
-                exp = [[0] * n for _ in range(n)]
-                for r, c in self._table.get((i, j), ()):
-                    g = grids[r]
-                    for u in range(n):
-                        gu, eu = g[u], exp[u]
-                        for v in range(n):
-                            eu[v] += c * gu[v]
-                for u in range(n):
-                    au, bu, eu = a[u], b[u], exp[u]
-                    for v in range(n):
-                        comm = sum(au[k] * b[k][v] for k in range(n)) - sum(
-                            bu[k] * a[k][v] for k in range(n)
-                        )
-                        if comm != eu[v]:
-                            raise StructureError(
-                                f"realization incompatible with table on pair ({i},{j})"
-                            )
+        sparse = [_sparse_matrix(m) for m in mats]
+        in_row, in_col = {}, {}
+        for k, entries in enumerate(sparse):
+            for u, v in entries:
+                in_row.setdefault(u, []).append(k)
+                in_col.setdefault(v, []).append(k)
+        pairs = set(self._table)
+        for i, entries in enumerate(sparse):
+            for u, v in entries:
+                for j in (*in_row.get(v, ()), *in_col.get(u, ())):
+                    if i < j:
+                        pairs.add((i, j))
+        for i, j in sorted(pairs):
+            comm = _commutator(sparse[i], sparse[j])
+            for r, c in self._table.get((i, j), ()):
+                for e, x in sparse[r].items():
+                    comm[e] = comm.get(e, 0) - c * x
+            if any(comm.values()):
+                raise StructureError(f"realization incompatible with table on pair ({i},{j})")
 
     # -- basic structure access ---------------------------------------------
-
-    def _basis_bracket(self, i, j):
-        """[x_i, x_j] as a sparse tuple of (target, coefficient)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._table.get((i, j), ())
-        terms = self._table.get((j, i), ())
-        return tuple((r, -c) for r, c in terms)
 
     def structure_items(self):
         """Sorted sparse table: iterable of (i, j, r, c) with i < j, c != 0;
@@ -183,6 +207,19 @@ class LieAlgebra:
                 for r, c in terms:
                     out[r] += coef * c
         return out
+
+    def ad_columns(self, coords):
+        """[x, x_j] for every basis element x_j, x given by its coordinates;
+        one pass over the table."""
+        cols = [[0] * self.dim for _ in range(self.dim)]
+        for (i, j), terms in self._table.items():
+            a, b = coords[i], coords[j]  # x_i [x_i, x_j] and x_j [x_j, x_i]
+            for r, c in terms:
+                if a:
+                    cols[j][r] += a * c
+                if b:
+                    cols[i][r] -= b * c
+        return cols
 
     def basis_element(self, i) -> "Element":
         coords = [Fraction(0)] * self.dim

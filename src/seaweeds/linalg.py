@@ -341,6 +341,15 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return nullspace(Matrix(rows))
 
 
+def meets_trivially(u: Subspace, v: Subspace) -> bool:
+    """True iff u and v intersect only in 0: their canonical bases stack to
+    a matrix of rank dim u + dim v.  One rank, where ``intersect`` takes
+    three nullspaces."""
+    if u.ambient_dim != v.ambient_dim:
+        raise AmbientMismatch("ambient dimensions differ")
+    return rank_int_rows(_int_rows(u.basis + v.basis)) == u.dim + v.dim
+
+
 def solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
     """One exact solution of A x = b, or None when inconsistent.
 

@@ -33,9 +33,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construct import Composition, seaweed
-from .contact import ContactCertificate, StabilityCertificate
+from .contact import (
+    CONSISTENT,
+    FOUND,
+    NOT_FOUND,
+    SKIPPED,
+    ContactCertificate,
+    StabilityCertificate,
+    bracket_span,
+    search_verdict,
+)
 from .lie import Element, LieAlgebra, OneForm, kirillov_matrix
-from .linalg import Matrix, Subspace, intersect, nullspace
+from .linalg import Matrix, Subspace, meets_trivially, nullspace
 from .meander import meander, meander_index
 
 
@@ -146,15 +155,9 @@ def verify_certificate(g: LieAlgebra, doc: dict) -> bool:
             return False
         if nullspace(kirillov_matrix(g, form)) != kernel:
             return False
-        vectors = []
-        for k in kernel.basis:
-            for j in range(g.dim):
-                y = [Fraction(0)] * g.dim
-                y[j] = Fraction(1)
-                vectors.append(g.bracket_coords(list(k), y))
-        if Subspace.from_vectors(vectors, g.dim) != span:
+        if bracket_span(g, kernel) != span:
             return False
-        return intersect(kernel, span).dim == 0
+        return meets_trivially(kernel, span)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -175,12 +178,15 @@ _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 def _index_claims_hold(record: dict) -> bool:
     """The statuses and verdict follow from the index (the searches run on
-    index-one seaweeds only), and a GL/SL index equals the meander census."""
-    statuses = {record["contact"], record["stable"]}
+    index-one seaweeds only, and there the verdict is ``search_verdict`` of
+    the statuses and budget), and a GL/SL index equals the meander census."""
+    contact, stable = record["contact"], record["stable"]
     if record["index"] != 1:
-        if statuses != {"SKIPPED"} or record["verdict"] != "CONSISTENT":
+        if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
             return False
-    elif "SKIPPED" in statuses:
+    elif not {contact, stable} <= {FOUND, NOT_FOUND}:
+        return False
+    elif record["verdict"] != search_verdict(contact, stable, record["attempts"]):
         return False
     if record["family"] in ("GL", "SL"):
         graph = meander(Composition(tuple(record["top"])), Composition(tuple(record["bottom"])))
@@ -195,7 +201,8 @@ def verify_document(doc: dict) -> bool:
     name each record's seaweed by family and compositions, which is rebuilt.
     A document is invalid when it gives nothing to check (no records, no
     certificates), when a record's statuses or verdict disagree with its
-    index or a GL/SL index disagrees with the meander census, when a record
+    index, an index-one verdict is not the one its statuses and budget
+    give, or a GL/SL index disagrees with the meander census, when a record
     claims FOUND without embedding the certificate, or when a record carries
     certificates but its index is not one (the searches run only on
     index-one seaweeds).  A document of the wrong shape raises ValueError.
@@ -216,7 +223,7 @@ def _verify_document(doc: dict) -> bool:
                 return False
             certs = record.get("certificates") or {}
             for status, kind in _EVIDENCE.items():
-                if record.get(status) == "FOUND" and kind not in certs:
+                if record.get(status) == FOUND and kind not in certs:
                     return False
             if not certs:
                 continue

@@ -51,6 +51,21 @@ def test_exit_2_on_non_integer_env_default(capsys, monkeypatch):
     assert code == 2 and err == "error: SEAWEEDS_SEED must be an integer, got 'abc'\n"
 
 
+def test_integer_env_default_checked_against_the_chosen_subcommand(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SEAWEEDS_SEED", "abc")
+    code, out, err = run(capsys, "classify", "--family", "SL", "--n", "2")
+    assert code == 2 and not out and err == "error: SEAWEEDS_SEED must be an integer, got 'abc'\n"
+    # neither subcommand takes a seed, and an explicit flag wins
+    code, out, err = run(capsys, "meander", "2|2")
+    assert code == 0 and "gl index 2" in out and not err
+    monkeypatch.delenv("SEAWEEDS_SEED")
+    doc = contact_document(capsys)
+    monkeypatch.setenv("SEAWEEDS_SEED", "abc")
+    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "2", "--seed", "1")
+    assert code == 0 and json.loads(out)["seed"] == 1
+
+
 @pytest.mark.parametrize(
     "env,value,argv",
     [

@@ -64,6 +64,17 @@ def test_gl2_elementary_bracket():
     assert bracket(e12, e21) == elem(g, [1, 0, 0, -1])
 
 
+def test_ad_columns_are_brackets_with_the_basis():
+    g = gl(3)
+    rng = random.Random(12)
+    for h in (g, rescaled(g, [2, 3, 5, 7, 1, 2, 3, 5, 7]), heisenberg()):
+        for _ in range(3):
+            x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(h.dim)]
+            cols = h.ad_columns(x)
+            for j in range(h.dim):
+                assert cols[j] == h.bracket_coords(x, h.basis_element(j).coords)
+
+
 def test_bracket_algebra_mismatch():
     with pytest.raises(ValueError):
         bracket(heisenberg().basis_element(0), heisenberg().basis_element(1))

@@ -13,6 +13,7 @@ from seaweeds.linalg import (
     intersect,
     inverse,
     is_squarefree,
+    meets_trivially,
     minimal_polynomial,
     nullspace,
     poly_gcd,
@@ -255,6 +256,12 @@ def test_intersect_properties(pair):
     assert intersect(u, u) == u
     assert w.dim >= u.dim + v.dim - u.ambient_dim
     assert u.contains_subspace(w) and v.contains_subspace(w)
+    assert meets_trivially(u, v) == (w.dim == 0) == meets_trivially(v, u)
+
+
+def test_meets_trivially_dimension_mismatch():
+    with pytest.raises(AmbientMismatch):
+        meets_trivially(Subspace.zero(2), Subspace.zero(3))
 
 
 def test_minpoly_conjugation_invariant():

@@ -175,6 +175,27 @@ def test_verify_rejects_statuses_that_disagree_with_the_index():
     assert verify_document(doc)
 
 
+def test_verify_rederives_the_index_one_verdict():
+    # contact FOUND and stable NOT_FOUND is a counterexample, never CONSISTENT
+    doc, record = _index_one_report()
+    assert verify_document(doc) and record["verdict"] == "CONSISTENT"
+    record["stable"] = "NOT_FOUND"
+    del record["certificates"]["stability"]
+    assert not verify_document(doc)
+    record["verdict"] = "COUNTEREXAMPLE"
+    assert verify_document(doc)
+    # both FOUND at a full budget is CONSISTENT, not UNRESOLVED
+    doc, record = _index_one_report()
+    record["verdict"] = "UNRESOLVED"
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_an_unknown_index_one_status():
+    doc, record = _index_one_report()
+    record["stable"] = "MAYBE"
+    assert not verify_document(doc)
+
+
 def test_verify_rejects_gl_sl_index_off_the_meander_census():
     for family in ("GL", "SL"):
         doc = json.loads(report(classify(family, 3, seed=5, embed_certificates=True), "json"))
