@@ -20,10 +20,14 @@ DIGESTS = {
     ("SL", 4): "75a0f91fff4bd408e3a4c7f9164cc3b3133bf0412d5341a248fc00b7c927b81e",
     ("SP", 2): "ec92d4262020d10c981d4eaee6ed3a3d8b79555a751a1cf2d9beb8ea666606fe",
     ("SO", 5): "4fc8acb3ad46295268c0099210e1490249db2406a74686b60a5c27742dc4adff",
+    ("SO", 6): "f48a1253df85a5218b8eafb62ba705d007b35ed436c17b87d9daa75671f0e4dc",
     # the benchmark workloads, as recorded in perfbench/NOTES.md
     ("SL", 5): "eee8f9e87468ab54d58ce04fd9454deccc73f0a47a802f1c9bf4d042c8616304",
     ("SP", 3): "921ea9530780793066769569f0cf982fe831085ecf2040eb158c23a2237b5812",
     ("SO", 7): "716a40269ad279d6a4c7aa7548b115b218c1be74dc9281181d434f7bb5075579",
+    # heavy-tier sizes from perfbench/NOTES.md; both exhaust some searches
+    ("SP", 4): "426aa51b0fd0431ca37dea38134f6dbfecaf4ebdbc1b51665a7392410d66e1d2",
+    ("SO", 8): "ec28a6b78637e55bba05d8e035abd4f45c45e23b997ac17dee1d754082d38212",
 }
 
 
