@@ -14,6 +14,14 @@ Stability uses the kernel-bracket criterion: phi is stable iff
 [ker B_phi, g] meets ker B_phi only in 0.  Certificates carry everything
 needed to re-check the defining equations from scratch.
 
+Both tests, and their re-checks in ``serialize.verify_certificate``, run on
+integer rows: the kernel comes as canonical primitive integer rows
+(``lie.kirillov_kernel_int_rows``), [ker, g] is spanned from them
+(``bracket_span_int_rows``), and the meet is one integer rank.  Rationals
+appear only in the pairing phi(k) and in a certificate that is issued, which
+is the one a computation over Q gives: canonical rows are unique, and the
+Reeb vector is k / phi(k) for any generator k of the kernel line.
+
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
 stable"; the classifier assigns it and report verification re-derives it.
@@ -34,10 +42,11 @@ from .linalg import (
     Subspace,
     inverse,
     is_squarefree,
-    meets_trivially,
+    meets_trivially_int_rows,
     minimal_polynomial,
     nullspace,
     rank,
+    span_int_rows,
 )
 from .lie import (
     DEFAULT_BOUND,
@@ -46,6 +55,7 @@ from .lie import (
     OneForm,
     center,
     kirillov_kernel,
+    kirillov_kernel_int_rows,
     kirillov_matrix,
 )
 
@@ -109,14 +119,14 @@ def _require_odd(g: LieAlgebra):
 def is_contact_form(g: LieAlgebra, form: OneForm) -> ContactCertificate | None:
     """Certificate iff ker B_form is a line on which the form does not vanish."""
     _require_odd(g)
-    kernel = kirillov_kernel(g, form)
-    if kernel.dim != 1:
+    kernel = kirillov_kernel_int_rows(g, form)
+    if len(kernel) != 1:
         return None
-    x = Element(g, kernel.basis[0])
-    pairing = form(x)
+    (k,) = kernel
+    pairing = sum((c * v for c, v in zip(form.coords, k) if v), Fraction(0))
     if pairing == 0:
         return None
-    reeb = x.scale(Fraction(1) / pairing)
+    reeb = Element(g, tuple(Fraction(v) / pairing for v in k))
     return ContactCertificate(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
 
 
@@ -138,22 +148,26 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     return rank(bordered) == n + 1
 
 
-def bracket_span(g: LieAlgebra, kernel: Subspace) -> Subspace:
-    """[kernel, g]: the span of [k, x_j] over the kernel basis and all j."""
+def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
+    """[K, g] as canonical primitive integer rows: the span of [k, x_j] over
+    the integer rows k spanning K and all j."""
     vectors = []
-    for k in kernel.basis:
-        vectors.extend(g.ad_columns(k))
-    return Subspace.from_vectors(vectors, g.dim)
+    for k in kernel:
+        vectors.extend(g.ad_int_rows(k))
+    return span_int_rows(vectors)
 
 
 def is_stable_form(g: LieAlgebra, form: OneForm) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially."""
-    kernel = kirillov_kernel(g, form)
-    span = bracket_span(g, kernel)
-    if not meets_trivially(kernel, span):
+    kernel = kirillov_kernel_int_rows(g, form)
+    span = bracket_span_int_rows(g, kernel)
+    if not meets_trivially_int_rows(kernel, span):
         return None
     return StabilityCertificate(
-        form=form, kernel=kernel, bracket_span=span, intersection_dim=0
+        form=form,
+        kernel=Subspace.from_int_rows(g.dim, kernel),
+        bracket_span=Subspace.from_int_rows(g.dim, span),
+        intersection_dim=0,
     )
 
 

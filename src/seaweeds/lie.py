@@ -30,6 +30,12 @@ evaluation: the kernel dimension is minimized on a Zariski-open set, so a
 random integer form attains it with overwhelming probability
 (Schwartz-Zippel); the default budget is 3 trials with coordinates bounded
 by 10^6.
+
+Kernels are taken the same way: the form's denominators are cleared once,
+B_phi is built as integer rows (`LieAlgebra.kirillov_int_rows`), and
+`kirillov_kernel_int_rows` returns ker B_phi as canonical primitive integer
+rows (`linalg.kernel_int_rows`); `kirillov_kernel` only turns those into a
+rational `Subspace`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, _int_rows, as_scalar, nullspace, rank_int_rows
+from .linalg import (
+    Matrix,
+    Subspace,
+    _int_rows,
+    as_scalar,
+    kernel_int_rows,
+    nullspace,
+    rank_int_rows,
+)
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 10**6
@@ -221,6 +235,12 @@ class LieAlgebra:
                     cols[i][r] -= b * c
         return cols
 
+    def ad_int_rows(self, int_coords):
+        """``ad_columns`` of an integer vector as integer rows, row-scaled if
+        the table is non-integral (scaling preserves their span)."""
+        cols = self.ad_columns(int_coords)
+        return cols if self._integral else _int_rows(cols)
+
     def basis_element(self, i) -> "Element":
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
@@ -345,18 +365,28 @@ def kirillov_matrix(g: LieAlgebra, form: OneForm) -> Matrix:
     return Matrix(tuple(tuple(r) for r in rows))
 
 
+def form_int_coords(form: OneForm) -> list:
+    """The form's coordinates with denominators cleared: a positive multiple
+    c phi, and B_{c phi} = c B_phi has the same rank and kernel."""
+    (ints,) = _int_rows([form.coords])
+    return ints
+
+
 def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
     """dim ker B_form, via exact elimination."""
     if g.dim == 0:
         return 0
-    # B_{c phi} = c B_phi, so clearing the form's denominators keeps the rank
-    (ints,) = _int_rows([form.coords])
-    return g.dim - rank_int_rows(g.kirillov_int_rows(ints))
+    return g.dim - rank_int_rows(g.kirillov_int_rows(form_int_coords(form)))
+
+
+def kirillov_kernel_int_rows(g: LieAlgebra, form: OneForm) -> list:
+    """ker B_form as canonical primitive integer RREF rows."""
+    return kernel_int_rows(g.kirillov_int_rows(form_int_coords(form)), g.dim)
 
 
 def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:
     """Canonical basis of ker B_form."""
-    return nullspace(kirillov_matrix(g, form))
+    return Subspace.from_int_rows(g.dim, kirillov_kernel_int_rows(g, form))
 
 
 def sample_form(g: LieAlgebra, seed: int, bound: int = DEFAULT_BOUND) -> OneForm:

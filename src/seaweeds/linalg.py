@@ -1,7 +1,11 @@
 """Exact rational linear algebra.
 
-Everything runs over Q with `fractions.Fraction` scalars: results are always
-in lowest terms with positive denominator and no rounding ever occurs.
+Everything is exact over Q.  Elimination, kernels and spans run on
+primitive integer rows (`rank_int_rows`, `rref_int_rows`, `kernel_int_rows`,
+`span_int_rows`, `meets_trivially_int_rows`); `fractions.Fraction` appears
+only in the public `Matrix` and `Subspace` values (and the `Element`,
+`OneForm` and JSON values built on them), always in lowest terms with
+positive denominator.  No rounding ever occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
 downstream (a rank condition on a Kirillov matrix, kernel membership,
@@ -16,8 +20,10 @@ minimum over complex forms.  Every witness found here is rational, so the
 same certificate proves the claim over C.
 
 Subspaces are stored in reduced row echelon form, making equality of
-subspaces equality of representations.  Elimination works on
-denominator-cleared integer rows (`rank_int_rows`, `rref_int_rows`).
+subspaces equality of representations.  Its integer twin is the list of
+primitive RREF rows with positive pivots that `rref_int_rows` returns:
+dividing each row by its pivot gives the rational RREF row, so equal
+subspaces have equal integer rows too.
 """
 
 from __future__ import annotations
@@ -159,12 +165,49 @@ def rref_int_rows(rows):
     return pivots, out
 
 
-def _frac_rows_from_rref(pivots, int_rows):
-    rows = []
-    for piv, row in zip(pivots, int_rows):
-        p = row[piv]
-        rows.append(tuple(Fraction(v, p) for v in row))
-    return tuple(rows)
+def kernel_int_rows(rows, n):
+    """Canonical primitive integer RREF rows of {v : Mv = 0}, for the integer
+    matrix M given by its rows of length n (no rows: all of Q^n)."""
+    pivots, reduced = rref_int_rows(rows)
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        # v[free] = 1 and v[piv] = -row[free] / row[piv], scaled to integers
+        scale = 1
+        for row, piv in zip(reduced, pivots):
+            if row[free]:
+                scale = lcm(scale, row[piv])
+        v = [0] * n
+        v[free] = scale
+        for row, piv in zip(reduced, pivots):
+            if row[free]:
+                v[piv] = -row[free] * (scale // row[piv])
+        vectors.append(v)
+    return span_int_rows(vectors)
+
+
+def span_int_rows(rows):
+    """Canonical primitive integer RREF rows of the row space of an integer
+    matrix."""
+    return rref_int_rows(rows)[1]
+
+
+def meets_trivially_int_rows(u, v):
+    """True iff the row spaces of the integer matrices u and v, each given by
+    linearly independent rows (canonical RREF rows are), meet only in 0:
+    stacked, they have rank len(u) + len(v)."""
+    return rank_int_rows(u + v) == len(u) + len(v)
+
+
+def _frac_rows(int_rows):
+    # Rational RREF rows from primitive integer ones: divide by the pivot.
+    out = []
+    for row in int_rows:
+        p = next(v for v in row if v)
+        out.append(tuple(Fraction(v, p) for v in row))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -249,8 +292,13 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
         rows = _int_rows([[as_scalar(x) for x in v] for v in vectors])
-        pivots, reduced = rref_int_rows(rows)
-        return cls(ambient_dim, _frac_rows_from_rref(pivots, reduced))
+        return cls.from_int_rows(ambient_dim, span_int_rows(rows))
+
+    @classmethod
+    def from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":
+        """The subspace whose canonical primitive integer RREF rows (as
+        `rref_int_rows` returns them) are ``rows``."""
+        return cls(ambient_dim, _frac_rows(rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -298,26 +346,12 @@ def rank(m: Matrix) -> int:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     pivots, reduced = rref_int_rows(_int_rows(m.rows))
-    return Matrix(_frac_rows_from_rref(pivots, reduced)), tuple(pivots)
+    return Matrix(_frac_rows(reduced)), tuple(pivots)
 
 
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {v : Mv = 0}; dim = ncols - rank."""
-    n = m.ncols
-    if m.nrows == 0:
-        return Subspace.full(n)
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for row, piv in zip(reduced.rows, pivots):
-            v[piv] = -row[free]
-        vectors.append(v)
-    return Subspace.from_vectors(vectors, n)
+    return Subspace.from_int_rows(m.ncols, kernel_int_rows(_int_rows(m.rows), m.ncols))
 
 
 def _complement_rows(s: Subspace) -> Matrix:
@@ -347,7 +381,7 @@ def meets_trivially(u: Subspace, v: Subspace) -> bool:
     three nullspaces."""
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return rank_int_rows(_int_rows(u.basis + v.basis)) == u.dim + v.dim
+    return meets_trivially_int_rows(_int_rows(u.basis), _int_rows(v.basis))
 
 
 def solve(a: Matrix, b) -> tuple[Fraction, ...] | None:

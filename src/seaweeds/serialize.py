@@ -25,7 +25,10 @@ Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
 from its family and compositions.  ``verify_*`` recomputes every invariant
 from scratch, so tampered data fails either here (False) or already at
-algebra reconstruction (StructureError).
+algebra reconstruction (StructureError).  The checks run on integer rows,
+as the searches do; the serialized kernel and span are compared with the
+recomputed ones as canonical rational bases, so a basis that spans the right
+space but is not in canonical form is refused.
 """
 
 from __future__ import annotations
@@ -40,11 +43,18 @@ from .contact import (
     SKIPPED,
     ContactCertificate,
     StabilityCertificate,
-    bracket_span,
+    bracket_span_int_rows,
     search_verdict,
 )
-from .lie import Element, LieAlgebra, OneForm, kirillov_matrix
-from .linalg import Matrix, Subspace, meets_trivially, nullspace
+from .lie import (
+    Element,
+    LieAlgebra,
+    OneForm,
+    form_int_coords,
+    kernel_dim,
+    kirillov_kernel_int_rows,
+)
+from .linalg import Matrix, Subspace, _int_rows, meets_trivially_int_rows
 from .meander import meander, meander_index
 
 
@@ -137,27 +147,27 @@ def verify_certificate(g: LieAlgebra, doc: dict) -> bool:
         reeb = Element(g, _coords_from_json(doc["reeb"]))
         if doc["kernel_dim"] != 1 or frac_from_str(doc["pairing"]) != 1:
             return False
-        b = kirillov_matrix(g, form)
-        image = [
-            sum((row[j] * reeb.coords[j] for j in range(g.dim)), Fraction(0))
-            for row in b.rows
-        ]
-        if any(image):
-            return False
+        # B_form . reeb = 0, both scaled to integers by positive factors
+        (r,) = _int_rows([reeb.coords])
+        for row in g.kirillov_int_rows(form_int_coords(form)):
+            if sum(a * b for a, b in zip(row, r)):
+                return False
         if form(reeb) != 1:
             return False
-        return nullspace(b).dim == 1
+        return kernel_dim(g, form) == 1
     if kind == "stability":
         form = OneForm(g, _coords_from_json(doc["form"]))
         kernel = _subspace_from_json(doc["kernel"])
         span = _subspace_from_json(doc["bracket_span"])
         if doc["intersection_dim"] != 0:
             return False
-        if nullspace(kirillov_matrix(g, form)) != kernel:
+        kernel_rows = kirillov_kernel_int_rows(g, form)
+        if Subspace.from_int_rows(g.dim, kernel_rows) != kernel:
             return False
-        if bracket_span(g, kernel) != span:
+        span_rows = bracket_span_int_rows(g, kernel_rows)
+        if Subspace.from_int_rows(g.dim, span_rows) != span:
             return False
-        return meets_trivially(kernel, span)
+        return meets_trivially_int_rows(kernel_rows, span_rows)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -178,14 +188,17 @@ _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 def _index_claims_hold(record: dict) -> bool:
     """The statuses and verdict follow from the index (the searches run on
-    index-one seaweeds only, and there the verdict is ``search_verdict`` of
-    the statuses and budget), and a GL/SL index equals the meander census."""
+    index-one seaweeds only, a budget below one finds nothing, and the
+    verdict is ``search_verdict`` of the statuses and budget), and a GL/SL
+    index equals the meander census."""
     contact, stable = record["contact"], record["stable"]
     if record["index"] != 1:
         if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
             return False
     elif not {contact, stable} <= {FOUND, NOT_FOUND}:
         return False
+    elif record["attempts"] < 1 and FOUND in (contact, stable):
+        return False  # a zero budget finds no form
     elif record["verdict"] != search_verdict(contact, stable, record["attempts"]):
         return False
     if record["family"] in ("GL", "SL"):

@@ -1,0 +1,98 @@
+"""The rational route to Kirillov kernels and certificates, as first written.
+
+``lie.kirillov_kernel_int_rows``, ``contact.is_contact_form``,
+``contact.is_stable_form`` and ``serialize.verify_certificate`` run on
+primitive integer rows.  These versions build the rational Kirillov matrix,
+take its nullspace from the rational reduced echelon form, span [ker, g]
+from rational rows and compare rational subspaces; the tests hold both
+routes to the same certificates and the same verdicts.
+"""
+
+from fractions import Fraction
+
+from seaweeds.contact import ContactCertificate, StabilityCertificate
+from seaweeds.lie import Element, OneForm, kirillov_matrix
+from seaweeds.linalg import Matrix, Subspace, rank, rref
+from seaweeds.serialize import frac_from_str
+
+
+def nullspace(m):
+    """Canonical basis of {v : Mv = 0}, from the rational RREF of m."""
+    n = m.ncols
+    if m.nrows == 0:
+        return Subspace.full(n)
+    reduced, pivots = rref(m)
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row, piv in zip(reduced.rows, pivots):
+            v[piv] = -row[free]
+        vectors.append(v)
+    return Subspace.from_vectors(vectors, n)
+
+
+def kirillov_kernel(g, form):
+    return nullspace(kirillov_matrix(g, form))
+
+
+def bracket_span(g, kernel):
+    """[kernel, g]: the span of [k, x_j] over the kernel basis and all j."""
+    vectors = []
+    for k in kernel.basis:
+        vectors.extend(g.ad_columns(k))
+    return Subspace.from_vectors(vectors, g.dim)
+
+
+def meets_trivially(u, v):
+    return rank(Matrix(u.basis + v.basis)) == u.dim + v.dim
+
+
+def is_contact_form(g, form):
+    kernel = kirillov_kernel(g, form)
+    if kernel.dim != 1:
+        return None
+    x = Element(g, kernel.basis[0])
+    pairing = form(x)
+    if pairing == 0:
+        return None
+    reeb = x.scale(Fraction(1) / pairing)
+    return ContactCertificate(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
+
+
+def is_stable_form(g, form):
+    kernel = kirillov_kernel(g, form)
+    span = bracket_span(g, kernel)
+    if not meets_trivially(kernel, span):
+        return None
+    return StabilityCertificate(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
+
+
+def _coords(data):
+    return tuple(frac_from_str(x) for x in data)
+
+
+def _subspace(doc):
+    return Subspace(doc["ambient_dim"], tuple(_coords(v) for v in doc["basis"]))
+
+
+def verify_certificate(g, doc):
+    """``serialize.verify_certificate`` on rational matrices."""
+    form = OneForm(g, _coords(doc["form"]))
+    if doc["kind"] == "contact":
+        reeb = Element(g, _coords(doc["reeb"]))
+        if doc["kernel_dim"] != 1 or frac_from_str(doc["pairing"]) != 1:
+            return False
+        b = kirillov_matrix(g, form)
+        if any(sum(x * y for x, y in zip(row, reeb.coords)) for row in b.rows):
+            return False
+        return form(reeb) == 1 and nullspace(b).dim == 1
+    kernel, span = _subspace(doc["kernel"]), _subspace(doc["bracket_span"])
+    if doc["intersection_dim"] != 0:
+        return False
+    if kirillov_kernel(g, form) != kernel or bracket_span(g, kernel) != span:
+        return False
+    return meets_trivially(kernel, span)

@@ -1,0 +1,154 @@
+"""The integer-row Kirillov kernels, contact and stability tests and
+certificate checks against the rational reference route."""
+
+from fractions import Fraction
+
+import fraction_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seaweeds import Matrix, OneForm, Subspace, abelian, heisenberg, seaweed
+from seaweeds.classify import composition_pairs
+from seaweeds.contact import ContactCertificate, is_contact_form, is_stable_form
+from seaweeds.lie import Element, LieAlgebra, kirillov_kernel_int_rows
+from seaweeds.linalg import kernel_int_rows, nullspace, rank
+from seaweeds.serialize import certificate_to_json, frac_from_str, frac_to_str, verify_certificate
+
+F = Fraction
+
+FAMILIES = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3), ("SL", 4)]
+FAMILIES += [("SP", 1), ("SP", 2)] + [("SO", n) for n in (3, 4, 5, 6)]
+SEAWEEDS = [seaweed(f, n, a, b) for f, n in FAMILIES for a, b in composition_pairs(f, n)]
+
+
+def halved(g):
+    """The same algebra in the basis x_i / 2: [y_i, y_j] = sum_r (c_ijr / 2) y_r,
+    realized by X_i / 2."""
+    structure = {}
+    for i, j, r, c in g.structure_items():
+        structure.setdefault((i, j), {})[r] = F(c, 2)
+    mats = tuple(m.scale(F(1, 2)) for m in g.realization)
+    return LieAlgebra(g.dim, structure, realization=mats, label="halved")
+
+
+RESCALED = [h for h in map(halved, SEAWEEDS[:21]) if not h._integral]  # GL1-3
+ALGEBRAS = SEAWEEDS + RESCALED + [heisenberg(), abelian(3)]
+
+scalars = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-10**6, 10**6),
+    st.builds(F, st.integers(-5, 5), st.integers(1, 6)),
+)
+
+
+@st.composite
+def algebras_with_forms(draw):
+    g = draw(st.sampled_from(ALGEBRAS))
+    coords = draw(st.lists(scalars, min_size=g.dim, max_size=g.dim))
+    return g, OneForm(g, tuple(F(c) for c in coords))
+
+
+def bumped(data, pos):
+    """A copy of a JSON coordinate list with entry pos increased by one."""
+    out = list(data)
+    out[pos] = frac_to_str(frac_from_str(out[pos]) + 1)
+    return out
+
+
+def test_rescaled_algebras_are_non_integral():
+    assert len(RESCALED) >= 15
+
+
+@settings(max_examples=400, deadline=None)
+@given(algebras_with_forms())
+def test_integer_route_issues_the_rational_certificates(case):
+    g, form = case
+    kernel = ref.kirillov_kernel(g, form)
+    assert Subspace.from_int_rows(g.dim, kirillov_kernel_int_rows(g, form)) == kernel
+    pairs = [(is_stable_form(g, form), ref.is_stable_form(g, form))]
+    if g.dim % 2:
+        pairs.append((is_contact_form(g, form), ref.is_contact_form(g, form)))
+    for new, old in pairs:
+        assert new == old
+        if new is not None:
+            assert certificate_to_json(new) == certificate_to_json(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras_with_forms(), st.data())
+def test_verify_accepts_certificates_and_refuses_changed_ones(case, data):
+    g, form = case
+    docs = []
+    if g.dim % 2:
+        cert = is_contact_form(g, form)
+        if cert is not None:
+            docs.append(certificate_to_json(cert))
+    cert = is_stable_form(g, form)
+    if cert is not None:
+        docs.append(certificate_to_json(cert))
+    if g.dim % 2:
+        # a normalized kernel vector of a form whose kernel is not a line
+        kernel = ref.kirillov_kernel(g, form)
+        for k in kernel.basis if kernel.dim > 1 else ():
+            pairing = form(Element(g, k))
+            if pairing:
+                reeb = Element(g, tuple(x / pairing for x in k))
+                forged = certificate_to_json(ContactCertificate(form, reeb, 1, F(1)))
+                assert not verify_certificate(g, forged) and not ref.verify_certificate(g, forged)
+    index = st.integers(0, g.dim - 1)
+    for doc in docs:
+        assert verify_certificate(g, doc) and ref.verify_certificate(g, doc)
+        refused, judged = [], []  # changes that must fail; changes the reference judges
+        if doc["kind"] == "contact":
+            refused.append({**doc, "reeb": bumped(doc["reeb"], data.draw(index))})
+            # the pairing with the Reeb vector moves off 1
+            support = [i for i, x in enumerate(doc["reeb"]) if frac_from_str(x)]
+            refused.append({**doc, "form": bumped(doc["form"], data.draw(st.sampled_from(support)))})
+        else:
+            for key in ("kernel", "bracket_span"):
+                basis = doc[key]["basis"]
+                if basis:
+                    r, j = data.draw(st.integers(0, len(basis) - 1)), data.draw(index)
+                    rows = [bumped(row, j) if pos == r else row for pos, row in enumerate(basis)]
+                    refused.append({**doc, key: {**doc[key], "basis": rows}})
+            # a form moved along a coordinate that [ker, g] reaches no longer
+            # kills the whole kernel; other moves may leave a valid certificate
+            reached = [i for i in range(g.dim)
+                       if any(frac_from_str(row[i]) for row in doc["bracket_span"]["basis"])]
+            if reached:
+                refused.append({**doc, "form": bumped(doc["form"], data.draw(st.sampled_from(reached)))})
+            if g.dim:
+                judged.append({**doc, "form": bumped(doc["form"], data.draw(index))})
+        for bad in refused:
+            assert not verify_certificate(g, bad) and not ref.verify_certificate(g, bad)
+        for other in judged:
+            assert verify_certificate(g, other) == ref.verify_certificate(g, other)
+
+
+def check_kernel(rows, n):
+    out = kernel_int_rows(rows, n)
+    m = Matrix.from_rows(rows) if rows else None
+    for v in out:
+        pivot = next(x for x in v if x)
+        assert pivot > 0
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+    if m is not None:
+        assert Subspace.from_int_rows(n, out) == nullspace(m) == ref.nullspace(m)
+        assert len(out) == n - rank(m)
+    return out
+
+
+def test_kernel_int_rows_special_matrices():
+    assert check_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert check_kernel([[0, 0, 0], [0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert check_kernel([[2, 1], [1, 1]], 2) == []
+    assert check_kernel([[0, 0, 0], [1, 1, 0], [0, 2, 4]], 3) == [[2, -2, 1]]
+    assert check_kernel([[2, 4, 6]], 3) == [[3, 0, -1], [0, 3, -2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=6)
+))
+def test_kernel_int_rows_matches_nullspace(rows):
+    check_kernel(rows, len(rows[0]))

@@ -190,6 +190,17 @@ def test_verify_rederives_the_index_one_verdict():
     assert not verify_document(doc)
 
 
+def test_verify_rejects_found_statuses_under_a_zero_budget():
+    doc, record = _index_one_report()
+    assert (record["contact"], record["stable"]) == ("FOUND", "FOUND")
+    record["verdict"], record["attempts"] = "UNRESOLVED", 0
+    assert not verify_document(doc)
+    # what a zero budget does report: nothing found, nothing decided
+    record["contact"] = record["stable"] = "NOT_FOUND"
+    del record["certificates"]
+    assert verify_document(doc)
+
+
 def test_verify_rejects_an_unknown_index_one_status():
     doc, record = _index_one_report()
     record["stable"] = "MAYBE"
