@@ -25,6 +25,8 @@ DIGESTS = {
     ("SL", 5): "eee8f9e87468ab54d58ce04fd9454deccc73f0a47a802f1c9bf4d042c8616304",
     ("SP", 3): "921ea9530780793066769569f0cf982fe831085ecf2040eb158c23a2237b5812",
     ("SO", 7): "716a40269ad279d6a4c7aa7548b115b218c1be74dc9281181d434f7bb5075579",
+    # standard-tier SL size from perfbench/NOTES.md: 1024 seaweeds of one ambient
+    ("SL", 6): "4b74daf32752f6f9156e87e8b16f9ccf1cff506d06d98267772ee94e12853660",
     # heavy-tier sizes from perfbench/NOTES.md; both exhaust some searches
     ("SP", 4): "426aa51b0fd0431ca37dea38134f6dbfecaf4ebdbc1b51665a7392410d66e1d2",
     ("SO", 8): "ec28a6b78637e55bba05d8e035abd4f45c45e23b997ac17dee1d754082d38212",
