@@ -18,6 +18,9 @@ searches.  Verdict policy:
   (neither property present).
 * zero-attempt budgets leave searches inconclusive: UNRESOLVED.
 
+``exit_status`` turns a sweep into the CLI's exit code: 4 when any record is
+a COUNTEREXAMPLE, else 3 under ``strict`` when any is UNRESOLVED, else 0.
+
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
 also uses to re-derive each record's verdict.
 
@@ -260,10 +263,11 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
 
 
 def exit_status(records, strict: bool = False) -> int:
-    """0 success, 2 any counterexample, 3 unresolved-only failures under strict."""
+    """0 success, 4 any counterexample, 3 unresolved-only failures under
+    strict.  2 is left to bad input, which the CLI refuses before a sweep."""
     summary = summarize(records)
     if summary["counterexample"]:
-        return 2
+        return 4
     if strict and summary["unresolved"]:
         return 3
     return 0

@@ -3,7 +3,7 @@
 Subcommands: index, contact, stable, basis, classify, verify, meander.
 Environment variables (SEAWEEDS_FAMILY, SEAWEEDS_SEED, SEAWEEDS_ATTEMPTS,
 SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
-flags always win.  Exit codes: classify returns 0 on success, 2 when any
+flags always win.  Exit codes: classify returns 0 on success, 4 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable/basis return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad

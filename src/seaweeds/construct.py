@@ -12,7 +12,11 @@ each SP/SO one lives on one orbit {(i,j), (N-1-j, N-1-i)}.  So the
 stabilizer is spanned by the ambient basis matrices whose support avoids the
 killed entries, and its structure constants are the ambient table restricted
 to them.  The ambient basis, its supports and its table are built once per
-family and rank from sparse commutators.
+family and rank from sparse commutators, and so is the ambient algebra
+itself, by the ordinary constructor: its Jacobi and realization checks run
+once per family and rank.  Every seaweed is then ``LieAlgebra.restrict`` of
+that algebra to the kept basis elements, which checks that they are closed
+under the bracket and inherits the ambient's other identities.
 
 ``gln_seaweed`` is the type-A block picture written out directly.  It is an
 independent reference for the tests: it yields the same basis, table and
@@ -219,9 +223,6 @@ class AmbientAlgebra:
         size = self.matrix_size
         return size if self.family in ("GL", "SL") else size // 2
 
-    def basis_matrices(self) -> tuple[Matrix, ...]:
-        return _ambient_basis(self.family, self.n)
-
     def __repr__(self):
         return f"AmbientAlgebra({self.family}, n={self.n})"
 
@@ -293,6 +294,14 @@ def _ambient_view(family: str, n: int) -> _AmbientView:
     return _AmbientView(supports, frozenset(shared), table)
 
 
+@lru_cache(maxsize=None)
+def _ambient_algebra(family: str, n: int) -> LieAlgebra:
+    """The ambient family as a fully checked algebra on its canonical basis,
+    with the basis matrices as its realization; seaweeds restrict it."""
+    mats = _ambient_basis(family, n)
+    return LieAlgebra(len(mats), _ambient_view(family, n).table, realization=mats)
+
+
 def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
     """Double-flag stabilizer seaweed inside the ambient algebra.
 
@@ -301,10 +310,11 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     is, they vanish on the entries those flags kill.  The basis is the
     ambient basis matrices whose support avoids every killed entry, in
     ambient order; the structure constants are the ambient table restricted
-    to them, and the realization reuses the ambient matrices.  Raises
-    StructureError if a killed entry is shared by two ambient basis matrices
-    (the kept matrices would then not span the stabilizer) or a bracket of
-    kept matrices leaves them.
+    to them, and the realization reuses the ambient matrices: the seaweed is
+    the restriction of the checked ambient algebra to the kept elements.
+    Raises StructureError if a killed entry is shared by two ambient basis
+    matrices (the kept matrices would then not span the stabilizer) or a
+    bracket of kept matrices leaves them.
     """
     size = amb.matrix_size
     if amb.family in ("GL", "SL"):
@@ -326,17 +336,7 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     if not view.shared.isdisjoint(killed):
         raise StructureError("a killed entry is shared by two ambient basis matrices")
     kept = [k for k, support in enumerate(view.supports) if support.isdisjoint(killed)]
-    position = {k: t for t, k in enumerate(kept)}
-    structure = {}
-    for (i, j), terms in view.table.items():
-        if i in position and j in position:
-            if not position.keys() >= terms.keys():
-                raise StructureError("flag stabilizer is not closed under bracket")
-            structure[(position[i], position[j])] = {position[r]: c for r, c in terms.items()}
-    label = f"{amb.family}{size}[{a}|{b}]"
-    mats = amb.basis_matrices()
-    real = tuple(mats[k] for k in kept)
-    return LieAlgebra(len(kept), structure, realization=real, label=label)
+    return _ambient_algebra(amb.family, amb.n).restrict(kept, f"{amb.family}{size}[{a}|{b}]")
 
 
 def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:

@@ -16,11 +16,12 @@ needed to re-check the defining equations from scratch.
 
 Both tests, and their re-checks in ``serialize.verify_certificate``, run on
 integer rows: the kernel comes as canonical primitive integer rows
-(``lie.kirillov_kernel_int_rows``), [ker, g] is spanned from them
-(``bracket_span_int_rows``), and the meet is one integer rank.  Rationals
-appear only in the pairing phi(k) and in a certificate that is issued, which
-is the one a computation over Q gives: canonical rows are unique, and the
-Reeb vector is k / phi(k) for any generator k of the kernel line.
+(``linalg.kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``), [ker, g]
+is spanned from them (``bracket_span_int_rows``), and the meet is one
+integer rank.  The searches pass each attempt's integer draws straight to
+the tests.  Rationals appear only in a certificate that is issued, which is
+the one a computation over Q gives: canonical rows are unique, and the Reeb
+vector is k / phi(k) for any generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
@@ -42,6 +43,7 @@ from .linalg import (
     Subspace,
     inverse,
     is_squarefree,
+    kernel_int_rows,
     meets_trivially_int_rows,
     minimal_polynomial,
     nullspace,
@@ -54,8 +56,8 @@ from .lie import (
     LieAlgebra,
     OneForm,
     center,
+    form_int_coords,
     kirillov_kernel,
-    kirillov_kernel_int_rows,
     kirillov_matrix,
 )
 
@@ -116,16 +118,31 @@ def _require_odd(g: LieAlgebra):
         raise PreconditionError("contact analysis needs an odd-dimensional algebra")
 
 
-def is_contact_form(g: LieAlgebra, form: OneForm) -> ContactCertificate | None:
-    """Certificate iff ker B_form is a line on which the form does not vanish."""
+def _int_coords(form) -> list:
+    """Integer coordinates of a form given as a OneForm or as integers."""
+    return form_int_coords(form) if isinstance(form, OneForm) else form
+
+
+def _as_form(g: LieAlgebra, form) -> OneForm:
+    return form if isinstance(form, OneForm) else OneForm(g, tuple(map(Fraction, form)))
+
+
+def is_contact_form(g: LieAlgebra, form) -> ContactCertificate | None:
+    """Certificate iff ker B_form is a line on which the form does not vanish.
+
+    ``form`` is a OneForm or integer coordinates, as the search draws them;
+    the test runs on integer rows, and a OneForm is built only for an
+    issued certificate."""
     _require_odd(g)
-    kernel = kirillov_kernel_int_rows(g, form)
+    ints = _int_coords(form)
+    kernel = kernel_int_rows(g.kirillov_int_rows(ints), g.dim)
     if len(kernel) != 1:
         return None
     (k,) = kernel
-    pairing = sum((c * v for c, v in zip(form.coords, k) if v), Fraction(0))
-    if pairing == 0:
+    if not sum(c * v for c, v in zip(ints, k) if v):
         return None
+    form = _as_form(g, form)
+    pairing = sum((c * v for c, v in zip(form.coords, k) if v), Fraction(0))
     reeb = Element(g, tuple(Fraction(v) / pairing for v in k))
     return ContactCertificate(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
 
@@ -157,14 +174,15 @@ def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
     return span_int_rows(vectors)
 
 
-def is_stable_form(g: LieAlgebra, form: OneForm) -> StabilityCertificate | None:
-    """Certificate iff [ker B_form, g] intersects ker B_form trivially."""
-    kernel = kirillov_kernel_int_rows(g, form)
+def is_stable_form(g: LieAlgebra, form) -> StabilityCertificate | None:
+    """Certificate iff [ker B_form, g] intersects ker B_form trivially;
+    ``form`` as for ``is_contact_form``."""
+    kernel = kernel_int_rows(g.kirillov_int_rows(_int_coords(form)), g.dim)
     span = bracket_span_int_rows(g, kernel)
     if not meets_trivially_int_rows(kernel, span):
         return None
     return StabilityCertificate(
-        form=form,
+        form=_as_form(g, form),
         kernel=Subspace.from_int_rows(g.dim, kernel),
         bracket_span=Subspace.from_int_rows(g.dim, span),
         intersection_dim=0,
@@ -195,8 +213,7 @@ def find_contact_form(
     _require_odd(g)
     rng = random.Random(seed)
     for _ in range(attempts):
-        coords = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim))
-        cert = is_contact_form(g, OneForm(g, coords))
+        cert = is_contact_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
         if cert is not None:
             return cert
     return None
@@ -211,8 +228,7 @@ def find_stable_form(
     """Randomized search for a stable form; None means budget exhausted."""
     rng = random.Random(seed)
     for _ in range(attempts):
-        coords = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim))
-        cert = is_stable_form(g, OneForm(g, coords))
+        cert = is_stable_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
         if cert is not None:
             return cert
     return None

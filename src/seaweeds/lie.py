@@ -2,9 +2,14 @@
 
 An algebra is a structure-constant table: [x_i, x_j] = sum_r c_ijr x_r over a
 fixed basis x_0..x_{dim-1}, optionally carrying a matrix realization of each
-basis element.  Antisymmetry, the Jacobi identity, and (when present)
-compatibility of the realization with the table are verified at construction,
-always; every downstream computation silently depends on them.
+basis element.  Every downstream computation silently depends on
+antisymmetry, the Jacobi identity and (when present) compatibility of the
+realization with the table.  An algebra built from a table
+(``LieAlgebra(dim, structure, ...)``) is checked for all three at
+construction, always.  An algebra cut out of a checked one
+(``LieAlgebra.restrict``) is checked for closure under the bracket and
+inherits the rest: its identities are the parent's, restricted to a closed
+set of basis elements.
 
 Both checks are sparse: their cost grows with the nonzero structure constants
 and matrix entries, not with all pairs and triples of basis elements.  The
@@ -141,6 +146,39 @@ class LieAlgebra:
         self.realization = tuple(realization) if realization is not None else None
         if self.realization is not None:
             self._check_realization()
+
+    def restrict(self, kept, label=""):
+        """The subalgebra spanned by the basis elements ``kept``, re-indexed
+        in that order, with the parent's structure constants and realization
+        matrices.
+
+        ``kept`` must be strictly increasing basis indices, so the order of
+        the table's pairs and terms carries over.  Raises StructureError when
+        a bracket of two kept elements has a term outside ``kept``.  Nothing
+        else is checked again: antisymmetry, Jacobi and the realization's
+        compatibility with the table are identities of the parent, checked
+        when it was built, and a restriction to a set closed under the
+        bracket satisfies them term by term.
+        """
+        kept = list(kept)
+        bounds = [-1, *kept, self.dim]
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("kept must be strictly increasing basis indices in range")
+        position = {k: t for t, k in enumerate(kept)}
+        table = {}
+        for (i, j), terms in self._table.items():
+            if i in position and j in position:
+                if not all(r in position for r, _ in terms):
+                    raise StructureError(f"kept elements are not closed under bracket ({i},{j})")
+                table[(position[i], position[j])] = tuple((position[r], c) for r, c in terms)
+        sub = object.__new__(LieAlgebra)
+        sub.dim = len(kept)
+        sub.label = label
+        sub._table = table
+        sub._integral = all(type(c) is int for terms in table.values() for _, c in terms)
+        mats = self.realization
+        sub.realization = None if mats is None else tuple(mats[k] for k in kept)
+        return sub
 
     # -- construction-time checks -------------------------------------------
 

@@ -1,10 +1,13 @@
 """Exit codes and error paths of the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from seaweeds.classify import classify, exit_status
 from seaweeds.cli import main
+from seaweeds.contact import COUNTEREXAMPLE, UNRESOLVED
 
 
 def run(capsys, *argv):
@@ -28,6 +31,30 @@ def test_exit_3_on_unresolved_under_strict(capsys):
     args = ("classify", "--family", "SL", "--n", "3", "--attempts", "0")
     assert run(capsys, *args)[0] == 0
     assert run(capsys, *args, "--strict")[0] == 3
+
+
+def with_counterexample(records):
+    return [replace(records[0], verdict=COUNTEREXAMPLE), *records[1:]]
+
+
+def test_exit_status_4_on_a_counterexample():
+    records = classify("GL", 3, seed=0)
+    assert exit_status(records) == 0
+    records = with_counterexample(records)
+    assert exit_status(records) == exit_status(records, strict=True) == 4
+    unresolved = replace(records[1], verdict=UNRESOLVED)
+    assert exit_status([*records, unresolved], strict=True) == 4
+    assert exit_status([unresolved], strict=True) == 3
+
+
+def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        return with_counterexample(classify(*args, **kwargs))
+
+    monkeypatch.setattr("seaweeds.cli.classify", sweep)
+    code, out, err = run(capsys, "classify", "--family", "GL", "--n", "2", "--format", "json")
+    assert code == 4 and not err
+    assert json.loads(out)["summary"]["counterexample"] == 1
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,11 @@ from seaweeds import (
     parse_pair,
     seaweed,
 )
-from seaweeds.classify import LIMITS
+from full_check_reference import full_check_seaweed
+
+from seaweeds.classify import LIMITS, composition_pairs
 from seaweeds.construct import _ambient_view
-from seaweeds.lie import StructureError
+from seaweeds.lie import LieAlgebra, OneForm, StructureError, heisenberg, index, kernel_dim
 from seaweeds.linalg import Matrix, intersect, nullspace, rank
 from seaweeds.serialize import algebra_to_json
 
@@ -148,7 +150,17 @@ def test_shared_ambient_entries_are_diagonal():
             assert all(u == v for u, v in _ambient_view(family, n).shared), (family, n)
 
 
-def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch):
+@pytest.fixture
+def cold_ambients():
+    """Empty the cache of checked ambient algebras before and after a test
+    that tampers with what they are built from, so the test builds its own
+    and leaves none behind."""
+    construct._ambient_algebra.cache_clear()
+    yield
+    construct._ambient_algebra.cache_clear()
+
+
+def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch, cold_ambients):
     # GL2[1,1|2] kills e10, ambient index 2
     view = _ambient_view("GL", 2)
     amb, a, b = AmbientAlgebra("GL", 2), C(1, 1), C(2)
@@ -157,8 +169,77 @@ def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch):
         view._replace(table={**view.table, (0, 1): {2: 1}}),
     ):
         monkeypatch.setattr(construct, "_ambient_view", lambda family, n, bad=bad: bad)
+        construct._ambient_algebra.cache_clear()
         with pytest.raises(StructureError):
             flag_seaweed(amb, a, b)
+
+
+def test_tampered_ambient_realization_raises_on_first_use(monkeypatch, cold_ambients):
+    # the view (supports, table) stays genuine; the realization swaps e01 and e10
+    _ambient_view("GL", 2)
+    e00, e01, e10, e11 = construct._ambient_basis("GL", 2)
+    monkeypatch.setattr(construct, "_ambient_basis", lambda family, n: (e00, e10, e01, e11))
+    with pytest.raises(StructureError):
+        seaweed("GL", 2, C(2), C(2))
+
+
+SWEPT = [("GL", n) for n in range(1, 6)] + [("SL", n) for n in range(2, 6)]
+SWEPT += [("SP", n) for n in range(1, 4)] + [("SO", n) for n in range(2, 8)]
+
+
+@pytest.mark.parametrize("family,n", SWEPT)
+def test_restriction_equals_full_check_construction(family, n):
+    for a, b in composition_pairs(family, n):
+        expected = algebra_to_json(full_check_seaweed(family, n, a, b))
+        assert algebra_to_json(seaweed(family, n, a, b)) == expected, (family, n, a, b)
+
+
+def test_restrict_refuses_a_set_not_closed_under_bracket():
+    gl2 = construct._ambient_algebra("GL", 2)  # e00, e01, e10, e11
+    with pytest.raises(StructureError):
+        gl2.restrict([1, 2])  # [e01, e10] = e00 - e11
+    with pytest.raises(StructureError):
+        heisenberg().restrict([0, 1])  # [x, y] = z
+    assert gl2.restrict([0, 1]).dim == 2
+
+
+@pytest.mark.parametrize("kept", [[2, 1], [1, 1], [0, 4], [-1, 0], [0, 1, 1, 2]])
+def test_restrict_refuses_unsorted_repeated_or_out_of_range_indices(kept):
+    with pytest.raises(ValueError):
+        construct._ambient_algebra("GL", 2).restrict(kept)
+
+
+def graded_heisenberg():
+    """x0 = e01, x1 = e12 / 2, x2 = e02, x3 = diag(1, 0, -1): [x0, x1] = x2 / 2
+    and ad x3 is the grading (1, 1, 2)."""
+    mats = (
+        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        Matrix.from_rows([[0, 0, 0], [0, 0, F(1, 2)], [0, 0, 0]]),
+        Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+        Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
+    )
+    structure = {(0, 1): {2: F(1, 2)}, (3, 0): {0: 1}, (3, 1): {1: 1}, (3, 2): {2: 2}}
+    return LieAlgebra(4, structure, realization=mats, label="graded")
+
+
+def test_restriction_of_a_non_integral_algebra():
+    g = graded_heisenberg()
+    assert not g._integral
+    for kept in ([0, 1, 2], [0, 1, 2, 3], [0, 2, 3], [1, 3], [2]):
+        sub = g.restrict(kept, label="sub")
+        position = {k: t for t, k in enumerate(kept)}
+        structure = {}
+        for i, j, r, c in g.structure_items():
+            if i in position and j in position:
+                structure.setdefault((position[i], position[j]), {})[position[r]] = c
+        mats = tuple(g.realization[k] for k in kept)
+        full = LieAlgebra(len(kept), structure, realization=mats, label="sub")
+        assert algebra_to_json(sub) == algebra_to_json(full)
+        assert sub._integral == full._integral == (1 not in kept or 0 not in kept)
+        rep, full_rep = index(sub, seed=7), index(full, seed=7)
+        assert rep.trial_kernel_dims == full_rep.trial_kernel_dims
+        form = OneForm(sub, tuple(F(k + 2, 3) for k in range(sub.dim)))
+        assert kernel_dim(sub, form) == kernel_dim(full, OneForm(full, form.coords))
 
 
 def test_flag_full_gl():
