@@ -1,4 +1,4 @@
-"""Pinned seed-0 report digests.
+"""Pinned report digests.
 
 The sweep is deterministic per seed, so a refactor of the exact-arithmetic
 core must leave these ``classify --embed`` reports byte-identical.  The
@@ -17,6 +17,8 @@ ATTEMPTS, BOUND, TRIALS = 64, 10**6, 3
 DIGESTS = {
     ("GL", 4): "5369f9580aca1ca36609455b4e4c104dd930687841a4b4094567ccf4eec04ed0",
     ("GL", 5): "d99312e6060fb6502c77be3be160e3d86c284d40f58753e3ee8de6e7a3a9ccf9",
+    # standard-tier GL size: 1024 seaweeds of one ambient
+    ("GL", 6): "27adcc414fe08d74a88adf455e4fab7fa4adab698340df4275bb40dfd330e156",
     ("SL", 4): "75a0f91fff4bd408e3a4c7f9164cc3b3133bf0412d5341a248fc00b7c927b81e",
     ("SP", 2): "ec92d4262020d10c981d4eaee6ed3a3d8b79555a751a1cf2d9beb8ea666606fe",
     ("SO", 5): "4fc8acb3ad46295268c0099210e1490249db2406a74686b60a5c27742dc4adff",
@@ -33,16 +35,31 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("family,n", sorted(DIGESTS))
-def test_seed0_report_digest(family, n):
+# the seed the benchmark runs at: (family, n, seed) -> digest
+SEEDED_DIGESTS = {
+    ("SO", 7, 23): "427124675cdf5e07ba87db9ab4287452295614272c81a04476d86251b9e37a4c",
+}
+
+
+def report_digest(family, n, seed):
     records = classify(
-        family, n, seed=0, attempts=ATTEMPTS, bound=BOUND, trials=TRIALS, embed_certificates=True
+        family, n, seed=seed, attempts=ATTEMPTS, bound=BOUND, trials=TRIALS, embed_certificates=True
     )
     meta = {
         "family": family,
         "n": n,
-        "seed": 0,
+        "seed": seed,
         "budgets": {"attempts": ATTEMPTS, "bound": BOUND, "trials": TRIALS},
     }
     text = report(records, "json", meta=meta)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(family, n)]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,n", sorted(DIGESTS))
+def test_seed0_report_digest(family, n):
+    assert report_digest(family, n, 0) == DIGESTS[(family, n)]
+
+
+@pytest.mark.parametrize("family,n,seed", sorted(SEEDED_DIGESTS))
+def test_seeded_report_digest(family, n, seed):
+    assert report_digest(family, n, seed) == SEEDED_DIGESTS[(family, n, seed)]
