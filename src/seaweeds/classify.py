@@ -126,11 +126,15 @@ def classify(
     force: bool = False,
     embed_certificates: bool = False,
 ) -> list[ClassificationRecord]:
-    """Classify every seaweed of the family at rank n; deterministic per seed."""
+    """Classify every seaweed of the family at rank n; deterministic per seed.
+    Raises ValueError, before any work, on an unknown family or a negative
+    attempt budget, and LimitError on a rank over the limits."""
     family = family.upper()
     limit = LIMITS.get(family)
     if limit is None:
         raise ValueError(f"unknown family {family!r}")
+    if attempts < 0:
+        raise ValueError(f"attempts must be nonnegative, got {attempts}")
     if n > limit and not force:
         raise LimitError(
             f"{family} sweep limited to n <= {limit} by default; pass force=True "

@@ -8,10 +8,11 @@ COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable/basis return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
 input (a malformed pair, a missing --n, a rank over the sweep limits, a
-non-integer environment default, an environment default outside the
-subcommand's choices) exits 2 with a one-line error on stderr before any
-work is done.  An environment default is checked only when the chosen
-subcommand takes that option and the command line leaves it out.
+negative --attempts, a non-integer environment default, an environment
+default outside the subcommand's choices) exits 2 with a one-line error on
+stderr before any sweep or search runs.  An environment default is checked
+only when the chosen subcommand takes that option and the command line
+leaves it out.
 """
 
 from __future__ import annotations

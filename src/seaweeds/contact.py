@@ -8,17 +8,22 @@ power phi ^ (d phi)^k is a volume form.  Two independent tests are provided:
   x / phi(x) is the canonical kernel generator with phi(reeb) = 1.
 * ``contact_volume_nonzero`` borders the Kirillov matrix with the
   coordinates of phi and tests nonsingularity, which is the top-wedge
-  condition itself (up to a harmless sign).
+  condition itself: the Pfaffian of the bordered matrix is the coefficient
+  of phi ^ (d phi)^k up to a harmless sign and scale.
 
 Stability uses the kernel-bracket criterion: phi is stable iff
 [ker B_phi, g] meets ker B_phi only in 0.  Certificates carry everything
 needed to re-check the defining equations from scratch.
 
-Both tests, and their re-checks in ``serialize.verify_certificate``, run on
-integer rows: the kernel comes as canonical primitive integer rows
-(``linalg.kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``), [ker, g]
-is spanned from them (``bracket_span_int_rows``), and the meet is one
-integer rank.  The searches pass each attempt's integer draws straight to
+All three tests, and the re-checks in ``serialize.verify_certificate``,
+run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
+so they go through the skew elimination of ``linalg``, whose 2x2 pivots
+divide exactly because each entry it holds is a Pfaffian of a principal
+minor: the kernel comes as canonical primitive integer rows
+(``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``) and
+the bordered test is one ``linalg.skew_rank_int_rows``.  [ker, g] is not
+skew; it is spanned from the kernel rows by general elimination
+(``bracket_span_int_rows``), and the meet is one general integer rank.  The searches pass each attempt's integer draws straight to
 the tests.  Rationals appear only in a certificate that is issued, which is
 the one a computation over Q gives: canonical rows are unique, and the Reeb
 vector is k / phi(k) for any generator k of the kernel line.
@@ -43,11 +48,11 @@ from .linalg import (
     Subspace,
     inverse,
     is_squarefree,
-    kernel_int_rows,
     meets_trivially_int_rows,
     minimal_polynomial,
     nullspace,
-    rank,
+    skew_kernel_int_rows,
+    skew_rank_int_rows,
     span_int_rows,
 )
 from .lie import (
@@ -58,7 +63,6 @@ from .lie import (
     center,
     form_int_coords,
     kirillov_kernel,
-    kirillov_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -118,6 +122,11 @@ def _require_odd(g: LieAlgebra):
         raise PreconditionError("contact analysis needs an odd-dimensional algebra")
 
 
+def _require_budget(attempts: int):
+    if attempts < 0:
+        raise ValueError(f"attempts must be nonnegative, got {attempts}")
+
+
 def _int_coords(form) -> list:
     """Integer coordinates of a form given as a OneForm or as integers."""
     return form_int_coords(form) if isinstance(form, OneForm) else form
@@ -135,7 +144,7 @@ def is_contact_form(g: LieAlgebra, form) -> ContactCertificate | None:
     issued certificate."""
     _require_odd(g)
     ints = _int_coords(form)
-    kernel = kernel_int_rows(g.kirillov_int_rows(ints), g.dim)
+    kernel = skew_kernel_int_rows(g.kirillov_int_rows(ints))
     if len(kernel) != 1:
         return None
     (k,) = kernel
@@ -153,16 +162,16 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     The (dim+1)-square skew matrix [[0, phi], [-phi, B_phi]] is nonsingular
     exactly when phi ^ (d phi)^k is a volume form, which is the defining
     contact condition; this route never looks at kernels or Reeb vectors.
+    It is built on integer rows, with phi and B_phi each scaled by a
+    positive factor, which scales the Pfaffian and keeps its zeros, and
+    ranked by skew elimination.
     """
     _require_odd(g)
-    b = kirillov_matrix(g, form)
-    n = g.dim
-    top = (Fraction(0),) + form.coords
-    rows = [top]
-    for i in range(n):
-        rows.append((-form.coords[i],) + b.rows[i])
-    bordered = Matrix(tuple(rows))
-    return rank(bordered) == n + 1
+    ints = form_int_coords(form)
+    bordered = [[0, *ints]]
+    for c, row in zip(ints, g.kirillov_int_rows(ints)):
+        bordered.append([-c, *row])
+    return skew_rank_int_rows(bordered) == g.dim + 1
 
 
 def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
@@ -177,7 +186,7 @@ def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
 def is_stable_form(g: LieAlgebra, form) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially;
     ``form`` as for ``is_contact_form``."""
-    kernel = kernel_int_rows(g.kirillov_int_rows(_int_coords(form)), g.dim)
+    kernel = skew_kernel_int_rows(g.kirillov_int_rows(_int_coords(form)))
     span = bracket_span_int_rows(g, kernel)
     if not meets_trivially_int_rows(kernel, span):
         return None
@@ -208,9 +217,11 @@ def find_contact_form(
     """Randomized search for a contact form; None means budget exhausted.
 
     Exhaustion is not a proof of non-contactness, only one-sided evidence;
-    the classifier corroborates it against the stability search.
+    the classifier corroborates it against the stability search.  A budget
+    of 0 finds nothing; a negative one raises ValueError.
     """
     _require_odd(g)
+    _require_budget(attempts)
     rng = random.Random(seed)
     for _ in range(attempts):
         cert = is_contact_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
@@ -225,7 +236,9 @@ def find_stable_form(
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
 ) -> StabilityCertificate | None:
-    """Randomized search for a stable form; None means budget exhausted."""
+    """Randomized search for a stable form; None means budget exhausted.
+    A budget of 0 finds nothing; a negative one raises ValueError."""
+    _require_budget(attempts)
     rng = random.Random(seed)
     for _ in range(attempts):
         cert = is_stable_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])

@@ -36,10 +36,15 @@ random integer form attains it with overwhelming probability
 (Schwartz-Zippel); the default budget is 3 trials with coordinates bounded
 by 10^6.
 
-Kernels are taken the same way: the form's denominators are cleared once,
-B_phi is built as integer rows (`LieAlgebra.kirillov_int_rows`), and
-`kirillov_kernel_int_rows` returns ker B_phi as canonical primitive integer
-rows (`linalg.kernel_int_rows`); `kirillov_kernel` only turns those into a
+Ranks and kernels are taken the same way: the form's denominators are
+cleared once and B_phi is built as skew integer rows
+(`LieAlgebra.kirillov_int_rows`).  B_phi is skew, so it goes through the
+skew elimination of `linalg`, which pivots on 2x2 blocks, updates half the
+matrix and divides exactly by the previous pivot because every entry it
+holds is a Pfaffian of a principal minor: `index` and `kernel_dim` count
+its pivots (`linalg.skew_rank_int_rows`), and `kirillov_kernel_int_rows`
+returns ker B_phi as canonical primitive integer rows
+(`linalg.skew_kernel_int_rows`); `kirillov_kernel` only turns those into a
 rational `Subspace`.
 """
 
@@ -48,15 +53,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Matrix,
     Subspace,
     _int_rows,
     as_scalar,
-    kernel_int_rows,
     nullspace,
-    rank_int_rows,
+    rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
+    skew_kernel_int_rows,
+    skew_rank_int_rows,
 )
 
 DEFAULT_TRIALS = 3
@@ -285,8 +292,9 @@ class LieAlgebra:
         return Element(self, tuple(coords))
 
     def kirillov_int_rows(self, int_coords):
-        """Integer row list of B_phi for integer phi, row-scaled if the table
-        is non-integral (scaling preserves rank and kernel)."""
+        """Integer row list of B_phi for integer phi.  A non-integral table
+        scales the whole matrix by one common denominator, which keeps it
+        skew and preserves rank and kernel."""
         dim = self.dim
         rows = [[0] * dim for _ in range(dim)]
         for (i, j), terms in self._table.items():
@@ -296,7 +304,10 @@ class LieAlgebra:
             if v:
                 rows[i][j] = v
                 rows[j][i] = -v
-        return rows if self._integral else _int_rows(rows)
+        if self._integral:
+            return rows
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return [[int(x * den) for x in row] for row in rows]
 
     def __repr__(self):
         name = self.label or "LieAlgebra"
@@ -411,15 +422,13 @@ def form_int_coords(form: OneForm) -> list:
 
 
 def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
-    """dim ker B_form, via exact elimination."""
-    if g.dim == 0:
-        return 0
-    return g.dim - rank_int_rows(g.kirillov_int_rows(form_int_coords(form)))
+    """dim ker B_form, via exact skew elimination."""
+    return g.dim - skew_rank_int_rows(g.kirillov_int_rows(form_int_coords(form)))
 
 
 def kirillov_kernel_int_rows(g: LieAlgebra, form: OneForm) -> list:
     """ker B_form as canonical primitive integer RREF rows."""
-    return kernel_int_rows(g.kirillov_int_rows(form_int_coords(form)), g.dim)
+    return skew_kernel_int_rows(g.kirillov_int_rows(form_int_coords(form)))
 
 
 def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:
@@ -458,7 +467,7 @@ def index(
     dims = []
     for _ in range(trials):
         ints = [rng.randint(-bound, bound) for _ in range(g.dim)]
-        kd = g.dim - rank_int_rows(g.kirillov_int_rows(ints)) if g.dim else 0
+        kd = g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
         dims.append(kd)
         if best is None or kd < best:
             best, best_coords = kd, ints

@@ -19,6 +19,18 @@ point, and the minimum of a kernel dimension over rational forms equals its
 minimum over complex forms.  Every witness found here is rational, so the
 same certificate proves the claim over C.
 
+Skew-symmetric matrices, the Kirillov matrices B_phi and the bordered
+matrices of the contact test, go through their own elimination
+(`skew_rank_int_rows`, `skew_kernel_int_rows`).  It takes 2x2 pivots
+[[0, p], [-p, 0]] and updates only the strict upper triangle, so a step
+costs half of a general one and the matrix stays skew.  It is fraction-free:
+after the pivots (i_1, j_1), ..., (i_s, j_s) every remaining entry (k, l) is
+the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
+integer, and the next step divides by the previous pivot exactly, by the
+Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
+Electron. J. Combin. 3(2), 1996).  The general routines serve every other
+matrix (spans, meets, `nullspace`).
+
 Subspaces are stored in reduced row echelon form, making equality of
 subspaces equality of representations.  Its integer twin is the list of
 primitive RREF rows with positive pivots that `rref_int_rows` returns:
@@ -30,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul
 
 Scalar = Fraction
 
@@ -192,6 +206,96 @@ def span_int_rows(rows):
     """Canonical primitive integer RREF rows of the row space of an integer
     matrix."""
     return rref_int_rows(rows)[1]
+
+
+def _skew_pivots(rows):
+    """Fraction-free elimination of a skew-symmetric integer matrix.
+
+    Each step takes the first row s with a nonzero entry and the first
+    column t > s where it is nonzero, pivots on p = a_st, and replaces
+    every remaining pair k < l by
+
+        a'_kl = (p a_kl + a_ks a_tl - a_kt a_sl) / d,
+
+    d the previous pivot (1 at the first step).  That is p/d times the
+    Schur complement of the pivot block [[0, p], [-p, 0]], and every a'_kl
+    is a Pfaffian of a principal minor of the input, so the division is
+    exact.  Rows found zero are free indices and leave the matrix.  Only
+    the strict upper part of each row is held, last column first, and the
+    rows are held last row first, so that ``zip`` lines every row up with
+    the pivot rows.
+
+    Returns the steps (i, j, p, a_i, a_j, rest): the pivot pair as input
+    indices, the pivot, and the entries of the two pivot rows on the input
+    indices ``rest`` that were still in the matrix.  Raises ValueError
+    unless the matrix is square and skew-symmetric.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("skew elimination needs a square matrix")
+    if any(map(add, chain.from_iterable(rows), chain.from_iterable(zip(*rows)))):
+        raise ValueError("skew elimination needs a skew-symmetric matrix")
+    tails = [list(rows[u][:u:-1]) for u in range(n - 1, -1, -1)]  # a_u,n-1 .. a_u,u+1
+    index = list(range(n - 1, -1, -1))
+    steps = []
+    d = 1
+    while True:
+        while tails and not any(tails[-1]):
+            tails.pop()
+            index.pop()
+        if not tails:
+            return steps
+        a_s, s = tails.pop(), index.pop()
+        k = len(a_s) - 1  # a_s[k] = a_st, t the first column with a nonzero entry
+        while not a_s[k]:
+            k -= 1
+        p = a_s.pop(k)
+        a_t, t = tails.pop(k), index.pop(k)
+        above = tails[k:]  # the rows between s and t, whose tails hold column t
+        a_t += [-row.pop(k) for row in above]
+        tails = [
+            [(p * v - x * b + y * c) // d for v, b, c in zip(row, a_t, a_s)] if x or y
+            else [p * v // d for v in row]
+            for row, x, y in zip(tails, a_s, a_t)  # x = a_su = -a_us, y = a_tu = -a_ut
+        ]
+        steps.append((s, t, p, a_s, a_t, index[:]))
+        d = p
+
+
+def skew_rank_int_rows(rows):
+    """Rank of a skew-symmetric integer matrix: twice its number of 2x2
+    pivots.  Raises ValueError unless the matrix is square and skew."""
+    return 2 * len(_skew_pivots(rows))
+
+
+def skew_kernel_int_rows(rows):
+    """Canonical primitive integer RREF rows of the kernel of a
+    skew-symmetric integer matrix, equal to ``kernel_int_rows(rows,
+    len(rows))``.  Raises ValueError unless the matrix is square and skew.
+
+    Every index outside the pivot pairs is free.  For each free index f the
+    kernel vector with v_f equal to the last pivot, zero on the other free
+    indices, comes back through the pivot rows in reverse: the rows i and j
+    of a step say p v_j = -sum_l a_il v_l and p v_i = sum_l a_jl v_l over
+    its remaining indices.  Those divisions are exact, because the last
+    pivot is the Pfaffian of the whole pivot block, and that Pfaffian times
+    the block's inverse is an integer matrix.
+    """
+    steps = _skew_pivots(rows)
+    paired = {x for i, j, *_ in steps for x in (i, j)}
+    scale = steps[-1][2] if steps else 1
+    vectors = []
+    for f in range(len(rows)):
+        if f in paired:
+            continue
+        v = [0] * len(rows)
+        v[f] = scale
+        for i, j, p, a_i, a_j, rest in reversed(steps):
+            w = [v[l] for l in rest]
+            v[j] = -sum(map(mul, a_i, w)) // p
+            v[i] = sum(map(mul, a_j, w)) // p
+        vectors.append(v)
+    return span_int_rows(vectors)
 
 
 def meets_trivially_int_rows(u, v):

@@ -187,11 +187,13 @@ _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
 def _index_claims_hold(record: dict) -> bool:
-    """The statuses and verdict follow from the index (the searches run on
-    index-one seaweeds only, a budget below one finds nothing, and the
-    verdict is ``search_verdict`` of the statuses and budget), and a GL/SL
-    index equals the meander census."""
+    """The budget is not negative, the statuses and verdict follow from the
+    index (the searches run on index-one seaweeds only, a budget below one
+    finds nothing, and the verdict is ``search_verdict`` of the statuses and
+    budget), and a GL/SL index equals the meander census."""
     contact, stable = record["contact"], record["stable"]
+    if record["attempts"] < 0:
+        return False
     if record["index"] != 1:
         if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
             return False
@@ -215,7 +217,8 @@ def verify_document(doc: dict) -> bool:
     A document is invalid when it gives nothing to check (no records, no
     certificates), when a record's statuses or verdict disagree with its
     index, an index-one verdict is not the one its statuses and budget
-    give, or a GL/SL index disagrees with the meander census, when a record
+    give, or a GL/SL index disagrees with the meander census, when a
+    record's attempt budget is negative, when a record
     claims FOUND without embedding the certificate, or when a record carries
     certificates but its index is not one (the searches run only on
     index-one seaweeds).  A document of the wrong shape raises ValueError.

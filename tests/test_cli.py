@@ -64,12 +64,26 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("index", "2,x|3"),
         ("index", "3|3", "--family", "SP"),
         ("index", "--top", "2,1"),
+        ("classify", "--family", "GL", "--n", "3", "--attempts", "-1"),
+        ("contact", "2,1|3", "--family", "GL", "--attempts", "-5"),
+        ("stable", "2,1|3", "--family", "GL", "--attempts", "-1"),
     ],
 )
 def test_exit_2_on_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="attempts must be nonnegative"):
+        classify("GL", 2, seed=0, attempts=-1)
+
+
+def test_exit_2_on_a_negative_env_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SEAWEEDS_ATTEMPTS", "-1")
+    code, out, err = run(capsys, "classify", "--family", "GL", "--n", "3")
+    assert code == 2 and not out and err == "error: attempts must be nonnegative, got -1\n"
 
 
 def test_exit_2_on_non_integer_env_default(capsys, monkeypatch):

@@ -226,6 +226,14 @@ def test_find_contact_even_dim_rejected():
         find_contact_form(abelian(2), seed=1)
 
 
+def test_searches_refuse_a_negative_budget_and_take_a_zero_one():
+    g = heisenberg()
+    for search in (find_contact_form, find_stable_form):
+        with pytest.raises(ValueError, match="attempts must be nonnegative"):
+            search(g, seed=1, attempts=-1)
+        assert search(g, seed=1, attempts=0) is None
+
+
 def test_searches_are_deterministic():
     g = gln_seaweed(C(2, 1), C(3))
     assert find_contact_form(g, seed=9).form == find_contact_form(g, seed=9).form

@@ -201,6 +201,20 @@ def test_verify_rejects_found_statuses_under_a_zero_budget():
     assert verify_document(doc)
 
 
+def test_verify_rejects_a_negative_budget():
+    doc, record = _index_one_report()
+    record["contact"] = record["stable"] = "NOT_FOUND"
+    record["verdict"], record["attempts"] = "UNRESOLVED", -1
+    del record["certificates"]
+    assert not verify_document(doc)
+    record["attempts"] = 0
+    assert verify_document(doc)
+    doc, _ = _index_one_report()
+    other = next(r for r in doc["records"] if r["index"] != 1)
+    other["attempts"] = -1  # also on a record with no search
+    assert not verify_document(doc)
+
+
 def test_verify_rejects_an_unknown_index_one_status():
     doc, record = _index_one_report()
     record["stable"] = "MAYBE"
