@@ -23,10 +23,11 @@ minor: the kernel comes as canonical primitive integer rows
 (``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``) and
 the bordered test is one ``linalg.skew_rank_int_rows``.  [ker, g] is not
 skew; it is spanned from the kernel rows by general elimination
-(``bracket_span_int_rows``), and the meet is one general integer rank.  The searches pass each attempt's integer draws straight to
-the tests.  Rationals appear only in a certificate that is issued, which is
-the one a computation over Q gives: canonical rows are unique, and the Reeb
-vector is k / phi(k) for any generator k of the kernel line.
+(``bracket_span_int_rows``), and the meet is one general integer rank.  The
+searches pass each attempt's integer draws straight to the tests.
+Rationals appear only in a certificate that is issued, which is the one a
+computation over Q gives: canonical rows are unique, and the Reeb vector is
+k / phi(k) for any generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff

@@ -2,10 +2,11 @@
 
 Everything is exact over Q.  Elimination, kernels and spans run on
 primitive integer rows (`rank_int_rows`, `rref_int_rows`, `kernel_int_rows`,
-`span_int_rows`, `meets_trivially_int_rows`); `fractions.Fraction` appears
-only in the public `Matrix` and `Subspace` values (and the `Element`,
-`OneForm` and JSON values built on them), always in lowest terms with
-positive denominator.  No rounding ever occurs.
+`span_int_rows`, `meets_trivially_int_rows`, and for skew-symmetric
+matrices `skew_rank_int_rows` and `skew_kernel_int_rows`);
+`fractions.Fraction` appears only in the public `Matrix` and `Subspace`
+values (and the `Element`, `OneForm` and JSON values built on them), always
+in lowest terms with positive denominator.  No rounding ever occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
 downstream (a rank condition on a Kirillov matrix, kernel membership,
