@@ -153,13 +153,6 @@ def test_kirillov_cases_include_half_constant_algebras():
     assert len(SEAWEEDS) > 600 and len(RESCALED) >= 15
 
 
-def test_index_is_a_skew_corank_at_the_sampled_forms():
-    for g in SEAWEEDS[::7] + RESCALED:
-        rep = index(g, seed=11)
-        rows = g.kirillov_int_rows([int(x) for x in rep.witness_form.coords])
-        assert rep.index == g.dim - rank_int_rows(rows) == g.dim - skew_rank_int_rows(rows)
-
-
 INDEX_ONE = [
     g
     for f, n in [("SL", 2), ("SL", 3), ("SL", 4)] + [("SO", n) for n in (3, 4, 5, 6)]
