@@ -22,8 +22,13 @@ divide exactly because each entry it holds is a Pfaffian of a principal
 minor: the kernel comes as canonical primitive integer rows
 (``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``) and
 the bordered test is one ``linalg.skew_rank_int_rows``.  [ker, g] is not
-skew; it is spanned from the kernel rows by general elimination
-(``bracket_span_int_rows``), and the meet is one general integer rank.  The
+skew.  The stability test decides with one general forward elimination of
+the brackets of the kernel rows (``linalg.echelon_int_rows``) and one
+general integer rank for the meet, with the echelon rows first so that
+only the kernel rows are reduced; most attempts of a search that runs out
+fail there, and only an issued certificate pays for the canonical rows of
+[ker, g], which the echelon rows give by upward elimination alone.  The
+certificate check spans [ker, g] afresh (``bracket_span_int_rows``).  The
 searches pass each attempt's integer draws straight to the tests.
 Rationals appear only in a certificate that is issued, which is the one a
 computation over Q gives: canonical rows are unique, and the Reeb vector is
@@ -47,6 +52,7 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
+    echelon_int_rows,
     inverse,
     is_squarefree,
     meets_trivially_int_rows,
@@ -175,26 +181,33 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     return skew_rank_int_rows(bordered) == g.dim + 1
 
 
+def _bracket_rows(g: LieAlgebra, kernel) -> list:
+    # [k, x_j] for the integer rows k spanning K and all j
+    return [row for k in kernel for row in g.ad_int_rows(k)]
+
+
 def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
     """[K, g] as canonical primitive integer rows: the span of [k, x_j] over
     the integer rows k spanning K and all j."""
-    vectors = []
-    for k in kernel:
-        vectors.extend(g.ad_int_rows(k))
-    return span_int_rows(vectors)
+    return span_int_rows(_bracket_rows(g, kernel))
 
 
 def is_stable_form(g: LieAlgebra, form) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially;
-    ``form`` as for ``is_contact_form``."""
+    ``form`` as for ``is_contact_form``.
+
+    One forward elimination of the brackets [k, x_j] decides: its echelon
+    rows go first in the meet, so only the kernel rows are reduced against
+    them.  The canonical rows of [K, g] are built from the echelon rows
+    only for an issued certificate."""
     kernel = skew_kernel_int_rows(g.kirillov_int_rows(_int_coords(form)))
-    span = bracket_span_int_rows(g, kernel)
-    if not meets_trivially_int_rows(kernel, span):
+    echelon = echelon_int_rows(_bracket_rows(g, kernel))
+    if not meets_trivially_int_rows(echelon, kernel):
         return None
     return StabilityCertificate(
         form=_as_form(g, form),
         kernel=Subspace.from_int_rows(g.dim, kernel),
-        bracket_span=Subspace.from_int_rows(g.dim, span),
+        bracket_span=Subspace.from_int_rows(g.dim, span_int_rows(echelon)),
         intersection_dim=0,
     )
 

@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
 Everything is exact over Q.  Elimination, kernels and spans run on
-primitive integer rows (`rank_int_rows`, `rref_int_rows`, `kernel_int_rows`,
-`span_int_rows`, `meets_trivially_int_rows`, and for skew-symmetric
-matrices `skew_rank_int_rows` and `skew_kernel_int_rows`);
+primitive integer rows (`echelon_int_rows`, `rank_int_rows`,
+`rref_int_rows`, `kernel_int_rows`, `span_int_rows`,
+`meets_trivially_int_rows`, and for skew-symmetric matrices
+`skew_rank_int_rows` and `skew_kernel_int_rows`);
 `fractions.Fraction` appears only in the public `Matrix` and `Subspace`
 values (and the `Element`, `OneForm` and JSON values built on them), always
 in lowest terms with positive denominator.  No rounding ever occurs.
@@ -30,7 +31,10 @@ the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
 integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
 Electron. J. Combin. 3(2), 1996).  The general routines serve every other
-matrix (spans, meets, `nullspace`).
+matrix (spans, meets, `nullspace`).  They share one forward elimination,
+`echelon_int_rows`: a rank is the length of its result, and echelon rows
+can be kept and reused, since `span_int_rows` of them, the canonical rows,
+only has to eliminate upward.
 
 Subspaces are stored in reduced row echelon form, making equality of
 subspaces equality of representations.  Its integer twin is the list of
@@ -87,15 +91,18 @@ def _content(row, start):
     return g
 
 
-def rank_int_rows(rows):
-    """Rank of an integer matrix, by fraction-free forward elimination.
+def echelon_int_rows(rows):
+    """Row echelon form of an integer matrix, by fraction-free forward
+    elimination: its nonzero rows, as many as the rank, with strictly
+    increasing leading columns, spanning the row space of the input.
 
     Growth is contained by stripping the gcd of every updated row, so all
-    divisions are exact.
+    divisions are exact.  Rows below a pivot are eliminated, rows above it
+    are not; ``span_int_rows`` of the result finishes the reduction upward.
     """
     m = len(rows)
     if m == 0:
-        return 0
+        return []
     n = len(rows[0])
     work = [list(r) for r in rows]
     rank = 0
@@ -124,7 +131,12 @@ def rank_int_rows(rows):
         rank += 1
         if rank == m:
             break
-    return rank
+    return work[:rank]
+
+
+def rank_int_rows(rows):
+    """Rank of an integer matrix: the length of its ``echelon_int_rows``."""
+    return len(echelon_int_rows(rows))
 
 
 def rref_int_rows(rows):

@@ -1,17 +1,19 @@
 """The integer-row Kirillov kernels, contact and stability tests and
 certificate checks against the rational reference route."""
 
+import random
 from fractions import Fraction
 
 import fraction_reference as ref
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaweeds import Matrix, OneForm, Subspace, abelian, heisenberg, seaweed
+from seaweeds import Composition, Matrix, OneForm, Subspace, abelian, heisenberg, seaweed
 from seaweeds.classify import composition_pairs
 from seaweeds.contact import ContactCertificate, is_contact_form, is_stable_form
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel_int_rows
-from seaweeds.linalg import kernel_int_rows, nullspace, rank
+from seaweeds.linalg import echelon_int_rows, kernel_int_rows, nullspace, rank, span_int_rows
 from seaweeds.serialize import certificate_to_json, frac_from_str, frac_to_str, verify_certificate
 
 F = Fraction
@@ -125,6 +127,21 @@ def test_verify_accepts_certificates_and_refuses_changed_ones(case, data):
             assert verify_certificate(g, other) == ref.verify_certificate(g, other)
 
 
+@pytest.mark.parametrize("top,bottom,stable", [
+    ((), (2, 1), False),  # both searches run out on these two
+    ((1, 2), (), False),
+    ((), (3,), True),
+], ids=["0|2,1", "1,2|0", "0|3"])
+def test_so7_stability_decision_matches_the_rational_route(top, bottom, stable):
+    g = seaweed("SO", 7, Composition(top), Composition(bottom))
+    rng = random.Random(7)
+    for _ in range(8):
+        form = OneForm(g, tuple(F(rng.randint(-10**6, 10**6)) for _ in range(g.dim)))
+        cert = is_stable_form(g, form)
+        assert (cert is not None) == stable
+        assert cert == ref.is_stable_form(g, form)
+
+
 def check_kernel(rows, n):
     out = kernel_int_rows(rows, n)
     m = Matrix.from_rows(rows) if rows else None
@@ -152,3 +169,15 @@ def test_kernel_int_rows_special_matrices():
 ))
 def test_kernel_int_rows_matches_nullspace(rows):
     check_kernel(rows, len(rows[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=6)
+))
+def test_echelon_int_rows_is_an_echelon_basis_of_the_row_space(rows):
+    echelon, canonical = echelon_int_rows(rows), span_int_rows(rows)
+    assert len(echelon) == len(canonical)  # the rank, from the reduced form
+    leads = [next(k for k, v in enumerate(row) if v) for row in echelon]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    assert span_int_rows(echelon) == canonical
