@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import Matrix, Subspace, nullspace
+from .linalg import Matrix, Subspace, _frac_rows, kernel_int_rows
 from .lie import LieAlgebra, StructureError, _commutator, _sparse_matrix
 
 FAMILIES = ("GL", "SL", "SP", "SO")
@@ -175,6 +175,11 @@ def gln_seaweed(a: Composition, b: Composition) -> LieAlgebra:
     return LieAlgebra(len(pairs), structure, realization=mats, label=f"GL{n}[{a}|{b}]")
 
 
+def _form_signs(family: str, size: int) -> list[int]:
+    """The antidiagonal of the SP/SO form, s_i = S[i][N-1-i]."""
+    return [-1 if family == "SP" and i >= size // 2 else 1 for i in range(size)]
+
+
 class AmbientAlgebra:
     """One of the four reductive matrix families, with its defining form.
 
@@ -210,8 +215,7 @@ class AmbientAlgebra:
         self.matrix_size = size
         if family in ("SP", "SO"):
             rows = [[Fraction(0)] * size for _ in range(size)]
-            for i in range(size):
-                sign = -1 if (family == "SP" and i >= size // 2) else 1
+            for i, sign in enumerate(_form_signs(family, size)):
                 rows[i][size - 1 - i] = Fraction(sign)
             self.bilinear_form = Matrix(tuple(tuple(r) for r in rows))
         else:
@@ -229,27 +233,34 @@ class AmbientAlgebra:
 
 @lru_cache(maxsize=None)
 def _ambient_basis(family: str, n: int) -> tuple[Matrix, ...]:
+    """Canonical basis of the ambient family as matrices: the rational RREF
+    basis of its vectorized (row-major) matrix space.
+
+    GL is every elementary matrix.  SL is the kernel of the trace row, and
+    SP/SO the kernel of the rows of X^T S + S X = 0.  S is antidiagonal,
+    S[i][N-1-i] = s_i, so entry (i, j) of the condition reads
+    s_{N-1-j} X[N-1-j][i] + s_i X[N-1-i][j] = 0.  The condition rows are
+    integer rows and their kernel is ``linalg.kernel_int_rows``; rationals
+    are made only for the returned matrices.
+    """
     amb = AmbientAlgebra(family, n)
     size = amb.matrix_size
     if family == "GL":
         return tuple(_elementary(size, i, j) for i in range(size) for j in range(size))
     if family == "SL":
-        trace_row = [Fraction(1) if i % (size + 1) == 0 else Fraction(0) for i in range(size * size)]
-        space = nullspace(Matrix((tuple(trace_row),)))
+        rows = [[int(i % (size + 1) == 0) for i in range(size * size)]]
     else:
-        s = amb.bilinear_form.rows
+        sign = _form_signs(family, size)
         rows = []
         for i in range(size):
             for j in range(size):
-                row = [Fraction(0)] * (size * size)
-                for k in range(size):
-                    row[k * size + i] += s[k][j]  # (X^T S)[i][j]
-                    row[k * size + j] += s[i][k]  # (S X)[i][j]
-                rows.append(tuple(row))
-        space = nullspace(Matrix(tuple(rows)))
+                row = [0] * (size * size)
+                row[(size - 1 - j) * size + i] += sign[size - 1 - j]  # (X^T S)[i][j]
+                row[(size - 1 - i) * size + j] += sign[i]  # (S X)[i][j]
+                rows.append(row)
     return tuple(
-        Matrix(tuple(tuple(row[u * size + v] for v in range(size)) for u in range(size)))
-        for row in space.basis
+        Matrix(tuple(row[u * size:(u + 1) * size] for u in range(size)))
+        for row in _frac_rows(kernel_int_rows(rows, size * size))
     )
 
 

@@ -1,15 +1,19 @@
-"""The rational route to Kirillov kernels and certificates, as first written.
+"""The rational route to Kirillov kernels, certificates and ambient bases,
+as first written.
 
 ``lie.kirillov_kernel_int_rows``, ``contact.is_contact_form``,
-``contact.is_stable_form`` and ``serialize.verify_certificate`` run on
-primitive integer rows.  These versions build the rational Kirillov matrix,
-take its nullspace from the rational reduced echelon form, span [ker, g]
-from rational rows and compare rational subspaces; the tests hold both
-routes to the same certificates and the same verdicts.
+``contact.is_stable_form``, ``serialize.verify_certificate`` and
+``construct._ambient_basis`` run on primitive integer rows.  These versions
+build the rational Kirillov matrix, take its nullspace from the rational
+reduced echelon form, span [ker, g] from rational rows and compare rational
+subspaces, and derive an ambient basis from the rational condition matrix;
+the tests hold both routes to the same certificates, the same verdicts and
+the same bases.
 """
 
 from fractions import Fraction
 
+from seaweeds.construct import AmbientAlgebra
 from seaweeds.contact import ContactCertificate, StabilityCertificate
 from seaweeds.lie import Element, OneForm, kirillov_matrix
 from seaweeds.linalg import Matrix, Subspace, rank, rref
@@ -96,3 +100,31 @@ def verify_certificate(g, doc):
     if kirillov_kernel(g, form) != kernel or bracket_span(g, kernel) != span:
         return False
     return meets_trivially(kernel, span)
+
+
+def ambient_basis(family, n):
+    """The canonical basis of an ambient family as matrices: the nullspace
+    of its rational condition matrix (none for GL, the trace row for SL,
+    X^T S + S X = 0 summed out of the rational form S for SP/SO)."""
+    amb = AmbientAlgebra(family, n)
+    size = amb.matrix_size
+    if family == "GL":
+        space = Subspace.full(size * size)
+    elif family == "SL":
+        trace_row = tuple(Fraction(1) if t % (size + 1) == 0 else Fraction(0) for t in range(size * size))
+        space = nullspace(Matrix((trace_row,)))
+    else:
+        s = amb.bilinear_form.rows
+        rows = []
+        for i in range(size):
+            for j in range(size):
+                row = [Fraction(0)] * (size * size)
+                for k in range(size):
+                    row[k * size + i] += s[k][j]  # (X^T S)[i][j]
+                    row[k * size + j] += s[i][k]  # (S X)[i][j]
+                rows.append(tuple(row))
+        space = nullspace(Matrix(tuple(rows)))
+    return tuple(
+        Matrix(tuple(tuple(row[u * size + v] for v in range(size)) for u in range(size)))
+        for row in space.basis
+    )

@@ -14,6 +14,7 @@ from seaweeds import (
     parse_pair,
     seaweed,
 )
+import fraction_reference as ref
 from full_check_reference import full_check_seaweed
 
 from seaweeds.classify import LIMITS, composition_pairs
@@ -181,6 +182,16 @@ def test_tampered_ambient_realization_raises_on_first_use(monkeypatch, cold_ambi
     monkeypatch.setattr(construct, "_ambient_basis", lambda family, n: (e00, e10, e01, e11))
     with pytest.raises(StructureError):
         seaweed("GL", 2, C(2), C(2))
+
+
+AMBIENTS = [("GL", n) for n in range(1, 5)] + [("SL", n) for n in range(2, 7)]
+AMBIENTS += [("SP", n) for n in range(1, 5)] + [("SO", n) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("family,n", AMBIENTS)
+def test_ambient_basis_equals_the_rational_derivation(family, n):
+    # the uncached function, so a basis a test has swapped cannot answer
+    assert construct._ambient_basis.__wrapped__(family, n) == ref.ambient_basis(family, n)
 
 
 SWEPT = [("GL", n) for n in range(1, 6)] + [("SL", n) for n in range(2, 6)]
