@@ -186,13 +186,27 @@ def _rebuild_record_algebra(record: dict) -> LieAlgebra:
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
+def _bookkeeping_holds(record: dict) -> bool:
+    """The parity is that of the dimension, and the index is the least trial
+    kernel dimension, of the dimension's parity (a Kirillov matrix has even
+    rank).  There are ``trials`` trial dimensions, or twice as many exactly
+    when the first ``trials`` disagree: the classifier then re-runs the
+    trials once with a larger bound."""
+    dim, dims, trials = record["dim"], record["trial_kernel_dims"], record["trials"]
+    if record["parity"] != ("odd" if dim % 2 else "even") or (record["index"] - dim) % 2:
+        return False
+    expected = 2 * trials if len(set(dims[:trials])) > 1 else trials
+    return trials >= 1 and len(dims) == expected and record["index"] == min(dims)
+
+
 def _index_claims_hold(record: dict) -> bool:
-    """The budget is not negative, the statuses and verdict follow from the
-    index (the searches run on index-one seaweeds only, a budget below one
-    finds nothing, and the verdict is ``search_verdict`` of the statuses and
+    """The bookkeeping fields agree (``_bookkeeping_holds``), the budget is
+    not negative, the statuses and verdict follow from the index (the
+    searches run on index-one seaweeds only, a budget below one finds
+    nothing, and the verdict is ``search_verdict`` of the statuses and
     budget), and a GL/SL index equals the meander census."""
     contact, stable = record["contact"], record["stable"]
-    if record["attempts"] < 0:
+    if not _bookkeeping_holds(record) or record["attempts"] < 0:
         return False
     if record["index"] != 1:
         if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
@@ -218,10 +232,12 @@ def verify_document(doc: dict) -> bool:
     certificates), when a record's statuses or verdict disagree with its
     index, an index-one verdict is not the one its statuses and budget
     give, or a GL/SL index disagrees with the meander census, when a
-    record's attempt budget is negative, when a record
-    claims FOUND without embedding the certificate, or when a record carries
-    certificates but its index is not one (the searches run only on
-    index-one seaweeds).  A document of the wrong shape raises ValueError.
+    record's parity, index and trial kernel dimensions disagree with its
+    dimension, its trial count or each other, when a record's attempt
+    budget is negative, when a record claims FOUND without embedding the
+    certificate, or when a record carries certificates but its index is not
+    one (the searches run only on index-one seaweeds).  A document of the
+    wrong shape raises ValueError.
     """
     try:
         return _verify_document(doc)

@@ -237,3 +237,49 @@ def test_verify_malformed_document_raises_value_error():
         verify_document(doc)
     with pytest.raises(ValueError, match="zero denominator"):
         frac_from_str("1/0")
+
+
+def _so5_report(bound=10**6):
+    return json.loads(report(classify("SO", 5, seed=5, bound=bound, embed_certificates=True), "json"))
+
+
+def test_verify_rejects_a_parity_that_disagrees_with_the_dimension():
+    doc = _so5_report()
+    assert verify_document(doc)
+    record = doc["records"][0]
+    record["parity"] = {"odd": "even", "even": "odd"}[record["parity"]]
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_an_index_of_the_other_parity():
+    # index and every trial dimension moved by one, so the index is still
+    # the least trial dimension; only the parity of the dimension refuses it
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if r["index"] >= 2)
+    record["index"] += 1
+    record["trial_kernel_dims"] = [d + 1 for d in record["trial_kernel_dims"]]
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_an_index_off_the_least_trial_dimension():
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if r["index"] >= 2)
+    record["index"] += 2  # same parity, statuses stay SKIPPED
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_trial_counts_off_the_retry_rule():
+    # a bound of 1 makes trials disagree, which re-runs them once
+    doc = _so5_report(bound=1)
+    assert verify_document(doc)
+    retried = next(
+        r for r in doc["records"]
+        if len(r["trial_kernel_dims"]) > r["trials"] and min(r["trial_kernel_dims"][: r["trials"]]) == r["index"]
+    )
+    retried["trial_kernel_dims"] = retried["trial_kernel_dims"][: retried["trials"]]
+    assert not verify_document(doc)
+    doc = _so5_report()
+    record = doc["records"][0]
+    assert len(set(record["trial_kernel_dims"])) == 1
+    record["trial_kernel_dims"] *= 2  # a re-run the agreeing trials never asked for
+    assert not verify_document(doc)
