@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import Matrix, Subspace, _frac_rows, kernel_int_rows
+from .linalg import Matrix, Subspace, kernel_int_rows
 from .lie import LieAlgebra, StructureError, _commutator, _sparse_matrix
 
 FAMILIES = ("GL", "SL", "SP", "SO")
@@ -188,7 +188,7 @@ class AmbientAlgebra:
     cases is X^T S + S X = 0.
     """
 
-    __slots__ = ("family", "n", "matrix_size", "bilinear_form")
+    __slots__ = ("family", "n", "matrix_size")
 
     def __init__(self, family: str, n: int):
         family = family.upper()
@@ -213,13 +213,17 @@ class AmbientAlgebra:
         self.family = family
         self.n = n
         self.matrix_size = size
-        if family in ("SP", "SO"):
-            rows = [[Fraction(0)] * size for _ in range(size)]
-            for i, sign in enumerate(_form_signs(family, size)):
-                rows[i][size - 1 - i] = Fraction(sign)
-            self.bilinear_form = Matrix(tuple(tuple(r) for r in rows))
-        else:
-            self.bilinear_form = None
+
+    @property
+    def bilinear_form(self) -> Matrix | None:
+        """The defining form S of SP/SO, built on each access; None for GL/SL."""
+        if self.family not in ("SP", "SO"):
+            return None
+        size = self.matrix_size
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for i, sign in enumerate(_form_signs(self.family, size)):
+            rows[i][size - 1 - i] = Fraction(sign)
+        return Matrix(tuple(tuple(r) for r in rows))
 
     @property
     def max_flag(self) -> int:
@@ -260,7 +264,7 @@ def _ambient_basis(family: str, n: int) -> tuple[Matrix, ...]:
                 rows.append(row)
     return tuple(
         Matrix(tuple(row[u * size:(u + 1) * size] for u in range(size)))
-        for row in _frac_rows(kernel_int_rows(rows, size * size))
+        for row in Subspace.from_int_rows(size * size, kernel_int_rows(rows, size * size)).basis
     )
 
 

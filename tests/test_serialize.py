@@ -155,8 +155,13 @@ def test_verify_rejects_found_status_without_certificate():
 
 
 def test_verify_rejects_certificates_on_index_other_than_one():
+    # the certificates move to a record whose statuses and bookkeeping are
+    # those of an index other than one, so only the index refuses them
     doc, record = _index_one_report()
-    record["index"] = 99
+    certificates = record.pop("certificates")
+    record["contact"] = record["stable"] = "NOT_FOUND"
+    assert verify_document(doc)
+    next(r for r in doc["records"] if r["index"] != 1)["certificates"] = certificates
     assert not verify_document(doc)
 
 
@@ -218,6 +223,7 @@ def test_verify_rejects_a_negative_budget():
 def test_verify_rejects_an_unknown_index_one_status():
     doc, record = _index_one_report()
     record["stable"] = "MAYBE"
+    record["verdict"] = "COUNTEREXAMPLE"  # what the verdict rule gives for it
     assert not verify_document(doc)
 
 
@@ -226,7 +232,10 @@ def test_verify_rejects_gl_sl_index_off_the_meander_census():
         doc = json.loads(report(classify(family, 3, seed=5, embed_certificates=True), "json"))
         assert verify_document(doc)
         record = next(r for r in doc["records"] if r["index"] == 3 - (family == "SL"))
-        record["index"] += 2  # statuses stay SKIPPED, as an index other than one requires
+        # statuses stay SKIPPED, as an index other than one requires; the
+        # trial dimensions move with the index, so only the census refuses it
+        record["index"] += 2
+        record["trial_kernel_dims"] = [d + 2 for d in record["trial_kernel_dims"]]
         assert not verify_document(doc)
 
 
@@ -282,4 +291,9 @@ def test_verify_rejects_trial_counts_off_the_retry_rule():
     record = doc["records"][0]
     assert len(set(record["trial_kernel_dims"])) == 1
     record["trial_kernel_dims"] *= 2  # a re-run the agreeing trials never asked for
+    assert not verify_document(doc)
+    # no trials at all: no trial dimension for the index to be the least of
+    doc = _so5_report()
+    record = doc["records"][0]
+    record["trials"], record["trial_kernel_dims"] = 0, []
     assert not verify_document(doc)
