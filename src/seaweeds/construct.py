@@ -317,20 +317,9 @@ def _ambient_algebra(family: str, n: int) -> LieAlgebra:
     return LieAlgebra(len(mats), _ambient_view(family, n).table, realization=mats)
 
 
-def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
-    """Double-flag stabilizer seaweed inside the ambient algebra.
-
-    Members preserve V_p = span(e_0..e_{p-1}) for every prefix sum p of a and
-    W_q = span(e_{N-q}..e_{N-1}) for every prefix sum q of reversed(b), that
-    is, they vanish on the entries those flags kill.  The basis is the
-    ambient basis matrices whose support avoids every killed entry, in
-    ambient order; the structure constants are the ambient table restricted
-    to them, and the realization reuses the ambient matrices: the seaweed is
-    the restriction of the checked ambient algebra to the kept elements.
-    Raises StructureError if a killed entry is shared by two ambient basis
-    matrices (the kept matrices would then not span the stabilizer) or a
-    bracket of kept matrices leaves them.
-    """
+def _kept_elements(amb: AmbientAlgebra, a: Composition, b: Composition) -> list[int]:
+    """The ambient basis matrices whose support avoids every entry the two
+    flags kill, as indices in ambient order (see ``flag_seaweed``)."""
     size = amb.matrix_size
     if amb.family in ("GL", "SL"):
         if a.total != size or b.total != size:
@@ -350,13 +339,36 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     view = _ambient_view(amb.family, amb.n)
     if not view.shared.isdisjoint(killed):
         raise StructureError("a killed entry is shared by two ambient basis matrices")
-    kept = [k for k, support in enumerate(view.supports) if support.isdisjoint(killed)]
-    return _ambient_algebra(amb.family, amb.n).restrict(kept, f"{amb.family}{size}[{a}|{b}]")
+    return [k for k, support in enumerate(view.supports) if support.isdisjoint(killed)]
+
+
+def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
+    """Double-flag stabilizer seaweed inside the ambient algebra.
+
+    Members preserve V_p = span(e_0..e_{p-1}) for every prefix sum p of a and
+    W_q = span(e_{N-q}..e_{N-1}) for every prefix sum q of reversed(b), that
+    is, they vanish on the entries those flags kill.  The basis is the
+    ambient basis matrices whose support avoids every killed entry, in
+    ambient order; the structure constants are the ambient table restricted
+    to them, and the realization reuses the ambient matrices: the seaweed is
+    the restriction of the checked ambient algebra to the kept elements.
+    Raises StructureError if a killed entry is shared by two ambient basis
+    matrices (the kept matrices would then not span the stabilizer) or a
+    bracket of kept matrices leaves them.
+    """
+    label = f"{amb.family}{amb.matrix_size}[{a}|{b}]"
+    return _ambient_algebra(amb.family, amb.n).restrict(_kept_elements(amb, a, b), label)
 
 
 def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
     """Uniform entry point used by the classifier and the CLI."""
     return flag_seaweed(AmbientAlgebra(family, n), a, b)
+
+
+def seaweed_dim(family: str, n: int, a: Composition, b: Composition) -> int:
+    """``seaweed(family, n, a, b).dim``, counted from the ambient basis
+    supports without building or restricting an algebra."""
+    return len(_kept_elements(AmbientAlgebra(family, n), a, b))
 
 
 def matrix_span(g: LieAlgebra) -> Subspace:

@@ -25,36 +25,46 @@ Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
 from its family and compositions.  ``verify_*`` recomputes every invariant
 from scratch, so tampered data fails either here (False) or already at
-algebra reconstruction (StructureError).  The checks run on integer rows,
-as the searches do; the serialized kernel and span are compared with the
-recomputed ones as canonical rational bases, so a basis that spans the right
-space but is not in canonical form is refused.
+algebra reconstruction (StructureError).
+
+Certificates are checked on integer rows, as the searches run, and no
+Fraction is built on the way: each coordinate list is parsed straight into
+one integer row and the lcm of its reduced denominators.  A contact
+certificate builds B_phi once, checks B_phi . reeb = 0, phi(reeb) = 1 as an
+integer identity and the rank of the same B_phi.  A stability certificate
+takes ker B_phi and [ker, g] as canonical primitive integer rows; a
+serialized basis row matches one only when it clears to it and its leading
+entry is 1, so a basis that spans the right space but is not in canonical
+rational form is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from .construct import Composition, seaweed
+from .construct import Composition, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
+    COUNTEREXAMPLE,
     FOUND,
     NOT_FOUND,
     SKIPPED,
+    UNRESOLVED,
     ContactCertificate,
     StabilityCertificate,
     bracket_span_int_rows,
     search_verdict,
 )
-from .lie import (
-    Element,
-    LieAlgebra,
-    OneForm,
-    form_int_coords,
-    kernel_dim,
-    kirillov_kernel_int_rows,
+from .lie import LieAlgebra
+from .linalg import (
+    Matrix,
+    Subspace,
+    meets_trivially_int_rows,
+    skew_kernel_int_rows,
+    skew_rank_int_rows,
 )
-from .linalg import Matrix, Subspace, _int_rows, meets_trivially_int_rows
 from .meander import meander, meander_index
 
 
@@ -62,15 +72,26 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_str(s) -> Fraction:
+def _ratio(s) -> tuple[int, int]:
+    """A JSON rational ("num/den", "num" or an int) as (numerator,
+    denominator) in lowest terms, sign on the numerator, as Fraction
+    reduces it but without building one."""
     if isinstance(s, int):
-        return Fraction(s)
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+        return s, 1
+    if "/" not in s:
+        return int(s), 1
+    num, den = s.split("/")
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    if den != 1:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // g, den // g
+    return num, den
+
+
+def frac_from_str(s) -> Fraction:
+    return Fraction(*_ratio(s))
 
 
 def _coords_to_json(coords):
@@ -115,10 +136,6 @@ def _subspace_to_json(s: Subspace) -> dict:
     }
 
 
-def _subspace_from_json(doc: dict) -> Subspace:
-    return Subspace(doc["ambient_dim"], tuple(_coords_from_json(v) for v in doc["basis"]))
-
-
 def certificate_to_json(cert) -> dict:
     if isinstance(cert, ContactCertificate):
         return {
@@ -139,39 +156,74 @@ def certificate_to_json(cert) -> dict:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
+def _int_row(data) -> tuple[list, int]:
+    """A coordinate list as (row, den): row[i] / den is coordinate i, and
+    den is the lcm of the reduced denominators, so row is primitive over
+    them and cleared by the least positive factor."""
+    ratios = [_ratio(x) for x in data]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _coords_row(g: LieAlgebra, data) -> tuple[list, int]:
+    row, den = _int_row(data)
+    if len(row) != g.dim:
+        raise ValueError("coordinate length does not match algebra dimension")
+    return row, den
+
+
+def _basis_rows(doc: dict) -> tuple:
+    return doc["ambient_dim"], [_int_row(v) for v in doc["basis"]]
+
+
+def _is_canonical(basis, dim: int, rows) -> bool:
+    """True iff a parsed basis (``_basis_rows``) is the canonical rational
+    basis whose primitive integer rows are ``rows``.  A rational RREF row
+    k / p, k primitive with pivot p, clears to k by the lcm p of its
+    denominators; a row that clears to k with another lcm is a multiple of
+    k / p (twice it when p is even), so the lcm must also be the pivot,
+    which makes the row's leading entry 1."""
+    ambient, parsed = basis
+    return ambient == dim and len(parsed) == len(rows) and all(
+        row == k and den == next(filter(None, k)) for (row, den), k in zip(parsed, rows)
+    )
+
+
 def verify_certificate(g: LieAlgebra, doc: dict) -> bool:
-    """Re-check every invariant of a serialized certificate from scratch."""
+    """Re-check every invariant of a serialized certificate from scratch, on
+    integer rows parsed from the JSON strings (see the module docstring)."""
     kind = doc.get("kind")
     if kind == "contact":
-        form = OneForm(g, _coords_from_json(doc["form"]))
-        reeb = Element(g, _coords_from_json(doc["reeb"]))
-        if doc["kernel_dim"] != 1 or frac_from_str(doc["pairing"]) != 1:
+        form, form_den = _coords_row(g, doc["form"])
+        reeb, reeb_den = _coords_row(g, doc["reeb"])
+        if doc["kernel_dim"] != 1 or _ratio(doc["pairing"]) != (1, 1):
             return False
         # B_form . reeb = 0, both scaled to integers by positive factors
-        (r,) = _int_rows([reeb.coords])
-        for row in g.kirillov_int_rows(form_int_coords(form)):
-            if sum(a * b for a, b in zip(row, r)):
-                return False
-        if form(reeb) != 1:
+        b = g.kirillov_int_rows(form)
+        if any(sum(map(mul, row, reeb)) for row in b):
             return False
-        return kernel_dim(g, form) == 1
+        if sum(map(mul, form, reeb)) != form_den * reeb_den:
+            return False  # form(reeb) = 1
+        return skew_rank_int_rows(b) == g.dim - 1
     if kind == "stability":
-        form = OneForm(g, _coords_from_json(doc["form"]))
-        kernel = _subspace_from_json(doc["kernel"])
-        span = _subspace_from_json(doc["bracket_span"])
+        form, _ = _coords_row(g, doc["form"])
+        kernel = _basis_rows(doc["kernel"])
+        span = _basis_rows(doc["bracket_span"])
         if doc["intersection_dim"] != 0:
             return False
-        kernel_rows = kirillov_kernel_int_rows(g, form)
-        if Subspace.from_int_rows(g.dim, kernel_rows) != kernel:
+        kernel_rows = skew_kernel_int_rows(g.kirillov_int_rows(form))
+        if not _is_canonical(kernel, g.dim, kernel_rows):
             return False
         span_rows = bracket_span_int_rows(g, kernel_rows)
-        if Subspace.from_int_rows(g.dim, span_rows) != span:
+        if not _is_canonical(span, g.dim, span_rows):
             return False
         return meets_trivially_int_rows(kernel_rows, span_rows)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-def _rebuild_record_algebra(record: dict) -> LieAlgebra:
+def _record_seaweed(record: dict) -> tuple:
+    """The ``seaweed`` arguments a record names: family, n and its two
+    compositions."""
     try:
         family = record["family"]
         n = record["n"]
@@ -179,7 +231,7 @@ def _rebuild_record_algebra(record: dict) -> LieAlgebra:
         bottom = Composition(tuple(record["bottom"]))
     except (KeyError, TypeError) as exc:
         raise ValueError("unknown algebra reference in record") from exc
-    return seaweed(family, n, top, bottom)
+    return family, n, top, bottom
 
 
 # Record status field -> the certificate a FOUND status must embed.
@@ -223,6 +275,12 @@ def _index_claims_hold(record: dict) -> bool:
     return True
 
 
+def _summary_holds(doc: dict) -> bool:
+    verdicts = [record["verdict"] for record in doc["records"]]
+    counts = {v.lower(): verdicts.count(v) for v in (CONSISTENT, COUNTEREXAMPLE, UNRESOLVED)}
+    return doc["summary"] == {"records": len(verdicts), **counts}
+
+
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
@@ -235,9 +293,13 @@ def verify_document(doc: dict) -> bool:
     record's parity, index and trial kernel dimensions disagree with its
     dimension, its trial count or each other, when a record's attempt
     budget is negative, when a record claims FOUND without embedding the
-    certificate, or when a record carries certificates but its index is not
-    one (the searches run only on index-one seaweeds).  A document of the
-    wrong shape raises ValueError.
+    certificate, when a record carries certificates but its index is not
+    one (the searches run only on index-one seaweeds), when a record's
+    dimension is not that of the seaweed it names (the rebuilt seaweed's
+    where certificates are embedded, else the count of ambient basis
+    matrices the flags keep), or when a report's summary counts disagree
+    with its records' verdicts.  A document of the wrong shape raises
+    ValueError.
     """
     try:
         return _verify_document(doc)
@@ -257,14 +319,19 @@ def _verify_document(doc: dict) -> bool:
             for status, kind in _EVIDENCE.items():
                 if record.get(status) == FOUND and kind not in certs:
                     return False
-            if not certs:
-                continue
-            if record["index"] != 1:
+            args = _record_seaweed(record)
+            if certs:
+                if record["index"] != 1:
+                    return False
+                g = seaweed(*args)
+                dim = g.dim
+            else:
+                dim = seaweed_dim(*args)
+            if record["dim"] != dim:
                 return False
-            g = _rebuild_record_algebra(record)
             for cert in certs.values():
                 ok = verify_certificate(g, cert) and ok
-        return ok
+        return _summary_holds(doc) and ok
     if "algebra" not in doc:
         raise ValueError("unknown algebra reference: document embeds no algebra")
     g = algebra_from_json(doc["algebra"])

@@ -2,13 +2,14 @@
 as first written.
 
 ``lie.kirillov_kernel_int_rows``, ``contact.is_contact_form``,
-``contact.is_stable_form``, ``serialize.verify_certificate`` and
-``construct._ambient_basis`` run on primitive integer rows.  These versions
-build the rational Kirillov matrix, take its nullspace from the rational
-reduced echelon form, span [ker, g] from rational rows and compare rational
-subspaces, and derive an ambient basis from the rational condition matrix;
-the tests hold both routes to the same certificates, the same verdicts and
-the same bases.
+``contact.is_stable_form`` and ``construct._ambient_basis`` run on
+primitive integer rows, and ``serialize.verify_certificate`` on integer
+rows parsed straight from the JSON strings.  These versions build the
+rational Kirillov matrix, take its nullspace from the rational reduced
+echelon form, span [ker, g] from rational rows, parse every JSON rational
+into a Fraction and compare rational subspaces, and derive an ambient basis
+from the rational condition matrix; the tests hold both routes to the same
+certificates, the same verdicts and the same bases.
 """
 
 from fractions import Fraction
@@ -17,7 +18,6 @@ from seaweeds.construct import AmbientAlgebra
 from seaweeds.contact import ContactCertificate, StabilityCertificate
 from seaweeds.lie import Element, OneForm, kirillov_matrix
 from seaweeds.linalg import Matrix, Subspace, rank, rref
-from seaweeds.serialize import frac_from_str
 
 
 def nullspace(m):
@@ -73,6 +73,18 @@ def is_stable_form(g, form):
     if not meets_trivially(kernel, span):
         return None
     return StabilityCertificate(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
+
+
+def frac_from_str(s):
+    """A JSON rational as a Fraction; a zero denominator raises ValueError."""
+    if isinstance(s, int):
+        return Fraction(s)
+    if "/" in s:
+        num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
 
 
 def _coords(data):

@@ -189,3 +189,13 @@ def test_verify_exit_2_on_missing_keys(capsys, tmp_path):
     assert code == 2 and not out and "reeb" in err
     code, _, _ = run(capsys, "verify", write(tmp_path, {"algebra": {"dim": 1}, "certificates": []}))
     assert code == 2
+
+
+def test_verify_exit_2_on_a_zero_denominator_in_a_report(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", "--family", "GL", "--n", "3", "--embed", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    record = next(r for r in doc["records"] if r.get("certificates"))
+    record["certificates"]["stability"]["kernel"]["basis"][0][-1] = "1/0"
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert code == 2 and not out and "zero denominator" in err

@@ -3,6 +3,7 @@ certificate checks against the rational reference route."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import fraction_reference as ref
 import pytest
@@ -14,7 +15,14 @@ from seaweeds.classify import composition_pairs
 from seaweeds.contact import ContactCertificate, is_contact_form, is_stable_form
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel_int_rows
 from seaweeds.linalg import echelon_int_rows, kernel_int_rows, nullspace, rank, span_int_rows
-from seaweeds.serialize import certificate_to_json, frac_from_str, frac_to_str, verify_certificate
+from seaweeds.serialize import (
+    _int_row,
+    _ratio,
+    certificate_to_json,
+    frac_from_str,
+    frac_to_str,
+    verify_certificate,
+)
 
 F = Fraction
 
@@ -181,3 +189,137 @@ def test_echelon_int_rows_is_an_echelon_basis_of_the_row_space(rows):
     leads = [next(k for k, v in enumerate(row) if v) for row in echelon]
     assert all(a < b for a, b in zip(leads, leads[1:]))
     assert span_int_rows(echelon) == canonical
+
+
+def _certificate_cases():
+    """(algebra, certificate document) for a small random form on every
+    seaweed of SEAWEEDS, and on the non-integral rescaled ones."""
+    rng = random.Random(1)
+    cases = []
+    for g in SEAWEEDS + RESCALED:
+        form = OneForm(g, tuple(F(rng.randint(-3, 3)) for _ in range(g.dim)))
+        certs = [is_stable_form(g, form)] + ([is_contact_form(g, form)] if g.dim % 2 else [])
+        cases += [(g, certificate_to_json(c)) for c in certs if c is not None]
+    return cases
+
+
+CERTIFICATES = _certificate_cases()
+STABILITY = [(g, doc) for g, doc in CERTIFICATES if doc["kind"] == "stability"]
+CONTACT = [(g, doc) for g, doc in CERTIFICATES if doc["kind"] == "contact"]
+
+
+def both_verdicts(g, doc):
+    return verify_certificate(g, doc), ref.verify_certificate(g, doc)
+
+
+def with_basis(doc, key, basis):
+    return {**doc, key: {**doc[key], "basis": basis}}
+
+
+def test_certificate_cases_cover_both_kinds():
+    assert len(STABILITY) >= 100 and len(CONTACT) >= 20
+
+
+def test_verify_refuses_a_canonical_row_scaled_by_two():
+    # with an even lcm of denominators, 2 * row clears to the same integer
+    # row as the canonical one; only its leading entry 2 tells them apart
+    even = 0
+    for g, doc in STABILITY:
+        for key in ("kernel", "bracket_span"):
+            basis = doc[key]["basis"]
+            for pos, row in enumerate(basis):
+                values = [frac_from_str(x) for x in row]
+                even += lcm(*(x.denominator for x in values)) % 2 == 0
+                doubled = [frac_to_str(2 * x) for x in values]
+                bad = with_basis(doc, key, basis[:pos] + [doubled] + basis[pos + 1:])
+                assert both_verdicts(g, bad) == (False, False)
+    assert even >= 10
+
+
+def unreduced(s, factor):
+    """The same rational as "num/den" with both terms times factor."""
+    x = frac_from_str(s)
+    return f"{factor * x.numerator}/{factor * x.denominator}"
+
+
+def rewritten(doc, factor):
+    """A certificate with every rational string rewritten by ``unreduced``."""
+    out = {}
+    for key, value in doc.items():
+        if key in ("form", "reeb"):
+            value = [unreduced(x, factor) for x in value]
+        elif key == "pairing":
+            value = unreduced(value, factor)
+        elif key in ("kernel", "bracket_span"):
+            value = {**value, "basis": [[unreduced(x, factor) for x in row] for row in value["basis"]]}
+        out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("factor", [2, -1, -2], ids=["2/4", "1/-2", "-2/-4"])
+def test_verify_reads_unreduced_strings_as_the_reference_does(factor):
+    for g, doc in CERTIFICATES:
+        assert both_verdicts(g, rewritten(doc, factor)) == (True, True)
+    # a doubled row written with unreduced terms is still refused
+    g, doc = next((g, d) for g, d in STABILITY if d["kernel"]["basis"])
+    row = doc["kernel"]["basis"][0]
+    doubled = [unreduced(frac_to_str(2 * frac_from_str(x)), factor) for x in row]
+    bad = with_basis(doc, "kernel", [doubled] + doc["kernel"]["basis"][1:])
+    assert both_verdicts(g, bad) == (False, False)
+
+
+def test_verify_on_rows_and_forms_of_the_wrong_length():
+    for g, doc in STABILITY[:40]:
+        for key in ("kernel", "bracket_span"):
+            basis = doc[key]["basis"]
+            if basis:
+                for row in (basis[0] + ["0/1"], basis[0][:-1]):
+                    assert both_verdicts(g, with_basis(doc, key, [row] + basis[1:])) == (False, False)
+        for form in (doc["form"] + ["0/1"], doc["form"][:-1]):
+            for verify in (verify_certificate, ref.verify_certificate):
+                with pytest.raises(ValueError, match="coordinate length"):
+                    verify(g, {**doc, "form": form})
+    for g, doc in CONTACT[:20]:
+        for key in ("form", "reeb"):
+            for coords in (doc[key] + ["0/1"], doc[key][:-1]):
+                for verify in (verify_certificate, ref.verify_certificate):
+                    with pytest.raises(ValueError, match="coordinate length"):
+                        verify(g, {**doc, key: coords})
+
+
+def test_verify_raises_on_a_zero_denominator():
+    g, doc = next((g, d) for g, d in STABILITY if d["kernel"]["basis"] and d["bracket_span"]["basis"])
+    bad = [{**doc, "form": ["1/0"] + doc["form"][1:]}]
+    for key in ("kernel", "bracket_span"):
+        basis = doc[key]["basis"]
+        bad.append(with_basis(doc, key, basis[:-1] + [basis[-1][:-1] + ["0/0"]]))
+    bad.append({**bad[-1], "intersection_dim": 1})  # parsed before any check
+    g_contact, contact = CONTACT[0]
+    cases = [(g, d) for d in bad] + [
+        (g_contact, {**contact, "reeb": contact["reeb"][:-1] + ["3/0"]}),
+        (g_contact, {**contact, "pairing": "1/0"}),
+    ]
+    for h, d in cases:
+        for verify in (verify_certificate, ref.verify_certificate):
+            with pytest.raises(ValueError, match="zero denominator"):
+                verify(h, d)
+
+
+nonzero = st.integers(-60, 60).filter(bool) | st.integers(-10**9, 10**9).filter(bool)
+# (JSON rational, its value), the value made from the same integers by Fraction
+rationals = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda n: (n, F(n))),
+    st.integers(-10**6, 10**6).map(lambda n: (str(n), F(n))),
+    st.builds(lambda n, d: (f"{n}/{d}", F(n, d)), st.integers(-10**6, 10**6), nonzero),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(rationals, max_size=8))
+def test_integer_parse_agrees_with_frac_from_str(cases):
+    data, values = [s for s, _ in cases], [x for _, x in cases]
+    assert [frac_from_str(s) for s in data] == values
+    assert [_ratio(s) for s in data] == [(x.numerator, x.denominator) for x in values]
+    row, den = _int_row(data)
+    assert den == lcm(*(x.denominator for x in values))
+    assert [F(v, den) for v in row] == values

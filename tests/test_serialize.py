@@ -139,6 +139,16 @@ def test_verify_rejects_documents_with_nothing_to_check():
     assert not verify_document({"schema": 1, "algebra": algebra_to_json(h)})
 
 
+def _recounted(doc):
+    """The report with its summary recounted from its records' verdicts, as
+    a sweep that gave those verdicts would write it; an edited verdict then
+    meets only the rule the test is about."""
+    verdicts = [r["verdict"].lower() for r in doc["records"]]
+    counts = {v: verdicts.count(v) for v in ("consistent", "counterexample", "unresolved")}
+    doc["summary"] = {"records": len(verdicts), **counts}
+    return doc
+
+
 def _index_one_report():
     records = classify("GL", 3, seed=5, embed_certificates=True)
     doc = json.loads(report(records, "json"))
@@ -188,18 +198,18 @@ def test_verify_rederives_the_index_one_verdict():
     del record["certificates"]["stability"]
     assert not verify_document(doc)
     record["verdict"] = "COUNTEREXAMPLE"
-    assert verify_document(doc)
+    assert verify_document(_recounted(doc))
     # both FOUND at a full budget is CONSISTENT, not UNRESOLVED
     doc, record = _index_one_report()
     record["verdict"] = "UNRESOLVED"
-    assert not verify_document(doc)
+    assert not verify_document(_recounted(doc))
 
 
 def test_verify_rejects_found_statuses_under_a_zero_budget():
     doc, record = _index_one_report()
     assert (record["contact"], record["stable"]) == ("FOUND", "FOUND")
     record["verdict"], record["attempts"] = "UNRESOLVED", 0
-    assert not verify_document(doc)
+    assert not verify_document(_recounted(doc))
     # what a zero budget does report: nothing found, nothing decided
     record["contact"] = record["stable"] = "NOT_FOUND"
     del record["certificates"]
@@ -211,7 +221,7 @@ def test_verify_rejects_a_negative_budget():
     record["contact"] = record["stable"] = "NOT_FOUND"
     record["verdict"], record["attempts"] = "UNRESOLVED", -1
     del record["certificates"]
-    assert not verify_document(doc)
+    assert not verify_document(_recounted(doc))
     record["attempts"] = 0
     assert verify_document(doc)
     doc, _ = _index_one_report()
@@ -297,3 +307,34 @@ def test_verify_rejects_trial_counts_off_the_retry_rule():
     record = doc["records"][0]
     record["trials"], record["trial_kernel_dims"] = 0, []
     assert not verify_document(doc)
+
+
+def test_verify_rejects_a_dimension_off_the_named_seaweed():
+    # dim, index and every trial dimension raised by 2 together keep parity,
+    # least trial and statuses; only the seaweed the record names refuses it
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if r["index"] != 1 and not r.get("certificates"))
+    assert (record["top"], record["bottom"], record["dim"], record["index"]) == ([], [], 10, 2)
+    record["dim"] += 2
+    record["index"] += 2
+    record["trial_kernel_dims"] = [d + 2 for d in record["trial_kernel_dims"]]
+    assert not verify_document(doc)
+    # on a record with certificates, the rebuilt seaweed's dimension decides
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if r.get("certificates"))
+    record["dim"] += 2
+    assert not verify_document(doc)
+
+
+def test_verify_recounts_the_summary():
+    doc = _so5_report()
+    assert verify_document(doc)
+    doc["summary"]["consistent"] -= 1
+    doc["summary"]["counterexample"] += 1
+    assert not verify_document(doc)
+    doc = _so5_report()
+    doc["summary"]["records"] += 1
+    assert not verify_document(doc)
+    del doc["summary"]
+    with pytest.raises(ValueError, match="malformed document"):
+        verify_document(doc)
