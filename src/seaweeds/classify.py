@@ -44,6 +44,7 @@ from .contact import (
     FOUND,
     NOT_FOUND,
     SKIPPED,
+    count_verdicts,
     find_contact_form,
     find_stable_form,
     is_stable_form,
@@ -186,13 +187,6 @@ def classify(
     return records
 
 
-def summarize(records) -> dict:
-    counts = {"records": len(records), "consistent": 0, "counterexample": 0, "unresolved": 0}
-    for r in records:
-        counts[r.verdict.lower()] += 1
-    return counts
-
-
 def _record_to_json(r: ClassificationRecord) -> dict:
     doc = {
         "family": r.family,
@@ -225,7 +219,7 @@ _CSV_FIELDS = [
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
     """Render records as a stable-field-order document (json, csv, or text)."""
     fmt = fmt.lower()
-    summary = summarize(records)
+    summary = count_verdicts([r.verdict for r in records])
     if fmt == "json":
         doc = {"schema": REPORT_SCHEMA}
         if meta:
@@ -269,7 +263,7 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
 def exit_status(records, strict: bool = False) -> int:
     """0 success, 4 any counterexample, 3 unresolved-only failures under
     strict.  2 is left to bad input, which the CLI refuses before a sweep."""
-    summary = summarize(records)
+    summary = count_verdicts([r.verdict for r in records])
     if summary["counterexample"]:
         return 4
     if strict and summary["unresolved"]:

@@ -222,6 +222,14 @@ def search_verdict(contact: str, stable: str, attempts: int) -> str:
     return UNRESOLVED if stable == FOUND else CONSISTENT
 
 
+def count_verdicts(verdicts) -> dict:
+    """A report's summary of its records' verdicts: how many records there
+    are and how many have each verdict, in the order the report writes."""
+    verdicts = list(verdicts)
+    counts = {v.lower(): verdicts.count(v) for v in (CONSISTENT, COUNTEREXAMPLE, UNRESOLVED)}
+    return {"records": len(verdicts), **counts}
+
+
 def find_contact_form(
     g: LieAlgebra,
     seed: int,

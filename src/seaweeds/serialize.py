@@ -47,14 +47,13 @@ from operator import mul
 from .construct import Composition, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
-    COUNTEREXAMPLE,
     FOUND,
     NOT_FOUND,
     SKIPPED,
-    UNRESOLVED,
     ContactCertificate,
     StabilityCertificate,
     bracket_span_int_rows,
+    count_verdicts,
     search_verdict,
 )
 from .lie import LieAlgebra
@@ -275,12 +274,6 @@ def _index_claims_hold(record: dict) -> bool:
     return True
 
 
-def _summary_holds(doc: dict) -> bool:
-    verdicts = [record["verdict"] for record in doc["records"]]
-    counts = {v.lower(): verdicts.count(v) for v in (CONSISTENT, COUNTEREXAMPLE, UNRESOLVED)}
-    return doc["summary"] == {"records": len(verdicts), **counts}
-
-
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
@@ -331,7 +324,7 @@ def _verify_document(doc: dict) -> bool:
                 return False
             for cert in certs.values():
                 ok = verify_certificate(g, cert) and ok
-        return _summary_holds(doc) and ok
+        return doc["summary"] == count_verdicts(r["verdict"] for r in doc["records"]) and ok
     if "algebra" not in doc:
         raise ValueError("unknown algebra reference: document embeds no algebra")
     g = algebra_from_json(doc["algebra"])
