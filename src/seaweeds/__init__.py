@@ -4,7 +4,9 @@ Construction of seaweed (biparabolic) subalgebras of gl(n), sl(n), sp(2n),
 and so(n); Kirillov-form index computation; contact and stability analysis
 with machine-checkable certificates; and an exhaustive small-rank classifier
 testing the equivalence "index-one seaweed is contact iff it admits a stable
-form" on enumerated composition pairs.
+form" on enumerated composition pairs.  Kirillov matrices, kernels and
+certificate checks run on integer rows; the rational Kirillov matrix is not
+exported, and lives on with the other rational routes as a test oracle.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report
@@ -19,12 +21,9 @@ from .construct import (
     seaweed,
 )
 from .contact import (
-    ContactBasis,
     ContactCertificate,
     StabilityCertificate,
-    contact_basis,
     contact_volume_nonzero,
-    contactify,
     find_contact_form,
     find_stable_form,
     is_contact_form,
@@ -43,12 +42,10 @@ from .lie import (
     heisenberg,
     index,
     is_regular,
-    kirillov_matrix,
     sample_form,
 )
 from .linalg import (
     Matrix,
-    Scalar,
     Subspace,
     intersect,
     is_squarefree,
@@ -70,7 +67,6 @@ __all__ = [
     "BACKEND_NAME",
     "ClassificationRecord",
     "Composition",
-    "ContactBasis",
     "ContactCertificate",
     "Element",
     "IndexReport",
@@ -78,7 +74,6 @@ __all__ = [
     "Matrix",
     "MeanderGraph",
     "OneForm",
-    "Scalar",
     "StabilityCertificate",
     "Subspace",
     "abelian",
@@ -89,9 +84,7 @@ __all__ = [
     "center",
     "certificate_to_json",
     "classify",
-    "contact_basis",
     "contact_volume_nonzero",
-    "contactify",
     "enumerate_compositions",
     "exit_status",
     "find_contact_form",
@@ -106,7 +99,6 @@ __all__ = [
     "is_semisimple_element",
     "is_squarefree",
     "is_stable_form",
-    "kirillov_matrix",
     "matrix_span",
     "meander",
     "meander_index",

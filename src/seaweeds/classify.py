@@ -38,9 +38,10 @@ import io
 import json
 from dataclasses import dataclass
 
-from .construct import Composition, enumerate_compositions, seaweed
+from .construct import composition_pairs, seaweed
 from .contact import (
     CONSISTENT,
+    DEFAULT_ATTEMPTS,
     FOUND,
     NOT_FOUND,
     SKIPPED,
@@ -53,7 +54,6 @@ from .contact import (
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .serialize import certificate_to_json
 
-DEFAULT_ATTEMPTS = 64
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
 
 _CONTACT_SALT = 0xC047AC7
@@ -84,25 +84,6 @@ class ClassificationRecord:
     trials: int
     trial_kernel_dims: tuple[int, ...]
     certificates: dict | None = None
-
-
-def composition_pairs(family: str, n: int) -> list[tuple[Composition, Composition]]:
-    """Deterministic enumeration of the composition pairs the family admits.
-
-    GL/SL: all pairs of compositions of n (4^(n-1) pairs).  SP/SO: all pairs
-    with totals at most floor(N/2), the isotropic-flag bound, including the
-    empty composition (no constraint, parabolic = whole algebra); ordered by
-    total, then mask order.
-    """
-    family = family.upper()
-    if family in ("GL", "SL"):
-        comps = enumerate_compositions(n)
-    else:
-        size = 2 * n if family == "SP" else n
-        comps = [Composition(())]
-        for t in range(1, size // 2 + 1):
-            comps.extend(enumerate_compositions(t))
-    return [(a, b) for a in comps for b in comps]
 
 
 def _stable_index(g, seed, trials, bound):

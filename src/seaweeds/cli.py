@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Subcommands: index, contact, stable, basis, classify, verify, meander.
+Subcommands: index, contact, stable, classify, verify, meander.
 Environment variables (SEAWEEDS_FAMILY, SEAWEEDS_SEED, SEAWEEDS_ATTEMPTS,
 SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
 flags always win.  Exit codes: classify returns 0 on success, 4 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
-spoil the run; contact/stable/basis return 1 when the search comes up empty;
+spoil the run; contact/stable return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
-input (a malformed pair, a missing --n, a rank over the sweep limits, a
-negative --attempts, a non-integer environment default, an environment
-default outside the subcommand's choices) exits 2 with a one-line error on
-stderr before any sweep or search runs.  An environment default is checked
-only when the chosen subcommand takes that option and the command line
-leaves it out.
+input (an unknown subcommand or flag, a value outside an option's choices,
+a malformed pair, a missing --n, a rank over the sweep limits, a negative
+--attempts, a non-integer environment default, an environment default
+outside the subcommand's choices) exits 2 with a one-line error on stderr
+before any sweep or search runs.  An environment default is checked only
+when the chosen subcommand takes that option and the command line leaves
+it out.
 """
 
 from __future__ import annotations
@@ -24,10 +25,19 @@ import sys
 
 from .classify import LIMITS, classify, exit_status, report
 from .construct import Composition, parse_pair, seaweed
-from .contact import contact_basis, find_contact_form, find_stable_form
-from .lie import index
+from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
+from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, meander, meander_index, meander_svg
 from .serialize import algebra_to_json, certificate_to_json, frac_to_str, verify_document
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, which ``main`` turns
+    into the one-line error and exit code 2 of every other bad input, in
+    place of argparse's usage block."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _env_option(parser, flag, env, fallback, choices=None):
@@ -70,9 +80,9 @@ def _emit(text: str, out: str | None):
 
 def _add_common(parser, *, formats=("text", "json"), with_search=False):
     _env_option(parser, "--seed", "SEAWEEDS_SEED", 0)
-    _env_option(parser, "--bound", "SEAWEEDS_BOUND", 10**6)
+    _env_option(parser, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
     if with_search:
-        _env_option(parser, "--attempts", "SEAWEEDS_ATTEMPTS", 64)
+        _env_option(parser, "--attempts", "SEAWEEDS_ATTEMPTS", DEFAULT_ATTEMPTS)
     _env_option(parser, "--format", "SEAWEEDS_FORMAT", formats[0], formats)
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -169,29 +179,6 @@ def _cmd_stable(args):
     return 0
 
 
-def _cmd_basis(args):
-    g = _build_algebra(args)
-    cert = find_contact_form(g, args.seed, attempts=args.attempts, bound=args.bound)
-    if cert is None:
-        _emit(f"{g.label}: no contact form found in {args.attempts} attempts\n", args.out)
-        return 1
-    basis = contact_basis(g, cert)
-    if args.format == "json":
-        doc = {
-            "label": g.label,
-            "form": [frac_to_str(x) for x in cert.form.coords],
-            "elements": [[frac_to_str(x) for x in e.coords] for e in basis.elements],
-            "dual_check": [[frac_to_str(x) for x in row] for row in basis.dual_check.rows],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{g.label}: contact basis ({len(basis.elements)} elements)"]
-        for pos, e in enumerate(basis.elements, start=1):
-            lines.append(f"  E{pos} = {[frac_to_str(x) for x in e.coords]}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 def _cmd_meander(args):
     top, bottom = _compositions(args)
     graph = meander(top, bottom)
@@ -258,7 +245,7 @@ def _cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seaweeds",
         description="Seaweed Lie algebras over exact rationals: index, contact "
         "and stability analysis, and exhaustive small-rank classification.",
@@ -268,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="randomized index of one seaweed")
     _add_algebra_args(p)
     _add_common(p)
-    _env_option(p, "--trials", "SEAWEEDS_TRIALS", 3)
+    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("contact", help="search for a contact form")
@@ -280,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra_args(p)
     _add_common(p, with_search=True)
     p.set_defaults(func=_cmd_stable)
-
-    p = sub.add_parser("basis", help="contact basis for a found contact form")
-    _add_algebra_args(p)
-    _add_common(p, with_search=True)
-    p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("meander", help="meander graph, census, and index")
     p.add_argument("pair", nargs="?", help='composition pair "TOP|BOTTOM"')
@@ -299,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     _env_option(p, "--family", "SEAWEEDS_FAMILY", "GL", sorted(LIMITS))
     p.add_argument("--n", type=int, required=True)
     _env_option(p, "--seed", "SEAWEEDS_SEED", 0)
-    _env_option(p, "--attempts", "SEAWEEDS_ATTEMPTS", 64)
-    _env_option(p, "--bound", "SEAWEEDS_BOUND", 10**6)
-    _env_option(p, "--trials", "SEAWEEDS_TRIALS", 3)
+    _env_option(p, "--attempts", "SEAWEEDS_ATTEMPTS", DEFAULT_ATTEMPTS)
+    _env_option(p, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
+    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS)
     _env_option(p, "--format", "SEAWEEDS_FORMAT", "json", ("json", "csv", "text"))
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")

@@ -118,6 +118,25 @@ def enumerate_compositions(n: int) -> list[Composition]:
     return out
 
 
+def composition_pairs(family: str, n: int) -> list[tuple[Composition, Composition]]:
+    """Deterministic enumeration of the composition pairs the family admits.
+
+    GL/SL: all pairs of compositions of n (4^(n-1) pairs).  SP/SO: all pairs
+    with totals at most floor(N/2), the isotropic-flag bound, including the
+    empty composition (no constraint, parabolic = whole algebra), which is
+    4^floor(N/2) pairs; ordered by total, then mask order.
+    """
+    family = family.upper()
+    if family in ("GL", "SL"):
+        comps = enumerate_compositions(n)
+    else:
+        size = 2 * n if family == "SP" else n
+        comps = [Composition(())]
+        for t in range(1, size // 2 + 1):
+            comps.extend(enumerate_compositions(t))
+    return [(a, b) for a in comps for b in comps]
+
+
 def _block_lookup(comp: Composition) -> list[int]:
     # position -> index of the part containing it (0-based positions)
     blocks = []

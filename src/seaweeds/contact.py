@@ -38,26 +38,27 @@ k / phi(k) for any generator k of the kernel line.
 searches on an index-one algebra say about the equivalence "contact iff
 stable"; the classifier assigns it and report verification re-derives it.
 
+The module certifies that contact and stable forms exist; it builds no
+normal-form basis for them.  ``is_semisimple_element`` and
+``reductive_type_witness`` test whether a kernel generator is semisimple,
+on rational matrices; no sweep calls them yet.
+
 All operations accept arbitrary finite-dimensional algebras over Q, not just
 seaweeds.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    Matrix,
     Subspace,
     echelon_int_rows,
-    inverse,
     is_squarefree,
     meets_trivially_int_rows,
     minimal_polynomial,
-    nullspace,
     skew_kernel_int_rows,
     skew_rank_int_rows,
     span_int_rows,
@@ -72,10 +73,7 @@ from .lie import (
     kirillov_kernel,
 )
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_ATTEMPTS = 64
-EPSILON_STEPS = 20
 
 FOUND, NOT_FOUND, SKIPPED = "FOUND", "NOT_FOUND", "SKIPPED"
 CONSISTENT, COUNTEREXAMPLE, UNRESOLVED = "CONSISTENT", "COUNTEREXAMPLE", "UNRESOLVED"
@@ -110,18 +108,6 @@ class StabilityCertificate:
     kernel: Subspace
     bracket_span: Subspace
     intersection_dim: int
-
-
-@dataclass(frozen=True)
-class ContactBasis:
-    """Basis (reeb, u_1, v_1, ..., u_k, v_k) normalizing the Kirillov form.
-
-    ``dual_check`` is the matrix of B_form in this basis: zero first row and
-    column, 2x2 blocks [[0,1],[-1,0]] down the rest of the diagonal.
-    """
-
-    elements: tuple[Element, ...]
-    dual_check: Matrix
 
 
 def _require_odd(g: LieAlgebra):
@@ -293,133 +279,3 @@ def reductive_type_witness(g: LieAlgebra, form: OneForm) -> bool:
     if kernel.dim != 1:
         raise PreconditionError("form does not have a one-dimensional kernel")
     return is_semisimple_element(Element(g, kernel.basis[0]))
-
-
-def _pairing(g: LieAlgebra, form: OneForm, u, v) -> Fraction:
-    return sum(
-        (c * form.coords[r] for r, c in enumerate(g.bracket_coords(u, v))), Fraction(0)
-    )
-
-
-def _canonical_block(dim: int) -> Matrix:
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for pos in range(1, dim - 1, 2):
-        rows[pos][pos + 1] = Fraction(1)
-        rows[pos + 1][pos] = Fraction(-1)
-    return Matrix(tuple(tuple(r) for r in rows))
-
-
-def contact_basis(g: LieAlgebra, cert: ContactCertificate) -> ContactBasis:
-    """Normal-form basis for a contact certificate.
-
-    E_1 is the Reeb vector; the rest is built by symplectic elimination on
-    ker(form), where the Kirillov form is nondegenerate: take the first
-    unused vector u of the canonical spanning order, pair it with the first
-    partner v of nonzero pairing (rescaled so B(u,v) = 1), then project the
-    remainder onto the pair's B-orthogonal complement.  The pivot rule is
-    deterministic, so bases are reproducible across runs and platforms.
-    """
-    _validate_contact(g, cert)
-    form = cert.form
-    pool = []
-    if g.dim > 1:
-        pool = [list(v) for v in nullspace(Matrix((form.coords,))).basis]
-    pairs = []
-    while pool:
-        u = pool.pop(0)
-        partner = None
-        for idx, v in enumerate(pool):
-            if _pairing(g, form, u, v):
-                partner = idx
-                break
-        if partner is None:
-            raise PreconditionError("Kirillov form degenerates on ker(form): bad certificate")
-        v = pool.pop(partner)
-        scale = _pairing(g, form, u, v)
-        v = [x / scale for x in v]
-        projected = []
-        for w in pool:
-            bu = _pairing(g, form, w, v)
-            bv = _pairing(g, form, w, u)
-            projected.append(
-                [wx - bu * ux + bv * vx for wx, ux, vx in zip(w, u, v)]
-            )
-        pool = projected
-        pairs.append((u, v))
-    elements = [cert.reeb]
-    for u, v in pairs:
-        elements.append(Element(g, tuple(u)))
-        elements.append(Element(g, tuple(v)))
-    check = Matrix(
-        tuple(
-            tuple(_pairing(g, form, list(ei.coords), list(ej.coords)) for ej in elements)
-            for ei in elements
-        )
-    )
-    if check != _canonical_block(g.dim):
-        raise PreconditionError("symplectic elimination failed to reach the normal form")
-    return ContactBasis(elements=tuple(elements), dual_check=check)
-
-
-def _validate_contact(g: LieAlgebra, cert: ContactCertificate):
-    if cert.form.algebra is not g or cert.reeb.algebra is not g:
-        raise PreconditionError("certificate refers to a different algebra")
-    kernel = kirillov_kernel(g, cert.form)
-    if kernel.dim != 1 or cert.kernel_dim != 1:
-        raise PreconditionError("certificate kernel is not one-dimensional")
-    if not kernel.contains(cert.reeb.coords):
-        raise PreconditionError("Reeb vector is not in the Kirillov kernel")
-    if cert.form(cert.reeb) != 1:
-        raise PreconditionError("Reeb vector is not normalized")
-
-
-def dual_functional(g: LieAlgebra, vector) -> OneForm:
-    """Dual functional of `vector` in the deterministic completed basis:
-    the vector first, then greedy completion from the standard basis."""
-    chosen = [list(vector)]
-    span = Subspace.from_vectors(chosen, g.dim)
-    for i in range(g.dim):
-        if span.dim == g.dim:
-            break
-        e = [Fraction(0)] * g.dim
-        e[i] = Fraction(1)
-        if not span.contains(e):
-            chosen.append(e)
-            span = Subspace.from_vectors(chosen, g.dim)
-    p = Matrix(tuple(zip(*chosen)))  # columns are the basis vectors
-    return OneForm(g, tuple(inverse(p).rows[0]))
-
-
-def contactify(g: LieAlgebra, form: OneForm) -> ContactCertificate | None:
-    """Perturb a regular form vanishing on its kernel line into a contact one.
-
-    Preconditions: ker B_form = C.h is one-dimensional and form(h) = 0
-    (otherwise ``is_contact_form`` already succeeds).  The perturbation is
-    psi = form + eps * h^, with h^ the dual functional of h in the greedy
-    completed basis, and eps running down the halving schedule 1, 1/2, ...
-    for 20 steps.  The first psi that keeps the same kernel line and pairs
-    nontrivially with h is certified.  Exhausting the schedule is
-    overwhelming evidence of a precondition bug, so it is logged as an error
-    before returning None.
-    """
-    kernel = kirillov_kernel(g, form)
-    if kernel.dim != 1:
-        raise PreconditionError("contactify needs a one-dimensional Kirillov kernel")
-    h = Element(g, kernel.basis[0])
-    if form(h) != 0:
-        raise PreconditionError("form does not vanish on its kernel; use is_contact_form")
-    hstar = dual_functional(g, h.coords)
-    eps = Fraction(1)
-    for _ in range(EPSILON_STEPS):
-        psi = form + hstar.scale(eps)
-        if kirillov_kernel(g, psi) == kernel and psi(h) != 0:
-            cert = is_contact_form(g, psi)
-            assert cert is not None
-            return cert
-        eps /= 2
-    logger.error(
-        "contactify exhausted the epsilon schedule on %s; kernel preservation "
-        "failed for every step",
-        g.label or "<unlabeled algebra>",
-    )
-    return None

@@ -373,11 +373,6 @@ class OneForm:
         c = as_scalar(c)
         return OneForm(self.algebra, tuple(c * x for x in self.coords))
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        if other.algebra is not self.algebra:
-            raise ValueError("forms live on different algebras")
-        return OneForm(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 @dataclass(frozen=True)
 class IndexReport:
@@ -400,18 +395,6 @@ def bracket(x: Element, y: Element) -> Element:
     """Lie bracket, the bilinear extension of the structure constants."""
     _same_algebra(x, y)
     return Element(x.algebra, tuple(x.algebra.bracket_coords(x.coords, y.coords)))
-
-
-def kirillov_matrix(g: LieAlgebra, form: OneForm) -> Matrix:
-    """Skew matrix with entry (i,j) = form([x_i, x_j])."""
-    zero = Fraction(0)
-    rows = [[zero] * g.dim for _ in range(g.dim)]
-    for (i, j), terms in g._table.items():
-        v = sum((c * form.coords[r] for r, c in terms), zero)
-        if v:
-            rows[i][j] = v
-            rows[j][i] = -v
-    return Matrix(tuple(tuple(r) for r in rows))
 
 
 def form_int_coords(form: OneForm) -> list:

@@ -51,9 +51,6 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
-Scalar = Fraction
-
-
 class AmbientMismatch(ValueError):
     """Operands live in different ambient dimensions."""
 
@@ -383,9 +380,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), Fraction(0))
-
     def vec(self) -> tuple[Fraction, ...]:
         """Row-major flattening."""
         return tuple(x for row in self.rows for x in row)
@@ -492,15 +486,6 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return nullspace(Matrix(rows))
 
 
-def meets_trivially(u: Subspace, v: Subspace) -> bool:
-    """True iff u and v intersect only in 0: their canonical bases stack to
-    a matrix of rank dim u + dim v.  One rank, where ``intersect`` takes
-    three nullspaces."""
-    if u.ambient_dim != v.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    return meets_trivially_int_rows(_int_rows(u.basis), _int_rows(v.basis))
-
-
 def solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
     """One exact solution of A x = b, or None when inconsistent.
 
@@ -518,18 +503,6 @@ def solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
     for row, piv in zip(reduced.rows, pivots):
         x[piv] = row[n]
     return tuple(x)
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("matrix must be square")
-    aug = Matrix(tuple(row + eye for row, eye in zip(m.rows, Matrix.identity(n).rows)))
-    reduced, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(tuple(row[n:] for row in reduced.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +551,6 @@ def poly_gcd(a, b) -> tuple[Fraction, ...]:
     while b:
         a, b = b, poly_mod(a, b)
     return poly_monic(a) if a else ()
-
-
-def poly_eval_matrix(p, m: Matrix) -> Matrix:
-    acc = Matrix.zeros(m.nrows, m.ncols)
-    power = Matrix.identity(m.nrows)
-    for c in p:
-        if c:
-            acc = acc + power.scale(c)
-        power = power @ m
-    return acc
 
 
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:

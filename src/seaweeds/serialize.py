@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .construct import Composition, seaweed, seaweed_dim
+from .construct import AmbientAlgebra, Composition, composition_pairs, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
     FOUND,
@@ -274,6 +274,30 @@ def _index_claims_hold(record: dict) -> bool:
     return True
 
 
+def _sweep_holds(doc: dict) -> bool:
+    """The records are one whole sweep, in order: they share one family, by
+    its upper-case name, and one n (those of the report, where it names
+    them), their (top, bottom) are ``composition_pairs(family, n)``, and
+    each record's seed is the sweep seed XOR its ordinal, the report's seed
+    where it names one.  The record count is held against the closed form
+    4^k of that enumeration first, so a report naming a huge rank is
+    refused without enumerating it."""
+    records = doc["records"]
+    family, n, seed = records[0]["family"], records[0]["n"], records[0]["seed"]
+    if (doc.get("family", family), doc.get("n", n), doc.get("seed", seed)) != (family, n, seed):
+        return False
+    amb = AmbientAlgebra(family, n)  # an unknown family or rank raises ValueError
+    k = amb.max_flag - 1 if amb.family in ("GL", "SL") else amb.max_flag
+    if amb.family != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
+        return False
+    for ordinal, (record, (top, bottom)) in enumerate(zip(records, composition_pairs(family, n))):
+        if (record["family"], record["n"], record["seed"] ^ ordinal) != (family, n, seed):
+            return False
+        if (tuple(record["top"]), tuple(record["bottom"])) != (top.parts, bottom.parts):
+            return False
+    return True
+
+
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
@@ -290,9 +314,10 @@ def verify_document(doc: dict) -> bool:
     one (the searches run only on index-one seaweeds), when a record's
     dimension is not that of the seaweed it names (the rebuilt seaweed's
     where certificates are embedded, else the count of ambient basis
-    matrices the flags keep), or when a report's summary counts disagree
-    with its records' verdicts.  A document of the wrong shape raises
-    ValueError.
+    matrices the flags keep), when a report's summary counts disagree
+    with its records' verdicts, or when its records are not one whole sweep
+    in order (``_sweep_holds``).  A document of the wrong shape, or a report
+    naming an unknown family or rank, raises ValueError.
     """
     try:
         return _verify_document(doc)
@@ -302,7 +327,7 @@ def verify_document(doc: dict) -> bool:
 
 def _verify_document(doc: dict) -> bool:
     if "records" in doc:
-        if not doc["records"]:
+        if not doc["records"] or not _sweep_holds(doc):
             return False
         ok = True
         for record in doc["records"]:
@@ -329,8 +354,6 @@ def _verify_document(doc: dict) -> bool:
         raise ValueError("unknown algebra reference: document embeds no algebra")
     g = algebra_from_json(doc["algebra"])
     certs = doc.get("certificates")
-    if certs is None:
-        certs = [doc["certificate"]] if "certificate" in doc else []
     if not certs:
         return False
     return all(verify_certificate(g, cert) for cert in certs)

@@ -1,10 +1,11 @@
-"""The rational route to Kirillov kernels, certificates and ambient bases,
-as first written.
+"""The rational route to Kirillov matrices and kernels, certificates and
+ambient bases, as first written.
 
-``lie.kirillov_kernel_int_rows``, ``contact.is_contact_form``,
-``contact.is_stable_form`` and ``construct._ambient_basis`` run on
-primitive integer rows, and ``serialize.verify_certificate`` on integer
-rows parsed straight from the JSON strings.  These versions build the
+``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel_int_rows``,
+``contact.is_contact_form``, ``contact.is_stable_form`` and
+``construct._ambient_basis`` run on primitive integer rows, and
+``serialize.verify_certificate`` on integer rows parsed straight from the
+JSON strings.  These versions build the
 rational Kirillov matrix, take its nullspace from the rational reduced
 echelon form, span [ker, g] from rational rows, parse every JSON rational
 into a Fraction and compare rational subspaces, and derive an ambient basis
@@ -16,8 +17,17 @@ from fractions import Fraction
 
 from seaweeds.construct import AmbientAlgebra
 from seaweeds.contact import ContactCertificate, StabilityCertificate
-from seaweeds.lie import Element, OneForm, kirillov_matrix
+from seaweeds.lie import Element, OneForm
 from seaweeds.linalg import Matrix, Subspace, rank, rref
+
+
+def kirillov_matrix(g, form):
+    """The rational skew matrix with entry (i, j) = form([x_i, x_j])."""
+    rows = [[Fraction(0)] * g.dim for _ in range(g.dim)]
+    for i, j, r, c in g.structure_items():
+        rows[i][j] += c * form.coords[r]
+        rows[j][i] -= c * form.coords[r]
+    return Matrix(tuple(tuple(row) for row in rows))
 
 
 def nullspace(m):

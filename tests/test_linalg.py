@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -11,9 +11,8 @@ from seaweeds.linalg import (
     Matrix,
     Subspace,
     intersect,
-    inverse,
     is_squarefree,
-    meets_trivially,
+    meets_trivially_int_rows,
     minimal_polynomial,
     nullspace,
     poly_gcd,
@@ -110,7 +109,7 @@ def test_subspace_contains():
     assert not u.contains([1, 0, 0])
 
 
-# -- solve / inverse -----------------------------------------------------------
+# -- solve ---------------------------------------------------------------------
 
 
 def test_solve_unique():
@@ -121,16 +120,6 @@ def test_solve_unique():
 
 def test_solve_inconsistent():
     assert solve(M([[1, 1], [1, 1]]), [0, 1]) is None
-
-
-def test_inverse_roundtrip():
-    a = M([[2, 1, 0], [1, 1, 1], [0, 3, 1]])
-    assert a @ inverse(a) == Matrix.identity(3)
-
-
-def test_inverse_singular():
-    with pytest.raises(ValueError):
-        inverse(M([[1, 2], [2, 4]]))
 
 
 def test_rref_pivots():
@@ -248,6 +237,11 @@ def subspace_pairs(draw):
     return u, v
 
 
+def int_rows(s):
+    """The canonical basis rows of a subspace, each cleared of denominators."""
+    return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in s.basis]
+
+
 @given(subspace_pairs())
 def test_intersect_properties(pair):
     u, v = pair
@@ -256,12 +250,22 @@ def test_intersect_properties(pair):
     assert intersect(u, u) == u
     assert w.dim >= u.dim + v.dim - u.ambient_dim
     assert u.contains_subspace(w) and v.contains_subspace(w)
-    assert meets_trivially(u, v) == (w.dim == 0) == meets_trivially(v, u)
+    ur, vr = int_rows(u), int_rows(v)
+    assert meets_trivially_int_rows(ur, vr) == (w.dim == 0) == meets_trivially_int_rows(vr, ur)
 
 
-def test_meets_trivially_dimension_mismatch():
-    with pytest.raises(AmbientMismatch):
-        meets_trivially(Subspace.zero(2), Subspace.zero(3))
+def unit_triangular(n, rng):
+    """A random unit upper-triangular p and its inverse: p = I + N with N
+    nilpotent, so p^-1 = I - N + N^2 - ... ."""
+    p = Matrix.from_rows(
+        [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)] for i in range(n)]
+    )
+    minus_n = Matrix.identity(n) - p
+    inverse = power = Matrix.identity(n)
+    for _ in range(n - 1):
+        power = power @ minus_n
+        inverse = inverse + power
+    return p, inverse
 
 
 def test_minpoly_conjugation_invariant():
@@ -269,11 +273,10 @@ def test_minpoly_conjugation_invariant():
     for _ in range(30):
         n = rng.choice((2, 3))
         m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        while True:
-            p = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-            if rank(p) == n:
-                break
-        conj = inverse(p) @ m @ p
+        (u, u_inv), (l, l_inv) = unit_triangular(n, rng), unit_triangular(n, rng)
+        p, p_inv = u @ l.transpose(), l_inv.transpose() @ u_inv
+        assert p @ p_inv == Matrix.identity(n)
+        conj = p_inv @ m @ p
         assert minimal_polynomial(conj) == minimal_polynomial(m)
 
 

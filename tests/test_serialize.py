@@ -337,3 +337,65 @@ def test_verify_recounts_the_summary():
     del doc["summary"]
     with pytest.raises(ValueError, match="malformed document"):
         verify_document(doc)
+
+
+def test_verify_rejects_a_report_missing_a_record():
+    doc = _so5_report()
+    del doc["records"][3]
+    assert not verify_document(_recounted(doc))
+
+
+def test_verify_rejects_a_duplicated_record():
+    doc = _so5_report()
+    doc["records"].append(dict(doc["records"][3]))
+    assert not verify_document(_recounted(doc))
+    # in place of another record, so the count still holds
+    doc = _so5_report()
+    doc["records"][4] = dict(doc["records"][3])
+    assert not verify_document(_recounted(doc))
+
+
+def test_verify_rejects_a_record_seed_off_the_sweep_seed():
+    doc = _so5_report()
+    doc["records"][2]["seed"] += 1000
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_records_with_swapped_tops():
+    # both seaweeds keep their dimension and index under the swap, so only
+    # the enumeration order refuses it
+    doc = _so5_report()
+    first, second = (
+        next(r for r in doc["records"] if (r["top"], r["bottom"]) == (top, [1])) for top in ([1], [2])
+    )
+    first["top"], second["top"] = second["top"], first["top"]
+    assert not verify_document(doc)
+
+
+def test_verify_holds_the_records_to_the_sweep_the_report_names():
+    records = classify("SO", 5, seed=5, embed_certificates=True)
+    for key, wrong in (("family", "SP"), ("n", 6), ("seed", 6)):
+        doc = json.loads(report(records, "json", meta={"family": "SO", "n": 5, "seed": 5}))
+        assert verify_document(doc)
+        doc[key] = wrong
+        assert not verify_document(doc), key
+    # records of one family under a name the sweep never writes
+    doc = _so5_report()
+    for record in doc["records"]:
+        record["family"] = "so"
+    assert not verify_document(doc)
+
+
+def test_verify_counts_the_records_before_enumerating_them(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the composition pairs were enumerated")
+
+    monkeypatch.setattr("seaweeds.serialize.composition_pairs", no_enumeration)
+    doc = _so5_report()
+    del doc["records"][0]
+    assert not verify_document(_recounted(doc))
+    # a rank whose sweep has 4^20 records
+    doc = _so5_report()
+    for record in doc["records"]:
+        record["n"] = 41
+    assert not verify_document(doc)
