@@ -24,8 +24,14 @@ a COUNTEREXAMPLE, else 3 under ``strict`` when any is UNRESOLVED, else 0.
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
 also uses to re-derive each record's verdict.
 
-Index trials that disagree trigger one re-run with the coordinate bound
-multiplied by 100; the reported index is the minimum kernel dimension seen.
+Each record has an index floor, a lower bound on its index that one trial
+can reach (``meander.index_floor``): the meander index for GL/SL, which is
+exact, and dim mod 2 for SP/SO.  A pass of index trials draws at most
+``trials`` forms and stops at the first whose kernel dimension equals the
+floor, which proves the index.  A pass that misses the floor and whose
+trials disagree triggers one re-run with the coordinate bound multiplied by
+100, a pass of the same shape; the reported index is the minimum kernel
+dimension seen, and ``trial_kernel_dims`` lists every trial of both passes.
 Per-record determinism comes from derived seeds (seed XOR record ordinal),
 so records are independent of evaluation order and identical CLI invocations
 produce byte-identical reports.
@@ -52,14 +58,13 @@ from .contact import (
     search_verdict,
 )
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
-from .serialize import certificate_to_json
+from .meander import index_floor
+from .serialize import REPORT_SCHEMA, certificate_to_json
 
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
 
 _CONTACT_SALT = 0xC047AC7
 _STABLE_SALT = 0x057AB1E
-
-REPORT_SCHEMA = 1
 
 
 class LimitError(ValueError):
@@ -86,12 +91,12 @@ class ClassificationRecord:
     certificates: dict | None = None
 
 
-def _stable_index(g, seed, trials, bound):
-    report = index(g, seed, trials, bound)
+def _stable_index(g, seed, trials, bound, floor):
+    report = index(g, seed, trials, bound, floor=floor)
     dims = report.trial_kernel_dims
     value = report.index
-    if len(set(dims)) > 1:
-        retry = index(g, seed, trials, bound * 100)
+    if value != floor and len(set(dims)) > 1:
+        retry = index(g, seed, trials, bound * 100, floor=floor)
         value = min(value, retry.index)
         dims = dims + retry.trial_kernel_dims
     return value, dims
@@ -126,7 +131,8 @@ def classify(
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
         g = seaweed(family, n, a, b)
         record_seed = seed ^ ordinal
-        idx, trial_dims = _stable_index(g, record_seed, trials, bound)
+        floor = index_floor(family, a, b, g.dim)
+        idx, trial_dims = _stable_index(g, record_seed, trials, bound, floor)
         parity = "odd" if g.dim % 2 else "even"
         certs = {}
         if idx == 1:

@@ -10,10 +10,12 @@ verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
 input (an unknown subcommand or flag, a value outside an option's choices,
 a malformed pair, a missing --n, a rank over the sweep limits, a negative
 --attempts, a non-integer environment default, an environment default
-outside the subcommand's choices) exits 2 with a one-line error on stderr
-before any sweep or search runs.  An environment default is checked only
-when the chosen subcommand takes that option and the command line leaves
-it out.
+outside the subcommand's choices, an --out or --svg path that cannot be
+opened for writing) exits 2 with a one-line error on stderr before any
+sweep or search runs.  An environment default is checked only when the
+chosen subcommand takes that option and the command line leaves it out.
+The --out and --svg files are opened, as a shell redirection opens them,
+before the work starts.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .classify import LIMITS, classify, exit_status, report
 from .construct import Composition, parse_pair, seaweed
@@ -40,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _env_option(parser, flag, env, fallback, choices=None):
+def _env_option(parser, flag, env, fallback, choices=None, help=None):
     """Add an option whose default comes from the environment.
 
     An integer option when ``choices`` is None, else a choice option.  The
@@ -48,7 +51,7 @@ def _env_option(parser, flag, env, fallback, choices=None):
     a variable is read and checked only when the chosen subcommand takes
     the option and the command line does not give it.
     """
-    parser.add_argument(flag, type=None if choices else int, choices=choices)
+    parser.add_argument(flag, type=None if choices else int, choices=choices, help=help)
     defaults = parser.get_default("env_defaults") or ()
     parser.set_defaults(env_defaults=defaults + ((flag[2:], env, fallback, choices),))
 
@@ -70,12 +73,21 @@ def _apply_env_defaults(args):
         setattr(args, dest, value)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_outputs(args, stack: ExitStack):
+    """Replace the --out and --svg paths with files opened for writing on
+    ``stack``, so an unwritable path is refused as bad input (ValueError)
+    before the work starts."""
+    for dest in ("out", "svg"):
+        path = getattr(args, dest, None)
+        if path:
+            try:
+                setattr(args, dest, stack.enter_context(open(path, "w")))
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(text: str, out):
+    (out or sys.stdout).write(text)
 
 
 def _add_common(parser, *, formats=("text", "json"), with_search=False):
@@ -183,8 +195,7 @@ def _cmd_meander(args):
     top, bottom = _compositions(args)
     graph = meander(top, bottom)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(meander_svg(graph))
+        args.svg.write(meander_svg(graph))
     cycles, paths = census(graph)
     if args.format == "json":
         doc = {
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="randomized index of one seaweed")
     _add_algebra_args(p)
     _add_common(p)
-    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS)
+    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS, help="random forms to draw")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("contact", help="search for a contact form")
@@ -283,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     _env_option(p, "--seed", "SEAWEEDS_SEED", 0)
     _env_option(p, "--attempts", "SEAWEEDS_ATTEMPTS", DEFAULT_ATTEMPTS)
     _env_option(p, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
-    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS)
+    _env_option(
+        p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS,
+        help="most index trials per pass; a pass stops at the first trial that "
+        "reaches the index floor (the meander index for GL/SL, dim mod 2 for SP/SO)",
+    )
     _env_option(p, "--format", "SEAWEEDS_FORMAT", "json", ("json", "csv", "text"))
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")
@@ -302,7 +317,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_env_defaults(args)
-        return args.func(args)
+        with ExitStack() as outputs:
+            _open_outputs(args, outputs)
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

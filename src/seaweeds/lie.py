@@ -33,8 +33,10 @@ B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
 kernel dimension of B_phi over all phi.  The index is computed by randomized
 evaluation: the kernel dimension is minimized on a Zariski-open set, so a
 random integer form attains it with overwhelming probability
-(Schwartz-Zippel); the default budget is 3 trials with coordinates bounded
-by 10^6.
+(Schwartz-Zippel); the default budget is at most 3 trials with coordinates
+bounded by 10^6.  Every trial's kernel dimension is an upper bound on the
+index, so a caller that knows a lower bound (a floor) stops the trials at
+the first form that reaches it: that form proves the index.
 
 Ranks and kernels are taken the same way: the form's denominators are
 cleared once and B_phi is built as skew integer rows
@@ -376,7 +378,8 @@ class OneForm:
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Result of the randomized index computation."""
+    """Result of the randomized index computation; ``samples_used`` counts
+    the forms drawn, one per entry of ``trial_kernel_dims``."""
 
     label: str
     index: int
@@ -433,12 +436,20 @@ def index(
     seed: int,
     trials: int = DEFAULT_TRIALS,
     bound: int = DEFAULT_BOUND,
+    *,
+    floor: int | None = None,
 ) -> IndexReport:
     """Randomized index: minimum kernel dimension over sampled integer forms.
 
-    The result is an upper bound for the true index that is exact with
-    overwhelming probability; trial kernel dimensions are recorded so callers
-    can detect disagreement and re-run with a larger bound.
+    Draws at most ``trials`` forms and stops after the first whose kernel
+    dimension equals ``floor``, a proven lower bound on the index, so that
+    form is a regular witness; with no floor every trial is drawn.  The
+    forms come from one rng stream per seed, so a pass that stops early
+    draws a prefix of the forms of a pass that does not.  The result is an
+    upper bound for the true index that is exact with overwhelming
+    probability (exact when it meets the floor); the trial kernel
+    dimensions are recorded so callers can detect disagreement and re-run
+    with a larger bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -454,12 +465,14 @@ def index(
         dims.append(kd)
         if best is None or kd < best:
             best, best_coords = kd, ints
+        if kd == floor:
+            break
     witness = OneForm(g, tuple(Fraction(v) for v in best_coords))
     return IndexReport(
         label=g.label,
         index=best,
         witness_form=witness,
-        samples_used=trials,
+        samples_used=len(dims),
         seed=seed,
         trial_kernel_dims=tuple(dims),
     )

@@ -6,6 +6,9 @@ the bottom composition does the same below the line.  Every vertex meets at
 most one top and one bottom arc, so components are simple paths (isolated
 vertices included) or cycles, and the classical census formula gives the
 seaweed index: 2*(#cycles) + (#paths) in gl(n), one less in sl(n).
+``index_floor`` gives the classifier's index trials a lower bound to stop
+at in every family: this exact index for GL/SL, the dimension's parity for
+SP/SO.
 """
 
 from __future__ import annotations
@@ -79,6 +82,16 @@ def meander_index(m: MeanderGraph, family: str = "GL") -> int:
     cycles, paths = census(m)
     value = 2 * cycles + paths
     return value - 1 if family == "SL" else value
+
+
+def index_floor(family: str, a: Composition, b: Composition, dim: int) -> int:
+    """A lower bound on the index of the seaweed of ``family`` on (a, b),
+    of dimension ``dim``, that one randomized trial can reach: the meander
+    index for GL and SL, which is exact, and ``dim % 2`` for SP and SO (a
+    Kirillov matrix is skew, so its rank is even and index = dim mod 2)."""
+    if family in ("GL", "SL"):
+        return meander_index(meander(a, b), family)
+    return dim % 2
 
 
 def meander_svg(m: MeanderGraph, unit: int = 40) -> str:

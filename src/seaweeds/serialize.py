@@ -23,9 +23,11 @@ Certificate document (input of ``seaweeds verify``)::
 
 Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
-from its family and compositions.  ``verify_*`` recomputes every invariant
-from scratch, so tampered data fails either here (False) or already at
-algebra reconstruction (StructureError).
+from its family and compositions.  Reports carry ``"schema":
+REPORT_SCHEMA``; schema 2 is the first whose index passes stop at the index
+floor, and ``verify`` refuses a report of any other schema.  ``verify_*``
+recomputes every invariant from scratch, so tampered data fails either here
+(False) or already at algebra reconstruction (StructureError).
 
 Certificates are checked on integer rows, as the searches run, and no
 Fraction is built on the way: each coordinate list is parsed straight into
@@ -64,7 +66,9 @@ from .linalg import (
     skew_kernel_int_rows,
     skew_rank_int_rows,
 )
-from .meander import meander, meander_index
+from .meander import index_floor
+
+REPORT_SCHEMA = 2
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -237,27 +241,44 @@ def _record_seaweed(record: dict) -> tuple:
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
-def _bookkeeping_holds(record: dict) -> bool:
-    """The parity is that of the dimension, and the index is the least trial
+def _trial_passes_hold(dims, trials: int, floor: int) -> bool:
+    """The trial kernel dimensions are the passes the classifier draws, cut
+    every ``trials`` entries: a pass stops after the first trial whose
+    kernel dimension equals the index floor, a pass that misses the floor
+    draws all ``trials`` forms, and a second pass (the re-run with a larger
+    bound) follows exactly when the first misses the floor and its
+    dimensions disagree."""
+    passes = [dims[k : k + trials] for k in range(0, len(dims), trials)] or [[]]
+    for trial_pass in passes:
+        if floor in trial_pass[:-1]:
+            return False  # a trial drawn after one that reached the floor
+        if floor not in trial_pass and len(trial_pass) != trials:
+            return False  # a pass cut short above the floor
+    first = passes[0]
+    rerun = floor not in first and len(set(first)) > 1
+    return len(passes) == 1 + rerun
+
+
+def _bookkeeping_holds(record: dict, floor: int) -> bool:
+    """The parity is that of the dimension, the index is the least trial
     kernel dimension, of the dimension's parity (a Kirillov matrix has even
-    rank).  There are ``trials`` trial dimensions, or twice as many exactly
-    when the first ``trials`` disagree: the classifier then re-runs the
-    trials once with a larger bound."""
+    rank), and the trial dimensions are the passes that the trial count and
+    the index floor allow (``_trial_passes_hold``)."""
     dim, dims, trials = record["dim"], record["trial_kernel_dims"], record["trials"]
     if record["parity"] != ("odd" if dim % 2 else "even") or (record["index"] - dim) % 2:
         return False
-    expected = 2 * trials if len(set(dims[:trials])) > 1 else trials
-    return trials >= 1 and len(dims) == expected and record["index"] == min(dims)
+    return trials >= 1 and _trial_passes_hold(dims, trials, floor) and record["index"] == min(dims)
 
 
-def _index_claims_hold(record: dict) -> bool:
-    """The bookkeeping fields agree (``_bookkeeping_holds``), the budget is
-    not negative, the statuses and verdict follow from the index (the
-    searches run on index-one seaweeds only, a budget below one finds
-    nothing, and the verdict is ``search_verdict`` of the statuses and
-    budget), and a GL/SL index equals the meander census."""
+def _index_claims_hold(record: dict, floor: int) -> bool:
+    """The bookkeeping fields agree with the index floor ``floor``
+    (``_bookkeeping_holds``), the budget is not negative, the statuses and
+    verdict follow from the index (the searches run on index-one seaweeds
+    only, a budget below one finds nothing, and the verdict is
+    ``search_verdict`` of the statuses and budget), and a GL/SL index equals
+    its floor, the meander census."""
     contact, stable = record["contact"], record["stable"]
-    if not _bookkeeping_holds(record) or record["attempts"] < 0:
+    if not _bookkeeping_holds(record, floor) or record["attempts"] < 0:
         return False
     if record["index"] != 1:
         if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
@@ -269,8 +290,7 @@ def _index_claims_hold(record: dict) -> bool:
     elif record["verdict"] != search_verdict(contact, stable, record["attempts"]):
         return False
     if record["family"] in ("GL", "SL"):
-        graph = meander(Composition(tuple(record["top"])), Composition(tuple(record["bottom"])))
-        return record["index"] == meander_index(graph, record["family"])
+        return record["index"] == floor
     return True
 
 
@@ -308,16 +328,18 @@ def verify_document(doc: dict) -> bool:
     index, an index-one verdict is not the one its statuses and budget
     give, or a GL/SL index disagrees with the meander census, when a
     record's parity, index and trial kernel dimensions disagree with its
-    dimension, its trial count or each other, when a record's attempt
-    budget is negative, when a record claims FOUND without embedding the
-    certificate, when a record carries certificates but its index is not
-    one (the searches run only on index-one seaweeds), when a record's
-    dimension is not that of the seaweed it names (the rebuilt seaweed's
-    where certificates are embedded, else the count of ambient basis
-    matrices the flags keep), when a report's summary counts disagree
-    with its records' verdicts, or when its records are not one whole sweep
-    in order (``_sweep_holds``).  A document of the wrong shape, or a report
-    naming an unknown family or rank, raises ValueError.
+    dimension, each other, or the passes its trial count and index floor
+    allow (``_bookkeeping_holds``), when a record's attempt budget is
+    negative, when a record claims FOUND without embedding the certificate,
+    when a record carries certificates but its index is not one (the
+    searches run only on index-one seaweeds), when a record's dimension is
+    not that of the seaweed it names (the rebuilt seaweed's where
+    certificates are embedded, else the count of ambient basis matrices the
+    flags keep), when a report's summary counts disagree with its records'
+    verdicts, or when its records are not one whole sweep in order
+    (``_sweep_holds``).  A document of the wrong shape, a report
+    whose schema is not ``REPORT_SCHEMA``, or a report naming an unknown
+    family or rank, raises ValueError.
     """
     try:
         return _verify_document(doc)
@@ -327,17 +349,24 @@ def verify_document(doc: dict) -> bool:
 
 def _verify_document(doc: dict) -> bool:
     if "records" in doc:
-        if not doc["records"] or not _sweep_holds(doc):
+        if not doc["records"]:
+            return False
+        if doc.get("schema") != REPORT_SCHEMA:
+            raise ValueError(
+                f"report schema {doc.get('schema')!r} is not {REPORT_SCHEMA}: classify the sweep again"
+            )
+        if not _sweep_holds(doc):
             return False
         ok = True
         for record in doc["records"]:
-            if not _index_claims_hold(record):
+            args = _record_seaweed(record)
+            family, _, top, bottom = args
+            if not _index_claims_hold(record, index_floor(family, top, bottom, record["dim"])):
                 return False
             certs = record.get("certificates") or {}
             for status, kind in _EVIDENCE.items():
                 if record.get(status) == FOUND and kind not in certs:
                     return False
-            args = _record_seaweed(record)
             if certs:
                 if record["index"] != 1:
                     return False

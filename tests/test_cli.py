@@ -72,12 +72,32 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("frobnicate",),
         ("index", "2|2", "--frobnicate"),
         ("basis", "2,1|3"),
+        ("index", "2|2", "--out", "{missing}/x.txt"),
+        ("meander", "2|2", "--svg", "{missing}/x.svg"),
+        ("classify", "--family", "SL", "--n", "3", "--out", "{missing}/r.json"),
     ],
 )
-def test_exit_2_on_bad_input(capsys, argv):
+def test_exit_2_on_bad_input(capsys, tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unwritable_out_path_is_refused_before_the_sweep(capsys, monkeypatch, tmp_path):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr("seaweeds.cli.classify", no_sweep)
+    out = str(tmp_path / "missing" / "r.json")
+    code, _, err = run(capsys, "classify", "--family", "SL", "--n", "3", "--out", out)
+    assert code == 2 and err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_out_and_svg_files_receive_the_output(capsys, tmp_path):
+    out, svg = tmp_path / "m.txt", tmp_path / "m.svg"
+    assert run(capsys, "meander", "2|2", "--out", str(out), "--svg", str(svg)) == (0, "", "")
+    assert "gl index 2" in out.read_text() and svg.read_text().startswith("<svg ")
 
 
 def test_classify_refuses_a_negative_budget():

@@ -1,6 +1,9 @@
 import pytest
 
 from seaweeds import Composition, census, gln_seaweed, index, meander, meander_index, meander_svg
+from seaweeds.construct import composition_pairs, seaweed
+from seaweeds.lie import DEFAULT_BOUND
+from seaweeds.meander import index_floor
 
 
 def C(*parts):
@@ -79,3 +82,23 @@ def test_meander_svg_smoke():
     assert svg.count("<circle") == 3
     assert svg.count("<path") == 2
     assert svg == meander_svg(meander(C(2, 1), C(3)))  # deterministic
+
+
+FLOOR_SWEEPS = [("GL", n) for n in range(2, 6)] + [("SL", n) for n in range(2, 7)]
+FLOOR_SWEEPS += [("SP", 2), ("SP", 3), ("SO", 5), ("SO", 6), ("SO", 7)]
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", FLOOR_SWEEPS)
+def test_index_with_a_floor_draws_a_prefix_of_the_trials(family, n, seed):
+    # the classifier's seeds and budgets; the floor only stops the trials early
+    for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
+        g = seaweed(family, n, a, b)
+        floor = index_floor(family, a, b, g.dim)
+        full = index(g, seed ^ ordinal, 3, DEFAULT_BOUND)
+        cut = index(g, seed ^ ordinal, 3, DEFAULT_BOUND, floor=floor)
+        dims = cut.trial_kernel_dims
+        assert full.trial_kernel_dims[: len(dims)] == dims
+        assert cut.index == full.index >= floor
+        assert cut.samples_used == len(dims)
+        assert dims[-1] == floor if len(dims) < 3 else floor not in dims[:-1]

@@ -18,7 +18,7 @@ from seaweeds import (
     is_contact_form,
     verify_document,
 )
-from seaweeds.classify import classify, report
+from seaweeds.classify import REPORT_SCHEMA, classify, report
 from seaweeds.contact import count_verdicts
 from seaweeds.lie import StructureError
 from seaweeds.serialize import frac_from_str, frac_to_str, verify_certificate
@@ -242,9 +242,11 @@ def test_verify_rejects_gl_sl_index_off_the_meander_census():
         assert verify_document(doc)
         record = next(r for r in doc["records"] if r["index"] == 3 - (family == "SL"))
         # statuses stay SKIPPED, as an index other than one requires; the
-        # trial dimensions move with the index, so only the census refuses it
+        # trial dimensions move with the index and make a whole pass that
+        # misses the floor (the census) and agrees, so only the census
+        # refuses it
         record["index"] += 2
-        record["trial_kernel_dims"] = [d + 2 for d in record["trial_kernel_dims"]]
+        record["trial_kernel_dims"] = [record["index"]] * record["trials"]
         assert not verify_document(doc)
 
 
@@ -287,18 +289,20 @@ def test_verify_rejects_an_index_off_the_least_trial_dimension():
 
 
 def test_verify_rejects_trial_counts_off_the_retry_rule():
-    # a bound of 1 makes trials disagree, which re-runs them once
+    # a bound of 1 makes a pass miss the floor (dim mod 2 on SO) with
+    # trials that disagree, which re-runs them once
     doc = _so5_report(bound=1)
     assert verify_document(doc)
     retried = next(
         r for r in doc["records"]
         if len(r["trial_kernel_dims"]) > r["trials"] and min(r["trial_kernel_dims"][: r["trials"]]) == r["index"]
     )
+    assert retried["index"] > retried["dim"] % 2
     retried["trial_kernel_dims"] = retried["trial_kernel_dims"][: retried["trials"]]
     assert not verify_document(doc)
     doc = _so5_report()
     record = doc["records"][0]
-    assert len(set(record["trial_kernel_dims"])) == 1
+    assert len(set(record["trial_kernel_dims"])) == 1 and record["index"] > record["dim"] % 2
     record["trial_kernel_dims"] *= 2  # a re-run the agreeing trials never asked for
     assert not verify_document(doc)
     # no trials at all: no trial dimension for the index to be the least of
@@ -306,6 +310,52 @@ def test_verify_rejects_trial_counts_off_the_retry_rule():
     record = doc["records"][0]
     record["trials"], record["trial_kernel_dims"] = 0, []
     assert not verify_document(doc)
+
+
+def test_verify_rejects_a_trial_after_the_floor_was_reached():
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if r["trial_kernel_dims"] == [1])
+    # a second trial of the index's parity, above it, in the same pass
+    record["trial_kernel_dims"].append(3)
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_a_pass_cut_short_above_the_floor():
+    doc = _so5_report()
+    record = doc["records"][0]
+    assert record["trial_kernel_dims"] == [2, 2, 2] and record["dim"] % 2 == 0
+    # the trials still agree, so no re-run is owed either
+    record["trial_kernel_dims"].pop()
+    assert not verify_document(doc)
+    # the re-run pass cut short
+    doc = _so5_report(bound=1)
+    record = doc["records"][0]
+    assert record["trial_kernel_dims"] == [2, 4, 2, 2, 2, 2]
+    record["trial_kernel_dims"].pop()
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_a_rerun_after_a_pass_that_reached_the_floor():
+    # a bound of 1 makes GL3 2,1|3 (meander index 1) reach its floor only at
+    # the last of its three trials, which disagree; no re-run follows
+    doc = json.loads(report(classify("GL", 3, seed=5, bound=1, embed_certificates=True), "json"))
+    assert verify_document(doc)
+    record = next(r for r in doc["records"] if (r["top"], r["bottom"]) == ([2, 1], [3]))
+    assert record["trial_kernel_dims"] == [3, 5, 1]
+    record["trial_kernel_dims"].append(1)
+    assert not verify_document(doc)
+
+
+def test_verify_refuses_a_report_of_another_schema():
+    doc = _so5_report()
+    assert doc["schema"] == REPORT_SCHEMA == 2
+    for schema in (1, None):
+        doc["schema"] = schema
+        with pytest.raises(ValueError, match="report schema"):
+            verify_document(doc)
+    del doc["schema"]
+    with pytest.raises(ValueError, match="report schema"):
+        verify_document(doc)
 
 
 def test_verify_rejects_a_dimension_off_the_named_seaweed():
