@@ -4,9 +4,11 @@ Construction of seaweed (biparabolic) subalgebras of gl(n), sl(n), sp(2n),
 and so(n); Kirillov-form index computation; contact and stability analysis
 with machine-checkable certificates; and an exhaustive small-rank classifier
 testing the equivalence "index-one seaweed is contact iff it admits a stable
-form" on enumerated composition pairs.  Kirillov matrices, kernels and
-certificate checks run on integer rows; the rational Kirillov matrix is not
-exported, and lives on with the other rational routes as a test oracle.
+form" on enumerated composition pairs.  All exact linear algebra, from
+Kirillov matrices, kernels and certificate checks to minimal polynomials
+and centers, runs on integer rows; rationals appear only in the public
+values and in JSON.  The rational Kirillov matrix and a Fraction reduced
+echelon form are not exported, and live on as test oracles.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report

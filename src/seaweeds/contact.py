@@ -40,8 +40,9 @@ stable"; the classifier assigns it and report verification re-derives it.
 
 The module certifies that contact and stable forms exist; it builds no
 normal-form basis for them.  ``is_semisimple_element`` and
-``reductive_type_witness`` test whether a kernel generator is semisimple,
-on rational matrices; no sweep calls them yet.
+``reductive_type_witness`` test whether a kernel generator is semisimple:
+its minimal polynomial, found on integer rows, must be squarefree, which
+is one integer rank (``linalg.is_squarefree``); no sweep calls them yet.
 
 All operations accept arbitrary finite-dimensional algebras over Q, not just
 seaweeds.

@@ -62,7 +62,7 @@ from .linalg import (
     Subspace,
     _int_rows,
     as_scalar,
-    nullspace,
+    kernel_int_rows,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
     skew_kernel_int_rows,
     skew_rank_int_rows,
@@ -484,19 +484,17 @@ def is_regular(g: LieAlgebra, form: OneForm, known_index: int) -> bool:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}, via the stacked adjoint constraints."""
+    """{x : [x, y] = 0 for all y}, via the stacked adjoint constraints as
+    integer rows (row-scaled if the table is non-integral)."""
     rows = {}
-    zero = Fraction(0)
     for (i, j), terms in g._table.items():
         for r, c in terms:
-            row = rows.setdefault((j, r), [zero] * g.dim)
-            row[i] += c
-            row = rows.setdefault((i, r), [zero] * g.dim)
-            row[j] -= c
-    if not rows:
-        return Subspace.full(g.dim)
-    stacked = Matrix.from_rows([rows[k] for k in sorted(rows)])
-    return nullspace(stacked)
+            rows.setdefault((j, r), [0] * g.dim)[i] += c
+            rows.setdefault((i, r), [0] * g.dim)[j] -= c
+    stacked = list(rows.values())
+    if not g._integral:
+        stacked = _int_rows(stacked)
+    return Subspace.from_int_rows(g.dim, kernel_int_rows(stacked, g.dim))
 
 
 # -- small stock algebras ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on integer rows.
 
 Everything is exact over Q.  Elimination, kernels and spans run on
 primitive integer rows (`echelon_int_rows`, `rank_int_rows`,
@@ -31,10 +31,14 @@ the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
 integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
 Electron. J. Combin. 3(2), 1996).  The general routines serve every other
-matrix (spans, meets, `nullspace`).  They share one forward elimination,
-`echelon_int_rows`: a rank is the length of its result, and echelon rows
-can be kept and reused, since `span_int_rows` of them, the canonical rows,
-only has to eliminate upward.
+matrix (spans, meets, `nullspace`, minimal polynomials, squarefreeness).
+They share one forward elimination, `echelon_int_rows`: a rank is the
+length of its result, and `rref_int_rows` is its result reduced upward,
+so echelon rows that are kept give the canonical rows by upward
+elimination alone.  `minimal_polynomial` takes the first integer
+kernel row among the vectorized powers of the matrix with its denominators
+cleared, and `is_squarefree` is the full rank of the Sylvester matrix of p
+and p'; no polynomial arithmetic is done.
 
 Subspaces are stored in reduced row echelon form, making equality of
 subspaces equality of representations.  Its integer twin is the list of
@@ -143,50 +147,31 @@ def rref_int_rows(rows):
     primitive (content 1) with a positive pivot entry and zeros above and
     below each pivot.  Dividing a row by its pivot entry recovers the
     rational RREF row, so the output is a canonical representation of the
-    row space.
+    row space.  The rows are ``echelon_int_rows`` reduced upward: from the
+    last echelon row to the first, each is made primitive with a positive
+    pivot and its pivot column is eliminated from the rows above it.
     """
-    m = len(rows)
-    if m == 0:
-        return [], []
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots = []
-    for col in range(n):
-        r0 = len(pivots)
-        piv = -1
-        for i in range(r0, m):
-            if work[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[r0], work[piv] = work[piv], work[r0]
-        prow = work[r0]
+    reduced = echelon_int_rows(rows)
+    pivots = [next(k for k, v in enumerate(row) if v) for row in reduced]
+    for i in range(len(reduced) - 1, -1, -1):
+        prow, col = reduced[i], pivots[i]
+        g = _content(prow, col)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            prow[col:] = [v // g for v in prow[col:]]
         p = prow[col]
-        for i in range(m):
-            if i == r0:
-                continue
-            ri = work[i]
+        for r in range(i):
+            ri = reduced[r]
             a = ri[col]
             if not a:
                 continue
-            for k in range(n):
-                ri[k] = p * ri[k] - a * prow[k]
-            g = _content(ri, 0)
+            start = pivots[r]  # prow is zero before col, so this scales ri there
+            ri[start:] = [p * x - a * y for x, y in zip(ri[start:], prow[start:])]
+            g = _content(ri, start)
             if g > 1:
-                for k in range(n):
-                    ri[k] //= g
-        pivots.append(col)
-        if len(pivots) == m:
-            break
-    out = []
-    for i, col in enumerate(pivots):
-        ri = work[i]
-        g = _content(ri, 0)
-        if ri[col] < 0:
-            g = -g
-        out.append([v // g for v in ri])
-    return pivots, out
+                ri[start:] = [v // g for v in ri[start:]]
+    return pivots, reduced
 
 
 def kernel_int_rows(rows, n):
@@ -454,12 +439,6 @@ def rank(m: Matrix) -> int:
     return rank_int_rows(_int_rows(m.rows))
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
-    pivots, reduced = rref_int_rows(_int_rows(m.rows))
-    return Matrix(_frac_rows(reduced)), tuple(pivots)
-
-
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {v : Mv = 0}; dim = ncols - rank."""
     return Subspace.from_int_rows(m.ncols, kernel_int_rows(_int_rows(m.rows), m.ncols))
@@ -486,99 +465,46 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return nullspace(Matrix(rows))
 
 
-def solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    b = [as_scalar(x) for x in b]
-    if len(b) != a.nrows:
-        raise AmbientMismatch("right-hand side length does not match row count")
-    aug = Matrix(tuple(row + (bi,) for row, bi in zip(a.rows, b)))
-    reduced, pivots = rref(aug)
-    n = a.ncols
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row, piv in zip(reduced.rows, pivots):
-        x[piv] = row[n]
-    return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over Q: coefficient tuples, ascending degree, () is zero.
-# ---------------------------------------------------------------------------
-
-
-def poly_normalize(coeffs) -> tuple[Fraction, ...]:
-    c = [as_scalar(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_degree(p) -> int:
-    return len(p) - 1
-
-
-def poly_derivative(p) -> tuple[Fraction, ...]:
-    return poly_normalize(i * p[i] for i in range(1, len(p)))
-
-
-def poly_monic(p) -> tuple[Fraction, ...]:
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def poly_mod(a, b) -> tuple[Fraction, ...]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a.pop()
-    return poly_normalize(a)
-
-
-def poly_gcd(a, b) -> tuple[Fraction, ...]:
-    """Monic gcd over Q (Euclid)."""
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    return poly_monic(a) if a else ()
-
-
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     """Monic least-degree polynomial p with p(M) = 0 (ascending coefficients).
 
-    Found as the first linear dependence among the vectorized powers
-    I, M, M^2, ...; the dependence exists by Cayley-Hamilton, at degree at
-    most the matrix size.
+    Found on integer rows as the first linear dependence among the
+    vectorized powers of A = cM, c the lcm of M's denominators: at the first
+    d where vec(A^0), ..., vec(A^d) are dependent, their kernel is one row
+    b, and sum_k b_k c^k M^k = 0.  The dependence exists by Cayley-Hamilton,
+    at degree at most the matrix size.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("matrix must be square")
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-    for d in range(1, n + 1):
-        stacked = Matrix(tuple(zip(*(p.vec() for p in powers[:d]))))
-        x = solve(stacked, powers[d].vec())
-        if x is not None:
-            return poly_normalize(tuple(-c for c in x) + (Fraction(1),))
+    c = lcm(*(x.denominator for row in m.rows for x in row))
+    a = [[int(x * c) for x in row] for row in m.rows]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    vecs = []
+    for d in range(n + 1):
+        vecs.append([x for row in power for x in row])
+        kernel = kernel_int_rows(list(zip(*vecs)), d + 1)
+        if kernel:
+            (b,) = kernel
+            return tuple(Fraction(b[k] * c**k, b[d] * c**d) for k in range(d + 1))
+        power = [[sum(map(mul, row, col)) for col in zip(*a)] for row in power]
     raise AssertionError("no minimal polynomial found below Cayley-Hamilton bound")
 
 
 def is_squarefree(p) -> bool:
-    """True iff gcd(p, p') is constant, i.e. p has no repeated roots."""
-    p = poly_normalize(p)
+    """True iff the polynomial p (ascending coefficients) has no repeated
+    roots: gcd(p, p') is constant, i.e. the (2m-1)-square Sylvester matrix
+    of p, of degree m, and p' has full rank."""
+    p = [as_scalar(x) for x in p]
+    while p and not p[-1]:
+        p.pop()
     if not p:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    if len(p) == 1:
+    m = len(p) - 1
+    if m == 0:
         return True
-    return poly_degree(poly_gcd(p, poly_derivative(p))) == 0
+    (ints,) = _int_rows([p])
+    deriv = [k * ints[k] for k in range(1, m + 1)]
+    rows = [[0] * i + ints + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + deriv + [0] * (m - 1 - i) for i in range(m)]
+    return rank_int_rows(rows) == 2 * m - 1

@@ -294,24 +294,29 @@ def _index_claims_hold(record: dict, floor: int) -> bool:
     return True
 
 
+def _budgets(record: dict) -> dict:
+    return {key: record[key] for key in ("attempts", "bound", "trials")}
+
+
 def _sweep_holds(doc: dict) -> bool:
     """The records are one whole sweep, in order: they share one family, by
-    its upper-case name, and one n (those of the report, where it names
-    them), their (top, bottom) are ``composition_pairs(family, n)``, and
-    each record's seed is the sweep seed XOR its ordinal, the report's seed
-    where it names one.  The record count is held against the closed form
-    4^k of that enumeration first, so a report naming a huge rank is
-    refused without enumerating it."""
+    its upper-case name, one n and one (attempts, bound, trials) budget
+    (those of the report, where it names them), their (top, bottom) are
+    ``composition_pairs(family, n)``, and each record's seed is the sweep
+    seed XOR its ordinal, the report's seed where it names one.  The record
+    count is held against the closed form 4^k of that enumeration first, so
+    a report naming a huge rank is refused without enumerating it."""
     records = doc["records"]
     family, n, seed = records[0]["family"], records[0]["n"], records[0]["seed"]
-    if (doc.get("family", family), doc.get("n", n), doc.get("seed", seed)) != (family, n, seed):
+    sweep = (family, n, seed, _budgets(records[0]))
+    if tuple(doc.get(key, named) for key, named in zip(("family", "n", "seed", "budgets"), sweep)) != sweep:
         return False
     amb = AmbientAlgebra(family, n)  # an unknown family or rank raises ValueError
     k = amb.max_flag - 1 if amb.family in ("GL", "SL") else amb.max_flag
     if amb.family != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
         return False
     for ordinal, (record, (top, bottom)) in enumerate(zip(records, composition_pairs(family, n))):
-        if (record["family"], record["n"], record["seed"] ^ ordinal) != (family, n, seed):
+        if (record["family"], record["n"], record["seed"] ^ ordinal, _budgets(record)) != sweep:
             return False
         if (tuple(record["top"]), tuple(record["bottom"])) != (top.parts, bottom.parts):
             return False
@@ -336,8 +341,8 @@ def verify_document(doc: dict) -> bool:
     not that of the seaweed it names (the rebuilt seaweed's where
     certificates are embedded, else the count of ambient basis matrices the
     flags keep), when a report's summary counts disagree with its records'
-    verdicts, or when its records are not one whole sweep in order
-    (``_sweep_holds``).  A document of the wrong shape, a report
+    verdicts, or when its records are not one whole sweep in order, with one
+    budget (``_sweep_holds``).  A document of the wrong shape, a report
     whose schema is not ``REPORT_SCHEMA``, or a report naming an unknown
     family or rank, raises ValueError.
     """

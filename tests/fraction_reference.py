@@ -10,7 +10,9 @@ rational Kirillov matrix, take its nullspace from the rational reduced
 echelon form, span [ker, g] from rational rows, parse every JSON rational
 into a Fraction and compare rational subspaces, and derive an ambient basis
 from the rational condition matrix; the tests hold both routes to the same
-certificates, the same verdicts and the same bases.
+certificates, the same verdicts and the same bases.  Their reduced echelon
+form (``rref``) is a plain Gauss-Jordan elimination on Fractions, which
+shares no code with the integer rows of ``linalg``.
 """
 
 from fractions import Fraction
@@ -18,7 +20,29 @@ from fractions import Fraction
 from seaweeds.construct import AmbientAlgebra
 from seaweeds.contact import ContactCertificate, StabilityCertificate
 from seaweeds.lie import Element, OneForm
-from seaweeds.linalg import Matrix, Subspace, rank, rref
+from seaweeds.linalg import Matrix, Subspace
+
+
+def rref(m):
+    """Reduced row echelon form of a rational matrix and its pivot columns,
+    by Gauss-Jordan elimination on Fractions: each pivot row is divided by
+    its pivot and its column cleared from every other row."""
+    rows = [[Fraction(x) for x in row] for row in m.rows]
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                a = row[col]
+                rows[i] = [x - a * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return Matrix(tuple(tuple(row) for row in rows[: len(pivots)])), tuple(pivots)
 
 
 def kirillov_matrix(g, form):
@@ -62,7 +86,7 @@ def bracket_span(g, kernel):
 
 
 def meets_trivially(u, v):
-    return rank(Matrix(u.basis + v.basis)) == u.dim + v.dim
+    return len(rref(Matrix(u.basis + v.basis))[1]) == u.dim + v.dim
 
 
 def is_contact_form(g, form):

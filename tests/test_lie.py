@@ -305,6 +305,20 @@ def test_center_sl2_trivial():
     assert center(sl2).dim == 0
 
 
+def test_center_of_a_non_integral_table():
+    # [x, y] = z/2 + w/3: z and w are central, x and y are not
+    g = LieAlgebra(4, {(0, 1): {2: F(1, 2), 3: F(1, 3)}})
+    assert not g._integral
+    assert center(g) == Subspace.from_vectors([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
+    # [h, e] = e/2 has no center
+    assert center(LieAlgebra(2, {(0, 1): {1: F(1, 2)}})) == Subspace.zero(2)
+    # gl(3) in the basis e_ij / s_ij: the scalars e11 + e22 + e33 have
+    # coordinates s_11, s_22, s_33
+    h = rescaled(gl(3), [2, 3, 5, 7, 1, 2, 3, 5, 7])
+    assert not h._integral
+    assert center(h) == Subspace.from_vectors([[2, 0, 0, 0, 1, 0, 0, 0, 7]], 9)
+
+
 def test_center_contained_in_every_kernel():
     from seaweeds.lie import kirillov_kernel
 

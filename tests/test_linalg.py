@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import fraction_reference as ref
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,16 +11,14 @@ from seaweeds.linalg import (
     AmbientMismatch,
     Matrix,
     Subspace,
+    echelon_int_rows,
     intersect,
     is_squarefree,
     meets_trivially_int_rows,
     minimal_polynomial,
     nullspace,
-    poly_gcd,
     rank,
-    rref,
     rref_int_rows,
-    solve,
 )
 
 F = Fraction
@@ -109,23 +108,7 @@ def test_subspace_contains():
     assert not u.contains([1, 0, 0])
 
 
-# -- solve ---------------------------------------------------------------------
-
-
-def test_solve_unique():
-    a = M([[2, 1], [1, 3]])
-    x = solve(a, [5, 10])
-    assert x == (F(1), F(3))
-
-
-def test_solve_inconsistent():
-    assert solve(M([[1, 1], [1, 1]]), [0, 1]) is None
-
-
-def test_rref_pivots():
-    reduced, pivots = rref(M([[0, 2, 4], [0, 1, 2]]))
-    assert pivots == (1,)
-    assert reduced.rows == ((F(0), F(1), F(2)),)
+# -- reduced echelon form ----------------------------------------------------
 
 
 def random_int_matrices(seed, count):
@@ -154,6 +137,20 @@ def test_rref_output_is_primitive_with_positive_pivot():
             for v in row:
                 g = gcd(g, abs(v))
             assert g in (0, 1)
+
+
+def test_rref_int_rows_matches_the_fraction_gauss_jordan_oracle():
+    for rows in random_int_matrices(11, count=60):
+        reduced, pivots = ref.rref(Matrix.from_rows(rows))
+        int_pivots, int_rows = rref_int_rows(rows)
+        assert tuple(int_pivots) == pivots
+        assert tuple(tuple(F(v, row[p]) for v in row) for row, p in zip(int_rows, int_pivots)) == reduced.rows
+        # the echelon rows: strictly increasing leading columns, as many as
+        # the rank, spanning the same row space
+        echelon = echelon_int_rows(rows)
+        leads = [next(k for k, v in enumerate(row) if v) for row in echelon]
+        assert leads == sorted(set(leads)) and len(echelon) == len(pivots)
+        assert ref.rref(Matrix.from_rows(echelon)) == (reduced, pivots)
 
 
 # -- minimal polynomial / squarefree -------------------------------------------
@@ -185,11 +182,6 @@ def test_squarefree_examples():
 def test_squarefree_zero_polynomial():
     with pytest.raises(ValueError):
         is_squarefree(())
-
-
-def test_poly_gcd_monic():
-    # gcd(t^2 - 1, t^2 - 2t + 1) = t - 1
-    assert poly_gcd((F(-1), F(0), F(1)), (F(1), F(-2), F(1))) == (F(-1), F(1))
 
 
 # -- property tests -------------------------------------------------------------
@@ -278,6 +270,64 @@ def test_minpoly_conjugation_invariant():
         assert p @ p_inv == Matrix.identity(n)
         conj = p_inv @ m @ p
         assert minimal_polynomial(conj) == minimal_polynomial(m)
+
+
+def jordan_matrix(blocks):
+    """Block-diagonal matrix of the Jordan blocks J_k(lam), one per (lam, k)."""
+    n = sum(k for _, k in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for lam, k in blocks:
+        for i in range(at, at + k):
+            rows[i][i] = lam
+            if i + 1 < at + k:
+                rows[i][i + 1] = F(1)
+        at += k
+    return Matrix.from_rows(rows)
+
+
+def expand(roots):
+    """Ascending coefficients of the product of (x - r) over the roots."""
+    coeffs = [F(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+    return tuple(coeffs)
+
+
+def test_minpoly_of_conjugated_jordan_matrices():
+    # the minimal polynomial of a Jordan matrix has each eigenvalue to the
+    # size of its largest block; conjugation keeps it, and scaling M by s
+    # scales the roots by s
+    rng = random.Random(1729)
+    values = [F(v) for v in (-2, -1, 0, 1, 3)] + [F(1, 2), F(-5, 3)]
+    fractional = 0
+    for _ in range(40):
+        blocks = [(rng.choice(values), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        n = sum(k for _, k in blocks)
+        (u, u_inv), (l, l_inv) = unit_triangular(n, rng), unit_triangular(n, rng)
+        s = rng.choice((F(1), F(1, 2), F(1, 3)))
+        m = (l_inv.transpose() @ u_inv @ jordan_matrix(blocks) @ u @ l.transpose()).scale(s)
+        fractional += any(x.denominator > 1 for x in m.vec())
+        largest = {}
+        for lam, k in blocks:
+            largest[lam] = max(largest.get(lam, 0), k)
+        assert minimal_polynomial(m) == expand([s * lam for lam, k in largest.items() for _ in range(k)])
+    assert fractional  # the denominator-clearing path ran
+
+
+def test_squarefree_iff_no_repeated_root():
+    rng = random.Random(314)
+    values = [F(v) for v in range(-4, 5)] + [F(1, 2), F(-1, 3), F(5, 4)]
+    outcomes = set()
+    for _ in range(60):
+        roots = rng.sample(values, rng.randint(1, 4))
+        mults = [rng.choice((1, 1, 2, 3)) for _ in roots]
+        c = F(rng.choice((1, -1, 2, 7)), rng.choice((1, 3, 4)))
+        p = tuple(c * x for x in expand([r for r, k in zip(roots, mults) for _ in range(k)]))
+        squarefree = is_squarefree(p)
+        outcomes.add(squarefree)
+        assert squarefree == all(k == 1 for k in mults)
+    assert outcomes == {True, False}
 
 
 def test_exactness_200_digit_numerators():

@@ -19,6 +19,7 @@ from seaweeds import (
     verify_document,
 )
 from seaweeds.classify import REPORT_SCHEMA, classify, report
+from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.lie import StructureError
 from seaweeds.serialize import frac_from_str, frac_to_str, verify_certificate
@@ -205,28 +206,32 @@ def test_verify_rederives_the_index_one_verdict():
 
 
 def test_verify_rejects_found_statuses_under_a_zero_budget():
+    # the budget is the sweep's, so it changes on every record at once
     doc, record = _index_one_report()
     assert (record["contact"], record["stable"]) == ("FOUND", "FOUND")
-    record["verdict"], record["attempts"] = "UNRESOLVED", 0
+    record["verdict"] = "UNRESOLVED"
+    for r in doc["records"]:
+        r["attempts"] = 0
     assert not verify_document(_recounted(doc))
     # what a zero budget does report: nothing found, nothing decided
-    record["contact"] = record["stable"] = "NOT_FOUND"
-    del record["certificates"]
-    assert verify_document(doc)
+    for r in doc["records"]:
+        if r["index"] == 1:
+            r["contact"] = r["stable"] = "NOT_FOUND"
+            r["verdict"] = "UNRESOLVED"
+            del r["certificates"]
+    assert verify_document(_recounted(doc))
 
 
 def test_verify_rejects_a_negative_budget():
-    doc, record = _index_one_report()
-    record["contact"] = record["stable"] = "NOT_FOUND"
-    record["verdict"], record["attempts"] = "UNRESOLVED", -1
-    del record["certificates"]
-    assert not verify_document(_recounted(doc))
-    record["attempts"] = 0
-    assert verify_document(doc)
-    doc, _ = _index_one_report()
-    other = next(r for r in doc["records"] if r["index"] != 1)
-    other["attempts"] = -1  # also on a record with no search
-    assert not verify_document(doc)
+    # the budget is the sweep's, so it changes on every record at once; the
+    # first record checked has a search on SL2 and none on GL3
+    for family, n in (("SL", 2), ("GL", 3)):
+        doc = json.loads(report(classify(family, n, seed=5, attempts=0, embed_certificates=True), "json"))
+        assert verify_document(doc)
+        assert (doc["records"][0]["index"] == 1) == (family == "SL")
+        for record in doc["records"]:
+            record["attempts"] = -1
+        assert not verify_document(doc)
 
 
 def test_verify_rejects_an_unknown_index_one_status():
@@ -307,8 +312,9 @@ def test_verify_rejects_trial_counts_off_the_retry_rule():
     assert not verify_document(doc)
     # no trials at all: no trial dimension for the index to be the least of
     doc = _so5_report()
-    record = doc["records"][0]
-    record["trials"], record["trial_kernel_dims"] = 0, []
+    for record in doc["records"]:
+        record["trials"] = 0  # the trial count is the sweep's
+    doc["records"][0]["trial_kernel_dims"] = []
     assert not verify_document(doc)
 
 
@@ -448,4 +454,38 @@ def test_verify_counts_the_records_before_enumerating_them(monkeypatch):
     doc = _so5_report()
     for record in doc["records"]:
         record["n"] = 41
+    assert not verify_document(doc)
+
+
+def _sl4_report(tmp_path):
+    """The report of ``seaweeds classify --family SL --n 4 --seed 0
+    --embed``, which names the sweep's budgets."""
+    out = tmp_path / "sl4.json"
+    assert main(["classify", "--family", "SL", "--n", "4", "--seed", "0", "--embed", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert verify_document(doc)
+    return doc
+
+
+def test_verify_rejects_a_record_off_the_sweep_budget(tmp_path):
+    # record 5 reached its floor at its first trial, so one trial per pass
+    # fits its trial dimensions; only the sweep's budget refuses it
+    doc = _sl4_report(tmp_path)
+    record = doc["records"][5]
+    assert len(record["trial_kernel_dims"]) == 1
+    record["trials"], record["bound"] = 1, 7
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_a_budget_changed_only_on_records_without_a_search(tmp_path):
+    doc = _sl4_report(tmp_path)
+    for record in doc["records"]:
+        if record["index"] != 1:
+            record["attempts"] = 0
+    assert not verify_document(doc)
+
+
+def test_verify_holds_the_records_to_the_budgets_the_report_names(tmp_path):
+    doc = _sl4_report(tmp_path)
+    doc["budgets"]["attempts"] = 5
     assert not verify_document(doc)
