@@ -7,8 +7,12 @@ testing the equivalence "index-one seaweed is contact iff it admits a stable
 form" on enumerated composition pairs.  All exact linear algebra, from
 Kirillov matrices, kernels and certificate checks to minimal polynomials
 and centers, runs on integer rows; rationals appear only in the public
-values and in JSON.  The rational Kirillov matrix and a Fraction reduced
-echelon form are not exported, and live on as test oracles.
+values and in JSON.  ``Matrix`` and ``Subspace`` are exported as values
+only: no rank, kernel or intersection is taken on them.  The package keeps
+what the ``seaweeds`` commands reach, the quasi-reductive building blocks
+(center, minimal polynomial, squarefreeness, semisimple kernel generators)
+and the Lie-algebra values; the block picture of type-A seaweeds, the
+rational Kirillov matrix and rational elimination live on as test oracles.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report
@@ -17,8 +21,6 @@ from .construct import (
     Composition,
     enumerate_compositions,
     flag_seaweed,
-    gln_seaweed,
-    matrix_span,
     parse_pair,
     seaweed,
 )
@@ -43,17 +45,12 @@ from .lie import (
     center,
     heisenberg,
     index,
-    is_regular,
-    sample_form,
 )
 from .linalg import (
     Matrix,
     Subspace,
-    intersect,
     is_squarefree,
     minimal_polynomial,
-    nullspace,
-    rank,
 )
 from .meander import MeanderGraph, census, meander, meander_index, meander_svg
 from .serialize import algebra_from_json, algebra_to_json, certificate_to_json, verify_document
@@ -92,26 +89,19 @@ __all__ = [
     "find_contact_form",
     "find_stable_form",
     "flag_seaweed",
-    "gln_seaweed",
     "heisenberg",
     "index",
-    "intersect",
     "is_contact_form",
-    "is_regular",
     "is_semisimple_element",
     "is_squarefree",
     "is_stable_form",
-    "matrix_span",
     "meander",
     "meander_index",
     "meander_svg",
     "minimal_polynomial",
-    "nullspace",
     "parse_pair",
-    "rank",
     "reductive_type_witness",
     "report",
-    "sample_form",
     "seaweed",
     "verify_document",
 ]

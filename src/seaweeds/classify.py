@@ -42,7 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .construct import composition_pairs, seaweed
 from .contact import (
@@ -114,14 +114,19 @@ def classify(
     embed_certificates: bool = False,
 ) -> list[ClassificationRecord]:
     """Classify every seaweed of the family at rank n; deterministic per seed.
-    Raises ValueError, before any work, on an unknown family or a negative
-    attempt budget, and LimitError on a rank over the limits."""
+    Raises ValueError, before any work, on an unknown family, a negative
+    attempt budget, or a bound or trial count below 1, and LimitError on a
+    rank over the limits."""
     family = family.upper()
     limit = LIMITS.get(family)
     if limit is None:
         raise ValueError(f"unknown family {family!r}")
     if attempts < 0:
         raise ValueError(f"attempts must be nonnegative, got {attempts}")
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if n > limit and not force:
         raise LimitError(
             f"{family} sweep limited to n <= {limit} by default; pass force=True "
@@ -174,33 +179,22 @@ def classify(
     return records
 
 
+# The report's record fields, in ClassificationRecord order; a record's
+# certificates follow them only when it has any.
+_FIELDS = tuple(f.name for f in fields(ClassificationRecord) if f.name != "certificates")
+_CSV_FIELDS = [name for name in _FIELDS if name != "trial_kernel_dims"]
+
+
 def _record_to_json(r: ClassificationRecord) -> dict:
-    doc = {
-        "family": r.family,
-        "n": r.n,
-        "top": list(r.top),
-        "bottom": list(r.bottom),
-        "dim": r.dim,
-        "index": r.index,
-        "parity": r.parity,
-        "contact": r.contact,
-        "stable": r.stable,
-        "verdict": r.verdict,
-        "seed": r.seed,
-        "attempts": r.attempts,
-        "bound": r.bound,
-        "trials": r.trials,
-        "trial_kernel_dims": list(r.trial_kernel_dims),
-    }
+    doc = {name: getattr(r, name) for name in _FIELDS}
     if r.certificates is not None:
         doc["certificates"] = r.certificates
     return doc
 
 
-_CSV_FIELDS = [
-    "family", "n", "top", "bottom", "dim", "index", "parity",
-    "contact", "stable", "verdict", "seed", "attempts", "bound", "trials",
-]
+def _parts(composition: tuple[int, ...]) -> str:
+    """A composition in the CLI's text form, "0" for the empty one."""
+    return ",".join(map(str, composition)) or "0"
 
 
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
@@ -219,24 +213,15 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
         for r in records:
-            writer.writerow(
-                [
-                    r.family, r.n,
-                    ",".join(map(str, r.top)) or "0",
-                    ",".join(map(str, r.bottom)) or "0",
-                    r.dim, r.index, r.parity, r.contact, r.stable, r.verdict,
-                    r.seed, r.attempts, r.bound, r.trials,
-                ]
-            )
+            row = [getattr(r, name) for name in _CSV_FIELDS]
+            writer.writerow([_parts(v) if isinstance(v, tuple) else v for v in row])
         return buf.getvalue()
     if fmt == "text":
         lines = []
         for r in records:
-            top = ",".join(map(str, r.top)) or "0"
-            bottom = ",".join(map(str, r.bottom)) or "0"
             lines.append(
-                f"{r.family}{r.n}[{top}|{bottom}] dim={r.dim} index={r.index} "
-                f"contact={r.contact} stable={r.stable} verdict={r.verdict}"
+                f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}] dim={r.dim} "
+                f"index={r.index} contact={r.contact} stable={r.stable} verdict={r.verdict}"
             )
         lines.append("")
         lines.append(

@@ -9,13 +9,13 @@ spoil the run; contact/stable return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
 input (an unknown subcommand or flag, a value outside an option's choices,
 a malformed pair, a missing --n, a rank over the sweep limits, a negative
---attempts, a non-integer environment default, an environment default
-outside the subcommand's choices, an --out or --svg path that cannot be
-opened for writing) exits 2 with a one-line error on stderr before any
-sweep or search runs.  An environment default is checked only when the
-chosen subcommand takes that option and the command line leaves it out.
-The --out and --svg files are opened, as a shell redirection opens them,
-before the work starts.
+--attempts, a --bound or --trials below 1, a non-integer environment
+default, an environment default outside the subcommand's choices, an --out
+or --svg path that cannot be opened for writing) exits 2 with a one-line
+error on stderr before any sweep or search runs.  An environment default
+is checked only when the chosen subcommand takes that option and the
+command line leaves it out.  The --out and --svg files are opened, as a
+shell redirection opens them, before the work starts.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .construct import Composition, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, meander, meander_index, meander_svg
-from .serialize import algebra_to_json, certificate_to_json, frac_to_str, verify_document
+from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, frac_to_str, verify_document
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +154,7 @@ def _cmd_index(args):
 
 def _certificate_document(g, cert):
     return {
-        "schema": 1,
+        "schema": CERTIFICATE_SCHEMA,
         "algebra": algebra_to_json(g),
         "certificates": [certificate_to_json(cert)],
     }

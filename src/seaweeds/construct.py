@@ -18,9 +18,10 @@ once per family and rank.  Every seaweed is then ``LieAlgebra.restrict`` of
 that algebra to the kept basis elements, which checks that they are closed
 under the bracket and inherits the ambient's other identities.
 
-``gln_seaweed`` is the type-A block picture written out directly.  It is an
-independent reference for the tests: it yields the same basis, table and
-realization as the GL flag stabilizer.
+The type-A block picture, e_ij with blockA(i) <= blockA(j) and
+blockB(i) >= blockB(j), is not built here: it lives on in the tests as an
+independent reference, which yields the same basis, table and realization
+as the GL flag stabilizer.
 
 For sp and so the ambient bilinear form is antidiagonal, so coordinate flags
 bounded by floor(N/2) are isotropic and upper-triangular members form a
@@ -137,61 +138,10 @@ def composition_pairs(family: str, n: int) -> list[tuple[Composition, Compositio
     return [(a, b) for a in comps for b in comps]
 
 
-def _block_lookup(comp: Composition) -> list[int]:
-    # position -> index of the part containing it (0-based positions)
-    blocks = []
-    for idx, p in enumerate(comp.parts):
-        blocks.extend([idx] * p)
-    return blocks
-
-
 def _elementary(n: int, i: int, j: int) -> Matrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     rows[i][j] = Fraction(1)
     return Matrix(tuple(tuple(r) for r in rows))
-
-
-def gln_seaweed(a: Composition, b: Composition) -> LieAlgebra:
-    """Type-A seaweed in the block picture; a test reference for
-    ``seaweed("GL", ...)``, which the sweeps use.
-
-    Basis: all e_ij with blockA(i) <= blockA(j) and blockB(i) >= blockB(j),
-    in row-major order (which is also the canonical echelon order of the
-    vectorized span).  Structure constants come from
-    [e_ij, e_kl] = d_jk e_il - d_li e_kj; both targets stay inside the basis
-    because the block conditions are transitive.
-    """
-    n = a.total
-    if n != b.total:
-        raise ValueError("composition totals differ")
-    if n < 1:
-        raise ValueError("compositions must be nonempty for gl(n)")
-    blk_a, blk_b = _block_lookup(a), _block_lookup(b)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if blk_a[i] <= blk_a[j] and blk_b[i] >= blk_b[j]
-    ]
-    index_of = {p: t for t, p in enumerate(pairs)}
-    structure = {}
-    for t1, (i, j) in enumerate(pairs):
-        for t2 in range(t1 + 1, len(pairs)):
-            k, l = pairs[t2]
-            acc = {}
-            if j == k:
-                target = index_of.get((i, l))
-                assert target is not None, "seaweed not closed under bracket"
-                acc[target] = acc.get(target, 0) + 1
-            if l == i:
-                target = index_of.get((k, j))
-                assert target is not None, "seaweed not closed under bracket"
-                acc[target] = acc.get(target, 0) - 1
-            acc = {r: c for r, c in acc.items() if c}
-            if acc:
-                structure[(t1, t2)] = acc
-    mats = tuple(_elementary(n, i, j) for i, j in pairs)
-    return LieAlgebra(len(pairs), structure, realization=mats, label=f"GL{n}[{a}|{b}]")
 
 
 def _form_signs(family: str, size: int) -> list[int]:
@@ -200,11 +150,11 @@ def _form_signs(family: str, size: int) -> list[int]:
 
 
 class AmbientAlgebra:
-    """One of the four reductive matrix families, with its defining form.
+    """One of the four reductive matrix families, by name and rank.
 
-    For SP the form S is antidiagonal with +1 in the top half and -1 in the
-    bottom half; for SO it is antidiagonal with all +1.  Membership in both
-    cases is X^T S + S X = 0.
+    For SP the defining form S is antidiagonal with +1 in the top half and
+    -1 in the bottom half (``_form_signs``); for SO it is antidiagonal with
+    all +1.  Membership in both cases is X^T S + S X = 0.
     """
 
     __slots__ = ("family", "n", "matrix_size")
@@ -234,24 +184,10 @@ class AmbientAlgebra:
         self.matrix_size = size
 
     @property
-    def bilinear_form(self) -> Matrix | None:
-        """The defining form S of SP/SO, built on each access; None for GL/SL."""
-        if self.family not in ("SP", "SO"):
-            return None
-        size = self.matrix_size
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for i, sign in enumerate(_form_signs(self.family, size)):
-            rows[i][size - 1 - i] = Fraction(sign)
-        return Matrix(tuple(tuple(r) for r in rows))
-
-    @property
     def max_flag(self) -> int:
         """Largest admissible flag-subspace dimension."""
         size = self.matrix_size
         return size if self.family in ("GL", "SL") else size // 2
-
-    def __repr__(self):
-        return f"AmbientAlgebra({self.family}, n={self.n})"
 
 
 @lru_cache(maxsize=None)
@@ -389,13 +325,3 @@ def seaweed_dim(family: str, n: int, a: Composition, b: Composition) -> int:
     supports without building or restricting an algebra."""
     return len(_kept_elements(AmbientAlgebra(family, n), a, b))
 
-
-def matrix_span(g: LieAlgebra) -> Subspace:
-    """Canonical subspace of the ambient matrix space spanned by the
-    realization (for cross-constructor comparisons)."""
-    if g.realization is None:
-        raise ValueError("algebra has no matrix realization")
-    if not g.realization:
-        raise ValueError("empty realization")
-    size = g.realization[0].nrows
-    return Subspace.from_vectors([m.vec() for m in g.realization], size * size)

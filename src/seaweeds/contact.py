@@ -116,9 +116,11 @@ def _require_odd(g: LieAlgebra):
         raise PreconditionError("contact analysis needs an odd-dimensional algebra")
 
 
-def _require_budget(attempts: int):
+def _require_budget(attempts: int, bound: int):
     if attempts < 0:
         raise ValueError(f"attempts must be nonnegative, got {attempts}")
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
 
 
 def _int_coords(form) -> list:
@@ -227,10 +229,11 @@ def find_contact_form(
 
     Exhaustion is not a proof of non-contactness, only one-sided evidence;
     the classifier corroborates it against the stability search.  A budget
-    of 0 finds nothing; a negative one raises ValueError.
+    of 0 finds nothing; a negative one, or a bound below 1, raises
+    ValueError.
     """
     _require_odd(g)
-    _require_budget(attempts)
+    _require_budget(attempts, bound)
     rng = random.Random(seed)
     for _ in range(attempts):
         cert = is_contact_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
@@ -246,8 +249,9 @@ def find_stable_form(
     bound: int = DEFAULT_BOUND,
 ) -> StabilityCertificate | None:
     """Randomized search for a stable form; None means budget exhausted.
-    A budget of 0 finds nothing; a negative one raises ValueError."""
-    _require_budget(attempts)
+    A budget of 0 finds nothing; a negative one, or a bound below 1, raises
+    ValueError."""
+    _require_budget(attempts, bound)
     rng = random.Random(seed)
     for _ in range(attempts):
         cert = is_stable_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])

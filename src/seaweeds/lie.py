@@ -339,9 +339,6 @@ class Element:
         _same_algebra(self, other)
         return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def matrix(self) -> Matrix:
         """Realization of the element; requires the algebra to carry one."""
         mats = self.algebra.realization
@@ -422,15 +419,6 @@ def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:
     return Subspace.from_int_rows(g.dim, kirillov_kernel_int_rows(g, form))
 
 
-def sample_form(g: LieAlgebra, seed: int, bound: int = DEFAULT_BOUND) -> OneForm:
-    """Integer one-form with coordinates uniform in [-bound, bound],
-    deterministic per seed."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    rng = random.Random(seed)
-    return OneForm(g, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim)))
-
-
 def index(
     g: LieAlgebra,
     seed: int,
@@ -476,11 +464,6 @@ def index(
         seed=seed,
         trial_kernel_dims=tuple(dims),
     )
-
-
-def is_regular(g: LieAlgebra, form: OneForm, known_index: int) -> bool:
-    """True iff the kernel of B_form has the minimal (index) dimension."""
-    return kernel_dim(g, form) == known_index
 
 
 def center(g: LieAlgebra) -> Subspace:

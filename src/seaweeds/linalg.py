@@ -31,7 +31,7 @@ the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
 integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
 Electron. J. Combin. 3(2), 1996).  The general routines serve every other
-matrix (spans, meets, `nullspace`, minimal polynomials, squarefreeness).
+matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
 They share one forward elimination, `echelon_int_rows`: a rank is the
 length of its result, and `rref_int_rows` is its result reduced upward,
 so echelon rows that are kept give the canonical rows by upward
@@ -40,11 +40,12 @@ kernel row among the vectorized powers of the matrix with its denominators
 cleared, and `is_squarefree` is the full rank of the Sylvester matrix of p
 and p'; no polynomial arithmetic is done.
 
-Subspaces are stored in reduced row echelon form, making equality of
-subspaces equality of representations.  Its integer twin is the list of
-primitive RREF rows with positive pivots that `rref_int_rows` returns:
-dividing each row by its pivot gives the rational RREF row, so equal
-subspaces have equal integer rows too.
+`Matrix` and `Subspace` are values, not solvers: no rank, kernel or
+intersection is taken on them.  A `Subspace` is built only from the
+primitive RREF rows with positive pivots that `rref_int_rows` returns
+(`Subspace.from_int_rows`), each row divided by its pivot.  That is the
+rational reduced row echelon form, which is canonical, so equal subspaces
+have equal representations and dataclass equality is subspace equality.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
-
-class AmbientMismatch(ValueError):
-    """Operands live in different ambient dimensions."""
-
 
 def as_scalar(x) -> Fraction:
     """x as a Fraction; a float is refused, since its binary value is rarely
@@ -320,11 +317,6 @@ class Matrix:
         return cls(tuple(tuple(as_scalar(x) for x in row) for row in rows))
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
         zero = Fraction(0)
         return cls(tuple((zero,) * ncols for _ in range(nrows)))
@@ -340,34 +332,9 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
-
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
         return Matrix(tuple(tuple(c * a for a in r) for r in self.rows))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise AmbientMismatch("matrix product shape mismatch")
-        cols = other.ncols
-        orows = other.rows
-        return Matrix(
-            tuple(
-                tuple(sum(r[k] * orows[k][j] for k in range(self.ncols)) for j in range(cols))
-                for r in self.rows
-            )
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
-
-    def vec(self) -> tuple[Fraction, ...]:
-        """Row-major flattening."""
-        return tuple(x for row in self.rows for x in row)
 
 
 @dataclass(frozen=True)
@@ -382,87 +349,14 @@ class Subspace:
     basis: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
-        vectors = list(vectors)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("vector length does not match ambient dimension")
-        rows = _int_rows([[as_scalar(x) for x in v] for v in vectors])
-        return cls.from_int_rows(ambient_dim, span_int_rows(rows))
-
-    @classmethod
     def from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":
         """The subspace whose canonical primitive integer RREF rows (as
         `rref_int_rows` returns them) are ``rows``."""
         return cls(ambient_dim, _frac_rows(rows))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim).rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _pivots(self):
-        piv = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    piv.append(j)
-                    break
-        return piv
-
-    def contains(self, vector) -> bool:
-        v = [as_scalar(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
-        for row, piv in zip(self.basis, self._pivots()):
-            c = v[piv]
-            if c:
-                for j in range(self.ambient_dim):
-                    v[j] -= c * row[j]
-        return not any(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch("ambient dimensions differ")
-        return all(self.contains(v) for v in other.basis)
-
-
-def rank(m: Matrix) -> int:
-    """Dimension of the row space, by exact fraction-free elimination."""
-    return rank_int_rows(_int_rows(m.rows))
-
-
-def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of {v : Mv = 0}; dim = ncols - rank."""
-    return Subspace.from_int_rows(m.ncols, kernel_int_rows(_int_rows(m.rows), m.ncols))
-
-
-def _complement_rows(s: Subspace) -> Matrix:
-    # Rows spanning the orthogonal complement under the standard dot product;
-    # over Q the pairing is definite, so (U-perp)-perp == U.
-    if s.dim == 0:
-        return Matrix.identity(s.ambient_dim)
-    comp = nullspace(Matrix(s.basis))
-    if comp.dim == 0:
-        return Matrix(())
-    return Matrix(comp.basis)
-
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of the intersection of two subspaces."""
-    if u.ambient_dim != v.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    rows = _complement_rows(u).rows + _complement_rows(v).rows
-    if not rows:
-        return Subspace.full(u.ambient_dim)
-    return nullspace(Matrix(rows))
 
 
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:

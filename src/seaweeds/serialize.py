@@ -17,17 +17,20 @@ Certificates::
      "kernel": {"ambient_dim": n, "basis": [[...], ...]},
      "bracket_span": {...}, "intersection_dim": 0}
 
-Certificate document (input of ``seaweeds verify``)::
+Certificate document (output of ``seaweeds contact`` and ``seaweeds
+stable`` in json, input of ``seaweeds verify``)::
 
-    {"schema": 1, "algebra": {...}, "certificates": [cert, ...]}
+    {"schema": CERTIFICATE_SCHEMA, "algebra": {...}, "certificates": [cert, ...]}
 
 Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
 from its family and compositions.  Reports carry ``"schema":
 REPORT_SCHEMA``; schema 2 is the first whose index passes stop at the index
-floor, and ``verify`` refuses a report of any other schema.  ``verify_*``
-recomputes every invariant from scratch, so tampered data fails either here
-(False) or already at algebra reconstruction (StructureError).
+floor, and ``verify`` refuses a report of any other schema, as it refuses
+a certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
+``verify_*`` recomputes every invariant from scratch, so tampered data
+fails either here (False) or already at algebra reconstruction
+(StructureError).
 
 Certificates are checked on integer rows, as the searches run, and no
 Fraction is built on the way: each coordinate list is parsed straight into
@@ -69,6 +72,7 @@ from .linalg import (
 from .meander import index_floor
 
 REPORT_SCHEMA = 2
+CERTIFICATE_SCHEMA = 1
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -272,13 +276,14 @@ def _bookkeeping_holds(record: dict, floor: int) -> bool:
 
 def _index_claims_hold(record: dict, floor: int) -> bool:
     """The bookkeeping fields agree with the index floor ``floor``
-    (``_bookkeeping_holds``), the budget is not negative, the statuses and
+    (``_bookkeeping_holds``), the attempt budget is not negative and the
+    bound is at least 1, as ``classify`` requires, the statuses and
     verdict follow from the index (the searches run on index-one seaweeds
     only, a budget below one finds nothing, and the verdict is
     ``search_verdict`` of the statuses and budget), and a GL/SL index equals
     its floor, the meander census."""
     contact, stable = record["contact"], record["stable"]
-    if not _bookkeeping_holds(record, floor) or record["attempts"] < 0:
+    if not _bookkeeping_holds(record, floor) or record["attempts"] < 0 or record["bound"] < 1:
         return False
     if record["index"] != 1:
         if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
@@ -335,15 +340,16 @@ def verify_document(doc: dict) -> bool:
     record's parity, index and trial kernel dimensions disagree with its
     dimension, each other, or the passes its trial count and index floor
     allow (``_bookkeeping_holds``), when a record's attempt budget is
-    negative, when a record claims FOUND without embedding the certificate,
-    when a record carries certificates but its index is not one (the
-    searches run only on index-one seaweeds), when a record's dimension is
-    not that of the seaweed it names (the rebuilt seaweed's where
-    certificates are embedded, else the count of ambient basis matrices the
-    flags keep), when a report's summary counts disagree with its records'
-    verdicts, or when its records are not one whole sweep in order, with one
-    budget (``_sweep_holds``).  A document of the wrong shape, a report
-    whose schema is not ``REPORT_SCHEMA``, or a report naming an unknown
+    negative or its bound below 1, when a record claims FOUND without
+    embedding the certificate, when a record carries certificates but its
+    index is not one (the searches run only on index-one seaweeds), when a
+    record's dimension is not that of the seaweed it names (the rebuilt
+    seaweed's where certificates are embedded, else the count of ambient
+    basis matrices the flags keep), when a report's summary counts disagree
+    with its records' verdicts, or when its records are not one whole sweep
+    in order, with one budget (``_sweep_holds``).  A document of the wrong shape, a report
+    whose schema is not ``REPORT_SCHEMA``, a certificate document whose
+    schema is not ``CERTIFICATE_SCHEMA``, or a report naming an unknown
     family or rank, raises ValueError.
     """
     try:
@@ -386,6 +392,8 @@ def _verify_document(doc: dict) -> bool:
         return doc["summary"] == count_verdicts(r["verdict"] for r in doc["records"]) and ok
     if "algebra" not in doc:
         raise ValueError("unknown algebra reference: document embeds no algebra")
+    if doc.get("schema") != CERTIFICATE_SCHEMA:
+        raise ValueError(f"certificate schema {doc.get('schema')!r} is not {CERTIFICATE_SCHEMA}")
     g = algebra_from_json(doc["algebra"])
     certs = doc.get("certificates")
     if not certs:

@@ -1,5 +1,6 @@
 """The rational route to Kirillov matrices and kernels, certificates and
-ambient bases, as first written.
+ambient bases, as first written, and the rational matrix and subspace
+algebra the tests build their expectations with.
 
 ``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel_int_rows``,
 ``contact.is_contact_form``, ``contact.is_stable_form`` and
@@ -10,9 +11,11 @@ rational Kirillov matrix, take its nullspace from the rational reduced
 echelon form, span [ker, g] from rational rows, parse every JSON rational
 into a Fraction and compare rational subspaces, and derive an ambient basis
 from the rational condition matrix; the tests hold both routes to the same
-certificates, the same verdicts and the same bases.  Their reduced echelon
-form (``rref``) is a plain Gauss-Jordan elimination on Fractions, which
-shares no code with the integer rows of ``linalg``.
+certificates, the same verdicts and the same bases.  Every rank, span,
+kernel and intersection here comes from one reduced echelon form
+(``rref``), a plain Gauss-Jordan elimination on Fractions.  Nothing but the
+``Matrix`` and ``Subspace`` value types is taken from ``linalg``, so no
+oracle here shares elimination code with the integer rows it checks.
 """
 
 from fractions import Fraction
@@ -45,6 +48,49 @@ def rref(m):
     return Matrix(tuple(tuple(row) for row in rows[: len(pivots)])), tuple(pivots)
 
 
+def rank(m):
+    return len(rref(m)[1])
+
+
+def span(vectors, n):
+    """The canonical subspace of Q^n spanned by the vectors: their RREF."""
+    vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector length does not match ambient dimension")
+    return Subspace(n, rref(Matrix(tuple(vectors)))[0].rows if vectors else ())
+
+
+def identity(n):
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def full(n):
+    return Subspace(n, identity(n).rows)
+
+
+def contains(s, vector):
+    """True iff the vector lies in the subspace."""
+    return rank(Matrix(s.basis + (tuple(Fraction(x) for x in vector),))) == s.dim
+
+
+def transpose(m):
+    return Matrix(tuple(zip(*m.rows)))
+
+
+def matmul(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError("matrix product shape mismatch")
+    cols = tuple(zip(*b.rows))
+    return Matrix(
+        tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols) for row in a.rows)
+    )
+
+
+def vec(m):
+    """Row-major flattening."""
+    return tuple(x for row in m.rows for x in row)
+
+
 def kirillov_matrix(g, form):
     """The rational skew matrix with entry (i, j) = form([x_i, x_j])."""
     rows = [[Fraction(0)] * g.dim for _ in range(g.dim)]
@@ -58,7 +104,7 @@ def nullspace(m):
     """Canonical basis of {v : Mv = 0}, from the rational RREF of m."""
     n = m.ncols
     if m.nrows == 0:
-        return Subspace.full(n)
+        return full(n)
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
     vectors = []
@@ -70,7 +116,26 @@ def nullspace(m):
         for row, piv in zip(reduced.rows, pivots):
             v[piv] = -row[free]
         vectors.append(v)
-    return Subspace.from_vectors(vectors, n)
+    return span(vectors, n)
+
+
+def _complement_rows(s):
+    # Rows spanning the orthogonal complement under the standard dot product;
+    # over Q the pairing is definite, so (U-perp)-perp == U.
+    if s.dim == 0:
+        return identity(s.ambient_dim).rows
+    return nullspace(Matrix(s.basis)).basis
+
+
+def intersect(u, v):
+    """Canonical basis of the intersection of two subspaces: the
+    orthogonal complement of the sum of their complements."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    rows = _complement_rows(u) + _complement_rows(v)
+    if not rows:
+        return full(u.ambient_dim)
+    return nullspace(Matrix(rows))
 
 
 def kirillov_kernel(g, form):
@@ -82,11 +147,11 @@ def bracket_span(g, kernel):
     vectors = []
     for k in kernel.basis:
         vectors.extend(g.ad_columns(k))
-    return Subspace.from_vectors(vectors, g.dim)
+    return span(vectors, g.dim)
 
 
 def meets_trivially(u, v):
-    return len(rref(Matrix(u.basis + v.basis))[1]) == u.dim + v.dim
+    return rank(Matrix(u.basis + v.basis)) == u.dim + v.dim
 
 
 def is_contact_form(g, form):
@@ -148,19 +213,27 @@ def verify_certificate(g, doc):
     return meets_trivially(kernel, span)
 
 
+def bilinear_form(family, size):
+    """The defining form S of SP or SO: antidiagonal, with +1 in the top
+    half and -1 in the bottom half for SP, and all +1 for SO."""
+    return Matrix.from_rows(
+        [[(-1 if family == "SP" and i >= size // 2 else 1) if i + j == size - 1 else 0 for j in range(size)]
+         for i in range(size)]
+    )
+
+
 def ambient_basis(family, n):
     """The canonical basis of an ambient family as matrices: the nullspace
     of its rational condition matrix (none for GL, the trace row for SL,
     X^T S + S X = 0 summed out of the rational form S for SP/SO)."""
-    amb = AmbientAlgebra(family, n)
-    size = amb.matrix_size
+    size = AmbientAlgebra(family, n).matrix_size
     if family == "GL":
-        space = Subspace.full(size * size)
+        space = full(size * size)
     elif family == "SL":
         trace_row = tuple(Fraction(1) if t % (size + 1) == 0 else Fraction(0) for t in range(size * size))
         space = nullspace(Matrix((trace_row,)))
     else:
-        s = amb.bilinear_form.rows
+        s = bilinear_form(family, size).rows
         rows = []
         for i in range(size):
             for j in range(size):

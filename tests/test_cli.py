@@ -1,5 +1,6 @@
 """Exit codes and error paths of the command-line interface."""
 
+import importlib
 import json
 from dataclasses import replace
 
@@ -75,6 +76,8 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("index", "2|2", "--out", "{missing}/x.txt"),
         ("meander", "2|2", "--svg", "{missing}/x.svg"),
         ("classify", "--family", "SL", "--n", "3", "--out", "{missing}/r.json"),
+        ("contact", "0|3", "--family", "SO", "--n", "7", "--bound", "0"),
+        ("stable", "0|3", "--family", "SO", "--n", "7", "--bound", "-1"),
     ],
 )
 def test_exit_2_on_bad_input(capsys, tmp_path, argv):
@@ -100,9 +103,19 @@ def test_out_and_svg_files_receive_the_output(capsys, tmp_path):
     assert "gl index 2" in out.read_text() and svg.read_text().startswith("<svg ")
 
 
-def test_classify_refuses_a_negative_budget():
+def test_classify_refuses_a_negative_budget(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the budget was checked")
+
+    # the package's ``classify`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("seaweeds.classify"), "composition_pairs", no_sweep)
     with pytest.raises(ValueError, match="attempts must be nonnegative"):
         classify("GL", 2, seed=0, attempts=-1)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            classify("GL", 2, seed=0, bound=bound)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        classify("GL", 2, seed=0, trials=0)
 
 
 def test_exit_2_on_a_negative_env_budget(capsys, monkeypatch):

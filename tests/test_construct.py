@@ -9,18 +9,17 @@ from seaweeds import (
     construct,
     enumerate_compositions,
     flag_seaweed,
-    gln_seaweed,
-    matrix_span,
     parse_pair,
     seaweed,
 )
 import fraction_reference as ref
+from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed
 
 from seaweeds.classify import LIMITS, composition_pairs
 from seaweeds.construct import _ambient_view
 from seaweeds.lie import LieAlgebra, OneForm, StructureError, heisenberg, index, kernel_dim
-from seaweeds.linalg import Matrix, intersect, nullspace, rank
+from seaweeds.linalg import Matrix
 from seaweeds.serialize import algebra_to_json
 
 F = Fraction
@@ -81,7 +80,7 @@ def test_gln_seaweed_torus():
     assert g.dim == 4
     for i in range(4):
         for j in range(4):
-            assert bracket(g.basis_element(i), g.basis_element(j)).is_zero()
+            assert not any(bracket(g.basis_element(i), g.basis_element(j)).coords)
 
 
 def test_gln_seaweed_total_mismatch():
@@ -116,12 +115,12 @@ def test_sl2_structure():
 def test_sl_is_trace_zero_part_of_gl_block_seaweed():
     for n in range(2, 5):
         trace_row = tuple(F(1) if t % (n + 1) == 0 else F(0) for t in range(n * n))
-        trace_zero = nullspace(Matrix((trace_row,)))
+        trace_zero = ref.nullspace(Matrix((trace_row,)))
         for a in enumerate_compositions(n):
             for b in enumerate_compositions(n):
                 sl, gl = seaweed("SL", n, a, b), gln_seaweed(a, b)
                 assert sl.dim == gl.dim - 1
-                assert matrix_span(sl) == intersect(matrix_span(gl), trace_zero)
+                assert matrix_span(sl) == ref.intersect(matrix_span(gl), trace_zero)
 
 
 # -- flag_seaweed ------------------------------------------------------------------
@@ -277,11 +276,11 @@ def test_flag_sp4_proper_seaweed():
 def test_sp_so_membership_equation():
     for family, n in (("SP", 2), ("SP", 3), ("SO", 4), ("SO", 5)):
         amb = AmbientAlgebra(family, n)
-        s = amb.bilinear_form
+        s = ref.bilinear_form(family, amb.matrix_size)
         g = flag_seaweed(amb, C(1), C(1))
         assert g.dim >= 1
         for mat in g.realization:
-            lhs = mat.transpose() @ s + s @ mat
+            lhs = ref.matmul(ref.transpose(mat), s) + ref.matmul(s, mat)
             assert lhs == Matrix.zeros(amb.matrix_size, amb.matrix_size)
 
 
@@ -298,8 +297,8 @@ def test_flag_closed_under_bracket():
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             a, b = g.realization[i], g.realization[j]
-            comm = a @ b - b @ a
-            assert span.contains(comm.vec())
+            comm = ref.matmul(a, b) + ref.matmul(b, a).scale(-1)
+            assert ref.contains(span, ref.vec(comm))
 
 
 def test_seaweed_dispatcher():
@@ -320,4 +319,4 @@ def test_ambient_validation():
 def test_realizations_are_attached_and_independent():
     g = gln_seaweed(C(2, 1), C(3))
     assert len(g.realization) == g.dim
-    assert rank(Matrix([m.vec() for m in g.realization])) == g.dim
+    assert ref.rank(Matrix(tuple(ref.vec(m) for m in g.realization))) == g.dim

@@ -14,7 +14,7 @@ from seaweeds import Composition, Matrix, OneForm, Subspace, abelian, heisenberg
 from seaweeds.classify import composition_pairs
 from seaweeds.contact import ContactCertificate, is_contact_form, is_stable_form
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel_int_rows
-from seaweeds.linalg import echelon_int_rows, kernel_int_rows, nullspace, rank, span_int_rows
+from seaweeds.linalg import echelon_int_rows, kernel_int_rows, span_int_rows
 from seaweeds.serialize import (
     _int_row,
     _ratio,
@@ -158,8 +158,7 @@ def check_kernel(rows, n):
         assert pivot > 0
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
     if m is not None:
-        assert Subspace.from_int_rows(n, out) == nullspace(m) == ref.nullspace(m)
-        assert len(out) == n - rank(m)
+        assert Subspace.from_int_rows(n, out) == ref.nullspace(m)
     return out
 
 

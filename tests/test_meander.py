@@ -1,6 +1,7 @@
 import pytest
+from block_reference import gln_seaweed
 
-from seaweeds import Composition, census, gln_seaweed, index, meander, meander_index, meander_svg
+from seaweeds import Composition, census, index, meander, meander_index, meander_svg
 from seaweeds.construct import composition_pairs, seaweed
 from seaweeds.lie import DEFAULT_BOUND
 from seaweeds.meander import index_floor

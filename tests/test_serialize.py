@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from block_reference import gln_seaweed
 
 from seaweeds import (
     Composition,
@@ -13,7 +14,6 @@ from seaweeds import (
     certificate_to_json,
     find_contact_form,
     find_stable_form,
-    gln_seaweed,
     heisenberg,
     is_contact_form,
     verify_document,
@@ -101,6 +101,22 @@ def test_verify_document_with_embedded_algebra():
         "certificates": [certificate_to_json(cert)],
     }
     assert verify_document(doc)
+
+
+def test_verify_refuses_a_certificate_document_of_another_schema():
+    g = heisenberg()
+    doc = {
+        "schema": 1,
+        "algebra": algebra_to_json(g),
+        "certificates": [certificate_to_json(find_contact_form(g, seed=1))],
+    }
+    assert verify_document(doc)
+    doc["schema"] = 99
+    with pytest.raises(ValueError, match="certificate schema 99 is not 1"):
+        verify_document(doc)
+    del doc["schema"]
+    with pytest.raises(ValueError, match="certificate schema None is not 1"):
+        verify_document(doc)
 
 
 def test_verify_document_fixture():
@@ -231,6 +247,20 @@ def test_verify_rejects_a_negative_budget():
         assert (doc["records"][0]["index"] == 1) == (family == "SL")
         for record in doc["records"]:
             record["attempts"] = -1
+        assert not verify_document(doc)
+
+
+def test_verify_rejects_a_bound_below_one(tmp_path):
+    # the bound is the sweep's, so it changes on every record and in the
+    # report's budgets at once; no sweep draws forms from an empty range
+    out = tmp_path / "so5.json"
+    assert main(["classify", "--family", "SO", "--n", "5", "--seed", "5", "--embed", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert verify_document(doc)
+    for bound in (0, -5):
+        doc["budgets"]["bound"] = bound
+        for record in doc["records"]:
+            record["bound"] = bound
         assert not verify_document(doc)
 
 
