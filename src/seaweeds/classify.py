@@ -3,15 +3,23 @@
 For every composition pair valid for the family, the classifier builds the
 seaweed, computes its randomized index, and, exactly on the index-one cases
 (which are automatically odd-dimensional), runs the contact and stability
-searches.  Verdict policy:
+searches.  The two searches test one stream of forms, seeded by the record
+seed XOR ``_CONTACT_SALT``: each drawn form is eliminated once and its
+kernel goes to both tests (``contact.form_draws``).  The stream starts at
+the index witness when the first index pass reached index one, so that
+form costs no elimination at all; a witness found only by the re-run has
+coordinates beyond ``bound`` and is not drawn.  A certificate's form is
+therefore always an integer form within ``bound``, which ``verify``
+checks, and when both searches succeed they usually succeed on the same
+draw, so their certificates carry one form.  Verdict policy:
 
 * index != 1: both searches SKIPPED, verdict CONSISTENT (the equivalence
   under test says nothing there).
 * contact FOUND and stable FOUND: CONSISTENT.
-* contact FOUND, stable NOT_FOUND: the contact form itself is tested with
-  the stability criterion first (it is the canonical forward-direction
-  witness); if even that fails, COUNTEREXAMPLE, the state the equivalence
-  forbids.
+* contact FOUND, stable NOT_FOUND: COUNTEREXAMPLE, the state the
+  equivalence forbids.  The stability search has tested the contact form
+  itself (the canonical forward-direction witness), since it tests the
+  same draws in the same order.
 * contact NOT_FOUND, stable FOUND: UNRESOLVED.  Non-contactness is never
   decided by search failure alone.
 * both NOT_FOUND at full budget: CONSISTENT, evidence for the contrapositive
@@ -43,6 +51,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
+from itertools import tee
 
 from .construct import composition_pairs, seaweed
 from .contact import (
@@ -54,7 +63,8 @@ from .contact import (
     count_verdicts,
     find_contact_form,
     find_stable_form,
-    is_stable_form,
+    form_draws,
+    is_stable_form,  # noqa: F401  (perfbench/spans.py traces calls of this name as contact.fallback; the sweep makes none)
     search_verdict,
 )
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
@@ -64,7 +74,6 @@ from .serialize import REPORT_SCHEMA, certificate_to_json
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
 
 _CONTACT_SALT = 0xC047AC7
-_STABLE_SALT = 0x057AB1E
 
 
 class LimitError(ValueError):
@@ -92,6 +101,8 @@ class ClassificationRecord:
 
 
 def _stable_index(g, seed, trials, bound, floor):
+    """The index, the trial kernel dimensions of both passes, and the first
+    pass's report, whose witness is within ``bound``."""
     report = index(g, seed, trials, bound, floor=floor)
     dims = report.trial_kernel_dims
     value = report.index
@@ -99,7 +110,7 @@ def _stable_index(g, seed, trials, bound, floor):
         retry = index(g, seed, trials, bound * 100, floor=floor)
         value = min(value, retry.index)
         dims = dims + retry.trial_kernel_dims
-    return value, dims
+    return value, dims, report
 
 
 def classify(
@@ -137,14 +148,15 @@ def classify(
         g = seaweed(family, n, a, b)
         record_seed = seed ^ ordinal
         floor = index_floor(family, a, b, g.dim)
-        idx, trial_dims = _stable_index(g, record_seed, trials, bound, floor)
+        idx, trial_dims, first_pass = _stable_index(g, record_seed, trials, bound, floor)
         parity = "odd" if g.dim % 2 else "even"
         certs = {}
         if idx == 1:
-            c_cert = find_contact_form(g, record_seed ^ _CONTACT_SALT, attempts, bound)
-            s_cert = find_stable_form(g, record_seed ^ _STABLE_SALT, attempts, bound)
-            if c_cert is not None and s_cert is None:
-                s_cert = is_stable_form(g, c_cert.form)
+            search_seed = record_seed ^ _CONTACT_SALT
+            witness = first_pass if first_pass.index == 1 else None
+            contact_draws, stable_draws = tee(form_draws(g, search_seed, bound, witness))
+            c_cert = find_contact_form(g, search_seed, attempts, bound, draws=contact_draws)
+            s_cert = find_stable_form(g, search_seed, attempts, bound, draws=stable_draws)
             contact_status = FOUND if c_cert is not None else NOT_FOUND
             stable_status = FOUND if s_cert is not None else NOT_FOUND
             verdict = search_verdict(contact_status, stable_status, attempts)

@@ -31,7 +31,7 @@ from .construct import Composition, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, meander, meander_index, meander_svg
-from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, frac_to_str, verify_document
+from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, ratios_to_json, verify_document
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +137,7 @@ def _cmd_index(args):
             "label": rep.label,
             "dim": g.dim,
             "index": rep.index,
-            "witness_form": [frac_to_str(x) for x in rep.witness_form.coords],
+            "witness_form": ratios_to_json(rep.witness_coords),
             "samples_used": rep.samples_used,
             "seed": rep.seed,
             "trial_kernel_dims": list(rep.trial_kernel_dims),
@@ -169,7 +169,7 @@ def _cmd_contact(args):
     if args.format == "json":
         _emit(json.dumps(_certificate_document(g, cert), indent=2) + "\n", args.out)
     else:
-        reeb = [frac_to_str(x) for x in cert.reeb.coords]
+        reeb = ratios_to_json(cert.reeb_row, cert.reeb_den)
         _emit(f"{g.label}: contact form found; reeb {reeb}\n", args.out)
     return 0
 
@@ -184,8 +184,8 @@ def _cmd_stable(args):
         _emit(json.dumps(_certificate_document(g, cert), indent=2) + "\n", args.out)
     else:
         _emit(
-            f"{g.label}: stable form found; kernel dim {cert.kernel.dim}, "
-            f"bracket span dim {cert.bracket_span.dim}\n",
+            f"{g.label}: stable form found; kernel dim {len(cert.kernel_rows)}, "
+            f"bracket span dim {len(cert.bracket_span_rows)}\n",
             args.out,
         )
     return 0

@@ -28,11 +28,23 @@ general integer rank for the meet, with the echelon rows first so that
 only the kernel rows are reduced; most attempts of a search that runs out
 fail there, and only an issued certificate pays for the canonical rows of
 [ker, g], which the echelon rows give by upward elimination alone.  The
-certificate check spans [ker, g] afresh (``bracket_span_int_rows``).  The
-searches pass each attempt's integer draws straight to the tests.
-Rationals appear only in a certificate that is issued, which is the one a
-computation over Q gives: canonical rows are unique, and the Reeb vector is
-k / phi(k) for any generator k of the kernel line.
+certificate check spans [ker, g] afresh (``bracket_span_int_rows``).
+
+Both tests take an optional kernel, so one elimination serves them both.
+There is one search loop (``_search``): it tests the first ``attempts``
+draws of a stream (``form_draws``), each drawn form with its integer
+coordinates and its kernel, until its test issues a certificate.
+``find_contact_form`` and ``find_stable_form`` are that loop with the
+contact or the stability test.  The sweep gives both searches one stream,
+so every draw is eliminated once and its kernel reaches both tests; the
+stream starts at the index witness, whose kernel comes from the steps the
+index already took.  Certificates hold integer rows: the form over one
+denominator, the Reeb vector over phi(k), and canonical primitive rows of
+ker B_phi and [ker, g].  ``serialize.certificate_to_json`` writes them
+without a Fraction, and the rational views (``form``, ``reeb``,
+``kernel``, ``bracket_span``) are built only when read.  They are the
+values a computation over Q gives: canonical rows are unique, and the Reeb
+vector is k / phi(k) for any generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
@@ -51,8 +63,11 @@ seaweeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
+from math import lcm
 
 from .linalg import (
     Subspace,
@@ -61,12 +76,14 @@ from .linalg import (
     meets_trivially_int_rows,
     minimal_polynomial,
     skew_kernel_int_rows,
+    skew_kernel_of_steps,
     skew_rank_int_rows,
     span_int_rows,
 )
 from .lie import (
     DEFAULT_BOUND,
     Element,
+    IndexReport,
     LieAlgebra,
     OneForm,
     center,
@@ -84,31 +101,71 @@ class PreconditionError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
+def _ratios(row, den) -> tuple:
+    return tuple(Fraction(v, den) for v in row)
+
+
 @dataclass(frozen=True)
-class ContactCertificate:
+class _FormCertificate:
+    """A certificate's algebra and form, the form held as the integer row
+    ``form_row`` over the positive denominator ``form_den``."""
+
+    algebra: LieAlgebra = field(repr=False)
+    form_row: tuple[int, ...]
+    form_den: int
+
+    @cached_property
+    def form(self) -> OneForm:
+        return OneForm(self.algebra, _ratios(self.form_row, self.form_den))
+
+
+@dataclass(frozen=True)
+class ContactCertificate(_FormCertificate):
     """Machine-checkable evidence that a form is contact.
+
+    The Reeb vector is ``reeb_row / reeb_den`` (``reeb_den`` nonzero, of
+    either sign).  The rational ``form``, ``reeb`` and ``pairing`` are
+    built when first read.
 
     Invariants: B_form . reeb = 0, form(reeb) = 1, dim ker B_form = 1.
     """
 
-    form: OneForm
-    reeb: Element
-    kernel_dim: int
-    pairing: Fraction
+    reeb_row: tuple[int, ...]
+    reeb_den: int
+    kernel_dim: int = 1
+
+    @cached_property
+    def reeb(self) -> Element:
+        return Element(self.algebra, _ratios(self.reeb_row, self.reeb_den))
+
+    @property
+    def pairing(self) -> Fraction:
+        return self.form(self.reeb)
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(_FormCertificate):
     """Evidence for the kernel-bracket stability criterion.
+
+    ker B_form and [ker, g] are held as their canonical primitive integer
+    RREF rows (``linalg.rref_int_rows``); the rational ``form``, ``kernel``
+    and ``bracket_span`` are built when first read.
 
     Invariants: kernel = ker B_form, bracket_span = [kernel, g], and the two
     meet only in 0.
     """
 
-    form: OneForm
-    kernel: Subspace
-    bracket_span: Subspace
-    intersection_dim: int
+    kernel_rows: tuple[tuple[int, ...], ...]
+    bracket_span_rows: tuple[tuple[int, ...], ...]
+    intersection_dim: int = 0
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        return Subspace.from_int_rows(self.algebra.dim, self.kernel_rows)
+
+    @cached_property
+    def bracket_span(self) -> Subspace:
+        return Subspace.from_int_rows(self.algebra.dim, self.bracket_span_rows)
 
 
 def _require_odd(g: LieAlgebra):
@@ -123,33 +180,37 @@ def _require_budget(attempts: int, bound: int):
         raise ValueError("bound must be at least 1")
 
 
-def _int_coords(form) -> list:
-    """Integer coordinates of a form given as a OneForm or as integers."""
-    return form_int_coords(form) if isinstance(form, OneForm) else form
+def _int_coords(form) -> tuple[list, int]:
+    """A form given as a OneForm or as integers, as (row, den): row / den
+    are its coordinates, den the least positive common denominator."""
+    if not isinstance(form, OneForm):
+        return form, 1
+    den = lcm(*(x.denominator for x in form.coords))
+    return [x.numerator * (den // x.denominator) for x in form.coords], den
 
 
-def _as_form(g: LieAlgebra, form) -> OneForm:
-    return form if isinstance(form, OneForm) else OneForm(g, tuple(map(Fraction, form)))
+def _kernel(g: LieAlgebra, ints, kernel) -> list:
+    return skew_kernel_int_rows(g.kirillov_int_rows(ints)) if kernel is None else kernel
 
 
-def is_contact_form(g: LieAlgebra, form) -> ContactCertificate | None:
+def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | None:
     """Certificate iff ker B_form is a line on which the form does not vanish.
 
-    ``form`` is a OneForm or integer coordinates, as the search draws them;
-    the test runs on integer rows, and a OneForm is built only for an
-    issued certificate."""
+    ``form`` is a OneForm or integer coordinates, as the search draws them.
+    ``kernel`` is ker B_form as ``linalg.skew_kernel_int_rows`` gives it,
+    when the caller has it (a search passes each draw's one kernel to both
+    tests); otherwise it is taken here.  The test runs on integer rows."""
     _require_odd(g)
-    ints = _int_coords(form)
-    kernel = skew_kernel_int_rows(g.kirillov_int_rows(ints))
+    ints, den = _int_coords(form)
+    kernel = _kernel(g, ints, kernel)
     if len(kernel) != 1:
         return None
     (k,) = kernel
-    if not sum(c * v for c, v in zip(ints, k) if v):
+    pairing = sum(c * v for c, v in zip(ints, k) if v)
+    if not pairing:
         return None
-    form = _as_form(g, form)
-    pairing = sum((c * v for c, v in zip(form.coords, k) if v), Fraction(0))
-    reeb = Element(g, tuple(Fraction(v) / pairing for v in k))
-    return ContactCertificate(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
+    # form(k) = pairing / den, so reeb = k / form(k) = k den / pairing
+    return ContactCertificate(g, tuple(ints), den, tuple(v * den for v in k), pairing)
 
 
 def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
@@ -181,24 +242,21 @@ def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
     return span_int_rows(_bracket_rows(g, kernel))
 
 
-def is_stable_form(g: LieAlgebra, form) -> StabilityCertificate | None:
+def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially;
-    ``form`` as for ``is_contact_form``.
+    ``form`` and ``kernel`` as for ``is_contact_form``.
 
     One forward elimination of the brackets [k, x_j] decides: its echelon
     rows go first in the meet, so only the kernel rows are reduced against
     them.  The canonical rows of [K, g] are built from the echelon rows
     only for an issued certificate."""
-    kernel = skew_kernel_int_rows(g.kirillov_int_rows(_int_coords(form)))
+    ints, den = _int_coords(form)
+    kernel = _kernel(g, ints, kernel)
     echelon = echelon_int_rows(_bracket_rows(g, kernel))
     if not meets_trivially_int_rows(echelon, kernel):
         return None
-    return StabilityCertificate(
-        form=_as_form(g, form),
-        kernel=Subspace.from_int_rows(g.dim, kernel),
-        bracket_span=Subspace.from_int_rows(g.dim, span_int_rows(echelon)),
-        intersection_dim=0,
-    )
+    span = span_int_rows(echelon)
+    return StabilityCertificate(g, tuple(ints), den, tuple(map(tuple, kernel)), tuple(map(tuple, span)))
 
 
 def search_verdict(contact: str, stable: str, attempts: int) -> str:
@@ -219,27 +277,52 @@ def count_verdicts(verdicts) -> dict:
     return {"records": len(verdicts), **counts}
 
 
+def form_draws(g: LieAlgebra, seed: int, bound: int, first: IndexReport | None = None):
+    """The forms a search tests, each as (integer coordinates, ker B_phi as
+    ``linalg.skew_kernel_int_rows`` rows): forms with coordinates drawn
+    uniformly from [-bound, bound] by one rng stream per seed, after the
+    witness of ``first`` when an index report is given.  Every draw costs
+    one skew elimination, and the witness none: its kernel comes from the
+    steps the index already took (``linalg.skew_kernel_of_steps``)."""
+    if first is not None:
+        yield first.witness_coords, skew_kernel_of_steps(first.witness_steps, g.dim)
+    rng = random.Random(seed)
+    while True:
+        ints = [rng.randint(-bound, bound) for _ in range(g.dim)]
+        yield ints, skew_kernel_int_rows(g.kirillov_int_rows(ints))
+
+
+def _search(g: LieAlgebra, draws, attempts: int, test):
+    """The search loop: the first certificate ``test`` issues for one of the
+    first ``attempts`` draws, each tested with its own kernel; None when
+    the budget runs out."""
+    for form, kernel in islice(draws, attempts):
+        cert = test(g, form, kernel)
+        if cert is not None:
+            return cert
+    return None
+
+
 def find_contact_form(
     g: LieAlgebra,
     seed: int,
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
+    *,
+    draws=None,
 ) -> ContactCertificate | None:
     """Randomized search for a contact form; None means budget exhausted.
 
-    Exhaustion is not a proof of non-contactness, only one-sided evidence;
-    the classifier corroborates it against the stability search.  A budget
-    of 0 finds nothing; a negative one, or a bound below 1, raises
-    ValueError.
+    Tests ``form_draws(g, seed, bound)``, or ``draws`` when given (the
+    sweep gives the contact and stability searches one stream, so both
+    tests of a draw share its kernel).  Exhaustion is not a proof of
+    non-contactness, only one-sided evidence; the classifier corroborates
+    it against the stability search.  A budget of 0 finds nothing; a
+    negative one, or a bound below 1, raises ValueError.
     """
     _require_odd(g)
     _require_budget(attempts, bound)
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        cert = is_contact_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
-        if cert is not None:
-            return cert
-    return None
+    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, is_contact_form)
 
 
 def find_stable_form(
@@ -247,17 +330,14 @@ def find_stable_form(
     seed: int,
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
+    *,
+    draws=None,
 ) -> StabilityCertificate | None:
     """Randomized search for a stable form; None means budget exhausted.
-    A budget of 0 finds nothing; a negative one, or a bound below 1, raises
-    ValueError."""
+    Draws as ``find_contact_form``.  A budget of 0 finds nothing; a
+    negative one, or a bound below 1, raises ValueError."""
     _require_budget(attempts, bound)
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        cert = is_stable_form(g, [rng.randint(-bound, bound) for _ in range(g.dim)])
-        if cert is not None:
-            return cert
-    return None
+    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, is_stable_form)
 
 
 def is_semisimple_element(x: Element) -> bool:

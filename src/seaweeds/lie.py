@@ -44,23 +44,32 @@ cleared once and B_phi is built as skew integer rows
 skew elimination of `linalg`, which pivots on 2x2 blocks, updates half the
 matrix and divides exactly by the previous pivot because every entry it
 holds is a Pfaffian of a principal minor: `index` and `kernel_dim` count
-its pivots (`linalg.skew_rank_int_rows`), and `kirillov_kernel_int_rows`
-returns ker B_phi as canonical primitive integer rows
-(`linalg.skew_kernel_int_rows`); `kirillov_kernel` only turns those into a
-rational `Subspace`.
+its pivots (`linalg._skew_pivots`, `linalg.skew_rank_int_rows`), and
+`kirillov_kernel_int_rows` returns ker B_phi as canonical primitive integer
+rows (`linalg.skew_kernel_int_rows`); `kirillov_kernel` only turns those
+into a rational `Subspace`.
+
+The witness of `index` is its first form of least kernel dimension.  The
+report keeps it as integer coordinates with the elimination steps of its
+Kirillov matrix, so a search that tests the witness first
+(`contact.form_draws`) takes its kernel by back-substitution alone
+(`linalg.skew_kernel_of_steps`); the rational `OneForm` is built only when
+a caller reads `IndexReport.witness_form`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .linalg import (
     Matrix,
     Subspace,
     _int_rows,
+    _skew_pivots,
     as_scalar,
     kernel_int_rows,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
@@ -376,14 +385,26 @@ class OneForm:
 @dataclass(frozen=True)
 class IndexReport:
     """Result of the randomized index computation; ``samples_used`` counts
-    the forms drawn, one per entry of ``trial_kernel_dims``."""
+    the forms drawn, one per entry of ``trial_kernel_dims``.
+
+    The witness is the first drawn form of least kernel dimension, kept as
+    its integer coordinates together with the ``linalg._skew_pivots`` steps
+    of its Kirillov matrix, so its kernel costs no second elimination
+    (``linalg.skew_kernel_of_steps``).  ``witness_form`` is built from the
+    coordinates when it is first read."""
 
     label: str
     index: int
-    witness_form: OneForm
     samples_used: int
     seed: int
     trial_kernel_dims: tuple[int, ...]
+    witness_coords: tuple[int, ...]
+    algebra: LieAlgebra = field(repr=False, compare=False)
+    witness_steps: list = field(repr=False, compare=False)
+
+    @cached_property
+    def witness_form(self) -> OneForm:
+        return OneForm(self.algebra, tuple(map(Fraction, self.witness_coords)))
 
 
 def _same_algebra(x, y):
@@ -445,24 +466,26 @@ def index(
         raise ValueError("bound must be at least 1")
     rng = random.Random(seed)
     best = None
-    best_coords = None
     dims = []
     for _ in range(trials):
         ints = [rng.randint(-bound, bound) for _ in range(g.dim)]
-        kd = g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
+        steps = _skew_pivots(g.kirillov_int_rows(ints))
+        kd = g.dim - 2 * len(steps)
         dims.append(kd)
-        if best is None or kd < best:
-            best, best_coords = kd, ints
+        if best is None or kd < best[0]:
+            best = (kd, ints, steps)
         if kd == floor:
             break
-    witness = OneForm(g, tuple(Fraction(v) for v in best_coords))
+    kd, ints, steps = best
     return IndexReport(
         label=g.label,
-        index=best,
-        witness_form=witness,
+        index=kd,
         samples_used=len(dims),
         seed=seed,
         trial_kernel_dims=tuple(dims),
+        witness_coords=tuple(ints),
+        algebra=g,
+        witness_steps=steps,
     )
 
 

@@ -30,7 +30,11 @@ after the pivots (i_1, j_1), ..., (i_s, j_s) every remaining entry (k, l) is
 the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
 integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
-Electron. J. Combin. 3(2), 1996).  The general routines serve every other
+Electron. J. Combin. 3(2), 1996).  A kernel is that one elimination,
+`_skew_pivots`, followed by back-substitution through its steps
+(`skew_kernel_of_steps`), so a caller that kept the steps, as the index
+keeps them for its witness form, takes the kernel without eliminating the
+matrix again.  The general routines serve every other
 matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
 They share one forward elimination, `echelon_int_rows`: a rank is the
 length of its result, and `rref_int_rows` is its result reduced upward,
@@ -263,7 +267,15 @@ def skew_rank_int_rows(rows):
 def skew_kernel_int_rows(rows):
     """Canonical primitive integer RREF rows of the kernel of a
     skew-symmetric integer matrix, equal to ``kernel_int_rows(rows,
-    len(rows))``.  Raises ValueError unless the matrix is square and skew.
+    len(rows))``: ``skew_kernel_of_steps`` of its ``_skew_pivots``.  Raises
+    ValueError unless the matrix is square and skew."""
+    return skew_kernel_of_steps(_skew_pivots(rows), len(rows))
+
+
+def skew_kernel_of_steps(steps, n):
+    """The kernel rows of ``skew_kernel_int_rows`` from the ``_skew_pivots``
+    steps of an n-square matrix: the back-substitution half, for a caller
+    that has already eliminated the matrix (the index witness).
 
     Every index outside the pivot pairs is free.  For each free index f the
     kernel vector with v_f equal to the last pivot, zero on the other free
@@ -273,14 +285,13 @@ def skew_kernel_int_rows(rows):
     pivot is the Pfaffian of the whole pivot block, and that Pfaffian times
     the block's inverse is an integer matrix.
     """
-    steps = _skew_pivots(rows)
     paired = {x for i, j, *_ in steps for x in (i, j)}
     scale = steps[-1][2] if steps else 1
     vectors = []
-    for f in range(len(rows)):
+    for f in range(n):
         if f in paired:
             continue
-        v = [0] * len(rows)
+        v = [0] * n
         v[f] = scale
         for i, j, p, a_i, a_j, rest in reversed(steps):
             w = [v[l] for l in rest]

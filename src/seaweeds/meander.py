@@ -39,9 +39,12 @@ def _arcs(comp: Composition) -> tuple[tuple[int, int], ...]:
 
 
 def meander(a: Composition, b: Composition) -> MeanderGraph:
-    """Meander of a composition pair; totals must agree."""
+    """Meander of a composition pair; totals must agree and be at least 1,
+    as for the seaweed the pair names."""
     if a.total != b.total:
         raise ValueError("composition totals differ")
+    if a.total < 1:
+        raise ValueError("rank must be at least 1")
     return MeanderGraph(a.total, _arcs(a), _arcs(b))
 
 

@@ -32,15 +32,23 @@ a certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
 fails either here (False) or already at algebra reconstruction
 (StructureError).
 
-Certificates are checked on integer rows, as the searches run, and no
-Fraction is built on the way: each coordinate list is parsed straight into
-one integer row and the lcm of its reduced denominators.  A contact
-certificate builds B_phi once, checks B_phi . reeb = 0, phi(reeb) = 1 as an
-integer identity and the rank of the same B_phi.  A stability certificate
-takes ker B_phi and [ker, g] as canonical primitive integer rows; a
-serialized basis row matches one only when it clears to it and its leading
-entry is 1, so a basis that spans the right space but is not in canonical
-rational form is refused.
+Certificates are written and checked on integer rows, as the searches
+run, and no Fraction is built on the way.  ``certificate_to_json`` writes
+each "num/den" from a certificate's integer rows, reduced by their gcd with
+the sign on the numerator, exactly as a Fraction would print; it serves
+reports and certificate documents alike.  Each coordinate list read back is
+parsed straight into one integer row and the lcm of its reduced
+denominators.  A contact certificate builds B_phi once, checks B_phi . reeb
+= 0, phi(reeb) = 1 as an integer identity and the rank of the same B_phi.
+A stability certificate takes ker B_phi and [ker, g] as canonical primitive
+integer rows; a serialized basis row matches one only when it clears to it
+and its leading entry is 1, so a basis that spans the right space but is
+not in canonical rational form is refused.  When a report record's two
+certificates carry one form, as the sweep's shared search issues them,
+ker B_phi is taken once and serves both checks: the contact check reads
+the rank of B_phi as dim minus the kernel's dimension.  Every certificate
+form in a report must be one its record's search could draw: integer
+coordinates within the record's bound.
 """
 
 from __future__ import annotations
@@ -64,7 +72,6 @@ from .contact import (
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
-    Subspace,
     meets_trivially_int_rows,
     skew_kernel_int_rows,
     skew_rank_int_rows,
@@ -77,6 +84,22 @@ CERTIFICATE_SCHEMA = 1
 
 def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den written as ``frac_to_str`` writes it: lowest terms, the
+    sign on the numerator, but without building a Fraction."""
+    if den != 1:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // g, den // g
+    return f"{num}/{den}"
+
+
+def ratios_to_json(row, den: int = 1) -> list:
+    """The coordinates row[i] / den of an integer row as JSON rationals."""
+    if den == 1:
+        return [f"{v}/1" for v in row]
+    return [_ratio_str(v, den) for v in row]
 
 
 def _ratio(s) -> tuple[int, int]:
@@ -136,28 +159,32 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
     return LieAlgebra(doc["dim"], structure, realization=realization, label=doc.get("label", ""))
 
 
-def _subspace_to_json(s: Subspace) -> dict:
+def _basis_to_json(dim: int, rows) -> dict:
+    # a canonical primitive row k stands for the rational RREF row k / pivot
     return {
-        "ambient_dim": s.ambient_dim,
-        "basis": [_coords_to_json(v) for v in s.basis],
+        "ambient_dim": dim,
+        "basis": [ratios_to_json(k, next(filter(None, k))) for k in rows],
     }
 
 
 def certificate_to_json(cert) -> dict:
+    """A certificate as JSON, written straight from its integer rows."""
     if isinstance(cert, ContactCertificate):
+        pairing = sum(map(mul, cert.form_row, cert.reeb_row))
         return {
             "kind": "contact",
-            "form": _coords_to_json(cert.form.coords),
-            "reeb": _coords_to_json(cert.reeb.coords),
+            "form": ratios_to_json(cert.form_row, cert.form_den),
+            "reeb": ratios_to_json(cert.reeb_row, cert.reeb_den),
             "kernel_dim": cert.kernel_dim,
-            "pairing": frac_to_str(cert.pairing),
+            "pairing": _ratio_str(pairing, cert.form_den * cert.reeb_den),
         }
     if isinstance(cert, StabilityCertificate):
+        dim = cert.algebra.dim
         return {
             "kind": "stability",
-            "form": _coords_to_json(cert.form.coords),
-            "kernel": _subspace_to_json(cert.kernel),
-            "bracket_span": _subspace_to_json(cert.bracket_span),
+            "form": ratios_to_json(cert.form_row, cert.form_den),
+            "kernel": _basis_to_json(dim, cert.kernel_rows),
+            "bracket_span": _basis_to_json(dim, cert.bracket_span_rows),
             "intersection_dim": cert.intersection_dim,
         }
     raise TypeError(f"not a certificate: {cert!r}")
@@ -196,9 +223,12 @@ def _is_canonical(basis, dim: int, rows) -> bool:
     )
 
 
-def verify_certificate(g: LieAlgebra, doc: dict) -> bool:
+def verify_certificate(g: LieAlgebra, doc: dict, kernel=None) -> bool:
     """Re-check every invariant of a serialized certificate from scratch, on
-    integer rows parsed from the JSON strings (see the module docstring)."""
+    integer rows parsed from the JSON strings (see the module docstring).
+    ``kernel`` is ker B_phi of the certificate's form as
+    ``skew_kernel_int_rows`` rows, when the caller has taken it for another
+    certificate of the same form; otherwise it is taken here when needed."""
     kind = doc.get("kind")
     if kind == "contact":
         form, form_den = _coords_row(g, doc["form"])
@@ -211,20 +241,23 @@ def verify_certificate(g: LieAlgebra, doc: dict) -> bool:
             return False
         if sum(map(mul, form, reeb)) != form_den * reeb_den:
             return False  # form(reeb) = 1
+        if kernel is not None:
+            return len(kernel) == 1  # rank B_form = dim - dim ker
         return skew_rank_int_rows(b) == g.dim - 1
     if kind == "stability":
         form, _ = _coords_row(g, doc["form"])
-        kernel = _basis_rows(doc["kernel"])
-        span = _basis_rows(doc["bracket_span"])
+        kernel_basis = _basis_rows(doc["kernel"])
+        span_basis = _basis_rows(doc["bracket_span"])
         if doc["intersection_dim"] != 0:
             return False
-        kernel_rows = skew_kernel_int_rows(g.kirillov_int_rows(form))
-        if not _is_canonical(kernel, g.dim, kernel_rows):
+        if kernel is None:
+            kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
+        if not _is_canonical(kernel_basis, g.dim, kernel):
             return False
-        span_rows = bracket_span_int_rows(g, kernel_rows)
-        if not _is_canonical(span, g.dim, span_rows):
+        span = bracket_span_int_rows(g, kernel)
+        if not _is_canonical(span_basis, g.dim, span):
             return False
-        return meets_trivially_int_rows(kernel_rows, span_rows)
+        return meets_trivially_int_rows(kernel, span)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -345,17 +378,27 @@ def verify_document(doc: dict) -> bool:
     index is not one (the searches run only on index-one seaweeds), when a
     record's dimension is not that of the seaweed it names (the rebuilt
     seaweed's where certificates are embedded, else the count of ambient
-    basis matrices the flags keep), when a report's summary counts disagree
-    with its records' verdicts, or when its records are not one whole sweep
-    in order, with one budget (``_sweep_holds``).  A document of the wrong shape, a report
-    whose schema is not ``REPORT_SCHEMA``, a certificate document whose
-    schema is not ``CERTIFICATE_SCHEMA``, or a report naming an unknown
-    family or rank, raises ValueError.
+    basis matrices the flags keep), when a certificate's form is not one
+    the record's search could draw (a coordinate that is not an integer or
+    exceeds the record's bound in absolute value), when a report's summary
+    counts disagree with its records' verdicts, or when its records are not
+    one whole sweep in order, with one budget (``_sweep_holds``).  A
+    document of the wrong shape, a report whose schema is not
+    ``REPORT_SCHEMA``, a certificate document whose schema is not
+    ``CERTIFICATE_SCHEMA``, or a report naming an unknown family or rank,
+    raises ValueError.
     """
     try:
         return _verify_document(doc)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
+
+
+def _drawn_within(form: tuple, bound: int) -> bool:
+    """True iff a parsed form (``_int_row``) is one a search at ``bound``
+    can draw: integer coordinates, none above ``bound`` in absolute value."""
+    row, den = form
+    return den == 1 and all(-bound <= c <= bound for c in row)
 
 
 def _verify_document(doc: dict) -> bool:
@@ -378,17 +421,23 @@ def _verify_document(doc: dict) -> bool:
             for status, kind in _EVIDENCE.items():
                 if record.get(status) == FOUND and kind not in certs:
                     return False
-            if certs:
-                if record["index"] != 1:
+            if not certs:
+                if record["dim"] != seaweed_dim(*args):
                     return False
-                g = seaweed(*args)
-                dim = g.dim
-            else:
-                dim = seaweed_dim(*args)
-            if record["dim"] != dim:
+                continue
+            if record["index"] != 1:
                 return False
+            g = seaweed(*args)
+            if record["dim"] != g.dim:
+                return False
+            forms = [_coords_row(g, cert["form"]) for cert in certs.values()]
+            if not all(_drawn_within(form, record["bound"]) for form in forms):
+                return False
+            kernel = None
+            if len(forms) == 2 and forms[0] == forms[1]:
+                kernel = skew_kernel_int_rows(g.kirillov_int_rows(forms[0][0]))
             for cert in certs.values():
-                ok = verify_certificate(g, cert) and ok
+                ok = verify_certificate(g, cert, kernel) and ok
         return doc["summary"] == count_verdicts(r["verdict"] for r in doc["records"]) and ok
     if "algebra" not in doc:
         raise ValueError("unknown algebra reference: document embeds no algebra")

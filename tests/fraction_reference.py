@@ -11,17 +11,20 @@ rational Kirillov matrix, take its nullspace from the rational reduced
 echelon form, span [ker, g] from rational rows, parse every JSON rational
 into a Fraction and compare rational subspaces, and derive an ambient basis
 from the rational condition matrix; the tests hold both routes to the same
-certificates, the same verdicts and the same bases.  Every rank, span,
+certificates, the same verdicts and the same bases.  Its certificates are
+rational values, written to JSON from their Fractions
+(``certificate_json``), against which ``matches`` holds the integer-row
+certificates and their JSON.  Every rank, span,
 kernel and intersection here comes from one reduced echelon form
 (``rref``), a plain Gauss-Jordan elimination on Fractions.  Nothing but the
 ``Matrix`` and ``Subspace`` value types is taken from ``linalg``, so no
 oracle here shares elimination code with the integer rows it checks.
 """
 
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from seaweeds.construct import AmbientAlgebra
-from seaweeds.contact import ContactCertificate, StabilityCertificate
 from seaweeds.lie import Element, OneForm
 from seaweeds.linalg import Matrix, Subspace
 
@@ -154,6 +157,26 @@ def meets_trivially(u, v):
     return rank(Matrix(u.basis + v.basis)) == u.dim + v.dim
 
 
+@dataclass(frozen=True)
+class ContactReference:
+    """A contact certificate as rational values."""
+
+    form: OneForm
+    reeb: Element
+    kernel_dim: int
+    pairing: Fraction
+
+
+@dataclass(frozen=True)
+class StabilityReference:
+    """A stability certificate as rational values."""
+
+    form: OneForm
+    kernel: Subspace
+    bracket_span: Subspace
+    intersection_dim: int
+
+
 def is_contact_form(g, form):
     kernel = kirillov_kernel(g, form)
     if kernel.dim != 1:
@@ -163,7 +186,7 @@ def is_contact_form(g, form):
     if pairing == 0:
         return None
     reeb = x.scale(Fraction(1) / pairing)
-    return ContactCertificate(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
+    return ContactReference(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
 
 
 def is_stable_form(g, form):
@@ -171,7 +194,49 @@ def is_stable_form(g, form):
     span = bracket_span(g, kernel)
     if not meets_trivially(kernel, span):
         return None
-    return StabilityCertificate(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
+    return StabilityReference(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
+
+
+def _strs(coords):
+    return [f"{x.numerator}/{x.denominator}" for x in map(Fraction, coords)]
+
+
+def _basis(s):
+    return {"ambient_dim": s.ambient_dim, "basis": [_strs(v) for v in s.basis]}
+
+
+def certificate_json(cert):
+    """The JSON of a reference certificate, each rational written from its
+    Fraction."""
+    if isinstance(cert, ContactReference):
+        return {
+            "kind": "contact",
+            "form": _strs(cert.form.coords),
+            "reeb": _strs(cert.reeb.coords),
+            "kernel_dim": cert.kernel_dim,
+            "pairing": _strs([cert.pairing])[0],
+        }
+    return {
+        "kind": "stability",
+        "form": _strs(cert.form.coords),
+        "kernel": _basis(cert.kernel),
+        "bracket_span": _basis(cert.bracket_span),
+        "intersection_dim": cert.intersection_dim,
+    }
+
+
+def matches(cert, reference):
+    """True iff a certificate of ``seaweeds.contact`` and a reference
+    certificate are both None, or have equal rational views (each field of
+    the reference) and equal JSON (``serialize.certificate_to_json`` against
+    ``certificate_json``)."""
+    from seaweeds.serialize import certificate_to_json
+
+    if cert is None or reference is None:
+        return cert is reference
+    return all(getattr(cert, f.name) == getattr(reference, f.name) for f in fields(reference)) and (
+        certificate_to_json(cert) == certificate_json(reference)
+    )
 
 
 def frac_from_str(s):

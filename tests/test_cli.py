@@ -1,5 +1,6 @@
 """Exit codes and error paths of the command-line interface."""
 
+import hashlib
 import importlib
 import json
 from dataclasses import replace
@@ -78,6 +79,7 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("classify", "--family", "SL", "--n", "3", "--out", "{missing}/r.json"),
         ("contact", "0|3", "--family", "SO", "--n", "7", "--bound", "0"),
         ("stable", "0|3", "--family", "SO", "--n", "7", "--bound", "-1"),
+        ("meander", "0|0"),
     ],
 )
 def test_exit_2_on_bad_input(capsys, tmp_path, argv):
@@ -85,6 +87,34 @@ def test_exit_2_on_bad_input(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_meander_refuses_the_empty_pair_as_index_does(capsys):
+    for command in ("meander", "index"):
+        assert run(capsys, command, "0|0") == (2, "", "error: rank must be at least 1\n")
+
+
+# sha256 of what ``seaweeds contact`` and ``seaweeds stable`` print at the
+# default seed, bound and budget, pinned when the searches still drew their
+# own forms: a search on its own tests the same draws in the same order.
+SEARCH_OUTPUT_DIGESTS = {
+    ("contact", "2,1|3", "GL", "text"): "d627a273c832ff89c7a2cd3a2f3d068a4e7100e7ae565238eeff94de10d096bd",
+    ("contact", "2,1|3", "GL", "json"): "adab457eb26d994f042e32cbf7364dadb397a6d547d2a35d9d2e384a3b270173",
+    ("stable", "2,1|3", "GL", "text"): "2d7e4424c3132fde5c6e300ca8e5f43ba88776c1ff2ac3489115360a94a006ec",
+    ("stable", "2,1|3", "GL", "json"): "18d43c2d5a3afee23da5b6998844fe1a57ef32d7d06b227dc62e95f33fb78cfc",
+    ("contact", "0|3", "SO", "text"): "0dd35ec6cf2ae63a89e777f8dc98fd6a0528e147a37919c66b056b044af6c725",
+    ("contact", "0|3", "SO", "json"): "4ec97216b53f1b4df5c763429350fc64954a3b36541176e70d7f74d12ecf8c9c",
+    ("stable", "0|3", "SO", "text"): "dd646f4ffb44265358f02d898e06d4c56a8845a47f5e2e34089a74272af1ce46",
+    ("stable", "0|3", "SO", "json"): "694bccf5489a38d1f3844916b59cd985faf77d2377646502b014353894d572cd",
+}
+
+
+@pytest.mark.parametrize("command,pair,family,fmt", sorted(SEARCH_OUTPUT_DIGESTS))
+def test_search_commands_print_the_pinned_bytes(capsys, command, pair, family, fmt):
+    argv = [command, pair, "--family", family, "--format", fmt] + (["--n", "7"] if family == "SO" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_OUTPUT_DIGESTS[(command, pair, family, fmt)]
 
 
 def test_an_unwritable_out_path_is_refused_before_the_sweep(capsys, monkeypatch, tmp_path):

@@ -21,6 +21,7 @@ from seaweeds import (
 from seaweeds.classify import REPORT_SCHEMA, classify, report
 from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
+from seaweeds.construct import seaweed
 from seaweeds.lie import StructureError
 from seaweeds.serialize import frac_from_str, frac_to_str, verify_certificate
 
@@ -262,6 +263,36 @@ def test_verify_rejects_a_bound_below_one(tmp_path):
         for record in doc["records"]:
             record["bound"] = bound
         assert not verify_document(doc)
+
+
+def test_verify_rejects_certificate_forms_off_the_record_bound(tmp_path):
+    # the SO5 seed-5 report with the sweep's bound lowered to 2 everywhere:
+    # every other claim still holds, but no search at bound 2 draws these forms
+    out = tmp_path / "so5.json"
+    assert main(["classify", "--family", "SO", "--n", "5", "--seed", "5", "--embed", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert verify_document(doc)
+    forms = [c["form"] for r in doc["records"] for c in (r.get("certificates") or {}).values()]
+    assert max(abs(frac_from_str(x)) for form in forms for x in form) > 2
+    doc["budgets"]["bound"] = 2
+    for record in doc["records"]:
+        record["bound"] = 2
+    assert not verify_document(doc)
+
+
+def test_verify_rejects_a_certificate_form_that_is_not_integral():
+    # the form halved and its Reeb vector doubled leave two valid
+    # certificates, but a search draws integer forms only
+    doc = _so5_report()
+    record = next(r for r in doc["records"] if len(r.get("certificates") or ()) == 2)
+    certs = record["certificates"]
+    assert any(frac_from_str(x).numerator % 2 for x in certs["contact"]["form"])
+    for cert in certs.values():
+        cert["form"] = [frac_to_str(frac_from_str(x) / 2) for x in cert["form"]]
+    certs["contact"]["reeb"] = [frac_to_str(2 * frac_from_str(x)) for x in certs["contact"]["reeb"]]
+    g = seaweed("SO", 5, C(*record["top"]), C(*record["bottom"]))
+    assert all(verify_certificate(g, cert) for cert in certs.values())
+    assert not verify_document(doc)
 
 
 def test_verify_rejects_an_unknown_index_one_status():
