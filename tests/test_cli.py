@@ -117,6 +117,24 @@ def test_search_commands_print_the_pinned_bytes(capsys, command, pair, family, f
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_OUTPUT_DIGESTS[(command, pair, family, fmt)]
 
 
+# sha256 of what ``seaweeds index`` prints at the default seed, bound and
+# trial count: the label, the witness form, the trial count and the seed.
+INDEX_OUTPUT_DIGESTS = {
+    ("2,1|3", "GL", "text"): "48ea1b4d9d70267328bc209faa76f014538db9059c2a6b719d263bbbd3ba6a79",
+    ("2,1|3", "GL", "json"): "0c0fe89b7899185e91eb91e5924e01f85386120f130077eb7c59dc11fe1f7c3e",
+    ("0|3", "SO", "text"): "deef4b3b34538cc4ebebe0f12d61e20ec3b7c0de287ad2aefff675cd06d8f57c",
+    ("0|3", "SO", "json"): "62dbdb25b7b0418a55a0a8fe3f2fa1a5e0211c5cd0e7495229b34e284acd2507",
+}
+
+
+@pytest.mark.parametrize("pair,family,fmt", sorted(INDEX_OUTPUT_DIGESTS))
+def test_index_command_prints_the_pinned_bytes(capsys, pair, family, fmt):
+    argv = ["index", pair, "--family", family, "--format", fmt] + (["--n", "7"] if family == "SO" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == INDEX_OUTPUT_DIGESTS[(pair, family, fmt)]
+
+
 def test_an_unwritable_out_path_is_refused_before_the_sweep(capsys, monkeypatch, tmp_path):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the output was opened")
