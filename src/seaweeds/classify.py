@@ -37,9 +37,10 @@ can reach (``meander.index_floor``): the meander index for GL/SL, which is
 exact, and dim mod 2 for SP/SO.  A pass of index trials draws at most
 ``trials`` forms and stops at the first whose kernel dimension equals the
 floor, which proves the index.  A pass that misses the floor and whose
-trials disagree triggers one re-run with the coordinate bound multiplied by
-100, a pass of the same shape; the reported index is the minimum kernel
-dimension seen, and ``trial_kernel_dims`` lists every trial of both passes.
+trials disagree (``lie.needs_rerun``) triggers one re-run with the
+coordinate bound multiplied by 100, a pass of the same shape; the reported
+index is the minimum kernel dimension seen, and ``trial_kernel_dims`` lists
+every trial of both passes.
 Per-record determinism comes from derived seeds (seed XOR record ordinal),
 so records are independent of evaluation order and identical CLI invocations
 produce byte-identical reports.
@@ -67,7 +68,7 @@ from .contact import (
     is_stable_form,  # noqa: F401  (perfbench/spans.py traces calls of this name as contact.fallback; the sweep makes none)
     search_verdict,
 )
-from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
+from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index, needs_rerun, parity
 from .meander import index_floor
 from .serialize import REPORT_SCHEMA, certificate_to_json
 
@@ -106,7 +107,7 @@ def _stable_index(g, seed, trials, bound, floor):
     report = index(g, seed, trials, bound, floor=floor)
     dims = report.trial_kernel_dims
     value = report.index
-    if value != floor and len(set(dims)) > 1:
+    if needs_rerun(dims, floor):
         retry = index(g, seed, trials, bound * 100, floor=floor)
         value = min(value, retry.index)
         dims = dims + retry.trial_kernel_dims
@@ -149,7 +150,6 @@ def classify(
         record_seed = seed ^ ordinal
         floor = index_floor(family, a, b, g.dim)
         idx, trial_dims, first_pass = _stable_index(g, record_seed, trials, bound, floor)
-        parity = "odd" if g.dim % 2 else "even"
         certs = {}
         if idx == 1:
             search_seed = record_seed ^ _CONTACT_SALT
@@ -176,7 +176,7 @@ def classify(
                 bottom=b.parts,
                 dim=g.dim,
                 index=idx,
-                parity=parity,
+                parity=parity(g.dim),
                 contact=contact_status,
                 stable=stable_status,
                 verdict=verdict,

@@ -134,19 +134,19 @@ def _cmd_index(args):
     rep = index(g, args.seed, trials=args.trials, bound=args.bound)
     if args.format == "json":
         doc = {
-            "label": rep.label,
+            "label": g.label,
             "dim": g.dim,
             "index": rep.index,
             "witness_form": ratios_to_json(rep.witness_coords),
-            "samples_used": rep.samples_used,
-            "seed": rep.seed,
+            "samples_used": len(rep.trial_kernel_dims),
+            "seed": args.seed,
             "trial_kernel_dims": list(rep.trial_kernel_dims),
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         _emit(
-            f"{rep.label}: index {rep.index} (dim {g.dim}, trials {rep.samples_used}, "
-            f"bound {args.bound}, seed {rep.seed}, kernel dims {list(rep.trial_kernel_dims)})\n",
+            f"{g.label}: index {rep.index} (dim {g.dim}, trials {len(rep.trial_kernel_dims)}, "
+            f"bound {args.bound}, seed {args.seed}, kernel dims {list(rep.trial_kernel_dims)})\n",
             args.out,
         )
     return 0

@@ -28,7 +28,8 @@ general integer rank for the meet, with the echelon rows first so that
 only the kernel rows are reduced; most attempts of a search that runs out
 fail there, and only an issued certificate pays for the canonical rows of
 [ker, g], which the echelon rows give by upward elimination alone.  The
-certificate check spans [ker, g] afresh (``bracket_span_int_rows``).
+certificate check in ``serialize`` runs this same test on the kernel it
+takes and compares the rows of [ker, g] it issues.
 
 Both tests take an optional kernel, so one elimination serves them both.
 There is one search loop (``_search``): it tests the first ``attempts``
@@ -38,13 +39,12 @@ coordinates and its kernel, until its test issues a certificate.
 contact or the stability test.  The sweep gives both searches one stream,
 so every draw is eliminated once and its kernel reaches both tests; the
 stream starts at the index witness, whose kernel comes from the steps the
-index already took.  Certificates hold integer rows: the form over one
-denominator, the Reeb vector over phi(k), and canonical primitive rows of
-ker B_phi and [ker, g].  ``serialize.certificate_to_json`` writes them
-without a Fraction, and the rational views (``form``, ``reeb``,
-``kernel``, ``bracket_span``) are built only when read.  They are the
-values a computation over Q gives: canonical rows are unique, and the Reeb
-vector is k / phi(k) for any generator k of the kernel line.
+index already took.  Certificates hold integer rows only: the form over
+one denominator, the Reeb vector over phi(k), and canonical primitive rows
+of ker B_phi and [ker, g].  ``serialize.certificate_to_json`` writes them
+as the rationals a computation over Q gives, without a Fraction:
+canonical rows are unique, and the Reeb vector is k / phi(k) for any
+generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
@@ -63,14 +63,11 @@ seaweeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import islice
-from math import lcm
 
 from .linalg import (
-    Subspace,
+    clear_denominators,
     echelon_int_rows,
     is_squarefree,
     meets_trivially_int_rows,
@@ -87,7 +84,6 @@ from .lie import (
     LieAlgebra,
     OneForm,
     center,
-    form_int_coords,
     kirillov_kernel,
 )
 
@@ -101,71 +97,36 @@ class PreconditionError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
-def _ratios(row, den) -> tuple:
-    return tuple(Fraction(v, den) for v in row)
-
-
 @dataclass(frozen=True)
-class _FormCertificate:
-    """A certificate's algebra and form, the form held as the integer row
-    ``form_row`` over the positive denominator ``form_den``."""
-
-    algebra: LieAlgebra = field(repr=False)
-    form_row: tuple[int, ...]
-    form_den: int
-
-    @cached_property
-    def form(self) -> OneForm:
-        return OneForm(self.algebra, _ratios(self.form_row, self.form_den))
-
-
-@dataclass(frozen=True)
-class ContactCertificate(_FormCertificate):
-    """Machine-checkable evidence that a form is contact.
-
-    The Reeb vector is ``reeb_row / reeb_den`` (``reeb_den`` nonzero, of
-    either sign).  The rational ``form``, ``reeb`` and ``pairing`` are
-    built when first read.
+class ContactCertificate:
+    """Machine-checkable evidence that a form is contact: the form is
+    ``form_row / form_den`` (``form_den`` positive) and its Reeb vector
+    ``reeb_row / reeb_den`` (``reeb_den`` nonzero, of either sign).
 
     Invariants: B_form . reeb = 0, form(reeb) = 1, dim ker B_form = 1.
     """
 
+    form_row: tuple[int, ...]
+    form_den: int
     reeb_row: tuple[int, ...]
     reeb_den: int
-    kernel_dim: int = 1
-
-    @cached_property
-    def reeb(self) -> Element:
-        return Element(self.algebra, _ratios(self.reeb_row, self.reeb_den))
-
-    @property
-    def pairing(self) -> Fraction:
-        return self.form(self.reeb)
 
 
 @dataclass(frozen=True)
-class StabilityCertificate(_FormCertificate):
-    """Evidence for the kernel-bracket stability criterion.
-
-    ker B_form and [ker, g] are held as their canonical primitive integer
-    RREF rows (``linalg.rref_int_rows``); the rational ``form``, ``kernel``
-    and ``bracket_span`` are built when first read.
+class StabilityCertificate:
+    """Evidence for the kernel-bracket stability criterion: the form is
+    ``form_row / form_den`` (``form_den`` positive), and ker B_form and
+    [ker, g] are held as their canonical primitive integer RREF rows
+    (``linalg.rref_int_rows``).
 
     Invariants: kernel = ker B_form, bracket_span = [kernel, g], and the two
     meet only in 0.
     """
 
+    form_row: tuple[int, ...]
+    form_den: int
     kernel_rows: tuple[tuple[int, ...], ...]
     bracket_span_rows: tuple[tuple[int, ...], ...]
-    intersection_dim: int = 0
-
-    @cached_property
-    def kernel(self) -> Subspace:
-        return Subspace.from_int_rows(self.algebra.dim, self.kernel_rows)
-
-    @cached_property
-    def bracket_span(self) -> Subspace:
-        return Subspace.from_int_rows(self.algebra.dim, self.bracket_span_rows)
 
 
 def _require_odd(g: LieAlgebra):
@@ -183,10 +144,7 @@ def _require_budget(attempts: int, bound: int):
 def _int_coords(form) -> tuple[list, int]:
     """A form given as a OneForm or as integers, as (row, den): row / den
     are its coordinates, den the least positive common denominator."""
-    if not isinstance(form, OneForm):
-        return form, 1
-    den = lcm(*(x.denominator for x in form.coords))
-    return [x.numerator * (den // x.denominator) for x in form.coords], den
+    return clear_denominators(form.coords) if isinstance(form, OneForm) else (form, 1)
 
 
 def _kernel(g: LieAlgebra, ints, kernel) -> list:
@@ -210,7 +168,7 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
     if not pairing:
         return None
     # form(k) = pairing / den, so reeb = k / form(k) = k den / pairing
-    return ContactCertificate(g, tuple(ints), den, tuple(v * den for v in k), pairing)
+    return ContactCertificate(tuple(ints), den, tuple(v * den for v in k), pairing)
 
 
 def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
@@ -224,7 +182,7 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     ranked by skew elimination.
     """
     _require_odd(g)
-    ints = form_int_coords(form)
+    ints, _ = clear_denominators(form.coords)
     bordered = [[0, *ints]]
     for c, row in zip(ints, g.kirillov_int_rows(ints)):
         bordered.append([-c, *row])
@@ -234,12 +192,6 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
 def _bracket_rows(g: LieAlgebra, kernel) -> list:
     # [k, x_j] for the integer rows k spanning K and all j
     return [row for k in kernel for row in g.ad_int_rows(k)]
-
-
-def bracket_span_int_rows(g: LieAlgebra, kernel) -> list:
-    """[K, g] as canonical primitive integer rows: the span of [k, x_j] over
-    the integer rows k spanning K and all j."""
-    return span_int_rows(_bracket_rows(g, kernel))
 
 
 def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
@@ -256,7 +208,7 @@ def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | N
     if not meets_trivially_int_rows(echelon, kernel):
         return None
     span = span_int_rows(echelon)
-    return StabilityCertificate(g, tuple(ints), den, tuple(map(tuple, kernel)), tuple(map(tuple, span)))
+    return StabilityCertificate(tuple(ints), den, tuple(map(tuple, kernel)), tuple(map(tuple, span)))
 
 
 def search_verdict(contact: str, stable: str, attempts: int) -> str:

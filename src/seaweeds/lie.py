@@ -39,22 +39,23 @@ index, so a caller that knows a lower bound (a floor) stops the trials at
 the first form that reaches it: that form proves the index.
 
 Ranks and kernels are taken the same way: the form's denominators are
-cleared once and B_phi is built as skew integer rows
-(`LieAlgebra.kirillov_int_rows`).  B_phi is skew, so it goes through the
-skew elimination of `linalg`, which pivots on 2x2 blocks, updates half the
-matrix and divides exactly by the previous pivot because every entry it
-holds is a Pfaffian of a principal minor: `index` and `kernel_dim` count
+cleared once (`linalg.clear_denominators`) and B_phi is built as skew
+integer rows (`LieAlgebra.kirillov_int_rows`).  B_phi is skew, so it goes
+through the skew elimination of `linalg`, which pivots on 2x2 blocks,
+updates half the matrix and divides exactly by the previous pivot because
+every entry it holds is a Pfaffian of a principal minor: `index` and `kernel_dim` count
 its pivots (`linalg._skew_pivots`, `linalg.skew_rank_int_rows`), and
-`kirillov_kernel_int_rows` returns ker B_phi as canonical primitive integer
-rows (`linalg.skew_kernel_int_rows`); `kirillov_kernel` only turns those
-into a rational `Subspace`.
+`kirillov_kernel` turns the canonical primitive integer rows of ker B_phi
+(`linalg.skew_kernel_int_rows`) into a rational `Subspace`.
 
 The witness of `index` is its first form of least kernel dimension.  The
-report keeps it as integer coordinates with the elimination steps of its
+report holds integers only: the index, the trial kernel dimensions, and
+the witness as integer coordinates with the elimination steps of its
 Kirillov matrix, so a search that tests the witness first
 (`contact.form_draws`) takes its kernel by back-substitution alone
-(`linalg.skew_kernel_of_steps`); the rational `OneForm` is built only when
-a caller reads `IndexReport.witness_form`.
+(`linalg.skew_kernel_of_steps`).  A sweep's re-run rule for the index
+(`needs_rerun`) and a report's parity (`parity`) are stated here once, for
+the classifier that applies them and the verifier that checks them.
 """
 
 from __future__ import annotations
@@ -62,15 +63,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from itertools import chain
 
 from .linalg import (
     Matrix,
     Subspace,
-    _int_rows,
     _skew_pivots,
     as_scalar,
+    clear_denominators,
     kernel_int_rows,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
     skew_kernel_int_rows,
@@ -295,7 +295,7 @@ class LieAlgebra:
         """``ad_columns`` of an integer vector as integer rows, row-scaled if
         the table is non-integral (scaling preserves their span)."""
         cols = self.ad_columns(int_coords)
-        return cols if self._integral else _int_rows(cols)
+        return cols if self._integral else [clear_denominators(col)[0] for col in cols]
 
     def basis_element(self, i) -> "Element":
         coords = [Fraction(0)] * self.dim
@@ -317,8 +317,8 @@ class LieAlgebra:
                 rows[j][i] = -v
         if self._integral:
             return rows
-        den = lcm(*(x.denominator for row in rows for x in row))
-        return [[int(x * den) for x in row] for row in rows]
+        flat, _ = clear_denominators(chain.from_iterable(rows))
+        return [flat[u : u + dim] for u in range(0, dim * dim, dim)]
 
     def __repr__(self):
         name = self.label or "LieAlgebra"
@@ -384,27 +384,17 @@ class OneForm:
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Result of the randomized index computation; ``samples_used`` counts
-    the forms drawn, one per entry of ``trial_kernel_dims``.
+    """Result of the randomized index computation: the index, the kernel
+    dimension of each form drawn, and the witness, the first drawn form of
+    least kernel dimension.  The witness is kept as its integer coordinates
+    together with the ``linalg._skew_pivots`` steps of its Kirillov matrix,
+    so its kernel costs no second elimination
+    (``linalg.skew_kernel_of_steps``)."""
 
-    The witness is the first drawn form of least kernel dimension, kept as
-    its integer coordinates together with the ``linalg._skew_pivots`` steps
-    of its Kirillov matrix, so its kernel costs no second elimination
-    (``linalg.skew_kernel_of_steps``).  ``witness_form`` is built from the
-    coordinates when it is first read."""
-
-    label: str
     index: int
-    samples_used: int
-    seed: int
     trial_kernel_dims: tuple[int, ...]
     witness_coords: tuple[int, ...]
-    algebra: LieAlgebra = field(repr=False, compare=False)
     witness_steps: list = field(repr=False, compare=False)
-
-    @cached_property
-    def witness_form(self) -> OneForm:
-        return OneForm(self.algebra, tuple(map(Fraction, self.witness_coords)))
 
 
 def _same_algebra(x, y):
@@ -418,26 +408,17 @@ def bracket(x: Element, y: Element) -> Element:
     return Element(x.algebra, tuple(x.algebra.bracket_coords(x.coords, y.coords)))
 
 
-def form_int_coords(form: OneForm) -> list:
-    """The form's coordinates with denominators cleared: a positive multiple
-    c phi, and B_{c phi} = c B_phi has the same rank and kernel."""
-    (ints,) = _int_rows([form.coords])
-    return ints
-
-
 def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
-    """dim ker B_form, via exact skew elimination."""
-    return g.dim - skew_rank_int_rows(g.kirillov_int_rows(form_int_coords(form)))
-
-
-def kirillov_kernel_int_rows(g: LieAlgebra, form: OneForm) -> list:
-    """ker B_form as canonical primitive integer RREF rows."""
-    return skew_kernel_int_rows(g.kirillov_int_rows(form_int_coords(form)))
+    """dim ker B_form, via exact skew elimination of B_{c form}, c the
+    form's common denominator, which has the same rank."""
+    ints, _ = clear_denominators(form.coords)
+    return g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
 
 
 def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:
-    """Canonical basis of ker B_form."""
-    return Subspace.from_int_rows(g.dim, kirillov_kernel_int_rows(g, form))
+    """Canonical basis of ker B_form, which is ker B_{c form}."""
+    ints, _ = clear_denominators(form.coords)
+    return Subspace.from_int_rows(g.dim, skew_kernel_int_rows(g.kirillov_int_rows(ints)))
 
 
 def index(
@@ -477,16 +458,20 @@ def index(
         if kd == floor:
             break
     kd, ints, steps = best
-    return IndexReport(
-        label=g.label,
-        index=kd,
-        samples_used=len(dims),
-        seed=seed,
-        trial_kernel_dims=tuple(dims),
-        witness_coords=tuple(ints),
-        algebra=g,
-        witness_steps=steps,
-    )
+    return IndexReport(index=kd, trial_kernel_dims=tuple(dims), witness_coords=tuple(ints), witness_steps=steps)
+
+
+def needs_rerun(first_pass, floor: int) -> bool:
+    """The re-run rule of a sweep's index: a first pass with the trial
+    kernel dimensions ``first_pass`` is followed by a second pass, with the
+    bound multiplied by 100, exactly when it misses the index floor and its
+    trials disagree."""
+    return floor not in first_pass and len(set(first_pass)) > 1
+
+
+def parity(dim: int) -> str:
+    """A report's parity of an algebra of dimension ``dim``."""
+    return "odd" if dim % 2 else "even"
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -499,7 +484,7 @@ def center(g: LieAlgebra) -> Subspace:
             rows.setdefault((i, r), [0] * g.dim)[j] -= c
     stacked = list(rows.values())
     if not g._integral:
-        stacked = _int_rows(stacked)
+        stacked = [clear_denominators(row)[0] for row in stacked]
     return Subspace.from_int_rows(g.dim, kernel_int_rows(stacked, g.dim))
 
 

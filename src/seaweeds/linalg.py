@@ -6,8 +6,11 @@ primitive integer rows (`echelon_int_rows`, `rank_int_rows`,
 `meets_trivially_int_rows`, and for skew-symmetric matrices
 `skew_rank_int_rows` and `skew_kernel_int_rows`);
 `fractions.Fraction` appears only in the public `Matrix` and `Subspace`
-values (and the `Element`, `OneForm` and JSON values built on them), always
-in lowest terms with positive denominator.  No rounding ever occurs.
+values (and the `Element` and `OneForm` values built on them), always in
+lowest terms with positive denominator.  Fractions enter the integer rows
+through one door, `clear_denominators`, which gives a vector as an integer
+row over its least positive common denominator (JSON rationals are parsed
+straight into integer rows by `serialize`).  No rounding ever occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
 downstream (a rank condition on a Kirillov matrix, kernel membership,
@@ -70,16 +73,12 @@ def as_scalar(x) -> Fraction:
     return Fraction(x)
 
 
-def _int_rows(rows):
-    # Clear denominators row by row; positive row scaling preserves both the
-    # row space and the rank.
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+def clear_denominators(values) -> tuple[list, int]:
+    """Rationals (ints or Fractions) as (row, den): row[i] / den is
+    values[i], and den is their least positive common denominator."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _content(row, start):
@@ -382,8 +381,8 @@ def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     n = m.nrows
     if n != m.ncols:
         raise ValueError("matrix must be square")
-    c = lcm(*(x.denominator for row in m.rows for x in row))
-    a = [[int(x * c) for x in row] for row in m.rows]
+    flat, c = clear_denominators(chain.from_iterable(m.rows))
+    a = [flat[i : i + n] for i in range(0, n * n, n)]
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     vecs = []
     for d in range(n + 1):
@@ -408,7 +407,7 @@ def is_squarefree(p) -> bool:
     m = len(p) - 1
     if m == 0:
         return True
-    (ints,) = _int_rows([p])
+    ints, _ = clear_denominators(p)
     deriv = [k * ints[k] for k in range(1, m + 1)]
     rows = [[0] * i + ints + [0] * (m - 2 - i) for i in range(m - 1)]
     rows += [[0] * i + deriv + [0] * (m - 1 - i) for i in range(m)]

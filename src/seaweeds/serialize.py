@@ -35,20 +35,24 @@ fails either here (False) or already at algebra reconstruction
 Certificates are written and checked on integer rows, as the searches
 run, and no Fraction is built on the way.  ``certificate_to_json`` writes
 each "num/den" from a certificate's integer rows, reduced by their gcd with
-the sign on the numerator, exactly as a Fraction would print; it serves
-reports and certificate documents alike.  Each coordinate list read back is
-parsed straight into one integer row and the lcm of its reduced
-denominators.  A contact certificate builds B_phi once, checks B_phi . reeb
-= 0, phi(reeb) = 1 as an integer identity and the rank of the same B_phi.
-A stability certificate takes ker B_phi and [ker, g] as canonical primitive
-integer rows; a serialized basis row matches one only when it clears to it
+the sign on the numerator, exactly as a Fraction would print, and the
+constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
+certificate documents alike.  Each coordinate list read back is parsed
+straight into one integer row and the lcm of its reduced denominators.
+Either kind of certificate parses its form and takes ker B_phi once, as
+canonical primitive integer rows, unless it is given.  A contact
+certificate checks B_phi . reeb = 0 and phi(reeb) = 1 as integer
+identities and that the kernel is a line.  A stability certificate compares the kernel with
+its serialized basis, then runs ``contact.is_stable_form`` on that kernel
+and compares the rows of [ker, g] it issues with the serialized span; a
+serialized basis row matches a canonical row only when it clears to it
 and its leading entry is 1, so a basis that spans the right space but is
 not in canonical rational form is refused.  When a report record's two
 certificates carry one form, as the sweep's shared search issues them,
-ker B_phi is taken once and serves both checks: the contact check reads
-the rank of B_phi as dim minus the kernel's dimension.  Every certificate
-form in a report must be one its record's search could draw: integer
-coordinates within the record's bound.
+ker B_phi is taken once and serves both checks.  A record's certificates
+are exactly those its FOUND statuses name, each of the kind of its key,
+and every certificate form in a report must be one its record's search
+could draw: integer coordinates within the record's bound.
 """
 
 from __future__ import annotations
@@ -65,17 +69,12 @@ from .contact import (
     SKIPPED,
     ContactCertificate,
     StabilityCertificate,
-    bracket_span_int_rows,
     count_verdicts,
+    is_stable_form,
     search_verdict,
 )
-from .lie import LieAlgebra
-from .linalg import (
-    Matrix,
-    meets_trivially_int_rows,
-    skew_kernel_int_rows,
-    skew_rank_int_rows,
-)
+from .lie import LieAlgebra, needs_rerun, parity
+from .linalg import Matrix, skew_kernel_int_rows
 from .meander import index_floor
 
 REPORT_SCHEMA = 2
@@ -175,17 +174,17 @@ def certificate_to_json(cert) -> dict:
             "kind": "contact",
             "form": ratios_to_json(cert.form_row, cert.form_den),
             "reeb": ratios_to_json(cert.reeb_row, cert.reeb_den),
-            "kernel_dim": cert.kernel_dim,
+            "kernel_dim": 1,
             "pairing": _ratio_str(pairing, cert.form_den * cert.reeb_den),
         }
     if isinstance(cert, StabilityCertificate):
-        dim = cert.algebra.dim
+        dim = len(cert.form_row)
         return {
             "kind": "stability",
             "form": ratios_to_json(cert.form_row, cert.form_den),
             "kernel": _basis_to_json(dim, cert.kernel_rows),
             "bracket_span": _basis_to_json(dim, cert.bracket_span_rows),
-            "intersection_dim": cert.intersection_dim,
+            "intersection_dim": 0,
         }
     raise TypeError(f"not a certificate: {cert!r}")
 
@@ -219,7 +218,7 @@ def _is_canonical(basis, dim: int, rows) -> bool:
     which makes the row's leading entry 1."""
     ambient, parsed = basis
     return ambient == dim and len(parsed) == len(rows) and all(
-        row == k and den == next(filter(None, k)) for (row, den), k in zip(parsed, rows)
+        tuple(row) == tuple(k) and den == next(filter(None, k)) for (row, den), k in zip(parsed, rows)
     )
 
 
@@ -228,37 +227,28 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None) -> bool:
     integer rows parsed from the JSON strings (see the module docstring).
     ``kernel`` is ker B_phi of the certificate's form as
     ``skew_kernel_int_rows`` rows, when the caller has taken it for another
-    certificate of the same form; otherwise it is taken here when needed."""
+    certificate of the same form; otherwise it is taken here."""
     kind = doc.get("kind")
+    if kind not in ("contact", "stability"):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    form, form_den = _coords_row(g, doc["form"])
+    b = g.kirillov_int_rows(form) if kind == "contact" or kernel is None else None
+    if kernel is None:
+        kernel = skew_kernel_int_rows(b)
     if kind == "contact":
-        form, form_den = _coords_row(g, doc["form"])
         reeb, reeb_den = _coords_row(g, doc["reeb"])
         if doc["kernel_dim"] != 1 or _ratio(doc["pairing"]) != (1, 1):
             return False
         # B_form . reeb = 0, both scaled to integers by positive factors
-        b = g.kirillov_int_rows(form)
         if any(sum(map(mul, row, reeb)) for row in b):
             return False
-        if sum(map(mul, form, reeb)) != form_den * reeb_den:
-            return False  # form(reeb) = 1
-        if kernel is not None:
-            return len(kernel) == 1  # rank B_form = dim - dim ker
-        return skew_rank_int_rows(b) == g.dim - 1
-    if kind == "stability":
-        form, _ = _coords_row(g, doc["form"])
-        kernel_basis = _basis_rows(doc["kernel"])
-        span_basis = _basis_rows(doc["bracket_span"])
-        if doc["intersection_dim"] != 0:
-            return False
-        if kernel is None:
-            kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
-        if not _is_canonical(kernel_basis, g.dim, kernel):
-            return False
-        span = bracket_span_int_rows(g, kernel)
-        if not _is_canonical(span_basis, g.dim, span):
-            return False
-        return meets_trivially_int_rows(kernel, span)
-    raise ValueError(f"unknown certificate kind {kind!r}")
+        return sum(map(mul, form, reeb)) == form_den * reeb_den and len(kernel) == 1
+    kernel_basis = _basis_rows(doc["kernel"])
+    span_basis = _basis_rows(doc["bracket_span"])
+    if doc["intersection_dim"] != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
+        return False
+    cert = is_stable_form(g, form, kernel)
+    return cert is not None and _is_canonical(span_basis, g.dim, cert.bracket_span_rows)
 
 
 def _record_seaweed(record: dict) -> tuple:
@@ -274,7 +264,7 @@ def _record_seaweed(record: dict) -> tuple:
     return family, n, top, bottom
 
 
-# Record status field -> the certificate a FOUND status must embed.
+# Record status field -> the certificate a FOUND status embeds.
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
@@ -284,16 +274,14 @@ def _trial_passes_hold(dims, trials: int, floor: int) -> bool:
     kernel dimension equals the index floor, a pass that misses the floor
     draws all ``trials`` forms, and a second pass (the re-run with a larger
     bound) follows exactly when the first misses the floor and its
-    dimensions disagree."""
+    dimensions disagree (``lie.needs_rerun``)."""
     passes = [dims[k : k + trials] for k in range(0, len(dims), trials)] or [[]]
     for trial_pass in passes:
         if floor in trial_pass[:-1]:
             return False  # a trial drawn after one that reached the floor
         if floor not in trial_pass and len(trial_pass) != trials:
             return False  # a pass cut short above the floor
-    first = passes[0]
-    rerun = floor not in first and len(set(first)) > 1
-    return len(passes) == 1 + rerun
+    return len(passes) == 1 + needs_rerun(passes[0], floor)
 
 
 def _bookkeeping_holds(record: dict, floor: int) -> bool:
@@ -302,7 +290,7 @@ def _bookkeeping_holds(record: dict, floor: int) -> bool:
     rank), and the trial dimensions are the passes that the trial count and
     the index floor allow (``_trial_passes_hold``)."""
     dim, dims, trials = record["dim"], record["trial_kernel_dims"], record["trials"]
-    if record["parity"] != ("odd" if dim % 2 else "even") or (record["index"] - dim) % 2:
+    if record["parity"] != parity(dim) or (record["index"] - dim) % 2:
         return False
     return trials >= 1 and _trial_passes_hold(dims, trials, floor) and record["index"] == min(dims)
 
@@ -373,12 +361,12 @@ def verify_document(doc: dict) -> bool:
     record's parity, index and trial kernel dimensions disagree with its
     dimension, each other, or the passes its trial count and index floor
     allow (``_bookkeeping_holds``), when a record's attempt budget is
-    negative or its bound below 1, when a record claims FOUND without
-    embedding the certificate, when a record carries certificates but its
-    index is not one (the searches run only on index-one seaweeds), when a
-    record's dimension is not that of the seaweed it names (the rebuilt
-    seaweed's where certificates are embedded, else the count of ambient
-    basis matrices the flags keep), when a certificate's form is not one
+    negative or its bound below 1, when a record's certificate keys are not
+    exactly the kinds its FOUND statuses name or a certificate's kind is not
+    its key (so a record whose index is not one, whose searches are
+    SKIPPED, carries none), when a record's dimension is not that of the
+    seaweed it names (the rebuilt seaweed's where certificates are
+    embedded, else the count of ambient basis matrices the flags keep), when a certificate's form is not one
     the record's search could draw (a coordinate that is not an integer or
     exceeds the record's bound in absolute value), when a report's summary
     counts disagree with its records' verdicts, or when its records are not
@@ -417,16 +405,15 @@ def _verify_document(doc: dict) -> bool:
             family, _, top, bottom = args
             if not _index_claims_hold(record, index_floor(family, top, bottom, record["dim"])):
                 return False
+            # the certificates are exactly the kinds the FOUND statuses name
             certs = record.get("certificates") or {}
-            for status, kind in _EVIDENCE.items():
-                if record.get(status) == FOUND and kind not in certs:
-                    return False
+            found = {kind for status, kind in _EVIDENCE.items() if record[status] == FOUND}
+            if certs.keys() != found or any(cert["kind"] != kind for kind, cert in certs.items()):
+                return False
             if not certs:
                 if record["dim"] != seaweed_dim(*args):
                     return False
                 continue
-            if record["index"] != 1:
-                return False
             g = seaweed(*args)
             if record["dim"] != g.dim:
                 return False

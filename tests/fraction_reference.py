@@ -2,7 +2,7 @@
 ambient bases, as first written, and the rational matrix and subspace
 algebra the tests build their expectations with.
 
-``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel_int_rows``,
+``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel``,
 ``contact.is_contact_form``, ``contact.is_stable_form`` and
 ``construct._ambient_basis`` run on primitive integer rows, and
 ``serialize.verify_certificate`` on integer rows parsed straight from the
@@ -13,16 +13,17 @@ into a Fraction and compare rational subspaces, and derive an ambient basis
 from the rational condition matrix; the tests hold both routes to the same
 certificates, the same verdicts and the same bases.  Its certificates are
 rational values, written to JSON from their Fractions
-(``certificate_json``), against which ``matches`` holds the integer-row
-certificates and their JSON.  Every rank, span,
+(``certificate_json``), against which ``matches`` holds the integer rows
+of the package's certificates and their JSON.  Every rank, span,
 kernel and intersection here comes from one reduced echelon form
 (``rref``), a plain Gauss-Jordan elimination on Fractions.  Nothing but the
 ``Matrix`` and ``Subspace`` value types is taken from ``linalg``, so no
 oracle here shares elimination code with the integer rows it checks.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from seaweeds.construct import AmbientAlgebra
 from seaweeds.lie import Element, OneForm
@@ -225,18 +226,38 @@ def certificate_json(cert):
     }
 
 
+def _cleared(coords):
+    """Rationals as (integer row, least positive common denominator)."""
+    coords = [Fraction(x) for x in coords]
+    den = lcm(*(x.denominator for x in coords))
+    return tuple(int(x * den) for x in coords), den
+
+
+def rows(cert):
+    """A certificate of ``seaweeds.contact`` or of this module as integer
+    rows: each vector as (row, least positive common denominator), each
+    canonical basis as its primitive integer rows."""
+    if isinstance(cert, ContactReference):
+        return _cleared(cert.form.coords), _cleared(cert.reeb.coords)
+    if isinstance(cert, StabilityReference):
+        bases = (cert.kernel, cert.bracket_span)
+        return (_cleared(cert.form.coords), *(tuple(_cleared(v)[0] for v in s.basis) for s in bases))
+    form = (cert.form_row, cert.form_den)
+    if hasattr(cert, "reeb_row"):
+        return form, _cleared(Fraction(v, cert.reeb_den) for v in cert.reeb_row)
+    return form, cert.kernel_rows, cert.bracket_span_rows
+
+
 def matches(cert, reference):
     """True iff a certificate of ``seaweeds.contact`` and a reference
-    certificate are both None, or have equal rational views (each field of
-    the reference) and equal JSON (``serialize.certificate_to_json`` against
+    certificate are both None, or have equal integer rows (``rows``) and
+    equal JSON (``serialize.certificate_to_json`` against
     ``certificate_json``)."""
     from seaweeds.serialize import certificate_to_json
 
     if cert is None or reference is None:
         return cert is reference
-    return all(getattr(cert, f.name) == getattr(reference, f.name) for f in fields(reference)) and (
-        certificate_to_json(cert) == certificate_json(reference)
-    )
+    return rows(cert) == rows(reference) and certificate_to_json(cert) == certificate_json(reference)
 
 
 def frac_from_str(s):

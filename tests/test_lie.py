@@ -173,7 +173,7 @@ def test_index_and_kernel_dim_agree_on_rational_algebra():
     h = rescaled(g, scales)
     rep = index(h, seed=41)
     assert rep.index == 3
-    assert kernel_dim(h, rep.witness_form) == rep.index
+    assert kernel_dim(h, form(h, rep.witness_coords)) == rep.index
     rng = random.Random(8)
     for _ in range(5):
         phi = random_form(g, rng.randint(0, 10**6), bound=5)
@@ -250,8 +250,8 @@ def test_index_report_invariants():
     g = gl(3)
     rep = index(g, seed=23)
     assert rep.index % 2 == g.dim % 2
-    assert kernel_dim(g, rep.witness_form) == rep.index
-    assert rep.samples_used == 3
+    assert kernel_dim(g, form(g, rep.witness_coords)) == rep.index
+    assert len(rep.trial_kernel_dims) == 3
     assert index(g, seed=23) == rep  # deterministic
 
 
@@ -284,7 +284,7 @@ def test_is_regular_heisenberg():
 def test_witness_form_is_regular():
     g = gl(3)
     rep = index(g, seed=300)
-    assert kernel_dim(g, rep.witness_form) == rep.index
+    assert kernel_dim(g, form(g, rep.witness_coords)) == rep.index
 
 
 # -- center ----------------------------------------------------------------------

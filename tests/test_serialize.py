@@ -192,6 +192,29 @@ def test_verify_rejects_certificates_on_index_other_than_one():
     assert not verify_document(doc)
 
 
+def _so7_report():
+    return json.loads(report(classify("SO", 7, seed=23, embed_certificates=True), "json"))
+
+
+def test_verify_refuses_a_counterexample_beside_its_refuting_certificate():
+    # a FOUND/FOUND record made a counterexample to contact iff stable, its
+    # stability certificate kept: the certificate refutes the NOT_FOUND
+    doc = _so7_report()
+    record = next(r for r in doc["records"] if (r["contact"], r["stable"]) == ("FOUND", "FOUND"))
+    record["stable"], record["verdict"] = "NOT_FOUND", "COUNTEREXAMPLE"
+    assert not verify_document(_recounted(doc))
+    del record["certificates"]["stability"]
+    assert verify_document(doc)  # only the kept certificate refused it
+
+
+def test_verify_refuses_a_certificate_under_the_key_of_another_kind():
+    for key, other in (("contact", "stability"), ("stability", "contact")):
+        doc = _so7_report()
+        certs = next(r for r in doc["records"] if r.get("certificates"))["certificates"]
+        certs[key] = dict(certs[other])
+        assert not verify_document(doc)
+
+
 def test_verify_rejects_statuses_that_disagree_with_the_index():
     doc, record = _index_one_report()
     record["contact"] = "SKIPPED"

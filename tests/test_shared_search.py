@@ -6,6 +6,7 @@ written from integer rows exactly as the rational route writes them."""
 import importlib
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import fraction_reference as ref
@@ -127,19 +128,43 @@ def test_verify_takes_one_kernel_for_a_record_whose_certificates_share_a_form(mo
         for r in doc["records"]
     )
     assert shared >= 1
-    serialize = importlib.import_module("seaweeds.serialize")
-    calls = {"skew_kernel_int_rows": 0, "skew_rank_int_rows": 0}
+    # every skew elimination, the kernels' and any rank's, goes through _skew_pivots
+    linalg = importlib.import_module("seaweeds.linalg")
+    original = linalg._skew_pivots
+    calls = []
 
-    def counted(name):
-        original = getattr(serialize, name)
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
 
-        def wrapped(rows):
-            calls[name] += 1
-            return original(rows)
+    monkeypatch.setattr(linalg, "_skew_pivots", counted)
+    assert importlib.import_module("seaweeds.serialize").verify_document(doc)
+    assert len(calls) == shared
 
-        return wrapped
 
-    for name in calls:
-        monkeypatch.setattr(serialize, name, counted(name))
-    assert serialize.verify_document(doc)
-    assert calls == {"skew_kernel_int_rows": shared, "skew_rank_int_rows": 0}
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("family,n", [("SL", 4), ("SO", 7)])
+def test_certificates_and_index_reports_hold_integers_only(monkeypatch, family, n):
+    certs = []
+    to_json = classify_module.certificate_to_json
+
+    def recorded(cert):
+        certs.append(cert)
+        return to_json(cert)
+
+    monkeypatch.setattr(classify_module, "certificate_to_json", recorded)
+    _, passes, _, _ = traced_sweep(monkeypatch, family, n, 23)
+    reports = [rep for reps in passes.values() for rep in reps]
+    assert {type(cert).__name__ for cert in certs} == {"ContactCertificate", "StabilityCertificate"}
+    held = [(cert, ()) for cert in certs] + [(rep, ("witness_steps",)) for rep in reports]
+    for value, skipped in held:
+        for f in fields(value):
+            if f.name not in skipped:
+                assert all(type(x) is int for x in _leaves(getattr(value, f.name))), f.name
