@@ -13,6 +13,9 @@ what the ``seaweeds`` commands reach, the quasi-reductive building blocks
 (center, minimal polynomial, squarefreeness, semisimple kernel generators)
 and the Lie-algebra values; the block picture of type-A seaweeds, the
 rational Kirillov matrix and rational elimination live on as test oracles.
+A contact form is stable (ker B_phi = <k> with phi(k) != 0 puts [k, g]
+in ker phi), so the classifier's two searches, which share one stream of
+forms, cannot reach a COUNTEREXAMPLE; the sweep tests stable => contact.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report

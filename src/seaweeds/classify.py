@@ -17,9 +17,9 @@ draw, so their certificates carry one form.  Verdict policy:
   under test says nothing there).
 * contact FOUND and stable FOUND: CONSISTENT.
 * contact FOUND, stable NOT_FOUND: COUNTEREXAMPLE, the state the
-  equivalence forbids.  The stability search has tested the contact form
-  itself (the canonical forward-direction witness), since it tests the
-  same draws in the same order.
+  equivalence forbids.  It cannot arise here: a contact form is stable
+  (``contact``), and the stability search tests the same draws in the same
+  order.  ``verify`` keeps the branch, to refuse a report that claims it.
 * contact NOT_FOUND, stable FOUND: UNRESOLVED.  Non-contactness is never
   decided by search failure alone.
 * both NOT_FOUND at full budget: CONSISTENT, evidence for the contrapositive
@@ -51,8 +51,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
 from itertools import tee
+from typing import NamedTuple
 
 from .construct import composition_pairs, seaweed
 from .contact import (
@@ -81,8 +81,7 @@ class LimitError(ValueError):
     """Requested rank exceeds the configured sweep limits."""
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     family: str
     n: int
     top: tuple[int, ...]
@@ -193,7 +192,7 @@ def classify(
 
 # The report's record fields, in ClassificationRecord order; a record's
 # certificates follow them only when it has any.
-_FIELDS = tuple(f.name for f in fields(ClassificationRecord) if f.name != "certificates")
+_FIELDS = tuple(name for name in ClassificationRecord._fields if name != "certificates")
 _CSV_FIELDS = [name for name in _FIELDS if name != "trial_kernel_dims"]
 
 

@@ -32,18 +32,16 @@ flag stabilizers; mixed types are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import Matrix, Subspace, kernel_int_rows
+from .linalg import Matrix, Subspace, _immutable, kernel_int_rows
 from .lie import LieAlgebra, StructureError, _commutator, _sparse_matrix
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
 
-@dataclass(frozen=True)
 class Composition:
     """Ordered tuple of positive integers; () is the empty composition.
 
@@ -51,12 +49,23 @@ class Composition:
     composition.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        for p in self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        for p in parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        return type(other) is Composition and other.parts == self.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Composition(parts={self.parts!r})"
 
     @property
     def total(self) -> int:

@@ -15,6 +15,11 @@ Stability uses the kernel-bracket criterion: phi is stable iff
 [ker B_phi, g] meets ker B_phi only in 0.  Certificates carry everything
 needed to re-check the defining equations from scratch.
 
+A contact form is stable: if ker B_phi = <k> and phi(k) != 0, then
+phi([k, x]) = B_phi(k, x) = 0 for every x, so [k, g] lies in ker phi,
+which misses k.  A stability search on the draws of a contact search thus
+succeeds no later than it, and only stable => contact can fail.
+
 All three tests, and the re-checks in ``serialize.verify_certificate``,
 run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
 so they go through the skew elimination of ``linalg``, whose 2x2 pivots
@@ -63,8 +68,8 @@ seaweeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .linalg import (
     clear_denominators,
@@ -97,8 +102,7 @@ class PreconditionError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
-@dataclass(frozen=True)
-class ContactCertificate:
+class ContactCertificate(NamedTuple):
     """Machine-checkable evidence that a form is contact: the form is
     ``form_row / form_den`` (``form_den`` positive) and its Reeb vector
     ``reeb_row / reeb_den`` (``reeb_den`` nonzero, of either sign).
@@ -112,8 +116,7 @@ class ContactCertificate:
     reeb_den: int
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(NamedTuple):
     """Evidence for the kernel-bracket stability criterion: the form is
     ``form_row / form_den`` (``form_den`` positive), and ker B_form and
     [ker, g] are held as their canonical primitive integer RREF rows

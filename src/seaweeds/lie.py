@@ -61,13 +61,14 @@ the classifier that applies them and the verifier that checks them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .linalg import (
     Matrix,
     Subspace,
+    _immutable,
     _skew_pivots,
     as_scalar,
     clear_denominators,
@@ -325,20 +326,36 @@ class LieAlgebra:
         return f"<{name} dim={self.dim}>"
 
 
-@dataclass(frozen=True)
-class Element:
+class _Coords:
+    """Coordinates on a LieAlgebra's basis (Element) or dual basis (OneForm)."""
+
+    __slots__ = ("algebra", "coords")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, algebra: LieAlgebra, coords: tuple[Fraction, ...]):
+        if len(coords) != algebra.dim:
+            raise ValueError("coordinate length does not match algebra dimension")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.algebra is self.algebra and other.coords == self.coords
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(algebra={self.algebra!r}, coords={self.coords!r})"
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return type(self)(self.algebra, tuple(c * x for x in self.coords))
+
+
+class Element(_Coords):
     """Vector in the basis of a LieAlgebra."""
 
-    algebra: LieAlgebra
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-
-    def scale(self, c) -> "Element":
-        c = as_scalar(c)
-        return Element(self.algebra, tuple(c * x for x in self.coords))
+    __slots__ = ()
 
     def __add__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
@@ -361,40 +378,42 @@ class Element:
         return acc
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_Coords):
     """Covector in the dual basis of a LieAlgebra."""
 
-    algebra: LieAlgebra
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
+    __slots__ = ()
 
     def __call__(self, x: Element) -> Fraction:
         if x.algebra is not self.algebra:
             raise ValueError("element and form live on different algebras")
         return sum((a * b for a, b in zip(self.coords, x.coords)), Fraction(0))
 
-    def scale(self, c) -> "OneForm":
-        c = as_scalar(c)
-        return OneForm(self.algebra, tuple(c * x for x in self.coords))
 
-
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """Result of the randomized index computation: the index, the kernel
     dimension of each form drawn, and the witness, the first drawn form of
     least kernel dimension.  The witness is kept as its integer coordinates
     together with the ``linalg._skew_pivots`` steps of its Kirillov matrix,
     so its kernel costs no second elimination
-    (``linalg.skew_kernel_of_steps``)."""
+    (``linalg.skew_kernel_of_steps``).  Equality, hashing and the repr
+    leave the steps out."""
 
     index: int
     trial_kernel_dims: tuple[int, ...]
     witness_coords: tuple[int, ...]
-    witness_steps: list = field(repr=False, compare=False)
+    witness_steps: list
+
+    def __eq__(self, other):
+        return type(other) is IndexReport and other[:3] == self[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return "IndexReport(index={!r}, trial_kernel_dims={!r}, witness_coords={!r})".format(*self[:3])
 
 
 def _same_algebra(x, y):

@@ -52,12 +52,11 @@ intersection is taken on them.  A `Subspace` is built only from the
 primitive RREF rows with positive pivots that `rref_int_rows` returns
 (`Subspace.from_int_rows`), each row divided by its pivot.  That is the
 rational reduced row echelon form, which is canonical, so equal subspaces
-have equal representations and dataclass equality is subspace equality.
+have equal representations and field equality is subspace equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -316,11 +315,28 @@ def _frac_rows(int_rows):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    # the value types' __setattr__ and __delattr__; __init__ uses object's
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Matrix:
     """Immutable rational matrix (tuple-of-tuples of Fraction)."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        return type(other) is Matrix and other.rows == self.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -347,16 +363,28 @@ class Matrix:
         return Matrix(tuple(tuple(c * a for a in r) for r in self.rows))
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Linear subspace of Q^n in canonical reduced echelon form.
 
-    Equal subspaces have equal representations, so dataclass equality is
-    subspace equality.
+    Equal subspaces have equal representations, so equality of the fields
+    is subspace equality.
     """
 
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("ambient_dim", "basis")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        return type(other) is Subspace and other.ambient_dim == self.ambient_dim and other.basis == self.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @classmethod
     def from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":

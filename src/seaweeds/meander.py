@@ -13,13 +13,12 @@ SP/SO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import Composition
 
 
-@dataclass(frozen=True)
-class MeanderGraph:
+class MeanderGraph(NamedTuple):
     n: int
     top_edges: tuple[tuple[int, int], ...]
     bottom_edges: tuple[tuple[int, int], ...]

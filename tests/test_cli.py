@@ -3,7 +3,9 @@
 import hashlib
 import importlib
 import json
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,7 @@ def test_exit_3_on_unresolved_under_strict(capsys):
 
 
 def with_counterexample(records):
-    return [replace(records[0], verdict=COUNTEREXAMPLE), *records[1:]]
+    return [records[0]._replace(verdict=COUNTEREXAMPLE), *records[1:]]
 
 
 def test_exit_status_4_on_a_counterexample():
@@ -44,7 +46,7 @@ def test_exit_status_4_on_a_counterexample():
     assert exit_status(records) == 0
     records = with_counterexample(records)
     assert exit_status(records) == exit_status(records, strict=True) == 4
-    unresolved = replace(records[1], verdict=UNRESOLVED)
+    unresolved = records[1]._replace(verdict=UNRESOLVED)
     assert exit_status([*records, unresolved], strict=True) == 4
     assert exit_status([unresolved], strict=True) == 3
 
@@ -285,3 +287,19 @@ def test_verify_exit_2_on_a_zero_denominator_in_a_report(capsys, tmp_path):
     record["certificates"]["stability"]["kernel"]["basis"][0][-1] = "1/0"
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert code == 2 and not out and "zero denominator" in err
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    # Each command runs in a fresh interpreter, so what the package imports
+    # is paid on every start; dataclasses alone (with inspect, ast, dis and
+    # tokenize behind it) once cost a fifth of the start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = str(tmp_path / "r.json")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import seaweeds.cli; seaweeds.cli.build_parser(); "
+        f"assert seaweeds.cli.main(['classify', '--family', 'SO', '--n', '5', '--embed', '--out', {out!r}]) == 0; "
+        f"assert seaweeds.cli.main(['verify', {out!r}]) == 0; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[]"]), done.stderr

@@ -6,7 +6,6 @@ written from integer rows exactly as the rational route writes them."""
 import importlib
 import json
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import fraction_reference as ref
@@ -110,6 +109,21 @@ def test_the_searches_draw_the_index_witness_first_and_share_each_kernel(monkeyp
                 assert certs[kind] == ref.certificate_json(rational(g, form))
 
 
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", SWEEPS)
+def test_every_contact_form_is_stable_so_no_sweep_finds_a_counterexample(family, n, seed):
+    # ker B_phi = <k> with phi(k) != 0 puts [k, g] in ker phi, which misses k
+    records = classify_module.classify(family, n, seed=seed, embed_certificates=True)
+    assert all(r.verdict != "COUNTEREXAMPLE" for r in records)
+    contact = [r for r in records if r.contact == "FOUND"]
+    assert contact
+    for r in contact:
+        g = seaweed(family, n, Composition(r.top), Composition(r.bottom))
+        form = OneForm(g, tuple(Fraction(x) for x in r.certificates["contact"]["form"]))
+        assert contact_module.is_stable_form(g, form) is not None
+        assert r.stable == "FOUND"
+
+
 def test_a_witness_from_the_rerun_is_not_drawn(monkeypatch):
     # at bound 1, records 6, 20 and 34 of GL4 seed 0 reach index one only in
     # the re-run at bound 100, whose witness a search at bound 1 cannot draw
@@ -165,6 +179,6 @@ def test_certificates_and_index_reports_hold_integers_only(monkeypatch, family, 
     assert {type(cert).__name__ for cert in certs} == {"ContactCertificate", "StabilityCertificate"}
     held = [(cert, ()) for cert in certs] + [(rep, ("witness_steps",)) for rep in reports]
     for value, skipped in held:
-        for f in fields(value):
-            if f.name not in skipped:
-                assert all(type(x) is int for x in _leaves(getattr(value, f.name))), f.name
+        for name in value._fields:
+            if name not in skipped:
+                assert all(type(x) is int for x in _leaves(getattr(value, name))), name
