@@ -22,11 +22,12 @@ from seaweeds.cli import main
 def test_an_sp4_record_of_index_one_is_not_reported_at_index_three(capsys, tmp_path):
     g = seaweed("SP", 4, Composition((1, 2)), Composition((3, 1)))
     assert g.dim % 2 == 1 and index(g, 0, 3, 10**6, floor=1).index == 1  # a trial at the floor proves it
-    out = str(tmp_path / "sp4.json")
-    assert main(["classify", "--family", "SP", "--n", "4", "--bound", "2", "--embed", "--out", out]) == 0
-    record = next(r for r in json.load(open(out))["records"] if (r["top"], r["bottom"]) == ([1, 2], [3, 1]))
+    out = tmp_path / "sp4.json"
+    assert main(["classify", "--family", "SP", "--n", "4", "--bound", "2", "--embed", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    record = next(r for r in records if (r["top"], r["bottom"]) == ([1, 2], [3, 1]))
     # today: index 3, trial_kernel_dims [3, 3, 3], verdict CONSISTENT, and verify says valid
-    assert record["index"] == 1 or main(["verify", out]) == 1
+    assert record["index"] == 1 or main(["verify", str(out)]) == 1
 
 
 @pytest.mark.xfail(
