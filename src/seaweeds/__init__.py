@@ -16,6 +16,9 @@ rational Kirillov matrix and rational elimination live on as test oracles.
 A contact form is stable (ker B_phi = <k> with phi(k) != 0 puts [k, g]
 in ker phi), so the classifier's two searches, which share one stream of
 forms, cannot reach a COUNTEREXAMPLE; the sweep tests stable => contact.
+A stability certificate of a contact form holds its kernel line alone,
+which ``verify`` checks with no [ker, g]; only a stable form that is not
+contact carries [ker, g].  Reports are compact JSON (schema 3).
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report

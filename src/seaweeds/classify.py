@@ -10,8 +10,11 @@ the index witness when the first index pass reached index one, so that
 form costs no elimination at all; a witness found only by the re-run has
 coordinates beyond ``bound`` and is not drawn.  A certificate's form is
 therefore always an integer form within ``bound``, which ``verify``
-checks, and when both searches succeed they usually succeed on the same
-draw, so their certificates carry one form.  Verdict policy:
+checks.  A contact form is stable (``contact``), so when both searches
+succeed the stability search stops no later than the contact search, in
+practice on the same draw: their certificates carry one form, and the
+stability certificate, being of a contact form, holds the kernel line
+alone, with no [ker, g].  Verdict policy:
 
 * index != 1: both searches SKIPPED, verdict CONSISTENT (the equivalence
   under test says nothing there).
@@ -26,8 +29,10 @@ draw, so their certificates carry one form.  Verdict policy:
   (neither property present).
 * zero-attempt budgets leave searches inconclusive: UNRESOLVED.
 
-``exit_status`` turns a sweep into the CLI's exit code: 4 when any record is
-a COUNTEREXAMPLE, else 3 under ``strict`` when any is UNRESOLVED, else 0.
+``exit_status`` turns a sweep into the CLI's exit code: 5 when any GL/SL
+record's index is above its meander index (``floor_misses``), a claim
+``verify`` refuses; else 4 when any record is a COUNTEREXAMPLE; else 3
+under ``strict`` when any is UNRESOLVED; else 0.
 
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
 also uses to re-derive each record's verdict.
@@ -40,7 +45,9 @@ floor, which proves the index.  A pass that misses the floor and whose
 trials disagree (``lie.needs_rerun``) triggers one re-run with the
 coordinate bound multiplied by 100, a pass of the same shape; the reported
 index is the minimum kernel dimension seen, and ``trial_kernel_dims`` lists
-every trial of both passes.
+every trial of both passes.  The GL/SL floor is exact, so a record whose
+passes all miss it (likely only at a small ``bound``) holds a wrong
+index; ``floor_misses`` names such records.
 Per-record determinism comes from derived seeds (seed XOR record ordinal),
 so records are independent of evaluation order and identical CLI invocations
 produce byte-identical reports.
@@ -54,7 +61,7 @@ import json
 from itertools import tee
 from typing import NamedTuple
 
-from .construct import composition_pairs, seaweed
+from .construct import Composition, composition_pairs, seaweed
 from .contact import (
     CONSISTENT,
     DEFAULT_ATTEMPTS,
@@ -208,8 +215,14 @@ def _parts(composition: tuple[int, ...]) -> str:
     return ",".join(map(str, composition)) or "0"
 
 
+def record_label(r: ClassificationRecord) -> str:
+    """A record's seaweed as the text report names it, e.g. SL5[3,2|4,1]."""
+    return f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}]"
+
+
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
-    """Render records as a stable-field-order document (json, csv, or text)."""
+    """Render records as a stable-field-order document (json, csv, or text).
+    JSON is compact, one line with no spaces, which the C encoder writes."""
     fmt = fmt.lower()
     summary = count_verdicts([r.verdict for r in records])
     if fmt == "json":
@@ -218,7 +231,7 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
             doc.update(meta)
         doc["records"] = [_record_to_json(r) for r in records]
         doc["summary"] = summary
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -231,7 +244,7 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
         lines = []
         for r in records:
             lines.append(
-                f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}] dim={r.dim} "
+                f"{record_label(r)} dim={r.dim} "
                 f"index={r.index} contact={r.contact} stable={r.stable} verdict={r.verdict}"
             )
         lines.append("")
@@ -243,9 +256,28 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def floor_misses(records) -> list[tuple[int, ClassificationRecord]]:
+    """(ordinal, record) of each GL/SL record whose index is above its
+    exact floor, the meander index: its trials all missed the floor, which
+    a small ``bound`` makes likely, so its index is wrong.  A first pass
+    that drew fewer than ``trials`` forms stopped at the floor, so only a
+    record with a full pass is held against its meander."""
+    return [
+        (ordinal, r)
+        for ordinal, r in enumerate(records)
+        if r.family in ("GL", "SL")
+        and len(r.trial_kernel_dims) >= r.trials
+        and r.index != index_floor(r.family, Composition(r.top), Composition(r.bottom), r.dim)
+    ]
+
+
 def exit_status(records, strict: bool = False) -> int:
-    """0 success, 4 any counterexample, 3 unresolved-only failures under
-    strict.  2 is left to bad input, which the CLI refuses before a sweep."""
+    """0 success, 5 any GL/SL index above its meander index
+    (``floor_misses``), 4 any counterexample, 3 unresolved-only failures
+    under strict, in that order.  2 is left to bad input, which the CLI
+    refuses before a sweep."""
+    if floor_misses(records):
+        return 5
     summary = count_verdicts([r.verdict for r in records])
     if summary["counterexample"]:
         return 4

@@ -3,7 +3,9 @@
 Subcommands: index, contact, stable, classify, verify, meander.
 Environment variables (SEAWEEDS_FAMILY, SEAWEEDS_SEED, SEAWEEDS_ATTEMPTS,
 SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
-flags always win.  Exit codes: classify returns 0 on success, 4 when any
+flags always win.  Exit codes: classify returns 0 on success, 5 when a
+GL/SL record's index is above its meander index (the report is written, and
+one stderr line names the first such record), else 4 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable return 1 when the search comes up empty;
 verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
@@ -26,7 +28,7 @@ import os
 import sys
 from contextlib import ExitStack
 
-from .classify import LIMITS, classify, exit_status, report
+from .classify import LIMITS, classify, exit_status, floor_misses, record_label, report
 from .construct import Composition, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
@@ -183,11 +185,9 @@ def _cmd_stable(args):
     if args.format == "json":
         _emit(json.dumps(_certificate_document(g, cert), indent=2) + "\n", args.out)
     else:
-        _emit(
-            f"{g.label}: stable form found; kernel dim {len(cert.kernel_rows)}, "
-            f"bracket span dim {len(cert.bracket_span_rows)}\n",
-            args.out,
-        )
+        span = cert.bracket_span_rows
+        evidence = "a contact form" if span is None else f"bracket span dim {len(span)}"
+        _emit(f"{g.label}: stable form found; kernel dim {len(cert.kernel_rows)}, {evidence}\n", args.out)
     return 0
 
 
@@ -236,7 +236,17 @@ def _cmd_classify(args):
         "budgets": {"attempts": args.attempts, "bound": args.bound, "trials": args.trials},
     }
     _emit(report(records, args.format, meta=meta), args.out)
-    return exit_status(records, strict=args.strict)
+    code = exit_status(records, strict=args.strict)
+    if code == 5:
+        misses = floor_misses(records)
+        ordinal, r = misses[0]
+        print(
+            f"error: record {ordinal} ({record_label(r)}) has index "
+            f"{r.index}, above its meander index; {len(misses)} record(s) missed the floor at "
+            f"--bound {args.bound}: classify again with a larger --bound",
+            file=sys.stderr,
+        )
+    return code
 
 
 def _cmd_verify(args):

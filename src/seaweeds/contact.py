@@ -17,8 +17,12 @@ needed to re-check the defining equations from scratch.
 
 A contact form is stable: if ker B_phi = <k> and phi(k) != 0, then
 phi([k, x]) = B_phi(k, x) = 0 for every x, so [k, g] lies in ker phi,
-which misses k.  A stability search on the draws of a contact search thus
-succeeds no later than it, and only stable => contact can fail.
+which misses k.  ``is_stable_form`` therefore certifies a contact form by
+its kernel alone: the certificate holds the one kernel row and no
+[ker, g] (``bracket_span_rows`` is None), and the check in
+``serialize.verify_certificate`` needs only ker B_phi and phi(k).  A
+stability search on the draws of a contact search thus succeeds no later
+than it, and only stable => contact can fail.
 
 All three tests, and the re-checks in ``serialize.verify_certificate``,
 run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
@@ -27,14 +31,16 @@ divide exactly because each entry it holds is a Pfaffian of a principal
 minor: the kernel comes as canonical primitive integer rows
 (``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``) and
 the bordered test is one ``linalg.skew_rank_int_rows``.  [ker, g] is not
-skew.  The stability test decides with one general forward elimination of
+skew.  For a form that is not contact, the kernel-bracket test
+(``kernel_bracket_span``) decides with one general forward elimination of
 the brackets of the kernel rows (``linalg.echelon_int_rows``) and one
 general integer rank for the meet, with the echelon rows first so that
 only the kernel rows are reduced; most attempts of a search that runs out
 fail there, and only an issued certificate pays for the canonical rows of
 [ker, g], which the echelon rows give by upward elimination alone.  The
 certificate check in ``serialize`` runs this same test on the kernel it
-takes and compares the rows of [ker, g] it issues.
+takes, for a certificate that carries [ker, g], and compares the rows of
+[ker, g] it issues.
 
 Both tests take an optional kernel, so one elimination serves them both.
 There is one search loop (``_search``): it tests the first ``attempts``
@@ -46,10 +52,10 @@ so every draw is eliminated once and its kernel reaches both tests; the
 stream starts at the index witness, whose kernel comes from the steps the
 index already took.  Certificates hold integer rows only: the form over
 one denominator, the Reeb vector over phi(k), and canonical primitive rows
-of ker B_phi and [ker, g].  ``serialize.certificate_to_json`` writes them
-as the rationals a computation over Q gives, without a Fraction:
-canonical rows are unique, and the Reeb vector is k / phi(k) for any
-generator k of the kernel line.
+of ker B_phi and, for a stable form that is not contact, of [ker, g].
+``serialize.certificate_to_json`` writes them as the rationals a
+computation over Q gives, without a Fraction: canonical rows are unique,
+and the Reeb vector is k / phi(k) for any generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
@@ -120,16 +126,18 @@ class StabilityCertificate(NamedTuple):
     """Evidence for the kernel-bracket stability criterion: the form is
     ``form_row / form_den`` (``form_den`` positive), and ker B_form and
     [ker, g] are held as their canonical primitive integer RREF rows
-    (``linalg.rref_int_rows``).
+    (``linalg.rref_int_rows``), [ker, g] only when the form is not contact.
 
-    Invariants: kernel = ker B_form, bracket_span = [kernel, g], and the two
-    meet only in 0.
+    Invariants: kernel = ker B_form, and either bracket_span = [kernel, g]
+    and the two meet only in 0, or ``bracket_span_rows`` is None, the
+    kernel is one row k and form(k) != 0 (a contact form, so [k, g] lies in
+    ker form, which misses k).
     """
 
     form_row: tuple[int, ...]
     form_den: int
     kernel_rows: tuple[tuple[int, ...], ...]
-    bracket_span_rows: tuple[tuple[int, ...], ...]
+    bracket_span_rows: tuple[tuple[int, ...], ...] | None
 
 
 def _require_odd(g: LieAlgebra):
@@ -154,6 +162,11 @@ def _kernel(g: LieAlgebra, ints, kernel) -> list:
     return skew_kernel_int_rows(g.kirillov_int_rows(ints)) if kernel is None else kernel
 
 
+def pairing(ints, k) -> int:
+    """form(k) for a form given as integers and an integer row k."""
+    return sum(c * v for c, v in zip(ints, k) if v)
+
+
 def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | None:
     """Certificate iff ker B_form is a line on which the form does not vanish.
 
@@ -167,11 +180,11 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
     if len(kernel) != 1:
         return None
     (k,) = kernel
-    pairing = sum(c * v for c, v in zip(ints, k) if v)
-    if not pairing:
+    value = pairing(ints, k)
+    if not value:
         return None
-    # form(k) = pairing / den, so reeb = k / form(k) = k den / pairing
-    return ContactCertificate(tuple(ints), den, tuple(v * den for v in k), pairing)
+    # form(k) = value / den, so reeb = k / form(k) = k den / value
+    return ContactCertificate(tuple(ints), den, tuple(v * den for v in k), value)
 
 
 def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
@@ -197,21 +210,37 @@ def _bracket_rows(g: LieAlgebra, kernel) -> list:
     return [row for k in kernel for row in g.ad_int_rows(k)]
 
 
-def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
-    """Certificate iff [ker B_form, g] intersects ker B_form trivially;
-    ``form`` and ``kernel`` as for ``is_contact_form``.
+def kernel_bracket_span(g: LieAlgebra, kernel):
+    """The canonical primitive rows of [K, g] when they meet K only in 0,
+    else None; K is given by its canonical rows ``kernel``.
 
     One forward elimination of the brackets [k, x_j] decides: its echelon
     rows go first in the meet, so only the kernel rows are reduced against
     them.  The canonical rows of [K, g] are built from the echelon rows
-    only for an issued certificate."""
-    ints, den = _int_coords(form)
-    kernel = _kernel(g, ints, kernel)
+    only when the meet is trivial."""
     echelon = echelon_int_rows(_bracket_rows(g, kernel))
     if not meets_trivially_int_rows(echelon, kernel):
         return None
-    span = span_int_rows(echelon)
-    return StabilityCertificate(tuple(ints), den, tuple(map(tuple, kernel)), tuple(map(tuple, span)))
+    return span_int_rows(echelon)
+
+
+def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
+    """Certificate iff [ker B_form, g] intersects ker B_form trivially;
+    ``form`` and ``kernel`` as for ``is_contact_form``.
+
+    A contact form (a kernel line <k> with form(k) != 0) is stable by the
+    lemma of the module docstring, and its certificate holds no [ker, g];
+    any other form goes through ``kernel_bracket_span``."""
+    ints, den = _int_coords(form)
+    kernel = _kernel(g, ints, kernel)
+    if len(kernel) == 1 and pairing(ints, kernel[0]):
+        span = None
+    else:
+        span = kernel_bracket_span(g, kernel)
+        if span is None:
+            return None
+        span = tuple(map(tuple, span))
+    return StabilityCertificate(tuple(ints), den, tuple(map(tuple, kernel)), span)
 
 
 def search_verdict(contact: str, stable: str, attempts: int) -> str:

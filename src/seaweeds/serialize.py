@@ -16,6 +16,9 @@ Certificates::
     {"kind": "stability", "form": [...],
      "kernel": {"ambient_dim": n, "basis": [[...], ...]},
      "bracket_span": {...}, "intersection_dim": 0}
+    {"kind": "stability", "form": [...],
+     "kernel": {"ambient_dim": n, "basis": [[...]]},
+     "intersection_dim": 0}                          # a contact form
 
 Certificate document (output of ``seaweeds contact`` and ``seaweeds
 stable`` in json, input of ``seaweeds verify``)::
@@ -26,8 +29,10 @@ Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
 from its family and compositions.  Reports carry ``"schema":
 REPORT_SCHEMA``; schema 2 is the first whose index passes stop at the index
-floor, and ``verify`` refuses a report of any other schema, as it refuses
-a certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
+floor, and schema 3 (certificate schema 2) the first whose stability
+certificate of a contact form omits ``bracket_span``.  ``verify`` refuses a
+report of any other schema, as it refuses a certificate document whose
+schema is not ``CERTIFICATE_SCHEMA``.
 ``verify_*`` recomputes every invariant from scratch, so tampered data
 fails either here (False) or already at algebra reconstruction
 (StructureError).
@@ -40,16 +45,20 @@ constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
 certificate documents alike.  Each coordinate list read back is parsed
 straight into one integer row and the lcm of its reduced denominators.
 Either kind of certificate parses its form and takes ker B_phi once, as
-canonical primitive integer rows, unless it is given.  A contact
+canonical primitive integer rows, unless they are given.  A contact
 certificate checks B_phi . reeb = 0 and phi(reeb) = 1 as integer
-identities and that the kernel is a line.  A stability certificate compares the kernel with
-its serialized basis, then runs ``contact.is_stable_form`` on that kernel
-and compares the rows of [ker, g] it issues with the serialized span; a
+identities and that the kernel is a line.  A stability certificate compares
+the kernel with its serialized basis.  Without ``bracket_span`` it then
+needs only that kernel: one row k with phi(k) != 0 makes the form contact,
+hence stable (see ``contact``).  With ``bracket_span`` it runs the
+kernel-bracket test (``contact.kernel_bracket_span``) on the kernel and
+compares the rows of [ker, g] it issues with the serialized span.  A
 serialized basis row matches a canonical row only when it clears to it
 and its leading entry is 1, so a basis that spans the right space but is
-not in canonical rational form is refused.  When a report record's two
-certificates carry one form, as the sweep's shared search issues them,
-ker B_phi is taken once and serves both checks.  A record's certificates
+not in canonical rational form is refused.  A report record's certificate
+forms are parsed once, and when its two certificates carry one form, as
+the sweep's shared search issues them, ker B_phi is taken once and serves
+both checks.  A record's certificates
 are exactly those its FOUND statuses name, each of the kind of its key,
 and every certificate form in a report must be one its record's search
 could draw: integer coordinates within the record's bound.
@@ -70,15 +79,16 @@ from .contact import (
     ContactCertificate,
     StabilityCertificate,
     count_verdicts,
-    is_stable_form,
+    kernel_bracket_span,
+    pairing,
     search_verdict,
 )
 from .lie import LieAlgebra, needs_rerun, parity
 from .linalg import Matrix, skew_kernel_int_rows
 from .meander import index_floor
 
-REPORT_SCHEMA = 2
-CERTIFICATE_SCHEMA = 1
+REPORT_SCHEMA = 3
+CERTIFICATE_SCHEMA = 2
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -169,23 +179,24 @@ def _basis_to_json(dim: int, rows) -> dict:
 def certificate_to_json(cert) -> dict:
     """A certificate as JSON, written straight from its integer rows."""
     if isinstance(cert, ContactCertificate):
-        pairing = sum(map(mul, cert.form_row, cert.reeb_row))
         return {
             "kind": "contact",
             "form": ratios_to_json(cert.form_row, cert.form_den),
             "reeb": ratios_to_json(cert.reeb_row, cert.reeb_den),
             "kernel_dim": 1,
-            "pairing": _ratio_str(pairing, cert.form_den * cert.reeb_den),
+            "pairing": _ratio_str(pairing(cert.form_row, cert.reeb_row), cert.form_den * cert.reeb_den),
         }
     if isinstance(cert, StabilityCertificate):
         dim = len(cert.form_row)
-        return {
+        doc = {
             "kind": "stability",
             "form": ratios_to_json(cert.form_row, cert.form_den),
             "kernel": _basis_to_json(dim, cert.kernel_rows),
-            "bracket_span": _basis_to_json(dim, cert.bracket_span_rows),
-            "intersection_dim": 0,
         }
+        if cert.bracket_span_rows is not None:
+            doc["bracket_span"] = _basis_to_json(dim, cert.bracket_span_rows)
+        doc["intersection_dim"] = 0
+        return doc
     raise TypeError(f"not a certificate: {cert!r}")
 
 
@@ -222,16 +233,18 @@ def _is_canonical(basis, dim: int, rows) -> bool:
     )
 
 
-def verify_certificate(g: LieAlgebra, doc: dict, kernel=None) -> bool:
+def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool:
     """Re-check every invariant of a serialized certificate from scratch, on
     integer rows parsed from the JSON strings (see the module docstring).
     ``kernel`` is ker B_phi of the certificate's form as
     ``skew_kernel_int_rows`` rows, when the caller has taken it for another
-    certificate of the same form; otherwise it is taken here."""
+    certificate of the same form, and ``form`` is the certificate's form as
+    ``_coords_row`` parses it, when the caller has parsed it; otherwise each
+    is taken here."""
     kind = doc.get("kind")
     if kind not in ("contact", "stability"):
         raise ValueError(f"unknown certificate kind {kind!r}")
-    form, form_den = _coords_row(g, doc["form"])
+    form, form_den = _coords_row(g, doc["form"]) if form is None else form
     b = g.kirillov_int_rows(form) if kind == "contact" or kernel is None else None
     if kernel is None:
         kernel = skew_kernel_int_rows(b)
@@ -242,13 +255,16 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None) -> bool:
         # B_form . reeb = 0, both scaled to integers by positive factors
         if any(sum(map(mul, row, reeb)) for row in b):
             return False
-        return sum(map(mul, form, reeb)) == form_den * reeb_den and len(kernel) == 1
+        return pairing(form, reeb) == form_den * reeb_den and len(kernel) == 1
     kernel_basis = _basis_rows(doc["kernel"])
-    span_basis = _basis_rows(doc["bracket_span"])
+    span_basis = _basis_rows(doc["bracket_span"]) if "bracket_span" in doc else None
     if doc["intersection_dim"] != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
         return False
-    cert = is_stable_form(g, form, kernel)
-    return cert is not None and _is_canonical(span_basis, g.dim, cert.bracket_span_rows)
+    if span_basis is None:
+        # a contact form, whose [k, g] lies in ker phi, which misses k
+        return len(kernel) == 1 and pairing(form, kernel[0]) != 0
+    span = kernel_bracket_span(g, kernel)
+    return span is not None and _is_canonical(span_basis, g.dim, span)
 
 
 def _record_seaweed(record: dict) -> tuple:
@@ -423,8 +439,8 @@ def _verify_document(doc: dict) -> bool:
             kernel = None
             if len(forms) == 2 and forms[0] == forms[1]:
                 kernel = skew_kernel_int_rows(g.kirillov_int_rows(forms[0][0]))
-            for cert in certs.values():
-                ok = verify_certificate(g, cert, kernel) and ok
+            for cert, form in zip(certs.values(), forms):
+                ok = verify_certificate(g, cert, kernel, form) and ok
         return doc["summary"] == count_verdicts(r["verdict"] for r in doc["records"]) and ok
     if "algebra" not in doc:
         raise ValueError("unknown algebra reference: document embeds no algebra")

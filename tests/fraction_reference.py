@@ -170,11 +170,12 @@ class ContactReference:
 
 @dataclass(frozen=True)
 class StabilityReference:
-    """A stability certificate as rational values."""
+    """A stability certificate as rational values; ``bracket_span`` is None
+    for a contact form, whose certificate holds its kernel line alone."""
 
     form: OneForm
     kernel: Subspace
-    bracket_span: Subspace
+    bracket_span: Subspace | None
     intersection_dim: int
 
 
@@ -190,11 +191,21 @@ def is_contact_form(g, form):
     return ContactReference(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
 
 
+def is_contact_kernel(g, form, kernel):
+    """True iff ``kernel`` = ker B_form is a line on which the form does not
+    vanish, as for a contact form."""
+    return kernel.dim == 1 and form(Element(g, kernel.basis[0])) != 0
+
+
 def is_stable_form(g, form):
+    """The kernel-bracket test, run on every form: for a contact form too,
+    so that each short certificate comes with [ker, g] met trivially."""
     kernel = kirillov_kernel(g, form)
     span = bracket_span(g, kernel)
     if not meets_trivially(kernel, span):
         return None
+    if is_contact_kernel(g, form, kernel):
+        span = None
     return StabilityReference(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
 
 
@@ -217,13 +228,11 @@ def certificate_json(cert):
             "kernel_dim": cert.kernel_dim,
             "pairing": _strs([cert.pairing])[0],
         }
-    return {
-        "kind": "stability",
-        "form": _strs(cert.form.coords),
-        "kernel": _basis(cert.kernel),
-        "bracket_span": _basis(cert.bracket_span),
-        "intersection_dim": cert.intersection_dim,
-    }
+    doc = {"kind": "stability", "form": _strs(cert.form.coords), "kernel": _basis(cert.kernel)}
+    if cert.bracket_span is not None:
+        doc["bracket_span"] = _basis(cert.bracket_span)
+    doc["intersection_dim"] = cert.intersection_dim
+    return doc
 
 
 def _cleared(coords):
@@ -241,7 +250,7 @@ def rows(cert):
         return _cleared(cert.form.coords), _cleared(cert.reeb.coords)
     if isinstance(cert, StabilityReference):
         bases = (cert.kernel, cert.bracket_span)
-        return (_cleared(cert.form.coords), *(tuple(_cleared(v)[0] for v in s.basis) for s in bases))
+        return (_cleared(cert.form.coords), *(s and tuple(_cleared(v)[0] for v in s.basis) for s in bases))
     form = (cert.form_row, cert.form_den)
     if hasattr(cert, "reeb_row"):
         return form, _cleared(Fraction(v, cert.reeb_den) for v in cert.reeb_row)
@@ -291,10 +300,17 @@ def verify_certificate(g, doc):
         if any(sum(x * y for x, y in zip(row, reeb.coords)) for row in b.rows):
             return False
         return form(reeb) == 1 and nullspace(b).dim == 1
-    kernel, span = _subspace(doc["kernel"]), _subspace(doc["bracket_span"])
-    if doc["intersection_dim"] != 0:
+    kernel = _subspace(doc["kernel"])
+    span = _subspace(doc["bracket_span"]) if "bracket_span" in doc else None
+    if doc["intersection_dim"] != 0 or kirillov_kernel(g, form) != kernel:
         return False
-    if kirillov_kernel(g, form) != kernel or bracket_span(g, kernel) != span:
+    if span is None:
+        # a short certificate names a contact form; [ker, g] is taken here
+        # all the same, so the reference confirms that it meets ker in 0
+        if not is_contact_kernel(g, form, kernel):
+            return False
+        span = bracket_span(g, kernel)
+    elif bracket_span(g, kernel) != span:
         return False
     return meets_trivially(kernel, span)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from seaweeds.classify import classify, exit_status
+from seaweeds.classify import classify, exit_status, floor_misses
 from seaweeds.cli import main
 from seaweeds.contact import COUNTEREXAMPLE, UNRESOLVED
 
@@ -49,6 +49,17 @@ def test_exit_status_4_on_a_counterexample():
     unresolved = records[1]._replace(verdict=UNRESOLVED)
     assert exit_status([*records, unresolved], strict=True) == 4
     assert exit_status([unresolved], strict=True) == 3
+
+
+def test_exit_status_5_on_a_gl_index_above_its_meander_index_before_4():
+    records = classify("GL", 3, seed=0)
+    ordinal, first = next((k, r) for k, r in enumerate(records) if r.index == 1)
+    assert floor_misses(records) == []
+    # a full first pass that never reached the floor, as a small bound draws it
+    above = first._replace(index=3, trial_kernel_dims=(3,) * first.trials)
+    records = with_counterexample(records[:ordinal] + [above] + records[ordinal + 1:])
+    assert floor_misses(records) == [(ordinal, above)]
+    assert exit_status(records) == exit_status(records, strict=True) == 5
 
 
 def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
@@ -99,15 +110,17 @@ def test_meander_refuses_the_empty_pair_as_index_does(capsys):
 # sha256 of what ``seaweeds contact`` and ``seaweeds stable`` print at the
 # default seed, bound and budget, pinned when the searches still drew their
 # own forms: a search on its own tests the same draws in the same order.
+# Both stable forms are contact, so their certificates hold no [ker, g]
+# and the text names them so; the json carries certificate schema 2.
 SEARCH_OUTPUT_DIGESTS = {
     ("contact", "2,1|3", "GL", "text"): "d627a273c832ff89c7a2cd3a2f3d068a4e7100e7ae565238eeff94de10d096bd",
-    ("contact", "2,1|3", "GL", "json"): "adab457eb26d994f042e32cbf7364dadb397a6d547d2a35d9d2e384a3b270173",
-    ("stable", "2,1|3", "GL", "text"): "2d7e4424c3132fde5c6e300ca8e5f43ba88776c1ff2ac3489115360a94a006ec",
-    ("stable", "2,1|3", "GL", "json"): "18d43c2d5a3afee23da5b6998844fe1a57ef32d7d06b227dc62e95f33fb78cfc",
+    ("contact", "2,1|3", "GL", "json"): "bb7ca188d5339bbc955322b6991696374b935252c0340dd27491b68e889dbfa6",
+    ("stable", "2,1|3", "GL", "text"): "030de84cef5a6f7841d7625758b08f952434b47311f6c1d838970523b19335a3",
+    ("stable", "2,1|3", "GL", "json"): "f5d3742359f3174022262e493c9bcb0e1c7c72e6d315b07daebae5da2d374e06",
     ("contact", "0|3", "SO", "text"): "0dd35ec6cf2ae63a89e777f8dc98fd6a0528e147a37919c66b056b044af6c725",
-    ("contact", "0|3", "SO", "json"): "4ec97216b53f1b4df5c763429350fc64954a3b36541176e70d7f74d12ecf8c9c",
-    ("stable", "0|3", "SO", "text"): "dd646f4ffb44265358f02d898e06d4c56a8845a47f5e2e34089a74272af1ce46",
-    ("stable", "0|3", "SO", "json"): "694bccf5489a38d1f3844916b59cd985faf77d2377646502b014353894d572cd",
+    ("contact", "0|3", "SO", "json"): "320cf5e5d8760d9135924a4015b3b795cde3ffd3f7e301bf50edd277a24248de",
+    ("stable", "0|3", "SO", "text"): "7e201658eeca8b9dd0f43dafb05af9bd70c047c4b001a0893da6fea2d4d73d52",
+    ("stable", "0|3", "SO", "json"): "7c85fe1366bd3bd755ae1a12348e9bba859bd87fa4a26540256d3f41f1aea037",
 }
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from seaweeds import Composition, Matrix, OneForm, Subspace, abelian, heisenberg, seaweed
 from seaweeds.classify import composition_pairs
-from seaweeds.contact import is_contact_form, is_stable_form
+from seaweeds.contact import StabilityCertificate, is_contact_form, is_stable_form, pairing
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel
-from seaweeds.linalg import echelon_int_rows, kernel_int_rows, span_int_rows
+from seaweeds.linalg import echelon_int_rows, kernel_int_rows, skew_kernel_int_rows, span_int_rows
 from seaweeds.serialize import (
     _int_row,
     _ratio,
@@ -56,6 +56,12 @@ def algebras_with_forms(draw):
     g = draw(st.sampled_from(ALGEBRAS))
     coords = draw(st.lists(scalars, min_size=g.dim, max_size=g.dim))
     return g, OneForm(g, tuple(F(c) for c in coords))
+
+
+def bases(doc):
+    """The keys of the bases a stability certificate holds: the kernel, and
+    [ker, g] unless the certificate is of a contact form."""
+    return [key for key in ("kernel", "bracket_span") if key in doc]
 
 
 def bumped(data, pos):
@@ -113,7 +119,7 @@ def test_verify_accepts_certificates_and_refuses_changed_ones(case, data):
             support = [i for i, x in enumerate(doc["reeb"]) if frac_from_str(x)]
             refused.append({**doc, "form": bumped(doc["form"], data.draw(st.sampled_from(support)))})
         else:
-            for key in ("kernel", "bracket_span"):
+            for key in bases(doc):
                 basis = doc[key]["basis"]
                 if basis:
                     r, j = data.draw(st.integers(0, len(basis) - 1)), data.draw(index)
@@ -122,7 +128,7 @@ def test_verify_accepts_certificates_and_refuses_changed_ones(case, data):
             # a form moved along a coordinate that [ker, g] reaches no longer
             # kills the whole kernel; other moves may leave a valid certificate
             reached = [i for i in range(g.dim)
-                       if any(frac_from_str(row[i]) for row in doc["bracket_span"]["basis"])]
+                       if any(frac_from_str(row[i]) for row in doc.get("bracket_span", {"basis": ()})["basis"])]
             if reached:
                 refused.append({**doc, "form": bumped(doc["form"], data.draw(st.sampled_from(reached)))})
             if g.dim:
@@ -215,6 +221,9 @@ def with_basis(doc, key, basis):
 
 def test_certificate_cases_cover_both_kinds():
     assert len(STABILITY) >= 100 and len(CONTACT) >= 20
+    # a stability certificate of a contact form holds no [ker, g]
+    short = sum("bracket_span" not in doc for _, doc in STABILITY)
+    assert short == len(CONTACT) and len(STABILITY) - short >= 100
 
 
 def test_verify_refuses_a_canonical_row_scaled_by_two():
@@ -222,7 +231,7 @@ def test_verify_refuses_a_canonical_row_scaled_by_two():
     # row as the canonical one; only its leading entry 2 tells them apart
     even = 0
     for g, doc in STABILITY:
-        for key in ("kernel", "bracket_span"):
+        for key in bases(doc):
             basis = doc[key]["basis"]
             for pos, row in enumerate(basis):
                 values = [frac_from_str(x) for x in row]
@@ -267,7 +276,7 @@ def test_verify_reads_unreduced_strings_as_the_reference_does(factor):
 
 def test_verify_on_rows_and_forms_of_the_wrong_length():
     for g, doc in STABILITY[:40]:
-        for key in ("kernel", "bracket_span"):
+        for key in bases(doc):
             basis = doc[key]["basis"]
             if basis:
                 for row in (basis[0] + ["0/1"], basis[0][:-1]):
@@ -285,9 +294,9 @@ def test_verify_on_rows_and_forms_of_the_wrong_length():
 
 
 def test_verify_raises_on_a_zero_denominator():
-    g, doc = next((g, d) for g, d in STABILITY if d["kernel"]["basis"] and d["bracket_span"]["basis"])
+    g, doc = next((g, d) for g, d in STABILITY if d["kernel"]["basis"] and d.get("bracket_span", {}).get("basis"))
     bad = [{**doc, "form": ["1/0"] + doc["form"][1:]}]
-    for key in ("kernel", "bracket_span"):
+    for key in bases(doc):
         basis = doc[key]["basis"]
         bad.append(with_basis(doc, key, basis[:-1] + [basis[-1][:-1] + ["0/0"]]))
     bad.append({**bad[-1], "intersection_dim": 1})  # parsed before any check
@@ -320,3 +329,55 @@ def test_integer_parse_agrees_with_frac_from_str(cases):
     row, den = _int_row(data)
     assert den == lcm(*(x.denominator for x in values))
     assert [F(v, den) for v in row] == values
+
+
+# The rules of a stability certificate of a contact form, which holds its
+# kernel line and no [ker, g]: each tamper below breaks exactly one.
+
+
+def short_certificate(g, ints):
+    """The certificate ``is_stable_form`` issues for a contact form, as JSON."""
+    doc = certificate_to_json(is_stable_form(g, ints))
+    assert "bracket_span" not in doc and verify_certificate(g, doc) and ref.verify_certificate(g, doc)
+    return doc
+
+
+SO7_CONTACT = seaweed("SO", 7, Composition(()), Composition((3,)))
+
+
+def so7_short_certificate():
+    rng = random.Random(3)
+    return short_certificate(SO7_CONTACT, [rng.randint(-9, 9) for _ in range(SO7_CONTACT.dim)])
+
+
+def test_a_short_certificate_with_a_changed_kernel_row_is_refused():
+    doc = so7_short_certificate()
+    (row,) = doc["kernel"]["basis"]
+    for j in range(len(row)):
+        assert both_verdicts(SO7_CONTACT, with_basis(doc, "kernel", [bumped(row, j)])) == (False, False)
+
+
+def test_a_short_certificate_of_a_form_whose_kernel_is_not_a_line_is_refused():
+    # gl3 has index 3; this form is stable, with [ker, g] of dimension 6
+    g = seaweed("GL", 3, Composition((3,)), Composition((3,)))
+    doc = certificate_to_json(is_stable_form(g, [-5, 9, -7, -1, -6, 6, 5, 6, 3]))
+    assert len(doc["kernel"]["basis"]) == 3 and len(doc["bracket_span"]["basis"]) == 6
+    assert both_verdicts(g, doc) == (True, True)
+    short = {key: value for key, value in doc.items() if key != "bracket_span"}
+    assert both_verdicts(g, short) == (False, False)
+
+
+def test_a_short_certificate_with_intersection_dim_1_is_refused():
+    doc = so7_short_certificate()
+    assert both_verdicts(SO7_CONTACT, {**doc, "intersection_dim": 1}) == (False, False)
+
+
+def test_a_short_certificate_of_a_form_that_vanishes_on_its_kernel_line_is_refused():
+    # every regular form of SO7 0|2,1 kills its kernel line and none is stable
+    g = seaweed("SO", 7, Composition(()), Composition((2, 1)))
+    rng = random.Random(1)
+    ints = [rng.randint(-9, 9) for _ in range(g.dim)]
+    (k,) = skew_kernel_int_rows(g.kirillov_int_rows(ints))
+    assert pairing(ints, k) == 0 and is_stable_form(g, ints) is None
+    forged = certificate_to_json(StabilityCertificate(tuple(ints), 1, (tuple(k),), None))
+    assert both_verdicts(g, forged) == (False, False)

@@ -1,10 +1,10 @@
-"""Known index defects, pinned as strict expected failures.
+"""Known index defects, and the mended ones that were pinned here.
 
-Each test states the behaviour the program should have.  It fails today;
-when a change mends the defect, the test passes and strict xfail turns
-that into a failure, so the marker must go with the mend.  Both run the
-commands as a user would, at the small draw bounds where the defects
-show.
+Each test states the behaviour the program should have.  A defect still
+open is a strict expected failure: it fails today, and when a change mends
+the defect, the test passes and strict xfail turns that into a failure, so
+the marker must go with the mend.  Both tests run the commands as a user
+would, at the small draw bounds where the defects show.
 """
 
 import json
@@ -30,13 +30,14 @@ def test_an_sp4_record_of_index_one_is_not_reported_at_index_three(capsys, tmp_p
     assert record["index"] == 1 or main(["verify", str(out)]) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a GL/SL pass that misses the exact meander floor writes its index and exits 0",
-)
 def test_an_sl5_sweep_that_misses_the_meander_floor_does_not_exit_0(capsys, tmp_path):
     out = str(tmp_path / "sl5.json")
     code = main(["classify", "--family", "SL", "--n", "5", "--bound", "1", "--embed", "--out", out])
-    # today classify exits 0 with 12 records above their meander index (3,2|4,1
-    # at index 2 among them), and verify refuses the report by the census rule
-    assert code != 0 or main(["verify", out]) == 0
+    # 12 records lie above their meander index, 3,2|4,1 at index 2 the first;
+    # classify writes the report, names that record and exits 5, and verify
+    # refuses the report by the census rule
+    err = capsys.readouterr().err
+    assert code == 5 and err.count("\n") == 1
+    assert err.startswith("error: record 33 (SL5[3,2|4,1]) has index 2") and "12 record(s)" in err
+    assert len(json.loads(open(out).read())["records"]) == 256
+    assert main(["verify", out]) == 1

@@ -16,6 +16,7 @@ from seaweeds import (
     find_stable_form,
     heisenberg,
     is_contact_form,
+    is_stable_form,
     verify_document,
 )
 from seaweeds.classify import REPORT_SCHEMA, classify, report
@@ -23,7 +24,7 @@ from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.construct import seaweed
 from seaweeds.lie import StructureError
-from seaweeds.serialize import frac_from_str, frac_to_str, verify_certificate
+from seaweeds.serialize import CERTIFICATE_SCHEMA, frac_from_str, frac_to_str, verify_certificate
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "data"
@@ -97,7 +98,7 @@ def test_verify_document_with_embedded_algebra():
     g = gln_seaweed(C(2, 1), C(3))
     cert = find_contact_form(g, seed=1)
     doc = {
-        "schema": 1,
+        "schema": CERTIFICATE_SCHEMA,
         "algebra": algebra_to_json(g),
         "certificates": [certificate_to_json(cert)],
     }
@@ -107,16 +108,18 @@ def test_verify_document_with_embedded_algebra():
 def test_verify_refuses_a_certificate_document_of_another_schema():
     g = heisenberg()
     doc = {
-        "schema": 1,
+        "schema": CERTIFICATE_SCHEMA,
         "algebra": algebra_to_json(g),
         "certificates": [certificate_to_json(find_contact_form(g, seed=1))],
     }
     assert verify_document(doc)
-    doc["schema"] = 99
-    with pytest.raises(ValueError, match="certificate schema 99 is not 1"):
-        verify_document(doc)
+    assert CERTIFICATE_SCHEMA == 2
+    for schema in (1, 99):
+        doc["schema"] = schema
+        with pytest.raises(ValueError, match=f"certificate schema {schema} is not 2"):
+            verify_document(doc)
     del doc["schema"]
-    with pytest.raises(ValueError, match="certificate schema None is not 1"):
+    with pytest.raises(ValueError, match="certificate schema None is not 2"):
         verify_document(doc)
 
 
@@ -124,6 +127,13 @@ def test_verify_document_fixture():
     with open(FIXTURES / "heisenberg_certificates.json") as fh:
         doc = json.load(fh)
     assert verify_document(doc)
+    # its stability certificate is of a contact form in the full shape, with
+    # [ker, g]; the search now writes the short one, and both verify
+    h = heisenberg()
+    full = doc["certificates"][1]
+    short = certificate_to_json(is_stable_form(h, OneForm(h, (F(0), F(0), F(1)))))
+    assert "bracket_span" not in short and short == {k: v for k, v in full.items() if k != "bracket_span"}
+    assert verify_certificate(h, full) and verify_certificate(h, short)
 
 
 def test_verify_document_without_algebra():
@@ -154,8 +164,8 @@ def test_verify_report_document_tampered():
 def test_verify_rejects_documents_with_nothing_to_check():
     assert not verify_document({"records": []})
     h = heisenberg()
-    assert not verify_document({"schema": 1, "algebra": algebra_to_json(h), "certificates": []})
-    assert not verify_document({"schema": 1, "algebra": algebra_to_json(h)})
+    assert not verify_document({"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(h), "certificates": []})
+    assert not verify_document({"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(h)})
 
 
 def _recounted(doc):
@@ -438,8 +448,8 @@ def test_verify_rejects_a_rerun_after_a_pass_that_reached_the_floor():
 
 def test_verify_refuses_a_report_of_another_schema():
     doc = _so5_report()
-    assert doc["schema"] == REPORT_SCHEMA == 2
-    for schema in (1, None):
+    assert doc["schema"] == REPORT_SCHEMA == 3
+    for schema in (1, 2, None):
         doc["schema"] = schema
         with pytest.raises(ValueError, match="report schema"):
             verify_document(doc)

@@ -112,16 +112,24 @@ def test_the_searches_draw_the_index_witness_first_and_share_each_kernel(monkeyp
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", SWEEPS)
 def test_every_contact_form_is_stable_so_no_sweep_finds_a_counterexample(family, n, seed):
-    # ker B_phi = <k> with phi(k) != 0 puts [k, g] in ker phi, which misses k
+    # ker B_phi = <k> with phi(k) != 0 puts [k, g] in ker phi, which misses k:
+    # a stability certificate of a contact form holds no [ker, g], and the
+    # rational route takes [ker, g] and confirms the trivial meet
     records = classify_module.classify(family, n, seed=seed, embed_certificates=True)
     assert all(r.verdict != "COUNTEREXAMPLE" for r in records)
     contact = [r for r in records if r.contact == "FOUND"]
     assert contact
-    for r in contact:
+    for r in records:
+        if r.stable != "FOUND":
+            continue
         g = seaweed(family, n, Composition(r.top), Composition(r.bottom))
-        form = OneForm(g, tuple(Fraction(x) for x in r.certificates["contact"]["form"]))
-        assert contact_module.is_stable_form(g, form) is not None
-        assert r.stable == "FOUND"
+        cert = r.certificates["stability"]
+        form = OneForm(g, tuple(Fraction(x) for x in cert["form"]))
+        kernel = ref.kirillov_kernel(g, form)
+        short = "bracket_span" not in cert
+        assert short == (r.contact == "FOUND") == ref.is_contact_kernel(g, form, kernel)
+        if short:
+            assert ref.meets_trivially(kernel, ref.bracket_span(g, kernel))
 
 
 def test_a_witness_from_the_rerun_is_not_drawn(monkeypatch):
@@ -178,7 +186,9 @@ def test_certificates_and_index_reports_hold_integers_only(monkeypatch, family, 
     reports = [rep for reps in passes.values() for rep in reps]
     assert {type(cert).__name__ for cert in certs} == {"ContactCertificate", "StabilityCertificate"}
     held = [(cert, ()) for cert in certs] + [(rep, ("witness_steps",)) for rep in reports]
+    assert any(cert.bracket_span_rows is None for cert in certs if type(cert).__name__ == "StabilityCertificate")
     for value, skipped in held:
         for name in value._fields:
-            if name not in skipped:
-                assert all(type(x) is int for x in _leaves(getattr(value, name))), name
+            field = getattr(value, name)
+            if name not in skipped and not (name == "bracket_span_rows" and field is None):
+                assert all(type(x) is int for x in _leaves(field)), name
