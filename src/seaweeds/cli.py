@@ -8,16 +8,24 @@ GL/SL record's index is above its meander index (the report is written, and
 one stderr line names the first such record), else 4 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
 spoil the run; contact/stable return 1 when the search comes up empty;
-verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  Bad
-input (an unknown subcommand or flag, a value outside an option's choices,
-a malformed pair, a missing --n, a rank over the sweep limits, a negative
---attempts, a --bound or --trials below 1, a non-integer environment
-default, an environment default outside the subcommand's choices, an --out
-or --svg path that cannot be opened for writing) exits 2 with a one-line
-error on stderr before any sweep or search runs.  An environment default
-is checked only when the chosen subcommand takes that option and the
-command line leaves it out.  The --out and --svg files are opened, as a
-shell redirection opens them, before the work starts.
+verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  A
+report holding a FOUND record verifies only when it was written with
+--embed: verify re-checks the certificate behind every FOUND, and a report
+without them reads INVALID.  Bad input (an unknown subcommand or flag, a
+value outside an option's choices, a malformed pair, a missing --n, a rank
+over the sweep limits, a negative --attempts, a --bound or --trials below
+1, a non-integer environment default, an environment default outside the
+subcommand's choices, an --out or --svg path that cannot be opened for
+writing) exits 2 with a one-line error on stderr before any sweep or search
+runs.  An environment default is checked only when the chosen subcommand
+takes that option and the command line leaves it out.  The --out and --svg
+files are opened, as a shell redirection opens them, before the work
+starts.  An output that cannot be written, flushed or closed (an --out or
+--svg file, or the standard output, on a full disk for example) exits 2 as
+well, after the work, with the one line ``error: cannot write PATH:
+REASON`` (PATH is ``<stdout>`` for the standard output) and nothing more on
+stderr at shutdown; exit 1 stays verify's INVALID and contact/stable's
+empty search.
 """
 
 from __future__ import annotations
@@ -75,21 +83,53 @@ def _apply_env_defaults(args):
         setattr(args, dest, value)
 
 
+def _write_error(out, exc: OSError) -> ValueError:
+    """The one-line error of a failed write, flush or close of ``out``.  A
+    failed standard output is pointed at os.devnull first, so the bytes left
+    in its buffer go nowhere when the interpreter flushes it at exit,
+    instead of raising a second time there."""
+    if out is sys.stdout:
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None  # a stream with no descriptor is not flushed at exit
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+    return ValueError(f"cannot write {out.name}: {exc.strerror}")
+
+
+def _close(out):
+    try:
+        out.close()
+    except OSError as exc:
+        raise _write_error(out, exc) from None
+
+
 def _open_outputs(args, stack: ExitStack):
     """Replace the --out and --svg paths with files opened for writing on
     ``stack``, so an unwritable path is refused as bad input (ValueError)
-    before the work starts."""
+    before the work starts; closing them on ``stack`` raises ValueError
+    too when the bytes cannot be written."""
     for dest in ("out", "svg"):
         path = getattr(args, dest, None)
         if path:
             try:
-                setattr(args, dest, stack.enter_context(open(path, "w")))
+                out = open(path, "w")
             except OSError as exc:
                 raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+            stack.callback(_close, out)
+            setattr(args, dest, out)
 
 
-def _emit(text: str, out):
-    (out or sys.stdout).write(text)
+def _emit(text: str, out=None):
+    """Write ``text`` to an output of ``_open_outputs``, or to stdout."""
+    out = out or sys.stdout
+    try:
+        out.write(text)
+    except OSError as exc:
+        raise _write_error(out, exc) from None
 
 
 def _add_common(parser, *, formats=("text", "json"), with_search=False):
@@ -195,7 +235,7 @@ def _cmd_meander(args):
     top, bottom = _compositions(args)
     graph = meander(top, bottom)
     if args.svg:
-        args.svg.write(meander_svg(graph))
+        _emit(meander_svg(graph), args.svg)
     cycles, paths = census(graph)
     if args.format == "json":
         doc = {
@@ -261,7 +301,7 @@ def _cmd_verify(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("valid" if ok else "INVALID")
+    _emit("valid\n" if ok else "INVALID\n")
     return 0 if ok else 1
 
 
@@ -316,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override the rank limits")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="re-check a certificate file or report")
+    p = sub.add_parser(
+        "verify",
+        help="re-check a certificate file or report; a report holding a FOUND "
+        "record verifies only when classify wrote it with --embed",
+    )
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 
@@ -329,7 +373,12 @@ def main(argv=None) -> int:
         _apply_env_defaults(args)
         with ExitStack() as outputs:
             _open_outputs(args, outputs)
-            return args.func(args)
+            code = args.func(args)
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _write_error(sys.stdout, exc) from None
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,16 @@ killed entries, and its structure constants are the ambient table restricted
 to them.  The ambient basis, its supports and its table are built once per
 family and rank from sparse commutators, and so is the ambient algebra
 itself, by the ordinary constructor: its Jacobi and realization checks run
-once per family and rank.  Every seaweed is then ``LieAlgebra.restrict`` of
-that algebra to the kept basis elements, which checks that they are closed
-under the bracket and inherits the ambient's other identities.
+once per family and rank.  The supports and the shared entries are also
+held as bit masks over the N^2 matrix entries, and so is the block of
+entries each flag subspace kills, once per matrix size and dimension: a
+seaweed's killed entries are the OR of its prefix sums' blocks, and a basis
+matrix is kept when its support mask ANDs with them to 0.  Every seaweed is
+then ``LieAlgebra.restrict`` of the ambient algebra to the kept basis
+elements, which walks only the kept elements' rows of the ambient table,
+checks that they are closed under the bracket and inherits the ambient's
+other identities, so its cost grows with the brackets among kept elements,
+not with the ambient table.
 
 The type-A block picture, e_ij with blockA(i) <= blockA(j) and
 blockB(i) >= blockB(j), is not built here: it lives on in the tests as an
@@ -281,9 +288,31 @@ def _ambient_algebra(family: str, n: int) -> LieAlgebra:
     return LieAlgebra(len(mats), _ambient_view(family, n).table, realization=mats)
 
 
+@lru_cache(maxsize=None)
+def _ambient_masks(family: str, n: int) -> tuple[tuple[int, ...], int]:
+    """The supports and the shared entries of ``_ambient_view`` as bit
+    masks: entry (u, v) of an N x N matrix is bit u * N + v."""
+    view = _ambient_view(family, n)
+    size = AmbientAlgebra(family, n).matrix_size
+    supports = tuple(sum(1 << (u * size + v) for u, v in support) for support in view.supports)
+    return supports, sum(1 << (u * size + v) for u, v in view.shared)
+
+
+@lru_cache(maxsize=None)
+def _killed_block(size: int, p: int, forward: bool) -> int:
+    """The entries a flag subspace of dimension p kills, as a bit mask like
+    ``_ambient_masks``: rows >= p and columns < p for the forward flag's
+    V_p, rows < N - p and columns >= N - p for the reversed flag's W_p."""
+    if forward:
+        return sum(((1 << p) - 1) << (r * size) for r in range(p, size))
+    return sum(((1 << p) - 1) << (r * size + size - p) for r in range(size - p))
+
+
 def _kept_elements(amb: AmbientAlgebra, a: Composition, b: Composition) -> list[int]:
     """The ambient basis matrices whose support avoids every entry the two
-    flags kill, as indices in ambient order (see ``flag_seaweed``)."""
+    flags kill, as indices in ambient order (see ``flag_seaweed``).  The
+    killed entries are one bit mask, the union of one cached block per
+    prefix sum, and each support is tested against it with one AND."""
     size = amb.matrix_size
     if amb.family in ("GL", "SL"):
         if a.total != size or b.total != size:
@@ -293,17 +322,15 @@ def _kept_elements(amb: AmbientAlgebra, a: Composition, b: Composition) -> list[
             raise ValueError(
                 f"composition totals must be at most {amb.max_flag} for isotropic flags"
             )
-    killed = set()
+    killed = 0
     for p in a.prefix_sums():
-        if p < size:
-            killed.update((r, c) for r in range(p, size) for c in range(p))
+        killed |= _killed_block(size, p, True)
     for q in b.reversed().prefix_sums():
-        if q < size:
-            killed.update((r, c) for r in range(size - q) for c in range(size - q, size))
-    view = _ambient_view(amb.family, amb.n)
-    if not view.shared.isdisjoint(killed):
+        killed |= _killed_block(size, q, False)
+    supports, shared = _ambient_masks(amb.family, amb.n)
+    if shared & killed:
         raise StructureError("a killed entry is shared by two ambient basis matrices")
-    return [k for k, support in enumerate(view.supports) if support.isdisjoint(killed)]
+    return [k for k, support in enumerate(supports) if not support & killed]
 
 
 def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
@@ -330,7 +357,8 @@ def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
 
 
 def seaweed_dim(family: str, n: int, a: Composition, b: Composition) -> int:
-    """``seaweed(family, n, a, b).dim``, counted from the ambient basis
-    supports without building or restricting an algebra."""
+    """``seaweed(family, n, a, b).dim``, counted from the ambient support
+    masks (``_kept_elements``) without building or restricting an
+    algebra."""
     return len(_kept_elements(AmbientAlgebra(family, n), a, b))
 

@@ -9,7 +9,9 @@ realization with the table.  An algebra built from a table
 construction, always.  An algebra cut out of a checked one
 (``LieAlgebra.restrict``) is checked for closure under the bracket and
 inherits the rest: its identities are the parent's, restricted to a closed
-set of basis elements.
+set of basis elements.  A restriction walks a row index of the parent's
+table, built on first use, for the kept elements only, so its cost grows
+with the brackets among kept elements, not with the parent's table.
 
 Both checks are sparse: their cost grows with the nonzero structure constants
 and matrix entries, not with all pairs and triples of basis elements.  The
@@ -123,7 +125,7 @@ class LieAlgebra:
     given; they must agree up to sign.
     """
 
-    __slots__ = ("dim", "label", "_table", "_integral", "realization")
+    __slots__ = ("dim", "label", "_table", "_integral", "_rows", "realization")
 
     def __init__(self, dim, structure, realization=None, label=""):
         if dim < 0:
@@ -159,6 +161,7 @@ class LieAlgebra:
                 table[(j, i)] = tuple(sorted((r, -c) for r, c in terms.items()))
         self._table = table
         self._integral = all(type(c) is int for terms in table.values() for _, c in terms)
+        self._rows = None
 
         self._check_jacobi()
 
@@ -171,33 +174,55 @@ class LieAlgebra:
         in that order, with the parent's structure constants and realization
         matrices.
 
-        ``kept`` must be strictly increasing basis indices, so the order of
-        the table's pairs and terms carries over.  Raises StructureError when
-        a bracket of two kept elements has a term outside ``kept``.  Nothing
-        else is checked again: antisymmetry, Jacobi and the realization's
-        compatibility with the table are identities of the parent, checked
-        when it was built, and a restriction to a set closed under the
-        bracket satisfies them term by term.
+        ``kept`` must be strictly increasing basis indices.  Only the rows
+        of the kept elements are walked (``_row_index``), so the cost grows
+        with the brackets of kept elements with larger ones, not with the
+        parent's table; the table's pairs come out in sorted order, which is
+        the parent's order when its table is sorted, as an ambient table
+        is.  Raises StructureError when a bracket of two kept elements has a
+        term outside ``kept``.  Nothing else is checked again:
+        antisymmetry, Jacobi and the realization's compatibility with the
+        table are identities of the parent, checked when it was built, and a
+        restriction to a set closed under the bracket satisfies them term by
+        term.  A restriction of an integral algebra is integral.
         """
         kept = list(kept)
         bounds = [-1, *kept, self.dim]
         if any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("kept must be strictly increasing basis indices in range")
-        position = {k: t for t, k in enumerate(kept)}
+        rows = self._row_index()
+        position = [None] * self.dim
+        for t, k in enumerate(kept):
+            position[k] = t
         table = {}
-        for (i, j), terms in self._table.items():
-            if i in position and j in position:
-                if not all(r in position for r, _ in terms):
-                    raise StructureError(f"kept elements are not closed under bracket ({i},{j})")
-                table[(position[i], position[j])] = tuple((position[r], c) for r, c in terms)
+        for t, i in enumerate(kept):
+            for j, terms in rows[i]:
+                u = position[j]
+                if u is not None:
+                    table[(t, u)] = tuple([(position[r], c) for r, c in terms])
+        for (t, u), terms in table.items():
+            for r, _ in terms:
+                if r is None:  # a term outside kept
+                    raise StructureError(f"kept elements are not closed under bracket ({kept[t]},{kept[u]})")
         sub = object.__new__(LieAlgebra)
         sub.dim = len(kept)
         sub.label = label
         sub._table = table
-        sub._integral = all(type(c) is int for terms in table.values() for _, c in terms)
+        sub._integral = self._integral or all(type(c) is int for terms in table.values() for _, c in terms)
+        sub._rows = None
         mats = self.realization
         sub.realization = None if mats is None else tuple(mats[k] for k in kept)
         return sub
+
+    def _row_index(self):
+        """Row i lists the pairs (j, terms) of the table's keys (i, j),
+        j > i, in increasing j; built on first use and kept."""
+        if self._rows is None:
+            rows = [[] for _ in range(self.dim)]
+            for i, j in sorted(self._table):
+                rows[i].append((j, self._table[(i, j)]))
+            self._rows = rows
+        return self._rows
 
     # -- construction-time checks -------------------------------------------
 

@@ -45,9 +45,10 @@ constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
 certificate documents alike.  Each coordinate list read back is parsed
 straight into one integer row and the lcm of its reduced denominators.
 Either kind of certificate parses its form and takes ker B_phi once, as
-canonical primitive integer rows, unless they are given.  A contact
-certificate checks B_phi . reeb = 0 and phi(reeb) = 1 as integer
-identities and that the kernel is a line.  A stability certificate compares
+canonical primitive integer rows, unless they are given; B_phi is built
+only where that kernel is taken.  A contact certificate checks that the
+kernel is a line, that reeb lies on it, which is B_phi . reeb = 0, and
+phi(reeb) = 1, as integer identities.  A stability certificate compares
 the kernel with its serialized basis.  Without ``bracket_span`` it then
 needs only that kernel: one row k with phi(k) != 0 makes the form contact,
 hence stable (see ``contact``).  With ``bracket_span`` it runs the
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .construct import AmbientAlgebra, Composition, composition_pairs, seaweed, seaweed_dim
 from .contact import (
@@ -245,17 +245,18 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
     if kind not in ("contact", "stability"):
         raise ValueError(f"unknown certificate kind {kind!r}")
     form, form_den = _coords_row(g, doc["form"]) if form is None else form
-    b = g.kirillov_int_rows(form) if kind == "contact" or kernel is None else None
     if kernel is None:
-        kernel = skew_kernel_int_rows(b)
+        kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
     if kind == "contact":
         reeb, reeb_den = _coords_row(g, doc["reeb"])
-        if doc["kernel_dim"] != 1 or _ratio(doc["pairing"]) != (1, 1):
+        if doc["kernel_dim"] != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
             return False
-        # B_form . reeb = 0, both scaled to integers by positive factors
-        if any(sum(map(mul, row, reeb)) for row in b):
+        # B_form . reeb = 0: reeb lies on the kernel line, k[p] reeb = reeb[p] k
+        k = kernel[0]
+        p = next(t for t, x in enumerate(k) if x)
+        if any(k[p] * y != reeb[p] * x for x, y in zip(k, reeb)):
             return False
-        return pairing(form, reeb) == form_den * reeb_den and len(kernel) == 1
+        return pairing(form, reeb) == form_den * reeb_den
     kernel_basis = _basis_rows(doc["kernel"])
     span_basis = _basis_rows(doc["bracket_span"]) if "bracket_span" in doc else None
     if doc["intersection_dim"] != 0 or not _is_canonical(kernel_basis, g.dim, kernel):

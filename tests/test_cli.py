@@ -316,3 +316,50 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[]"]), done.stderr
+
+
+FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not FULL.exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,stdout", [
+    (["classify", "--family", "GL", "--n", "3", "--out", "/dev/full"], None),
+    (["classify", "--family", "GL", "--n", "5", "--out", "/dev/full"], None),  # fills the buffer
+    (["index", "2,1|3", "--out", "/dev/full"], None),
+    (["contact", "2,1|3", "--out", "/dev/full"], None),
+    (["meander", "2,1|3", "--out", "/dev/full"], None),
+    (["meander", "2,1|3", "--svg", "/dev/full"], None),
+    (["classify", "--family", "GL", "--n", "3"], FULL),
+    (["classify", "--family", "GL", "--n", "5"], FULL),
+    (["meander", "2,1|3"], FULL),
+])
+def test_a_failed_write_exits_2_with_one_line(argv, stdout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); from seaweeds.cli import main; sys.exit(main({argv!r}))"
+    with open(stdout or "/dev/null", "w") as out:
+        done = subprocess.run([sys.executable, "-c", code], stdout=out, stderr=subprocess.PIPE, text=True, timeout=60)
+    name = "<stdout>" if stdout else "/dev/full"
+    assert (done.returncode, done.stderr) == (2, f"error: cannot write {name}: No space left on device\n")
+
+
+class FullWriter:
+    """A stream whose every write fails as a full disk does."""
+
+    name = "<stdout>"
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_a_stdout_that_cannot_be_written_exits_2(capsys, monkeypatch, tmp_path):
+    report = str(tmp_path / "r.json")
+    assert run(capsys, "classify", "--family", "GL", "--n", "2", "--embed", "--out", report)[0] == 0
+    for argv in (["index", "2|2"], ["meander", "2,1|3"], ["verify", report]):
+        monkeypatch.setattr(sys, "stdout", FullWriter())
+        code = main(argv)
+        monkeypatch.undo()
+        _, err = capsys.readouterr()
+        assert (code, err) == (2, "error: cannot write <stdout>: No space left on device\n"), argv

@@ -14,7 +14,7 @@ from seaweeds import (
 )
 import fraction_reference as ref
 from block_reference import gln_seaweed, matrix_span
-from full_check_reference import full_check_seaweed
+from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
 
 from seaweeds.classify import LIMITS, composition_pairs
 from seaweeds.construct import _ambient_view
@@ -150,14 +150,21 @@ def test_shared_ambient_entries_are_diagonal():
             assert all(u == v for u, v in _ambient_view(family, n).shared), (family, n)
 
 
+def clear_ambients():
+    """Empty the caches built from an ambient view: the checked ambient
+    algebras, with their row indexes, and the support and shared masks."""
+    construct._ambient_algebra.cache_clear()
+    construct._ambient_masks.cache_clear()
+
+
 @pytest.fixture
 def cold_ambients():
-    """Empty the cache of checked ambient algebras before and after a test
+    """Empty the caches built from an ambient view before and after a test
     that tampers with what they are built from, so the test builds its own
     and leaves none behind."""
-    construct._ambient_algebra.cache_clear()
+    clear_ambients()
     yield
-    construct._ambient_algebra.cache_clear()
+    clear_ambients()
 
 
 def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch, cold_ambients):
@@ -169,7 +176,7 @@ def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch, cold_ambients):
         view._replace(table={**view.table, (0, 1): {2: 1}}),
     ):
         monkeypatch.setattr(construct, "_ambient_view", lambda family, n, bad=bad: bad)
-        construct._ambient_algebra.cache_clear()
+        clear_ambients()
         with pytest.raises(StructureError):
             flag_seaweed(amb, a, b)
 
@@ -204,12 +211,28 @@ def test_restriction_equals_full_check_construction(family, n):
         assert algebra_to_json(seaweed(family, n, a, b)) == expected, (family, n, a, b)
 
 
+@pytest.mark.parametrize("family,n", AMBIENTS + [("GL", 6), ("SL", 7)])
+def test_mask_selection_and_row_walk_equal_the_full_references(family, n):
+    # the bit-mask selection keeps what the killed-entry set keeps, and the
+    # row-indexed restriction issues the full table walk's keys, in its
+    # order, with its terms
+    amb, g = AmbientAlgebra(family, n), construct._ambient_algebra(family, n)
+    for a, b in composition_pairs(family, n):
+        kept = construct._kept_elements(amb, a, b)
+        assert kept == killed_entry_kept(family, n, a, b), (family, n, a, b)
+        sub = g.restrict(kept)
+        assert list(sub._table.items()) == list(full_walk_restriction(g, kept).items()), (family, n, a, b)
+        assert sub._integral and sub.realization == tuple(g.realization[k] for k in kept)
+
+
 def test_restrict_refuses_a_set_not_closed_under_bracket():
     gl2 = construct._ambient_algebra("GL", 2)  # e00, e01, e10, e11
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"\(1,2\)"):
         gl2.restrict([1, 2])  # [e01, e10] = e00 - e11
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"\(0,1\)"):
         heisenberg().restrict([0, 1])  # [x, y] = z
+    with pytest.raises(StructureError, match=r"\(1,2\)"):
+        gl2.restrict([0, 1, 2])  # kept pair (1, 2) of the parent
     assert gl2.restrict([0, 1]).dim == 2
 
 

@@ -381,3 +381,45 @@ def test_a_short_certificate_of_a_form_that_vanishes_on_its_kernel_line_is_refus
     assert pairing(ints, k) == 0 and is_stable_form(g, ints) is None
     forged = certificate_to_json(StabilityCertificate(tuple(ints), 1, (tuple(k),), None))
     assert both_verdicts(g, forged) == (False, False)
+
+
+
+# The rules of a contact certificate, checked on the kernel line that
+# verify takes once per form: each tamper below breaks exactly one.
+
+
+def test_a_contact_certificate_whose_reeb_leaves_the_kernel_line_is_refused():
+    # in dimension 1 the kernel line is the whole algebra
+    cases = [(g, doc) for g, doc in CONTACT if g.dim > 1]
+    assert len(cases) >= 20
+    for g, doc in cases:
+        # reeb + form[j] e_i - form[i] e_j: the form kills the (nonzero) move,
+        # so the pairing stays 1, and misses the kernel line
+        form = [frac_from_str(x) for x in doc["form"]]
+        j = next(t for t, x in enumerate(form) if x)
+        i = (j + 1) % g.dim
+        reeb = [frac_from_str(x) for x in doc["reeb"]]
+        reeb[i] += form[j]
+        reeb[j] -= form[i]
+        assert sum(map(lambda x, y: x * y, form, reeb)) == 1
+        assert both_verdicts(g, {**doc, "reeb": [frac_to_str(x) for x in reeb]}) == (False, False)
+
+
+def test_a_contact_certificate_whose_reeb_pairs_off_1_is_refused():
+    for g, doc in CONTACT:
+        for factor in (2, -1, F(1, 3)):
+            rescaled = [frac_to_str(factor * frac_from_str(x)) for x in doc["reeb"]]
+            assert both_verdicts(g, {**doc, "reeb": rescaled}) == (False, False)
+
+
+def test_a_contact_certificate_of_a_form_with_a_3_dim_kernel_is_refused():
+    # gl3 has index 3; reeb is a kernel vector of this form, normalized to
+    # pair to 1, so only the line rule fails
+    g = seaweed("GL", 3, Composition((3,)), Composition((3,)))
+    form = OneForm(g, tuple(F(x) for x in (-5, 9, -7, -1, -6, 6, 5, 6, 3)))
+    kernel = ref.kirillov_kernel(g, form)
+    assert kernel.dim == 3
+    k = next(k for k in kernel.basis if form(Element(g, k)))
+    reeb = Element(g, tuple(x / form(Element(g, k)) for x in k))
+    forged = ref.certificate_json(ref.ContactReference(form, reeb, 1, F(1)))
+    assert both_verdicts(g, forged) == (False, False)

@@ -23,7 +23,7 @@ from seaweeds.classify import REPORT_SCHEMA, classify, report
 from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.construct import seaweed
-from seaweeds.lie import StructureError
+from seaweeds.lie import LieAlgebra, StructureError
 from seaweeds.serialize import CERTIFICATE_SCHEMA, frac_from_str, frac_to_str, verify_certificate
 
 F = Fraction
@@ -159,6 +159,19 @@ def test_verify_report_document_tampered():
             break
     assert tampered
     assert not verify_document(doc)
+
+
+def test_verify_builds_one_kirillov_matrix_per_certificate_form(monkeypatch):
+    # every index-one record of this sweep is FOUND/FOUND, and its two
+    # certificates share one form: one B_phi per record serves both checks
+    doc = json.loads(report(classify("SL", 5, seed=23, embed_certificates=True), "json"))
+    found = [r for r in doc["records"] if r.get("certificates")]
+    assert len(found) == 86 and all(len(r["certificates"]) == 2 for r in found)
+    builds = []
+    kirillov_int_rows = LieAlgebra.kirillov_int_rows
+    monkeypatch.setattr(LieAlgebra, "kirillov_int_rows", lambda g, ints: builds.append(g) or kirillov_int_rows(g, ints))
+    assert verify_document(doc)
+    assert len(builds) == 86
 
 
 def test_verify_rejects_documents_with_nothing_to_check():
