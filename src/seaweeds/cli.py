@@ -92,7 +92,7 @@ def _write_error(out, exc: OSError) -> ValueError:
         try:
             fd = out.fileno()
         except (AttributeError, OSError, ValueError):
-            fd = None  # a stream with no descriptor is not flushed at exit
+            fd = None  # a stand-in stream, such as a test's capture
         if fd is not None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)

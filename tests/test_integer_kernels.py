@@ -401,7 +401,7 @@ def test_a_contact_certificate_whose_reeb_leaves_the_kernel_line_is_refused():
         reeb = [frac_from_str(x) for x in doc["reeb"]]
         reeb[i] += form[j]
         reeb[j] -= form[i]
-        assert sum(map(lambda x, y: x * y, form, reeb)) == 1
+        assert sum(x * y for x, y in zip(form, reeb)) == 1
         assert both_verdicts(g, {**doc, "reeb": [frac_to_str(x) for x in reeb]}) == (False, False)
 
 
