@@ -25,7 +25,8 @@ starts.  An output that cannot be written, flushed or closed (an --out or
 well, after the work, with the one line ``error: cannot write PATH:
 REASON`` (PATH is ``<stdout>`` for the standard output) and nothing more on
 stderr at shutdown; exit 1 stays verify's INVALID and contact/stable's
-empty search.
+empty search.  A stderr that cannot be written changes no exit code: its
+error line is lost and every code above holds.
 """
 
 from __future__ import annotations
@@ -83,21 +84,35 @@ def _apply_env_defaults(args):
         setattr(args, dest, value)
 
 
+def _discard(stream):
+    """Point a standard stream that failed a write at os.devnull, so the
+    bytes left in its buffer go nowhere when the interpreter flushes it at
+    exit, instead of raising a second time there."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # a stand-in stream, such as a test's capture
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _write_error(out, exc: OSError) -> ValueError:
-    """The one-line error of a failed write, flush or close of ``out``.  A
-    failed standard output is pointed at os.devnull first, so the bytes left
-    in its buffer go nowhere when the interpreter flushes it at exit,
-    instead of raising a second time there."""
+    """The one-line error of a failed write, flush or close of ``out``; a
+    failed standard output is discarded first (``_discard``)."""
     if out is sys.stdout:
-        try:
-            fd = out.fileno()
-        except (AttributeError, OSError, ValueError):
-            fd = None  # a stand-in stream, such as a test's capture
-        if fd is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        _discard(out)
     return ValueError(f"cannot write {out.name}: {exc.strerror}")
+
+
+def _error(text: str):
+    """Print ``error: text`` as one stderr line.  A stderr that cannot be
+    written loses the line and is discarded (``_discard``); the exit code
+    the line goes with stands."""
+    try:
+        print(f"error: {text}", file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
 
 
 def _close(out):
@@ -280,11 +295,10 @@ def _cmd_classify(args):
     if code == 5:
         misses = floor_misses(records)
         ordinal, r = misses[0]
-        print(
-            f"error: record {ordinal} ({record_label(r)}) has index "
+        _error(
+            f"record {ordinal} ({record_label(r)}) has index "
             f"{r.index}, above its meander index; {len(misses)} record(s) missed the floor at "
-            f"--bound {args.bound}: classify again with a larger --bound",
-            file=sys.stderr,
+            f"--bound {args.bound}: classify again with a larger --bound"
         )
     return code
 
@@ -294,12 +308,12 @@ def _cmd_verify(args):
         with open(args.file) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read certificate file: {exc}", file=sys.stderr)
+        _error(f"cannot read certificate file: {exc}")
         return 2
     try:
         ok = verify_document(doc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     _emit("valid\n" if ok else "INVALID\n")
     return 0 if ok else 1
@@ -380,7 +394,7 @@ def main(argv=None) -> int:
             raise _write_error(sys.stdout, exc) from None
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
 
 

@@ -37,10 +37,19 @@ the brackets of the kernel rows (``linalg.echelon_int_rows``) and one
 general integer rank for the meet, with the echelon rows first so that
 only the kernel rows are reduced; most attempts of a search that runs out
 fail there, and only an issued certificate pays for the canonical rows of
-[ker, g], which the echelon rows give by upward elimination alone.  The
-certificate check in ``serialize`` runs this same test on the kernel it
-takes, for a certificate that carries [ker, g], and compares the rows of
-[ker, g] it issues.
+[ker, g], which the echelon rows give by upward elimination alone.  A
+stability search learns from each such refusal which brackets [k, x_j]
+held a vector of the kernel in their span: of the input rows whose
+echelon spanned [ker, g] (``linalg.echelon_int_rows`` names them), those
+one relation with the kernel rows needs.  A later draw with as many kernel
+rows is first tested on the same rows of its own brackets; they lie in
+its [ker, g], so if its kernel meets their span the draw is refused, and
+only otherwise does the full test run.  On SO7 1,2|0, [k, g] has rank 7
+of 13 brackets, k lies in the span of 4 of them, and the same 4 refuse
+every draw after the first.  The shortcut only refuses, so every answer
+and every certificate is the full test's.  The certificate check in
+``serialize`` runs the full test on the kernel it takes, for a certificate
+that carries [ker, g], and compares the rows of [ker, g] it issues.
 
 Both tests take an optional kernel, so one elimination serves them both.
 There is one search loop (``_search``): it tests the first ``attempts``
@@ -81,6 +90,7 @@ from .linalg import (
     clear_denominators,
     echelon_int_rows,
     is_squarefree,
+    kernel_int_rows,
     meets_trivially_int_rows,
     minimal_polynomial,
     skew_kernel_int_rows,
@@ -210,33 +220,64 @@ def _bracket_rows(g: LieAlgebra, kernel) -> list:
     return [row for k in kernel for row in g.ad_int_rows(k)]
 
 
-def kernel_bracket_span(g: LieAlgebra, kernel):
+def kernel_bracket_span(g: LieAlgebra, kernel, learned=None):
     """The canonical primitive rows of [K, g] when they meet K only in 0,
     else None; K is given by its canonical rows ``kernel``.
 
     One forward elimination of the brackets [k, x_j] decides: its echelon
     rows go first in the meet, so only the kernel rows are reduced against
     them.  The canonical rows of [K, g] are built from the echelon rows
-    only when the meet is trivial."""
-    echelon = echelon_int_rows(_bracket_rows(g, kernel))
+    only when the meet is trivial.
+
+    ``learned``, when given, is a dict a search keeps across its draws: for
+    a number of kernel rows, the indices into the bracket rows of the rows
+    that held a vector of K in their span at the last refusal of that shape
+    (``_meet_support``).  Those rows of this K's brackets are eliminated
+    first, and if K meets their span it meets [K, g], so the answer is None
+    without the full elimination.  A span met trivially decides nothing (it
+    may be short of [K, g]): the full test runs, and a refusal there is
+    learned."""
+    rows = _bracket_rows(g, kernel)
+    support = None if learned is None else learned.get(len(kernel))
+    if support is not None and not meets_trivially_int_rows(echelon_int_rows([rows[i] for i in support]), kernel):
+        return None
+    echelon, indices = echelon_int_rows(rows, sources=True)
     if not meets_trivially_int_rows(echelon, kernel):
+        if learned is not None:
+            learned[len(kernel)] = _meet_support(rows, indices, kernel)
         return None
     return span_int_rows(echelon)
 
 
-def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
+def _meet_support(rows, indices, kernel):
+    """The rows among ``rows[indices]`` that one vector of the meet needs.
+
+    ``rows[indices]`` are independent (``echelon_int_rows`` with
+    ``sources`` names them) and their span meets that of the independent
+    ``kernel`` rows, so the relations sum c_i rows[i] + sum d_j kernel[j]
+    = 0 are not all 0, and in each nonzero one neither c nor d is 0: the
+    rows with c_i != 0 span the nonzero vector -sum d_j kernel[j] of K."""
+    basis = [rows[i] for i in indices]
+    relation = kernel_int_rows([list(col) for col in zip(*basis, *kernel)], len(basis) + len(kernel))[0]
+    return [i for i, c in zip(indices, relation) if c]
+
+
+def is_stable_form(g: LieAlgebra, form, kernel=None, *, learned=None) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially;
     ``form`` and ``kernel`` as for ``is_contact_form``.
 
     A contact form (a kernel line <k> with form(k) != 0) is stable by the
     lemma of the module docstring, and its certificate holds no [ker, g];
-    any other form goes through ``kernel_bracket_span``."""
+    any other form goes through ``kernel_bracket_span``, with the bracket
+    rows a search has ``learned`` from its earlier refusals.  Those can
+    only refuse a form whose [ker, g] meets ker, so the answer, and any
+    certificate, is the same with or without them."""
     ints, den = _int_coords(form)
     kernel = _kernel(g, ints, kernel)
     if len(kernel) == 1 and pairing(ints, kernel[0]):
         span = None
     else:
-        span = kernel_bracket_span(g, kernel)
+        span = kernel_bracket_span(g, kernel, learned)
         if span is None:
             return None
         span = tuple(map(tuple, span))
@@ -318,10 +359,18 @@ def find_stable_form(
     draws=None,
 ) -> StabilityCertificate | None:
     """Randomized search for a stable form; None means budget exhausted.
-    Draws as ``find_contact_form``.  A budget of 0 finds nothing; a
-    negative one, or a bound below 1, raises ValueError."""
+    Draws as ``find_contact_form``.  Each draw is one ``is_stable_form``
+    call, given the bracket rows the search has learned from the draws it
+    refused (``kernel_bracket_span``), which refuse a draw sooner but never
+    change an answer.  A budget of 0 finds nothing; a negative one, or a
+    bound below 1, raises ValueError."""
     _require_budget(attempts, bound)
-    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, is_stable_form)
+    learned = {}
+
+    def test(g, form, kernel):
+        return is_stable_form(g, form, kernel, learned=learned)
+
+    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, test)
 
 
 def is_semisimple_element(x: Element) -> bool:

@@ -42,7 +42,9 @@ matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
 They share one forward elimination, `echelon_int_rows`: a rank is the
 length of its result, and `rref_int_rows` is its result reduced upward,
 so echelon rows that are kept give the canonical rows by upward
-elimination alone.  `minimal_polynomial` takes the first integer
+elimination alone.  It can also name the input rows its echelon rows came
+from, a basis of the row space taken from the input itself.
+`minimal_polynomial` takes the first integer
 kernel row among the vectorized powers of the matrix with its denominators
 cleared, and `is_squarefree` is the full rank of the Sylvester matrix of p
 and p'; no polynomial arithmetic is done.
@@ -91,7 +93,7 @@ def _content(row, start):
     return g
 
 
-def echelon_int_rows(rows):
+def echelon_int_rows(rows, *, sources=False):
     """Row echelon form of an integer matrix, by fraction-free forward
     elimination: its nonzero rows, as many as the rank, with strictly
     increasing leading columns, spanning the row space of the input.
@@ -99,12 +101,19 @@ def echelon_int_rows(rows):
     Growth is contained by stripping the gcd of every updated row, so all
     divisions are exact.  Rows below a pivot are eliminated, rows above it
     are not; ``span_int_rows`` of the result finishes the reduction upward.
+
+    With ``sources``, returns ``(echelon, indices)``: echelon row r is a
+    nonzero multiple of input row ``indices[r]`` plus a combination of the
+    input rows listed before it, and every other input row was eliminated
+    to zero by the listed ones, so the listed input rows are a basis of the
+    row space.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return ([], []) if sources else []
     n = len(rows[0])
     work = [list(r) for r in rows]
+    order = list(range(m)) if sources else None
     rank = 0
     for col in range(n):
         piv = -1
@@ -115,6 +124,8 @@ def echelon_int_rows(rows):
         if piv < 0:
             continue
         work[rank], work[piv] = work[piv], work[rank]
+        if sources:
+            order[rank], order[piv] = order[piv], order[rank]
         prow = work[rank]
         p = prow[col]
         for i in range(rank + 1, m):
@@ -131,7 +142,7 @@ def echelon_int_rows(rows):
         rank += 1
         if rank == m:
             break
-    return work[:rank]
+    return (work[:rank], order[:rank]) if sources else work[:rank]
 
 
 def rank_int_rows(rows):

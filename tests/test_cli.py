@@ -342,6 +342,23 @@ def test_a_failed_write_exits_2_with_one_line(argv, stdout):
     assert (done.returncode, done.stderr) == (2, f"error: cannot write {name}: No space left on device\n")
 
 
+@pytest.mark.skipif(not FULL.exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,code", [
+    (["index", "2|2", "--bound", "0"], 2),
+    (["classify", "--family", "SL", "--n", "5", "--bound", "1", "--out", "/dev/null"], 5),
+    (["classify", "--family", "GL", "--n", "3", "--out", "/dev/full"], 2),
+    (["verify", "missing.json"], 2),
+])
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"import sys; sys.path.insert(0, {src!r}); from seaweeds.cli import main; sys.exit(main({argv!r}))"
+    with open(FULL, "w") as err:
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=err, timeout=60
+        )
+    assert done.returncode == code
+
+
 class FullWriter:
     """A stream whose every write fails as a full disk does."""
 

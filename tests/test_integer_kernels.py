@@ -194,6 +194,19 @@ def test_echelon_int_rows_is_an_echelon_basis_of_the_row_space(rows):
     assert span_int_rows(echelon) == canonical
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=8)
+))
+def test_the_rows_echelon_int_rows_reports_are_a_basis_of_the_row_space(rows):
+    echelon, indices = echelon_int_rows(rows, sources=True)
+    assert echelon == echelon_int_rows(rows)
+    assert len(set(indices)) == len(indices) and all(0 <= i < len(rows) for i in indices)
+    kept = [rows[i] for i in indices]
+    assert len(echelon_int_rows(kept)) == len(kept)  # independent
+    assert span_int_rows(kept) == span_int_rows(rows)  # spanning
+
+
 def _certificate_cases():
     """(algebra, certificate document) for a small random form on every
     seaweed of SEAWEEDS, and on the non-integral rescaled ones."""

@@ -38,9 +38,9 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
         return rep
 
     def recorded(kind, test):
-        def wrapped(g, form, kernel=None):
+        def wrapped(g, form, kernel=None, **kwargs):
             tested.setdefault(current[0], {}).setdefault(kind, []).append(tuple(form))
-            return test(g, form, kernel)
+            return test(g, form, kernel, **kwargs)
 
         return wrapped
 
