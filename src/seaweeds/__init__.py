@@ -1,7 +1,8 @@
 """Seaweed Lie algebras over exact rational arithmetic.
 
 Construction of seaweed (biparabolic) subalgebras of gl(n), sl(n), sp(2n),
-and so(n); Kirillov-form index computation; contact and stability analysis
+and so(n); their index, by formula (``meander``), with randomized
+Kirillov-form witnesses; contact and stability analysis
 with machine-checkable certificates; and an exhaustive small-rank classifier
 testing the equivalence "index-one seaweed is contact iff it admits a stable
 form" on enumerated composition pairs.  All exact linear algebra, from
@@ -18,7 +19,7 @@ in ker phi), so the classifier's two searches, which share one stream of
 forms, cannot reach a COUNTEREXAMPLE; the sweep tests stable => contact.
 A stability certificate of a contact form holds its kernel line alone,
 which ``verify`` checks with no [ker, g]; only a stable form that is not
-contact carries [ker, g].  Reports are compact JSON (schema 3).
+contact carries [ker, g].  Reports are compact JSON (schema 4).
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report
@@ -58,7 +59,7 @@ from .linalg import (
     is_squarefree,
     minimal_polynomial,
 )
-from .meander import MeanderGraph, census, meander, meander_index, meander_svg
+from .meander import MeanderGraph, census, index_formula, meander, meander_index, meander_svg
 from .serialize import algebra_from_json, algebra_to_json, certificate_to_json, verify_document
 
 __version__ = "0.1.0"
@@ -97,6 +98,7 @@ __all__ = [
     "flag_seaweed",
     "heisenberg",
     "index",
+    "index_formula",
     "is_contact_form",
     "is_semisimple_element",
     "is_squarefree",

@@ -1,20 +1,19 @@
 """Batch enumeration and the empirical theorem-verification harness.
 
 For every composition pair valid for the family, the classifier builds the
-seaweed, computes its randomized index, and, exactly on the index-one cases
-(which are automatically odd-dimensional), runs the contact and stability
-searches.  The two searches test one stream of forms, seeded by the record
-seed XOR ``_CONTACT_SALT``: each drawn form is eliminated once and its
-kernel goes to both tests (``contact.form_draws``).  The stream starts at
-the index witness when the first index pass reached index one, so that
-form costs no elimination at all; a witness found only by the re-run has
-coordinates beyond ``bound`` and is not drawn.  A certificate's form is
-therefore always an integer form within ``bound``, which ``verify``
-checks.  A contact form is stable (``contact``), so when both searches
-succeed the stability search stops no later than the contact search, in
-practice on the same draw: their certificates carry one form, and the
-stability certificate, being of a contact form, holds the kernel line
-alone, with no [ker, g].  Verdict policy:
+seaweed (with its construction checks), takes its index from the formula
+(``meander.index_formula``, which states the index rule), and, exactly on
+the index-one cases (which are automatically odd-dimensional), runs the
+contact and stability searches.  No other seaweed draws a form.  The two
+searches test one stream of forms, ``contact.form_draws`` seeded by the
+record seed XOR ``_CONTACT_SALT``: each drawn form is eliminated once and
+its kernel goes to both tests.  A certificate's form is therefore always
+an integer form within ``bound``, which ``verify`` checks.  A contact form
+is stable (``contact``), so when both searches succeed the stability
+search stops no later than the contact search, in practice on the same
+draw: their certificates carry one form, and the stability certificate,
+being of a contact form, holds the kernel line alone, with no [ker, g].
+Verdict policy:
 
 * index != 1: both searches SKIPPED, verdict CONSISTENT (the equivalence
   under test says nothing there).
@@ -29,25 +28,15 @@ alone, with no [ker, g].  Verdict policy:
   (neither property present).
 * zero-attempt budgets leave searches inconclusive: UNRESOLVED.
 
-``exit_status`` turns a sweep into the CLI's exit code: 5 when any GL/SL
-record's index is above its meander index (``floor_misses``), a claim
-``verify`` refuses; else 4 when any record is a COUNTEREXAMPLE; else 3
-under ``strict`` when any is UNRESOLVED; else 0.
-
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
-also uses to re-derive each record's verdict.
+also uses to re-derive each record's verdict.  ``exit_status`` turns a
+sweep into the CLI's exit code: 4 when any record is a COUNTEREXAMPLE,
+else 3 under ``strict`` when any is UNRESOLVED, else 0.
 
-Each record has an index floor, a lower bound on its index that one trial
-can reach (``meander.index_floor``): the meander index for GL/SL, which is
-exact, and dim mod 2 for SP/SO.  A pass of index trials draws at most
-``trials`` forms and stops at the first whose kernel dimension equals the
-floor, which proves the index.  A pass that misses the floor and whose
-trials disagree (``lie.needs_rerun``) triggers one re-run with the
-coordinate bound multiplied by 100, a pass of the same shape; the reported
-index is the minimum kernel dimension seen, and ``trial_kernel_dims`` lists
-every trial of both passes.  The GL/SL floor is exact, so a record whose
-passes all miss it (likely only at a small ``bound``) holds a wrong
-index; ``floor_misses`` names such records.
+No index trial is drawn.  Every record still carries the ``trials``
+count ``classify`` is given and an empty ``trial_kernel_dims``, which
+``verify`` requires, because the benchmark harness passes the one and
+reads both.
 Per-record determinism comes from derived seeds (seed XOR record ordinal),
 so records are independent of evaluation order and identical CLI invocations
 produce byte-identical reports.
@@ -61,7 +50,7 @@ import json
 from itertools import tee
 from typing import NamedTuple
 
-from .construct import Composition, composition_pairs, seaweed
+from .construct import composition_pairs, seaweed
 from .contact import (
     CONSISTENT,
     DEFAULT_ATTEMPTS,
@@ -75,8 +64,9 @@ from .contact import (
     is_stable_form,  # noqa: F401  (perfbench/spans.py traces calls of this name as contact.fallback; the sweep makes none)
     search_verdict,
 )
-from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index, needs_rerun, parity
-from .meander import index_floor
+from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, parity
+from .lie import index  # noqa: F401  (perfbench/spans.py traces calls of this name as lie.index; the sweep makes none)
+from .meander import index_formula
 from .serialize import REPORT_SCHEMA, certificate_to_json
 
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
@@ -107,19 +97,6 @@ class ClassificationRecord(NamedTuple):
     certificates: dict | None = None
 
 
-def _stable_index(g, seed, trials, bound, floor):
-    """The index, the trial kernel dimensions of both passes, and the first
-    pass's report, whose witness is within ``bound``."""
-    report = index(g, seed, trials, bound, floor=floor)
-    dims = report.trial_kernel_dims
-    value = report.index
-    if needs_rerun(dims, floor):
-        retry = index(g, seed, trials, bound * 100, floor=floor)
-        value = min(value, retry.index)
-        dims = dims + retry.trial_kernel_dims
-    return value, dims, report
-
-
 def classify(
     family: str,
     n: int,
@@ -132,6 +109,7 @@ def classify(
     embed_certificates: bool = False,
 ) -> list[ClassificationRecord]:
     """Classify every seaweed of the family at rank n; deterministic per seed.
+    ``trials`` is only written into the records (see the module docstring).
     Raises ValueError, before any work, on an unknown family, a negative
     attempt budget, or a bound or trial count below 1, and LimitError on a
     rank over the limits."""
@@ -154,13 +132,11 @@ def classify(
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
         g = seaweed(family, n, a, b)
         record_seed = seed ^ ordinal
-        floor = index_floor(family, a, b, g.dim)
-        idx, trial_dims, first_pass = _stable_index(g, record_seed, trials, bound, floor)
+        idx = index_formula(family, n, a, b)
         certs = {}
         if idx == 1:
             search_seed = record_seed ^ _CONTACT_SALT
-            witness = first_pass if first_pass.index == 1 else None
-            contact_draws, stable_draws = tee(form_draws(g, search_seed, bound, witness))
+            contact_draws, stable_draws = tee(form_draws(g, search_seed, bound))
             c_cert = find_contact_form(g, search_seed, attempts, bound, draws=contact_draws)
             s_cert = find_stable_form(g, search_seed, attempts, bound, draws=stable_draws)
             contact_status = FOUND if c_cert is not None else NOT_FOUND
@@ -190,7 +166,7 @@ def classify(
                 attempts=attempts,
                 bound=bound,
                 trials=trials,
-                trial_kernel_dims=trial_dims,
+                trial_kernel_dims=(),
                 certificates=certs or None,
             )
         )
@@ -213,11 +189,6 @@ def _record_to_json(r: ClassificationRecord) -> dict:
 def _parts(composition: tuple[int, ...]) -> str:
     """A composition in the CLI's text form, "0" for the empty one."""
     return ",".join(map(str, composition)) or "0"
-
-
-def record_label(r: ClassificationRecord) -> str:
-    """A record's seaweed as the text report names it, e.g. SL5[3,2|4,1]."""
-    return f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}]"
 
 
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
@@ -244,7 +215,7 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
         lines = []
         for r in records:
             lines.append(
-                f"{record_label(r)} dim={r.dim} "
+                f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}] dim={r.dim} "
                 f"index={r.index} contact={r.contact} stable={r.stable} verdict={r.verdict}"
             )
         lines.append("")
@@ -256,28 +227,10 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def floor_misses(records) -> list[tuple[int, ClassificationRecord]]:
-    """(ordinal, record) of each GL/SL record whose index is above its
-    exact floor, the meander index: its trials all missed the floor, which
-    a small ``bound`` makes likely, so its index is wrong.  A first pass
-    that drew fewer than ``trials`` forms stopped at the floor, so only a
-    record with a full pass is held against its meander."""
-    return [
-        (ordinal, r)
-        for ordinal, r in enumerate(records)
-        if r.family in ("GL", "SL")
-        and len(r.trial_kernel_dims) >= r.trials
-        and r.index != index_floor(r.family, Composition(r.top), Composition(r.bottom), r.dim)
-    ]
-
-
 def exit_status(records, strict: bool = False) -> int:
-    """0 success, 5 any GL/SL index above its meander index
-    (``floor_misses``), 4 any counterexample, 3 unresolved-only failures
-    under strict, in that order.  2 is left to bad input, which the CLI
-    refuses before a sweep."""
-    if floor_misses(records):
-        return 5
+    """0 success, 4 any counterexample, 3 unresolved-only failures under
+    strict, in that order.  2 is left to bad input, which the CLI refuses
+    before a sweep."""
     summary = count_verdicts([r.verdict for r in records])
     if summary["counterexample"]:
         return 4

@@ -3,15 +3,15 @@
 Subcommands: index, contact, stable, classify, verify, meander.
 Environment variables (SEAWEEDS_FAMILY, SEAWEEDS_SEED, SEAWEEDS_ATTEMPTS,
 SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
-flags always win.  Exit codes: classify returns 0 on success, 5 when a
-GL/SL record's index is above its meander index (the report is written, and
-one stderr line names the first such record), else 4 when any
+flags always win.  Exit codes: classify returns 0 on success, 4 when any
 COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
-spoil the run; contact/stable return 1 when the search comes up empty;
-verify returns 0 for valid, 1 for invalid, 2 for unreadable input.  A
-report holding a FOUND record verifies only when it was written with
---embed: verify re-checks the certificate behind every FOUND, and a report
-without them reads INVALID.  Bad input (an unknown subcommand or flag, a
+spoil the run (5 is reserved); contact/stable return 1 when the search
+comes up empty; verify returns 0 for valid, 1 for invalid, 2 for
+unreadable input.  index prints the index by formula (``meander`` states
+the index rule) next to a randomized witness form.  A report holding a
+FOUND record verifies only when it was written with --embed: verify
+re-checks the certificate behind every FOUND, and a report without them
+reads INVALID.  Bad input (an unknown subcommand or flag, a
 value outside an option's choices, a malformed pair, a missing --n, a rank
 over the sweep limits, a negative --attempts, a --bound or --trials below
 1, a non-integer environment default, an environment default outside the
@@ -37,11 +37,11 @@ import os
 import sys
 from contextlib import ExitStack
 
-from .classify import LIMITS, classify, exit_status, floor_misses, record_label, report
+from .classify import LIMITS, classify, exit_status, report
 from .construct import Composition, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
-from .meander import census, meander, meander_index, meander_svg
+from .meander import census, index_formula, meander, meander_index, meander_svg
 from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, ratios_to_json, verify_document
 
 
@@ -176,24 +176,32 @@ def _compositions(args):
     return Composition.parse(args.top), Composition.parse(args.bot)
 
 
-def _build_algebra(args):
+def _seaweed_args(args):
+    """The ``seaweed`` arguments the command line names: family, n and the
+    two compositions."""
     top, bottom = _compositions(args)
     n = args.n
     if n is None:
         if args.family in ("SP", "SO"):
             raise ValueError(f"--n is required for family {args.family}")
         n = top.total
-    return seaweed(args.family, n, top, bottom)
+    return args.family, n, top, bottom
 
 
 def _cmd_index(args):
-    g = _build_algebra(args)
-    rep = index(g, args.seed, trials=args.trials, bound=args.bound)
+    """The index by formula (``meander``, the index rule), and next to it
+    the randomized witness: trials that stop at the first form whose
+    kernel dimension reaches the formula."""
+    named = _seaweed_args(args)
+    g = seaweed(*named)
+    value = index_formula(*named)
+    rep = index(g, args.seed, trials=args.trials, bound=args.bound, floor=value)
     if args.format == "json":
         doc = {
             "label": g.label,
             "dim": g.dim,
-            "index": rep.index,
+            "index": value,
+            "witness_kernel_dim": rep.index,
             "witness_form": ratios_to_json(rep.witness_coords),
             "samples_used": len(rep.trial_kernel_dims),
             "seed": args.seed,
@@ -202,8 +210,9 @@ def _cmd_index(args):
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         _emit(
-            f"{g.label}: index {rep.index} (dim {g.dim}, trials {len(rep.trial_kernel_dims)}, "
-            f"bound {args.bound}, seed {args.seed}, kernel dims {list(rep.trial_kernel_dims)})\n",
+            f"{g.label}: index {value} (dim {g.dim}); randomized witness kernel dim {rep.index} "
+            f"(trials {len(rep.trial_kernel_dims)}, bound {args.bound}, seed {args.seed}, "
+            f"kernel dims {list(rep.trial_kernel_dims)})\n",
             args.out,
         )
     return 0
@@ -218,7 +227,7 @@ def _certificate_document(g, cert):
 
 
 def _cmd_contact(args):
-    g = _build_algebra(args)
+    g = seaweed(*_seaweed_args(args))
     cert = find_contact_form(g, args.seed, attempts=args.attempts, bound=args.bound)
     if cert is None:
         _emit(f"{g.label}: no contact form found in {args.attempts} attempts\n", args.out)
@@ -232,7 +241,7 @@ def _cmd_contact(args):
 
 
 def _cmd_stable(args):
-    g = _build_algebra(args)
+    g = seaweed(*_seaweed_args(args))
     cert = find_stable_form(g, args.seed, attempts=args.attempts, bound=args.bound)
     if cert is None:
         _emit(f"{g.label}: no stable form found in {args.attempts} attempts\n", args.out)
@@ -291,16 +300,7 @@ def _cmd_classify(args):
         "budgets": {"attempts": args.attempts, "bound": args.bound, "trials": args.trials},
     }
     _emit(report(records, args.format, meta=meta), args.out)
-    code = exit_status(records, strict=args.strict)
-    if code == 5:
-        misses = floor_misses(records)
-        ordinal, r = misses[0]
-        _error(
-            f"record {ordinal} ({record_label(r)}) has index "
-            f"{r.index}, above its meander index; {len(misses)} record(s) missed the floor at "
-            f"--bound {args.bound}: classify again with a larger --bound"
-        )
-    return code
+    return exit_status(records, strict=args.strict)
 
 
 def _cmd_verify(args):
@@ -327,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("index", help="randomized index of one seaweed")
+    p = sub.add_parser("index", help="index of one seaweed, with a randomized witness form")
     _add_algebra_args(p)
     _add_common(p)
-    _env_option(p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS, help="random forms to draw")
+    _env_option(
+        p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS,
+        help="most random forms to draw; the draws stop at the first that reaches the index",
+    )
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("contact", help="search for a contact form")
@@ -360,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _env_option(p, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
     _env_option(
         p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS,
-        help="most index trials per pass; a pass stops at the first trial that "
-        "reaches the index floor (the meander index for GL/SL, dim mod 2 for SP/SO)",
+        help="written into each record; the index is a formula, so no index trial is drawn",
     )
     _env_option(p, "--format", "SEAWEEDS_FORMAT", "json", ("json", "csv", "text"))
     p.add_argument("--out")

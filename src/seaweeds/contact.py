@@ -57,9 +57,8 @@ draws of a stream (``form_draws``), each drawn form with its integer
 coordinates and its kernel, until its test issues a certificate.
 ``find_contact_form`` and ``find_stable_form`` are that loop with the
 contact or the stability test.  The sweep gives both searches one stream,
-so every draw is eliminated once and its kernel reaches both tests; the
-stream starts at the index witness, whose kernel comes from the steps the
-index already took.  Certificates hold integer rows only: the form over
+so every draw is eliminated once and its kernel reaches both tests.
+Certificates hold integer rows only: the form over
 one denominator, the Reeb vector over phi(k), and canonical primitive rows
 of ker B_phi and, for a stable form that is not contact, of [ker, g].
 ``serialize.certificate_to_json`` writes them as the rationals a
@@ -94,14 +93,12 @@ from .linalg import (
     meets_trivially_int_rows,
     minimal_polynomial,
     skew_kernel_int_rows,
-    skew_kernel_of_steps,
     skew_rank_int_rows,
     span_int_rows,
 )
 from .lie import (
     DEFAULT_BOUND,
     Element,
-    IndexReport,
     LieAlgebra,
     OneForm,
     center,
@@ -302,15 +299,11 @@ def count_verdicts(verdicts) -> dict:
     return {"records": len(verdicts), **counts}
 
 
-def form_draws(g: LieAlgebra, seed: int, bound: int, first: IndexReport | None = None):
+def form_draws(g: LieAlgebra, seed: int, bound: int):
     """The forms a search tests, each as (integer coordinates, ker B_phi as
     ``linalg.skew_kernel_int_rows`` rows): forms with coordinates drawn
-    uniformly from [-bound, bound] by one rng stream per seed, after the
-    witness of ``first`` when an index report is given.  Every draw costs
-    one skew elimination, and the witness none: its kernel comes from the
-    steps the index already took (``linalg.skew_kernel_of_steps``)."""
-    if first is not None:
-        yield first.witness_coords, skew_kernel_of_steps(first.witness_steps, g.dim)
+    uniformly from [-bound, bound] by one rng stream per seed.  Every draw
+    costs one skew elimination."""
     rng = random.Random(seed)
     while True:
         ints = [rng.randint(-bound, bound) for _ in range(g.dim)]

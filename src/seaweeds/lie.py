@@ -32,13 +32,13 @@ code path serves every algebra, and integral ones run on int arithmetic.
 
 The Kirillov form of a one-form phi is the skew matrix
 B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
-kernel dimension of B_phi over all phi.  The index is computed by randomized
-evaluation: the kernel dimension is minimized on a Zariski-open set, so a
-random integer form attains it with overwhelming probability
-(Schwartz-Zippel); the default budget is at most 3 trials with coordinates
-bounded by 10^6.  Every trial's kernel dimension is an upper bound on the
-index, so a caller that knows a lower bound (a floor) stops the trials at
-the first form that reaches it: that form proves the index.
+kernel dimension of B_phi over all phi.  ``index`` samples it: the kernel
+dimension is minimized on a Zariski-open set, so a random integer form
+attains it with overwhelming probability (Schwartz-Zippel); the default
+budget is at most 3 trials with coordinates bounded by 10^6.  A trial's
+kernel dimension only bounds the index from above; a seaweed's index is a
+formula (``meander`` states the rule), which ``seaweeds index`` passes as
+the floor at which the trials stop.  The sweep calls no ``index``.
 
 Ranks and kernels are taken the same way: the form's denominators are
 cleared once (`linalg.clear_denominators`) and B_phi is built as skew
@@ -50,14 +50,9 @@ its pivots (`linalg._skew_pivots`, `linalg.skew_rank_int_rows`), and
 `kirillov_kernel` turns the canonical primitive integer rows of ker B_phi
 (`linalg.skew_kernel_int_rows`) into a rational `Subspace`.
 
-The witness of `index` is its first form of least kernel dimension.  The
-report holds integers only: the index, the trial kernel dimensions, and
-the witness as integer coordinates with the elimination steps of its
-Kirillov matrix, so a search that tests the witness first
-(`contact.form_draws`) takes its kernel by back-substitution alone
-(`linalg.skew_kernel_of_steps`).  A sweep's re-run rule for the index
-(`needs_rerun`) and a report's parity (`parity`) are stated here once, for
-the classifier that applies them and the verifier that checks them.
+The witness of `index` is its first form of least kernel dimension, kept
+as integer coordinates.  A report's parity (`parity`) is stated here once,
+for the classifier that writes it and the verifier that checks it.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _immutable,
-    _skew_pivots,
     as_scalar,
     clear_denominators,
     kernel_int_rows,
@@ -415,30 +409,14 @@ class OneForm(_Coords):
 
 
 class IndexReport(NamedTuple):
-    """Result of the randomized index computation: the index, the kernel
-    dimension of each form drawn, and the witness, the first drawn form of
-    least kernel dimension.  The witness is kept as its integer coordinates
-    together with the ``linalg._skew_pivots`` steps of its Kirillov matrix,
-    so its kernel costs no second elimination
-    (``linalg.skew_kernel_of_steps``).  Equality, hashing and the repr
-    leave the steps out."""
+    """Result of the randomized index computation: the least kernel
+    dimension drawn, the kernel dimension of each form drawn, and the
+    witness, the first drawn form of least kernel dimension, as integer
+    coordinates."""
 
     index: int
     trial_kernel_dims: tuple[int, ...]
     witness_coords: tuple[int, ...]
-    witness_steps: list
-
-    def __eq__(self, other):
-        return type(other) is IndexReport and other[:3] == self[:3]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:3])
-
-    def __repr__(self):
-        return "IndexReport(index={!r}, trial_kernel_dims={!r}, witness_coords={!r})".format(*self[:3])
 
 
 def _same_algebra(x, y):
@@ -476,14 +454,13 @@ def index(
     """Randomized index: minimum kernel dimension over sampled integer forms.
 
     Draws at most ``trials`` forms and stops after the first whose kernel
-    dimension equals ``floor``, a proven lower bound on the index, so that
-    form is a regular witness; with no floor every trial is drawn.  The
-    forms come from one rng stream per seed, so a pass that stops early
-    draws a prefix of the forms of a pass that does not.  The result is an
-    upper bound for the true index that is exact with overwhelming
-    probability (exact when it meets the floor); the trial kernel
-    dimensions are recorded so callers can detect disagreement and re-run
-    with a larger bound.
+    dimension equals ``floor``, a proven lower bound on the index (such as
+    ``meander.index_formula``), so that form is a regular witness; with no
+    floor every trial is drawn.  The forms come from one rng stream per
+    seed, so a pass that stops early draws a prefix of the forms of a pass
+    that does not.  The result is an upper bound for the true index that
+    is exact with overwhelming probability, and exact when it meets the
+    floor.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -494,23 +471,14 @@ def index(
     dims = []
     for _ in range(trials):
         ints = [rng.randint(-bound, bound) for _ in range(g.dim)]
-        steps = _skew_pivots(g.kirillov_int_rows(ints))
-        kd = g.dim - 2 * len(steps)
+        kd = g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
         dims.append(kd)
         if best is None or kd < best[0]:
-            best = (kd, ints, steps)
+            best = (kd, ints)
         if kd == floor:
             break
-    kd, ints, steps = best
-    return IndexReport(index=kd, trial_kernel_dims=tuple(dims), witness_coords=tuple(ints), witness_steps=steps)
-
-
-def needs_rerun(first_pass, floor: int) -> bool:
-    """The re-run rule of a sweep's index: a first pass with the trial
-    kernel dimensions ``first_pass`` is followed by a second pass, with the
-    bound multiplied by 100, exactly when it misses the index floor and its
-    trials disagree."""
-    return floor not in first_pass and len(set(first_pass)) > 1
+    kd, ints = best
+    return IndexReport(index=kd, trial_kernel_dims=tuple(dims), witness_coords=tuple(ints))
 
 
 def parity(dim: int) -> str:

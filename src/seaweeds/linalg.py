@@ -35,9 +35,7 @@ integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
 Electron. J. Combin. 3(2), 1996).  A kernel is that one elimination,
 `_skew_pivots`, followed by back-substitution through its steps
-(`skew_kernel_of_steps`), so a caller that kept the steps, as the index
-keeps them for its witness form, takes the kernel without eliminating the
-matrix again.  The general routines serve every other
+(`skew_kernel_of_steps`).  The general routines serve every other
 matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
 They share one forward elimination, `echelon_int_rows`: a rank is the
 length of its result, and `rref_int_rows` is its result reduced upward,
@@ -283,8 +281,7 @@ def skew_kernel_int_rows(rows):
 
 def skew_kernel_of_steps(steps, n):
     """The kernel rows of ``skew_kernel_int_rows`` from the ``_skew_pivots``
-    steps of an n-square matrix: the back-substitution half, for a caller
-    that has already eliminated the matrix (the index witness).
+    steps of an n-square matrix: the back-substitution half.
 
     Every index outside the pivot pairs is free.  For each free index f the
     kernel vector with v_f equal to the last pivot, zero on the other free

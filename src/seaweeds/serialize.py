@@ -28,11 +28,12 @@ stable`` in json, input of ``seaweeds verify``)::
 Classification reports (``seaweeds classify --embed``) carry the same
 certificate objects per record; verification rebuilds each record's seaweed
 from its family and compositions.  Reports carry ``"schema":
-REPORT_SCHEMA``; schema 2 is the first whose index passes stop at the index
-floor, and schema 3 (certificate schema 2) the first whose stability
-certificate of a contact form omits ``bracket_span``.  ``verify`` refuses a
-report of any other schema, as it refuses a certificate document whose
-schema is not ``CERTIFICATE_SCHEMA``.
+REPORT_SCHEMA``; schema 3 (certificate schema 2) is the first whose
+stability certificate of a contact form omits ``bracket_span``, and schema
+4 the first whose index is ``meander.index_formula`` (the index rule),
+with no index trial drawn: ``trial_kernel_dims`` is always empty.
+``verify`` refuses a report of any other schema, as it refuses a
+certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
 ``verify_*`` recomputes every invariant from scratch, so tampered data
 fails either here (False) or already at algebra reconstruction
 (StructureError).
@@ -83,11 +84,11 @@ from .contact import (
     pairing,
     search_verdict,
 )
-from .lie import LieAlgebra, needs_rerun, parity
+from .lie import LieAlgebra, parity
 from .linalg import Matrix, skew_kernel_int_rows
-from .meander import index_floor
+from .meander import index_formula
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 CERTIFICATE_SCHEMA = 2
 
 
@@ -285,56 +286,27 @@ def _record_seaweed(record: dict) -> tuple:
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
 
 
-def _trial_passes_hold(dims, trials: int, floor: int) -> bool:
-    """The trial kernel dimensions are the passes the classifier draws, cut
-    every ``trials`` entries: a pass stops after the first trial whose
-    kernel dimension equals the index floor, a pass that misses the floor
-    draws all ``trials`` forms, and a second pass (the re-run with a larger
-    bound) follows exactly when the first misses the floor and its
-    dimensions disagree (``lie.needs_rerun``)."""
-    passes = [dims[k : k + trials] for k in range(0, len(dims), trials)] or [[]]
-    for trial_pass in passes:
-        if floor in trial_pass[:-1]:
-            return False  # a trial drawn after one that reached the floor
-        if floor not in trial_pass and len(trial_pass) != trials:
-            return False  # a pass cut short above the floor
-    return len(passes) == 1 + needs_rerun(passes[0], floor)
-
-
-def _bookkeeping_holds(record: dict, floor: int) -> bool:
-    """The parity is that of the dimension, the index is the least trial
-    kernel dimension, of the dimension's parity (a Kirillov matrix has even
-    rank), and the trial dimensions are the passes that the trial count and
-    the index floor allow (``_trial_passes_hold``)."""
-    dim, dims, trials = record["dim"], record["trial_kernel_dims"], record["trials"]
-    if record["parity"] != parity(dim) or (record["index"] - dim) % 2:
-        return False
-    return trials >= 1 and _trial_passes_hold(dims, trials, floor) and record["index"] == min(dims)
-
-
-def _index_claims_hold(record: dict, floor: int) -> bool:
-    """The bookkeeping fields agree with the index floor ``floor``
-    (``_bookkeeping_holds``), the attempt budget is not negative and the
-    bound is at least 1, as ``classify`` requires, the statuses and
-    verdict follow from the index (the searches run on index-one seaweeds
-    only, a budget below one finds nothing, and the verdict is
-    ``search_verdict`` of the statuses and budget), and a GL/SL index equals
-    its floor, the meander census."""
+def _index_claims_hold(record: dict, formula: int) -> bool:
+    """The index is ``formula``, the record's ``meander.index_formula``,
+    the parity is that of the dimension, no index trial is listed, the
+    trial count, attempt budget and bound are ones ``classify`` accepts,
+    and the statuses and verdict follow from the index (the searches run
+    on index-one seaweeds only, a budget below one finds nothing, and the
+    verdict is ``search_verdict`` of the statuses and budget)."""
     contact, stable = record["contact"], record["stable"]
-    if not _bookkeeping_holds(record, floor) or record["attempts"] < 0 or record["bound"] < 1:
+    if record["index"] != formula or record["parity"] != parity(record["dim"]):
+        return False
+    if record["trial_kernel_dims"] != [] or record["trials"] < 1:
+        return False
+    if record["attempts"] < 0 or record["bound"] < 1:
         return False
     if record["index"] != 1:
-        if {contact, stable} != {SKIPPED} or record["verdict"] != CONSISTENT:
-            return False
-    elif not {contact, stable} <= {FOUND, NOT_FOUND}:
+        return {contact, stable} == {SKIPPED} and record["verdict"] == CONSISTENT
+    if not {contact, stable} <= {FOUND, NOT_FOUND}:
         return False
-    elif record["attempts"] < 1 and FOUND in (contact, stable):
+    if record["attempts"] < 1 and FOUND in (contact, stable):
         return False  # a zero budget finds no form
-    elif record["verdict"] != search_verdict(contact, stable, record["attempts"]):
-        return False
-    if record["family"] in ("GL", "SL"):
-        return record["index"] == floor
-    return True
+    return record["verdict"] == search_verdict(contact, stable, record["attempts"])
 
 
 def _budgets(record: dict) -> dict:
@@ -372,13 +344,12 @@ def verify_document(doc: dict) -> bool:
     Certificate documents carry an embedded algebra; classification reports
     name each record's seaweed by family and compositions, which is rebuilt.
     A document is invalid when it gives nothing to check (no records, no
-    certificates), when a record's statuses or verdict disagree with its
-    index, an index-one verdict is not the one its statuses and budget
-    give, or a GL/SL index disagrees with the meander census, when a
-    record's parity, index and trial kernel dimensions disagree with its
-    dimension, each other, or the passes its trial count and index floor
-    allow (``_bookkeeping_holds``), when a record's attempt budget is
-    negative or its bound below 1, when a record's certificate keys are not
+    certificates), when a record's index is not its
+    ``meander.index_formula``, its parity not that of its dimension, its
+    ``trial_kernel_dims`` not empty, its trial count below 1, its attempt
+    budget negative or its bound below 1, when its statuses or verdict
+    disagree with its index, or an index-one verdict is not the one its
+    statuses and budget give (``_index_claims_hold``), when a record's certificate keys are not
     exactly the kinds its FOUND statuses name or a certificate's kind is not
     its key (so a record whose index is not one, whose searches are
     SKIPPED, carries none), when a record's dimension is not that of the
@@ -419,8 +390,7 @@ def _verify_document(doc: dict) -> bool:
         ok = True
         for record in doc["records"]:
             args = _record_seaweed(record)
-            family, _, top, bottom = args
-            if not _index_claims_hold(record, index_floor(family, top, bottom, record["dim"])):
+            if not _index_claims_hold(record, index_formula(*args)):
                 return False
             # the certificates are exactly the kinds the FOUND statuses name
             certs = record.get("certificates") or {}

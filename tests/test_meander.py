@@ -4,7 +4,7 @@ from block_reference import gln_seaweed
 from seaweeds import Composition, census, index, meander, meander_index, meander_svg
 from seaweeds.construct import composition_pairs, seaweed
 from seaweeds.lie import DEFAULT_BOUND
-from seaweeds.meander import index_floor
+from seaweeds.meander import index_formula
 
 
 def C(*parts):
@@ -95,7 +95,7 @@ def test_index_with_a_floor_draws_a_prefix_of_the_trials(family, n, seed):
     # the classifier's seeds and budgets; the floor only stops the trials early
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
         g = seaweed(family, n, a, b)
-        floor = index_floor(family, a, b, g.dim)
+        floor = index_formula(family, n, a, b)
         full = index(g, seed ^ ordinal, 3, DEFAULT_BOUND)
         cut = index(g, seed ^ ordinal, 3, DEFAULT_BOUND, floor=floor)
         dims = cut.trial_kernel_dims

@@ -353,12 +353,9 @@ def test_verify_rejects_gl_sl_index_off_the_meander_census():
         doc = json.loads(report(classify(family, 3, seed=5, embed_certificates=True), "json"))
         assert verify_document(doc)
         record = next(r for r in doc["records"] if r["index"] == 3 - (family == "SL"))
-        # statuses stay SKIPPED, as an index other than one requires; the
-        # trial dimensions move with the index and make a whole pass that
-        # misses the floor (the census) and agrees, so only the census
-        # refuses it
+        # statuses stay SKIPPED, as an index other than one requires, and
+        # the parity holds; only the census refuses it
         record["index"] += 2
-        record["trial_kernel_dims"] = [record["index"]] * record["trials"]
         assert not verify_document(doc)
 
 
@@ -384,85 +381,50 @@ def test_verify_rejects_a_parity_that_disagrees_with_the_dimension():
 
 
 def test_verify_rejects_an_index_of_the_other_parity():
-    # index and every trial dimension moved by one, so the index is still
-    # the least trial dimension; only the parity of the dimension refuses it
+    # index moved by one: only the formula refuses it, as the parity field
+    # still names the dimension's
     doc = _so5_report()
     record = next(r for r in doc["records"] if r["index"] >= 2)
     record["index"] += 1
-    record["trial_kernel_dims"] = [d + 1 for d in record["trial_kernel_dims"]]
     assert not verify_document(doc)
 
 
-def test_verify_rejects_an_index_off_the_least_trial_dimension():
-    doc = _so5_report()
-    record = next(r for r in doc["records"] if r["index"] >= 2)
-    record["index"] += 2  # same parity, statuses stay SKIPPED
-    assert not verify_document(doc)
-
-
-def test_verify_rejects_trial_counts_off_the_retry_rule():
-    # a bound of 1 makes a pass miss the floor (dim mod 2 on SO) with
-    # trials that disagree, which re-runs them once
-    doc = _so5_report(bound=1)
+@pytest.mark.parametrize("family,n", [("SP", 3), ("SO", 6), ("SO", 7)])
+def test_verify_rejects_an_sp_so_index_off_its_formula_by_two(family, n):
+    # the shape of the old defect: an index wrong by 2, of the right parity,
+    # on a record whose statuses stay SKIPPED (above) or turn SKIPPED (below
+    # one: index one moved up to three)
+    doc = json.loads(report(classify(family, n, seed=5, embed_certificates=True), "json"))
     assert verify_document(doc)
-    retried = next(
-        r for r in doc["records"]
-        if len(r["trial_kernel_dims"]) > r["trials"] and min(r["trial_kernel_dims"][: r["trials"]]) == r["index"]
-    )
-    assert retried["index"] > retried["dim"] % 2
-    retried["trial_kernel_dims"] = retried["trial_kernel_dims"][: retried["trials"]]
+    raised = next(r for r in doc["records"] if r["index"] >= 2)
+    raised["index"] += 2
     assert not verify_document(doc)
+    doc = json.loads(report(classify(family, n, seed=5, embed_certificates=True), "json"))
+    record = next(r for r in doc["records"] if r["index"] == 1 and r["contact"] == "FOUND")
+    record.update(index=3, contact="SKIPPED", stable="SKIPPED", verdict="CONSISTENT")
+    del record["certificates"]
+    assert not verify_document(_recounted(doc))
+
+
+def test_verify_refuses_any_trial_kernel_dims():
+    # no index trial is drawn, so the list is empty; a trial at the index
+    # itself, which a real trial could have drawn, is refused all the same
     doc = _so5_report()
     record = doc["records"][0]
-    assert len(set(record["trial_kernel_dims"])) == 1 and record["index"] > record["dim"] % 2
-    record["trial_kernel_dims"] *= 2  # a re-run the agreeing trials never asked for
+    assert all(r["trial_kernel_dims"] == [] for r in doc["records"])
+    record["trial_kernel_dims"] = [record["index"]]
     assert not verify_document(doc)
-    # no trials at all: no trial dimension for the index to be the least of
+    # a trial count classify refuses, on every record as the sweep budget
     doc = _so5_report()
     for record in doc["records"]:
-        record["trials"] = 0  # the trial count is the sweep's
-    doc["records"][0]["trial_kernel_dims"] = []
-    assert not verify_document(doc)
-
-
-def test_verify_rejects_a_trial_after_the_floor_was_reached():
-    doc = _so5_report()
-    record = next(r for r in doc["records"] if r["trial_kernel_dims"] == [1])
-    # a second trial of the index's parity, above it, in the same pass
-    record["trial_kernel_dims"].append(3)
-    assert not verify_document(doc)
-
-
-def test_verify_rejects_a_pass_cut_short_above_the_floor():
-    doc = _so5_report()
-    record = doc["records"][0]
-    assert record["trial_kernel_dims"] == [2, 2, 2] and record["dim"] % 2 == 0
-    # the trials still agree, so no re-run is owed either
-    record["trial_kernel_dims"].pop()
-    assert not verify_document(doc)
-    # the re-run pass cut short
-    doc = _so5_report(bound=1)
-    record = doc["records"][0]
-    assert record["trial_kernel_dims"] == [2, 4, 2, 2, 2, 2]
-    record["trial_kernel_dims"].pop()
-    assert not verify_document(doc)
-
-
-def test_verify_rejects_a_rerun_after_a_pass_that_reached_the_floor():
-    # a bound of 1 makes GL3 2,1|3 (meander index 1) reach its floor only at
-    # the last of its three trials, which disagree; no re-run follows
-    doc = json.loads(report(classify("GL", 3, seed=5, bound=1, embed_certificates=True), "json"))
-    assert verify_document(doc)
-    record = next(r for r in doc["records"] if (r["top"], r["bottom"]) == ([2, 1], [3]))
-    assert record["trial_kernel_dims"] == [3, 5, 1]
-    record["trial_kernel_dims"].append(1)
+        record["trials"] = 0
     assert not verify_document(doc)
 
 
 def test_verify_refuses_a_report_of_another_schema():
     doc = _so5_report()
-    assert doc["schema"] == REPORT_SCHEMA == 3
-    for schema in (1, 2, None):
+    assert doc["schema"] == REPORT_SCHEMA == 4
+    for schema in (1, 2, 3, None):
         doc["schema"] = schema
         with pytest.raises(ValueError, match="report schema"):
             verify_document(doc)
@@ -472,14 +434,12 @@ def test_verify_refuses_a_report_of_another_schema():
 
 
 def test_verify_rejects_a_dimension_off_the_named_seaweed():
-    # dim, index and every trial dimension raised by 2 together keep parity,
-    # least trial and statuses; only the seaweed the record names refuses it
+    # dim raised by 2 keeps parity, index and statuses; only the seaweed the
+    # record names refuses it
     doc = _so5_report()
     record = next(r for r in doc["records"] if r["index"] != 1 and not r.get("certificates"))
     assert (record["top"], record["bottom"], record["dim"], record["index"]) == ([], [], 10, 2)
     record["dim"] += 2
-    record["index"] += 2
-    record["trial_kernel_dims"] = [d + 2 for d in record["trial_kernel_dims"]]
     assert not verify_document(doc)
     # on a record with certificates, the rebuilt seaweed's dimension decides
     doc = _so5_report()
@@ -575,11 +535,11 @@ def _sl4_report(tmp_path):
 
 
 def test_verify_rejects_a_record_off_the_sweep_budget(tmp_path):
-    # record 5 reached its floor at its first trial, so one trial per pass
-    # fits its trial dimensions; only the sweep's budget refuses it
+    # a trial count of 1 and a bound of 7 are budgets classify accepts;
+    # only the sweep's budget refuses them
     doc = _sl4_report(tmp_path)
     record = doc["records"][5]
-    assert len(record["trial_kernel_dims"]) == 1
+    assert record["trial_kernel_dims"] == []
     record["trials"], record["bound"] = 1, 7
     assert not verify_document(doc)
 

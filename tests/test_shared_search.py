@@ -1,6 +1,6 @@
-"""The sweep's searches on index-one seaweeds: one draw stream whose first
-form is the index witness, one skew elimination per drawn form, one kernel
-per draw shared by the contact and stability tests, and certificates
+"""The sweep's searches on index-one seaweeds: one draw stream, one skew
+elimination per drawn form, one kernel per draw shared by the contact and
+stability tests, no form drawn for any other seaweed, and certificates
 written from integer rows exactly as the rational route writes them."""
 
 import importlib
@@ -26,16 +26,10 @@ SWEEPS += [("SP", 2), ("SP", 3)] + [("SO", n) for n in (5, 6, 7)]
 
 def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     """``classify --embed`` of one sweep, with what its searches did: the
-    index passes of each record, the forms each test was given, in order,
-    keyed by record seed, and the number of skew eliminations."""
-    passes, tested, eliminations = {}, {}, [0]
+    forms each test was given, in order, keyed by record seed, and the
+    number of skew eliminations.  The sweep calls no ``lie.index``."""
+    tested, eliminations = {}, [0]
     current = [None]
-
-    def index(g, record_seed, *args, **kwargs):
-        rep = lie_module.index(g, record_seed, *args, **kwargs)
-        passes.setdefault(record_seed, []).append(rep)
-        current[0] = record_seed
-        return rep
 
     def recorded(kind, test):
         def wrapped(g, form, kernel=None, **kwargs):
@@ -44,34 +38,41 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
 
         return wrapped
 
+    draws = contact_module.form_draws
+
+    def seeded(g, search_seed, *args):
+        current[0] = search_seed ^ classify_module._CONTACT_SALT
+        return draws(g, search_seed, *args)
+
     eliminate = linalg_module._skew_pivots
 
     def counted(rows):
         eliminations[0] += 1
         return eliminate(rows)
 
-    monkeypatch.setattr(classify_module, "index", index)
+    def no_index(*args, **kwargs):
+        raise AssertionError("the sweep drew an index trial")
+
+    monkeypatch.setattr(classify_module, "index", no_index)
+    monkeypatch.setattr(classify_module, "form_draws", seeded)
     for kind in ("is_contact_form", "is_stable_form"):
         monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
     monkeypatch.setattr(linalg_module, "_skew_pivots", counted)
-    monkeypatch.setattr(lie_module, "_skew_pivots", counted)
     records = classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True)
-    return records, passes, tested, eliminations[0]
+    return records, tested, eliminations[0]
 
 
 def first_draw(record, bound):
-    """The first form of the record's search stream when no witness leads it."""
+    """The first form of the record's search stream."""
     rng = random.Random(record.seed ^ classify_module._CONTACT_SALT)
     return tuple(rng.randint(-bound, bound) for _ in range(record.dim))
 
 
-def check_searches(records, passes, tested, eliminations, bound):
-    """Every index-one record's searches test one draw stream, led by the
-    index witness when the first pass reached index one, with coordinates
-    within the bound; the stream costs one elimination per form drawn
-    after the witness.  Returns how many records the witness led."""
-    led = 0
-    drawn = sum(len(r.trial_kernel_dims) for r in records)
+def check_searches(records, tested, eliminations, bound):
+    """Every index-one record's searches test one draw stream, from its
+    first draw on, with coordinates within the bound, and the stream costs
+    one elimination per form drawn; no other record draws a form."""
+    drawn = 0
     for r in records:
         forms = tested.get(r.seed)
         if r.index != 1:
@@ -80,24 +81,19 @@ def check_searches(records, passes, tested, eliminations, bound):
         contact, stable = forms["is_contact_form"], forms["is_stable_form"]
         shorter, longer = sorted((contact, stable), key=len)
         assert longer[: len(shorter)] == shorter  # one stream, in one order
-        first_pass = passes[r.seed][0]
-        if first_pass.index == 1:
-            assert longer[0] == first_pass.witness_coords
-            led += 1
-        else:
-            assert longer[0] == first_draw(r, bound)
+        assert longer[0] == first_draw(r, bound)
         assert all(abs(c) <= bound for form in longer for c in form)
-        drawn += len(longer) - (first_pass.index == 1)
+        drawn += len(longer)
     assert eliminations == drawn
-    return led
 
 
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", SWEEPS)
-def test_the_searches_draw_the_index_witness_first_and_share_each_kernel(monkeypatch, family, n, seed):
-    records, passes, tested, eliminations = traced_sweep(monkeypatch, family, n, seed)
+def test_the_searches_draw_one_stream_and_share_each_kernel(monkeypatch, family, n, seed):
+    records, tested, eliminations = traced_sweep(monkeypatch, family, n, seed)
     index_one = [r for r in records if r.index == 1]
-    assert check_searches(records, passes, tested, eliminations, 10**6) == len(index_one)
+    assert index_one and all(r.trial_kernel_dims == () for r in records)
+    check_searches(records, tested, eliminations, 10**6)
     for r in index_one:
         certs = r.certificates or {}
         if (r.contact, r.stable) == ("FOUND", "FOUND"):
@@ -107,6 +103,14 @@ def test_the_searches_draw_the_index_witness_first_and_share_each_kernel(monkeyp
             if kind in certs:
                 form = OneForm(g, tuple(Fraction(x) for x in certs[kind]["form"]))
                 assert certs[kind] == ref.certificate_json(rational(g, form))
+
+
+def test_a_small_bound_draws_within_it(monkeypatch):
+    # at bound 1 each coordinate is -1, 0 or 1, and the searches still find
+    # forms; no index trial is drawn at any bound
+    records, tested, eliminations = traced_sweep(monkeypatch, "GL", 4, 0, bound=1)
+    check_searches(records, tested, eliminations, 1)
+    assert any(r.contact == "FOUND" for r in records)
 
 
 @pytest.mark.parametrize("seed", [0, 23])
@@ -130,16 +134,6 @@ def test_every_contact_form_is_stable_so_no_sweep_finds_a_counterexample(family,
         assert short == (r.contact == "FOUND") == ref.is_contact_kernel(g, form, kernel)
         if short:
             assert ref.meets_trivially(kernel, ref.bracket_span(g, kernel))
-
-
-def test_a_witness_from_the_rerun_is_not_drawn(monkeypatch):
-    # at bound 1, records 6, 20 and 34 of GL4 seed 0 reach index one only in
-    # the re-run at bound 100, whose witness a search at bound 1 cannot draw
-    records, passes, tested, eliminations = traced_sweep(monkeypatch, "GL", 4, 0, bound=1)
-    rerun = [r for r in records if r.index == 1 and passes[r.seed][0].index != 1]
-    assert [records.index(r) for r in rerun] == [6, 20, 34]
-    led = check_searches(records, passes, tested, eliminations, 1)
-    assert led == sum(r.index == 1 for r in records) - len(rerun)
 
 
 def test_verify_takes_one_kernel_for_a_record_whose_certificates_share_a_form(monkeypatch):
@@ -182,10 +176,13 @@ def test_certificates_and_index_reports_hold_integers_only(monkeypatch, family, 
         return to_json(cert)
 
     monkeypatch.setattr(classify_module, "certificate_to_json", recorded)
-    _, passes, _, _ = traced_sweep(monkeypatch, family, n, 23)
-    reports = [rep for reps in passes.values() for rep in reps]
+    records, _, _ = traced_sweep(monkeypatch, family, n, 23)
+    reports = [
+        lie_module.index(seaweed(family, n, Composition(r.top), Composition(r.bottom)), r.seed)
+        for r in records[:16]
+    ]
     assert {type(cert).__name__ for cert in certs} == {"ContactCertificate", "StabilityCertificate"}
-    held = [(cert, ()) for cert in certs] + [(rep, ("witness_steps",)) for rep in reports]
+    held = [(cert, ()) for cert in certs] + [(rep, ()) for rep in reports]
     assert any(cert.bracket_span_rows is None for cert in certs if type(cert).__name__ == "StabilityCertificate")
     for value, skipped in held:
         for name in value._fields:

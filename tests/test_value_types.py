@@ -34,7 +34,7 @@ def record(**changes):
     fields = dict(
         family="GL", n=3, top=(2, 1), bottom=(3,), dim=6, index=1, parity="even",
         contact="FOUND", stable="FOUND", verdict="CONSISTENT", seed=0,
-        attempts=64, bound=10**6, trials=3, trial_kernel_dims=(1,),
+        attempts=64, bound=10**6, trials=3, trial_kernel_dims=(),
     )
     fields.update(changes)
     return ClassificationRecord(**fields)
@@ -63,8 +63,8 @@ def values():
             lambda: StabilityCertificate((0, 0, 2), 1, ((0, 0, 1),), ()),
         ),
         "IndexReport": (
-            lambda: IndexReport(1, (1,), (0, 0, 1), [(0, 1)]),
-            lambda: IndexReport(1, (3, 1), (0, 0, 1), [(0, 1)]),
+            lambda: IndexReport(1, (1,), (0, 0, 1)),
+            lambda: IndexReport(1, (3, 1), (0, 0, 1)),
         ),
         "ClassificationRecord": (record, lambda: record(verdict="UNRESOLVED")),
     }
@@ -91,7 +91,7 @@ FIELDS = {
     "MeanderGraph": ["n", "top_edges", "bottom_edges"],
     "ContactCertificate": ["form_row", "form_den", "reeb_row", "reeb_den"],
     "StabilityCertificate": ["form_row", "form_den", "kernel_rows", "bracket_span_rows"],
-    "IndexReport": ["index", "trial_kernel_dims", "witness_coords", "witness_steps"],
+    "IndexReport": ["index", "trial_kernel_dims", "witness_coords"],
     "ClassificationRecord": ["family", "verdict", "trial_kernel_dims", "certificates"],
 }
 
@@ -143,18 +143,9 @@ def test_coordinates_must_match_the_algebra_dimension(kind, length):
         kind(G, (F(1),) * length)
 
 
-def test_index_report_equality_hash_and_repr_ignore_the_witness_steps():
-    a = IndexReport(1, (3, 1), (4, 5, 6), [(0, 1, 7)])
-    b = IndexReport(1, (3, 1), (4, 5, 6), [])
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "witness_steps" not in repr(a)
-    assert a.witness_steps == [(0, 1, 7)]
-    assert a != IndexReport(1, (3, 1), (4, 5, 7), [(0, 1, 7)])
-
-
 def test_reprs_name_the_type_and_fields():
     assert repr(Composition((2, 1))) == "Composition(parts=(2, 1))"
-    assert repr(IndexReport(1, (1,), (2,), [])) == (
+    assert repr(IndexReport(1, (1,), (2,))) == (
         "IndexReport(index=1, trial_kernel_dims=(1,), witness_coords=(2,))"
     )
     assert repr(ContactCertificate((1,), 1, (1,), 1)) == (
