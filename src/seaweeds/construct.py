@@ -5,25 +5,20 @@ of the four ambient families, of two coordinate flags (Dergachev-Kirillov
 2000), the forward flag with subspace sizes the prefix sums of a and the
 reversed flag with sizes the prefix sums of reversed(b) (equivalently, the
 spans of the last n - q coordinates for prefix sums q of b).  Stabilizing
-them kills a set of off-diagonal matrix entries.  No off-diagonal entry is
-shared by two matrices of the canonical ambient basis: GL basis matrices are
-elementary, SL ones are off-diagonal elementary or e_ii - e_{N-1,N-1}, and
-each SP/SO one lives on one orbit {(i,j), (N-1-j, N-1-i)}.  So the
-stabilizer is spanned by the ambient basis matrices whose support avoids the
-killed entries, and its structure constants are the ambient table restricted
-to them.  The ambient basis, its supports and its table are built once per
-family and rank from sparse commutators, and so is the ambient algebra
-itself, by the ordinary constructor: its Jacobi and realization checks run
-once per family and rank.  The supports and the shared entries are also
-held as bit masks over the N^2 matrix entries, and so is the block of
-entries each flag subspace kills, once per matrix size and dimension: a
-seaweed's killed entries are the OR of its prefix sums' blocks, and a basis
-matrix is kept when its support mask ANDs with them to 0.  Every seaweed is
-then ``LieAlgebra.restrict`` of the ambient algebra to the kept basis
-elements, which walks only the kept elements' rows of the ambient table,
-checks that they are closed under the bracket and inherits the ambient's
-other identities, so its cost grows with the brackets among kept elements,
-not with the ambient table.
+them kills a set of off-diagonal matrix entries.
+
+Each family and rank is built once, by ``_ambient``: its basis is the
+integer kernel of the family's condition rows, its table is read off the
+sparse commutators of the basis matrices, and the ordinary constructor
+checks Jacobi and the realization.  No off-diagonal entry is shared by two
+ambient basis matrices: GL basis matrices are elementary, SL ones are
+off-diagonal elementary or e_ii - e_{N-1,N-1}, and each SP/SO one lives on
+one orbit {(i,j), (N-1-j, N-1-i)}.  So the stabilizer is spanned by the
+ambient basis matrices whose support avoids the killed entries, tested with
+one AND of bit masks each, and every seaweed is ``LieAlgebra.restrict`` of
+the ambient algebra to them: a walk over the kept elements' rows of the
+ambient table that checks closure under the bracket and inherits the
+ambient's other identities.
 
 The type-A block picture, e_ij with blockA(i) <= blockA(j) and
 blockB(i) >= blockB(j), is not built here: it lives on in the tests as an
@@ -39,12 +34,10 @@ flag stabilizers; mixed types are out of scope.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .linalg import Matrix, Subspace, _immutable, kernel_int_rows
-from .lie import LieAlgebra, StructureError, _commutator, _sparse_matrix
+from .linalg import Matrix, _immutable, as_scalar, kernel_int_rows
+from .lie import LieAlgebra, StructureError, _commutator
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
@@ -154,12 +147,6 @@ def composition_pairs(family: str, n: int) -> list[tuple[Composition, Compositio
     return [(a, b) for a in comps for b in comps]
 
 
-def _elementary(n: int, i: int, j: int) -> Matrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][j] = Fraction(1)
-    return Matrix(tuple(tuple(r) for r in rows))
-
-
 def _form_signs(family: str, size: int) -> list[int]:
     """The antidiagonal of the SP/SO form, s_i = S[i][N-1-i]."""
     return [-1 if family == "SP" and i >= size // 2 else 1 for i in range(size)]
@@ -207,101 +194,67 @@ class AmbientAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _ambient_basis(family: str, n: int) -> tuple[Matrix, ...]:
-    """Canonical basis of the ambient family as matrices: the rational RREF
-    basis of its vectorized (row-major) matrix space.
+def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
+    """The ambient family as a checked algebra on its canonical basis, with
+    the bit masks of each basis matrix's support and of the entries shared
+    by two of them: entry (u, v) of an N x N matrix is bit u * N + v.
 
-    GL is every elementary matrix.  SL is the kernel of the trace row, and
-    SP/SO the kernel of the rows of X^T S + S X = 0.  S is antidiagonal,
-    S[i][N-1-i] = s_i, so entry (i, j) of the condition reads
-    s_{N-1-j} X[N-1-j][i] + s_i X[N-1-i][j] = 0.  The condition rows are
-    integer rows and their kernel is ``linalg.kernel_int_rows``; rationals
-    are made only for the returned matrices.
+    The basis is the ``kernel_int_rows`` of the family's condition rows on
+    vectorized (row-major) matrices: none for GL, the trace row for SL, and
+    X^T S + S X = 0 for SP/SO.  S is antidiagonal, S[i][N-1-i] = s_i, so
+    entry (i, j) of the condition reads
+    s_{N-1-j} X[N-1-j][i] + s_i X[N-1-i][j] = 0.  Every kernel row has pivot
+    1 (its first nonzero entry), so the integer rows are the rational RREF
+    basis, and the coordinates of any member are its values at the pivots;
+    a row with another pivot raises StructureError.  The table is read off
+    the sparse commutators that way, and ``LieAlgebra`` checks Jacobi and
+    that the basis matrices realize the table, which is the one check of
+    each commutator.
     """
-    amb = AmbientAlgebra(family, n)
-    size = amb.matrix_size
-    if family == "GL":
-        return tuple(_elementary(size, i, j) for i in range(size) for j in range(size))
+    size = AmbientAlgebra(family, n).matrix_size
+    rows = []
     if family == "SL":
         rows = [[int(i % (size + 1) == 0) for i in range(size * size)]]
-    else:
+    elif family in ("SP", "SO"):
         sign = _form_signs(family, size)
-        rows = []
         for i in range(size):
             for j in range(size):
                 row = [0] * (size * size)
                 row[(size - 1 - j) * size + i] += sign[size - 1 - j]  # (X^T S)[i][j]
                 row[(size - 1 - i) * size + j] += sign[i]  # (S X)[i][j]
                 rows.append(row)
-    return tuple(
-        Matrix(tuple(row[u * size:(u + 1) * size] for u in range(size)))
-        for row in Subspace.from_int_rows(size * size, kernel_int_rows(rows, size * size)).basis
-    )
-
-
-class _AmbientView(NamedTuple):
-    """Sparse view of an ambient family's canonical basis."""
-
-    supports: tuple[frozenset, ...]  # nonzero entries (u, v) of each basis matrix
-    shared: frozenset  # entries in the support of more than one basis matrix
-    table: dict  # (i, j) with i < j -> {r: c}, the nonzero [x_i, x_j]
-
-
-@lru_cache(maxsize=None)
-def _ambient_view(family: str, n: int) -> _AmbientView:
-    """Supports, shared entries and structure constants of the ambient basis.
-
-    The basis is in reduced echelon form, so each matrix has a pivot entry
-    (its first nonzero in row-major order) equal to 1 and absent from every
-    other basis matrix: the coordinates of any member are its values at the
-    pivots.  The table is read off the sparse commutators that way, and a
-    commutator its pivot coordinates do not reproduce raises StructureError.
-    """
-    mats = _ambient_basis(family, n)
-    sparse = [_sparse_matrix(m) for m in mats]
-    owner = {min(entries): k for k, entries in enumerate(sparse)}
-    seen, shared = set(), set()
-    for entries in sparse:
-        shared.update(seen.intersection(entries))
-        seen.update(entries)
+    basis = kernel_int_rows(rows, size * size)
+    sparse = [{divmod(e, size): c for e, c in enumerate(row) if c} for row in basis]
+    owner = {}
+    for k, entries in enumerate(sparse):
+        pivot = min(entries)
+        if entries[pivot] != 1:
+            raise StructureError(f"ambient basis row {k} has pivot {entries[pivot]}, not 1")
+        owner[pivot] = k
     table = {}
     for i, x in enumerate(sparse):
         for j in range(i + 1, len(sparse)):
-            comm = _commutator(x, sparse[j])
-            coords = {owner[e]: c for e, c in comm.items() if c and e in owner}
-            for r, c in coords.items():
-                for e, v in sparse[r].items():
-                    comm[e] = comm.get(e, 0) - c * v
-            if any(comm.values()):
-                raise StructureError("ambient family is not closed under bracket")
+            coords = {owner[e]: c for e, c in _commutator(x, sparse[j]).items() if c and e in owner}
             if coords:
                 table[(i, j)] = coords
-    supports = tuple(frozenset(entries) for entries in sparse)
-    return _AmbientView(supports, frozenset(shared), table)
-
-
-@lru_cache(maxsize=None)
-def _ambient_algebra(family: str, n: int) -> LieAlgebra:
-    """The ambient family as a fully checked algebra on its canonical basis,
-    with the basis matrices as its realization; seaweeds restrict it."""
-    mats = _ambient_basis(family, n)
-    return LieAlgebra(len(mats), _ambient_view(family, n).table, realization=mats)
-
-
-@lru_cache(maxsize=None)
-def _ambient_masks(family: str, n: int) -> tuple[tuple[int, ...], int]:
-    """The supports and the shared entries of ``_ambient_view`` as bit
-    masks: entry (u, v) of an N x N matrix is bit u * N + v."""
-    view = _ambient_view(family, n)
-    size = AmbientAlgebra(family, n).matrix_size
-    supports = tuple(sum(1 << (u * size + v) for u, v in support) for support in view.supports)
-    return supports, sum(1 << (u * size + v) for u, v in view.shared)
+    # one Fraction per distinct value: one per entry costs a GL7 build about 4 ms
+    scalar = {c: as_scalar(c) for row in basis for c in set(row)}
+    mats = tuple(
+        Matrix(tuple(tuple(map(scalar.get, row[u * size:(u + 1) * size])) for u in range(size)))
+        for row in basis
+    )
+    supports = tuple(sum(1 << e for e, c in enumerate(row) if c) for row in basis)
+    seen = shared = 0
+    for support in supports:
+        shared |= seen & support
+        seen |= support
+    return LieAlgebra(len(mats), table, realization=mats), supports, shared
 
 
 @lru_cache(maxsize=None)
 def _killed_block(size: int, p: int, forward: bool) -> int:
     """The entries a flag subspace of dimension p kills, as a bit mask like
-    ``_ambient_masks``: rows >= p and columns < p for the forward flag's
+    ``_ambient``'s: rows >= p and columns < p for the forward flag's
     V_p, rows < N - p and columns >= N - p for the reversed flag's W_p."""
     if forward:
         return sum(((1 << p) - 1) << (r * size) for r in range(p, size))
@@ -327,7 +280,7 @@ def _kept_elements(amb: AmbientAlgebra, a: Composition, b: Composition) -> list[
         killed |= _killed_block(size, p, True)
     for q in b.reversed().prefix_sums():
         killed |= _killed_block(size, q, False)
-    supports, shared = _ambient_masks(amb.family, amb.n)
+    _, supports, shared = _ambient(amb.family, amb.n)
     if shared & killed:
         raise StructureError("a killed entry is shared by two ambient basis matrices")
     return [k for k, support in enumerate(supports) if not support & killed]
@@ -348,7 +301,7 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     bracket of kept matrices leaves them.
     """
     label = f"{amb.family}{amb.matrix_size}[{a}|{b}]"
-    return _ambient_algebra(amb.family, amb.n).restrict(_kept_elements(amb, a, b), label)
+    return _ambient(amb.family, amb.n)[0].restrict(_kept_elements(amb, a, b), label)
 
 
 def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:

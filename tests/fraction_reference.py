@@ -4,14 +4,16 @@ algebra the tests build their expectations with.
 
 ``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel``,
 ``contact.is_contact_form``, ``contact.is_stable_form`` and
-``construct._ambient_basis`` run on primitive integer rows, and
+``construct._ambient`` run on primitive integer rows, and
 ``serialize.verify_certificate`` on integer rows parsed straight from the
 JSON strings.  These versions build the
 rational Kirillov matrix, take its nullspace from the rational reduced
 echelon form, span [ker, g] from rational rows, parse every JSON rational
 into a Fraction and compare rational subspaces, and derive an ambient basis
-from the rational condition matrix; the tests hold both routes to the same
-certificates, the same verdicts and the same bases.  Its certificates are
+from the rational condition matrix (``ambient_basis``, which the
+full-check reference also builds its ambient supports and table from); the
+tests hold both routes to the same certificates, the same verdicts and the
+same bases.  Its certificates are
 rational values, written to JSON from their Fractions
 (``certificate_json``), against which ``matches`` holds the integer rows
 of the package's certificates and their JSON.  Every rank, span,

@@ -17,7 +17,6 @@ from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
 
 from seaweeds.classify import LIMITS, composition_pairs
-from seaweeds.construct import _ambient_view
 from seaweeds.lie import LieAlgebra, OneForm, StructureError, heisenberg, index, kernel_dim
 from seaweeds.linalg import Matrix
 from seaweeds.serialize import algebra_to_json
@@ -147,47 +146,59 @@ def test_shared_ambient_entries_are_diagonal():
     first = {"GL": 1, "SL": 2, "SP": 1, "SO": 2}
     for family, limit in LIMITS.items():
         for n in range(first[family], limit + 1):
-            assert all(u == v for u, v in _ambient_view(family, n).shared), (family, n)
+            size = AmbientAlgebra(family, n).matrix_size
+            _, _, shared = construct._ambient(family, n)
+            bits = [e for e in range(size * size) if shared >> e & 1]
+            assert all(e // size == e % size for e in bits), (family, n)
 
 
 def clear_ambients():
-    """Empty the caches built from an ambient view: the checked ambient
-    algebras, with their row indexes, and the support and shared masks."""
-    construct._ambient_algebra.cache_clear()
-    construct._ambient_masks.cache_clear()
+    """Empty the cache of ambient algebras and their masks."""
+    construct._ambient.cache_clear()
 
 
 @pytest.fixture
 def cold_ambients():
-    """Empty the caches built from an ambient view before and after a test
-    that tampers with what they are built from, so the test builds its own
-    and leaves none behind."""
+    """Empty the ambient cache before and after a test that tampers with
+    what an ambient is built from, so the test builds its own and leaves
+    none behind.  Tests request it before ``monkeypatch``, whose patches
+    are then undone before the cache is cleared."""
     clear_ambients()
     yield
     clear_ambients()
 
 
-def test_flag_refuses_a_view_it_cannot_restrict(monkeypatch, cold_ambients):
-    # GL2[1,1|2] kills e10, ambient index 2
-    view = _ambient_view("GL", 2)
-    amb, a, b = AmbientAlgebra("GL", 2), C(1, 1), C(2)
-    for bad in (
-        view._replace(shared=frozenset({(1, 0)})),
-        view._replace(table={**view.table, (0, 1): {2: 1}}),
-    ):
-        monkeypatch.setattr(construct, "_ambient_view", lambda family, n, bad=bad: bad)
-        clear_ambients()
-        with pytest.raises(StructureError):
-            flag_seaweed(amb, a, b)
-
-
-def test_tampered_ambient_realization_raises_on_first_use(monkeypatch, cold_ambients):
-    # the view (supports, table) stays genuine; the realization swaps e01 and e10
-    _ambient_view("GL", 2)
-    e00, e01, e10, e11 = construct._ambient_basis("GL", 2)
-    monkeypatch.setattr(construct, "_ambient_basis", lambda family, n: (e00, e10, e01, e11))
-    with pytest.raises(StructureError):
+def test_ambient_basis_not_closed_under_bracket_raises_when_built(cold_ambients, monkeypatch):
+    # e00, e01 + e10, e11: [e00, e01 + e10] = e01 - e10, which the pivot
+    # coordinates read as e01 + e10, so only the realization check sees it
+    rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    monkeypatch.setattr(construct, "kernel_int_rows", lambda *args: rows)
+    with pytest.raises(StructureError, match=r"^realization incompatible with table on pair \(0,1\)$"):
         seaweed("GL", 2, C(2), C(2))
+
+
+def test_ambient_basis_row_without_pivot_one_raises(cold_ambients, monkeypatch):
+    rows = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # 2 e00, e01, e10, e11
+    monkeypatch.setattr(construct, "kernel_int_rows", lambda *args: rows)
+    with pytest.raises(StructureError, match=r"^ambient basis row 0 has pivot 2, not 1$"):
+        seaweed("GL", 2, C(2), C(2))
+
+
+def test_flag_refuses_a_shared_killed_entry(cold_ambients, monkeypatch):
+    # GL2[1,1|2] kills e10, bit 2 of the masks and ambient index 2
+    g, supports, _ = construct._ambient("GL", 2)
+    monkeypatch.setattr(construct, "_ambient", lambda family, n: (g, supports, 1 << 2))
+    with pytest.raises(StructureError, match=r"^a killed entry is shared by two ambient basis matrices$"):
+        construct._kept_elements(AmbientAlgebra("GL", 2), C(1, 1), C(2))
+
+
+def test_flag_refuses_a_table_term_outside_the_kept_set(cold_ambients, monkeypatch):
+    # a checked algebra whose [x0, x1] = x2 leaves GL2[1,1|2]'s kept 0, 1, 3
+    _, supports, shared = construct._ambient("GL", 2)
+    bad = LieAlgebra(4, {(0, 1): {2: 1}})
+    monkeypatch.setattr(construct, "_ambient", lambda family, n: (bad, supports, shared))
+    with pytest.raises(StructureError, match=r"^kept elements are not closed under bracket \(0,1\)$"):
+        flag_seaweed(AmbientAlgebra("GL", 2), C(1, 1), C(2))
 
 
 AMBIENTS = [("GL", n) for n in range(1, 5)] + [("SL", n) for n in range(2, 7)]
@@ -197,7 +208,7 @@ AMBIENTS += [("SP", n) for n in range(1, 5)] + [("SO", n) for n in range(2, 9)]
 @pytest.mark.parametrize("family,n", AMBIENTS)
 def test_ambient_basis_equals_the_rational_derivation(family, n):
     # the uncached function, so a basis a test has swapped cannot answer
-    assert construct._ambient_basis.__wrapped__(family, n) == ref.ambient_basis(family, n)
+    assert construct._ambient.__wrapped__(family, n)[0].realization == ref.ambient_basis(family, n)
 
 
 SWEPT = [("GL", n) for n in range(1, 6)] + [("SL", n) for n in range(2, 6)]
@@ -216,7 +227,7 @@ def test_mask_selection_and_row_walk_equal_the_full_references(family, n):
     # the bit-mask selection keeps what the killed-entry set keeps, and the
     # row-indexed restriction issues the full table walk's keys, in its
     # order, with its terms
-    amb, g = AmbientAlgebra(family, n), construct._ambient_algebra(family, n)
+    amb, g = AmbientAlgebra(family, n), construct._ambient(family, n)[0]
     for a, b in composition_pairs(family, n):
         kept = construct._kept_elements(amb, a, b)
         assert kept == killed_entry_kept(family, n, a, b), (family, n, a, b)
@@ -226,7 +237,7 @@ def test_mask_selection_and_row_walk_equal_the_full_references(family, n):
 
 
 def test_restrict_refuses_a_set_not_closed_under_bracket():
-    gl2 = construct._ambient_algebra("GL", 2)  # e00, e01, e10, e11
+    gl2 = construct._ambient("GL", 2)[0]  # e00, e01, e10, e11
     with pytest.raises(StructureError, match=r"\(1,2\)"):
         gl2.restrict([1, 2])  # [e01, e10] = e00 - e11
     with pytest.raises(StructureError, match=r"\(0,1\)"):
@@ -239,7 +250,7 @@ def test_restrict_refuses_a_set_not_closed_under_bracket():
 @pytest.mark.parametrize("kept", [[2, 1], [1, 1], [0, 4], [-1, 0], [0, 1, 1, 2]])
 def test_restrict_refuses_unsorted_repeated_or_out_of_range_indices(kept):
     with pytest.raises(ValueError):
-        construct._ambient_algebra("GL", 2).restrict(kept)
+        construct._ambient("GL", 2)[0].restrict(kept)
 
 
 def graded_heisenberg():
