@@ -44,7 +44,6 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from itertools import tee
@@ -57,6 +56,7 @@ from .contact import (
     FOUND,
     NOT_FOUND,
     SKIPPED,
+    _require_budget,
     count_verdicts,
     find_contact_form,
     find_stable_form,
@@ -67,7 +67,7 @@ from .contact import (
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, parity
 from .lie import index  # noqa: F401  (perfbench/spans.py traces calls of this name as lie.index; the sweep makes none)
 from .meander import index_formula
-from .serialize import REPORT_SCHEMA, certificate_to_json
+from .serialize import REPORT_SCHEMA, _parts, certificate_to_json
 
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
 
@@ -117,10 +117,7 @@ def classify(
     limit = LIMITS.get(family)
     if limit is None:
         raise ValueError(f"unknown family {family!r}")
-    if attempts < 0:
-        raise ValueError(f"attempts must be nonnegative, got {attempts}")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _require_budget(attempts, bound)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n > limit and not force:
@@ -186,11 +183,6 @@ def _record_to_json(r: ClassificationRecord) -> dict:
     return doc
 
 
-def _parts(composition: tuple[int, ...]) -> str:
-    """A composition in the CLI's text form, "0" for the empty one."""
-    return ",".join(map(str, composition)) or "0"
-
-
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
     """Render records as a stable-field-order document (json, csv, or text).
     JSON is compact, one line with no spaces, which the C encoder writes."""
@@ -204,6 +196,7 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
         doc["summary"] = summary
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)

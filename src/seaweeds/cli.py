@@ -11,7 +11,8 @@ unreadable input.  index prints the index by formula (``meander`` states
 the index rule) next to a randomized witness form.  A report holding a
 FOUND record verifies only when it was written with --embed: verify
 re-checks the certificate behind every FOUND, and a report without them
-reads INVALID.  Bad input (an unknown subcommand or flag, a
+reads INVALID, with one stderr line naming its first FOUND record and
+--embed.  Bad input (an unknown subcommand or flag, a
 value outside an option's choices, a malformed pair, a missing --n, a rank
 over the sweep limits, a negative --attempts, a --bound or --trials below
 1, a non-integer environment default, an environment default outside the
@@ -42,7 +43,8 @@ from .construct import Composition, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, index_formula, meander, meander_index, meander_svg
-from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, ratios_to_json, verify_document
+from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, ratios_to_json
+from .serialize import unembedded_found, verify_document
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,40 +220,23 @@ def _cmd_index(args):
     return 0
 
 
-def _certificate_document(g, cert):
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "algebra": algebra_to_json(g),
-        "certificates": [certificate_to_json(cert)],
-    }
-
-
-def _cmd_contact(args):
+def _cmd_search(args):
     g = seaweed(*_seaweed_args(args))
-    cert = find_contact_form(g, args.seed, attempts=args.attempts, bound=args.bound)
+    search = find_contact_form if args.command == "contact" else find_stable_form
+    cert = search(g, args.seed, attempts=args.attempts, bound=args.bound)
     if cert is None:
-        _emit(f"{g.label}: no contact form found in {args.attempts} attempts\n", args.out)
+        _emit(f"{g.label}: no {args.command} form found in {args.attempts} attempts\n", args.out)
         return 1
     if args.format == "json":
-        _emit(json.dumps(_certificate_document(g, cert), indent=2) + "\n", args.out)
-    else:
-        reeb = ratios_to_json(cert.reeb_row, cert.reeb_den)
-        _emit(f"{g.label}: contact form found; reeb {reeb}\n", args.out)
-    return 0
-
-
-def _cmd_stable(args):
-    g = seaweed(*_seaweed_args(args))
-    cert = find_stable_form(g, args.seed, attempts=args.attempts, bound=args.bound)
-    if cert is None:
-        _emit(f"{g.label}: no stable form found in {args.attempts} attempts\n", args.out)
-        return 1
-    if args.format == "json":
-        _emit(json.dumps(_certificate_document(g, cert), indent=2) + "\n", args.out)
+        doc = {"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(g), "certificates": [certificate_to_json(cert)]}
+        text = json.dumps(doc, indent=2)
+    elif args.command == "contact":
+        text = f"{g.label}: contact form found; reeb {ratios_to_json(cert.reeb_row, cert.reeb_den)}"
     else:
         span = cert.bracket_span_rows
         evidence = "a contact form" if span is None else f"bracket span dim {len(span)}"
-        _emit(f"{g.label}: stable form found; kernel dim {len(cert.kernel_rows)}, {evidence}\n", args.out)
+        text = f"{g.label}: stable form found; kernel dim {len(cert.kernel_rows)}, {evidence}"
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -316,6 +301,9 @@ def _cmd_verify(args):
         _error(str(exc))
         return 2
     _emit("valid\n" if ok else "INVALID\n")
+    found = None if ok else unembedded_found(doc)
+    if found is not None:
+        _error(f"record {found[0]} ({found[1]}) is FOUND without its certificate: classify with --embed")
     return 0 if ok else 1
 
 
@@ -339,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contact", help="search for a contact form")
     _add_algebra_args(p)
     _add_common(p, with_search=True)
-    p.set_defaults(func=_cmd_contact)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("stable", help="search for a stable form")
     _add_algebra_args(p)
     _add_common(p, with_search=True)
-    p.set_defaults(func=_cmd_stable)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("meander", help="meander graph, census, and index")
     p.add_argument("pair", nargs="?", help='composition pair "TOP|BOTTOM"')

@@ -26,8 +26,9 @@ commutator only for the pairs in the table and the pairs whose supports meet
 entry), each in O(nnz_i * nnz_j + sum_r nnz_r).  Every other pair of matrices
 commutes and is absent from the table.
 
-Structure constants and realization entries are stored as ints when they are
-integral and as Fractions otherwise.  Python mixes the two exactly, so one
+Structure constants, and the entries of the realization check's sparse
+copy of each matrix, are ints when integral and Fractions otherwise
+(`Matrix` realizations keep theirs).  Python mixes the two exactly, so one
 code path serves every algebra, and integral ones run on int arithmetic.
 
 The Kirillov form of a one-form phi is the skew matrix

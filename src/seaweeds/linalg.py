@@ -33,9 +33,9 @@ after the pivots (i_1, j_1), ..., (i_s, j_s) every remaining entry (k, l) is
 the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
 integer, and the next step divides by the previous pivot exactly, by the
 Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
-Electron. J. Combin. 3(2), 1996).  A kernel is that one elimination,
-`_skew_pivots`, followed by back-substitution through its steps
-(`skew_kernel_of_steps`).  The general routines serve every other
+Electron. J. Combin. 3(2), 1996).  A kernel, `skew_kernel_int_rows`, is that
+one elimination, `_skew_pivots`, followed in the same function by
+back-substitution through its steps.  The general routines serve every other
 matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
 They share one forward elimination, `echelon_int_rows`: a rank is the
 length of its result, and `rref_int_rows` is its result reduced upward,
@@ -274,14 +274,8 @@ def skew_rank_int_rows(rows):
 def skew_kernel_int_rows(rows):
     """Canonical primitive integer RREF rows of the kernel of a
     skew-symmetric integer matrix, equal to ``kernel_int_rows(rows,
-    len(rows))``: ``skew_kernel_of_steps`` of its ``_skew_pivots``.  Raises
-    ValueError unless the matrix is square and skew."""
-    return skew_kernel_of_steps(_skew_pivots(rows), len(rows))
-
-
-def skew_kernel_of_steps(steps, n):
-    """The kernel rows of ``skew_kernel_int_rows`` from the ``_skew_pivots``
-    steps of an n-square matrix: the back-substitution half.
+    len(rows))``: back-substitution through its ``_skew_pivots`` steps.
+    Raises ValueError unless the matrix is square and skew.
 
     Every index outside the pivot pairs is free.  For each free index f the
     kernel vector with v_f equal to the last pivot, zero on the other free
@@ -291,6 +285,7 @@ def skew_kernel_of_steps(steps, n):
     pivot is the Pfaffian of the whole pivot block, and that Pfaffian times
     the block's inverse is an integer matrix.
     """
+    steps, n = _skew_pivots(rows), len(rows)
     paired = {x for i, j, *_ in steps for x in (i, j)}
     scale = steps[-1][2] if steps else 1
     vectors = []

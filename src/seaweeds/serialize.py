@@ -1,7 +1,9 @@
 """JSON serialization and independent certificate re-verification.
 
 All rationals are "num/den" strings in lowest terms with positive
-denominator; basis indices are 0-based.  Document shapes:
+denominator, in algebras and certificates alike: ``_ratio_str`` writes
+them and ``_ratio`` reads them (and "num" or an int); basis indices are
+0-based.  Document shapes:
 
 LieAlgebra::
 
@@ -40,9 +42,8 @@ fails either here (False) or already at algebra reconstruction
 
 Certificates are written and checked on integer rows, as the searches
 run, and no Fraction is built on the way.  ``certificate_to_json`` writes
-each "num/den" from a certificate's integer rows, reduced by their gcd with
-the sign on the numerator, exactly as a Fraction would print, and the
-constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
+each "num/den" from a certificate's integer rows, and the constant
+``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
 certificate documents alike.  Each coordinate list read back is parsed
 straight into one integer row and the lcm of its reduced denominators.
 Either kind of certificate parses its form and takes ker B_phi once, as
@@ -60,10 +61,11 @@ and its leading entry is 1, so a basis that spans the right space but is
 not in canonical rational form is refused.  A report record's certificate
 forms are parsed once, and when its two certificates carry one form, as
 the sweep's shared search issues them, ker B_phi is taken once and serves
-both checks.  A record's certificates
-are exactly those its FOUND statuses name, each of the kind of its key,
-and every certificate form in a report must be one its record's search
-could draw: integer coordinates within the record's bound.
+both checks.  A record's certificates are exactly those its FOUND
+statuses name (``_evidence``), each of the kind of its key, so a report
+written without ``--embed`` fails at its first FOUND record, which
+``unembedded_found`` names; and every certificate form in a report must be
+one its record's search could draw: integer coordinates within its bound.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .construct import AmbientAlgebra, Composition, composition_pairs, seaweed, seaweed_dim
+from .construct import AmbientAlgebra, composition_pairs, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
     FOUND,
@@ -92,13 +94,9 @@ REPORT_SCHEMA = 4
 CERTIFICATE_SCHEMA = 2
 
 
-def frac_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _ratio_str(num: int, den: int) -> str:
-    """num / den written as ``frac_to_str`` writes it: lowest terms, the
-    sign on the numerator, but without building a Fraction."""
+    """num / den as a JSON rational: lowest terms, the sign on the
+    numerator, as a Fraction prints it, but without building one."""
     if den != 1:
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // g, den // g
@@ -130,27 +128,15 @@ def _ratio(s) -> tuple[int, int]:
     return num, den
 
 
-def frac_from_str(s) -> Fraction:
-    return Fraction(*_ratio(s))
-
-
-def _coords_to_json(coords):
-    return [frac_to_str(x) for x in coords]
-
-
-def _coords_from_json(data):
-    return tuple(frac_from_str(x) for x in data)
-
-
 def algebra_to_json(g: LieAlgebra) -> dict:
     doc = {
         "label": g.label,
         "dim": g.dim,
-        "structure": [[i, j, r, frac_to_str(c)] for i, j, r, c in g.structure_items()],
+        "structure": [[i, j, r, _ratio_str(c.numerator, c.denominator)] for i, j, r, c in g.structure_items()],
     }
     if g.realization is not None:
         doc["realization"] = [
-            [_coords_to_json(row) for row in m.rows] for m in g.realization
+            [[_ratio_str(x.numerator, x.denominator) for x in row] for row in m.rows] for m in g.realization
         ]
     else:
         doc["realization"] = None
@@ -160,11 +146,11 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 def algebra_from_json(doc: dict) -> LieAlgebra:
     structure = {}
     for i, j, r, c in doc["structure"]:
-        structure.setdefault((i, j), {})[r] = frac_from_str(c)
+        structure.setdefault((i, j), {})[r] = Fraction(*_ratio(c))
     realization = None
     if doc.get("realization") is not None:
         realization = tuple(
-            Matrix(tuple(_coords_from_json(row) for row in m)) for m in doc["realization"]
+            Matrix(tuple(tuple(Fraction(*_ratio(x)) for x in row) for row in m)) for m in doc["realization"]
         )
     return LieAlgebra(doc["dim"], structure, realization=realization, label=doc.get("label", ""))
 
@@ -269,21 +255,33 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
     return span is not None and _is_canonical(span_basis, g.dim, span)
 
 
-def _record_seaweed(record: dict) -> tuple:
-    """The ``seaweed`` arguments a record names: family, n and its two
-    compositions."""
-    try:
-        family = record["family"]
-        n = record["n"]
-        top = Composition(tuple(record["top"]))
-        bottom = Composition(tuple(record["bottom"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError("unknown algebra reference in record") from exc
-    return family, n, top, bottom
-
-
 # Record status field -> the certificate a FOUND status embeds.
 _EVIDENCE = {"contact": "contact", "stable": "stability"}
+
+
+def _evidence(record: dict) -> set:
+    """The certificate kinds a record's FOUND statuses need."""
+    return {kind for status, kind in _EVIDENCE.items() if record[status] == FOUND}
+
+
+def _parts(composition) -> str:
+    """A composition in the CLI's text form, "0" for the empty one."""
+    return ",".join(map(str, composition)) or "0"
+
+
+def unembedded_found(doc: dict) -> tuple | None:
+    """(ordinal, FAMILYn[top|bottom]) of the first FOUND record of a report
+    whose records carry no certificate, as ``classify`` writes it without
+    ``embed_certificates``; None for any other document, malformed too."""
+    try:
+        records = doc.get("records") or ()
+        if not any(r.get("certificates") for r in records):
+            for ordinal, r in enumerate(records):
+                if _evidence(r):
+                    return ordinal, f"{r['family']}{r['n']}[{_parts(r['top'])}|{_parts(r['bottom'])}]"
+    except (AttributeError, KeyError, TypeError):
+        pass
+    return None
 
 
 def _index_claims_hold(record: dict, formula: int) -> bool:
@@ -313,10 +311,11 @@ def _budgets(record: dict) -> dict:
     return {key: record[key] for key in ("attempts", "bound", "trials")}
 
 
-def _sweep_holds(doc: dict) -> bool:
-    """The records are one whole sweep, in order: they share one family, by
-    its upper-case name, one n and one (attempts, bound, trials) budget
-    (those of the report, where it names them), their (top, bottom) are
+def _sweep_holds(doc: dict) -> list | None:
+    """The ``seaweed`` arguments (family, n, top, bottom) of each record if
+    the records are one whole sweep, in order, else None.  They share one
+    family, by its upper-case name, one n and one (attempts, bound, trials)
+    budget (the report's, where it names them), their (top, bottom) are
     ``composition_pairs(family, n)``, and each record's seed is the sweep
     seed XOR its ordinal, the report's seed where it names one.  The record
     count is held against the closed form 4^k of that enumeration first, so
@@ -325,17 +324,19 @@ def _sweep_holds(doc: dict) -> bool:
     family, n, seed = records[0]["family"], records[0]["n"], records[0]["seed"]
     sweep = (family, n, seed, _budgets(records[0]))
     if tuple(doc.get(key, named) for key, named in zip(("family", "n", "seed", "budgets"), sweep)) != sweep:
-        return False
+        return None
     amb = AmbientAlgebra(family, n)  # an unknown family or rank raises ValueError
     k = amb.max_flag - 1 if amb.family in ("GL", "SL") else amb.max_flag
     if amb.family != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
-        return False
+        return None
+    named = []
     for ordinal, (record, (top, bottom)) in enumerate(zip(records, composition_pairs(family, n))):
         if (record["family"], record["n"], record["seed"] ^ ordinal, _budgets(record)) != sweep:
-            return False
+            return None
         if (tuple(record["top"]), tuple(record["bottom"])) != (top.parts, bottom.parts):
-            return False
-    return True
+            return None
+        named.append((family, n, top, bottom))
+    return named
 
 
 def verify_document(doc: dict) -> bool:
@@ -385,16 +386,16 @@ def _verify_document(doc: dict) -> bool:
             raise ValueError(
                 f"report schema {doc.get('schema')!r} is not {REPORT_SCHEMA}: classify the sweep again"
             )
-        if not _sweep_holds(doc):
+        named = _sweep_holds(doc)
+        if named is None:
             return False
         ok = True
-        for record in doc["records"]:
-            args = _record_seaweed(record)
+        for record, args in zip(doc["records"], named):
             if not _index_claims_hold(record, index_formula(*args)):
                 return False
             # the certificates are exactly the kinds the FOUND statuses name
             certs = record.get("certificates") or {}
-            found = {kind for status, kind in _EVIDENCE.items() if record[status] == FOUND}
+            found = _evidence(record)
             if certs.keys() != found or any(cert["kind"] != kind for kind, cert in certs.items()):
                 return False
             if not certs:

@@ -284,6 +284,23 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert run(capsys, "verify", str(tmp_path / "junk.json"))[0] == 2
 
 
+def test_verify_names_the_first_found_record_of_a_report_written_without_embed(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "4")
+    assert code == 0
+    doc = json.loads(out)
+    ordinal = next(i for i, r in enumerate(doc["records"]) if "FOUND" in (r["contact"], r["stable"]))
+    record = doc["records"][ordinal]
+    label = f"SL4[{','.join(map(str, record['top']))}|{','.join(map(str, record['bottom']))}]"
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (1, "INVALID\n")
+    assert err.count("\n") == 1 and f"record {ordinal} ({label})" in err and "--embed" in err
+    # a report that carries certificates gets no such line when it fails
+    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "4", "--embed")
+    doc = json.loads(out)
+    doc["summary"]["consistent"] += 1
+    assert run(capsys, "verify", write(tmp_path, doc)) == (1, "INVALID\n", "")
+
+
 def test_verify_exit_2_on_zero_denominator(capsys, tmp_path):
     doc = contact_document(capsys)
     doc["certificates"][0]["form"][0] = "1/0"

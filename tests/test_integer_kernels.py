@@ -15,16 +15,15 @@ from seaweeds.classify import composition_pairs
 from seaweeds.contact import StabilityCertificate, is_contact_form, is_stable_form, pairing
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel
 from seaweeds.linalg import echelon_int_rows, kernel_int_rows, skew_kernel_int_rows, span_int_rows
-from seaweeds.serialize import (
-    _int_row,
-    _ratio,
-    certificate_to_json,
-    frac_from_str,
-    frac_to_str,
-    verify_certificate,
-)
+from seaweeds.serialize import _int_row, _ratio, certificate_to_json, verify_certificate
 
 F = Fraction
+frac_from_str = ref.frac_from_str
+
+
+def frac_to_str(x):
+    return f"{x.numerator}/{x.denominator}"
+
 
 FAMILIES = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3), ("SL", 4)]
 FAMILIES += [("SP", 1), ("SP", 2)] + [("SO", n) for n in (3, 4, 5, 6)]

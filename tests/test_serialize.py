@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from block_reference import gln_seaweed
+from fraction_reference import frac_from_str
 
 from seaweeds import (
     Composition,
@@ -24,7 +25,7 @@ from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.construct import seaweed
 from seaweeds.lie import LieAlgebra, StructureError
-from seaweeds.serialize import CERTIFICATE_SCHEMA, frac_from_str, frac_to_str, verify_certificate
+from seaweeds.serialize import CERTIFICATE_SCHEMA, _ratio, _ratio_str, verify_certificate
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "data"
@@ -34,12 +35,24 @@ def C(*parts):
     return Composition(tuple(parts))
 
 
+def frac_to_str(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
 def test_fraction_strings():
-    assert frac_to_str(F(-3, 7)) == "-3/7"
-    assert frac_to_str(F(2)) == "2/1"
-    assert frac_from_str("-3/7") == F(-3, 7)
-    assert frac_from_str("5") == F(5)
-    assert frac_from_str(4) == F(4)
+    assert _ratio_str(-3, 7) == "-3/7"
+    assert _ratio_str(2, 1) == "2/1"
+    assert _ratio("-3/7") == (-3, 7)
+    assert _ratio("5") == (5, 1)
+    assert _ratio(4) == (4, 1)
+
+
+def test_algebra_json_writes_ints_and_fractions_in_lowest_terms():
+    # [x0, x1] = 3 x2 with an int constant, [x0, x2] = 4/6 x2 as a Fraction
+    g = LieAlgebra(3, {(0, 1): {2: 3}, (0, 2): {2: F(4, 6)}})
+    doc = algebra_to_json(g)
+    assert doc["structure"] == [[0, 1, 2, "3/1"], [0, 2, 2, "2/3"]]
+    assert list(algebra_from_json(doc).structure_items()) == list(g.structure_items())
 
 
 def test_algebra_roundtrip_with_realization():
@@ -365,7 +378,21 @@ def test_verify_malformed_document_raises_value_error():
     with pytest.raises(ValueError, match="malformed document"):
         verify_document(doc)
     with pytest.raises(ValueError, match="zero denominator"):
-        frac_from_str("1/0")
+        _ratio("1/0")
+
+
+@pytest.mark.parametrize("top", [[0], ["x"], [1, 0, 2]])
+def test_verify_refuses_a_record_naming_compositions_off_the_sweep(top):
+    doc, record = _index_one_report()
+    record["top"] = top
+    assert verify_document(doc) is False
+
+
+def test_verify_raises_on_a_record_top_that_is_not_a_list():
+    doc, record = _index_one_report()
+    record["top"] = 5
+    with pytest.raises(ValueError, match="malformed document"):
+        verify_document(doc)
 
 
 def _so5_report(bound=10**6):
