@@ -22,10 +22,13 @@ Verdict policy:
   equivalence forbids.  It cannot arise here: a contact form is stable
   (``contact``), and the stability search tests the same draws in the same
   order.  ``verify`` keeps the branch, to refuse a report that claims it.
-* contact NOT_FOUND, stable FOUND: UNRESOLVED.  Non-contactness is never
-  decided by search failure alone.
-* both NOT_FOUND at full budget: CONSISTENT, evidence for the contrapositive
-  (neither property present).
+* contact NOT_FOUND, stable FOUND: UNRESOLVED.  A NOT_FOUND is a proof
+  only when the line through the search's first draw refuted the test
+  (``contact``), and a record does not say whether it was, so
+  non-contactness is never claimed.
+* both NOT_FOUND: CONSISTENT, neither property present.  On the six
+  non-contact SO7 and SO8 seaweeds that is proved on a line after one draw
+  per search (``contact``); otherwise it is evidence, both budgets spent.
 * zero-attempt budgets leave searches inconclusive: UNRESOLVED.
 
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``

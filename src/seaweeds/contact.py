@@ -35,35 +35,59 @@ skew.  For a form that is not contact, the kernel-bracket test
 (``kernel_bracket_span``) decides with one general forward elimination of
 the brackets of the kernel rows (``linalg.echelon_int_rows``) and one
 general integer rank for the meet, with the echelon rows first so that
-only the kernel rows are reduced; most attempts of a search that runs out
-fail there, and only an issued certificate pays for the canonical rows of
-[ker, g], which the echelon rows give by upward elimination alone.  A
-stability search learns from each such refusal which brackets [k, x_j]
-held a vector of the kernel in their span: of the input rows whose
-echelon spanned [ker, g] (``linalg.echelon_int_rows`` names them), those
-one relation with the kernel rows needs.  A later draw with as many kernel
-rows is first tested on the same rows of its own brackets; they lie in
-its [ker, g], so if its kernel meets their span the draw is refused, and
-only otherwise does the full test run.  On SO7 1,2|0, [k, g] has rank 7
-of 13 brackets, k lies in the span of 4 of them, and the same 4 refuse
-every draw after the first.  The shortcut only refuses, so every answer
-and every certificate is the full test's.  The certificate check in
-``serialize`` runs the full test on the kernel it takes, for a certificate
-that carries [ker, g], and compares the rows of [ker, g] it issues.
+only the kernel rows are reduced; only an issued certificate pays for the
+canonical rows of [ker, g], which the echelon rows give by upward
+elimination alone.  The certificate check in ``serialize`` runs the same
+test on the kernel it takes, for a certificate that carries [ker, g], and
+compares the rows of [ker, g] it issues.
+
+A search that runs out proves nothing by itself; a few exact ranks on a
+line do.  When a search's first draw phi0 is refused and its kernel is one
+row k0, ``_line`` takes psi = e_r* for a coordinate r with k0[r] != 0 whose
+B_{e_r} has the least skew rank 2d.  On the line phi_t = phi0 + t psi,
+B_{phi_t} = B_phi0 + t B_{e_r}, so every Pfaffian of a principal minor of
+B_{phi_t} has degree at most d in t.  The orbit of phi0 under the adjoint
+group G has tangent space {xi : xi(k0) = 0}, which psi misses, so the
+G-orbits through the line near phi0 fill a neighbourhood of phi0 in g*,
+and a G-stable condition that holds there holds on an open set:
+
+* No contact form (``_no_contact_form``).  The bordered Pfaffian P is a
+  semi-invariant (an automorphism A scales phi ^ (d phi)^k by 1/det A), so
+  if P vanishes on the line it vanishes on an open set, and everywhere.
+  Its degree on the line is at most d + 1, so d + 2 zeros suffice:
+  phi0(k0) = 0 at t = 0, and the bordered skew rank falls short of
+  dim + 1 at t = 1, ..., d + 1.
+* No stable form (``_no_stable_form``).  Let s = rank ad_k0.  The signed
+  Pfaffians of the principal minors of size dim - 1 give a kernel vector
+  k(t) of degree at most d, which spans ker B_{phi_t} where that is a line
+  and is 0 elsewhere, so the (s+1)-minors of [ad_k(t) | k(t)] have degree
+  at most (s+1)d.  They vanish when k0 lies in [k0, g] at t = 0, and, at
+  t = 1, ..., (s+1)d, the kernel is not a line or rank [ad_k | k] <= s.
+  Near t = 0 rank ad_k(t) >= s, so k(t) lies in [k(t), g] and phi_t is not
+  stable.  Stable forms are G-stable and Zariski-open (Tauvel-Yu), so
+  none exists.
+
+On the six non-contact SO7 and SO8 seaweeds d = 1: 3 points decide
+contact and (s+1) + 1 decide stability (9 on SO7), against 8 and 49 at
+the generic degree (dim - 1) / 2.  A refutation that holds ends the search
+with None, the answer its full budget gives, since every later draw would
+be refused; one that fails decides nothing, and the search goes on over
+the same draws.
 
 Both tests take an optional kernel, so one elimination serves them both.
 There is one search loop (``_search``): it tests the first ``attempts``
 draws of a stream (``form_draws``), each drawn form with its integer
-coordinates and its kernel, until its test issues a certificate.
-``find_contact_form`` and ``find_stable_form`` are that loop with the
-contact or the stability test.  The sweep gives both searches one stream,
-so every draw is eliminated once and its kernel reaches both tests.
-Certificates hold integer rows only: the form over
-one denominator, the Reeb vector over phi(k), and canonical primitive rows
-of ker B_phi and, for a stable form that is not contact, of [ker, g].
-``serialize.certificate_to_json`` writes them as the rationals a
-computation over Q gives, without a Fraction: canonical rows are unique,
-and the Reeb vector is k / phi(k) for any generator k of the kernel line.
+coordinates and its kernel, until its test issues a certificate or the
+line through its first draw refutes the test.  ``find_contact_form`` and
+``find_stable_form`` are that loop with the contact or the stability test
+and refutation.  The sweep gives both searches one stream, so every draw
+is eliminated once and its kernel reaches both tests.  Certificates hold
+integer rows only: the form over one denominator, the Reeb vector over
+phi(k), and canonical primitive rows of ker B_phi and, for a stable form
+that is not contact, of [ker, g].  ``serialize.certificate_to_json``
+writes them as the rationals a computation over Q gives, without a
+Fraction: canonical rows are unique, and the Reeb vector is k / phi(k)
+for any generator k of the kernel line.
 
 ``search_verdict`` is the one statement of what the outcomes of the two
 searches on an index-one algebra say about the equivalence "contact iff
@@ -89,9 +113,9 @@ from .linalg import (
     clear_denominators,
     echelon_int_rows,
     is_squarefree,
-    kernel_int_rows,
     meets_trivially_int_rows,
     minimal_polynomial,
+    rank_int_rows,
     skew_kernel_int_rows,
     skew_rank_int_rows,
     span_int_rows,
@@ -194,8 +218,9 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
     return ContactCertificate(tuple(ints), den, tuple(v * den for v in k), value)
 
 
-def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
-    """Top-wedge volume test via the bordered Kirillov matrix.
+def contact_volume_nonzero(g: LieAlgebra, form) -> bool:
+    """Top-wedge volume test via the bordered Kirillov matrix; ``form`` is a
+    OneForm or integer coordinates.
 
     The (dim+1)-square skew matrix [[0, phi], [-phi, B_phi]] is nonsingular
     exactly when phi ^ (d phi)^k is a volume form, which is the defining
@@ -205,7 +230,7 @@ def contact_volume_nonzero(g: LieAlgebra, form: OneForm) -> bool:
     ranked by skew elimination.
     """
     _require_odd(g)
-    ints, _ = clear_denominators(form.coords)
+    ints, _ = _int_coords(form)
     bordered = [[0, *ints]]
     for c, row in zip(ints, g.kirillov_int_rows(ints)):
         bordered.append([-c, *row])
@@ -217,68 +242,89 @@ def _bracket_rows(g: LieAlgebra, kernel) -> list:
     return [row for k in kernel for row in g.ad_int_rows(k)]
 
 
-def kernel_bracket_span(g: LieAlgebra, kernel, learned=None):
+def kernel_bracket_span(g: LieAlgebra, kernel):
     """The canonical primitive rows of [K, g] when they meet K only in 0,
     else None; K is given by its canonical rows ``kernel``.
 
     One forward elimination of the brackets [k, x_j] decides: its echelon
     rows go first in the meet, so only the kernel rows are reduced against
     them.  The canonical rows of [K, g] are built from the echelon rows
-    only when the meet is trivial.
-
-    ``learned``, when given, is a dict a search keeps across its draws: for
-    a number of kernel rows, the indices into the bracket rows of the rows
-    that held a vector of K in their span at the last refusal of that shape
-    (``_meet_support``).  Those rows of this K's brackets are eliminated
-    first, and if K meets their span it meets [K, g], so the answer is None
-    without the full elimination.  A span met trivially decides nothing (it
-    may be short of [K, g]): the full test runs, and a refusal there is
-    learned."""
-    rows = _bracket_rows(g, kernel)
-    support = None if learned is None else learned.get(len(kernel))
-    if support is not None and not meets_trivially_int_rows(echelon_int_rows([rows[i] for i in support]), kernel):
-        return None
-    echelon, indices = echelon_int_rows(rows, sources=True)
-    if not meets_trivially_int_rows(echelon, kernel):
-        if learned is not None:
-            learned[len(kernel)] = _meet_support(rows, indices, kernel)
-        return None
-    return span_int_rows(echelon)
+    only when the meet is trivial."""
+    echelon = echelon_int_rows(_bracket_rows(g, kernel))
+    return span_int_rows(echelon) if meets_trivially_int_rows(echelon, kernel) else None
 
 
-def _meet_support(rows, indices, kernel):
-    """The rows among ``rows[indices]`` that one vector of the meet needs.
-
-    ``rows[indices]`` are independent (``echelon_int_rows`` with
-    ``sources`` names them) and their span meets that of the independent
-    ``kernel`` rows, so the relations sum c_i rows[i] + sum d_j kernel[j]
-    = 0 are not all 0, and in each nonzero one neither c nor d is 0: the
-    rows with c_i != 0 span the nonzero vector -sum d_j kernel[j] of K."""
-    basis = [rows[i] for i in indices]
-    relation = kernel_int_rows([list(col) for col in zip(*basis, *kernel)], len(basis) + len(kernel))[0]
-    return [i for i, c in zip(indices, relation) if c]
-
-
-def is_stable_form(g: LieAlgebra, form, kernel=None, *, learned=None) -> StabilityCertificate | None:
+def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | None:
     """Certificate iff [ker B_form, g] intersects ker B_form trivially;
     ``form`` and ``kernel`` as for ``is_contact_form``.
 
     A contact form (a kernel line <k> with form(k) != 0) is stable by the
     lemma of the module docstring, and its certificate holds no [ker, g];
-    any other form goes through ``kernel_bracket_span``, with the bracket
-    rows a search has ``learned`` from its earlier refusals.  Those can
-    only refuse a form whose [ker, g] meets ker, so the answer, and any
-    certificate, is the same with or without them."""
+    any other form goes through ``kernel_bracket_span``."""
     ints, den = _int_coords(form)
     kernel = _kernel(g, ints, kernel)
     if len(kernel) == 1 and pairing(ints, kernel[0]):
         span = None
     else:
-        span = kernel_bracket_span(g, kernel, learned)
+        span = kernel_bracket_span(g, kernel)
         if span is None:
             return None
         span = tuple(map(tuple, span))
     return StabilityCertificate(tuple(ints), den, tuple(map(tuple, kernel)), span)
+
+
+def _line(g: LieAlgebra, kernel):
+    """(r, d) for the line phi0 + t e_r* of the refutations (module
+    docstring) through a form with kernel rows ``kernel``: r a coordinate
+    where the one kernel row is nonzero, and B_{e_r} of the least rank 2d
+    among them (B_{e_r} is skew, so its rank is even).  None unless the
+    kernel is one row."""
+    if len(kernel) != 1:
+        return None
+    unit = [0] * g.dim
+    ranks = []
+    for r, v in enumerate(kernel[0]):
+        if v:
+            unit[r] = 1
+            # B_{e_r} is sparse, and a general rank skips its zero rows sooner
+            ranks.append((rank_int_rows(g.kirillov_int_rows(unit)), r))
+            unit[r] = 0
+    two_d, r = min(ranks)
+    return r, two_d // 2
+
+
+def _on_line(ints, r, t) -> list:
+    point = list(ints)
+    point[r] += t
+    return point
+
+
+def _no_contact_form(g: LieAlgebra, ints, kernel, r: int, d: int) -> bool:
+    """True when the bordered Pfaffian vanishes at t = 0, 1, ..., d + 1 on
+    the line ``ints`` + t e_r*, ``kernel`` the one kernel row at t = 0,
+    which proves that g has no contact form (module docstring)."""
+    (k,) = kernel
+    if pairing(ints, k):
+        return False
+    return not any(contact_volume_nonzero(g, _on_line(ints, r, t)) for t in range(1, d + 2))
+
+
+def _no_stable_form(g: LieAlgebra, ints, kernel, r: int, d: int) -> bool:
+    """True when, with s = rank ad_k0 for the one kernel row k0 at t = 0,
+    k0 lies in [k0, g] and every point t = 1, ..., (s+1)d of the line
+    ``ints`` + t e_r* has a kernel that is not a line or a kernel line <k>
+    with rank [ad_k | k] <= s, which proves that g has no stable form
+    (module docstring)."""
+    (k,) = kernel
+    echelon = echelon_int_rows(g.ad_int_rows(k))
+    s = len(echelon)
+    if meets_trivially_int_rows(echelon, kernel):
+        return False
+    for t in range(1, (s + 1) * d + 1):
+        at_t = _kernel(g, _on_line(ints, r, t), None)
+        if len(at_t) == 1 and rank_int_rows(g.ad_int_rows(at_t[0]) + at_t) > s:
+            return False
+    return True
 
 
 def search_verdict(contact: str, stable: str, attempts: int) -> str:
@@ -310,14 +356,20 @@ def form_draws(g: LieAlgebra, seed: int, bound: int):
         yield ints, skew_kernel_int_rows(g.kirillov_int_rows(ints))
 
 
-def _search(g: LieAlgebra, draws, attempts: int, test):
+def _search(g: LieAlgebra, draws, attempts: int, test, refutes):
     """The search loop: the first certificate ``test`` issues for one of the
     first ``attempts`` draws, each tested with its own kernel; None when
-    the budget runs out."""
-    for form, kernel in islice(draws, attempts):
+    the budget runs out, or as soon as ``refutes`` proves, on the line
+    through a refused first draw (``_line``), that no form passes ``test``
+    and so that the budget would run out."""
+    for i, (form, kernel) in enumerate(islice(draws, attempts)):
         cert = test(g, form, kernel)
         if cert is not None:
             return cert
+        if not i and attempts > 1:
+            line = _line(g, kernel)
+            if line is not None and refutes(g, form, kernel, *line):
+                return None
     return None
 
 
@@ -329,18 +381,22 @@ def find_contact_form(
     *,
     draws=None,
 ) -> ContactCertificate | None:
-    """Randomized search for a contact form; None means budget exhausted.
+    """Randomized search for a contact form; None means budget exhausted,
+    or that the line through the first draw proved that no form is
+    contact (``_no_contact_form``), after which every draw of the budget
+    would have been refused.
 
     Tests ``form_draws(g, seed, bound)``, or ``draws`` when given (the
     sweep gives the contact and stability searches one stream, so both
-    tests of a draw share its kernel).  Exhaustion is not a proof of
+    tests of a draw share its kernel).  Exhaustion alone is not a proof of
     non-contactness, only one-sided evidence; the classifier corroborates
     it against the stability search.  A budget of 0 finds nothing; a
     negative one, or a bound below 1, raises ValueError.
     """
     _require_odd(g)
     _require_budget(attempts, bound)
-    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, is_contact_form)
+    draws = form_draws(g, seed, bound) if draws is None else draws
+    return _search(g, draws, attempts, is_contact_form, _no_contact_form)
 
 
 def find_stable_form(
@@ -351,19 +407,13 @@ def find_stable_form(
     *,
     draws=None,
 ) -> StabilityCertificate | None:
-    """Randomized search for a stable form; None means budget exhausted.
-    Draws as ``find_contact_form``.  Each draw is one ``is_stable_form``
-    call, given the bracket rows the search has learned from the draws it
-    refused (``kernel_bracket_span``), which refuse a draw sooner but never
-    change an answer.  A budget of 0 finds nothing; a negative one, or a
-    bound below 1, raises ValueError."""
+    """Randomized search for a stable form; None means budget exhausted,
+    or that the line through the first draw proved that no form is stable
+    (``_no_stable_form``).  Draws as ``find_contact_form``.  A budget of 0
+    finds nothing; a negative one, or a bound below 1, raises ValueError."""
     _require_budget(attempts, bound)
-    learned = {}
-
-    def test(g, form, kernel):
-        return is_stable_form(g, form, kernel, learned=learned)
-
-    return _search(g, form_draws(g, seed, bound) if draws is None else draws, attempts, test)
+    draws = form_draws(g, seed, bound) if draws is None else draws
+    return _search(g, draws, attempts, is_stable_form, _no_stable_form)
 
 
 def is_semisimple_element(x: Element) -> bool:

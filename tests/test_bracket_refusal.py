@@ -1,30 +1,49 @@
-"""The stability search's refusal on learned bracket rows: a draw is refused
-when K meets the span of the rows of [K, g] that held a vector of K at the
-search's last full refusal, and that refusal is exact, draw by draw,
-against the rational route."""
+"""The searches' line refutation: after a refused first draw, a few exact
+ranks on a line through it prove that no contact or stable form exists,
+and the search ends there.  It ends every search on the six non-contact
+SO7 and SO8 seaweeds after one draw, the rational route refuses every draw
+those searches would have tested, and it changes no report byte where it
+declines."""
 
 import importlib
 from fractions import Fraction
+from itertools import islice
 
 import fraction_reference as ref
 import pytest
 
-from seaweeds import Composition, OneForm, abelian, find_stable_form, is_stable_form, seaweed
-from seaweeds.contact import _bracket_rows
+from seaweeds import OneForm, report, seaweed
+from seaweeds.construct import Composition
 
 classify_module = importlib.import_module("seaweeds.classify")
 contact_module = importlib.import_module("seaweeds.contact")
 
-# index-one records whose searches both run out (and SO7 0|3, found at once)
+# index-one records whose searches both end NOT_FOUND (and SO7 0|3, found at once)
 RECORDS = {
     ("SO", 7): [((1, 2), ()), ((), (2, 1)), ((), (3,))],
     ("SO", 8): [((1, 2), ()), ((), (2, 1)), ((1, 2, 1), ()), ((), (1, 2, 1))],
 }
+REFUTED = [(family, n, pair) for (family, n), pairs in RECORDS.items() for pair in pairs if pair != ((), (3,))]
+REFUTATIONS = ("_no_contact_form", "_no_stable_form")
 
 
-def stability_decisions(monkeypatch, family, n, seed):
-    """The sweep's records, and for each composition pair the forms its
-    stability search tested, in order, with whether each was certified."""
+def search_streams(family, n, seed):
+    """For each refuted record of the sweep, its algebra and the first 64
+    draws of its search stream, as ``classify`` seeds it."""
+    ordinal = {(a.parts, b.parts): i for i, (a, b) in enumerate(classify_module.composition_pairs(family, n))}
+    streams = {}
+    for fam, m, (top, bottom) in REFUTED:
+        if (fam, m) == (family, n):
+            g = seaweed(family, n, Composition(top), Composition(bottom))
+            search_seed = seed ^ ordinal[(top, bottom)] ^ classify_module._CONTACT_SALT
+            draws = contact_module.form_draws(g, search_seed, 10**6)
+            streams[(top, bottom)] = g, [next(draws) for _ in range(64)]
+    return streams
+
+
+def search_decisions(monkeypatch, family, n, seed):
+    """The sweep's records, and for each composition pair the forms each of
+    its two tests was given, in order, with whether each was certified."""
     decisions, current = {}, [None]
     build = classify_module.seaweed
 
@@ -32,73 +51,131 @@ def stability_decisions(monkeypatch, family, n, seed):
         current[0] = (top.parts, bottom.parts)
         return build(family, n, top, bottom)
 
-    test = contact_module.is_stable_form
+    def recorded(kind, test):
+        def wrapped(g, form, kernel=None):
+            cert = test(g, form, kernel)
+            decisions.setdefault(current[0], {}).setdefault(kind, []).append((g, tuple(form), cert is not None))
+            return cert
 
-    def recorded(g, form, kernel=None, **kwargs):
-        assert "learned" in kwargs  # every draw of a search goes through the learned rows
-        cert = test(g, form, kernel, **kwargs)
-        decisions.setdefault(current[0], []).append((g, tuple(form), cert is not None))
-        return cert
+        return wrapped
 
     monkeypatch.setattr(classify_module, "seaweed", seaweed_of)
-    monkeypatch.setattr(contact_module, "is_stable_form", recorded)
+    for kind in ("is_contact_form", "is_stable_form"):
+        monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
     return classify_module.classify(family, n, seed=seed), decisions
 
 
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", sorted(RECORDS))
-def test_each_decision_of_the_search_equals_the_rational_test(monkeypatch, family, n, seed):
-    records, decisions = stability_decisions(monkeypatch, family, n, seed)
+def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed):
+    records, decisions = search_decisions(monkeypatch, family, n, seed)
     by_pair = {(r.top, r.bottom): r for r in records}
+    rational = {"is_contact_form": ref.is_contact_form, "is_stable_form": ref.is_stable_form}
     for pair in RECORDS[(family, n)]:
-        r, tested = by_pair[pair], decisions[pair]
+        r = by_pair[pair]
         assert r.index == 1
-        assert len(tested) == (64 if r.stable == "NOT_FOUND" else 1 + [ok for *_, ok in tested].index(True))
-        if pair != ((), (3,)):
-            assert (r.contact, r.stable) == ("NOT_FOUND", "NOT_FOUND")
-        for g, ints, certified in tested:
-            rational = ref.is_stable_form(g, OneForm(g, tuple(map(Fraction, ints))))
-            assert certified == (rational is not None), (pair, ints)
+        for kind, tested in decisions[pair].items():
+            if pair == ((), (3,)):
+                assert [ok for *_, ok in tested] == [True]
+            else:
+                assert (r.contact, r.stable) == ("NOT_FOUND", "NOT_FOUND")
+                assert len(tested) == 1
+            for g, ints, certified in tested:
+                form = OneForm(g, tuple(map(Fraction, ints)))
+                assert certified == (rational[kind](g, form) is not None), (pair, kind, ints)
 
 
-def test_zero_learned_rows_refuse_no_stable_form():
-    # [K, g] = 0: the learned row [k, x_0] is zero, and a zero span meets nothing
-    g = abelian(1)
-    cert = is_stable_form(g, [0], learned={1: [0]})
-    assert cert is not None and cert == is_stable_form(g, [0])
-    assert cert.bracket_span_rows == ()
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", sorted(RECORDS))
+def test_the_rational_test_refuses_every_draw_of_each_refuted_search(family, n, seed):
+    # the exhaustion oracle: the 64 draws the parent's searches tested are
+    # all refused by the rational route, so ending at the first changes no answer
+    for pair, (g, draws) in search_streams(family, n, seed).items():
+        for ints, _ in draws:
+            form = OneForm(g, tuple(map(Fraction, ints)))
+            kernel = ref.kirillov_kernel(g, form)
+            assert not ref.is_contact_kernel(g, form, kernel), (pair, ints)
+            assert not ref.meets_trivially(kernel, ref.bracket_span(g, kernel)), (pair, ints)
 
 
-def test_dependent_learned_rows_refuse_no_stable_form():
-    # gl3 at a generic form: K is a Cartan subalgebra (3 rows), [K, g] the six
-    # root lines, and the form is stable without being contact
-    g = seaweed("GL", 3, Composition((3,)), Composition((3,)))
-    cert = find_stable_form(g, 0)
-    assert cert is not None and cert.bracket_span_rows
-    kernel = [list(k) for k in cert.kernel_rows]
-    rows = _bracket_rows(g, kernel)
-    nonzero = [i for i, row in enumerate(rows) if any(row)]
-    i, j = nonzero[0], nonzero[1]
-    for indices in ([i, i], [i, j, i, j], [*nonzero, *nonzero], [i, *range(len(rows))]):
-        learned = {len(kernel): indices}
-        assert is_stable_form(g, cert.form_row, kernel, learned=learned) == cert
-        assert learned == {len(kernel): indices}  # a certificate teaches nothing
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n,pair", REFUTED)
+def test_the_line_has_degree_one_and_the_generic_bound_refutes_too(family, n, pair, seed):
+    (g, ((ints, kernel), *_)) = search_streams(family, n, seed)[pair]
+    r, d = contact_module._line(g, kernel)
+    assert d == 1 and kernel[0][r]
+    generic = (g.dim - 1) // 2
+    for name in REFUTATIONS:
+        refutes = getattr(contact_module, name)
+        assert refutes(g, ints, kernel, r, d)
+        assert refutes(g, ints, kernel, r, generic)
 
 
-def test_the_search_eliminates_the_learned_rows_only_after_its_first_refusal(monkeypatch):
-    # SO7 1,2|0 (dim 13): [k, g] has rank 7 on every draw, k lies in the span
-    # of 4 of the 7 rows the first full refusal kept, and those 4 refuse all
-    # 63 later draws, so the search eliminates 13 + 63 * 4 bracket rows where
-    # the full test on every draw would eliminate 64 * 13 = 832
-    g = seaweed("SO", 7, Composition((1, 2)), Composition(()))
-    eliminated = []
-    echelon = contact_module.echelon_int_rows
+def test_a_contact_seaweed_is_refuted_on_no_line():
+    # SO7 0|3 is contact, so no line may refute it: take the bound-1 draws
+    # whose kernel is a line on which the form vanishes (they are neither
+    # contact nor stable), and both refutations decline on each
+    g = seaweed("SO", 7, Composition(()), Composition((3,)))
+    draws = contact_module.form_draws(g, 0, 1)
+    refused = [
+        (ints, kernel) for ints, kernel in islice(draws, 120)
+        if len(kernel) == 1 and not contact_module.pairing(ints, kernel[0])
+    ]
+    assert len(refused) >= 20
+    for ints, kernel in refused:
+        assert contact_module.is_stable_form(g, ints, kernel) is None
+        r, d = contact_module._line(g, kernel)
+        for name in REFUTATIONS:
+            assert not getattr(contact_module, name)(g, ints, kernel, r, d), (name, ints)
 
-    def counted(rows, **kwargs):
-        eliminated.append(len(rows))
-        return echelon(rows, **kwargs)
 
-    monkeypatch.setattr(contact_module, "echelon_int_rows", counted)
-    assert find_stable_form(g, 23) is None
-    assert eliminated == [13] + [4] * 63
-    assert sum(eliminated) == 265
+def sweep_bytes(family, n, seed, bound=10**6):
+    return report(classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True))
+
+
+def declining(monkeypatch):
+    for name in REFUTATIONS:
+        monkeypatch.setattr(contact_module, name, lambda *args: False)
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", [("SO", n) for n in (5, 6, 7, 8)] + [("SP", n) for n in (2, 3, 4)])
+def test_reports_are_the_full_searches_at_the_default_bound(monkeypatch, family, n, seed):
+    refuted = sweep_bytes(family, n, seed)
+    declining(monkeypatch)
+    assert sweep_bytes(family, n, seed) == refuted
+
+
+SMALL_SWEEPS = [("GL", n) for n in (3, 4, 5)] + [("SL", n) for n in (3, 4, 5)]
+SMALL_SWEEPS += [("SP", 2), ("SP", 3)] + [("SO", n) for n in (5, 6, 7)]
+
+
+def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
+    # at bounds 1-3 many first draws are refused: the refutation runs on
+    # each, declines on almost all, and where it ends a search the full
+    # search runs out too
+    tried, refuted = [0], [0]
+    line = contact_module._line
+
+    def counted_line(g, kernel):
+        tried[0] += 1
+        return line(g, kernel)
+
+    def counted(refutes):
+        def wrapped(*args):
+            proved = refutes(*args)
+            refuted[0] += proved
+            return proved
+
+        return wrapped
+
+    sweeps = [(family, n, seed, bound) for family, n in SMALL_SWEEPS for seed in (0, 5) for bound in (1, 2, 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(contact_module, "_line", counted_line)
+        for name in REFUTATIONS:
+            patch.setattr(contact_module, name, counted(getattr(contact_module, name)))
+        refuting = [sweep_bytes(*sweep) for sweep in sweeps]
+    assert tried[0] - refuted[0] >= 500 and refuted[0] > 0
+    declining(monkeypatch)
+    for sweep, text in zip(sweeps, refuting):
+        assert sweep_bytes(*sweep) == text, sweep

@@ -1,7 +1,9 @@
 """The sweep's searches on index-one seaweeds: one draw stream, one skew
-elimination per drawn form, one kernel per draw shared by the contact and
-stability tests, no form drawn for any other seaweed, and certificates
-written from integer rows exactly as the rational route writes them."""
+elimination per drawn form (besides those of a line refutation, which
+``test_bracket_refusal.py`` covers), one kernel per draw shared by the
+contact and stability tests, no form drawn for any other seaweed, and
+certificates written from integer rows exactly as the rational route
+writes them."""
 
 import importlib
 import json
@@ -27,9 +29,11 @@ SWEEPS += [("SP", 2), ("SP", 3)] + [("SO", n) for n in (5, 6, 7)]
 def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     """``classify --embed`` of one sweep, with what its searches did: the
     forms each test was given, in order, keyed by record seed, and the
-    number of skew eliminations.  The sweep calls no ``lie.index``."""
+    number of skew eliminations outside the line refutations (``_line``,
+    ``_no_contact_form``, ``_no_stable_form``).  The sweep calls no
+    ``lie.index``."""
     tested, eliminations = {}, [0]
-    current = [None]
+    current, refuting = [None], [False]
 
     def recorded(kind, test):
         def wrapped(g, form, kernel=None, **kwargs):
@@ -47,8 +51,18 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     eliminate = linalg_module._skew_pivots
 
     def counted(rows):
-        eliminations[0] += 1
+        eliminations[0] += not refuting[0]
         return eliminate(rows)
+
+    def uncounted(refutation):
+        def wrapped(*args):
+            refuting[0] = True
+            try:
+                return refutation(*args)
+            finally:
+                refuting[0] = False
+
+        return wrapped
 
     def no_index(*args, **kwargs):
         raise AssertionError("the sweep drew an index trial")
@@ -58,6 +72,8 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     for kind in ("is_contact_form", "is_stable_form"):
         monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
     monkeypatch.setattr(linalg_module, "_skew_pivots", counted)
+    for name in ("_line", "_no_contact_form", "_no_stable_form"):
+        monkeypatch.setattr(contact_module, name, uncounted(getattr(contact_module, name)))
     records = classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True)
     return records, tested, eliminations[0]
 

@@ -170,4 +170,6 @@ def test_bordered_volume_test_agrees_with_the_kernel_test_on_index_one_seaweeds(
         forms = [[0] * g.dim] + [[rng.randint(-3, 3) for _ in range(g.dim)] for _ in range(3)]
         for coords in forms:
             phi = OneForm(g, tuple(map(F, coords)))
-            assert contact_volume_nonzero(g, phi) == (is_contact_form(g, phi) is not None)
+            volume = contact_volume_nonzero(g, phi)
+            assert volume == (is_contact_form(g, phi) is not None)
+            assert contact_volume_nonzero(g, coords) == volume  # integer coordinates, as the line test gives
