@@ -26,20 +26,19 @@ than it, and only stable => contact can fail.
 
 All three tests, and the re-checks in ``serialize.verify_certificate``,
 run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
-so they go through the skew elimination of ``linalg``, whose 2x2 pivots
-divide exactly because each entry it holds is a Pfaffian of a principal
-minor: the kernel comes as canonical primitive integer rows
-(``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``) and
-the bordered test is one ``linalg.skew_rank_int_rows``.  [ker, g] is not
-skew.  For a form that is not contact, the kernel-bracket test
-(``kernel_bracket_span``) decides with one general forward elimination of
-the brackets of the kernel rows (``linalg.echelon_int_rows``) and one
-general integer rank for the meet, with the echelon rows first so that
-only the kernel rows are reduced; only an issued certificate pays for the
-canonical rows of [ker, g], which the echelon rows give by upward
-elimination alone.  The certificate check in ``serialize`` runs the same
-test on the kernel it takes, for a certificate that carries [ker, g], and
-compares the rows of [ker, g] it issues.
+so they go through the skew elimination of ``linalg``: the kernel comes as
+canonical primitive integer rows (``linalg.skew_kernel_int_rows`` of
+``LieAlgebra.kirillov_int_rows``) and the bordered test is one
+``linalg.skew_rank_int_rows``.  [ker, g] is not skew.  For a form that is
+not contact, the kernel-bracket test (``kernel_bracket_span``) decides
+with one general forward elimination of the brackets of the kernel rows
+(``linalg.echelon_int_rows``) and one general integer rank for the meet,
+with the echelon rows first so that only the kernel rows are reduced;
+only an issued certificate pays for the canonical rows of [ker, g], which
+the echelon rows give by upward elimination alone.  The certificate check
+in ``serialize`` runs the same test on the kernel it takes, for a
+certificate that carries [ker, g], and compares the rows of [ker, g] it
+issues.
 
 A search that runs out proves nothing by itself; a few exact ranks on a
 line do.  When a search's first draw phi0 is refused and its kernel is one
@@ -94,10 +93,7 @@ searches on an index-one algebra say about the equivalence "contact iff
 stable"; the classifier assigns it and report verification re-derives it.
 
 The module certifies that contact and stable forms exist; it builds no
-normal-form basis for them.  ``is_semisimple_element`` and
-``reductive_type_witness`` test whether a kernel generator is semisimple:
-its minimal polynomial, found on integer rows, must be squarefree, which
-is one integer rank (``linalg.is_squarefree``); no sweep calls them yet.
+normal-form basis for them.
 
 All operations accept arbitrary finite-dimensional algebras over Q, not just
 seaweeds.
@@ -112,9 +108,7 @@ from typing import NamedTuple
 from .linalg import (
     clear_denominators,
     echelon_int_rows,
-    is_squarefree,
     meets_trivially_int_rows,
-    minimal_polynomial,
     rank_int_rows,
     skew_kernel_int_rows,
     skew_rank_int_rows,
@@ -122,11 +116,8 @@ from .linalg import (
 )
 from .lie import (
     DEFAULT_BOUND,
-    Element,
     LieAlgebra,
     OneForm,
-    center,
-    kirillov_kernel,
 )
 
 DEFAULT_ATTEMPTS = 64
@@ -414,29 +405,3 @@ def find_stable_form(
     _require_budget(attempts, bound)
     draws = form_draws(g, seed, bound) if draws is None else draws
     return _search(g, draws, attempts, is_stable_form, _no_stable_form)
-
-
-def is_semisimple_element(x: Element) -> bool:
-    """Squarefree minimal polynomial of the realization, i.e. diagonalizable
-    over the algebraic closure."""
-    if x.algebra.realization is None:
-        raise PreconditionError("semisimplicity needs a matrix realization")
-    return is_squarefree(minimal_polynomial(x.matrix()))
-
-
-def reductive_type_witness(g: LieAlgebra, form: OneForm) -> bool:
-    """For a centerless algebra with one-dimensional Kirillov kernel: is the
-    kernel generator semisimple?
-
-    A one-dimensional kernel forces index one (kernel dimensions share the
-    parity of dim), so the preconditions pin down exactly the index-one
-    centerless case.
-    """
-    if g.realization is None:
-        raise PreconditionError("reductive-type witness needs a matrix realization")
-    if center(g).dim != 0:
-        raise PreconditionError("algebra has nonzero center")
-    kernel = kirillov_kernel(g, form)
-    if kernel.dim != 1:
-        raise PreconditionError("form does not have a one-dimensional kernel")
-    return is_semisimple_element(Element(g, kernel.basis[0]))

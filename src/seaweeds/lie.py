@@ -44,9 +44,7 @@ the floor at which the trials stop.  The sweep calls no ``index``.
 Ranks and kernels are taken the same way: the form's denominators are
 cleared once (`linalg.clear_denominators`) and B_phi is built as skew
 integer rows (`LieAlgebra.kirillov_int_rows`).  B_phi is skew, so it goes
-through the skew elimination of `linalg`, which pivots on 2x2 blocks,
-updates half the matrix and divides exactly by the previous pivot because
-every entry it holds is a Pfaffian of a principal minor: `index` and `kernel_dim` count
+through the skew elimination of `linalg`: `index` and `kernel_dim` count
 its pivots (`linalg._skew_pivots`, `linalg.skew_rank_int_rows`), and
 `kirillov_kernel` turns the canonical primitive integer rows of ker B_phi
 (`linalg.skew_kernel_int_rows`) into a rational `Subspace`.
@@ -69,7 +67,6 @@ from .linalg import (
     _immutable,
     as_scalar,
     clear_denominators,
-    kernel_int_rows,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
     skew_kernel_int_rows,
     skew_rank_int_rows,
@@ -385,18 +382,6 @@ class Element(_Coords):
         _same_algebra(self, other)
         return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def matrix(self) -> Matrix:
-        """Realization of the element; requires the algebra to carry one."""
-        mats = self.algebra.realization
-        if mats is None:
-            raise ValueError("algebra has no matrix realization")
-        n = mats[0].nrows
-        acc = Matrix.zeros(n, n)
-        for c, m in zip(self.coords, mats):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
-
 
 class OneForm(_Coords):
     """Covector in the dual basis of a LieAlgebra."""
@@ -485,37 +470,3 @@ def index(
 def parity(dim: int) -> str:
     """A report's parity of an algebra of dimension ``dim``."""
     return "odd" if dim % 2 else "even"
-
-
-def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}, via the stacked adjoint constraints as
-    integer rows (row-scaled if the table is non-integral)."""
-    rows = {}
-    for (i, j), terms in g._table.items():
-        for r, c in terms:
-            rows.setdefault((j, r), [0] * g.dim)[i] += c
-            rows.setdefault((i, r), [0] * g.dim)[j] -= c
-    stacked = list(rows.values())
-    if not g._integral:
-        stacked = [clear_denominators(row)[0] for row in stacked]
-    return Subspace.from_int_rows(g.dim, kernel_int_rows(stacked, g.dim))
-
-
-# -- small stock algebras ----------------------------------------------------
-
-
-def heisenberg(label: str = "heisenberg") -> LieAlgebra:
-    """3-dimensional Heisenberg algebra, [x, y] = z, realized inside gl(3)."""
-    e12 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    e23 = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    e13 = Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    return LieAlgebra(3, {(0, 1): {2: 1}}, realization=(e12, e23, e13), label=label)
-
-
-def abelian(n: int, label: str = "") -> LieAlgebra:
-    """Abelian algebra of dimension n, realized as diagonal matrices."""
-    mats = []
-    for i in range(n):
-        rows = [[Fraction(1) if (u == v == i) else Fraction(0) for v in range(n)] for u in range(n)]
-        mats.append(Matrix(tuple(tuple(r) for r in rows)))
-    return LieAlgebra(n, {}, realization=tuple(mats), label=label or f"abelian({n})")

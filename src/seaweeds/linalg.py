@@ -13,16 +13,16 @@ row over its least positive common denominator (JSON rationals are parsed
 straight into integer rows by `serialize`).  No rounding ever occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
-downstream (a rank condition on a Kirillov matrix, kernel membership,
-squarefreeness of a minimal polynomial) says that some polynomials with
-rational coefficients in the coordinates of a form do or do not vanish.  The
-set where a nonzero polynomial vanishes is a proper Zariski-closed subset of
-C^n, and since Q^n is Zariski-dense in C^n it cannot contain all rational
-points.  So a property that holds on a nonempty Zariski-open subset of C^n
-(a regular form, a contact form, a stable form) also holds at some rational
-point, and the minimum of a kernel dimension over rational forms equals its
-minimum over complex forms.  Every witness found here is rational, so the
-same certificate proves the claim over C.
+downstream (a rank condition on a Kirillov matrix, kernel membership) says
+that some polynomials with rational coefficients in the coordinates of a
+form do or do not vanish.  The set where a nonzero polynomial vanishes is a
+proper Zariski-closed subset of C^n, and since Q^n is Zariski-dense in C^n
+it cannot contain all rational points.  So a property that holds on a
+nonempty Zariski-open subset of C^n (a regular form, a contact form, a
+stable form) also holds at some rational point, and the minimum of a kernel
+dimension over rational forms equals its minimum over complex forms.  Every
+witness found here is rational, so the same certificate proves the claim
+over C.
 
 Skew-symmetric matrices, the Kirillov matrices B_phi and the bordered
 matrices of the contact test, go through their own elimination
@@ -36,14 +36,10 @@ Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
 Electron. J. Combin. 3(2), 1996).  A kernel, `skew_kernel_int_rows`, is that
 one elimination, `_skew_pivots`, followed in the same function by
 back-substitution through its steps.  The general routines serve every other
-matrix (spans, kernels, meets, minimal polynomials, squarefreeness).
-They share one forward elimination, `echelon_int_rows`: a rank is the
-length of its result, and `rref_int_rows` is its result reduced upward,
-so echelon rows that are kept give the canonical rows by upward
-elimination alone.  `minimal_polynomial` takes the first integer
-kernel row among the vectorized powers of the matrix with its denominators
-cleared, and `is_squarefree` is the full rank of the Sylvester matrix of p
-and p'; no polynomial arithmetic is done.
+matrix (ambient bases, spans, kernels, meets).  They share one forward
+elimination, `echelon_int_rows`: a rank is the length of its result, and
+`rref_int_rows` is its result reduced upward, so echelon rows that are
+kept give the canonical rows by upward elimination alone.
 
 `Matrix` and `Subspace` are values, not solvers: no rank, kernel or
 intersection is taken on them.  A `Subspace` is built only from the
@@ -387,48 +383,3 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
-    """Monic least-degree polynomial p with p(M) = 0 (ascending coefficients).
-
-    Found on integer rows as the first linear dependence among the
-    vectorized powers of A = cM, c the lcm of M's denominators: at the first
-    d where vec(A^0), ..., vec(A^d) are dependent, their kernel is one row
-    b, and sum_k b_k c^k M^k = 0.  The dependence exists by Cayley-Hamilton,
-    at degree at most the matrix size.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("matrix must be square")
-    flat, c = clear_denominators(chain.from_iterable(m.rows))
-    a = [flat[i : i + n] for i in range(0, n * n, n)]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    vecs = []
-    for d in range(n + 1):
-        vecs.append([x for row in power for x in row])
-        kernel = kernel_int_rows(list(zip(*vecs)), d + 1)
-        if kernel:
-            (b,) = kernel
-            return tuple(Fraction(b[k] * c**k, b[d] * c**d) for k in range(d + 1))
-        power = [[sum(map(mul, row, col)) for col in zip(*a)] for row in power]
-    raise AssertionError("no minimal polynomial found below Cayley-Hamilton bound")
-
-
-def is_squarefree(p) -> bool:
-    """True iff the polynomial p (ascending coefficients) has no repeated
-    roots: gcd(p, p') is constant, i.e. the (2m-1)-square Sylvester matrix
-    of p, of degree m, and p' has full rank."""
-    p = [as_scalar(x) for x in p]
-    while p and not p[-1]:
-        p.pop()
-    if not p:
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    m = len(p) - 1
-    if m == 0:
-        return True
-    ints, _ = clear_denominators(p)
-    deriv = [k * ints[k] for k in range(1, m + 1)]
-    rows = [[0] * i + ints + [0] * (m - 2 - i) for i in range(m - 1)]
-    rows += [[0] * i + deriv + [0] * (m - 1 - i) for i in range(m)]
-    return rank_int_rows(rows) == 2 * m - 1

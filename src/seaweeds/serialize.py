@@ -38,7 +38,11 @@ with no index trial drawn: ``trial_kernel_dims`` is always empty.
 certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
 ``verify_*`` recomputes every invariant from scratch, so tampered data
 fails either here (False) or already at algebra reconstruction
-(StructureError).
+(StructureError).  Every integer field (dimensions, indices, seeds,
+budgets, counts, composition parts) must hold a JSON integer, and every
+rational a string or an integer: a bool or a float in one is a malformed
+document (``_int``, ``_ratio``), since Python holds True and 1.0 equal to
+1 and a comparison alone would let it pass.
 
 Certificates are written and checked on integer rows, as the searches
 run, and no Fraction is built on the way.  ``certificate_to_json`` writes
@@ -113,8 +117,11 @@ def ratios_to_json(row, den: int = 1) -> list:
 def _ratio(s) -> tuple[int, int]:
     """A JSON rational ("num/den", "num" or an int) as (numerator,
     denominator) in lowest terms, sign on the numerator, as Fraction
-    reduces it but without building one."""
-    if isinstance(s, int):
+    reduces it but without building one.  A bool or a float is refused
+    (TypeError)."""
+    if type(s) is not str:
+        if type(s) is not int:
+            raise TypeError(f"{s!r} is not a rational")
         return s, 1
     if "/" not in s:
         return int(s), 1
@@ -126,6 +133,14 @@ def _ratio(s) -> tuple[int, int]:
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // g, den // g
     return num, den
+
+
+def _int(value, field: str) -> int:
+    """``value``, read from the integer field ``field``; anything but a
+    JSON integer is refused (TypeError)."""
+    if type(value) is not int:
+        raise TypeError(f"{field} is {value!r}, not an integer")
+    return value
 
 
 def algebra_to_json(g: LieAlgebra) -> dict:
@@ -146,13 +161,14 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 def algebra_from_json(doc: dict) -> LieAlgebra:
     structure = {}
     for i, j, r, c in doc["structure"]:
+        i, j, r = (_int(x, "structure") for x in (i, j, r))
         structure.setdefault((i, j), {})[r] = Fraction(*_ratio(c))
     realization = None
     if doc.get("realization") is not None:
         realization = tuple(
             Matrix(tuple(tuple(Fraction(*_ratio(x)) for x in row) for row in m)) for m in doc["realization"]
         )
-    return LieAlgebra(doc["dim"], structure, realization=realization, label=doc.get("label", ""))
+    return LieAlgebra(_int(doc["dim"], "dim"), structure, realization=realization, label=doc.get("label", ""))
 
 
 def _basis_to_json(dim: int, rows) -> dict:
@@ -204,7 +220,7 @@ def _coords_row(g: LieAlgebra, data) -> tuple[list, int]:
 
 
 def _basis_rows(doc: dict) -> tuple:
-    return doc["ambient_dim"], [_int_row(v) for v in doc["basis"]]
+    return _int(doc["ambient_dim"], "ambient_dim"), [_int_row(v) for v in doc["basis"]]
 
 
 def _is_canonical(basis, dim: int, rows) -> bool:
@@ -236,7 +252,7 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
         kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
     if kind == "contact":
         reeb, reeb_den = _coords_row(g, doc["reeb"])
-        if doc["kernel_dim"] != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
+        if _int(doc["kernel_dim"], "kernel_dim") != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
             return False
         # B_form . reeb = 0: reeb lies on the kernel line, k[p] reeb = reeb[p] k
         k = kernel[0]
@@ -246,7 +262,7 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
         return pairing(form, reeb) == form_den * reeb_den
     kernel_basis = _basis_rows(doc["kernel"])
     span_basis = _basis_rows(doc["bracket_span"]) if "bracket_span" in doc else None
-    if doc["intersection_dim"] != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
+    if _int(doc["intersection_dim"], "intersection_dim") != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
         return False
     if span_basis is None:
         # a contact form, whose [k, g] lies in ker phi, which misses k
@@ -307,6 +323,24 @@ def _index_claims_hold(record: dict, formula: int) -> bool:
     return record["verdict"] == search_verdict(contact, stable, record["attempts"])
 
 
+def _require_report_ints(doc: dict) -> None:
+    """Refuse (``_int``) a report any of whose integer fields, its own or
+    its records', holds anything but a JSON integer; checked before any
+    claim is compared."""
+    for field in ("schema", "n", "seed"):
+        if field in doc:
+            _int(doc[field], field)
+    for part in ("budgets", "summary"):
+        for field, value in doc.get(part, {}).items():
+            _int(value, f"{part}.{field}")
+    for record in doc["records"]:
+        for field in ("n", "seed", "dim", "index", "attempts", "bound", "trials"):
+            _int(record[field], field)
+        for field in ("top", "bottom", "trial_kernel_dims"):
+            for value in record[field]:
+                _int(value, field)
+
+
 def _budgets(record: dict) -> dict:
     return {key: record[key] for key in ("attempts", "bound", "trials")}
 
@@ -360,7 +394,8 @@ def verify_document(doc: dict) -> bool:
     exceeds the record's bound in absolute value), when a report's summary
     counts disagree with its records' verdicts, or when its records are not
     one whole sweep in order, with one budget (``_sweep_holds``).  A
-    document of the wrong shape, a report whose schema is not
+    document of the wrong shape (an integer field that holds no JSON
+    integer among them), a report whose schema is not
     ``REPORT_SCHEMA``, a certificate document whose schema is not
     ``CERTIFICATE_SCHEMA``, or a report naming an unknown family or rank,
     raises ValueError.
@@ -386,6 +421,7 @@ def _verify_document(doc: dict) -> bool:
             raise ValueError(
                 f"report schema {doc.get('schema')!r} is not {REPORT_SCHEMA}: classify the sweep again"
             )
+        _require_report_ints(doc)
         named = _sweep_holds(doc)
         if named is None:
             return False
@@ -418,6 +454,7 @@ def _verify_document(doc: dict) -> bool:
         raise ValueError("unknown algebra reference: document embeds no algebra")
     if doc.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"certificate schema {doc.get('schema')!r} is not {CERTIFICATE_SCHEMA}")
+    _int(doc["schema"], "schema")
     g = algebra_from_json(doc["algebra"])
     certs = doc.get("certificates")
     if not certs:

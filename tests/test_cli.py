@@ -5,6 +5,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from seaweeds.classify import classify, exit_status
 from seaweeds.cli import main
 from seaweeds.contact import COUNTEREXAMPLE, UNRESOLVED
+from seaweeds.serialize import verify_document
 
 
 def run(capsys, *argv):
@@ -325,6 +327,43 @@ def test_verify_exit_2_on_a_zero_denominator_in_a_report(capsys, tmp_path):
     record["certificates"]["stability"]["kernel"]["basis"][0][-1] = "1/0"
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert code == 2 and not out and "zero denominator" in err
+
+
+def _certificate(doc, kind):
+    return next(r["certificates"][kind] for r in doc["records"] if kind in (r.get("certificates") or {}))
+
+
+# Each integer field (and the rational "pairing") a tamper sets, with the
+# dicts of a seed-0 SO7 --embed report that hold it.
+INTEGER_FIELDS = [
+    ("index", lambda doc: [next(r for r in doc["records"] if r["index"] == 1)]),
+    ("dim", lambda doc: doc["records"][:1]),
+    ("attempts", lambda doc: [doc["budgets"], *doc["records"]]),
+    ("pairing", lambda doc: [_certificate(doc, "contact")]),
+    ("kernel_dim", lambda doc: [_certificate(doc, "contact")]),
+    ("intersection_dim", lambda doc: [_certificate(doc, "stability")]),
+]
+
+
+@pytest.fixture(scope="module")
+def so7_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("so7") / "r.json"
+    assert main(["classify", "--family", "SO", "--n", "7", "--embed", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert verify_document(json.loads(text)) is True
+    return text
+
+
+@pytest.mark.parametrize("bad", [float, bool])
+@pytest.mark.parametrize("field,holders", INTEGER_FIELDS, ids=[field for field, _ in INTEGER_FIELDS])
+def test_verify_exit_2_on_a_float_or_a_bool_in_an_integer_field(capsys, tmp_path, so7_report, field, holders, bad):
+    # Python holds 1.0 and True equal to 1, so a float keeps the field's
+    # value and so does a bool on a field that holds 0 or 1
+    doc = json.loads(so7_report)
+    for holder in holders(doc):
+        holder[field] = bad(int(Fraction(holder[field])))
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

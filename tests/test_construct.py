@@ -15,9 +15,10 @@ from seaweeds import (
 import fraction_reference as ref
 from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
+from stock_algebras import heisenberg
 
 from seaweeds.classify import LIMITS, composition_pairs
-from seaweeds.lie import LieAlgebra, OneForm, StructureError, heisenberg, index, kernel_dim
+from seaweeds.lie import LieAlgebra, OneForm, StructureError, index, kernel_dim
 from seaweeds.linalg import Matrix
 from seaweeds.serialize import algebra_to_json
 

@@ -5,24 +5,20 @@ import pytest
 import fraction_reference as ref
 from block_reference import gln_seaweed
 from fraction_reference import kirillov_matrix
+from stock_algebras import abelian, heisenberg
 
 from seaweeds import (
     Composition,
-    Element,
     LieAlgebra,
     Matrix,
     OneForm,
-    abelian,
     contact_volume_nonzero,
     find_contact_form,
     find_stable_form,
-    heisenberg,
     is_contact_form,
-    is_semisimple_element,
     is_stable_form,
     meander,
     meander_index,
-    reductive_type_witness,
     seaweed,
 )
 from seaweeds.contact import PreconditionError
@@ -252,41 +248,3 @@ def test_forward_direction_contact_implies_stable():
         cert = find_contact_form(g, seed=21)
         assert cert is not None
         assert is_stable_form(g, cert.form_row) is not None
-
-
-# -- semisimplicity and reductive type ----------------------------------------------
-
-
-def test_semisimple_examples():
-    g = gln_seaweed(C(2), C(2))
-    diag12 = Element(g, (F(1), F(0), F(0), F(2)))
-    e12 = g.basis_element(1)
-    identity = Element(g, (F(1), F(0), F(0), F(1)))
-    assert is_semisimple_element(diag12)
-    assert not is_semisimple_element(e12)
-    assert is_semisimple_element(identity)
-
-
-def test_semisimple_needs_realization():
-    g = LieAlgebra(2, {(0, 1): {1: 1}})
-    with pytest.raises(PreconditionError):
-        is_semisimple_element(g.basis_element(0))
-
-
-def test_reductive_witness_rejects_nonzero_center():
-    g = gln_seaweed(C(2), C(2))
-    with pytest.raises(PreconditionError):
-        reductive_type_witness(g, form(g, [1, 0, 0, 2]))
-
-
-def test_reductive_witness_rejects_fat_kernel():
-    sl2 = seaweed("SL", 2, C(2), C(2))
-    with pytest.raises(PreconditionError):
-        reductive_type_witness(sl2, form(sl2, [0, 0, 0]))
-
-
-def test_reductive_witness_on_contact_sl2():
-    sl2 = seaweed("SL", 2, C(2), C(2))
-    cert = find_contact_form(sl2, seed=14)
-    assert cert is not None
-    assert reductive_type_witness(sl2, form(sl2, cert.form_row))

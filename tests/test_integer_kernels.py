@@ -9,8 +9,9 @@ import fraction_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stock_algebras import abelian, heisenberg
 
-from seaweeds import Composition, Matrix, OneForm, Subspace, abelian, heisenberg, seaweed
+from seaweeds import Composition, Matrix, OneForm, Subspace, seaweed
 from seaweeds.classify import composition_pairs
 from seaweeds.contact import StabilityCertificate, is_contact_form, is_stable_form, pairing
 from seaweeds.lie import Element, LieAlgebra, kirillov_kernel

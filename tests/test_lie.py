@@ -5,6 +5,7 @@ import pytest
 import fraction_reference as ref
 from block_reference import gln_seaweed
 from fraction_reference import kirillov_matrix
+from stock_algebras import abelian, heisenberg
 
 from seaweeds import (
     Composition,
@@ -12,10 +13,7 @@ from seaweeds import (
     LieAlgebra,
     Matrix,
     OneForm,
-    abelian,
     bracket,
-    center,
-    heisenberg,
     index,
 )
 from seaweeds.lie import StructureError, kernel_dim
@@ -285,51 +283,3 @@ def test_witness_form_is_regular():
     g = gl(3)
     rep = index(g, seed=300)
     assert kernel_dim(g, form(g, rep.witness_coords)) == rep.index
-
-
-# -- center ----------------------------------------------------------------------
-
-
-def test_center_heisenberg():
-    assert center(heisenberg()) == ref.span([[0, 0, 1]], 3)
-
-
-def test_center_gl_is_scalars():
-    for n in (2, 3):
-        g = gl(n)  # basis e_ij in row-major order, so e_ii sits at i*n+i
-        identity_coords = [1 if t in {i * n + i for i in range(n)} else 0 for t in range(g.dim)]
-        z = center(g)
-        assert z.dim == 1
-        assert ref.contains(z, identity_coords)
-
-
-def test_center_sl2_trivial():
-    from seaweeds import seaweed
-
-    sl2 = seaweed("SL", 2, Composition((2,)), Composition((2,)))
-    assert center(sl2).dim == 0
-
-
-def test_center_of_a_non_integral_table():
-    # [x, y] = z/2 + w/3: z and w are central, x and y are not
-    g = LieAlgebra(4, {(0, 1): {2: F(1, 2), 3: F(1, 3)}})
-    assert not g._integral
-    assert center(g) == ref.span([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
-    # [h, e] = e/2 has no center
-    assert center(LieAlgebra(2, {(0, 1): {1: F(1, 2)}})) == ref.span([], 2)
-    # gl(3) in the basis e_ij / s_ij: the scalars e11 + e22 + e33 have
-    # coordinates s_11, s_22, s_33
-    h = rescaled(gl(3), [2, 3, 5, 7, 1, 2, 3, 5, 7])
-    assert not h._integral
-    assert center(h) == ref.span([[2, 0, 0, 0, 1, 0, 0, 0, 7]], 9)
-
-
-def test_center_contained_in_every_kernel():
-    from seaweeds.lie import kirillov_kernel
-
-    for g in (heisenberg(), gl(2), gl(3)):
-        z = center(g)
-        for seed in (4, 99, 561):
-            ker = kirillov_kernel(g, random_form(g, seed))
-            assert all(ref.contains(ker, v) for v in z.basis)
-

@@ -11,10 +11,8 @@ from seaweeds.linalg import (
     Matrix,
     Subspace,
     echelon_int_rows,
-    is_squarefree,
     kernel_int_rows,
     meets_trivially_int_rows,
-    minimal_polynomial,
     rank_int_rows,
     rref_int_rows,
     span_int_rows,
@@ -162,37 +160,6 @@ def test_rref_int_rows_matches_the_fraction_gauss_jordan_oracle():
         assert ref.rref(Matrix.from_rows(echelon)) == (reduced, pivots)
 
 
-# -- minimal polynomial / squarefree -------------------------------------------
-
-
-def test_minpoly_identity():
-    assert minimal_polynomial(ref.identity(3)) == (F(-1), F(1))
-
-
-def test_minpoly_nilpotent():
-    assert minimal_polynomial(M([[0, 1], [0, 0]])) == (F(0), F(0), F(1))
-
-
-def test_minpoly_diag_distinct():
-    assert minimal_polynomial(M([[1, 0], [0, 2]])) == (F(2), F(-3), F(1))
-
-
-def test_minpoly_requires_square():
-    with pytest.raises(ValueError):
-        minimal_polynomial(M([[1, 2, 3], [4, 5, 6]]))
-
-
-def test_squarefree_examples():
-    assert not is_squarefree((F(0), F(0), F(1)))          # t^2
-    assert is_squarefree((F(2), F(-3), F(1)))             # (t-1)(t-2)
-    assert is_squarefree((F(0), F(-1), F(0), F(1)))       # t^3 - t
-
-
-def test_squarefree_zero_polynomial():
-    with pytest.raises(ValueError):
-        is_squarefree(())
-
-
 # -- property tests -------------------------------------------------------------
 
 small_fraction = st.fractions(
@@ -248,91 +215,6 @@ def test_intersect_properties(pair):
     assert all(ref.contains(u, x) and ref.contains(v, x) for x in w.basis)
     ur, vr = cleared(u.basis), cleared(v.basis)
     assert meets_trivially_int_rows(ur, vr) == (w.dim == 0) == meets_trivially_int_rows(vr, ur)
-
-
-def unit_triangular(n, rng):
-    """A random unit upper-triangular p and its inverse: p = I + N with N
-    nilpotent, so p^-1 = I - N + N^2 - ... ."""
-    p = Matrix.from_rows(
-        [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)] for i in range(n)]
-    )
-    minus_n = ref.identity(n) + p.scale(-1)
-    inverse = power = ref.identity(n)
-    for _ in range(n - 1):
-        power = ref.matmul(power, minus_n)
-        inverse = inverse + power
-    return p, inverse
-
-
-def test_minpoly_conjugation_invariant():
-    rng = random.Random(4096)
-    for _ in range(30):
-        n = rng.choice((2, 3))
-        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        (u, u_inv), (l, l_inv) = unit_triangular(n, rng), unit_triangular(n, rng)
-        p, p_inv = ref.matmul(u, ref.transpose(l)), ref.matmul(ref.transpose(l_inv), u_inv)
-        assert ref.matmul(p, p_inv) == ref.identity(n)
-        conj = ref.matmul(ref.matmul(p_inv, m), p)
-        assert minimal_polynomial(conj) == minimal_polynomial(m)
-
-
-def jordan_matrix(blocks):
-    """Block-diagonal matrix of the Jordan blocks J_k(lam), one per (lam, k)."""
-    n = sum(k for _, k in blocks)
-    rows = [[F(0)] * n for _ in range(n)]
-    at = 0
-    for lam, k in blocks:
-        for i in range(at, at + k):
-            rows[i][i] = lam
-            if i + 1 < at + k:
-                rows[i][i + 1] = F(1)
-        at += k
-    return Matrix.from_rows(rows)
-
-
-def expand(roots):
-    """Ascending coefficients of the product of (x - r) over the roots."""
-    coeffs = [F(1)]
-    for r in roots:
-        coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
-    return tuple(coeffs)
-
-
-def test_minpoly_of_conjugated_jordan_matrices():
-    # the minimal polynomial of a Jordan matrix has each eigenvalue to the
-    # size of its largest block; conjugation keeps it, and scaling M by s
-    # scales the roots by s
-    rng = random.Random(1729)
-    values = [F(v) for v in (-2, -1, 0, 1, 3)] + [F(1, 2), F(-5, 3)]
-    fractional = 0
-    for _ in range(40):
-        blocks = [(rng.choice(values), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        n = sum(k for _, k in blocks)
-        (u, u_inv), (l, l_inv) = unit_triangular(n, rng), unit_triangular(n, rng)
-        s = rng.choice((F(1), F(1, 2), F(1, 3)))
-        p, p_inv = ref.matmul(u, ref.transpose(l)), ref.matmul(ref.transpose(l_inv), u_inv)
-        m = ref.matmul(ref.matmul(p_inv, jordan_matrix(blocks)), p).scale(s)
-        fractional += any(x.denominator > 1 for x in ref.vec(m))
-        largest = {}
-        for lam, k in blocks:
-            largest[lam] = max(largest.get(lam, 0), k)
-        assert minimal_polynomial(m) == expand([s * lam for lam, k in largest.items() for _ in range(k)])
-    assert fractional  # the denominator-clearing path ran
-
-
-def test_squarefree_iff_no_repeated_root():
-    rng = random.Random(314)
-    values = [F(v) for v in range(-4, 5)] + [F(1, 2), F(-1, 3), F(5, 4)]
-    outcomes = set()
-    for _ in range(60):
-        roots = rng.sample(values, rng.randint(1, 4))
-        mults = [rng.choice((1, 1, 2, 3)) for _ in roots]
-        c = F(rng.choice((1, -1, 2, 7)), rng.choice((1, 3, 4)))
-        p = tuple(c * x for x in expand([r for r, k in zip(roots, mults) for _ in range(k)]))
-        squarefree = is_squarefree(p)
-        outcomes.add(squarefree)
-        assert squarefree == all(k == 1 for k in mults)
-    assert outcomes == {True, False}
 
 
 def test_exactness_200_digit_numerators():

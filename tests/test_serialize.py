@@ -5,17 +5,16 @@ from pathlib import Path
 import pytest
 from block_reference import gln_seaweed
 from fraction_reference import frac_from_str
+from stock_algebras import abelian, heisenberg
 
 from seaweeds import (
     Composition,
     OneForm,
-    abelian,
     algebra_from_json,
     algebra_to_json,
     certificate_to_json,
     find_contact_form,
     find_stable_form,
-    heisenberg,
     is_contact_form,
     is_stable_form,
     verify_document,
@@ -381,16 +380,17 @@ def test_verify_malformed_document_raises_value_error():
         _ratio("1/0")
 
 
-@pytest.mark.parametrize("top", [[0], ["x"], [1, 0, 2]])
+@pytest.mark.parametrize("top", [[0], [1, 0, 2]])
 def test_verify_refuses_a_record_naming_compositions_off_the_sweep(top):
     doc, record = _index_one_report()
     record["top"] = top
     assert verify_document(doc) is False
 
 
-def test_verify_raises_on_a_record_top_that_is_not_a_list():
+@pytest.mark.parametrize("top", [5, ["x"]])
+def test_verify_raises_on_a_record_top_that_is_not_a_list_of_integers(top):
     doc, record = _index_one_report()
-    record["top"] = 5
+    record["top"] = top
     with pytest.raises(ValueError, match="malformed document"):
         verify_document(doc)
 

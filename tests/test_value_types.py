@@ -10,6 +10,7 @@ whenever its fields do.
 from fractions import Fraction
 
 import pytest
+from stock_algebras import heisenberg
 
 from seaweeds import (
     ClassificationRecord,
@@ -22,7 +23,6 @@ from seaweeds import (
     OneForm,
     StabilityCertificate,
     Subspace,
-    heisenberg,
     meander,
 )
 
