@@ -24,7 +24,7 @@ from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.construct import seaweed
 from seaweeds.lie import LieAlgebra, StructureError
-from seaweeds.serialize import CERTIFICATE_SCHEMA, _ratio, _ratio_str, verify_certificate
+from seaweeds.serialize import CERTIFICATE_SCHEMA, _int, _ratio, _ratio_str, verify_certificate
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "data"
@@ -380,19 +380,39 @@ def test_verify_malformed_document_raises_value_error():
         _ratio("1/0")
 
 
-@pytest.mark.parametrize("top", [[0], [1, 0, 2]])
+@pytest.mark.parametrize("top", [[0], [9], [1, 0, 2]])
 def test_verify_refuses_a_record_naming_compositions_off_the_sweep(top):
     doc, record = _index_one_report()
     record["top"] = top
     assert verify_document(doc) is False
 
 
-@pytest.mark.parametrize("top", [5, ["x"]])
-def test_verify_raises_on_a_record_top_that_is_not_a_list_of_integers(top):
+def test_verify_raises_on_a_record_top_that_is_not_a_list():
     doc, record = _index_one_report()
-    record["top"] = top
+    record["top"] = 5
     with pytest.raises(ValueError, match="malformed document"):
         verify_document(doc)
+
+
+@pytest.mark.parametrize("part", ["x", True, 2.0])
+def test_verify_raises_on_a_record_top_part_that_is_not_an_integer(part):
+    doc, record = _index_one_report()
+    record["top"] = [part, *record["top"][1:]]
+    with pytest.raises(ValueError, match="malformed document"):
+        verify_document(doc)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, None])
+def test_ratio_refuses_a_bool_a_float_or_null(value):
+    with pytest.raises(TypeError, match="is not a rational"):
+        _ratio(value)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_int_refuses_anything_but_an_integer(value):
+    with pytest.raises(TypeError, match="not an integer"):
+        _int(value, "dim")
+    assert _int(7, "dim") == 7
 
 
 def _so5_report(bound=10**6):
