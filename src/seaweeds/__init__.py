@@ -7,12 +7,11 @@ with machine-checkable certificates; and an exhaustive small-rank classifier
 testing the equivalence "index-one seaweed is contact iff it admits a stable
 form" on enumerated composition pairs.  All exact linear algebra, from
 Kirillov matrices and kernels to certificate checks, runs on integer rows
-(``linalg``); rationals appear only in the public values and in JSON.
-``Matrix`` and ``Subspace`` are exported as values only: no rank, kernel or
-intersection is taken on them.  The package keeps what the ``seaweeds``
-commands reach and the Lie-algebra values; the block picture of type-A
-seaweeds, the rational Kirillov matrix, rational elimination and the small
-stock algebras the tests build (Heisenberg, abelian) live under ``tests``.
+(``linalg``); rationals appear only where exact scalars are read from a
+caller or from JSON.  The package keeps what the ``seaweeds`` commands
+reach; the block picture of type-A seaweeds, the rational Kirillov matrix,
+rational elimination and the small stock algebras the tests build
+(Heisenberg, abelian) live under ``tests``.
 A contact form is stable (``contact`` proves it), so the classifier's two
 searches, which share one stream of forms, cannot reach a COUNTEREXAMPLE;
 the sweep tests stable => contact.  Reports are compact JSON (schema 4),
@@ -37,8 +36,7 @@ from .contact import (
     is_contact_form,
     is_stable_form,
 )
-from .lie import Element, IndexReport, LieAlgebra, OneForm, bracket, index
-from .linalg import Matrix, Subspace
+from .lie import IndexReport, LieAlgebra, index
 from .meander import MeanderGraph, census, index_formula, meander, meander_index, meander_svg
 from .serialize import algebra_from_json, algebra_to_json, certificate_to_json, verify_document
 
@@ -54,17 +52,12 @@ __all__ = [
     "ClassificationRecord",
     "Composition",
     "ContactCertificate",
-    "Element",
     "IndexReport",
     "LieAlgebra",
-    "Matrix",
     "MeanderGraph",
-    "OneForm",
     "StabilityCertificate",
-    "Subspace",
     "algebra_from_json",
     "algebra_to_json",
-    "bracket",
     "census",
     "certificate_to_json",
     "classify",

@@ -36,10 +36,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Matrix, _immutable, as_scalar, kernel_int_rows
+from .linalg import kernel_int_rows
 from .lie import LieAlgebra, StructureError, _commutator
 
 FAMILIES = ("GL", "SL", "SP", "SO")
+
+
+def _immutable(self, name, value=None):
+    # Composition's __setattr__ and __delattr__; __init__ uses object's
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Composition:
@@ -208,8 +213,8 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
     basis, and the coordinates of any member are its values at the pivots;
     a row with another pivot raises StructureError.  The table is read off
     the sparse commutators that way, and ``LieAlgebra`` checks Jacobi and
-    that the basis matrices realize the table, which is the one check of
-    each commutator.
+    that the basis matrices, each kernel row cut into N integer rows,
+    realize the table, which is the one check of each commutator.
     """
     size = AmbientAlgebra(family, n).matrix_size
     rows = []
@@ -237,12 +242,7 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
             coords = {owner[e]: c for e, c in _commutator(x, sparse[j]).items() if c and e in owner}
             if coords:
                 table[(i, j)] = coords
-    # one Fraction per distinct value: one per entry costs a GL7 build about 4 ms
-    scalar = {c: as_scalar(c) for row in basis for c in set(row)}
-    mats = tuple(
-        Matrix(tuple(tuple(map(scalar.get, row[u * size:(u + 1) * size])) for u in range(size)))
-        for row in basis
-    )
+    mats = [[row[u * size:(u + 1) * size] for u in range(size)] for row in basis]
     supports = tuple(sum(1 << e for e, c in enumerate(row) if c) for row in basis)
     seen = shared = 0
     for support in supports:

@@ -1,7 +1,11 @@
 """Contact and stability analysis of one-forms on Lie algebras.
 
 A one-form phi on an odd-dimensional algebra is contact when the top wedge
-power phi ^ (d phi)^k is a volume form.  Two independent tests are provided:
+power phi ^ (d phi)^k is a volume form.  Every form here is given by its
+integer coordinates on the dual basis, a sequence of dim ints (``_form``
+refuses anything else): a rational form and its multiple over a common
+denominator have the same kernel and the same verdicts.  Two independent
+tests are provided:
 
 * ``is_contact_form`` uses the kernel characterization: the Kirillov kernel
   must be a line C.x with phi(x) != 0, in which case the Reeb vector
@@ -81,9 +85,9 @@ line through its first draw refutes the test.  ``find_contact_form`` and
 ``find_stable_form`` are that loop with the contact or the stability test
 and refutation.  The sweep gives both searches one stream, so every draw
 is eliminated once and its kernel reaches both tests.  Certificates hold
-integer rows only: the form over one denominator, the Reeb vector over
-phi(k), and canonical primitive rows of ker B_phi and, for a stable form
-that is not contact, of [ker, g].  ``serialize.certificate_to_json``
+integer rows only: the form's coordinates, the Reeb vector over phi(k),
+and canonical primitive rows of ker B_phi and, for a stable form that is
+not contact, of [ker, g].  ``serialize.certificate_to_json``
 writes them as the rationals a computation over Q gives, without a
 Fraction: canonical rows are unique, and the Reeb vector is k / phi(k)
 for any generator k of the kernel line.
@@ -106,7 +110,6 @@ from itertools import islice
 from typing import NamedTuple
 
 from .linalg import (
-    clear_denominators,
     echelon_int_rows,
     meets_trivially_int_rows,
     rank_int_rows,
@@ -114,11 +117,7 @@ from .linalg import (
     skew_rank_int_rows,
     span_int_rows,
 )
-from .lie import (
-    DEFAULT_BOUND,
-    LieAlgebra,
-    OneForm,
-)
+from .lie import DEFAULT_BOUND, LieAlgebra
 
 DEFAULT_ATTEMPTS = 64
 
@@ -131,24 +130,23 @@ class PreconditionError(ValueError):
 
 
 class ContactCertificate(NamedTuple):
-    """Machine-checkable evidence that a form is contact: the form is
-    ``form_row / form_den`` (``form_den`` positive) and its Reeb vector
+    """Machine-checkable evidence that a form is contact: the form's
+    integer coordinates ``form_row`` and its Reeb vector
     ``reeb_row / reeb_den`` (``reeb_den`` nonzero, of either sign).
 
     Invariants: B_form . reeb = 0, form(reeb) = 1, dim ker B_form = 1.
     """
 
     form_row: tuple[int, ...]
-    form_den: int
     reeb_row: tuple[int, ...]
     reeb_den: int
 
 
 class StabilityCertificate(NamedTuple):
-    """Evidence for the kernel-bracket stability criterion: the form is
-    ``form_row / form_den`` (``form_den`` positive), and ker B_form and
-    [ker, g] are held as their canonical primitive integer RREF rows
-    (``linalg.rref_int_rows``), [ker, g] only when the form is not contact.
+    """Evidence for the kernel-bracket stability criterion: the form's
+    integer coordinates ``form_row``, and ker B_form and [ker, g], held as
+    their canonical primitive integer RREF rows (``linalg.rref_int_rows``),
+    [ker, g] only when the form is not contact.
 
     Invariants: kernel = ker B_form, and either bracket_span = [kernel, g]
     and the two meet only in 0, or ``bracket_span_rows`` is None, the
@@ -157,7 +155,6 @@ class StabilityCertificate(NamedTuple):
     """
 
     form_row: tuple[int, ...]
-    form_den: int
     kernel_rows: tuple[tuple[int, ...], ...]
     bracket_span_rows: tuple[tuple[int, ...], ...] | None
 
@@ -174,10 +171,17 @@ def _require_budget(attempts: int, bound: int):
         raise ValueError("bound must be at least 1")
 
 
-def _int_coords(form) -> tuple[list, int]:
-    """A form given as a OneForm or as integers, as (row, den): row / den
-    are its coordinates, den the least positive common denominator."""
-    return clear_denominators(form.coords) if isinstance(form, OneForm) else (form, 1)
+def _form(g: LieAlgebra, form):
+    """``form``, the integer coordinates of a one-form on g.  A coordinate
+    that is not an int (a bool, a float, a Fraction) raises TypeError: the
+    fraction-free eliminations floor it.  A length other than g.dim raises
+    ValueError."""
+    if len(form) != g.dim:
+        raise ValueError(f"form has {len(form)} coordinates, not {g.dim}")
+    for c in form:
+        if type(c) is not int:
+            raise TypeError(f"form coordinate {c!r} is not an int")
+    return form
 
 
 def _kernel(g: LieAlgebra, ints, kernel) -> list:
@@ -192,12 +196,12 @@ def pairing(ints, k) -> int:
 def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | None:
     """Certificate iff ker B_form is a line on which the form does not vanish.
 
-    ``form`` is a OneForm or integer coordinates, as the search draws them.
-    ``kernel`` is ker B_form as ``linalg.skew_kernel_int_rows`` gives it,
-    when the caller has it (a search passes each draw's one kernel to both
-    tests); otherwise it is taken here.  The test runs on integer rows."""
+    ``form`` is integer coordinates, as the search draws them.  ``kernel``
+    is ker B_form as ``linalg.skew_kernel_int_rows`` gives it, when the
+    caller has it (a search passes each draw's one kernel to both tests);
+    otherwise it is taken here.  The test runs on integer rows."""
     _require_odd(g)
-    ints, den = _int_coords(form)
+    ints = _form(g, form)
     kernel = _kernel(g, ints, kernel)
     if len(kernel) != 1:
         return None
@@ -205,23 +209,22 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
     value = pairing(ints, k)
     if not value:
         return None
-    # form(k) = value / den, so reeb = k / form(k) = k den / value
-    return ContactCertificate(tuple(ints), den, tuple(v * den for v in k), value)
+    return ContactCertificate(tuple(ints), tuple(k), value)  # reeb = k / form(k)
 
 
 def contact_volume_nonzero(g: LieAlgebra, form) -> bool:
-    """Top-wedge volume test via the bordered Kirillov matrix; ``form`` is a
-    OneForm or integer coordinates.
+    """Top-wedge volume test via the bordered Kirillov matrix; ``form`` is
+    integer coordinates.
 
     The (dim+1)-square skew matrix [[0, phi], [-phi, B_phi]] is nonsingular
     exactly when phi ^ (d phi)^k is a volume form, which is the defining
     contact condition; this route never looks at kernels or Reeb vectors.
-    It is built on integer rows, with phi and B_phi each scaled by a
-    positive factor, which scales the Pfaffian and keeps its zeros, and
-    ranked by skew elimination.
+    It is built on integer rows, B_phi scaled by a positive factor when
+    the table is not integral, which scales the Pfaffian and keeps its
+    zeros, and ranked by skew elimination.
     """
     _require_odd(g)
-    ints, _ = _int_coords(form)
+    ints = _form(g, form)
     bordered = [[0, *ints]]
     for c, row in zip(ints, g.kirillov_int_rows(ints)):
         bordered.append([-c, *row])
@@ -252,7 +255,7 @@ def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | N
     A contact form (a kernel line <k> with form(k) != 0) is stable by the
     lemma of the module docstring, and its certificate holds no [ker, g];
     any other form goes through ``kernel_bracket_span``."""
-    ints, den = _int_coords(form)
+    ints = _form(g, form)
     kernel = _kernel(g, ints, kernel)
     if len(kernel) == 1 and pairing(ints, kernel[0]):
         span = None
@@ -261,7 +264,7 @@ def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | N
         if span is None:
             return None
         span = tuple(map(tuple, span))
-    return StabilityCertificate(tuple(ints), den, tuple(map(tuple, kernel)), span)
+    return StabilityCertificate(tuple(ints), tuple(map(tuple, kernel)), span)
 
 
 def _line(g: LieAlgebra, kernel):

@@ -26,10 +26,12 @@ commutator only for the pairs in the table and the pairs whose supports meet
 entry), each in O(nnz_i * nnz_j + sum_r nnz_r).  Every other pair of matrices
 commutes and is absent from the table.
 
-Structure constants, and the entries of the realization check's sparse
-copy of each matrix, are ints when integral and Fractions otherwise
-(`Matrix` realizations keep theirs).  Python mixes the two exactly, so one
-code path serves every algebra, and integral ones run on int arithmetic.
+A realization is a tuple of matrices, each a tuple of row tuples.
+Structure constants and realization entries are held as ints when
+integral and as Fractions otherwise (``_exact``); a seaweed's are all
+ints, and no Fraction is built for them.  Python mixes the two exactly,
+so one code path serves every algebra, and integral ones run on int
+arithmetic.
 
 The Kirillov form of a one-form phi is the skew matrix
 B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
@@ -41,13 +43,9 @@ kernel dimension only bounds the index from above; a seaweed's index is a
 formula (``meander`` states the rule), which ``seaweeds index`` passes as
 the floor at which the trials stop.  The sweep calls no ``index``.
 
-Ranks and kernels are taken the same way: the form's denominators are
-cleared once (`linalg.clear_denominators`) and B_phi is built as skew
-integer rows (`LieAlgebra.kirillov_int_rows`).  B_phi is skew, so it goes
-through the skew elimination of `linalg`: `index` and `kernel_dim` count
-its pivots (`linalg._skew_pivots`, `linalg.skew_rank_int_rows`), and
-`kirillov_kernel` turns the canonical primitive integer rows of ker B_phi
-(`linalg.skew_kernel_int_rows`) into a rational `Subspace`.
+B_phi of an integer form is built as skew integer rows
+(`LieAlgebra.kirillov_int_rows`), so it goes through the skew elimination
+of `linalg`: `index` counts its pivots (`linalg.skew_rank_int_rows`).
 
 The witness of `index` is its first form of least kernel dimension, kept
 as integer coordinates.  A report's parity (`parity`) is stated here once,
@@ -57,18 +55,13 @@ for the classifier that writes it and the verifier that checks it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (
-    Matrix,
-    Subspace,
-    _immutable,
     as_scalar,
     clear_denominators,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
-    skew_kernel_int_rows,
     skew_rank_int_rows,
 )
 
@@ -81,20 +74,18 @@ class StructureError(ValueError):
 
 
 def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
+    """x as an int when it is integral, else as a Fraction (an int is
+    returned as it is, so none is built for it)."""
+    if type(x) is int:
+        return x
     x = as_scalar(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _sparse_matrix(m: Matrix) -> dict:
-    """The nonzero entries of m as {(u, v): c}.  Zero entries are only
-    checked for exactness, so a float is refused wherever it stands."""
-    out = {}
-    for u, row in enumerate(m.rows):
-        for v, x in enumerate(row):
-            if x or isinstance(x, float):
-                out[(u, v)] = _exact(x)
-    return out
+def _sparse_matrix(m) -> dict:
+    """The nonzero entries of the matrix m, given by its rows, as
+    {(u, v): c}."""
+    return {(u, v): x for u, row in enumerate(m) for v, x in enumerate(row) if x}
 
 
 def _commutator(x: dict, y: dict) -> dict:
@@ -157,8 +148,9 @@ class LieAlgebra:
 
         self._check_jacobi()
 
-        self.realization = tuple(realization) if realization is not None else None
-        if self.realization is not None:
+        self.realization = None
+        if realization is not None:
+            self.realization = tuple(tuple(tuple(map(_exact, row)) for row in m) for m in realization)
             self._check_realization()
 
     def restrict(self, kept, label=""):
@@ -245,19 +237,19 @@ class LieAlgebra:
                 raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
     def _check_realization(self):
-        """[X_i, X_j] must equal sum_r c_ijr X_r for every pair i < j; pairs
-        absent from the table must commute.  Besides the table's pairs, only
-        pairs where a row of one support meets a column of the other can
-        fail to commute."""
+        """Every matrix must have n rows of n entries each, n the first
+        matrix's row count, and [X_i, X_j] must equal sum_r c_ijr X_r for
+        every pair i < j; pairs absent from the table must commute.  Besides
+        the table's pairs, only pairs where a row of one support meets a
+        column of the other can fail to commute."""
         mats = self.realization
         if len(mats) != self.dim:
             raise StructureError("realization must have one matrix per basis element")
         if self.dim == 0:
             return
-        n = mats[0].nrows
-        for m in mats:
-            if m.nrows != n or m.ncols != n:
-                raise StructureError("realization matrices must be square of equal size")
+        n = len(mats[0])
+        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+            raise StructureError("realization matrices must be square of equal size")
         sparse = [_sparse_matrix(m) for m in mats]
         in_row, in_col = {}, {}
         for k, entries in enumerate(sparse):
@@ -287,15 +279,6 @@ class LieAlgebra:
             for r, c in self._table[(i, j)]:
                 yield i, j, r, c
 
-    def bracket_coords(self, x_coords, y_coords):
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self._table.items():
-            coef = x_coords[i] * y_coords[j] - x_coords[j] * y_coords[i]
-            if coef:
-                for r, c in terms:
-                    out[r] += coef * c
-        return out
-
     def ad_columns(self, coords):
         """[x, x_j] for every basis element x_j, x given by its coordinates;
         one pass over the table."""
@@ -314,11 +297,6 @@ class LieAlgebra:
         the table is non-integral (scaling preserves their span)."""
         cols = self.ad_columns(int_coords)
         return cols if self._integral else [clear_denominators(col)[0] for col in cols]
-
-    def basis_element(self, i) -> "Element":
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return Element(self, tuple(coords))
 
     def kirillov_int_rows(self, int_coords):
         """Integer row list of B_phi for integer phi.  A non-integral table
@@ -343,57 +321,6 @@ class LieAlgebra:
         return f"<{name} dim={self.dim}>"
 
 
-class _Coords:
-    """Coordinates on a LieAlgebra's basis (Element) or dual basis (OneForm)."""
-
-    __slots__ = ("algebra", "coords")
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(self, algebra: LieAlgebra, coords: tuple[Fraction, ...]):
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.algebra is self.algebra and other.coords == self.coords
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(algebra={self.algebra!r}, coords={self.coords!r})"
-
-    def scale(self, c):
-        c = as_scalar(c)
-        return type(self)(self.algebra, tuple(c * x for x in self.coords))
-
-
-class Element(_Coords):
-    """Vector in the basis of a LieAlgebra."""
-
-    __slots__ = ()
-
-    def __add__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-
-class OneForm(_Coords):
-    """Covector in the dual basis of a LieAlgebra."""
-
-    __slots__ = ()
-
-    def __call__(self, x: Element) -> Fraction:
-        if x.algebra is not self.algebra:
-            raise ValueError("element and form live on different algebras")
-        return sum((a * b for a, b in zip(self.coords, x.coords)), Fraction(0))
-
-
 class IndexReport(NamedTuple):
     """Result of the randomized index computation: the least kernel
     dimension drawn, the kernel dimension of each form drawn, and the
@@ -403,30 +330,6 @@ class IndexReport(NamedTuple):
     index: int
     trial_kernel_dims: tuple[int, ...]
     witness_coords: tuple[int, ...]
-
-
-def _same_algebra(x, y):
-    if x.algebra is not y.algebra:
-        raise ValueError("operands live on different algebras")
-
-
-def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket, the bilinear extension of the structure constants."""
-    _same_algebra(x, y)
-    return Element(x.algebra, tuple(x.algebra.bracket_coords(x.coords, y.coords)))
-
-
-def kernel_dim(g: LieAlgebra, form: OneForm) -> int:
-    """dim ker B_form, via exact skew elimination of B_{c form}, c the
-    form's common denominator, which has the same rank."""
-    ints, _ = clear_denominators(form.coords)
-    return g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
-
-
-def kirillov_kernel(g: LieAlgebra, form: OneForm) -> Subspace:
-    """Canonical basis of ker B_form, which is ker B_{c form}."""
-    ints, _ = clear_denominators(form.coords)
-    return Subspace.from_int_rows(g.dim, skew_kernel_int_rows(g.kirillov_int_rows(ints)))
 
 
 def index(

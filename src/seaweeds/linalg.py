@@ -4,13 +4,12 @@ Everything is exact over Q.  Elimination, kernels and spans run on
 primitive integer rows (`echelon_int_rows`, `rank_int_rows`,
 `rref_int_rows`, `kernel_int_rows`, `span_int_rows`,
 `meets_trivially_int_rows`, and for skew-symmetric matrices
-`skew_rank_int_rows` and `skew_kernel_int_rows`);
-`fractions.Fraction` appears only in the public `Matrix` and `Subspace`
-values (and the `Element` and `OneForm` values built on them), always in
-lowest terms with positive denominator.  Fractions enter the integer rows
-through one door, `clear_denominators`, which gives a vector as an integer
-row over its least positive common denominator (JSON rationals are parsed
-straight into integer rows by `serialize`).  No rounding ever occurs.
+`skew_rank_int_rows` and `skew_kernel_int_rows`).  `fractions.Fraction`
+appears only where exact scalars are read from a caller or from JSON:
+`as_scalar` reads one, and `clear_denominators` gives rationals as an
+integer row over their least positive common denominator (JSON rationals
+are parsed straight into integer rows by `serialize`).  No rounding ever
+occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
 downstream (a rank condition on a Kirillov matrix, kernel membership) says
@@ -40,13 +39,6 @@ matrix (ambient bases, spans, kernels, meets).  They share one forward
 elimination, `echelon_int_rows`: a rank is the length of its result, and
 `rref_int_rows` is its result reduced upward, so echelon rows that are
 kept give the canonical rows by upward elimination alone.
-
-`Matrix` and `Subspace` are values, not solvers: no rank, kernel or
-intersection is taken on them.  A `Subspace` is built only from the
-primitive RREF rows with positive pivots that `rref_int_rows` returns
-(`Subspace.from_int_rows`), each row divided by its pivot.  That is the
-rational reduced row echelon form, which is canonical, so equal subspaces
-have equal representations and field equality is subspace equality.
 """
 
 from __future__ import annotations
@@ -292,94 +284,3 @@ def meets_trivially_int_rows(u, v):
     linearly independent rows (canonical RREF rows are), meet only in 0:
     stacked, they have rank len(u) + len(v)."""
     return rank_int_rows(u + v) == len(u) + len(v)
-
-
-def _frac_rows(int_rows):
-    # Rational RREF rows from primitive integer ones: divide by the pivot.
-    out = []
-    for row in int_rows:
-        p = next(v for v in row if v)
-        out.append(tuple(Fraction(v, p) for v in row))
-    return tuple(out)
-
-
-def _immutable(self, name, value=None):
-    # the value types' __setattr__ and __delattr__; __init__ uses object's
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Matrix:
-    """Immutable rational matrix (tuple-of-tuples of Fraction)."""
-
-    __slots__ = ("rows",)
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        return type(other) is Matrix and other.rows == self.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Matrix(rows={self.rows!r})"
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(tuple(tuple(as_scalar(x) for x in row) for row in rows))
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls(tuple((zero,) * ncols for _ in range(nrows)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def scale(self, c) -> "Matrix":
-        c = as_scalar(c)
-        return Matrix(tuple(tuple(c * a for a in r) for r in self.rows))
-
-
-class Subspace:
-    """Linear subspace of Q^n in canonical reduced echelon form.
-
-    Equal subspaces have equal representations, so equality of the fields
-    is subspace equality.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __eq__(self, other):
-        return type(other) is Subspace and other.ambient_dim == self.ambient_dim and other.basis == self.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
-
-    @classmethod
-    def from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        """The subspace whose canonical primitive integer RREF rows (as
-        `rref_int_rows` returns them) are ``rows``."""
-        return cls(ambient_dim, _frac_rows(rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)

@@ -91,7 +91,7 @@ from .contact import (
     search_verdict,
 )
 from .lie import LieAlgebra, parity
-from .linalg import Matrix, skew_kernel_int_rows
+from .linalg import skew_kernel_int_rows
 from .meander import index_formula
 
 REPORT_SCHEMA = 4
@@ -151,23 +151,28 @@ def algebra_to_json(g: LieAlgebra) -> dict:
     }
     if g.realization is not None:
         doc["realization"] = [
-            [[_ratio_str(x.numerator, x.denominator) for x in row] for row in m.rows] for m in g.realization
+            [[_ratio_str(x.numerator, x.denominator) for x in row] for row in m] for m in g.realization
         ]
     else:
         doc["realization"] = None
     return doc
 
 
+def _scalar(s):
+    """A JSON rational as an exact scalar: an int when it is integral,
+    else a Fraction."""
+    num, den = _ratio(s)
+    return num if den == 1 else Fraction(num, den)
+
+
 def algebra_from_json(doc: dict) -> LieAlgebra:
     structure = {}
     for i, j, r, c in doc["structure"]:
         i, j, r = (_int(x, "structure") for x in (i, j, r))
-        structure.setdefault((i, j), {})[r] = Fraction(*_ratio(c))
+        structure.setdefault((i, j), {})[r] = _scalar(c)
     realization = None
     if doc.get("realization") is not None:
-        realization = tuple(
-            Matrix(tuple(tuple(Fraction(*_ratio(x)) for x in row) for row in m)) for m in doc["realization"]
-        )
+        realization = [[[_scalar(x) for x in row] for row in m] for m in doc["realization"]]
     return LieAlgebra(_int(doc["dim"], "dim"), structure, realization=realization, label=doc.get("label", ""))
 
 
@@ -184,16 +189,16 @@ def certificate_to_json(cert) -> dict:
     if isinstance(cert, ContactCertificate):
         return {
             "kind": "contact",
-            "form": ratios_to_json(cert.form_row, cert.form_den),
+            "form": ratios_to_json(cert.form_row),
             "reeb": ratios_to_json(cert.reeb_row, cert.reeb_den),
             "kernel_dim": 1,
-            "pairing": _ratio_str(pairing(cert.form_row, cert.reeb_row), cert.form_den * cert.reeb_den),
+            "pairing": _ratio_str(pairing(cert.form_row, cert.reeb_row), cert.reeb_den),
         }
     if isinstance(cert, StabilityCertificate):
         dim = len(cert.form_row)
         doc = {
             "kind": "stability",
-            "form": ratios_to_json(cert.form_row, cert.form_den),
+            "form": ratios_to_json(cert.form_row),
             "kernel": _basis_to_json(dim, cert.kernel_rows),
         }
         if cert.bracket_span_rows is not None:

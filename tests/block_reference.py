@@ -9,12 +9,9 @@ the same basis, table and realization.  ``matrix_span`` is the subspace a
 realization spans, from the Fraction Gauss-Jordan of ``fraction_reference``.
 """
 
-from fractions import Fraction
-
 import fraction_reference as ref
 
 from seaweeds.lie import LieAlgebra
-from seaweeds.linalg import Matrix
 
 
 def _block_lookup(comp):
@@ -26,9 +23,7 @@ def _block_lookup(comp):
 
 
 def _elementary(n, i, j):
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][j] = Fraction(1)
-    return Matrix(tuple(tuple(r) for r in rows))
+    return tuple(tuple(int((u, v) == (i, j)) for v in range(n)) for u in range(n))
 
 
 def gln_seaweed(a, b):
@@ -80,5 +75,5 @@ def matrix_span(g):
         raise ValueError("algebra has no matrix realization")
     if not g.realization:
         raise ValueError("empty realization")
-    size = g.realization[0].nrows
+    size = len(g.realization[0])
     return ref.span([ref.vec(m) for m in g.realization], size * size)

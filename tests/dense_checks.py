@@ -49,11 +49,11 @@ def check_realization(dim, table, mats):
         raise StructureError("realization must have one matrix per basis element")
     if dim == 0:
         return
-    n = mats[0].nrows
+    n = len(mats[0])
     for m in mats:
-        if m.nrows != n or m.ncols != n:
+        if len(m) != n or any(len(row) != n for row in m):
             raise StructureError("realization matrices must be square of equal size")
-    grids = [[list(row) for row in m.rows] for m in mats]
+    grids = [[list(row) for row in m] for m in mats]
     for i in range(dim):
         a = grids[i]
         for j in range(i + 1, dim):

@@ -1,8 +1,8 @@
 """The rational route to Kirillov matrices and kernels, certificates and
 ambient bases, as first written, and the rational matrix and subspace
-algebra the tests build their expectations with.
+values the tests build their expectations with.
 
-``LieAlgebra.kirillov_int_rows``, ``lie.kirillov_kernel``,
+``LieAlgebra.kirillov_int_rows``, ``linalg.skew_kernel_int_rows``,
 ``contact.is_contact_form``, ``contact.is_stable_form`` and
 ``construct._ambient`` run on primitive integer rows, and
 ``serialize.verify_certificate`` on integer rows parsed straight from the
@@ -18,9 +18,12 @@ rational values, written to JSON from their Fractions
 (``certificate_json``), against which ``matches`` holds the integer rows
 of the package's certificates and their JSON.  Every rank, span,
 kernel and intersection here comes from one reduced echelon form
-(``rref``), a plain Gauss-Jordan elimination on Fractions.  Nothing but the
-``Matrix`` and ``Subspace`` value types is taken from ``linalg``, so no
-oracle here shares elimination code with the integer rows it checks.
+(``rref``), a plain Gauss-Jordan elimination on Fractions.  The values are
+its own: ``Matrix`` (Fraction rows), ``Subspace`` (a canonical basis), and
+forms and elements as plain coordinate sequences, paired by ``pair``.
+Only ``AmbientAlgebra`` (a matrix size) is taken from ``seaweeds``, so no
+oracle here shares elimination code or value types with the integer rows
+it checks.
 """
 
 from dataclasses import dataclass
@@ -28,8 +31,60 @@ from fractions import Fraction
 from math import lcm
 
 from seaweeds.construct import AmbientAlgebra
-from seaweeds.lie import Element, OneForm
-from seaweeds.linalg import Matrix, Subspace
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """A rational matrix: a tuple of row tuples of Fractions."""
+
+    rows: tuple
+
+    @classmethod
+    def from_rows(cls, rows):
+        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+    @classmethod
+    def zeros(cls, nrows, ncols):
+        return cls(((Fraction(0),) * ncols,) * nrows)
+
+    @property
+    def nrows(self):
+        return len(self.rows)
+
+    @property
+    def ncols(self):
+        return len(self.rows[0]) if self.rows else 0
+
+    def __add__(self, other):
+        return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+
+    def scale(self, c):
+        return Matrix(tuple(tuple(c * a for a in r) for r in self.rows))
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of Q^n by its rational reduced echelon basis, which is
+    canonical, so equal subspaces are equal values."""
+
+    ambient_dim: int
+    basis: tuple
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @classmethod
+    def from_int_rows(cls, ambient_dim, rows):
+        """The subspace whose canonical primitive integer rows (as
+        ``linalg.rref_int_rows`` gives them) are ``rows``: each row divided
+        by its pivot."""
+        return cls(ambient_dim, tuple(tuple(Fraction(v, next(filter(None, row))) for v in row) for row in rows))
+
+
+def pair(form, x):
+    """form(x) for coordinate sequences on the dual basis and the basis."""
+    return sum((Fraction(a) * b for a, b in zip(form, x)), Fraction(0))
 
 
 def rref(m):
@@ -92,17 +147,26 @@ def matmul(a, b):
     )
 
 
-def vec(m):
-    """Row-major flattening."""
-    return tuple(x for row in m.rows for x in row)
+def vec(rows):
+    """Row-major flattening of a matrix given by its rows."""
+    return tuple(x for row in rows for x in row)
+
+
+def bracket(g, x, y):
+    """[x, y] for coordinate sequences x and y, the bilinear extension of
+    the structure constants."""
+    out = [Fraction(0)] * g.dim
+    for i, j, r, c in g.structure_items():
+        out[r] += (x[i] * y[j] - x[j] * y[i]) * c
+    return out
 
 
 def kirillov_matrix(g, form):
     """The rational skew matrix with entry (i, j) = form([x_i, x_j])."""
     rows = [[Fraction(0)] * g.dim for _ in range(g.dim)]
     for i, j, r, c in g.structure_items():
-        rows[i][j] += c * form.coords[r]
-        rows[j][i] -= c * form.coords[r]
+        rows[i][j] += c * form[r]
+        rows[j][i] -= c * form[r]
     return Matrix(tuple(tuple(row) for row in rows))
 
 
@@ -164,8 +228,8 @@ def meets_trivially(u, v):
 class ContactReference:
     """A contact certificate as rational values."""
 
-    form: OneForm
-    reeb: Element
+    form: tuple
+    reeb: tuple
     kernel_dim: int
     pairing: Fraction
 
@@ -175,38 +239,41 @@ class StabilityReference:
     """A stability certificate as rational values; ``bracket_span`` is None
     for a contact form, whose certificate holds its kernel line alone."""
 
-    form: OneForm
+    form: tuple
     kernel: Subspace
     bracket_span: Subspace | None
     intersection_dim: int
 
 
 def is_contact_form(g, form):
+    """A reference contact certificate for the form (coordinates), or None."""
+    form = tuple(map(Fraction, form))
     kernel = kirillov_kernel(g, form)
     if kernel.dim != 1:
         return None
-    x = Element(g, kernel.basis[0])
-    pairing = form(x)
+    x = kernel.basis[0]
+    pairing = pair(form, x)
     if pairing == 0:
         return None
-    reeb = x.scale(Fraction(1) / pairing)
-    return ContactReference(form=form, reeb=reeb, kernel_dim=1, pairing=form(reeb))
+    reeb = tuple(v / pairing for v in x)
+    return ContactReference(form=form, reeb=reeb, kernel_dim=1, pairing=pair(form, reeb))
 
 
-def is_contact_kernel(g, form, kernel):
+def is_contact_kernel(form, kernel):
     """True iff ``kernel`` = ker B_form is a line on which the form does not
     vanish, as for a contact form."""
-    return kernel.dim == 1 and form(Element(g, kernel.basis[0])) != 0
+    return kernel.dim == 1 and pair(form, kernel.basis[0]) != 0
 
 
 def is_stable_form(g, form):
     """The kernel-bracket test, run on every form: for a contact form too,
     so that each short certificate comes with [ker, g] met trivially."""
+    form = tuple(map(Fraction, form))
     kernel = kirillov_kernel(g, form)
     span = bracket_span(g, kernel)
     if not meets_trivially(kernel, span):
         return None
-    if is_contact_kernel(g, form, kernel):
+    if is_contact_kernel(form, kernel):
         span = None
     return StabilityReference(form=form, kernel=kernel, bracket_span=span, intersection_dim=0)
 
@@ -225,12 +292,12 @@ def certificate_json(cert):
     if isinstance(cert, ContactReference):
         return {
             "kind": "contact",
-            "form": _strs(cert.form.coords),
-            "reeb": _strs(cert.reeb.coords),
+            "form": _strs(cert.form),
+            "reeb": _strs(cert.reeb),
             "kernel_dim": cert.kernel_dim,
             "pairing": _strs([cert.pairing])[0],
         }
-    doc = {"kind": "stability", "form": _strs(cert.form.coords), "kernel": _basis(cert.kernel)}
+    doc = {"kind": "stability", "form": _strs(cert.form), "kernel": _basis(cert.kernel)}
     if cert.bracket_span is not None:
         doc["bracket_span"] = _basis(cert.bracket_span)
     doc["intersection_dim"] = cert.intersection_dim
@@ -249,11 +316,11 @@ def rows(cert):
     rows: each vector as (row, least positive common denominator), each
     canonical basis as its primitive integer rows."""
     if isinstance(cert, ContactReference):
-        return _cleared(cert.form.coords), _cleared(cert.reeb.coords)
+        return _cleared(cert.form), _cleared(cert.reeb)
     if isinstance(cert, StabilityReference):
         bases = (cert.kernel, cert.bracket_span)
-        return (_cleared(cert.form.coords), *(s and tuple(_cleared(v)[0] for v in s.basis) for s in bases))
-    form = (cert.form_row, cert.form_den)
+        return (_cleared(cert.form), *(s and tuple(_cleared(v)[0] for v in s.basis) for s in bases))
+    form = (cert.form_row, 1)
     if hasattr(cert, "reeb_row"):
         return form, _cleared(Fraction(v, cert.reeb_den) for v in cert.reeb_row)
     return form, cert.kernel_rows, cert.bracket_span_rows
@@ -293,15 +360,19 @@ def _subspace(doc):
 
 def verify_certificate(g, doc):
     """``serialize.verify_certificate`` on rational matrices."""
-    form = OneForm(g, _coords(doc["form"]))
+    form = _coords(doc["form"])
+    if len(form) != g.dim:
+        raise ValueError("coordinate length does not match algebra dimension")
     if doc["kind"] == "contact":
-        reeb = Element(g, _coords(doc["reeb"]))
+        reeb = _coords(doc["reeb"])
+        if len(reeb) != g.dim:
+            raise ValueError("coordinate length does not match algebra dimension")
         if doc["kernel_dim"] != 1 or frac_from_str(doc["pairing"]) != 1:
             return False
         b = kirillov_matrix(g, form)
-        if any(sum(x * y for x, y in zip(row, reeb.coords)) for row in b.rows):
+        if any(sum(x * y for x, y in zip(row, reeb)) for row in b.rows):
             return False
-        return form(reeb) == 1 and nullspace(b).dim == 1
+        return pair(form, reeb) == 1 and nullspace(b).dim == 1
     kernel = _subspace(doc["kernel"])
     span = _subspace(doc["bracket_span"]) if "bracket_span" in doc else None
     if doc["intersection_dim"] != 0 or kirillov_kernel(g, form) != kernel:
@@ -309,7 +380,7 @@ def verify_certificate(g, doc):
     if span is None:
         # a short certificate names a contact form; [ker, g] is taken here
         # all the same, so the reference confirms that it meets ker in 0
-        if not is_contact_kernel(g, form, kernel):
+        if not is_contact_kernel(form, kernel):
             return False
         span = bracket_span(g, kernel)
     elif bracket_span(g, kernel) != span:
@@ -327,7 +398,8 @@ def bilinear_form(family, size):
 
 
 def ambient_basis(family, n):
-    """The canonical basis of an ambient family as matrices: the nullspace
+    """The canonical basis of an ambient family as matrices (tuples of
+    Fraction row tuples): the nullspace
     of its rational condition matrix (none for GL, the trace row for SL,
     X^T S + S X = 0 summed out of the rational form S for SP/SO)."""
     size = AmbientAlgebra(family, n).matrix_size
@@ -347,7 +419,4 @@ def ambient_basis(family, n):
                     row[k * size + j] += s[i][k]  # (S X)[i][j]
                 rows.append(tuple(row))
         space = nullspace(Matrix(tuple(rows)))
-    return tuple(
-        Matrix(tuple(tuple(row[u * size + v] for v in range(size)) for u in range(size)))
-        for row in space.basis
-    )
+    return tuple(tuple(tuple(row[u * size + v] for v in range(size)) for u in range(size)) for row in space.basis)

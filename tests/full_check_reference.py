@@ -23,7 +23,7 @@ from seaweeds.lie import LieAlgebra, StructureError
 
 
 def _sparse(m):
-    return {(u, v): x for u, row in enumerate(m.rows) for v, x in enumerate(row) if x}
+    return {(u, v): x for u, row in enumerate(m) for v, x in enumerate(row) if x}
 
 
 def _commutator(x, y):

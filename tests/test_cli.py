@@ -366,6 +366,26 @@ def test_verify_exit_2_on_a_float_or_a_bool_in_an_integer_field(capsys, tmp_path
     assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
 
 
+# Two tampers of every matrix of a certificate document's realization that
+# keep the row count of a 3 x 3 matrix and the length of its first row.
+RAGGED = {
+    "a long row 1": lambda m: m[1].extend(["0/1", "0/1"]),
+    "a short row 2": lambda m: m[2][-1] == "0/1" and m[2].pop(),  # a trailing zero
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(RAGGED))
+def test_verify_exit_2_on_a_ragged_realization(capsys, tmp_path, tamper):
+    path = tmp_path / "k.json"
+    assert main(["contact", "2,1|3", "--family", "GL", "--format", "json", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert run(capsys, "verify", str(path))[:2] == (0, "valid\n")
+    for m in doc["algebra"]["realization"]:
+        RAGGED[tamper](m)
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "must be square of equal size" in err
+
+
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     # Each command runs in a fresh interpreter, so what the package imports
     # is paid on every start; dataclasses alone (with inspect, ast, dis and

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from seaweeds import (
     AmbientAlgebra,
     Composition,
-    bracket,
     construct,
     enumerate_compositions,
     flag_seaweed,
@@ -17,16 +17,24 @@ from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
 from stock_algebras import heisenberg
 
-from seaweeds.classify import LIMITS, composition_pairs
-from seaweeds.lie import LieAlgebra, OneForm, StructureError, index, kernel_dim
-from seaweeds.linalg import Matrix
-from seaweeds.serialize import algebra_to_json
+from seaweeds.classify import LIMITS, classify, composition_pairs, report
+from seaweeds.lie import LieAlgebra, StructureError, index
+from seaweeds.linalg import skew_rank_int_rows
+from seaweeds.serialize import algebra_to_json, verify_document
 
 F = Fraction
 
 
 def C(*parts):
     return Composition(tuple(parts))
+
+
+SMALL = [("GL", 1), ("GL", 3), ("SL", 2), ("SL", 4), ("SP", 1), ("SP", 2), ("SO", 3), ("SO", 5)]
+
+
+def unit(g, i):
+    """The coordinates of the basis element x_i."""
+    return [int(k == i) for k in range(g.dim)]
 
 
 # -- compositions ----------------------------------------------------------------
@@ -80,7 +88,7 @@ def test_gln_seaweed_torus():
     assert g.dim == 4
     for i in range(4):
         for j in range(4):
-            assert not any(bracket(g.basis_element(i), g.basis_element(j)).coords)
+            assert not any(g.ad_columns(unit(g, i))[j])
 
 
 def test_gln_seaweed_total_mismatch():
@@ -106,16 +114,16 @@ def test_sln_drops_one_dimension():
 
 def test_sl2_structure():
     sl2 = seaweed("SL", 2, C(2), C(2))  # basis h = e00 - e11, e = e01, f = e10
-    h, e, f = (sl2.basis_element(i) for i in range(3))
-    assert bracket(h, e) == e.scale(2)
-    assert bracket(h, f) == f.scale(-2)
-    assert bracket(e, f) == h
+    ad_h, ad_e = sl2.ad_columns(unit(sl2, 0)), sl2.ad_columns(unit(sl2, 1))
+    assert ad_h[1] == [0, 2, 0]  # [h, e] = 2e
+    assert ad_h[2] == [0, 0, -2]  # [h, f] = -2f
+    assert ad_e[2] == [1, 0, 0]  # [e, f] = h
 
 
 def test_sl_is_trace_zero_part_of_gl_block_seaweed():
     for n in range(2, 5):
         trace_row = tuple(F(1) if t % (n + 1) == 0 else F(0) for t in range(n * n))
-        trace_zero = ref.nullspace(Matrix((trace_row,)))
+        trace_zero = ref.nullspace(ref.Matrix((trace_row,)))
         for a in enumerate_compositions(n):
             for b in enumerate_compositions(n):
                 sl, gl = seaweed("SL", n, a, b), gln_seaweed(a, b)
@@ -151,6 +159,22 @@ def test_shared_ambient_entries_are_diagonal():
             _, _, shared = construct._ambient(family, n)
             bits = [e for e in range(size * size) if shared >> e & 1]
             assert all(e // size == e % size for e in bits), (family, n)
+
+
+def test_no_fraction_is_built_to_construct_search_report_or_verify(cold_ambients, monkeypatch):
+    # a cold ambient cache, so every ambient is built under the count too
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for family, n in SMALL:
+        doc = json.loads(report(classify(family, n, seed=0, embed_certificates=True), "json"))
+        assert verify_document(doc) is True
+    assert built == []
 
 
 def clear_ambients():
@@ -212,6 +236,18 @@ def test_ambient_basis_equals_the_rational_derivation(family, n):
     assert construct._ambient.__wrapped__(family, n)[0].realization == ref.ambient_basis(family, n)
 
 
+@pytest.mark.parametrize("family,n", SMALL)
+def test_realizations_are_built_from_ints(family, n):
+    # the ambient's matrices and every restriction's are integer row tuples
+    g = construct._ambient(family, n)[0]
+    algebras = [g] + [seaweed(family, n, a, b) for a, b in composition_pairs(family, n)]
+    for h in algebras:
+        assert type(h.realization) is tuple and len(h.realization) == h.dim
+        for m in h.realization:
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+            assert {type(x) for row in m for x in row} == {int}, (h.label, m)
+
+
 SWEPT = [("GL", n) for n in range(1, 6)] + [("SL", n) for n in range(2, 6)]
 SWEPT += [("SP", n) for n in range(1, 4)] + [("SO", n) for n in range(2, 8)]
 
@@ -258,10 +294,10 @@ def graded_heisenberg():
     """x0 = e01, x1 = e12 / 2, x2 = e02, x3 = diag(1, 0, -1): [x0, x1] = x2 / 2
     and ad x3 is the grading (1, 1, 2)."""
     mats = (
-        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
-        Matrix.from_rows([[0, 0, 0], [0, 0, F(1, 2)], [0, 0, 0]]),
-        Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
-        Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
+        ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, F(1, 2)), (0, 0, 0)),
+        ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
+        ((1, 0, 0), (0, 0, 0), (0, 0, -1)),
     )
     structure = {(0, 1): {2: F(1, 2)}, (3, 0): {0: 1}, (3, 1): {1: 1}, (3, 2): {2: 2}}
     return LieAlgebra(4, structure, realization=mats, label="graded")
@@ -283,8 +319,8 @@ def test_restriction_of_a_non_integral_algebra():
         assert sub._integral == full._integral == (1 not in kept or 0 not in kept)
         rep, full_rep = index(sub, seed=7), index(full, seed=7)
         assert rep.trial_kernel_dims == full_rep.trial_kernel_dims
-        form = OneForm(sub, tuple(F(k + 2, 3) for k in range(sub.dim)))
-        assert kernel_dim(sub, form) == kernel_dim(full, OneForm(full, form.coords))
+        form = [k + 2 for k in range(sub.dim)]
+        assert skew_rank_int_rows(sub.kirillov_int_rows(form)) == skew_rank_int_rows(full.kirillov_int_rows(form))
 
 
 def test_flag_full_gl():
@@ -314,9 +350,9 @@ def test_sp_so_membership_equation():
         s = ref.bilinear_form(family, amb.matrix_size)
         g = flag_seaweed(amb, C(1), C(1))
         assert g.dim >= 1
-        for mat in g.realization:
+        for mat in map(ref.Matrix.from_rows, g.realization):
             lhs = ref.matmul(ref.transpose(mat), s) + ref.matmul(s, mat)
-            assert lhs == Matrix.zeros(amb.matrix_size, amb.matrix_size)
+            assert lhs == ref.Matrix.zeros(amb.matrix_size, amb.matrix_size)
 
 
 def test_flag_bad_prefix_sums():
@@ -331,9 +367,9 @@ def test_flag_closed_under_bracket():
     span = matrix_span(g)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            a, b = g.realization[i], g.realization[j]
+            a, b = ref.Matrix.from_rows(g.realization[i]), ref.Matrix.from_rows(g.realization[j])
             comm = ref.matmul(a, b) + ref.matmul(b, a).scale(-1)
-            assert ref.contains(span, ref.vec(comm))
+            assert ref.contains(span, ref.vec(comm.rows))
 
 
 def test_seaweed_dispatcher():
@@ -354,4 +390,4 @@ def test_ambient_validation():
 def test_realizations_are_attached_and_independent():
     g = gln_seaweed(C(2, 1), C(3))
     assert len(g.realization) == g.dim
-    assert ref.rank(Matrix(tuple(ref.vec(m) for m in g.realization))) == g.dim
+    assert ref.rank(ref.Matrix.from_rows(ref.vec(m) for m in g.realization)) == g.dim

@@ -10,8 +10,6 @@ from stock_algebras import abelian, heisenberg
 from seaweeds import (
     Composition,
     LieAlgebra,
-    Matrix,
-    OneForm,
     contact_volume_nonzero,
     find_contact_form,
     find_stable_form,
@@ -22,7 +20,7 @@ from seaweeds import (
     seaweed,
 )
 from seaweeds.contact import PreconditionError
-from seaweeds.lie import kirillov_kernel
+from seaweeds.linalg import skew_kernel_int_rows
 from seaweeds.serialize import certificate_to_json
 
 F = Fraction
@@ -33,13 +31,15 @@ def C(*parts):
 
 
 def form(g, coords):
-    return OneForm(g, tuple(F(c) for c in coords))
+    """A form's integer coordinates, as the package takes them."""
+    assert len(coords) == g.dim
+    return list(coords)
 
 
 def aff1():
     """2-dimensional nonabelian algebra [x, y] = y."""
-    x = Matrix.from_rows([[1, 0], [0, 0]])
-    y = Matrix.from_rows([[0, 1], [0, 0]])
+    x = ((1, 0), (0, 0))
+    y = ((0, 1), (0, 0))
     return LieAlgebra(2, {(0, 1): {1: 1}}, realization=(x, y), label="aff(1)")
 
 
@@ -100,9 +100,9 @@ def test_volume_heisenberg_bordered_determinant():
     h = heisenberg()
     phi = form(h, [0, 0, 1])
     b = kirillov_matrix(h, phi)
-    bordered = Matrix.from_rows(
-        [[0] + list(phi.coords)]
-        + [[-phi.coords[i]] + list(b.rows[i]) for i in range(3)]
+    bordered = ref.Matrix.from_rows(
+        [[0] + phi]
+        + [[-phi[i]] + list(b.rows[i]) for i in range(3)]
     )
     assert leibniz_det(bordered) == 1  # independent 4x4 determinant
     assert contact_volume_nonzero(h, phi)
@@ -187,12 +187,36 @@ def test_aff1_stability_exhaustion():
 def test_stability_scaling_invariance():
     g = gln_seaweed(C(2, 1), C(3))
     phi = form(g, find_contact_form(g, seed=2).form_row)
-    for c in (2, -3, F(1, 5)):
-        scaled = phi.scale(c)
+    for c in (2, -3, 5):
+        scaled = [c * x for x in phi]
         assert (is_stable_form(g, scaled) is not None) == (is_stable_form(g, phi) is not None)
         assert (is_contact_form(g, scaled) is not None) == (
             is_contact_form(g, phi) is not None
         )
+    # a rational multiple, which the package takes cleared, on the reference
+    fifth = [F(x, 5) for x in phi]
+    assert (ref.is_stable_form(g, fifth) is not None) == (is_stable_form(g, phi) is not None)
+    assert (ref.is_contact_form(g, fifth) is not None) == (is_contact_form(g, phi) is not None)
+
+
+BAD_FORMS = {
+    "Fraction": (lambda dim: [F(k, 7) for k in range(1, dim + 1)], TypeError),
+    "float": (lambda dim: [1.0] + [0] * (dim - 1), TypeError),
+    "bool": (lambda dim: [0] * (dim - 1) + [True], TypeError),
+    "long": (lambda dim: [1] * (dim + 1), ValueError),
+    "short": (lambda dim: [1] * (dim - 1), ValueError),
+}
+
+
+@pytest.mark.parametrize("test", [is_contact_form, is_stable_form, contact_volume_nonzero])
+@pytest.mark.parametrize("bad", sorted(BAD_FORMS))
+def test_a_form_that_is_not_dim_ints_is_refused(test, bad):
+    # the fraction-free eliminations would floor a Fraction, and a longer
+    # form would be cut short, each without an error
+    g = gln_seaweed(C(2, 1), C(3))
+    make, error = BAD_FORMS[bad]
+    with pytest.raises(error):
+        test(g, make(g.dim))
 
 
 # -- searches -----------------------------------------------------------------------
@@ -210,8 +234,9 @@ def test_find_contact_seaweed_with_meander_oracle():
     cert = find_contact_form(g, seed=11)
     assert cert is not None
     # re-check the certificate invariants from scratch
-    assert cert.form_den == 1
-    kernel = kirillov_kernel(g, form(g, cert.form_row))
+    assert all(type(c) is int for c in cert.form_row)
+    kernel = ref.Subspace.from_int_rows(g.dim, skew_kernel_int_rows(g.kirillov_int_rows(cert.form_row)))
+    assert kernel == ref.kirillov_kernel(g, cert.form_row)
     assert kernel.dim == 1
     assert ref.contains(kernel, [F(v, cert.reeb_den) for v in cert.reeb_row])
     assert sum(f * r for f, r in zip(cert.form_row, cert.reeb_row)) == cert.reeb_den  # form(reeb) = 1

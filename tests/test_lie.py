@@ -7,16 +7,9 @@ from block_reference import gln_seaweed
 from fraction_reference import kirillov_matrix
 from stock_algebras import abelian, heisenberg
 
-from seaweeds import (
-    Composition,
-    Element,
-    LieAlgebra,
-    Matrix,
-    OneForm,
-    bracket,
-    index,
-)
-from seaweeds.lie import StructureError, kernel_dim
+from seaweeds import Composition, LieAlgebra, index
+from seaweeds.lie import StructureError
+from seaweeds.linalg import clear_denominators, skew_rank_int_rows
 
 F = Fraction
 
@@ -31,11 +24,21 @@ def torus(n):
 
 
 def form(g, coords):
-    return OneForm(g, tuple(F(c) for c in coords))
+    """A form's coordinates as Fractions, for the rational reference."""
+    return tuple(F(c) for c in coords)
 
 
-def elem(g, coords):
-    return Element(g, tuple(F(c) for c in coords))
+def unit(g, i):
+    """The coordinates of the basis element x_i."""
+    return [int(k == i) for k in range(g.dim)]
+
+
+def kernel_dim(g, coords):
+    """dim ker B_phi by the package's skew elimination of B_phi as integer
+    rows; rational coordinates are cleared over their least common
+    denominator first, which keeps the kernel."""
+    ints, _ = clear_denominators(coords)
+    return g.dim - skew_rank_int_rows(g.kirillov_int_rows(ints))
 
 
 def random_form(g, seed, bound=10**6):
@@ -50,20 +53,19 @@ def random_form(g, seed, bound=10**6):
 
 def test_heisenberg_defining_relation():
     h = heisenberg()
-    x, y = h.basis_element(0), h.basis_element(1)
-    assert bracket(x, y) == h.basis_element(2)
+    assert h.ad_columns(unit(h, 0))[1] == [0, 0, 1]  # [x, y] = z
 
 
 def test_bracket_of_element_with_itself_vanishes():
     h = heisenberg()
-    v = elem(h, [2, -3, 5])
-    assert not any(bracket(v, v).coords)
+    v = [2, -3, 5]
+    cols = h.ad_columns(v)
+    assert not any(sum(c * col[r] for c, col in zip(v, cols)) for r in range(h.dim))
 
 
 def test_gl2_elementary_bracket():
     g = gl(2)  # basis order: e11, e12, e21, e22
-    e12, e21 = g.basis_element(1), g.basis_element(2)
-    assert bracket(e12, e21) == elem(g, [1, 0, 0, -1])
+    assert g.ad_columns(unit(g, 1))[2] == [1, 0, 0, -1]  # [e12, e21]
 
 
 def test_ad_columns_are_brackets_with_the_basis():
@@ -74,12 +76,7 @@ def test_ad_columns_are_brackets_with_the_basis():
             x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(h.dim)]
             cols = h.ad_columns(x)
             for j in range(h.dim):
-                assert cols[j] == h.bracket_coords(x, h.basis_element(j).coords)
-
-
-def test_bracket_algebra_mismatch():
-    with pytest.raises(ValueError):
-        bracket(heisenberg().basis_element(0), heisenberg().basis_element(1))
+                assert cols[j] == ref.bracket(h, x, unit(h, j))
 
 
 # -- construction checks ---------------------------------------------------------
@@ -102,7 +99,7 @@ def test_float_scalars_refused():
     with pytest.raises(TypeError, match="inexact"):
         LieAlgebra(3, {(0, 1): {2: 0.1}})
     e12, e23, e13 = _heisenberg_matrices()
-    float_e12 = Matrix(tuple(tuple(float(x) for x in row) for row in e12.rows))
+    float_e12 = tuple(tuple(float(x) for x in row) for row in e12)
     with pytest.raises(TypeError, match="inexact"):
         LieAlgebra(3, {(0, 1): {2: 1}}, realization=(float_e12, e23, e13))
 
@@ -121,9 +118,7 @@ def test_jacobi_enforced():
 
 
 def test_realization_compatibility_enforced():
-    e12 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    e23 = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    e13 = Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    e12, e23, e13 = _heisenberg_matrices()
     with pytest.raises(StructureError):
         LieAlgebra(3, {(0, 1): {2: 2}}, realization=(e12, e23, e13))
     with pytest.raises(StructureError):
@@ -132,18 +127,32 @@ def test_realization_compatibility_enforced():
 
 
 def _heisenberg_matrices(x=1, y=1, z=1):
-    e12 = Matrix.from_rows([[0, x, 0], [0, 0, 0], [0, 0, 0]])
-    e23 = Matrix.from_rows([[0, 0, 0], [0, 0, y], [0, 0, 0]])
-    e13 = Matrix.from_rows([[0, 0, z], [0, 0, 0], [0, 0, 0]])
+    e12 = ((0, x, 0), (0, 0, 0), (0, 0, 0))
+    e23 = ((0, 0, 0), (0, 0, y), (0, 0, 0))
+    e13 = ((0, 0, z), (0, 0, 0), (0, 0, 0))
     return e12, e23, e13
 
 
 def test_rational_structure_constant_realized():
     # [x, y] = z/2 with z = 2 e13: [e12, e23] = e13 = z/2
     h = LieAlgebra(3, {(0, 1): {2: F(1, 2)}}, realization=_heisenberg_matrices(z=2))
-    assert bracket(h.basis_element(0), h.basis_element(1)) == elem(h, [0, 0, F(1, 2)])
+    assert h.ad_columns(unit(h, 0))[1] == [0, 0, F(1, 2)]
     with pytest.raises(StructureError):
         LieAlgebra(3, {(0, 1): {2: F(1, 3)}}, realization=_heisenberg_matrices(z=2))
+
+
+@pytest.mark.parametrize("tamper", ["a long row 1", "a short row 2"])
+@pytest.mark.parametrize("which", [(0, 1, 2), (2,)])
+def test_ragged_realization_refused(tamper, which):
+    # every row of every matrix must have n entries, not only the first row
+    mats = [[list(row) for row in m] for m in _heisenberg_matrices()]
+    for k in which:
+        if tamper == "a long row 1":
+            mats[k][1] += [0, 0]
+        else:
+            mats[k][2].pop()  # a trailing zero
+    with pytest.raises(StructureError, match="^realization matrices must be square of equal size$"):
+        LieAlgebra(3, {(0, 1): {2: 1}}, realization=mats)
 
 
 def test_rational_realization_entries():
@@ -151,6 +160,10 @@ def test_rational_realization_entries():
     mats = _heisenberg_matrices(x=F(1, 2), z=F(1, 2))
     h = LieAlgebra(3, {(0, 1): {2: 1}}, realization=mats)
     assert h.realization == mats
+    # held exactly: ints where integral, Fractions elsewhere
+    assert [type(x) for x in h.realization[0][0]] == [int, F, int]
+    whole = LieAlgebra(3, {(0, 1): {2: 1}}, realization=_heisenberg_matrices(x=F(2, 2)))
+    assert type(whole.realization[0][0][1]) is int
     with pytest.raises(StructureError):
         LieAlgebra(3, {(0, 1): {2: 2}}, realization=mats)
 
@@ -161,7 +174,7 @@ def rescaled(g, scales):
     structure = {}
     for i, j, r, c in g.structure_items():
         structure.setdefault((i, j), {})[r] = F(c * scales[r], scales[i] * scales[j])
-    mats = tuple(m.scale(F(1, s)) for m, s in zip(g.realization, scales))
+    mats = tuple(tuple(tuple(F(x, s) for x in row) for row in m) for m, s in zip(g.realization, scales))
     return LieAlgebra(g.dim, structure, realization=mats, label="rescaled")
 
 
@@ -176,7 +189,7 @@ def test_index_and_kernel_dim_agree_on_rational_algebra():
     for _ in range(5):
         phi = random_form(g, rng.randint(0, 10**6), bound=5)
         # phi'(x_r / s_r) = phi(x_r) / s_r, a form with rational coordinates
-        psi = OneForm(h, tuple(c / s for c, s in zip(phi.coords, scales)))
+        psi = tuple(c / s for c, s in zip(phi, scales))
         assert kernel_dim(h, psi) == kernel_dim(g, phi)
         assert kernel_dim(h, psi) == h.dim - ref.rank(kirillov_matrix(h, psi))
 
@@ -187,17 +200,17 @@ def test_index_and_kernel_dim_agree_on_rational_algebra():
 def test_kirillov_heisenberg():
     h = heisenberg()
     b = kirillov_matrix(h, form(h, [0, 0, 1]))
-    assert b == Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    assert b == ref.Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
 
 def test_kirillov_zero_form():
     g = gl(2)
-    assert kirillov_matrix(g, form(g, [0] * 4)) == Matrix.zeros(4, 4)
+    assert kirillov_matrix(g, form(g, [0] * 4)) == ref.Matrix.zeros(4, 4)
 
 
 def test_kirillov_abelian():
     a = abelian(3)
-    assert kirillov_matrix(a, form(a, [5, -1, 2])) == Matrix.zeros(3, 3)
+    assert kirillov_matrix(a, form(a, [5, -1, 2])) == ref.Matrix.zeros(3, 3)
 
 
 def test_kirillov_skew_and_linear():
@@ -208,7 +221,7 @@ def test_kirillov_skew_and_linear():
         psi = random_form(g, rng.randint(0, 10**6), bound=50)
         bphi, bpsi = kirillov_matrix(g, phi), kirillov_matrix(g, psi)
         assert ref.transpose(bphi) == bphi.scale(-1)
-        combo = OneForm(g, tuple(3 * a - 2 * b for a, b in zip(phi.coords, psi.coords)))
+        combo = tuple(3 * a - 2 * b for a, b in zip(phi, psi))
         assert kirillov_matrix(g, combo) == bphi.scale(3) + bpsi.scale(-2)
 
 

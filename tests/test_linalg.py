@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seaweeds.linalg import (
-    Matrix,
-    Subspace,
     echelon_int_rows,
     kernel_int_rows,
     meets_trivially_int_rows,
@@ -19,10 +17,7 @@ from seaweeds.linalg import (
 )
 
 F = Fraction
-
-
-def M(rows):
-    return Matrix.from_rows(rows)
+Matrix, Subspace = ref.Matrix, ref.Subspace
 
 
 def cleared(rows):

@@ -9,7 +9,6 @@ from stock_algebras import abelian, heisenberg
 
 from seaweeds import (
     Composition,
-    OneForm,
     algebra_from_json,
     algebra_to_json,
     certificate_to_json,
@@ -81,7 +80,7 @@ def test_tampered_structure_constant_fails_construction():
 
 def test_contact_certificate_roundtrip():
     h = heisenberg()
-    cert = is_contact_form(h, OneForm(h, (F(0), F(0), F(1))))
+    cert = is_contact_form(h, [0, 0, 1])
     doc = certificate_to_json(cert)
     assert doc["kind"] == "contact"
     assert doc["pairing"] == "1/1"
@@ -90,7 +89,7 @@ def test_contact_certificate_roundtrip():
 
 def test_contact_certificate_scaled_reeb_fails():
     h = heisenberg()
-    cert = is_contact_form(h, OneForm(h, (F(0), F(0), F(1))))
+    cert = is_contact_form(h, [0, 0, 1])
     doc = certificate_to_json(cert)
     doc["reeb"] = ["0/1", "0/1", "2/1"]
     assert not verify_certificate(h, doc)
@@ -143,7 +142,7 @@ def test_verify_document_fixture():
     # [ker, g]; the search now writes the short one, and both verify
     h = heisenberg()
     full = doc["certificates"][1]
-    short = certificate_to_json(is_stable_form(h, OneForm(h, (F(0), F(0), F(1)))))
+    short = certificate_to_json(is_stable_form(h, [0, 0, 1]))
     assert "bracket_span" not in short and short == {k: v for k, v in full.items() if k != "bracket_span"}
     assert verify_certificate(h, full) and verify_certificate(h, short)
 

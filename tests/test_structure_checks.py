@@ -7,7 +7,7 @@ import dense_checks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaweeds import Matrix, seaweed
+from seaweeds import seaweed
 from seaweeds.classify import composition_pairs
 from seaweeds.lie import LieAlgebra, StructureError
 
@@ -37,9 +37,9 @@ def sparse_verdict(dim, structure, realization=None):
 
 
 def with_entry(m, u, v, x):
-    rows = [list(row) for row in m.rows]
+    rows = [list(row) for row in m]
     rows[u][v] = x
-    return Matrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 @st.composite
@@ -55,7 +55,7 @@ def random_algebras(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
         matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-        realization = tuple(Matrix.from_rows(draw(matrix)) for _ in range(dim))
+        realization = tuple(draw(matrix) for _ in range(dim))
     return dim, structure, realization
 
 
@@ -74,9 +74,9 @@ def tampered_seaweeds(draw):
             structure.setdefault((i, j), {})[r] = draw(st.sampled_from([0, 1, -1, 2]))
         else:
             k = draw(st.integers(0, g.dim - 1))
-            size = mats[k].nrows
+            size = len(mats[k])
             u, v = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
-            mats[k] = with_entry(mats[k], u, v, mats[k].rows[u][v] + draw(coefficients))
+            mats[k] = with_entry(mats[k], u, v, mats[k][u][v] + draw(coefficients))
     return g.dim, structure, tuple(mats)
 
 
@@ -131,14 +131,14 @@ def _still_realizes(g, structure, k, u, v):
             own = structure.get((k, j), {}).get(k, 0)
         else:
             own = -structure.get((j, k), {}).get(k, 0)
-        size = m.nrows
+        size = len(m)
         # [E_uv, X] = E_uv X - X E_uv: row v of X moved to row u, minus
         # column u of X moved to column v
         comm = {}
         for b in range(size):
-            comm[(u, b)] = comm.get((u, b), 0) + m.rows[v][b]
+            comm[(u, b)] = comm.get((u, b), 0) + m[v][b]
         for a in range(size):
-            comm[(a, v)] = comm.get((a, v), 0) - m.rows[a][u]
+            comm[(a, v)] = comm.get((a, v), 0) - m[a][u]
         comm[(u, v)] -= own
         if any(comm.values()):
             return False
@@ -150,10 +150,10 @@ def test_a_changed_realization_entry_is_refused_unless_it_still_realizes_the_tab
     for g in SEAWEEDS:
         structure = structure_of(g)
         for k, m in enumerate(g.realization):
-            for u in range(m.nrows):
-                for v in range(m.ncols):
+            for u in range(len(m)):
+                for v in range(len(m[u])):
                     mats = list(g.realization)
-                    mats[k] = with_entry(m, u, v, m.rows[u][v] + 1)
+                    mats[k] = with_entry(m, u, v, m[u][v] + 1)
                     verdict = sparse_verdict(g.dim, structure, mats)
                     if _still_realizes(g, structure, k, u, v):
                         assert verdict is None, (g, k, u, v)
