@@ -158,21 +158,14 @@ def algebra_to_json(g: LieAlgebra) -> dict:
     return doc
 
 
-def _scalar(s):
-    """A JSON rational as an exact scalar: an int when it is integral,
-    else a Fraction."""
-    num, den = _ratio(s)
-    return num if den == 1 else Fraction(num, den)
-
-
 def algebra_from_json(doc: dict) -> LieAlgebra:
     structure = {}
     for i, j, r, c in doc["structure"]:
         i, j, r = (_int(x, "structure") for x in (i, j, r))
-        structure.setdefault((i, j), {})[r] = _scalar(c)
+        structure.setdefault((i, j), {})[r] = Fraction(*_ratio(c))
     realization = None
     if doc.get("realization") is not None:
-        realization = [[[_scalar(x) for x in row] for row in m] for m in doc["realization"]]
+        realization = [[[Fraction(*_ratio(x)) for x in row] for row in m] for m in doc["realization"]]
     return LieAlgebra(_int(doc["dim"], "dim"), structure, realization=realization, label=doc.get("label", ""))
 
 

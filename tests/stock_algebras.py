@@ -1,5 +1,6 @@
 """Small stock algebras the tests build: the Heisenberg algebra and the
-abelian algebras, each with a matrix realization of integer rows."""
+abelian algebras, each with a matrix realization of integer rows; and
+``unit``, the coordinates of a basis element."""
 
 from seaweeds import LieAlgebra
 
@@ -16,3 +17,8 @@ def abelian(n: int, label: str = "") -> LieAlgebra:
     """Abelian algebra of dimension n, realized as diagonal matrices."""
     mats = [[[int(u == v == i) for v in range(n)] for u in range(n)] for i in range(n)]
     return LieAlgebra(n, {}, realization=mats, label=label or f"abelian({n})")
+
+
+def unit(g: LieAlgebra, i: int) -> list:
+    """The coordinates of the basis element x_i."""
+    return [int(k == i) for k in range(g.dim)]

@@ -15,7 +15,7 @@ from seaweeds import (
 import fraction_reference as ref
 from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
-from stock_algebras import heisenberg
+from stock_algebras import heisenberg, unit
 
 from seaweeds.classify import LIMITS, classify, composition_pairs, report
 from seaweeds.lie import LieAlgebra, StructureError, index
@@ -30,11 +30,6 @@ def C(*parts):
 
 
 SMALL = [("GL", 1), ("GL", 3), ("SL", 2), ("SL", 4), ("SP", 1), ("SP", 2), ("SO", 3), ("SO", 5)]
-
-
-def unit(g, i):
-    """The coordinates of the basis element x_i."""
-    return [int(k == i) for k in range(g.dim)]
 
 
 # -- compositions ----------------------------------------------------------------

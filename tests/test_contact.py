@@ -30,12 +30,6 @@ def C(*parts):
     return Composition(tuple(parts))
 
 
-def form(g, coords):
-    """A form's integer coordinates, as the package takes them."""
-    assert len(coords) == g.dim
-    return list(coords)
-
-
 def aff1():
     """2-dimensional nonabelian algebra [x, y] = y."""
     x = ((1, 0), (0, 0))
@@ -65,7 +59,7 @@ def leibniz_det(m):
 
 def test_contact_heisenberg():
     h = heisenberg()
-    cert = is_contact_form(h, form(h, [0, 0, 1]))
+    cert = is_contact_form(h, [0, 0, 1])
     assert cert is not None
     assert certificate_to_json(cert) == {
         "kind": "contact",
@@ -78,19 +72,19 @@ def test_contact_heisenberg():
 
 def test_contact_heisenberg_irregular_form():
     h = heisenberg()
-    assert is_contact_form(h, form(h, [1, 0, 0])) is None
+    assert is_contact_form(h, [1, 0, 0]) is None
 
 
 def test_contact_dimension_one():
     g = gln_seaweed(C(1), C(1))
-    cert = is_contact_form(g, form(g, [1]))
+    cert = is_contact_form(g, [1])
     assert cert is not None and certificate_to_json(cert)["reeb"] == ["1/1"]
 
 
 def test_contact_rejects_even_dimension():
     g = gln_seaweed(C(2), C(2))
     with pytest.raises(PreconditionError):
-        is_contact_form(g, form(g, [0, 1, 0, 0]))
+        is_contact_form(g, [0, 1, 0, 0])
 
 
 # -- contact_volume_nonzero ---------------------------------------------------------
@@ -98,7 +92,7 @@ def test_contact_rejects_even_dimension():
 
 def test_volume_heisenberg_bordered_determinant():
     h = heisenberg()
-    phi = form(h, [0, 0, 1])
+    phi = [0, 0, 1]
     b = kirillov_matrix(h, phi)
     bordered = ref.Matrix.from_rows(
         [[0] + phi]
@@ -110,13 +104,13 @@ def test_volume_heisenberg_bordered_determinant():
 
 def test_volume_zero_form():
     for g in (heisenberg(), abelian(5)):
-        assert not contact_volume_nonzero(g, form(g, [0] * g.dim))
+        assert not contact_volume_nonzero(g, [0] * g.dim)
 
 
 def test_volume_even_dimension_rejected():
     g = gln_seaweed(C(2), C(2))
     with pytest.raises(PreconditionError):
-        contact_volume_nonzero(g, form(g, [0, 1, 0, 0]))
+        contact_volume_nonzero(g, [0, 1, 0, 0])
 
 
 def test_volume_agrees_with_kernel_characterization():
@@ -136,8 +130,7 @@ def test_volume_agrees_with_kernel_characterization():
         coords_sets = [[0] * g.dim]
         for _ in range(25):
             coords_sets.append([rng.randint(-4, 4) for _ in range(g.dim)])
-        for coords in coords_sets:
-            phi = form(g, coords)
+        for phi in coords_sets:
             assert contact_volume_nonzero(g, phi) == (is_contact_form(g, phi) is not None)
             checked += 1
     assert checked >= 100
@@ -148,7 +141,7 @@ def test_volume_agrees_with_kernel_characterization():
 
 def test_stable_gl2_semisimple_pairing():
     g = gln_seaweed(C(2), C(2))  # basis e11, e12, e21, e22
-    phi = form(g, [1, 0, 0, 2])  # phi(X) = tr(diag(1,2) X)
+    phi = [1, 0, 0, 2]  # phi(X) = tr(diag(1,2) X)
     cert = is_stable_form(g, phi)
     assert cert is not None
     assert cert.kernel_rows == ((1, 0, 0, 0), (0, 0, 0, 1))
@@ -158,15 +151,15 @@ def test_stable_gl2_semisimple_pairing():
 
 def test_stable_zero_form_iff_abelian():
     a = abelian(4)
-    cert = is_stable_form(a, form(a, [0] * 4))
+    cert = is_stable_form(a, [0] * 4)
     assert cert is not None and len(cert.kernel_rows) == 4 and not cert.bracket_span_rows
     h = heisenberg()
-    assert is_stable_form(h, form(h, [0, 0, 0])) is None
+    assert is_stable_form(h, [0, 0, 0]) is None
 
 
 def test_stable_heisenberg_zstar():
     h = heisenberg()
-    cert = is_stable_form(h, form(h, [0, 0, 1]))
+    cert = is_stable_form(h, [0, 0, 1])
     assert cert is not None
     assert cert.kernel_rows == ((0, 0, 1),)
 
@@ -178,7 +171,7 @@ def test_aff1_stability_exhaustion():
     g = aff1()
     for a in range(-3, 4):
         for b in range(-3, 4):
-            cert = is_stable_form(g, form(g, [a, b]))
+            cert = is_stable_form(g, [a, b])
             assert (cert is not None) == (b != 0)
     found = find_stable_form(g, seed=5, attempts=16)
     assert found is not None and found.kernel_rows == ()
@@ -186,7 +179,7 @@ def test_aff1_stability_exhaustion():
 
 def test_stability_scaling_invariance():
     g = gln_seaweed(C(2, 1), C(3))
-    phi = form(g, find_contact_form(g, seed=2).form_row)
+    phi = find_contact_form(g, seed=2).form_row
     for c in (2, -3, 5):
         scaled = [c * x for x in phi]
         assert (is_stable_form(g, scaled) is not None) == (is_stable_form(g, phi) is not None)

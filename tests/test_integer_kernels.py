@@ -77,6 +77,16 @@ def bumped(data, pos):
     return out
 
 
+def over(doc, den):
+    """The JSON of a certificate of the integer form row, rewritten for the
+    form row / den: the form divided by den and a Reeb vector multiplied by
+    it; the kernel and [ker, g] do not move."""
+    out = {**doc, "form": [frac_to_str(frac_from_str(x) / den) for x in doc["form"]]}
+    if "reeb" in doc:
+        out["reeb"] = [frac_to_str(frac_from_str(x) * den) for x in doc["reeb"]]
+    return out
+
+
 def test_rescaled_algebras_are_non_integral():
     assert len(RESCALED) >= 15
 
@@ -98,16 +108,17 @@ def test_integer_route_issues_the_rational_certificates(case):
 @settings(max_examples=300, deadline=None)
 @given(algebras_with_forms(), st.data())
 def test_verify_accepts_certificates_and_refuses_changed_ones(case, data):
-    g, form = case
-    form = clear_denominators(form)[0]
+    g, form = case  # rational coordinates, so the JSON forms have denominators
+    ints, den = clear_denominators(form)
+    tests = [(is_contact_form, ref.is_contact_form)] if g.dim % 2 else []
     docs = []
-    if g.dim % 2:
-        cert = is_contact_form(g, form)
+    for issue, reference in tests + [(is_stable_form, ref.is_stable_form)]:
+        cert, expected = issue(g, ints), reference(g, form)
+        assert (cert is None) == (expected is None)
         if cert is not None:
-            docs.append(certificate_to_json(cert))
-    cert = is_stable_form(g, form)
-    if cert is not None:
-        docs.append(certificate_to_json(cert))
+            doc = ref.certificate_json(expected)
+            assert over(certificate_to_json(cert), den) == doc
+            docs.append(doc)
     if g.dim % 2:
         # a normalized kernel vector of a form whose kernel is not a line
         kernel = ref.kirillov_kernel(g, form)

@@ -5,7 +5,7 @@ import pytest
 import fraction_reference as ref
 from block_reference import gln_seaweed
 from fraction_reference import kirillov_matrix
-from stock_algebras import abelian, heisenberg
+from stock_algebras import abelian, heisenberg, unit
 
 from seaweeds import Composition, LieAlgebra, index
 from seaweeds.lie import StructureError
@@ -26,11 +26,6 @@ def torus(n):
 def form(g, coords):
     """A form's coordinates as Fractions, for the rational reference."""
     return tuple(F(c) for c in coords)
-
-
-def unit(g, i):
-    """The coordinates of the basis element x_i."""
-    return [int(k == i) for k in range(g.dim)]
 
 
 def kernel_dim(g, coords):
