@@ -1,7 +1,8 @@
 """Seaweed Lie algebras over exact rational arithmetic.
 
 Construction of seaweed (biparabolic) subalgebras of gl(n), sl(n), sp(2n),
-and so(n); their index, by formula (``meander``), with randomized
+and so(n), each named by its family, rank and composition pair and built
+by one entry point, ``seaweed(family, n, a, b)``; their index, by formula (``meander``), with randomized
 Kirillov-form witnesses; contact and stability analysis
 with machine-checkable certificates; and an exhaustive small-rank classifier
 testing the equivalence "index-one seaweed is contact iff it admits a stable
@@ -19,14 +20,7 @@ whose shape and checks ``serialize`` states.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report
-from .construct import (
-    AmbientAlgebra,
-    Composition,
-    enumerate_compositions,
-    flag_seaweed,
-    parse_pair,
-    seaweed,
-)
+from .construct import Composition, enumerate_compositions, parse_pair, seaweed
 from .contact import (
     ContactCertificate,
     StabilityCertificate,
@@ -47,7 +41,6 @@ __version__ = "0.1.0"
 BACKEND_NAME = "python"
 
 __all__ = [
-    "AmbientAlgebra",
     "BACKEND_NAME",
     "ClassificationRecord",
     "Composition",
@@ -66,7 +59,6 @@ __all__ = [
     "exit_status",
     "find_contact_form",
     "find_stable_form",
-    "flag_seaweed",
     "index",
     "index_formula",
     "is_contact_form",

@@ -1,33 +1,32 @@
 """Command-line interface.
 
-Subcommands: index, contact, stable, classify, verify, meander.
-Environment variables (SEAWEEDS_FAMILY, SEAWEEDS_SEED, SEAWEEDS_ATTEMPTS,
-SEAWEEDS_BOUND, SEAWEEDS_TRIALS, SEAWEEDS_FORMAT) supply defaults; explicit
-flags always win.  Exit codes: classify returns 0 on success, 4 when any
-COUNTEREXAMPLE record exists, 3 under --strict when only UNRESOLVED records
-spoil the run (5 is reserved); contact/stable return 1 when the search
-comes up empty; verify returns 0 for valid, 1 for invalid, 2 for
-unreadable input.  index prints the index by formula (``meander`` states
-the index rule) next to a randomized witness form.  A report holding a
-FOUND record verifies only when it was written with --embed: verify
-re-checks the certificate behind every FOUND, and a report without them
-reads INVALID, with one stderr line naming its first FOUND record and
---embed.  Bad input (an unknown subcommand or flag, a
-value outside an option's choices, a malformed pair, a missing --n, a rank
-over the sweep limits, a negative --attempts, a --bound or --trials below
-1, a non-integer environment default, an environment default outside the
-subcommand's choices, an --out or --svg path that cannot be opened for
-writing) exits 2 with a one-line error on stderr before any sweep or search
-runs.  An environment default is checked only when the chosen subcommand
-takes that option and the command line leaves it out.  The --out and --svg
-files are opened, as a shell redirection opens them, before the work
-starts.  An output that cannot be written, flushed or closed (an --out or
---svg file, or the standard output, on a full disk for example) exits 2 as
-well, after the work, with the one line ``error: cannot write PATH:
-REASON`` (PATH is ``<stdout>`` for the standard output) and nothing more on
-stderr at shutdown; exit 1 stays verify's INVALID and contact/stable's
-empty search.  A stderr that cannot be written changes no exit code: its
-error line is lost and every code above holds.
+Subcommands: index, contact, stable, classify, verify, meander.  Each
+input has one name: index, contact, stable and meander take the seaweed
+as one "TOP|BOTTOM" argument, every other input is a flag with one fixed
+default, and the environment sets none of them.  Exit codes: classify
+returns 0 on success, 4 when any COUNTEREXAMPLE record exists, 3 under
+--strict when only UNRESOLVED records spoil the run (5 is reserved);
+contact/stable return 1 when the search comes up empty; verify returns 0
+for valid, 1 for invalid, 2 for unreadable input.  index prints the index
+by formula (``meander`` states the index rule) next to a randomized
+witness form.  A report holding a FOUND record verifies only when it was
+written with --embed: verify re-checks the certificate behind every
+FOUND, and a report without them reads INVALID, with one stderr line
+naming its first FOUND record and --embed.  Bad input (an unknown
+subcommand or flag, a value outside an option's choices, a malformed or
+missing pair, a missing --n, a rank over the sweep limits, a negative
+--attempts, a --bound or --trials below 1, classify --embed with a
+--format other than json, which holds no certificates, an --out or --svg
+path that cannot be opened for writing) exits 2 with a one-line error on
+stderr before any sweep or search runs.  The --out and --svg files are
+opened, as a shell redirection opens them, before the work starts.  An
+output that cannot be written, flushed or closed (an --out or --svg file,
+or the standard output, on a full disk for example) exits 2 as well, after
+the work, with the one line ``error: cannot write PATH: REASON`` (PATH is
+``<stdout>`` for the standard output) and nothing more on stderr at
+shutdown; exit 1 stays verify's INVALID and contact/stable's empty search.
+A stderr that cannot be written changes no exit code: its error line is
+lost and every code above holds.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import sys
 from contextlib import ExitStack
 
 from .classify import LIMITS, classify, exit_status, report
-from .construct import Composition, parse_pair, seaweed
+from .construct import parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, index_formula, meander, meander_index, meander_svg
@@ -54,36 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
-
-
-def _env_option(parser, flag, env, fallback, choices=None, help=None):
-    """Add an option whose default comes from the environment.
-
-    An integer option when ``choices`` is None, else a choice option.  The
-    default is left unset here and filled in by ``_apply_env_defaults``, so
-    a variable is read and checked only when the chosen subcommand takes
-    the option and the command line does not give it.
-    """
-    parser.add_argument(flag, type=None if choices else int, choices=choices, help=help)
-    defaults = parser.get_default("env_defaults") or ()
-    parser.set_defaults(env_defaults=defaults + ((flag[2:], env, fallback, choices),))
-
-
-def _apply_env_defaults(args):
-    for dest, env, fallback, choices in getattr(args, "env_defaults", ()):
-        if getattr(args, dest) is not None:
-            continue
-        value = os.environ.get(env)
-        if not value:
-            value = fallback
-        elif choices is None:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(f"{env} must be an integer, got {value!r}") from None
-        elif value not in choices:
-            raise ValueError(f"{env}={value!r} is not one of {', '.join(choices)}")
-        setattr(args, dest, value)
 
 
 def _discard(stream):
@@ -150,38 +119,26 @@ def _emit(text: str, out=None):
 
 
 def _add_common(parser, *, formats=("text", "json"), with_search=False):
-    _env_option(parser, "--seed", "SEAWEEDS_SEED", 0)
-    _env_option(parser, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     if with_search:
-        _env_option(parser, "--attempts", "SEAWEEDS_ATTEMPTS", DEFAULT_ATTEMPTS)
-    _env_option(parser, "--format", "SEAWEEDS_FORMAT", formats[0], formats)
+        parser.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
+    parser.add_argument("--format", default=formats[0], choices=formats)
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _add_algebra_args(parser):
-    parser.add_argument(
-        "pair", nargs="?", help='composition pair "TOP|BOTTOM", e.g. "2,1|3"'
-    )
-    _env_option(parser, "--family", "SEAWEEDS_FAMILY", "GL", sorted(LIMITS))
-    parser.add_argument("--top", help='top composition, e.g. "2,1"')
-    parser.add_argument("--bot", help='bottom composition, e.g. "3"')
+    parser.add_argument("pair", help='composition pair "TOP|BOTTOM", e.g. "2,1|3"')
+    parser.add_argument("--family", default="GL", choices=sorted(LIMITS))
     parser.add_argument(
         "--n", type=int, help="rank parameter (required for SP/SO, optional check otherwise)"
     )
 
 
-def _compositions(args):
-    if args.pair:
-        return parse_pair(args.pair)
-    if args.top is None or args.bot is None:
-        raise ValueError("give a TOP|BOTTOM pair or both --top and --bot")
-    return Composition.parse(args.top), Composition.parse(args.bot)
-
-
 def _seaweed_args(args):
     """The ``seaweed`` arguments the command line names: family, n and the
     two compositions."""
-    top, bottom = _compositions(args)
+    top, bottom = parse_pair(args.pair)
     n = args.n
     if n is None:
         if args.family in ("SP", "SO"):
@@ -241,7 +198,7 @@ def _cmd_search(args):
 
 
 def _cmd_meander(args):
-    top, bottom = _compositions(args)
+    top, bottom = parse_pair(args.pair)
     graph = meander(top, bottom)
     if args.svg:
         _emit(meander_svg(graph), args.svg)
@@ -268,6 +225,8 @@ def _cmd_meander(args):
 
 
 def _cmd_classify(args):
+    if args.embed and args.format != "json":
+        raise ValueError(f"--embed needs --format json: a {args.format} report holds no certificates")
     records = classify(
         args.family,
         args.n,
@@ -279,7 +238,7 @@ def _cmd_classify(args):
         embed_certificates=args.embed,
     )
     meta = {
-        "family": args.family.upper(),
+        "family": args.family,
         "n": args.n,
         "seed": args.seed,
         "budgets": {"attempts": args.attempts, "bound": args.bound, "trials": args.trials},
@@ -318,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="index of one seaweed, with a randomized witness form")
     _add_algebra_args(p)
     _add_common(p)
-    _env_option(
-        p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS,
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_TRIALS,
         help="most random forms to draw; the draws stop at the first that reaches the index",
     )
     p.set_defaults(func=_cmd_index)
@@ -335,28 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("meander", help="meander graph, census, and index")
-    p.add_argument("pair", nargs="?", help='composition pair "TOP|BOTTOM"')
-    p.add_argument("--top")
-    p.add_argument("--bot")
+    p.add_argument("pair", help='composition pair "TOP|BOTTOM"')
     p.add_argument("--svg", help="write an SVG drawing to this path")
-    _env_option(p, "--format", "SEAWEEDS_FORMAT", "text", ("text", "json"))
+    p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_meander)
 
     p = sub.add_parser("classify", help="sweep all composition pairs of a family")
-    _env_option(p, "--family", "SEAWEEDS_FAMILY", "GL", sorted(LIMITS))
+    p.add_argument("--family", default="GL", choices=sorted(LIMITS))
     p.add_argument("--n", type=int, required=True)
-    _env_option(p, "--seed", "SEAWEEDS_SEED", 0)
-    _env_option(p, "--attempts", "SEAWEEDS_ATTEMPTS", DEFAULT_ATTEMPTS)
-    _env_option(p, "--bound", "SEAWEEDS_BOUND", DEFAULT_BOUND)
-    _env_option(
-        p, "--trials", "SEAWEEDS_TRIALS", DEFAULT_TRIALS,
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_TRIALS,
         help="written into each record; the index is a formula, so no index trial is drawn",
     )
-    _env_option(p, "--format", "SEAWEEDS_FORMAT", "json", ("json", "csv", "text"))
+    p.add_argument("--format", default="json", choices=("json", "csv", "text"))
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")
-    p.add_argument("--embed", action="store_true", help="embed certificates in records")
+    p.add_argument(
+        "--embed", action="store_true",
+        help="embed certificates in records (json only), so verify can re-check each FOUND",
+    )
     p.add_argument("--force", action="store_true", help="override the rank limits")
     p.set_defaults(func=_cmd_classify)
 
@@ -374,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _apply_env_defaults(args)
         with ExitStack() as outputs:
             _open_outputs(args, outputs)
             code = args.func(args)

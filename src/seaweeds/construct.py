@@ -1,11 +1,13 @@
 """Seaweed subalgebras of gl(n), sl(n), sp(2n), so(n) from composition pairs.
 
-Every seaweed is built by ``flag_seaweed``: it is the stabilizer, inside one
-of the four ambient families, of two coordinate flags (Dergachev-Kirillov
-2000), the forward flag with subspace sizes the prefix sums of a and the
-reversed flag with sizes the prefix sums of reversed(b) (equivalently, the
-spans of the last n - q coordinates for prefix sums q of b).  Stabilizing
-them kills a set of off-diagonal matrix entries.
+Every seaweed is built by ``seaweed(family, n, a, b)``, the one entry
+point (``seaweed_dim`` counts its dimension without building it): it is
+the stabilizer, inside one of the four ambient families, of two
+coordinate flags (Dergachev-Kirillov 2000), the forward flag with
+subspace sizes the prefix sums of a and the reversed flag with sizes the
+prefix sums of reversed(b) (equivalently, the spans of the last n - q
+coordinates for prefix sums q of b).  Stabilizing them kills a set of
+off-diagonal matrix entries.
 
 Each family and rank is built once, by ``_ambient``: its basis is the
 integer kernel of the family's condition rows, its table is read off the
@@ -145,7 +147,7 @@ def composition_pairs(family: str, n: int) -> list[tuple[Composition, Compositio
     if family in ("GL", "SL"):
         comps = enumerate_compositions(n)
     else:
-        size = 2 * n if family == "SP" else n
+        size = matrix_size(family, n)
         comps = [Composition(())]
         for t in range(1, size // 2 + 1):
             comps.extend(enumerate_compositions(t))
@@ -157,45 +159,20 @@ def _form_signs(family: str, size: int) -> list[int]:
     return [-1 if family == "SP" and i >= size // 2 else 1 for i in range(size)]
 
 
-class AmbientAlgebra:
-    """One of the four reductive matrix families, by name and rank.
-
-    For SP the defining form S is antidiagonal with +1 in the top half and
-    -1 in the bottom half (``_form_signs``); for SO it is antidiagonal with
-    all +1.  Membership in both cases is X^T S + S X = 0.
-    """
-
-    __slots__ = ("family", "n", "matrix_size")
-
-    def __init__(self, family: str, n: int):
-        family = family.upper()
-        if family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
-        if family == "SP":
-            if n < 1:
-                raise ValueError("sp rank must be at least 1")
-            size = 2 * n
-        elif family == "SO":
-            if n < 2:
-                raise ValueError("so matrix size must be at least 2")
-            size = n
-        elif family == "SL":
-            if n < 2:
-                raise ValueError("sl(n) needs n >= 2")
-            size = n
-        else:
-            if n < 1:
-                raise ValueError("rank must be at least 1")
-            size = n
-        self.family = family
-        self.n = n
-        self.matrix_size = size
-
-    @property
-    def max_flag(self) -> int:
-        """Largest admissible flag-subspace dimension."""
-        size = self.matrix_size
-        return size if self.family in ("GL", "SL") else size // 2
+def matrix_size(family: str, n: int) -> int:
+    """The size N of the matrices of ``family`` at rank n: 2n for SP, n
+    otherwise.  ``family`` is a name in FAMILIES, in upper case.  For SP the
+    defining form S is antidiagonal with +1 in the top half and -1 in the
+    bottom half (``_form_signs``); for SO it is antidiagonal with all +1;
+    membership in both is X^T S + S X = 0.  An unknown family or a rank
+    below the family's least raises ValueError."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}")
+    if family in ("SL", "SO") and n < 2:
+        raise ValueError(f"{family} rank must be at least 2")
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    return 2 * n if family == "SP" else n
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +193,7 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
     that the basis matrices, each kernel row cut into N integer rows,
     realize the table, which is the one check of each commutator.
     """
-    size = AmbientAlgebra(family, n).matrix_size
+    size = matrix_size(family, n)
     rows = []
     if family == "SL":
         rows = [[int(i % (size + 1) == 0) for i in range(size * size)]]
@@ -261,33 +238,34 @@ def _killed_block(size: int, p: int, forward: bool) -> int:
     return sum(((1 << p) - 1) << (r * size + size - p) for r in range(size - p))
 
 
-def _kept_elements(amb: AmbientAlgebra, a: Composition, b: Composition) -> list[int]:
+def _kept_elements(family: str, n: int, a: Composition, b: Composition) -> list[int]:
     """The ambient basis matrices whose support avoids every entry the two
-    flags kill, as indices in ambient order (see ``flag_seaweed``).  The
-    killed entries are one bit mask, the union of one cached block per
-    prefix sum, and each support is tested against it with one AND."""
-    size = amb.matrix_size
-    if amb.family in ("GL", "SL"):
+    flags kill, as indices in ambient order (see ``seaweed``).  The killed
+    entries are one bit mask, the union of one cached block per prefix sum,
+    and each support is tested against it with one AND.  Raises ValueError
+    on an unknown family or rank, or on composition totals the family does
+    not admit: N for GL/SL, at most floor(N/2), the isotropic bound, for
+    SP/SO."""
+    size = matrix_size(family, n)
+    if family in ("GL", "SL"):
         if a.total != size or b.total != size:
-            raise ValueError(f"composition totals must equal {size} for {amb.family}")
-    else:
-        if a.total > amb.max_flag or b.total > amb.max_flag:
-            raise ValueError(
-                f"composition totals must be at most {amb.max_flag} for isotropic flags"
-            )
+            raise ValueError(f"composition totals must equal {size} for {family}")
+    elif a.total > size // 2 or b.total > size // 2:
+        raise ValueError(f"composition totals must be at most {size // 2} for isotropic flags")
     killed = 0
     for p in a.prefix_sums():
         killed |= _killed_block(size, p, True)
     for q in b.reversed().prefix_sums():
         killed |= _killed_block(size, q, False)
-    _, supports, shared = _ambient(amb.family, amb.n)
+    _, supports, shared = _ambient(family, n)
     if shared & killed:
         raise StructureError("a killed entry is shared by two ambient basis matrices")
     return [k for k, support in enumerate(supports) if not support & killed]
 
 
-def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlgebra:
-    """Double-flag stabilizer seaweed inside the ambient algebra.
+def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
+    """The seaweed of ``family`` (a name in FAMILIES) at rank n named by the
+    composition pair (a, b): its double-flag stabilizer.
 
     Members preserve V_p = span(e_0..e_{p-1}) for every prefix sum p of a and
     W_q = span(e_{N-q}..e_{N-1}) for every prefix sum q of reversed(b), that
@@ -296,22 +274,17 @@ def flag_seaweed(amb: AmbientAlgebra, a: Composition, b: Composition) -> LieAlge
     ambient order; the structure constants are the ambient table restricted
     to them, and the realization reuses the ambient matrices: the seaweed is
     the restriction of the checked ambient algebra to the kept elements.
-    Raises StructureError if a killed entry is shared by two ambient basis
-    matrices (the kept matrices would then not span the stabilizer) or a
-    bracket of kept matrices leaves them.
+    Raises ValueError as ``_kept_elements`` does, and StructureError if a
+    killed entry is shared by two ambient basis matrices (the kept matrices
+    would then not span the stabilizer) or a bracket of kept matrices leaves
+    them.
     """
-    label = f"{amb.family}{amb.matrix_size}[{a}|{b}]"
-    return _ambient(amb.family, amb.n)[0].restrict(_kept_elements(amb, a, b), label)
-
-
-def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
-    """Uniform entry point used by the classifier and the CLI."""
-    return flag_seaweed(AmbientAlgebra(family, n), a, b)
+    kept = _kept_elements(family, n, a, b)
+    return _ambient(family, n)[0].restrict(kept, f"{family}{matrix_size(family, n)}[{a}|{b}]")
 
 
 def seaweed_dim(family: str, n: int, a: Composition, b: Composition) -> int:
     """``seaweed(family, n, a, b).dim``, counted from the ambient support
     masks (``_kept_elements``) without building or restricting an
     algebra."""
-    return len(_kept_elements(AmbientAlgebra(family, n), a, b))
-
+    return len(_kept_elements(family, n, a, b))

@@ -2,8 +2,8 @@
 
 All rationals are "num/den" strings in lowest terms with positive
 denominator, in algebras and certificates alike: ``_ratio_str`` writes
-them and ``_ratio`` reads them (and "num" or an int); basis indices are
-0-based.  Document shapes:
+them and ``_ratio`` reads them (and "num" or an int), both reduced by
+``_lowest``; basis indices are 0-based.  Document shapes:
 
 LieAlgebra::
 
@@ -77,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .construct import AmbientAlgebra, composition_pairs, seaweed, seaweed_dim
+from .construct import composition_pairs, matrix_size, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
     FOUND,
@@ -98,13 +98,19 @@ REPORT_SCHEMA = 4
 CERTIFICATE_SCHEMA = 2
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """num / den as a JSON rational: lowest terms, the sign on the
-    numerator, as a Fraction prints it, but without building one."""
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with the sign on the numerator, as
+    Fraction reduces it but without building one; den is not 0."""
     if den != 1:
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // g, den // g
-    return f"{num}/{den}"
+    return num, den
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den as a JSON rational, in ``_lowest`` terms, as a Fraction
+    prints it."""
+    return "%d/%d" % _lowest(num, den)
 
 
 def ratios_to_json(row, den: int = 1) -> list:
@@ -116,8 +122,7 @@ def ratios_to_json(row, den: int = 1) -> list:
 
 def _ratio(s) -> tuple[int, int]:
     """A JSON rational ("num/den", "num" or an int) as (numerator,
-    denominator) in lowest terms, sign on the numerator, as Fraction
-    reduces it but without building one.  A bool or a float is refused
+    denominator) in ``_lowest`` terms.  A bool or a float is refused
     (TypeError)."""
     if type(s) is not str:
         if type(s) is not int:
@@ -129,10 +134,7 @@ def _ratio(s) -> tuple[int, int]:
     num, den = int(num), int(den)
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    if den != 1:
-        g = gcd(num, den) if den > 0 else -gcd(num, den)
-        num, den = num // g, den // g
-    return num, den
+    return _lowest(num, den)
 
 
 def _int(value, field: str) -> int:
@@ -357,9 +359,10 @@ def _sweep_holds(doc: dict) -> list | None:
     sweep = (family, n, seed, _budgets(records[0]))
     if tuple(doc.get(key, named) for key, named in zip(("family", "n", "seed", "budgets"), sweep)) != sweep:
         return None
-    amb = AmbientAlgebra(family, n)  # an unknown family or rank raises ValueError
-    k = amb.max_flag - 1 if amb.family in ("GL", "SL") else amb.max_flag
-    if amb.family != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
+    upper = family.upper()
+    size = matrix_size(upper, n)  # an unknown family or rank raises ValueError
+    k = size - 1 if upper in ("GL", "SL") else size // 2
+    if upper != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
         return None
     named = []
     for ordinal, (record, (top, bottom)) in enumerate(zip(records, composition_pairs(family, n))):

@@ -21,7 +21,7 @@ kernel and intersection here comes from one reduced echelon form
 (``rref``), a plain Gauss-Jordan elimination on Fractions.  The values are
 its own: ``Matrix`` (Fraction rows), ``Subspace`` (a canonical basis), and
 forms and elements as plain coordinate sequences, paired by ``pair``.
-Only ``AmbientAlgebra`` (a matrix size) is taken from ``seaweeds``, so no
+Only ``matrix_size`` is taken from ``seaweeds``, so no
 oracle here shares elimination code or value types with the integer rows
 it checks.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from seaweeds.construct import AmbientAlgebra
+from seaweeds.construct import matrix_size
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ def ambient_basis(family, n):
     Fraction row tuples): the nullspace
     of its rational condition matrix (none for GL, the trace row for SL,
     X^T S + S X = 0 summed out of the rational form S for SP/SO)."""
-    size = AmbientAlgebra(family, n).matrix_size
+    size = matrix_size(family, n)
     if family == "GL":
         space = full(size * size)
     elif family == "SL":

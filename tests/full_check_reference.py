@@ -1,6 +1,6 @@
-"""Seaweeds built by the full-check constructor, as ``flag_seaweed`` first did.
+"""Seaweeds built by the full-check constructor, as ``seaweed`` first did.
 
-``flag_seaweed`` selects the kept ambient basis matrices with bit masks and
+``seaweed`` selects the kept ambient basis matrices with bit masks and
 restricts one checked ambient algebra per family and rank
 (``LieAlgebra.restrict``), which walks only the kept elements' rows of its
 table, checks closure and inherits the ambient's Jacobi and realization
@@ -18,7 +18,7 @@ commutators, so nothing here is taken from ``construct``'s ambient.
 from functools import lru_cache
 
 from fraction_reference import ambient_basis
-from seaweeds.construct import AmbientAlgebra
+from seaweeds.construct import matrix_size
 from seaweeds.lie import LieAlgebra, StructureError
 
 
@@ -65,14 +65,13 @@ def killed_entry_kept(family, n, a, b):
     """The indices of the ambient basis matrices whose support misses every
     entry the two flags kill; raises StructureError when a killed entry is
     shared by two of them."""
-    amb = AmbientAlgebra(family, n)
-    size = amb.matrix_size
+    size = matrix_size(family, n)
     killed = set()
     for p in a.prefix_sums():
         killed.update((r, c) for r in range(p, size) for c in range(p))
     for q in b.reversed().prefix_sums():
         killed.update((r, c) for r in range(size - q) for c in range(size - q, size))
-    _, supports, shared, _ = ambient_view(amb.family, n)
+    _, supports, shared, _ = ambient_view(family, n)
     if not shared.isdisjoint(killed):
         raise StructureError("a killed entry is shared by two ambient basis matrices")
     return [k for k, support in enumerate(supports) if support.isdisjoint(killed)]
@@ -92,11 +91,10 @@ def full_walk_restriction(g, kept):
 
 
 def full_check_seaweed(family, n, a, b):
-    amb = AmbientAlgebra(family, n)
     kept = killed_entry_kept(family, n, a, b)
     position = {k: t for t, k in enumerate(kept)}
     structure = {}
-    mats, _, _, table = ambient_view(amb.family, n)
+    mats, _, _, table = ambient_view(family, n)
     for (i, j), terms in table.items():
         if i in position and j in position:
             if not position.keys() >= terms.keys():
@@ -106,5 +104,5 @@ def full_check_seaweed(family, n, a, b):
         len(kept),
         structure,
         realization=tuple(mats[k] for k in kept),
-        label=f"{amb.family}{amb.matrix_size}[{a}|{b}]",
+        label=f"{family}{matrix_size(family, n)}[{a}|{b}]",
     )

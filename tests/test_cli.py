@@ -70,6 +70,10 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("index", "2,x|3"),
         ("index", "3|3", "--family", "SP"),
         ("index", "--top", "2,1"),
+        ("index", "2,1|3", "--top", "1", "--bot", "1"),
+        ("meander", "2|2", "--top", "2"),
+        ("index", "2|2", "--seed", "abc"),
+        ("index", "2|2", "--format", "csv"),
         ("classify", "--family", "GL", "--n", "3", "--attempts", "-1"),
         ("contact", "2,1|3", "--family", "GL", "--attempts", "-5"),
         ("stable", "2,1|3", "--family", "GL", "--attempts", "-1"),
@@ -84,6 +88,8 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("contact", "0|3", "--family", "SO", "--n", "7", "--bound", "0"),
         ("stable", "0|3", "--family", "SO", "--n", "7", "--bound", "-1"),
         ("meander", "0|0"),
+        ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "csv"),
+        ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "text"),
     ],
 )
 def test_exit_2_on_bad_input(capsys, tmp_path, argv):
@@ -154,7 +160,7 @@ def test_index_command_prints_the_formula_next_to_the_witness(capsys):
     argv = ["index", "1,2|3,1", "--family", "SP", "--n", "4", "--bound", "1", "--seed", "8", "--format", "json"]
     code, out, _ = run(capsys, *argv)
     doc = json.loads(out)
-    assert code == 0 and doc["index"] == 1 and doc["witness_kernel_dim"] > 1
+    assert code == 0 and doc["index"] == 1 and doc["witness_kernel_dim"] > 1 and doc["seed"] == 8
     assert doc["samples_used"] == len(doc["trial_kernel_dims"]) == 3
     code, out, _ = run(capsys, *argv[:-2])
     assert out.startswith(f"SP8[1,2|3,1]: index 1 (dim 9); randomized witness kernel dim {doc['witness_kernel_dim']} (")
@@ -191,77 +197,39 @@ def test_classify_refuses_a_negative_budget(monkeypatch):
         classify("GL", 2, seed=0, trials=0)
 
 
-def test_exit_2_on_a_negative_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SEAWEEDS_ATTEMPTS", "-1")
-    code, out, err = run(capsys, "classify", "--family", "GL", "--n", "3")
-    assert code == 2 and not out and err == "error: attempts must be nonnegative, got -1\n"
+# Each former SEAWEEDS_* default, at a value its option refuses.
+FORMER_ENV_DEFAULTS = {
+    "SEAWEEDS_SEED": "abc",
+    "SEAWEEDS_FORMAT": "xml",
+    "SEAWEEDS_FAMILY": "XX",
+    "SEAWEEDS_ATTEMPTS": "-1",
+    "SEAWEEDS_BOUND": "0",
+    "SEAWEEDS_TRIALS": "0",
+}
 
 
-def test_exit_2_on_non_integer_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SEAWEEDS_SEED", "abc")
-    code, _, err = run(capsys, "index", "2|2")
-    assert code == 2 and err == "error: SEAWEEDS_SEED must be an integer, got 'abc'\n"
-
-
-def test_integer_env_default_checked_against_the_chosen_subcommand(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("SEAWEEDS_SEED", "abc")
-    code, out, err = run(capsys, "classify", "--family", "SL", "--n", "2")
-    assert code == 2 and not out and err == "error: SEAWEEDS_SEED must be an integer, got 'abc'\n"
-    # neither subcommand takes a seed, and an explicit flag wins
-    code, out, err = run(capsys, "meander", "2|2")
-    assert code == 0 and "gl index 2" in out and not err
-    monkeypatch.delenv("SEAWEEDS_SEED")
-    doc = contact_document(capsys)
-    monkeypatch.setenv("SEAWEEDS_SEED", "abc")
-    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
-    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "2", "--seed", "1")
-    assert code == 0 and json.loads(out)["seed"] == 1
-
-
-@pytest.mark.parametrize(
-    "env,value,argv",
-    [
-        ("SEAWEEDS_FORMAT", "xml", ("index", "2|2")),
-        ("SEAWEEDS_FORMAT", "csv", ("index", "2|2")),
-        ("SEAWEEDS_FAMILY", "XX", ("index", "2|2")),
-        ("SEAWEEDS_FORMAT", "xml", ("meander", "2|2")),
-        ("SEAWEEDS_FORMAT", "xml", ("classify", "--family", "GL", "--n", "3")),
-        ("SEAWEEDS_FAMILY", "XX", ("classify", "--n", "3")),
-    ],
-)
-def test_exit_2_on_env_default_outside_choices(capsys, monkeypatch, env, value, argv):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran before the defaults were checked")
-
-    monkeypatch.setattr("seaweeds.cli.classify", no_sweep)
-    monkeypatch.setenv(env, value)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and not out
-    assert err.startswith(f"error: {env}=") and err.count("\n") == 1
-
-
-def test_env_default_checked_against_the_chosen_subcommand(capsys, monkeypatch):
-    monkeypatch.setenv("SEAWEEDS_FORMAT", "csv")
-    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "2")
-    assert code == 0 and out.startswith("family,n,top,bottom,")
-    # an explicit flag wins over a default the subcommand would refuse
-    code, out, _ = run(capsys, "index", "2|2", "--format", "json")
-    assert code == 0 and json.loads(out)["index"] == 2
-
-
-def test_env_defaults_and_flags(capsys, monkeypatch):
-    monkeypatch.setenv("SEAWEEDS_SEED", "7")
-    monkeypatch.setenv("SEAWEEDS_FORMAT", "json")
-    _, out, _ = run(capsys, "index", "2,1|3")
-    assert json.loads(out)["seed"] == 7
-    _, out, _ = run(capsys, "index", "2,1|3", "--seed", "8")
-    assert json.loads(out)["seed"] == 8
+@pytest.mark.parametrize("argv", [
+    ("classify", "--family", "SL", "--n", "3", "--embed"),
+    ("classify", "--family", "SL", "--n", "2", "--format", "csv"),
+    ("index", "2,1|3"),
+    ("contact", "2,1|3"),
+    ("meander", "2,1|3"),
+])
+def test_the_environment_sets_no_input(capsys, monkeypatch, argv):
+    for name in FORMER_ENV_DEFAULTS:
+        monkeypatch.delenv(name, raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0 and unset[1] and not unset[2]
+    assert "csv" not in argv or unset[1].startswith("family,n,top,bottom,")
+    for name, value in FORMER_ENV_DEFAULTS.items():
+        monkeypatch.setenv(name, value)
+    assert run(capsys, *argv) == unset
 
 
 def test_identical_invocations_give_identical_bytes(capsys):
     args = ("classify", "--family", "SL", "--n", "3", "--embed", "--seed", "4")
     first = run(capsys, *args)
-    assert first[0] == 0
+    assert first[0] == 0 and json.loads(first[1])["seed"] == 4
     assert run(capsys, *args) == first
 
 

@@ -3,15 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seaweeds import (
-    AmbientAlgebra,
-    Composition,
-    construct,
-    enumerate_compositions,
-    flag_seaweed,
-    parse_pair,
-    seaweed,
-)
+from seaweeds import Composition, construct, enumerate_compositions, parse_pair, seaweed
 import fraction_reference as ref
 from block_reference import gln_seaweed, matrix_span
 from full_check_reference import full_check_seaweed, full_walk_restriction, killed_entry_kept
@@ -126,14 +118,13 @@ def test_sl_is_trace_zero_part_of_gl_block_seaweed():
                 assert matrix_span(sl) == ref.intersect(matrix_span(gl), trace_zero)
 
 
-# -- flag_seaweed ------------------------------------------------------------------
+# -- seaweed ----------------------------------------------------------------------
 
 
 def test_flag_matches_block_construction_small():
-    amb = AmbientAlgebra("GL", 3)
     for a in enumerate_compositions(3):
         for b in enumerate_compositions(3):
-            assert matrix_span(flag_seaweed(amb, a, b)) == matrix_span(gln_seaweed(a, b))
+            assert matrix_span(seaweed("GL", 3, a, b)) == matrix_span(gln_seaweed(a, b))
 
 
 def test_gl_seaweed_equals_block_reference():
@@ -150,7 +141,7 @@ def test_shared_ambient_entries_are_diagonal():
     first = {"GL": 1, "SL": 2, "SP": 1, "SO": 2}
     for family, limit in LIMITS.items():
         for n in range(first[family], limit + 1):
-            size = AmbientAlgebra(family, n).matrix_size
+            size = construct.matrix_size(family, n)
             _, _, shared = construct._ambient(family, n)
             bits = [e for e in range(size * size) if shared >> e & 1]
             assert all(e // size == e % size for e in bits), (family, n)
@@ -209,7 +200,7 @@ def test_flag_refuses_a_shared_killed_entry(cold_ambients, monkeypatch):
     g, supports, _ = construct._ambient("GL", 2)
     monkeypatch.setattr(construct, "_ambient", lambda family, n: (g, supports, 1 << 2))
     with pytest.raises(StructureError, match=r"^a killed entry is shared by two ambient basis matrices$"):
-        construct._kept_elements(AmbientAlgebra("GL", 2), C(1, 1), C(2))
+        construct._kept_elements("GL", 2, C(1, 1), C(2))
 
 
 def test_flag_refuses_a_table_term_outside_the_kept_set(cold_ambients, monkeypatch):
@@ -218,7 +209,7 @@ def test_flag_refuses_a_table_term_outside_the_kept_set(cold_ambients, monkeypat
     bad = LieAlgebra(4, {(0, 1): {2: 1}})
     monkeypatch.setattr(construct, "_ambient", lambda family, n: (bad, supports, shared))
     with pytest.raises(StructureError, match=r"^kept elements are not closed under bracket \(0,1\)$"):
-        flag_seaweed(AmbientAlgebra("GL", 2), C(1, 1), C(2))
+        seaweed("GL", 2, C(1, 1), C(2))
 
 
 AMBIENTS = [("GL", n) for n in range(1, 5)] + [("SL", n) for n in range(2, 7)]
@@ -259,9 +250,9 @@ def test_mask_selection_and_row_walk_equal_the_full_references(family, n):
     # the bit-mask selection keeps what the killed-entry set keeps, and the
     # row-indexed restriction issues the full table walk's keys, in its
     # order, with its terms
-    amb, g = AmbientAlgebra(family, n), construct._ambient(family, n)[0]
+    g = construct._ambient(family, n)[0]
     for a, b in composition_pairs(family, n):
-        kept = construct._kept_elements(amb, a, b)
+        kept = construct._kept_elements(family, n, a, b)
         assert kept == killed_entry_kept(family, n, a, b), (family, n, a, b)
         sub = g.restrict(kept)
         assert list(sub._table.items()) == list(full_walk_restriction(g, kept).items()), (family, n, a, b)
@@ -319,7 +310,7 @@ def test_restriction_of_a_non_integral_algebra():
 
 
 def test_flag_full_gl():
-    g = flag_seaweed(AmbientAlgebra("GL", 3), C(3), C(3))
+    g = seaweed("GL", 3, C(3), C(3))
     assert g.dim == 9
 
 
@@ -334,31 +325,31 @@ def test_flag_sp4_proper_seaweed():
     expected = 10 - len(orbits)
     assert expected == 4
 
-    g = flag_seaweed(AmbientAlgebra("SP", 2), C(1), C(1))
+    g = seaweed("SP", 2, C(1), C(1))
     assert g.dim == expected
     assert g.dim < 10
 
 
 def test_sp_so_membership_equation():
     for family, n in (("SP", 2), ("SP", 3), ("SO", 4), ("SO", 5)):
-        amb = AmbientAlgebra(family, n)
-        s = ref.bilinear_form(family, amb.matrix_size)
-        g = flag_seaweed(amb, C(1), C(1))
+        size = construct.matrix_size(family, n)
+        s = ref.bilinear_form(family, size)
+        g = seaweed(family, n, C(1), C(1))
         assert g.dim >= 1
         for mat in map(ref.Matrix.from_rows, g.realization):
             lhs = ref.matmul(ref.transpose(mat), s) + ref.matmul(s, mat)
-            assert lhs == ref.Matrix.zeros(amb.matrix_size, amb.matrix_size)
+            assert lhs == ref.Matrix.zeros(size, size)
 
 
 def test_flag_bad_prefix_sums():
     with pytest.raises(ValueError):
-        flag_seaweed(AmbientAlgebra("SP", 2), C(3), C(1))
+        seaweed("SP", 2, C(3), C(1))
     with pytest.raises(ValueError):
-        flag_seaweed(AmbientAlgebra("GL", 3), C(2), C(3))
+        seaweed("GL", 3, C(2), C(3))
 
 
 def test_flag_closed_under_bracket():
-    g = flag_seaweed(AmbientAlgebra("SP", 2), C(1, 1), C(2))
+    g = seaweed("SP", 2, C(1, 1), C(2))
     span = matrix_span(g)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -376,10 +367,14 @@ def test_seaweed_dispatcher():
 
 
 def test_ambient_validation():
-    with pytest.raises(ValueError):
-        AmbientAlgebra("E8", 8)
-    with pytest.raises(ValueError):
-        AmbientAlgebra("SO", 1)
+    assert [construct.matrix_size(family, 3) for family in construct.FAMILIES] == [3, 3, 6, 3]
+    for family, n in (("E8", 8), ("gl", 3), ("SO", 1), ("SL", 1), ("SP", 0), ("GL", 0)):
+        with pytest.raises(ValueError):
+            construct.matrix_size(family, n)
+    # the family has one name, its upper-case one, in every entry point
+    for build in (seaweed, construct.seaweed_dim):
+        with pytest.raises(ValueError, match="family must be one of"):
+            build("gl", 3, C(3), C(3))
 
 
 def test_realizations_are_attached_and_independent():

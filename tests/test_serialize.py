@@ -43,6 +43,9 @@ def test_fraction_strings():
     assert _ratio("-3/7") == (-3, 7)
     assert _ratio("5") == (5, 1)
     assert _ratio(4) == (4, 1)
+    # a negative and an unreduced denominator, read and written as Fraction reduces them
+    assert _ratio("6/-4") == (F(6, -4).numerator, F(6, -4).denominator) == (-3, 2)
+    assert _ratio_str(6, -4) == str(F(6, -4)) == "-3/2"
 
 
 def test_algebra_json_writes_ints_and_fractions_in_lowest_terms():
