@@ -2,11 +2,12 @@
 
 Construction of seaweed (biparabolic) subalgebras of gl(n), sl(n), sp(2n),
 and so(n), each named by its family, rank and composition pair and built
-by one entry point, ``seaweed(family, n, a, b)``; their index, by formula (``meander``), with randomized
-Kirillov-form witnesses; contact and stability analysis
-with machine-checkable certificates; and an exhaustive small-rank classifier
-testing the equivalence "index-one seaweed is contact iff it admits a stable
-form" on enumerated composition pairs.  All exact linear algebra, from
+by one entry point, ``seaweed(family, n, a, b)``; their index, by formula
+(``meander``), with randomized Kirillov-form witnesses; contact and
+stability analysis with machine-checkable certificates; and an
+exhaustive small-rank classifier testing the equivalence "index-one
+seaweed is contact iff it admits a stable form" on enumerated composition
+pairs.  All exact linear algebra, from
 Kirillov matrices and kernels to certificate checks, runs on integer rows
 (``linalg``); rationals appear only where exact scalars are read from a
 caller or from JSON.  The package keeps what the ``seaweeds`` commands
