@@ -14,10 +14,12 @@ caller or from JSON.  The package keeps what the ``seaweeds`` commands
 reach; the block picture of type-A seaweeds, the rational Kirillov matrix,
 rational elimination and the small stock algebras the tests build
 (Heisenberg, abelian) live under ``tests``.
-A contact form is stable (``contact`` proves it), so the classifier's two
-searches, which share one stream of forms, cannot reach a COUNTEREXAMPLE;
-the sweep tests stable => contact.  Reports are compact JSON (schema 4),
-whose shape and checks ``serialize`` states.
+A contact form is stable (``contact`` proves it), so the classifier
+searches for a stable form alone and reads contact off its certificate; it
+cannot reach a COUNTEREXAMPLE, and the sweep tests stable => contact.
+Each family has one name, in upper case, and each report format one, in
+lower case.  Reports are compact JSON (schema 4), whose shape and checks
+``serialize`` states.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report

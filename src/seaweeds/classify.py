@@ -3,33 +3,38 @@
 For every composition pair valid for the family, the classifier builds the
 seaweed (with its construction checks), takes its index from the formula
 (``meander.index_formula``, which states the index rule), and, exactly on
-the index-one cases (which are automatically odd-dimensional), runs the
-contact and stability searches.  No other seaweed draws a form.  The two
-searches test one stream of forms, ``contact.form_draws`` seeded by the
-record seed XOR ``_CONTACT_SALT``: each drawn form is eliminated once and
-its kernel goes to both tests.  A certificate's form is therefore always
-an integer form within ``bound``, which ``verify`` checks.  A contact form
-is stable (``contact``), so when both searches succeed the stability
-search stops no later than the contact search, in practice on the same
-draw: their certificates carry one form, and the stability certificate,
-being of a contact form, holds the kernel line alone, with no [ker, g].
-Verdict policy:
+the index-one cases (which are automatically odd-dimensional), runs one
+search, ``find_stable_form`` on the record seed XOR ``_CONTACT_SALT``.  No
+other seaweed draws a form, and a certificate's form is always an integer
+form within ``bound``, which ``verify`` checks.  A contact form is stable
+(``contact``), so the search settles contact as well:
 
-* index != 1: both searches SKIPPED, verdict CONSISTENT (the equivalence
+* a certificate without [ker, g] is of a contact form, which
+  ``is_contact_form`` certifies from its form and kernel with no new
+  elimination;
+* a stable form that is not contact sends the record to
+  ``find_contact_form`` on the same seed;
+* no stable form, whether the budget ran out or the line refuted the
+  search, means no contact form among those draws: contact NOT_FOUND.
+
+Each contact certificate is thus the one ``find_contact_form`` would issue
+on its own.  Verdict policy:
+
+* index != 1: both statuses SKIPPED, verdict CONSISTENT (the equivalence
   under test says nothing there).
 * contact FOUND and stable FOUND: CONSISTENT.
 * contact FOUND, stable NOT_FOUND: COUNTEREXAMPLE, the state the
-  equivalence forbids.  It cannot arise here: a contact form is stable
-  (``contact``), and the stability search tests the same draws in the same
-  order.  ``verify`` keeps the branch, to refuse a report that claims it.
+  equivalence forbids.  It cannot arise here: contact is looked for only
+  once a stable form is found.  ``verify`` keeps the branch, to refuse a
+  report that claims it.
 * contact NOT_FOUND, stable FOUND: UNRESOLVED.  A NOT_FOUND is a proof
   only when the line through the search's first draw refuted the test
   (``contact``), and a record does not say whether it was, so
   non-contactness is never claimed.
 * both NOT_FOUND: CONSISTENT, neither property present.  On the six
   non-contact SO7 and SO8 seaweeds that is proved on a line after one draw
-  per search (``contact``); otherwise it is evidence, both budgets spent.
-* zero-attempt budgets leave searches inconclusive: UNRESOLVED.
+  (``contact``); otherwise it is evidence, the budget spent.
+* a zero-attempt budget leaves the search inconclusive: UNRESOLVED.
 
 The index-one cases are ``contact.search_verdict``, which ``seaweeds verify``
 also uses to re-derive each record's verdict.  ``exit_status`` turns a
@@ -49,9 +54,9 @@ from __future__ import annotations
 
 import io
 import json
-from itertools import tee
 from typing import NamedTuple
 
+from . import contact
 from .construct import composition_pairs, seaweed
 from .contact import (
     CONSISTENT,
@@ -63,7 +68,6 @@ from .contact import (
     count_verdicts,
     find_contact_form,
     find_stable_form,
-    form_draws,
     is_stable_form,  # noqa: F401  (perfbench/spans.py traces calls of this name as contact.fallback; the sweep makes none)
     search_verdict,
 )
@@ -113,10 +117,9 @@ def classify(
 ) -> list[ClassificationRecord]:
     """Classify every seaweed of the family at rank n; deterministic per seed.
     ``trials`` is only written into the records (see the module docstring).
-    Raises ValueError, before any work, on an unknown family, a negative
-    attempt budget, or a bound or trial count below 1, and LimitError on a
-    rank over the limits."""
-    family = family.upper()
+    Raises ValueError, before any work, on a family not named as in
+    ``LIMITS``, a negative attempt budget, or a bound or trial count below
+    1, and LimitError on a rank over the limits."""
     limit = LIMITS.get(family)
     if limit is None:
         raise ValueError(f"unknown family {family!r}")
@@ -136,9 +139,14 @@ def classify(
         certs = {}
         if idx == 1:
             search_seed = record_seed ^ _CONTACT_SALT
-            contact_draws, stable_draws = tee(form_draws(g, search_seed, bound))
-            c_cert = find_contact_form(g, search_seed, attempts, bound, draws=contact_draws)
-            s_cert = find_stable_form(g, search_seed, attempts, bound, draws=stable_draws)
+            s_cert = find_stable_form(g, search_seed, attempts, bound)
+            if s_cert is None:
+                c_cert = None
+            elif s_cert.bracket_span_rows is None:
+                # through the module: perfbench/spans.py traces its attribute
+                c_cert = contact.is_contact_form(g, s_cert.form_row, s_cert.kernel_rows)
+            else:
+                c_cert = find_contact_form(g, search_seed, attempts, bound)
             contact_status = FOUND if c_cert is not None else NOT_FOUND
             stable_status = FOUND if s_cert is not None else NOT_FOUND
             verdict = search_verdict(contact_status, stable_status, attempts)
@@ -187,9 +195,9 @@ def _record_to_json(r: ClassificationRecord) -> dict:
 
 
 def report(records, fmt: str = "json", meta: dict | None = None) -> str:
-    """Render records as a stable-field-order document (json, csv, or text).
-    JSON is compact, one line with no spaces, which the C encoder writes."""
-    fmt = fmt.lower()
+    """Render records as a stable-field-order document, ``fmt`` being
+    json, csv or text, in lower case.  JSON is compact, one line with no
+    spaces, which the C encoder writes."""
     summary = count_verdicts([r.verdict for r in records])
     if fmt == "json":
         doc = {"schema": REPORT_SCHEMA}

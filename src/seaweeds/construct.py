@@ -143,7 +143,6 @@ def composition_pairs(family: str, n: int) -> list[tuple[Composition, Compositio
     empty composition (no constraint, parabolic = whole algebra), which is
     4^floor(N/2) pairs; ordered by total, then mask order.
     """
-    family = family.upper()
     if family in ("GL", "SL"):
         comps = enumerate_compositions(n)
     else:

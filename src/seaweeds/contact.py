@@ -25,8 +25,9 @@ which misses k.  ``is_stable_form`` therefore certifies a contact form by
 its kernel alone: the certificate holds the one kernel row and no
 [ker, g] (``bracket_span_rows`` is None), and the check in
 ``serialize.verify_certificate`` needs only ker B_phi and phi(k).  A
-stability search on the draws of a contact search thus succeeds no later
-than it, and only stable => contact can fail.
+stability search thus succeeds no later than a contact search on the same
+draws, and only stable => contact can fail; the sweep searches for a
+stable form alone and reads contact off its certificate (``classify``).
 
 All three tests, and the re-checks in ``serialize.verify_certificate``,
 run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
@@ -77,23 +78,21 @@ with None, the answer its full budget gives, since every later draw would
 be refused; one that fails decides nothing, and the search goes on over
 the same draws.
 
-Both tests take an optional kernel, so one elimination serves them both.
-There is one search loop (``_search``): it tests the first ``attempts``
-draws of a stream (``form_draws``), each drawn form with its integer
-coordinates and its kernel, until its test issues a certificate or the
-line through its first draw refutes the test.  ``find_contact_form`` and
-``find_stable_form`` are that loop with the contact or the stability test
-and refutation.  The sweep gives both searches one stream, so every draw
-is eliminated once and its kernel reaches both tests.  Certificates hold
-integer rows only: the form's coordinates, the Reeb vector over phi(k),
-and canonical primitive rows of ker B_phi and, for a stable form that is
-not contact, of [ker, g].  ``serialize.certificate_to_json``
-writes them as the rationals a computation over Q gives, without a
-Fraction: canonical rows are unique, and the Reeb vector is k / phi(k)
-for any generator k of the kernel line.
+Both tests take an optional kernel, so a caller that has it pays no
+second elimination.  There is one search loop (``_search``): it tests the
+first ``attempts`` draws of ``form_draws``, each drawn form with its
+integer coordinates and its kernel, until its test issues a certificate or
+the line through its first draw refutes the test.  ``find_contact_form``
+and ``find_stable_form`` are that loop with the contact or the stability
+test and refutation.  Certificates hold integer rows only: the form's
+coordinates, the Reeb vector over phi(k), and canonical primitive rows of
+ker B_phi and, for a stable form that is not contact, of [ker, g].
+``serialize.certificate_to_json`` writes them as the rationals a
+computation over Q gives, without a Fraction: canonical rows are unique,
+and the Reeb vector is k / phi(k) for any generator k of the kernel line.
 
-``search_verdict`` is the one statement of what the outcomes of the two
-searches on an index-one algebra say about the equivalence "contact iff
+``search_verdict`` is the one statement of what the contact and stability
+statuses of an index-one algebra say about the equivalence "contact iff
 stable"; the classifier assigns it and report verification re-derives it.
 
 The module certifies that contact and stable forms exist; it builds no
@@ -198,8 +197,9 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
 
     ``form`` is integer coordinates, as the search draws them.  ``kernel``
     is ker B_form as ``linalg.skew_kernel_int_rows`` gives it, when the
-    caller has it (a search passes each draw's one kernel to both tests);
-    otherwise it is taken here.  The test runs on integer rows."""
+    caller has it (a search passes each draw's, the sweep a stability
+    certificate's); otherwise it is taken here.  The test runs on integer
+    rows."""
     _require_odd(g)
     ints = _form(g, form)
     kernel = _kernel(g, ints, kernel)
@@ -372,25 +372,20 @@ def find_contact_form(
     seed: int,
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
-    *,
-    draws=None,
 ) -> ContactCertificate | None:
     """Randomized search for a contact form; None means budget exhausted,
     or that the line through the first draw proved that no form is
     contact (``_no_contact_form``), after which every draw of the budget
     would have been refused.
 
-    Tests ``form_draws(g, seed, bound)``, or ``draws`` when given (the
-    sweep gives the contact and stability searches one stream, so both
-    tests of a draw share its kernel).  Exhaustion alone is not a proof of
-    non-contactness, only one-sided evidence; the classifier corroborates
+    Tests ``form_draws(g, seed, bound)``.  Exhaustion alone is not a proof
+    of non-contactness, only one-sided evidence; the classifier corroborates
     it against the stability search.  A budget of 0 finds nothing; a
     negative one, or a bound below 1, raises ValueError.
     """
     _require_odd(g)
     _require_budget(attempts, bound)
-    draws = form_draws(g, seed, bound) if draws is None else draws
-    return _search(g, draws, attempts, is_contact_form, _no_contact_form)
+    return _search(g, form_draws(g, seed, bound), attempts, is_contact_form, _no_contact_form)
 
 
 def find_stable_form(
@@ -398,13 +393,10 @@ def find_stable_form(
     seed: int,
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
-    *,
-    draws=None,
 ) -> StabilityCertificate | None:
     """Randomized search for a stable form; None means budget exhausted,
     or that the line through the first draw proved that no form is stable
     (``_no_stable_form``).  Draws as ``find_contact_form``.  A budget of 0
     finds nothing; a negative one, or a bound below 1, raises ValueError."""
     _require_budget(attempts, bound)
-    draws = form_draws(g, seed, bound) if draws is None else draws
-    return _search(g, draws, attempts, is_stable_form, _no_stable_form)
+    return _search(g, form_draws(g, seed, bound), attempts, is_stable_form, _no_stable_form)

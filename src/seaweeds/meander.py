@@ -107,7 +107,6 @@ def census(m: MeanderGraph) -> tuple[int, int]:
 
 def meander_index(m: MeanderGraph, family: str = "GL") -> int:
     """Seaweed index from the meander census: 2C + P for gl, 2C + P - 1 for sl."""
-    family = family.upper()
     if family not in ("GL", "SL"):
         raise ValueError("meander index formula applies to GL and SL only")
     cycles, paths = census(m)
@@ -154,7 +153,6 @@ def index_formula(family: str, n: int, a: Composition, b: Composition) -> int:
     meander index for GL and SL, the Tauvel-Yu-Joseph cascade formula for
     SP and SO (see the module docstring).  Raises ValueError on an unknown
     family or an SP/SO composition beyond the rank."""
-    family = family.upper()
     if family in ("GL", "SL"):
         return meander_index(meander(a, b), family)
     if family not in ("SP", "SO"):

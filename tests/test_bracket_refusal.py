@@ -11,7 +11,7 @@ from itertools import islice
 import fraction_reference as ref
 import pytest
 
-from seaweeds import report, seaweed
+from seaweeds import certificate_to_json, report, seaweed
 from seaweeds.construct import Composition
 
 classify_module = importlib.import_module("seaweeds.classify")
@@ -145,6 +145,7 @@ def test_reports_are_the_full_searches_at_the_default_bound(monkeypatch, family,
 
 SMALL_SWEEPS = [("GL", n) for n in (3, 4, 5)] + [("SL", n) for n in (3, 4, 5)]
 SMALL_SWEEPS += [("SP", 2), ("SP", 3)] + [("SO", n) for n in (5, 6, 7)]
+SMALL_BOUND_SWEEPS = [(family, n, seed, bound) for family, n in SMALL_SWEEPS for seed in (0, 5) for bound in (1, 2, 3)]
 
 
 def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
@@ -166,7 +167,7 @@ def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
 
         return wrapped
 
-    sweeps = [(family, n, seed, bound) for family, n in SMALL_SWEEPS for seed in (0, 5) for bound in (1, 2, 3)]
+    sweeps = SMALL_BOUND_SWEEPS
     with monkeypatch.context() as patch:
         patch.setattr(contact_module, "_line", counted_line)
         for name in REFUTATIONS:
@@ -176,3 +177,59 @@ def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
     declining(monkeypatch)
     for sweep, text in zip(sweeps, refuting):
         assert sweep_bytes(*sweep) == text, sweep
+
+
+def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
+    # the oracle for the sweep's one search: at bounds 1-3 some stable forms
+    # are not contact, and a record's statuses and certificates are still
+    # those of the contact and the stability search run apart on its seed
+    fallbacks = []
+    fallback = classify_module.find_contact_form
+
+    def counted(*args):
+        fallbacks.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(classify_module, "find_contact_form", counted)
+    for family, n, seed, bound in SMALL_BOUND_SWEEPS:
+        for r in classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True):
+            if r.index != 1:
+                continue
+            g = seaweed(family, n, Composition(r.top), Composition(r.bottom))
+            search_seed = r.seed ^ classify_module._CONTACT_SALT
+            certs = r.certificates or {}
+            for status, kind, search in (
+                (r.contact, "contact", contact_module.find_contact_form),
+                (r.stable, "stability", contact_module.find_stable_form),
+            ):
+                alone = search(g, search_seed, r.attempts, bound)
+                assert status == ("NOT_FOUND" if alone is None else "FOUND"), (family, n, r.top, r.bottom)
+                assert certs.get(kind) == (None if alone is None else certificate_to_json(alone))
+    assert fallbacks
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", sorted(RECORDS))
+def test_a_refuted_record_takes_one_line_and_no_contact_refutation(monkeypatch, family, n, seed):
+    # no stable form proves no contact form, so each refuted record runs the
+    # line once, for the stability search, and the contact refutation never
+    lines, current = [], [None]
+    build, line = classify_module.seaweed, contact_module._line
+
+    def seaweed_of(family, n, top, bottom):
+        current[0] = (top.parts, bottom.parts)
+        return build(family, n, top, bottom)
+
+    def counted(g, kernel):
+        lines.append(current[0])
+        return line(g, kernel)
+
+    def no_contact_form(*args):
+        raise AssertionError("the contact refutation ran")
+
+    monkeypatch.setattr(classify_module, "seaweed", seaweed_of)
+    monkeypatch.setattr(contact_module, "_line", counted)
+    monkeypatch.setattr(contact_module, "_no_contact_form", no_contact_form)
+    records = classify_module.classify(family, n, seed=seed)
+    refuted = [(r.top, r.bottom) for r in records if r.index == 1 and r.stable == "NOT_FOUND"]
+    assert sorted(lines) == sorted(refuted) == sorted(pair for fam, m, pair in REFUTED if (fam, m) == (family, n))

@@ -79,6 +79,8 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("stable", "2,1|3", "--family", "GL", "--attempts", "-1"),
         ("classify", "--family", "GL"),
         ("classify", "--family", "XX", "--n", "3"),
+        ("classify", "--family", "gl", "--n", "3"),
+        ("classify", "--family", "GL", "--n", "2", "--format", "JSON"),
         ("frobnicate",),
         ("index", "2|2", "--frobnicate"),
         ("basis", "2,1|3"),

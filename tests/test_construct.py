@@ -11,6 +11,7 @@ from stock_algebras import heisenberg, unit
 
 from seaweeds.classify import LIMITS, classify, composition_pairs, report
 from seaweeds.lie import LieAlgebra, StructureError, index
+from seaweeds.meander import meander, meander_index
 from seaweeds.linalg import skew_rank_int_rows
 from seaweeds.serialize import algebra_to_json, verify_document
 
@@ -371,10 +372,26 @@ def test_ambient_validation():
     for family, n in (("E8", 8), ("gl", 3), ("SO", 1), ("SL", 1), ("SP", 0), ("GL", 0)):
         with pytest.raises(ValueError):
             construct.matrix_size(family, n)
-    # the family has one name, its upper-case one, in every entry point
-    for build in (seaweed, construct.seaweed_dim):
-        with pytest.raises(ValueError, match="family must be one of"):
-            build("gl", 3, C(3), C(3))
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: seaweed("gl", 3, C(3), C(3)), "family must be one of"),
+        (lambda: construct.seaweed_dim("gl", 3, C(3), C(3)), "family must be one of"),
+        (lambda: composition_pairs("gl", 3), "family must be one of"),
+        (lambda: meander_index(meander(C(3), C(3)), "gl"), "GL and SL only"),
+        (lambda: classify("gl", 2, seed=0), "unknown family"),
+        (lambda: report([], "JSON"), "unknown report format"),
+    ],
+    ids=["seaweed", "seaweed_dim", "composition_pairs", "meander_index", "classify", "report"],
+)
+def test_the_api_takes_one_name_per_family_and_format(call, refusal):
+    # the family has one name, its upper-case one, in every entry point, and
+    # the report format one, its lower-case one (``index_formula``:
+    # test_index_formula.py)
+    with pytest.raises(ValueError, match=refusal):
+        call()
 
 
 def test_realizations_are_attached_and_independent():

@@ -1,9 +1,9 @@
-"""The sweep's searches on index-one seaweeds: one draw stream, one skew
-elimination per drawn form (besides those of a line refutation, which
-``test_bracket_refusal.py`` covers), one kernel per draw shared by the
-contact and stability tests, no form drawn for any other seaweed, and
-certificates written from integer rows exactly as the rational route
-writes them."""
+"""The sweep's one search on index-one seaweeds: the stability search
+draws one stream, one skew elimination per drawn form (besides those of a
+line refutation, which ``test_bracket_refusal.py`` covers), the contact
+test takes each stable certificate's form with its kernel, no form is
+drawn for any other seaweed, and certificates are written from integer
+rows exactly as the rational route writes them."""
 
 import importlib
 import json
@@ -68,7 +68,7 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
         raise AssertionError("the sweep drew an index trial")
 
     monkeypatch.setattr(classify_module, "index", no_index)
-    monkeypatch.setattr(classify_module, "form_draws", seeded)
+    monkeypatch.setattr(contact_module, "form_draws", seeded)
     for kind in ("is_contact_form", "is_stable_form"):
         monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
     monkeypatch.setattr(linalg_module, "_skew_pivots", counted)
@@ -85,31 +85,47 @@ def first_draw(record, bound):
 
 
 def check_searches(records, tested, eliminations, bound):
-    """Every index-one record's searches test one draw stream, from its
-    first draw on, with coordinates within the bound, and the stream costs
-    one elimination per form drawn; no other record draws a form."""
-    drawn = 0
+    """Every index-one record's stability search tests its stream from the
+    first draw on, with coordinates within the bound.  A stable certificate
+    without [ker, g] sends its form, and that form only, to the contact
+    test; any other stable certificate sends the record to the contact
+    search, which tests the same stream from the first draw on; no stable
+    form sends nothing.  Each form drawn costs one elimination, and no
+    other record draws a form.  Returns how many records fell back to the
+    contact search."""
+    drawn = fallbacks = 0
     for r in records:
         forms = tested.get(r.seed)
         if r.index != 1:
             assert forms is None
             continue
-        contact, stable = forms["is_contact_form"], forms["is_stable_form"]
-        shorter, longer = sorted((contact, stable), key=len)
-        assert longer[: len(shorter)] == shorter  # one stream, in one order
-        assert longer[0] == first_draw(r, bound)
-        assert all(abs(c) <= bound for form in longer for c in form)
-        drawn += len(longer)
+        stable, contact = forms["is_stable_form"], forms.get("is_contact_form", [])
+        assert stable[0] == first_draw(r, bound)
+        assert all(abs(c) <= bound for form in stable + contact for c in form)
+        drawn += len(stable)
+        cert = (r.certificates or {}).get("stability")
+        if r.stable == "NOT_FOUND":
+            assert cert is None and contact == []
+        elif "bracket_span" not in cert:
+            assert r.contact == "FOUND" and contact == [stable[-1]]
+            assert tuple(Fraction(x) for x in cert["form"]) == stable[-1]
+        else:
+            fallbacks += 1
+            shorter, longer = sorted((contact, stable), key=len)
+            assert longer[: len(shorter)] == shorter  # one stream, in one order
+            drawn += len(contact)
     assert eliminations == drawn
+    return fallbacks
 
 
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", SWEEPS)
-def test_the_searches_draw_one_stream_and_share_each_kernel(monkeypatch, family, n, seed):
+def test_one_search_draws_one_stream_and_contact_takes_its_kernel(monkeypatch, family, n, seed):
     records, tested, eliminations = traced_sweep(monkeypatch, family, n, seed)
     index_one = [r for r in records if r.index == 1]
     assert index_one and all(r.trial_kernel_dims == () for r in records)
-    check_searches(records, tested, eliminations, 10**6)
+    # at the default bound every stable form drawn is contact: no fallback
+    assert check_searches(records, tested, eliminations, 10**6) == 0
     for r in index_one:
         certs = r.certificates or {}
         if (r.contact, r.stable) == ("FOUND", "FOUND"):
@@ -123,9 +139,10 @@ def test_the_searches_draw_one_stream_and_share_each_kernel(monkeypatch, family,
 
 def test_a_small_bound_draws_within_it(monkeypatch):
     # at bound 1 each coordinate is -1, 0 or 1, and the searches still find
-    # forms; no index trial is drawn at any bound
+    # forms, some stable ones not contact, which send their records to the
+    # contact search; no index trial is drawn at any bound
     records, tested, eliminations = traced_sweep(monkeypatch, "GL", 4, 0, bound=1)
-    check_searches(records, tested, eliminations, 1)
+    assert check_searches(records, tested, eliminations, 1) >= 1
     assert any(r.contact == "FOUND" for r in records)
 
 
