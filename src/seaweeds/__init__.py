@@ -7,19 +7,22 @@ by one entry point, ``seaweed(family, n, a, b)``; their index, by formula
 stability analysis with machine-checkable certificates; and an
 exhaustive small-rank classifier testing the equivalence "index-one
 seaweed is contact iff it admits a stable form" on enumerated composition
-pairs.  All exact linear algebra, from
-Kirillov matrices and kernels to certificate checks, runs on integer rows
-(``linalg``); rationals appear only where exact scalars are read from a
-caller or from JSON.  The package keeps what the ``seaweeds`` commands
-reach; the block picture of type-A seaweeds, the rational Kirillov matrix,
-rational elimination and the small stock algebras the tests build
-(Heisenberg, abelian) live under ``tests``.
-A contact form is stable (``contact`` proves it), so the classifier
-searches for a stable form alone and reads contact off its certificate; it
-cannot reach a COUNTEREXAMPLE, and the sweep tests stable => contact.
-Each family has one name, in upper case, and each report format one, in
-lower case.  Reports are compact JSON (schema 4), whose shape and checks
-``serialize`` states.
+pairs.  All exact linear algebra, from Kirillov matrices and kernels to
+certificate checks, runs on ints (``linalg``): an algebra's structure
+constants and realization are ints (``lie``), and rationals appear only
+as the "num/den" strings of JSON, parsed straight into integer rows.  No
+module builds a Fraction.  The package keeps what the ``seaweeds``
+commands reach; the block picture of type-A seaweeds, the rational
+Kirillov matrix, rational elimination and the small stock algebras the
+tests build (Heisenberg, abelian) live under ``tests``.  A contact form
+is stable (``contact`` proves it), so the classifier searches for a
+stable form alone and reads contact off its certificate; it cannot reach
+a COUNTEREXAMPLE, and the sweep tests stable => contact.  Each family has
+one name, in upper case, and each report format one, in lower case.
+Every document names its seaweed by family, rank and compositions, and
+``verify`` rebuilds it: reports are compact JSON (schema 4) and
+certificate documents schema 3, whose shapes and checks ``serialize``
+states.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report
@@ -35,7 +38,7 @@ from .contact import (
 )
 from .lie import IndexReport, LieAlgebra, index
 from .meander import MeanderGraph, census, index_formula, meander, meander_index, meander_svg
-from .serialize import algebra_from_json, algebra_to_json, certificate_to_json, verify_document
+from .serialize import certificate_to_json, verify_document
 
 __version__ = "0.1.0"
 
@@ -52,8 +55,6 @@ __all__ = [
     "LieAlgebra",
     "MeanderGraph",
     "StabilityCertificate",
-    "algebra_from_json",
-    "algebra_to_json",
     "census",
     "certificate_to_json",
     "classify",

@@ -57,7 +57,7 @@ import json
 from typing import NamedTuple
 
 from . import contact
-from .construct import composition_pairs, seaweed
+from .construct import LIMITS, check_limit, composition_pairs, seaweed
 from .contact import (
     CONSISTENT,
     DEFAULT_ATTEMPTS,
@@ -76,13 +76,7 @@ from .lie import index  # noqa: F401  (perfbench/spans.py traces calls of this n
 from .meander import index_formula
 from .serialize import REPORT_SCHEMA, _parts, certificate_to_json
 
-LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
-
 _CONTACT_SALT = 0xC047AC7
-
-
-class LimitError(ValueError):
-    """Requested rank exceeds the configured sweep limits."""
 
 
 class ClassificationRecord(NamedTuple):
@@ -119,18 +113,15 @@ def classify(
     ``trials`` is only written into the records (see the module docstring).
     Raises ValueError, before any work, on a family not named as in
     ``LIMITS``, a negative attempt budget, or a bound or trial count below
-    1, and LimitError on a rank over the limits."""
-    limit = LIMITS.get(family)
-    if limit is None:
+    1, and LimitError on a rank over the limits
+    (``construct.check_limit``)."""
+    if family not in LIMITS:
         raise ValueError(f"unknown family {family!r}")
     _require_budget(attempts, bound)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if n > limit and not force:
-        raise LimitError(
-            f"{family} sweep limited to n <= {limit} by default; pass force=True "
-            "(CLI: --force) to override"
-        )
+    if not force:
+        check_limit(family, n, "; pass force=True (CLI: --force) to override")
     records = []
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
         g = seaweed(family, n, a, b)

@@ -9,22 +9,26 @@ returns 0 on success, 4 when any COUNTEREXAMPLE record exists, 3 under
 contact/stable return 1 when the search comes up empty; verify returns 0
 for valid, 1 for invalid, 2 for unreadable input.  index prints the index
 by formula (``meander`` states the index rule) next to a randomized
-witness form.  A report holding a FOUND record verifies only when it was
-written with --embed: verify re-checks the certificate behind every
-FOUND, and a report without them reads INVALID, with one stderr line
-naming its first FOUND record and --embed.  Bad input (an unknown
-subcommand or flag, a value outside an option's choices, a malformed or
-missing pair, a missing --n, a rank over the sweep limits, a negative
---attempts, a --bound or --trials below 1, classify --embed with a
---format other than json, which holds no certificates, an --out or --svg
-path that cannot be opened for writing) exits 2 with a one-line error on
-stderr before any sweep or search runs.  The --out and --svg files are
-opened, as a shell redirection opens them, before the work starts.  An
-output that cannot be written, flushed or closed (an --out or --svg file,
-or the standard output, on a full disk for example) exits 2 as well, after
-the work, with the one line ``error: cannot write PATH: REASON`` (PATH is
-``<stdout>`` for the standard output) and nothing more on stderr at
-shutdown; exit 1 stays verify's INVALID and contact/stable's empty search.
+witness form.  The sweep limits (``construct.LIMITS``) bound classify
+unless --force is given, and contact and stable always, since verify
+refuses a certificate document over them; their json documents name the
+seaweed, which verify rebuilds (``serialize``).  A report holding a FOUND
+record verifies only when it was written with --embed: verify re-checks
+the certificate behind every FOUND, and a report without them reads
+INVALID, with one stderr line naming its first FOUND record and --embed.
+Bad input (an unknown subcommand or flag, a value outside an option's
+choices, a malformed or missing pair, a missing --n, a rank over the
+sweep limits, a negative --attempts, a --bound or --trials below 1,
+classify --embed with a --format other than json, which holds no
+certificates, an --out or --svg path that cannot be opened for writing)
+exits 2 with a one-line error on stderr before any sweep or search runs.
+The --out and --svg files are opened, as a shell redirection opens them,
+before the work starts.  An output that cannot be written, flushed or
+closed (an --out or --svg file, or the standard output, on a full disk for
+example) exits 2 as well, after the work, with the one line ``error:
+cannot write PATH: REASON`` (PATH is ``<stdout>`` for the standard output)
+and nothing more on stderr at shutdown; exit 1 stays verify's INVALID and
+contact/stable's empty search.
 A stderr that cannot be written changes no exit code: its error line is
 lost and every code above holds.
 """
@@ -38,11 +42,11 @@ import sys
 from contextlib import ExitStack
 
 from .classify import LIMITS, classify, exit_status, report
-from .construct import parse_pair, seaweed
+from .construct import check_limit, parse_pair, seaweed
 from .contact import DEFAULT_ATTEMPTS, find_contact_form, find_stable_form
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, index
 from .meander import census, index_formula, meander, meander_index, meander_svg
-from .serialize import CERTIFICATE_SCHEMA, algebra_to_json, certificate_to_json, ratios_to_json
+from .serialize import CERTIFICATE_SCHEMA, certificate_to_json, ratios_to_json
 from .serialize import unembedded_found, verify_document
 
 
@@ -178,14 +182,17 @@ def _cmd_index(args):
 
 
 def _cmd_search(args):
-    g = seaweed(*_seaweed_args(args))
+    family, n, top, bottom = _seaweed_args(args)
+    check_limit(family, n)
+    g = seaweed(family, n, top, bottom)
     search = find_contact_form if args.command == "contact" else find_stable_form
     cert = search(g, args.seed, attempts=args.attempts, bound=args.bound)
     if cert is None:
         _emit(f"{g.label}: no {args.command} form found in {args.attempts} attempts\n", args.out)
         return 1
     if args.format == "json":
-        doc = {"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(g), "certificates": [certificate_to_json(cert)]}
+        named = {"family": family, "n": n, "top": list(top.parts), "bottom": list(bottom.parts)}
+        doc = {"schema": CERTIFICATE_SCHEMA, **named, "certificates": [certificate_to_json(cert)]}
         text = json.dumps(doc, indent=2)
     elif args.command == "contact":
         text = f"{g.label}: contact form found; reeb {ratios_to_json(cert.reeb_row, cert.reeb_den)}"

@@ -43,6 +43,20 @@ from .lie import LieAlgebra, StructureError, _commutator
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
+# The largest rank of each family a sweep runs by default (``check_limit``).
+LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
+
+
+class LimitError(ValueError):
+    """Requested rank exceeds the sweep limits."""
+
+
+def check_limit(family: str, n: int, override: str = "") -> None:
+    """Raise LimitError, its message ending in ``override``, when rank n of
+    ``family`` (a name in FAMILIES) is over ``LIMITS``."""
+    if n > LIMITS[family]:
+        raise LimitError(f"{family} rank {n} is over the sweep limit n <= {LIMITS[family]}{override}")
+
 
 def _immutable(self, name, value=None):
     # Composition's __setattr__ and __delattr__; __init__ uses object's

@@ -98,8 +98,8 @@ stable"; the classifier assigns it and report verification re-derives it.
 The module certifies that contact and stable forms exist; it builds no
 normal-form basis for them.
 
-All operations accept arbitrary finite-dimensional algebras over Q, not just
-seaweeds.
+All operations accept any ``LieAlgebra``, not just seaweeds: any
+finite-dimensional algebra over Q, on an integral basis (``lie``).
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .linalg import (
+    as_int,
     echelon_int_rows,
     meets_trivially_int_rows,
     rank_int_rows,
@@ -172,14 +173,13 @@ def _require_budget(attempts: int, bound: int):
 
 def _form(g: LieAlgebra, form):
     """``form``, the integer coordinates of a one-form on g.  A coordinate
-    that is not an int (a bool, a float, a Fraction) raises TypeError: the
-    fraction-free eliminations floor it.  A length other than g.dim raises
-    ValueError."""
+    that is not an int (a bool, a float, a Fraction) raises TypeError
+    (``linalg.as_int``): the fraction-free eliminations floor it.  A length
+    other than g.dim raises ValueError."""
     if len(form) != g.dim:
         raise ValueError(f"form has {len(form)} coordinates, not {g.dim}")
     for c in form:
-        if type(c) is not int:
-            raise TypeError(f"form coordinate {c!r} is not an int")
+        as_int(c, "form coordinate")
     return form
 
 
@@ -219,9 +219,7 @@ def contact_volume_nonzero(g: LieAlgebra, form) -> bool:
     The (dim+1)-square skew matrix [[0, phi], [-phi, B_phi]] is nonsingular
     exactly when phi ^ (d phi)^k is a volume form, which is the defining
     contact condition; this route never looks at kernels or Reeb vectors.
-    It is built on integer rows, B_phi scaled by a positive factor when
-    the table is not integral, which scales the Pfaffian and keeps its
-    zeros, and ranked by skew elimination.
+    It is built on integer rows and ranked by skew elimination.
     """
     _require_odd(g)
     ints = _form(g, form)

@@ -1,4 +1,4 @@
-"""Finite-dimensional Lie algebras over Q.
+"""Finite-dimensional Lie algebras over Q, held on an integral basis.
 
 An algebra is a structure-constant table: [x_i, x_j] = sum_r c_ijr x_r over a
 fixed basis x_0..x_{dim-1}, optionally carrying a matrix realization of each
@@ -27,11 +27,11 @@ entry), each in O(nnz_i * nnz_j + sum_r nnz_r).  Every other pair of matrices
 commutes and is absent from the table.
 
 A realization is a tuple of matrices, each a tuple of row tuples.
-Structure constants and realization entries are held as ints when
-integral and as Fractions otherwise (``_exact``); a seaweed's are all
-ints, and no Fraction is built for them.  Python mixes the two exactly,
-so one code path serves every algebra, and integral ones run on int
-arithmetic.
+Structure constants and realization entries are ints; anything else (a
+bool, a float, a Fraction) raises TypeError (``linalg.as_int``).  Any
+algebra over Q becomes integral by scaling its basis: for D a common
+denominator of its constants and matrix entries, y_i = D x_i has
+[y_i, y_j] = sum_r (D c_ijr) y_r and matrices D X_i.
 
 The Kirillov form of a one-form phi is the skew matrix
 B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
@@ -55,12 +55,10 @@ for the classifier that writes it and the verifier that checks it.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (
-    as_scalar,
-    clear_denominators,
+    as_int,
     rank_int_rows,  # noqa: F401  (perfbench/spans.py traces it by this name)
     skew_rank_int_rows,
 )
@@ -71,15 +69,6 @@ DEFAULT_BOUND = 10**6
 
 class StructureError(ValueError):
     """Structure constants violate antisymmetry, Jacobi, or the realization."""
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction (an int is
-    returned as it is, so none is built for it)."""
-    if type(x) is int:
-        return x
-    x = as_scalar(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _sparse_matrix(m) -> dict:
@@ -105,10 +94,11 @@ class LieAlgebra:
 
     ``structure`` maps basis index pairs (i, j) to {r: c} with
     [x_i, x_j] = sum_r c x_r.  Either or both orientations of a pair may be
-    given; they must agree up to sign.
+    given; they must agree up to sign.  Every constant c and every
+    realization entry is an int; anything else raises TypeError.
     """
 
-    __slots__ = ("dim", "label", "_table", "_integral", "_rows", "realization")
+    __slots__ = ("dim", "label", "_table", "_rows", "realization")
 
     def __init__(self, dim, structure, realization=None, label=""):
         if dim < 0:
@@ -124,8 +114,7 @@ class LieAlgebra:
             for r, c in terms.items():
                 if not 0 <= r < dim:
                     raise StructureError(f"target index {r} out of range")
-                c = _exact(c)
-                if c:
+                if as_int(c, "structure constant"):
                     cleaned[r] = c
             if i == j:
                 if cleaned:
@@ -143,14 +132,15 @@ class LieAlgebra:
             elif terms:
                 table[(j, i)] = tuple(sorted((r, -c) for r, c in terms.items()))
         self._table = table
-        self._integral = all(type(c) is int for terms in table.values() for _, c in terms)
         self._rows = None
 
         self._check_jacobi()
 
         self.realization = None
         if realization is not None:
-            self.realization = tuple(tuple(tuple(map(_exact, row)) for row in m) for m in realization)
+            self.realization = tuple(
+                tuple(tuple(as_int(x, "realization entry") for x in row) for row in m) for m in realization
+            )
             self._check_realization()
 
     def restrict(self, kept, label=""):
@@ -168,7 +158,7 @@ class LieAlgebra:
         antisymmetry, Jacobi and the realization's compatibility with the
         table are identities of the parent, checked when it was built, and a
         restriction to a set closed under the bracket satisfies them term by
-        term.  A restriction of an integral algebra is integral.
+        term.
         """
         kept = list(kept)
         bounds = [-1, *kept, self.dim]
@@ -192,7 +182,6 @@ class LieAlgebra:
         sub.dim = len(kept)
         sub.label = label
         sub._table = table
-        sub._integral = self._integral or all(type(c) is int for terms in table.values() for _, c in terms)
         sub._rows = None
         mats = self.realization
         sub.realization = None if mats is None else tuple(mats[k] for k in kept)
@@ -273,37 +262,28 @@ class LieAlgebra:
     # -- basic structure access ---------------------------------------------
 
     def structure_items(self):
-        """Sorted sparse table: iterable of (i, j, r, c) with i < j, c != 0;
-        c is an int when integral, else a Fraction."""
+        """Sorted sparse table: iterable of (i, j, r, c) with i < j and c a
+        nonzero int."""
         for (i, j) in sorted(self._table):
             for r, c in self._table[(i, j)]:
                 yield i, j, r, c
 
-    def ad_columns(self, coords):
-        """[x, x_j] for every basis element x_j, x given by its coordinates;
-        one pass over the table."""
-        cols = [[0] * self.dim for _ in range(self.dim)]
+    def ad_int_rows(self, int_coords):
+        """[x, x_j] for every basis element x_j, as integer rows, x given by
+        its integer coordinates; one pass over the table."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for (i, j), terms in self._table.items():
-            a, b = coords[i], coords[j]  # x_i [x_i, x_j] and x_j [x_j, x_i]
+            a, b = int_coords[i], int_coords[j]  # x_i [x_i, x_j] and x_j [x_j, x_i]
             for r, c in terms:
                 if a:
-                    cols[j][r] += a * c
+                    rows[j][r] += a * c
                 if b:
-                    cols[i][r] -= b * c
-        return cols
-
-    def ad_int_rows(self, int_coords):
-        """``ad_columns`` of an integer vector as integer rows, row-scaled if
-        the table is non-integral (scaling preserves their span)."""
-        cols = self.ad_columns(int_coords)
-        return cols if self._integral else [clear_denominators(col)[0] for col in cols]
+                    rows[i][r] -= b * c
+        return rows
 
     def kirillov_int_rows(self, int_coords):
-        """Integer row list of B_phi for integer phi.  A non-integral table
-        scales the whole matrix by one common denominator, which keeps it
-        skew and preserves rank and kernel."""
-        dim = self.dim
-        rows = [[0] * dim for _ in range(dim)]
+        """Integer row list of B_phi for integer phi."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for (i, j), terms in self._table.items():
             v = 0
             for r, c in terms:
@@ -311,10 +291,7 @@ class LieAlgebra:
             if v:
                 rows[i][j] = v
                 rows[j][i] = -v
-        if self._integral:
-            return rows
-        flat, _ = clear_denominators(chain.from_iterable(rows))
-        return [flat[u : u + dim] for u in range(0, dim * dim, dim)]
+        return rows
 
     def __repr__(self):
         name = self.label or "LieAlgebra"

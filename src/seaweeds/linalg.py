@@ -1,15 +1,16 @@
 """Exact rational linear algebra on integer rows.
 
-Everything is exact over Q.  Elimination, kernels and spans run on
-primitive integer rows (`echelon_int_rows`, `rank_int_rows`,
-`rref_int_rows`, `kernel_int_rows`, `span_int_rows`,
+Everything is exact over Q, and every value is an int.  Elimination,
+kernels and spans run on primitive integer rows (`echelon_int_rows`,
+`rank_int_rows`, `rref_int_rows`, `kernel_int_rows`, `span_int_rows`,
 `meets_trivially_int_rows`, and for skew-symmetric matrices
-`skew_rank_int_rows` and `skew_kernel_int_rows`).  `fractions.Fraction`
-appears only where exact scalars are read from a caller or from JSON:
-`as_scalar` reads one, and `clear_denominators` gives rationals as an
-integer row over their least positive common denominator (JSON rationals
-are parsed straight into integer rows by `serialize`).  No rounding ever
-occurs.
+`skew_rank_int_rows` and `skew_kernel_int_rows`).  A rational row is the
+integer row over its common denominator, which spans the same line, so no
+rational value type is needed; JSON rationals are parsed straight into
+integer rows by `serialize`.  `as_int` is the one test that a value taken
+from a caller or a document is an int: a bool, a float or a Fraction would
+pass a comparison with one, and the fraction-free eliminations would floor
+it.  No rounding ever occurs.
 
 Genericity over Q is genericity over C.  Every predicate evaluated
 downstream (a rank condition on a Kirillov matrix, kernel membership) says
@@ -43,27 +44,17 @@ kept give the canonical rows by upward elimination alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
-def as_scalar(x) -> Fraction:
-    """x as a Fraction; a float is refused, since its binary value is rarely
-    the rational that was meant."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"inexact scalar {x!r}: give an int, a Fraction or a 'p/q' string")
-    return Fraction(x)
 
-
-def clear_denominators(values) -> tuple[list, int]:
-    """Rationals (ints or Fractions) as (row, den): row[i] / den is
-    values[i], and den is their least positive common denominator."""
-    values = list(values)
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def as_int(value, what: str) -> int:
+    """``value`` if it is an int; anything else (a bool, a float, a
+    Fraction, a string) raises TypeError naming ``what``."""
+    if type(value) is not int:
+        raise TypeError(f"{what} is {value!r}, not an integer")
+    return value
 
 
 def _content(row, start):

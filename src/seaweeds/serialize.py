@@ -1,15 +1,12 @@
 """JSON serialization and independent certificate re-verification.
 
 All rationals are "num/den" strings in lowest terms with positive
-denominator, in algebras and certificates alike: ``_ratio_str`` writes
-them and ``_ratio`` reads them (and "num" or an int), both reduced by
-``_lowest``; basis indices are 0-based.  Document shapes:
-
-LieAlgebra::
-
-    {"label": str, "dim": int,
-     "structure": [[i, j, r, "num/den"], ...],      # i < j, sorted
-     "realization": [[["num/den", ...], ...], ...] or null}
+denominator: ``_ratio_str`` writes them and ``_ratio`` reads them (and
+"num" or an int), both reduced by ``_lowest``; basis indices are 0-based.
+No document holds an algebra.  Each names its seaweed by family, rank and
+composition pair, as ``seaweed(family, n, top, bottom)`` takes them, and
+``verify`` rebuilds it, so every certificate is checked against the
+seaweed it claims.  Document shapes:
 
 Certificates::
 
@@ -25,59 +22,64 @@ Certificates::
 Certificate document (output of ``seaweeds contact`` and ``seaweeds
 stable`` in json, input of ``seaweeds verify``)::
 
-    {"schema": CERTIFICATE_SCHEMA, "algebra": {...}, "certificates": [cert, ...]}
+    {"schema": CERTIFICATE_SCHEMA, "family": "GL", "n": 3,
+     "top": [2, 1], "bottom": [3], "certificates": [cert, ...]}
+
+Certificate schema 3 is the first that names its seaweed (schema 2
+embedded a rational table, which was checked in place of its label).  A
+rank over ``construct.LIMITS`` is refused before anything is built
+(``_named_seaweed``), since the ambient build grows as about n^4.
 
 Classification reports (``seaweeds classify --embed``) carry the same
-certificate objects per record; verification rebuilds each record's seaweed
-from its family and compositions.  Reports carry ``"schema":
-REPORT_SCHEMA``; schema 3 (certificate schema 2) is the first whose
-stability certificate of a contact form omits ``bracket_span``, and schema
-4 the first whose index is ``meander.index_formula`` (the index rule),
-with no index trial drawn: ``trial_kernel_dims`` is always empty.
-``verify`` refuses a report of any other schema, as it refuses a
-certificate document whose schema is not ``CERTIFICATE_SCHEMA``.
+certificate objects per record, and each record names its seaweed by the
+same fields.  Reports carry ``"schema": REPORT_SCHEMA``; schema 3
+(certificate schema 2) is the first whose stability certificate of a
+contact form omits ``bracket_span``, and schema 4 the first whose index
+is ``meander.index_formula`` (the index rule), with no index trial drawn:
+``trial_kernel_dims`` is always empty.  ``verify`` refuses a report of any
+other schema, as it refuses a certificate document whose schema is not
+``CERTIFICATE_SCHEMA``, each with the command that writes a new one.
 ``verify_*`` recomputes every invariant from scratch, so tampered data
-fails either here (False) or already at algebra reconstruction
-(StructureError).  Every integer field (dimensions, indices, seeds,
-budgets, counts, composition parts) must hold a JSON integer, and every
+fails either here (False) or already at seaweed reconstruction
+(ValueError).  Every integer field (dimensions, indices, seeds, budgets,
+counts, ranks, composition parts) must hold a JSON integer, and every
 rational a string or an integer: a bool or a float in one is a malformed
-document (``_int``, ``_ratio``), since Python holds True and 1.0 equal to
-1 and a comparison alone would let it pass.
+document (``linalg.as_int``, ``_ratio``), since Python holds True and 1.0
+equal to 1 and a comparison alone would let it pass.
 
-Certificates are written and checked on integer rows, as the searches
-run, and no Fraction is built on the way.  ``certificate_to_json`` writes
-each "num/den" from a certificate's integer rows, and the constant
-``kernel_dim`` 1 and ``intersection_dim`` 0; it serves reports and
-certificate documents alike.  Each coordinate list read back is parsed
-straight into one integer row and the lcm of its reduced denominators.
-Either kind of certificate parses its form and takes ker B_phi once, as
-canonical primitive integer rows, unless they are given; B_phi is built
-only where that kernel is taken.  A contact certificate checks that the
-kernel is a line, that reeb lies on it, which is B_phi . reeb = 0, and
-phi(reeb) = 1, as integer identities.  A stability certificate compares
-the kernel with its serialized basis.  Without ``bracket_span`` it then
-needs only that kernel: one row k with phi(k) != 0 makes the form contact,
-hence stable (see ``contact``).  With ``bracket_span`` it runs the
-kernel-bracket test (``contact.kernel_bracket_span``) on the kernel and
-compares the rows of [ker, g] it issues with the serialized span.  A
-serialized basis row matches a canonical row only when it clears to it
-and its leading entry is 1, so a basis that spans the right space but is
-not in canonical rational form is refused.  A report record's certificate
-forms are parsed once, and when its two certificates carry one form, as
-the sweep's shared search issues them, ker B_phi is taken once and serves
-both checks.  A record's certificates are exactly those its FOUND
-statuses name (``_evidence``), each of the kind of its key, so a report
-written without ``--embed`` fails at its first FOUND record, which
-``unembedded_found`` names; and every certificate form in a report must be
-one its record's search could draw: integer coordinates within its bound.
+Certificates are written and checked on integer rows, as the searches run.
+``certificate_to_json`` writes each "num/den" from a certificate's integer
+rows, and the constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it
+serves reports and certificate documents alike.  Each coordinate list read
+back is parsed straight into one integer row and the lcm of its reduced
+denominators.  Either kind of certificate parses its form and takes
+ker B_phi once, as canonical primitive integer rows, unless they are
+given; B_phi is built only where that kernel is taken.  A contact
+certificate checks that the kernel is a line, that reeb lies on it, which
+is B_phi . reeb = 0, and phi(reeb) = 1, as integer identities.  A
+stability certificate compares the kernel with its serialized basis.
+Without ``bracket_span`` it then needs only that kernel: one row k with
+phi(k) != 0 makes the form contact, hence stable (see ``contact``).  With
+``bracket_span`` it runs the kernel-bracket test
+(``contact.kernel_bracket_span``) on the kernel and compares the rows of
+[ker, g] it issues with the serialized span.  A serialized basis row
+matches a canonical row only when it clears to it and its leading entry is
+1, so a basis that spans the right space but is not in canonical rational
+form is refused.  A report record's certificate forms are parsed once, and
+when its two certificates carry one form, as the sweep's shared search
+issues them, ker B_phi is taken once and serves both checks.  A record's
+certificates are exactly those its FOUND statuses name (``_evidence``),
+each of the kind of its key, so a report written without ``--embed`` fails
+at its first FOUND record, which ``unembedded_found`` names; and every
+certificate form in a report must be one its record's search could draw:
+integer coordinates within its bound.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .construct import composition_pairs, matrix_size, seaweed, seaweed_dim
+from .construct import Composition, check_limit, composition_pairs, matrix_size, seaweed, seaweed_dim
 from .contact import (
     CONSISTENT,
     FOUND,
@@ -91,11 +93,11 @@ from .contact import (
     search_verdict,
 )
 from .lie import LieAlgebra, parity
-from .linalg import skew_kernel_int_rows
+from .linalg import as_int, skew_kernel_int_rows
 from .meander import index_formula
 
 REPORT_SCHEMA = 4
-CERTIFICATE_SCHEMA = 2
+CERTIFICATE_SCHEMA = 3
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
@@ -135,40 +137,6 @@ def _ratio(s) -> tuple[int, int]:
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
     return _lowest(num, den)
-
-
-def _int(value, field: str) -> int:
-    """``value``, read from the integer field ``field``; anything but a
-    JSON integer is refused (TypeError)."""
-    if type(value) is not int:
-        raise TypeError(f"{field} is {value!r}, not an integer")
-    return value
-
-
-def algebra_to_json(g: LieAlgebra) -> dict:
-    doc = {
-        "label": g.label,
-        "dim": g.dim,
-        "structure": [[i, j, r, _ratio_str(c.numerator, c.denominator)] for i, j, r, c in g.structure_items()],
-    }
-    if g.realization is not None:
-        doc["realization"] = [
-            [[_ratio_str(x.numerator, x.denominator) for x in row] for row in m] for m in g.realization
-        ]
-    else:
-        doc["realization"] = None
-    return doc
-
-
-def algebra_from_json(doc: dict) -> LieAlgebra:
-    structure = {}
-    for i, j, r, c in doc["structure"]:
-        i, j, r = (_int(x, "structure") for x in (i, j, r))
-        structure.setdefault((i, j), {})[r] = Fraction(*_ratio(c))
-    realization = None
-    if doc.get("realization") is not None:
-        realization = [[[Fraction(*_ratio(x)) for x in row] for row in m] for m in doc["realization"]]
-    return LieAlgebra(_int(doc["dim"], "dim"), structure, realization=realization, label=doc.get("label", ""))
 
 
 def _basis_to_json(dim: int, rows) -> dict:
@@ -220,7 +188,7 @@ def _coords_row(g: LieAlgebra, data) -> tuple[list, int]:
 
 
 def _basis_rows(doc: dict) -> tuple:
-    return _int(doc["ambient_dim"], "ambient_dim"), [_int_row(v) for v in doc["basis"]]
+    return as_int(doc["ambient_dim"], "ambient_dim"), [_int_row(v) for v in doc["basis"]]
 
 
 def _is_canonical(basis, dim: int, rows) -> bool:
@@ -252,7 +220,7 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
         kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
     if kind == "contact":
         reeb, reeb_den = _coords_row(g, doc["reeb"])
-        if _int(doc["kernel_dim"], "kernel_dim") != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
+        if as_int(doc["kernel_dim"], "kernel_dim") != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
             return False
         # B_form . reeb = 0: reeb lies on the kernel line, k[p] reeb = reeb[p] k
         k = kernel[0]
@@ -262,7 +230,7 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
         return pairing(form, reeb) == form_den * reeb_den
     kernel_basis = _basis_rows(doc["kernel"])
     span_basis = _basis_rows(doc["bracket_span"]) if "bracket_span" in doc else None
-    if _int(doc["intersection_dim"], "intersection_dim") != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
+    if as_int(doc["intersection_dim"], "intersection_dim") != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
         return False
     if span_basis is None:
         # a contact form, whose [k, g] lies in ker phi, which misses k
@@ -329,16 +297,16 @@ def _require_report_ints(doc: dict) -> None:
     claim is compared."""
     for field in ("schema", "n", "seed"):
         if field in doc:
-            _int(doc[field], field)
+            as_int(doc[field], field)
     for part in ("budgets", "summary"):
         for field, value in doc.get(part, {}).items():
-            _int(value, f"{part}.{field}")
+            as_int(value, f"{part}.{field}")
     for record in doc["records"]:
         for field in ("n", "seed", "dim", "index", "attempts", "bound", "trials"):
-            _int(record[field], field)
+            as_int(record[field], field)
         for field in ("top", "bottom", "trial_kernel_dims"):
             for value in record[field]:
-                _int(value, field)
+                as_int(value, field)
 
 
 def _budgets(record: dict) -> dict:
@@ -374,32 +342,44 @@ def _sweep_holds(doc: dict) -> list | None:
     return named
 
 
+def _named_seaweed(doc: dict) -> tuple:
+    """The ``seaweed`` arguments (family, n, top, bottom) a certificate
+    document names, each integer checked (``as_int``), and the rank held
+    to the family's least (``matrix_size``) and to ``construct.LIMITS``
+    before anything is built."""
+    family, n = doc["family"], as_int(doc["n"], "n")
+    matrix_size(family, n)
+    check_limit(family, n)
+    top, bottom = (Composition(tuple(as_int(p, key) for p in doc[key])) for key in ("top", "bottom"))
+    return family, n, top, bottom
+
+
 def verify_document(doc: dict) -> bool:
     """Verify every certificate in a certificate document or a report.
 
-    Certificate documents carry an embedded algebra; classification reports
-    name each record's seaweed by family and compositions, which is rebuilt.
-    A document is invalid when it gives nothing to check (no records, no
+    Each names its seaweed by family, rank and compositions, a certificate
+    document once and a report per record, and the seaweed is rebuilt.  A
+    document is invalid when it gives nothing to check (no records, no
     certificates), when a record's index is not its
     ``meander.index_formula``, its parity not that of its dimension, its
     ``trial_kernel_dims`` not empty, its trial count below 1, its attempt
     budget negative or its bound below 1, when its statuses or verdict
     disagree with its index, or an index-one verdict is not the one its
-    statuses and budget give (``_index_claims_hold``), when a record's certificate keys are not
-    exactly the kinds its FOUND statuses name or a certificate's kind is not
-    its key (so a record whose index is not one, whose searches are
-    SKIPPED, carries none), when a record's dimension is not that of the
-    seaweed it names (the rebuilt seaweed's where certificates are
-    embedded, else the count of ambient basis matrices the flags keep), when a certificate's form is not one
-    the record's search could draw (a coordinate that is not an integer or
+    statuses and budget give (``_index_claims_hold``), when a record's
+    certificate keys are not exactly the kinds its FOUND statuses name or
+    a certificate's kind is not its key (so a record whose index is not
+    one, whose searches are SKIPPED, carries none), when a record's
+    dimension is not that of the seaweed it names (the rebuilt seaweed's
+    where certificates are embedded, else the count of ambient basis
+    matrices the flags keep), when a certificate's form is not one the
+    record's search could draw (a coordinate that is not an integer or
     exceeds the record's bound in absolute value), when a report's summary
-    counts disagree with its records' verdicts, or when its records are not
-    one whole sweep in order, with one budget (``_sweep_holds``).  A
+    counts disagree with its records' verdicts, or when its records are
+    not one whole sweep in order, with one budget (``_sweep_holds``).  A
     document of the wrong shape (an integer field that holds no JSON
-    integer among them), a report whose schema is not
-    ``REPORT_SCHEMA``, a certificate document whose schema is not
-    ``CERTIFICATE_SCHEMA``, or a report naming an unknown family or rank,
-    raises ValueError.
+    integer among them), of another schema, naming an unknown family or
+    rank or compositions the family does not admit, or a certificate
+    document over ``construct.LIMITS``, raises ValueError.
     """
     try:
         return _verify_document(doc)
@@ -451,12 +431,12 @@ def _verify_document(doc: dict) -> bool:
             for cert, form in zip(certs.values(), forms):
                 ok = verify_certificate(g, cert, kernel, form) and ok
         return doc["summary"] == count_verdicts(r["verdict"] for r in doc["records"]) and ok
-    if "algebra" not in doc:
-        raise ValueError("unknown algebra reference: document embeds no algebra")
     if doc.get("schema") != CERTIFICATE_SCHEMA:
-        raise ValueError(f"certificate schema {doc.get('schema')!r} is not {CERTIFICATE_SCHEMA}")
-    _int(doc["schema"], "schema")
-    g = algebra_from_json(doc["algebra"])
+        raise ValueError(
+            f"certificate schema {doc.get('schema')!r} is not {CERTIFICATE_SCHEMA}: run contact or stable again"
+        )
+    as_int(doc["schema"], "schema")
+    g = seaweed(*_named_seaweed(doc))
     certs = doc.get("certificates")
     if not certs:
         return False

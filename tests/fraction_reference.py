@@ -13,7 +13,8 @@ into a Fraction and compare rational subspaces, and derive an ambient basis
 from the rational condition matrix (``ambient_basis``, which the
 full-check reference also builds its ambient supports and table from); the
 tests hold both routes to the same certificates, the same verdicts and the
-same bases.  Its certificates are
+same bases, and ``clear_denominators`` turns the rational forms they draw
+into the integer forms the package takes.  Its certificates are
 rational values, written to JSON from their Fractions
 (``certificate_json``), against which ``matches`` holds the integer rows
 of the package's certificates and their JSON.  Every rank, span,
@@ -215,8 +216,9 @@ def kirillov_kernel(g, form):
 def bracket_span(g, kernel):
     """[kernel, g]: the span of [k, x_j] over the kernel basis and all j."""
     vectors = []
+    units = [[int(t == j) for t in range(g.dim)] for j in range(g.dim)]
     for k in kernel.basis:
-        vectors.extend(g.ad_columns(k))
+        vectors.extend(bracket(g, k, unit) for unit in units)
     return span(vectors, g.dim)
 
 
@@ -304,8 +306,10 @@ def certificate_json(cert):
     return doc
 
 
-def _cleared(coords):
-    """Rationals as (integer row, least positive common denominator)."""
+def clear_denominators(coords):
+    """Rationals (ints, Fractions or "num/den" strings) as (integer row,
+    least positive common denominator): the integer form a rational form
+    is taken as, with the same kernel and verdicts."""
     coords = [Fraction(x) for x in coords]
     den = lcm(*(x.denominator for x in coords))
     return tuple(int(x * den) for x in coords), den
@@ -316,13 +320,13 @@ def rows(cert):
     rows: each vector as (row, least positive common denominator), each
     canonical basis as its primitive integer rows."""
     if isinstance(cert, ContactReference):
-        return _cleared(cert.form), _cleared(cert.reeb)
+        return clear_denominators(cert.form), clear_denominators(cert.reeb)
     if isinstance(cert, StabilityReference):
         bases = (cert.kernel, cert.bracket_span)
-        return (_cleared(cert.form), *(s and tuple(_cleared(v)[0] for v in s.basis) for s in bases))
+        return (clear_denominators(cert.form), *(s and tuple(clear_denominators(v)[0] for v in s.basis) for s in bases))
     form = (cert.form_row, 1)
     if hasattr(cert, "reeb_row"):
-        return form, _cleared(Fraction(v, cert.reeb_den) for v in cert.reeb_row)
+        return form, clear_denominators(Fraction(v, cert.reeb_den) for v in cert.reeb_row)
     return form, cert.kernel_rows, cert.bracket_span_rows
 
 

@@ -9,10 +9,11 @@ identities.  This version keeps the first route throughout:
 pairs and tests each support against it, ``full_walk_restriction`` walks the
 whole parent table, and ``full_check_seaweed`` hands the re-indexed table to
 ``LieAlgebra(...)``, so antisymmetry, Jacobi and the realization are checked
-again for every seaweed; the tests hold both routes to the same JSON.  The
-ambient supports, shared entries and table come from the rational basis of
-``fraction_reference.ambient_basis`` and this module's own sparse
-commutators, so nothing here is taken from ``construct``'s ambient.
+again for every seaweed; the tests hold both routes to the same table and
+realization.  The ambient supports, shared entries and table come from the
+rational basis of ``fraction_reference.ambient_basis``, whose entries are
+integers, and this module's own sparse commutators, so nothing here is
+taken from ``construct``'s ambient.
 """
 
 from functools import lru_cache
@@ -38,14 +39,21 @@ def _commutator(x, y):
     return {e: c for e, c in out.items() if c}
 
 
+def _ints(m):
+    """A rational matrix of integer entries as int rows, as ``LieAlgebra``
+    takes a realization."""
+    assert all(x.denominator == 1 for row in m for x in row), m
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
 @lru_cache(maxsize=None)
 def ambient_view(family, n):
-    """The rational ambient basis (``fraction_reference.ambient_basis``)
-    with its supports, its shared entries and its table.  The basis is in
+    """The rational ambient basis (``fraction_reference.ambient_basis``),
+    as int matrices, with its supports, its shared entries and its table.  The basis is in
     rational RREF, so each matrix is 1 at its pivot (its first nonzero
     entry in row-major order) and every other one is 0 there: the table
     holds a commutator's values at the pivots."""
-    mats = ambient_basis(family, n)
+    mats = tuple(_ints(m) for m in ambient_basis(family, n))
     sparse = [_sparse(m) for m in mats]
     owner = {min(entries): k for k, entries in enumerate(sparse)}
     seen, shared = set(), set()

@@ -89,6 +89,8 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("classify", "--family", "SL", "--n", "3", "--out", "{missing}/r.json"),
         ("contact", "0|3", "--family", "SO", "--n", "7", "--bound", "0"),
         ("stable", "0|3", "--family", "SO", "--n", "7", "--bound", "-1"),
+        ("stable", "8|8", "--family", "GL"),
+        ("stable", "0|3", "--family", "SO", "--n", "9"),
         ("meander", "0|0"),
         ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "csv"),
         ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "text"),
@@ -110,16 +112,18 @@ def test_meander_refuses_the_empty_pair_as_index_does(capsys):
 # default seed, bound and budget, pinned when the searches still drew their
 # own forms: a search on its own tests the same draws in the same order.
 # Both stable forms are contact, so their certificates hold no [ker, g]
-# and the text names them so; the json carries certificate schema 2.
+# and the text names them so.  The json is certificate schema 3, which
+# names the seaweed (family, n, top, bottom) where schema 2 embedded its
+# table and realization; its certificates are schema 2's, unchanged.
 SEARCH_OUTPUT_DIGESTS = {
     ("contact", "2,1|3", "GL", "text"): "d627a273c832ff89c7a2cd3a2f3d068a4e7100e7ae565238eeff94de10d096bd",
-    ("contact", "2,1|3", "GL", "json"): "bb7ca188d5339bbc955322b6991696374b935252c0340dd27491b68e889dbfa6",
+    ("contact", "2,1|3", "GL", "json"): "b8e5803c5886d4aa5652eec6adc3c0c7d2d989ce266a8aed99c23e6b59f629f9",
     ("stable", "2,1|3", "GL", "text"): "030de84cef5a6f7841d7625758b08f952434b47311f6c1d838970523b19335a3",
-    ("stable", "2,1|3", "GL", "json"): "f5d3742359f3174022262e493c9bcb0e1c7c72e6d315b07daebae5da2d374e06",
+    ("stable", "2,1|3", "GL", "json"): "56294bc81b8790522b1a3ddff9d2a3770f420a4acb2fef7d2af753e750c85c0e",
     ("contact", "0|3", "SO", "text"): "0dd35ec6cf2ae63a89e777f8dc98fd6a0528e147a37919c66b056b044af6c725",
-    ("contact", "0|3", "SO", "json"): "320cf5e5d8760d9135924a4015b3b795cde3ffd3f7e301bf50edd277a24248de",
+    ("contact", "0|3", "SO", "json"): "22c86d5ab60fb853488e7454ac7f31dd2dcedd153d83abf3776e840247ee1ca3",
     ("stable", "0|3", "SO", "text"): "7e201658eeca8b9dd0f43dafb05af9bd70c047c4b001a0893da6fea2d4d73d52",
-    ("stable", "0|3", "SO", "json"): "7c85fe1366bd3bd755ae1a12348e9bba859bd87fa4a26540256d3f41f1aea037",
+    ("stable", "0|3", "SO", "json"): "11d5d0c532ecec1599dd523001313fea447940bc45dbcf9b4c0d06912f4b04d3",
 }
 
 
@@ -336,37 +340,96 @@ def test_verify_exit_2_on_a_float_or_a_bool_in_an_integer_field(capsys, tmp_path
     assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
 
 
-# Two tampers of every matrix of a certificate document's realization that
-# keep the row count of a 3 x 3 matrix and the length of its first row.
-RAGGED = {
-    "a long row 1": lambda m: m[1].extend(["0/1", "0/1"]),
-    "a short row 2": lambda m: m[2][-1] == "0/1" and m[2].pop(),  # a trailing zero
-}
+# A certificate document names its seaweed, and verify rebuilds it.
 
 
-@pytest.mark.parametrize("tamper", sorted(RAGGED))
-def test_verify_exit_2_on_a_ragged_realization(capsys, tmp_path, tamper):
-    path = tmp_path / "k.json"
-    assert main(["contact", "2,1|3", "--family", "GL", "--format", "json", "--out", str(path)]) == 0
-    doc = json.loads(path.read_text())
-    assert run(capsys, "verify", str(path))[:2] == (0, "valid\n")
-    for m in doc["algebra"]["realization"]:
-        RAGGED[tamper](m)
+def test_verify_holds_a_certificate_to_the_seaweed_its_document_names(capsys, tmp_path):
+    # GL3[1,2|3] has the dimension of GL3[2,1|3] (and index one), so only
+    # the rebuilt seaweed refuses the certificate
+    doc = contact_document(capsys)
+    doc["top"] = [1, 2]
+    assert run(capsys, "verify", write(tmp_path, doc)) == (1, "INVALID\n", "")
+
+
+@pytest.mark.parametrize("field,value", [("family", "E8"), ("family", "gl"), ("n", 2), ("top", [2, 2])])
+def test_verify_exit_2_on_a_seaweed_that_does_not_exist(capsys, tmp_path, field, value):
+    doc = contact_document(capsys)
+    doc[field] = value
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
-    assert (code, out) == (2, "") and err.count("\n") == 1 and "must be square of equal size" in err
+    assert (code, out) == (2, "") and err.count("\n") == 1
 
 
-def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+@pytest.mark.parametrize("bad", [True, 3.0], ids=repr)
+@pytest.mark.parametrize("field", ["n", "top", "bottom"])
+def test_verify_exit_2_on_a_bool_or_a_float_naming_the_seaweed(capsys, tmp_path, field, bad):
+    doc = contact_document(capsys)
+    if field == "n":
+        doc["n"] = bad
+    else:
+        doc[field] = [bad if part == 1 or part == 3 else part for part in doc[field]]
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
+
+
+@pytest.mark.parametrize("family,n,pair", [("GL", 8, ([8], [8])), ("GL", 24, ([24], [24])), ("SO", 9, ([], [3]))])
+def test_verify_refuses_a_rank_over_the_limits_before_building(capsys, tmp_path, monkeypatch, family, n, pair):
+    def no_ambient(*args):
+        raise AssertionError("an ambient algebra was built")
+
+    doc = contact_document(capsys)
+    doc.update(family=family, n=n, top=pair[0], bottom=pair[1])
+    monkeypatch.setattr("seaweeds.construct._ambient", no_ambient)
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "over the sweep limit" in err
+
+
+def test_verify_refuses_an_embedded_algebra_labelled_as_a_seaweed(capsys, tmp_path):
+    # the schema-2 Heisenberg document, labelled SO7[1,2|0]: schema 2 checked
+    # its certificates against the embedded table and read valid, though
+    # SO7[1,2|0] has dimension 13 and no contact form
+    fixture = Path(__file__).parent / "data" / "heisenberg_certificates.json"
+    doc = json.loads(fixture.read_text())
+    doc["algebra"]["label"] = "SO7[1,2|0]"
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "run contact or stable again" in err
+    # schema 3 with those certificates names the seaweed, which is rebuilt
+    named = {"schema": 3, "family": "SO", "n": 7, "top": [1, 2], "bottom": [], "certificates": doc["certificates"]}
+    code, out, err = run(capsys, "verify", write(tmp_path, named))
+    assert code != 0 and out != "valid\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["contact", "2,1|3"],
+    ["stable", "2,1|3"],
+    ["contact", "0|3", "--family", "SO", "--n", "7"],
+    ["stable", "0|3,1", "--family", "SO", "--n", "8"],
+    ["stable", "1|1,1", "--family", "SP", "--n", "2"],
+    ["contact", "3,1|1,2,1", "--family", "SL"],
+])
+def test_every_certificate_document_the_searches_write_verifies(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "family", "n", "top", "bottom", "certificates"]
+    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+
+
+@pytest.mark.parametrize("write_args", [
+    ["classify", "--family", "SO", "--n", "5", "--embed"],
+    ["contact", "2,1|3", "--format", "json"],
+], ids=["classify", "contact"])
+def test_no_command_imports_dataclasses_or_inspect(tmp_path, write_args):
     # Each command runs in a fresh interpreter, so what the package imports
     # is paid on every start; dataclasses alone (with inspect, ast, dis and
-    # tokenize behind it) once cost a fifth of the start-up.
+    # tokenize behind it) once cost a fifth of the start-up.  No module
+    # builds a rational value either: fractions and decimal stay unloaded.
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = str(tmp_path / "r.json")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import seaweeds.cli; seaweeds.cli.build_parser(); "
-        f"assert seaweeds.cli.main(['classify', '--family', 'SO', '--n', '5', '--embed', '--out', {out!r}]) == 0; "
+        f"assert seaweeds.cli.main({write_args + ['--out', out]!r}) == 0; "
         f"assert seaweeds.cli.main(['verify', {out!r}]) == 0; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["[]"]), done.stderr

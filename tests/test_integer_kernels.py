@@ -14,9 +14,7 @@ from stock_algebras import abelian, heisenberg
 from seaweeds import Composition, seaweed
 from seaweeds.classify import composition_pairs
 from seaweeds.contact import StabilityCertificate, is_contact_form, is_stable_form, pairing
-from seaweeds.lie import LieAlgebra
 from seaweeds.linalg import (
-    clear_denominators,
     echelon_int_rows,
     kernel_int_rows,
     skew_kernel_int_rows,
@@ -26,6 +24,7 @@ from seaweeds.serialize import _int_row, _ratio, certificate_to_json, verify_cer
 
 F = Fraction
 frac_from_str = ref.frac_from_str
+clear_denominators = ref.clear_denominators
 
 
 def frac_to_str(x):
@@ -37,18 +36,7 @@ FAMILIES += [("SP", 1), ("SP", 2)] + [("SO", n) for n in (3, 4, 5, 6)]
 SEAWEEDS = [seaweed(f, n, a, b) for f, n in FAMILIES for a, b in composition_pairs(f, n)]
 
 
-def halved(g):
-    """The same algebra in the basis x_i / 2: [y_i, y_j] = sum_r (c_ijr / 2) y_r,
-    realized by X_i / 2."""
-    structure = {}
-    for i, j, r, c in g.structure_items():
-        structure.setdefault((i, j), {})[r] = F(c, 2)
-    mats = tuple(tuple(tuple(F(x, 2) for x in row) for row in m) for m in g.realization)
-    return LieAlgebra(g.dim, structure, realization=mats, label="halved")
-
-
-RESCALED = [h for h in map(halved, SEAWEEDS[:21]) if not h._integral]  # GL1-3
-ALGEBRAS = SEAWEEDS + RESCALED + [heisenberg(), abelian(3)]
+ALGEBRAS = SEAWEEDS + [heisenberg(), abelian(3)]
 
 scalars = st.one_of(
     st.integers(-2, 2),
@@ -85,10 +73,6 @@ def over(doc, den):
     if "reeb" in doc:
         out["reeb"] = [frac_to_str(frac_from_str(x) * den) for x in doc["reeb"]]
     return out
-
-
-def test_rescaled_algebras_are_non_integral():
-    assert len(RESCALED) >= 15
 
 
 @settings(max_examples=400, deadline=None)
@@ -215,10 +199,10 @@ def test_echelon_int_rows_is_an_echelon_basis_of_the_row_space(rows):
 
 def _certificate_cases():
     """(algebra, certificate document) for a small random form on every
-    seaweed of SEAWEEDS, and on the non-integral rescaled ones."""
+    seaweed of SEAWEEDS."""
     rng = random.Random(1)
     cases = []
-    for g in SEAWEEDS + RESCALED:
+    for g in SEAWEEDS:
         form = [rng.randint(-3, 3) for _ in range(g.dim)]
         certs = [is_stable_form(g, form)] + ([is_contact_form(g, form)] if g.dim % 2 else [])
         cases += [(g, certificate_to_json(c)) for c in certs if c is not None]

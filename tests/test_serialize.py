@@ -5,12 +5,10 @@ from pathlib import Path
 import pytest
 from block_reference import gln_seaweed
 from fraction_reference import frac_from_str
-from stock_algebras import abelian, heisenberg
+from stock_algebras import heisenberg
 
 from seaweeds import (
     Composition,
-    algebra_from_json,
-    algebra_to_json,
     certificate_to_json,
     find_contact_form,
     find_stable_form,
@@ -22,8 +20,9 @@ from seaweeds.classify import REPORT_SCHEMA, classify, report
 from seaweeds.cli import main
 from seaweeds.contact import count_verdicts
 from seaweeds.construct import seaweed
-from seaweeds.lie import LieAlgebra, StructureError
-from seaweeds.serialize import CERTIFICATE_SCHEMA, _int, _ratio, _ratio_str, verify_certificate
+from seaweeds.lie import LieAlgebra
+from seaweeds.linalg import as_int
+from seaweeds.serialize import CERTIFICATE_SCHEMA, _ratio, _ratio_str, verify_certificate
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "data"
@@ -46,39 +45,6 @@ def test_fraction_strings():
     # a negative and an unreduced denominator, read and written as Fraction reduces them
     assert _ratio("6/-4") == (F(6, -4).numerator, F(6, -4).denominator) == (-3, 2)
     assert _ratio_str(6, -4) == str(F(6, -4)) == "-3/2"
-
-
-def test_algebra_json_writes_ints_and_fractions_in_lowest_terms():
-    # [x0, x1] = 3 x2 with an int constant, [x0, x2] = 4/6 x2 as a Fraction
-    g = LieAlgebra(3, {(0, 1): {2: 3}, (0, 2): {2: F(4, 6)}})
-    doc = algebra_to_json(g)
-    assert doc["structure"] == [[0, 1, 2, "3/1"], [0, 2, 2, "2/3"]]
-    assert list(algebra_from_json(doc).structure_items()) == list(g.structure_items())
-
-
-def test_algebra_roundtrip_with_realization():
-    h = heisenberg()
-    doc = algebra_to_json(h)
-    back = algebra_from_json(doc)
-    assert back.dim == h.dim
-    assert back.label == h.label
-    assert list(back.structure_items()) == list(h.structure_items())
-    assert back.realization == h.realization
-
-
-def test_algebra_roundtrip_without_realization():
-    doc = algebra_to_json(abelian(4))
-    doc["realization"] = None
-    back = algebra_from_json(doc)
-    assert back.realization is None and back.dim == 4
-
-
-def test_tampered_structure_constant_fails_construction():
-    g = gln_seaweed(C(2), C(2))
-    doc = algebra_to_json(g)
-    doc["structure"][0][3] = "2/1"  # perturb one constant
-    with pytest.raises(StructureError):
-        algebra_from_json(doc)
 
 
 def test_contact_certificate_roundtrip():
@@ -108,50 +74,56 @@ def test_stability_certificate_roundtrip_and_tamper():
     assert not verify_certificate(g, bad)
 
 
-def test_verify_document_with_embedded_algebra():
-    g = gln_seaweed(C(2, 1), C(3))
-    cert = find_contact_form(g, seed=1)
-    doc = {
+def certificate_document(search, family, n, top, bottom, seed=1):
+    """The certificate document ``seaweeds contact`` or ``seaweeds stable``
+    writes for the seaweed (family, n, top, bottom)."""
+    cert = search(seaweed(family, n, C(*top), C(*bottom)), seed=seed)
+    return {
         "schema": CERTIFICATE_SCHEMA,
-        "algebra": algebra_to_json(g),
+        "family": family,
+        "n": n,
+        "top": list(top),
+        "bottom": list(bottom),
         "certificates": [certificate_to_json(cert)],
     }
-    assert verify_document(doc)
+
+
+def test_verify_document_naming_its_seaweed():
+    assert verify_document(certificate_document(find_contact_form, "GL", 3, [2, 1], [3]))
+    assert verify_document(certificate_document(find_stable_form, "SO", 7, [], [3]))
 
 
 def test_verify_refuses_a_certificate_document_of_another_schema():
-    g = heisenberg()
-    doc = {
-        "schema": CERTIFICATE_SCHEMA,
-        "algebra": algebra_to_json(g),
-        "certificates": [certificate_to_json(find_contact_form(g, seed=1))],
-    }
+    doc = certificate_document(find_contact_form, "GL", 3, [2, 1], [3])
     assert verify_document(doc)
-    assert CERTIFICATE_SCHEMA == 2
-    for schema in (1, 99):
+    assert CERTIFICATE_SCHEMA == 3
+    for schema in (1, 2, 99):
         doc["schema"] = schema
-        with pytest.raises(ValueError, match=f"certificate schema {schema} is not 2"):
+        with pytest.raises(ValueError, match=f"certificate schema {schema} is not 3: run contact or stable again"):
             verify_document(doc)
     del doc["schema"]
-    with pytest.raises(ValueError, match="certificate schema None is not 2"):
+    with pytest.raises(ValueError, match="certificate schema None is not 3"):
         verify_document(doc)
 
 
-def test_verify_document_fixture():
+def test_the_heisenberg_fixture_is_an_old_schema_and_its_certificates_hold():
     with open(FIXTURES / "heisenberg_certificates.json") as fh:
         doc = json.load(fh)
-    assert verify_document(doc)
+    # schema 2 embedded the algebra a certificate was checked against; the
+    # Heisenberg algebra is no seaweed, so no document names it any more
+    with pytest.raises(ValueError, match="certificate schema 2 is not 3: run contact or stable again"):
+        verify_document(doc)
     # its stability certificate is of a contact form in the full shape, with
     # [ker, g]; the search now writes the short one, and both verify
     h = heisenberg()
-    full = doc["certificates"][1]
+    contact, full = doc["certificates"]
     short = certificate_to_json(is_stable_form(h, [0, 0, 1]))
     assert "bracket_span" not in short and short == {k: v for k, v in full.items() if k != "bracket_span"}
-    assert verify_certificate(h, full) and verify_certificate(h, short)
+    assert verify_certificate(h, contact) and verify_certificate(h, full) and verify_certificate(h, short)
 
 
-def test_verify_document_without_algebra():
-    with pytest.raises(ValueError, match="unknown algebra reference"):
+def test_verify_document_without_a_schema():
+    with pytest.raises(ValueError, match="certificate schema None is not 3"):
         verify_document({"certificates": []})
 
 
@@ -190,9 +162,11 @@ def test_verify_builds_one_kirillov_matrix_per_certificate_form(monkeypatch):
 
 def test_verify_rejects_documents_with_nothing_to_check():
     assert not verify_document({"records": []})
-    h = heisenberg()
-    assert not verify_document({"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(h), "certificates": []})
-    assert not verify_document({"schema": CERTIFICATE_SCHEMA, "algebra": algebra_to_json(h)})
+    doc = certificate_document(find_contact_form, "GL", 3, [2, 1], [3])
+    doc["certificates"] = []
+    assert not verify_document(doc)
+    del doc["certificates"]
+    assert not verify_document(doc)
 
 
 def _recounted(doc):
@@ -410,11 +384,11 @@ def test_ratio_refuses_a_bool_a_float_or_null(value):
         _ratio(value)
 
 
-@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, F(7)])
 def test_int_refuses_anything_but_an_integer(value):
     with pytest.raises(TypeError, match="not an integer"):
-        _int(value, "dim")
-    assert _int(7, "dim") == 7
+        as_int(value, "dim")
+    assert as_int(7, "dim") == 7
 
 
 def _so5_report(bound=10**6):

@@ -1,8 +1,6 @@
 """LieAlgebra's sparse construction-time checks against the dense reference,
 and tamper detection on every small seaweed."""
 
-from fractions import Fraction
-
 import dense_checks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +9,12 @@ from seaweeds import seaweed
 from seaweeds.classify import composition_pairs
 from seaweeds.lie import LieAlgebra, StructureError
 
-F = Fraction
-
 SMALL = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3), ("SP", 1), ("SP", 2)]
 SMALL += [("SO", n) for n in (2, 3, 4, 5)]
 SEAWEEDS = [seaweed(f, n, a, b) for f, n in SMALL for a, b in composition_pairs(f, n)]
 
-coefficients = st.sampled_from([-2, -1, 1, 2, F(1, 2), F(-1, 3)])
-entries = st.sampled_from([0, 0, 0, 0, 1, -1, F(1, 2)])
+coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
+entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
 
 
 def structure_of(g):
