@@ -10,8 +10,9 @@ contact/stable return 1 when the search comes up empty; verify returns 0
 for valid, 1 for invalid, 2 for unreadable input.  index prints the index
 by formula (``meander`` states the index rule) next to a randomized
 witness form.  The sweep limits (``construct.LIMITS``) bound classify
-unless --force is given, and contact and stable always, since verify
-refuses a certificate document over them; their json documents name the
+unless --force is given, and index, contact and stable always, since the
+ambient build grows as about n^4 and verify refuses a certificate
+document over them; the json documents of contact and stable name the
 seaweed, which verify rebuilds (``serialize``).  A report holding a FOUND
 record verifies only when it was written with --embed: verify re-checks
 the certificate behind every FOUND, and a report without them reads
@@ -141,13 +142,14 @@ def _add_algebra_args(parser):
 
 def _seaweed_args(args):
     """The ``seaweed`` arguments the command line names: family, n and the
-    two compositions."""
+    two compositions, the rank held to the sweep limits."""
     top, bottom = parse_pair(args.pair)
     n = args.n
     if n is None:
         if args.family in ("SP", "SO"):
             raise ValueError(f"--n is required for family {args.family}")
         n = top.total
+    check_limit(args.family, n)
     return args.family, n, top, bottom
 
 
@@ -183,7 +185,6 @@ def _cmd_index(args):
 
 def _cmd_search(args):
     family, n, top, bottom = _seaweed_args(args)
-    check_limit(family, n)
     g = seaweed(family, n, top, bottom)
     search = find_contact_form if args.command == "contact" else find_stable_form
     cert = search(g, args.seed, attempts=args.attempts, bound=args.bound)

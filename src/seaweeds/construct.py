@@ -12,13 +12,14 @@ off-diagonal matrix entries.
 Each family and rank is built once, by ``_ambient``: its basis is the
 integer kernel of the family's condition rows, its table is read off the
 sparse commutators of the basis matrices, and the ordinary constructor
-checks Jacobi and the realization.  No off-diagonal entry is shared by two
-ambient basis matrices: GL basis matrices are elementary, SL ones are
-off-diagonal elementary or e_ii - e_{N-1,N-1}, and each SP/SO one lives on
-one orbit {(i,j), (N-1-j, N-1-i)}.  So the stabilizer is spanned by the
-ambient basis matrices whose support avoids the killed entries, tested with
-one AND of bit masks each, and every seaweed is ``LieAlgebra.restrict`` of
-the ambient algebra to them: a walk over the kept elements' rows of the
+checks the realization, which implies Jacobi (``lie``).  No off-diagonal
+entry is shared by two ambient basis matrices, and each has a private
+entry: GL ones are elementary, SL ones off-diagonal elementary or
+e_ii - e_{N-1,N-1}, and each SP/SO one lives on one orbit {(i,j),
+(N-1-j, N-1-i)}.  So the stabilizer is spanned by the ambient basis
+matrices whose support avoids the killed entries, tested with one AND of
+bit masks each, and every seaweed is ``LieAlgebra.restrict`` of the
+ambient algebra to them: a walk over the kept elements' rows of the
 ambient table that checks closure under the bracket and inherits the
 ambient's other identities.
 
@@ -202,9 +203,9 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
     1 (its first nonzero entry), so the integer rows are the rational RREF
     basis, and the coordinates of any member are its values at the pivots;
     a row with another pivot raises StructureError.  The table is read off
-    the sparse commutators that way, and ``LieAlgebra`` checks Jacobi and
-    that the basis matrices, each kernel row cut into N integer rows,
-    realize the table, which is the one check of each commutator.
+    the sparse commutators that way, and ``LieAlgebra`` checks that the
+    basis matrices, each kernel row cut into N integer rows, realize the
+    table, which is the one check of each commutator and implies Jacobi.
     """
     size = matrix_size(family, n)
     rows = []

@@ -6,7 +6,12 @@ basis element.  Every downstream computation silently depends on
 antisymmetry, the Jacobi identity and (when present) compatibility of the
 realization with the table.  An algebra built from a table
 (``LieAlgebra(dim, structure, ...)``) is checked for all three at
-construction, always.  An algebra cut out of a checked one
+construction, always, the realization first.  A faithful realization
+(each basis matrix has an entry no other one touches, so they are
+linearly independent) that matches the table is an injective map into
+gl(N) carrying the table's bracket to the commutator, which satisfies
+Jacobi, so the table does too and its Jacobi sum is skipped; every
+ambient's realization is faithful.  An algebra cut out of a checked one
 (``LieAlgebra.restrict``) is checked for closure under the bracket and
 inherits the rest: its identities are the parent's, restricted to a closed
 set of basis elements.  A restriction walks a row index of the parent's
@@ -134,14 +139,18 @@ class LieAlgebra:
         self._table = table
         self._rows = None
 
-        self._check_jacobi()
-
         self.realization = None
-        if realization is not None:
-            self.realization = tuple(
-                tuple(tuple(as_int(x, "realization entry") for x in row) for row in m) for m in realization
-            )
-            self._check_realization()
+        try:
+            if realization is not None:
+                self.realization = tuple(
+                    tuple(tuple(as_int(x, "realization entry") for x in row) for row in m) for m in realization
+                )
+                if self._check_realization():
+                    return  # faithful, so Jacobi follows (see the module docstring)
+        except (TypeError, ValueError):
+            self._check_jacobi()  # a table failing both reports Jacobi, as with no realization
+            raise
+        self._check_jacobi()
 
     def restrict(self, kept, label=""):
         """The subalgebra spanned by the basis elements ``kept``, re-indexed
@@ -225,26 +234,28 @@ class LieAlgebra:
             if any(acc.values()):
                 raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
-    def _check_realization(self):
+    def _check_realization(self) -> bool:
         """Every matrix must have n rows of n entries each, n the first
         matrix's row count, and [X_i, X_j] must equal sum_r c_ijr X_r for
         every pair i < j; pairs absent from the table must commute.  Besides
         the table's pairs, only pairs where a row of one support meets a
-        column of the other can fail to commute."""
+        column of the other can fail to commute.  Returns whether the
+        realization is faithful: each matrix has an entry no other touches."""
         mats = self.realization
         if len(mats) != self.dim:
             raise StructureError("realization must have one matrix per basis element")
         if self.dim == 0:
-            return
+            return True
         n = len(mats[0])
         if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
             raise StructureError("realization matrices must be square of equal size")
         sparse = [_sparse_matrix(m) for m in mats]
-        in_row, in_col = {}, {}
+        in_row, in_col, owner = {}, {}, {}
         for k, entries in enumerate(sparse):
             for u, v in entries:
                 in_row.setdefault(u, []).append(k)
                 in_col.setdefault(v, []).append(k)
+                owner[(u, v)] = k if (u, v) not in owner else None
         pairs = set(self._table)
         for i, entries in enumerate(sparse):
             for u, v in entries:
@@ -258,6 +269,7 @@ class LieAlgebra:
                     comm[e] = comm.get(e, 0) - c * x
             if any(comm.values()):
                 raise StructureError(f"realization incompatible with table on pair ({i},{j})")
+        return len(set(owner.values()) - {None}) == self.dim
 
     # -- basic structure access ---------------------------------------------
 

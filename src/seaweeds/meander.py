@@ -78,27 +78,26 @@ def meander(a: Composition, b: Composition) -> MeanderGraph:
 
 def census(m: MeanderGraph) -> tuple[int, int]:
     """(#cycles, #paths), counting isolated vertices as paths."""
-    top = {}
-    bottom = {}
+    top, bottom, seen = [0] * (m.n + 1), [0] * (m.n + 1), [False] * (m.n + 1)
     for u, v in m.top_edges:
         top[u], top[v] = v, u
     for u, v in m.bottom_edges:
         bottom[u], bottom[v] = v, u
-    seen = set()
     cycles = paths = 0
     for start in range(1, m.n + 1):
-        if start in seen:
+        if seen[start]:
             continue
-        component = {start}
+        seen[start] = closed = True
         frontier = [start]
         while frontier:
             x = frontier.pop()
-            for nbr in (top.get(x), bottom.get(x)):
-                if nbr is not None and nbr not in component:
-                    component.add(nbr)
+            for nbr in (top[x], bottom[x]):
+                if not nbr:  # vertex 0 is no vertex: x ends a path
+                    closed = False
+                elif not seen[nbr]:
+                    seen[nbr] = True
                     frontier.append(nbr)
-        seen |= component
-        if all(v in top and v in bottom for v in component):
+        if closed:
             cycles += 1
         else:
             paths += 1

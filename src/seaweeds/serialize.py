@@ -1,12 +1,12 @@
 """JSON serialization and independent certificate re-verification.
 
 All rationals are "num/den" strings in lowest terms with positive
-denominator: ``_ratio_str`` writes them and ``_ratio`` reads them (and
-"num" or an int), both reduced by ``_lowest``; basis indices are 0-based.
-No document holds an algebra.  Each names its seaweed by family, rank and
-composition pair, as ``seaweed(family, n, top, bottom)`` takes them, and
-``verify`` rebuilds it, so every certificate is checked against the
-seaweed it claims.  Document shapes:
+denominator: ``_ratio_str`` writes them and ``_int_row`` reads a list of
+them (and "num" or an int), both reduced by ``_lowest``; basis indices
+are 0-based.  No document holds an algebra.  Each names its seaweed by
+family, rank and composition pair, as ``seaweed(family, n, top, bottom)``
+takes them, and ``verify`` rebuilds it, so every certificate is checked
+against the seaweed it claims.  Document shapes:
 
 Certificates::
 
@@ -41,17 +41,20 @@ other schema, as it refuses a certificate document whose schema is not
 ``CERTIFICATE_SCHEMA``, each with the command that writes a new one.
 ``verify_*`` recomputes every invariant from scratch, so tampered data
 fails either here (False) or already at seaweed reconstruction
-(ValueError).  Every integer field (dimensions, indices, seeds, budgets,
-counts, ranks, composition parts) must hold a JSON integer, and every
-rational a string or an integer: a bool or a float in one is a malformed
-document (``linalg.as_int``, ``_ratio``), since Python holds True and 1.0
-equal to 1 and a comparison alone would let it pass.
+(ValueError).  A form or Reeb vector whose length is not the named
+seaweed's dimension is a wrong claim, which ``verify_document`` reads as
+invalid (``verify_certificate`` raises ValueError).  Every integer field
+(dimensions, indices, seeds, budgets, counts, ranks, composition parts)
+must hold a JSON integer, and every rational a string or an integer: a
+bool or a float in one is a malformed document (``linalg.as_int``,
+``_int_row``), since Python holds True and 1.0 equal to 1 and a
+comparison alone would let it pass.
 
 Certificates are written and checked on integer rows, as the searches run.
 ``certificate_to_json`` writes each "num/den" from a certificate's integer
 rows, and the constant ``kernel_dim`` 1 and ``intersection_dim`` 0; it
 serves reports and certificate documents alike.  Each coordinate list read
-back is parsed straight into one integer row and the lcm of its reduced
+back is parsed in one pass into one integer row and the lcm of its reduced
 denominators.  Either kind of certificate parses its form and takes
 ker B_phi once, as canonical primitive integer rows, unless they are
 given; B_phi is built only where that kernel is taken.  A contact
@@ -65,12 +68,13 @@ phi(k) != 0 makes the form contact, hence stable (see ``contact``).  With
 [ker, g] it issues with the serialized span.  A serialized basis row
 matches a canonical row only when it clears to it and its leading entry is
 1, so a basis that spans the right space but is not in canonical rational
-form is refused.  A report record's certificate forms are parsed once, and
-when its two certificates carry one form, as the sweep's shared search
-issues them, ker B_phi is taken once and serves both checks.  A record's
-certificates are exactly those its FOUND statuses name (``_evidence``),
-each of the kind of its key, so a report written without ``--embed`` fails
-at its first FOUND record, which ``unembedded_found`` names; and every
+form is refused.  When a report record's two certificates carry one form,
+as the sweep's shared search issues them, ker B_phi is taken once and
+serves both checks, and the form is parsed once if it is all strings (so
+a bool or a float in either is still refused).  A record's certificates
+are exactly those its FOUND statuses name (``_evidence``), each of the
+kind of its key, so a report written without ``--embed`` fails at its
+first FOUND record, which ``unembedded_found`` names; and every
 certificate form in a report must be one its record's search could draw:
 integer coordinates within its bound.
 """
@@ -124,19 +128,10 @@ def ratios_to_json(row, den: int = 1) -> list:
 
 def _ratio(s) -> tuple[int, int]:
     """A JSON rational ("num/den", "num" or an int) as (numerator,
-    denominator) in ``_lowest`` terms.  A bool or a float is refused
-    (TypeError)."""
-    if type(s) is not str:
-        if type(s) is not int:
-            raise TypeError(f"{s!r} is not a rational")
-        return s, 1
-    if "/" not in s:
-        return int(s), 1
-    num, den = s.split("/")
-    num, den = int(num), int(den)
-    if den == 0:
-        raise ValueError(f"zero denominator in {s!r}")
-    return _lowest(num, den)
+    denominator) in ``_lowest`` terms (``_int_row`` of one coordinate).
+    A bool or a float is refused (TypeError)."""
+    (num,), den = _int_row((s,))
+    return num, den
 
 
 def _basis_to_json(dim: int, rows) -> dict:
@@ -172,18 +167,41 @@ def certificate_to_json(cert) -> dict:
 
 
 def _int_row(data) -> tuple[list, int]:
-    """A coordinate list as (row, den): row[i] / den is coordinate i, and
-    den is the lcm of the reduced denominators, so row is primitive over
-    them and cleared by the least positive factor."""
-    ratios = [_ratio(x) for x in data]
-    den = lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
+    """A coordinate list of JSON rationals (see ``_ratio``) as (row, den):
+    row[i] / den is coordinate i, and den is the lcm of the reduced
+    denominators, so row is primitive over them and cleared by the least
+    positive factor.  Each string is split once; a denominator "1" needs no
+    gcd, and a list of integers no rescaling."""
+    nums, dens = [], []
+    for s in data:
+        if type(s) is str:
+            num, slash, den = s.partition("/")
+            num, den = int(num), int(den) if slash and den != "1" else 1
+            if den != 1:
+                if den == 0:
+                    raise ValueError(f"zero denominator in {s!r}")
+                num, den = _lowest(num, den)
+        elif type(s) is int:
+            num, den = s, 1
+        else:
+            raise TypeError(f"{s!r} is not a rational")
+        nums.append(num)
+        dens.append(den)
+    den = lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+class _WrongLength(ValueError):
+    """A form or Reeb vector not of the named seaweed's dimension: a wrong
+    claim, which ``verify_document`` reads as invalid, not as malformed."""
 
 
 def _coords_row(g: LieAlgebra, data) -> tuple[list, int]:
     row, den = _int_row(data)
     if len(row) != g.dim:
-        raise ValueError("coordinate length does not match algebra dimension")
+        raise _WrongLength("coordinate length does not match algebra dimension")
     return row, den
 
 
@@ -373,9 +391,10 @@ def verify_document(doc: dict) -> bool:
     where certificates are embedded, else the count of ambient basis
     matrices the flags keep), when a certificate's form is not one the
     record's search could draw (a coordinate that is not an integer or
-    exceeds the record's bound in absolute value), when a report's summary
-    counts disagree with its records' verdicts, or when its records are
-    not one whole sweep in order, with one budget (``_sweep_holds``).  A
+    exceeds the record's bound in absolute value) or a form or Reeb vector
+    is not of the seaweed's dimension, when a report's summary counts
+    disagree with its records' verdicts, or when its records are not one
+    whole sweep in order, with one budget (``_sweep_holds``).  A
     document of the wrong shape (an integer field that holds no JSON
     integer among them), of another schema, naming an unknown family or
     rank or compositions the family does not admit, or a certificate
@@ -383,6 +402,8 @@ def verify_document(doc: dict) -> bool:
     """
     try:
         return _verify_document(doc)
+    except _WrongLength:
+        return False
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
@@ -422,7 +443,10 @@ def _verify_document(doc: dict) -> bool:
             g = seaweed(*args)
             if record["dim"] != g.dim:
                 return False
-            forms = [_coords_row(g, cert["form"]) for cert in certs.values()]
+            coords = [cert["form"] for cert in certs.values()]
+            # one form parsed once, if only strings: True == 1 and 1.0 == 1
+            once = len(coords) == 2 and coords[0] == coords[1] and all(type(x) is str for x in coords[0])
+            forms = [_coords_row(g, coords[0])] * 2 if once else [_coords_row(g, c) for c in coords]
             if not all(_drawn_within(form, record["bound"]) for form in forms):
                 return False
             kernel = None

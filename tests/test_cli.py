@@ -91,6 +91,8 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
         ("stable", "0|3", "--family", "SO", "--n", "7", "--bound", "-1"),
         ("stable", "8|8", "--family", "GL"),
         ("stable", "0|3", "--family", "SO", "--n", "9"),
+        ("index", "8|8", "--family", "GL"),
+        ("index", "0|3", "--family", "SO", "--n", "9"),
         ("meander", "0|0"),
         ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "csv"),
         ("classify", "--family", "GL", "--n", "3", "--embed", "--format", "text"),
@@ -340,6 +342,39 @@ def test_verify_exit_2_on_a_float_or_a_bool_in_an_integer_field(capsys, tmp_path
     assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
 
 
+def _found_found(doc):
+    return next(r for r in doc["records"] if "contact" in (r.get("certificates") or {}))["certificates"]
+
+
+@pytest.mark.parametrize("change", [lambda v: v + ["0/1"], lambda v: v[:-1]], ids=["longer", "shorter"])
+@pytest.mark.parametrize("key", ["form", "reeb"])
+@pytest.mark.parametrize("kind", ["document", "report"])
+def test_verify_reads_a_coordinate_list_of_the_wrong_length_as_invalid(capsys, tmp_path, so7_report, kind, key, change):
+    # the document is well formed; only its claim about the named seaweed
+    # is wrong, so verify reads INVALID (exit 1), not unreadable input
+    doc = contact_document(capsys) if kind == "document" else json.loads(so7_report)
+    cert = doc["certificates"][0] if kind == "document" else _found_found(doc)["contact"]
+    cert[key] = change(cert[key])
+    assert run(capsys, "verify", write(tmp_path, doc)) == (1, "INVALID\n", "")
+
+
+@pytest.mark.parametrize("bad", [float, bool])
+@pytest.mark.parametrize("holder", ["contact", "stability"])
+def test_verify_refuses_a_float_or_a_bool_in_one_of_two_equal_forms(capsys, tmp_path, holder, bad):
+    # a record's two forms are parsed once when they are equal lists of
+    # strings; an int form equals one holding True for 1 or 1.0 for 1, and
+    # each is still parsed, so the float or bool is refused
+    doc = json.loads(run(capsys, "classify", "--family", "GL", "--n", "3", "--bound", "1", "--embed")[1])
+    certs = _found_found(doc)
+    ints = [int(Fraction(x)) for x in certs["contact"]["form"]]
+    t = ints.index(1)
+    certs["contact"]["form"], certs["stability"]["form"] = list(ints), list(ints)
+    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+    certs[holder]["form"][t] = bad(1)
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
+
+
 # A certificate document names its seaweed, and verify rebuilds it.
 
 
@@ -395,7 +430,7 @@ def test_verify_refuses_an_embedded_algebra_labelled_as_a_seaweed(capsys, tmp_pa
     # schema 3 with those certificates names the seaweed, which is rebuilt
     named = {"schema": 3, "family": "SO", "n": 7, "top": [1, 2], "bottom": [], "certificates": doc["certificates"]}
     code, out, err = run(capsys, "verify", write(tmp_path, named))
-    assert code != 0 and out != "valid\n"
+    assert (code, out, err) == (1, "INVALID\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -152,6 +152,16 @@ def test_shared_ambient_entries_are_diagonal():
             assert all(e // size == e % size for e in bits), (family, n)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("family,n", [
+    (f, n) for f, top in sorted(LIMITS.items()) for n in range({"GL": 1, "SL": 2, "SP": 1, "SO": 2}[f], top + 1)
+])
+def test_seaweed_dim_is_the_dimension_of_the_seaweed_it_counts(family, n):
+    # verify holds every record without certificates to seaweed_dim
+    for a, b in composition_pairs(family, n):
+        assert construct.seaweed_dim(family, n, a, b) == seaweed(family, n, a, b).dim, (a, b)
+
+
 def test_no_fraction_is_built_to_construct_search_report_or_verify(cold_ambients, monkeypatch):
     # a cold ambient cache, so every ambient is built under the count too
     built = []

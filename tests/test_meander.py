@@ -77,6 +77,43 @@ def test_meander_matches_randomized_index_small():
                 assert meander_index(meander(a, b)) == index(g, seed=31).index
 
 
+def set_census(m):
+    """The census as first written, on dicts and a set per component: the
+    reference for ``census``, which walks vertex-indexed lists."""
+    top = {}
+    bottom = {}
+    for u, v in m.top_edges:
+        top[u], top[v] = v, u
+    for u, v in m.bottom_edges:
+        bottom[u], bottom[v] = v, u
+    seen = set()
+    cycles = paths = 0
+    for start in range(1, m.n + 1):
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for nbr in (top.get(x), bottom.get(x)):
+                if nbr is not None and nbr not in component:
+                    component.add(nbr)
+                    frontier.append(nbr)
+        seen |= component
+        if all(v in top and v in bottom for v in component):
+            cycles += 1
+        else:
+            paths += 1
+    return cycles, paths
+
+
+def test_census_agrees_with_the_set_census_on_every_meander_up_to_7():
+    for n in range(1, 8):
+        for a, b in composition_pairs("GL", n):
+            m = meander(a, b)
+            assert census(m) == set_census(m), (a, b)
+
+
 def test_meander_svg_smoke():
     svg = meander_svg(meander(C(2, 1), C(3)))
     assert svg.startswith("<svg ")

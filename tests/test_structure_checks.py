@@ -2,11 +2,13 @@
 and tamper detection on every small seaweed."""
 
 import dense_checks
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seaweeds import seaweed
 from seaweeds.classify import composition_pairs
+from seaweeds.construct import LIMITS, _ambient
 from seaweeds.lie import LieAlgebra, StructureError
 
 SMALL = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3), ("SP", 1), ("SP", 2)]
@@ -159,3 +161,45 @@ def test_a_changed_realization_entry_is_refused_unless_it_still_realizes_the_tab
                         refused += 1
     # abelian pieces (tori, so(2)) keep some changes; most are refused
     assert refused > 10 * kept > 0
+
+
+# -- Jacobi from a faithful realization ----------------------------------------
+
+LEAST = {"GL": 1, "SL": 2, "SP": 1, "SO": 2}
+
+
+def has_private_entries(mats):
+    """Every matrix has a nonzero entry at which every other matrix is 0."""
+    size = len(mats[0])
+    cells = [(u, v) for u in range(size) for v in range(size)]
+    return all(
+        any(m[u][v] and not any(o[u][v] for o in mats if o is not m) for u, v in cells) for m in mats
+    )
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, top in sorted(LIMITS.items()) for n in range(LEAST[f], top + 1)])
+def test_every_ambient_realization_is_faithful_and_its_table_satisfies_jacobi(family, n):
+    # LieAlgebra skips the Jacobi sum on a faithful realization; the sum
+    # it skips still holds, run here as the oracle
+    g = _ambient(family, n)[0]
+    assert has_private_entries(g.realization)
+    assert g._check_realization() is True
+    g._check_jacobi()
+
+
+# [x0, x1] = x2 and [x0, x2] = x0 fail Jacobi on (0, 1, 2)
+NOT_JACOBI = {(0, 1): {2: 1}, (0, 2): {0: 1}}
+JACOBI_MESSAGE = "Jacobi identity fails on triple (0,1,2)"
+
+
+@pytest.mark.parametrize("realization", [
+    (((1,),), ((0.5,),), ((0,),)),  # an entry that is not an int (TypeError alone)
+    (((0,),), ((0,),), ((1,),)),  # [X0, X1] = 0 is not X2
+    (((0,),), ((0,),)),  # one matrix short
+    (((0,),), ((0,),), ((0,),)),  # realizes the table, but with no private entry
+], ids=["float", "incompatible", "short", "unfaithful"])
+def test_a_table_failing_jacobi_reports_jacobi_whatever_its_realization(realization):
+    assert dense_checks.verdict(3, NOT_JACOBI) == JACOBI_MESSAGE
+    with pytest.raises(StructureError) as caught:
+        LieAlgebra(3, NOT_JACOBI, realization=realization)
+    assert str(caught.value) == JACOBI_MESSAGE
