@@ -17,12 +17,15 @@ Kirillov matrix, rational elimination and the small stock algebras the
 tests build (Heisenberg, abelian) live under ``tests``.  A contact form
 is stable (``contact`` proves it), so the classifier searches for a
 stable form alone and reads contact off its certificate; it cannot reach
-a COUNTEREXAMPLE, and the sweep tests stable => contact.  Each family has
-one name, in upper case, and each report format one, in lower case.
-Every document names its seaweed by family, rank and compositions, and
-``verify`` rebuilds it: reports are compact JSON (schema 4) and
-certificate documents schema 3, whose shapes and checks ``serialize``
-states.
+a COUNTEREXAMPLE, and the sweep tests stable => contact.  In type A it
+searches once per transpose pair: theta(X) = -X^T maps the seaweed of
+(a|b) onto that of (b|a), and an automorphism restricted to a subalgebra
+is an isomorphism onto its image, so (b|a) takes theta of (a|b)'s
+certificates (``classify``).  Each family has one name, in upper case,
+and each report format one, in lower case.  Every document names its
+seaweed by family, rank and compositions, and ``verify`` rebuilds it:
+reports are compact JSON (schema 4) and certificate documents schema 3,
+whose shapes and checks ``serialize`` states.
 """
 
 from .classify import ClassificationRecord, classify, exit_status, report

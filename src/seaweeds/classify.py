@@ -17,8 +17,22 @@ form within ``bound``, which ``verify`` checks.  A contact form is stable
 * no stable form, whether the budget ran out or the line refuted the
   search, means no contact form among those draws: contact NOT_FOUND.
 
-Each contact certificate is thus the one ``find_contact_form`` would issue
-on its own.  Verdict policy:
+Each searched record's contact certificate is thus the one
+``find_contact_form`` would issue on its own.
+
+In a GL or SL sweep, one search serves each transpose pair.  theta(X) =
+-X^T is an automorphism of gl(N) that preserves sl(N) and maps the
+seaweed of (a|b) onto that of (b|a) (``construct.transpose_map``).  An
+automorphism restricted to a subalgebra is an isomorphism onto its image,
+so a form phi on the one is contact or stable exactly when phi o theta is
+on the other, and its certificates map with it.  So an index-one record
+whose partner (b|a) was searched earlier in the sweep runs no search.  It
+takes theta of that record's certificates (``_transposed``), and with
+them its statuses and verdict.  theta is a signed permutation of both
+bases, so a mapped form keeps integer coordinates within ``bound``.  Every
+other index-one record is searched, among them (a|a) and every SP and SO
+record.  ``verify`` re-checks a mapped certificate on its own seaweed like
+any other.  Verdict policy:
 
 * index != 1: both statuses SKIPPED, verdict CONSISTENT (the equivalence
   under test says nothing there).
@@ -57,13 +71,15 @@ import json
 from typing import NamedTuple
 
 from . import contact
-from .construct import LIMITS, check_limit, composition_pairs, seaweed
+from .construct import LIMITS, check_limit, composition_pairs, seaweed, transpose_map
 from .contact import (
     CONSISTENT,
     DEFAULT_ATTEMPTS,
     FOUND,
     NOT_FOUND,
     SKIPPED,
+    ContactCertificate,
+    StabilityCertificate,
     _require_budget,
     count_verdicts,
     find_contact_form,
@@ -73,6 +89,7 @@ from .contact import (
 )
 from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, parity
 from .lie import index  # noqa: F401  (perfbench/spans.py traces calls of this name as lie.index; the sweep makes none)
+from .linalg import span_int_rows
 from .meander import index_formula
 from .serialize import REPORT_SCHEMA, _parts, certificate_to_json
 
@@ -96,6 +113,41 @@ class ClassificationRecord(NamedTuple):
     trials: int
     trial_kernel_dims: tuple[int, ...]
     certificates: dict | None = None
+
+
+def _one_search(g, search_seed: int, attempts: int, bound: int) -> tuple:
+    """The (contact, stable) certificates of one index-one record, each
+    None for NOT_FOUND, from its one stability search (module docstring)."""
+    s_cert = find_stable_form(g, search_seed, attempts, bound)
+    if s_cert is None:
+        return None, None
+    if s_cert.bracket_span_rows is None:
+        # through the module: perfbench/spans.py traces its attribute
+        return contact.is_contact_form(g, s_cert.form_row, s_cert.kernel_rows), s_cert
+    return find_contact_form(g, search_seed, attempts, bound), s_cert
+
+
+def _transposed(cert, theta):
+    """A certificate of seaweed (a|b) carried to (b|a) by ``theta``, the
+    ``construct.transpose_map`` from the one onto the other: every row maps
+    by v'[j] = s v[i] for theta[i] = (j, s), and the kernel and bracket
+    span rows are made canonical again.  None stays None."""
+    if cert is None:
+        return None
+
+    def image(row):
+        out = [0] * len(theta)
+        for (j, sign), v in zip(theta, row):
+            out[j] = sign * v
+        return tuple(out)
+
+    def span(rows):
+        return tuple(map(tuple, span_int_rows([image(row) for row in rows])))
+
+    if isinstance(cert, ContactCertificate):
+        return ContactCertificate(image(cert.form_row), image(cert.reeb_row), cert.reeb_den)
+    rows = cert.bracket_span_rows
+    return StabilityCertificate(image(cert.form_row), span(cert.kernel_rows), None if rows is None else span(rows))
 
 
 def classify(
@@ -123,21 +175,21 @@ def classify(
     if not force:
         check_limit(family, n, "; pass force=True (CLI: --force) to override")
     records = []
+    searched = {}  # (top, bottom) -> (contact, stable) certificates, awaiting (bottom|top)
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
         g = seaweed(family, n, a, b)
         record_seed = seed ^ ordinal
         idx = index_formula(family, n, a, b)
         certs = {}
         if idx == 1:
-            search_seed = record_seed ^ _CONTACT_SALT
-            s_cert = find_stable_form(g, search_seed, attempts, bound)
-            if s_cert is None:
-                c_cert = None
-            elif s_cert.bracket_span_rows is None:
-                # through the module: perfbench/spans.py traces its attribute
-                c_cert = contact.is_contact_form(g, s_cert.form_row, s_cert.kernel_rows)
+            partner = searched.pop((b.parts, a.parts), None)
+            if partner is not None:
+                theta = transpose_map(family, n, b, a)
+                c_cert, s_cert = (_transposed(cert, theta) for cert in partner)
             else:
-                c_cert = find_contact_form(g, search_seed, attempts, bound)
+                c_cert, s_cert = _one_search(g, record_seed ^ _CONTACT_SALT, attempts, bound)
+                if family in ("GL", "SL"):  # where -X^T maps (a|b) onto (b|a)
+                    searched[(a.parts, b.parts)] = c_cert, s_cert
             contact_status = FOUND if c_cert is not None else NOT_FOUND
             stable_status = FOUND if s_cert is not None else NOT_FOUND
             verdict = search_verdict(contact_status, stable_status, attempts)

@@ -23,6 +23,10 @@ ambient algebra to them: a walk over the kept elements' rows of the
 ambient table that checks closure under the bracket and inherits the
 ambient's other identities.
 
+In GL and SL, theta(X) = -X^T permutes the ambient basis up to sign
+(``_transpose``) and maps the seaweed of (a|b) onto that of (b|a)
+(``transpose_map``), which lets a sweep search one of the two.
+
 The type-A block picture, e_ij with blockA(i) <= blockA(j) and
 blockB(i) >= blockB(j), is not built here: it lives on in the tests as an
 independent reference, which yields the same basis, table and realization
@@ -295,6 +299,49 @@ def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
     """
     kept = _kept_elements(family, n, a, b)
     return _ambient(family, n)[0].restrict(kept, f"{family}{matrix_size(family, n)}[{a}|{b}]")
+
+
+@lru_cache(maxsize=None)
+def _transpose(family: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """theta(X) = -X^T on the GL or SL ambient basis, as the signed
+    permutation (pi, sigma) with -X_k^T = sigma_k X_pi(k).  theta is an
+    automorphism of gl(N) and preserves trace zero.  On the canonical bases
+    it sends e_ij to -e_ji and each e_ii - e_{N-1,N-1} to minus itself.
+    Raises StructureError if some -X_k^T is not plus or minus a basis
+    matrix, and ValueError on a family other than GL and SL."""
+    if family not in ("GL", "SL"):
+        raise ValueError(f"-X^T is a signed permutation of the GL and SL bases only, not {family}")
+    mats = _ambient(family, n)[0].realization
+    position = {m: k for k, m in enumerate(mats)}
+    perm, signs = [], []
+    for k, m in enumerate(mats):
+        transposed = tuple(zip(*m))
+        negated = tuple(tuple(-v for v in row) for row in transposed)
+        if negated in position:
+            perm.append(position[negated])
+            signs.append(1)
+        elif transposed in position:
+            perm.append(position[transposed])
+            signs.append(-1)
+        else:
+            raise StructureError(f"-X^T of ambient basis matrix {k} is not a signed basis matrix")
+    return tuple(perm), tuple(signs)
+
+
+def transpose_map(family: str, n: int, a: Composition, b: Composition) -> tuple[tuple[int, int], ...]:
+    """theta(X) = -X^T (``_transpose``) from ``seaweed(family, n, a, b)``
+    onto ``seaweed(family, n, b, a)``, for GL and SL: entry i is (j, s)
+    with theta(x_i) = s y_j, x and y the two seaweeds' bases.  Transposing
+    swaps the entries the two flags kill, so theta maps the first seaweed
+    onto the second.  Raises StructureError if pi does not map the kept
+    elements of (a|b) onto those of (b|a), and ValueError as
+    ``_kept_elements`` and ``_transpose`` do."""
+    perm, signs = _transpose(family, n)
+    kept = _kept_elements(family, n, a, b)
+    position = {k: j for j, k in enumerate(_kept_elements(family, n, b, a))}
+    if len(kept) != len(position) or any(perm[k] not in position for k in kept):
+        raise StructureError(f"-X^T does not map the seaweed {a}|{b} onto {b}|{a}")
+    return tuple((position[perm[k]], signs[k]) for k in kept)
 
 
 def seaweed_dim(family: str, n: int, a: Composition, b: Composition) -> int:

@@ -48,7 +48,10 @@ invalid (``verify_certificate`` raises ValueError).  Every integer field
 must hold a JSON integer, and every rational a string or an integer: a
 bool or a float in one is a malformed document (``linalg.as_int``,
 ``_int_row``), since Python holds True and 1.0 equal to 1 and a
-comparison alone would let it pass.
+comparison alone would let it pass.  A rational that does not parse, or
+has a zero denominator, is unreadable input too, and its error names the
+seaweed, the certificate kind and the field (form, reeb, pairing, kernel
+basis or bracket span).
 
 Certificates are written and checked on integer rows, as the searches run.
 ``certificate_to_json`` writes each "num/den" from a certificate's integer
@@ -126,11 +129,11 @@ def ratios_to_json(row, den: int = 1) -> list:
     return [_ratio_str(v, den) for v in row]
 
 
-def _ratio(s) -> tuple[int, int]:
+def _ratio(s, what: str = "coordinate") -> tuple[int, int]:
     """A JSON rational ("num/den", "num" or an int) as (numerator,
-    denominator) in ``_lowest`` terms (``_int_row`` of one coordinate).
-    A bool or a float is refused (TypeError)."""
-    (num,), den = _int_row((s,))
+    denominator) in ``_lowest`` terms (``_int_row`` of one coordinate,
+    ``what`` naming it).  A bool or a float is refused (TypeError)."""
+    (num,), den = _int_row((s,), what)
     return num, den
 
 
@@ -166,25 +169,30 @@ def certificate_to_json(cert) -> dict:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
-def _int_row(data) -> tuple[list, int]:
+def _int_row(data, what: str = "coordinate") -> tuple[list, int]:
     """A coordinate list of JSON rationals (see ``_ratio``) as (row, den):
     row[i] / den is coordinate i, and den is the lcm of the reduced
     denominators, so row is primitive over them and cleared by the least
     positive factor.  Each string is split once; a denominator "1" needs no
-    gcd, and a list of integers no rescaling."""
+    gcd, and a list of integers no rescaling.  A string that is not a
+    rational, or has a zero denominator, raises ValueError, and any other
+    value TypeError, each naming the field ``what``."""
     nums, dens = [], []
     for s in data:
         if type(s) is str:
             num, slash, den = s.partition("/")
-            num, den = int(num), int(den) if slash and den != "1" else 1
+            try:
+                num, den = int(num), int(den) if slash and den != "1" else 1
+            except ValueError:
+                raise ValueError(f"{what} {s!r} is not a rational") from None
             if den != 1:
                 if den == 0:
-                    raise ValueError(f"zero denominator in {s!r}")
+                    raise ValueError(f"{what} {s!r} has a zero denominator")
                 num, den = _lowest(num, den)
         elif type(s) is int:
             num, den = s, 1
         else:
-            raise TypeError(f"{s!r} is not a rational")
+            raise TypeError(f"{what} {s!r} is not a rational")
         nums.append(num)
         dens.append(den)
     den = lcm(*dens)
@@ -198,15 +206,21 @@ class _WrongLength(ValueError):
     claim, which ``verify_document`` reads as invalid, not as malformed."""
 
 
-def _coords_row(g: LieAlgebra, data) -> tuple[list, int]:
-    row, den = _int_row(data)
+def _coords_row(g: LieAlgebra, data, what: str) -> tuple[list, int]:
+    row, den = _int_row(data, what)
     if len(row) != g.dim:
         raise _WrongLength("coordinate length does not match algebra dimension")
     return row, den
 
 
-def _basis_rows(doc: dict) -> tuple:
-    return as_int(doc["ambient_dim"], "ambient_dim"), [_int_row(v) for v in doc["basis"]]
+def _basis_rows(doc: dict, what: str) -> tuple:
+    return as_int(doc["ambient_dim"], "ambient_dim"), [_int_row(v, what) for v in doc["basis"]]
+
+
+def _field(g: LieAlgebra, kind: str, field: str) -> str:
+    """How an error names a certificate field: the seaweed, the
+    certificate's kind and the field, e.g. "GL3[2,1|3] contact reeb"."""
+    return f"{g.label} {kind} {field}"
 
 
 def _is_canonical(basis, dim: int, rows) -> bool:
@@ -233,12 +247,13 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
     kind = doc.get("kind")
     if kind not in ("contact", "stability"):
         raise ValueError(f"unknown certificate kind {kind!r}")
-    form, form_den = _coords_row(g, doc["form"]) if form is None else form
+    form, form_den = _coords_row(g, doc["form"], _field(g, kind, "form")) if form is None else form
     if kernel is None:
         kernel = skew_kernel_int_rows(g.kirillov_int_rows(form))
     if kind == "contact":
-        reeb, reeb_den = _coords_row(g, doc["reeb"])
-        if as_int(doc["kernel_dim"], "kernel_dim") != 1 or _ratio(doc["pairing"]) != (1, 1) or len(kernel) != 1:
+        reeb, reeb_den = _coords_row(g, doc["reeb"], _field(g, kind, "reeb"))
+        pairs_to_one = _ratio(doc["pairing"], _field(g, kind, "pairing")) == (1, 1)
+        if as_int(doc["kernel_dim"], "kernel_dim") != 1 or not pairs_to_one or len(kernel) != 1:
             return False
         # B_form . reeb = 0: reeb lies on the kernel line, k[p] reeb = reeb[p] k
         k = kernel[0]
@@ -246,8 +261,8 @@ def verify_certificate(g: LieAlgebra, doc: dict, kernel=None, form=None) -> bool
         if any(k[p] * y != reeb[p] * x for x, y in zip(k, reeb)):
             return False
         return pairing(form, reeb) == form_den * reeb_den
-    kernel_basis = _basis_rows(doc["kernel"])
-    span_basis = _basis_rows(doc["bracket_span"]) if "bracket_span" in doc else None
+    kernel_basis = _basis_rows(doc["kernel"], _field(g, kind, "kernel basis"))
+    span_basis = _basis_rows(doc["bracket_span"], _field(g, kind, "bracket span")) if "bracket_span" in doc else None
     if as_int(doc["intersection_dim"], "intersection_dim") != 0 or not _is_canonical(kernel_basis, g.dim, kernel):
         return False
     if span_basis is None:
@@ -310,9 +325,9 @@ def _index_claims_hold(record: dict, formula: int) -> bool:
 
 
 def _require_report_ints(doc: dict) -> None:
-    """Refuse (``_int``) a report any of whose integer fields, its own or
-    its records', holds anything but a JSON integer; checked before any
-    claim is compared."""
+    """Refuse (``linalg.as_int``) a report any of whose integer fields, its
+    own or its records', holds anything but a JSON integer; checked before
+    any claim is compared."""
     for field in ("schema", "n", "seed"):
         if field in doc:
             as_int(doc[field], field)
@@ -443,10 +458,10 @@ def _verify_document(doc: dict) -> bool:
             g = seaweed(*args)
             if record["dim"] != g.dim:
                 return False
-            coords = [cert["form"] for cert in certs.values()]
+            coords = [(cert["form"], _field(g, kind, "form")) for kind, cert in certs.items()]
             # one form parsed once, if only strings: True == 1 and 1.0 == 1
-            once = len(coords) == 2 and coords[0] == coords[1] and all(type(x) is str for x in coords[0])
-            forms = [_coords_row(g, coords[0])] * 2 if once else [_coords_row(g, c) for c in coords]
+            once = len(coords) == 2 and coords[0][0] == coords[1][0] and all(type(x) is str for x in coords[0][0])
+            forms = [_coords_row(g, *coords[0])] * 2 if once else [_coords_row(g, *c) for c in coords]
             if not all(_drawn_within(form, record["bound"]) for form in forms):
                 return False
             kernel = None

@@ -3,13 +3,16 @@ ranks on a line through it prove that no contact or stable form exists,
 and the search ends there.  It ends every search on the six non-contact
 SO7 and SO8 seaweeds after one draw, the rational route refuses every draw
 those searches would have tested, and it changes no report byte where it
-declines."""
+declines.  In a GL or SL sweep a transpose partner runs no search, and
+its record is theta(X) = -X^T applied to its partner's
+(``transpose_reference``), with or without the refutation."""
 
 import importlib
 from itertools import islice
 
 import fraction_reference as ref
 import pytest
+from transpose_reference import check_partners
 
 from seaweeds import certificate_to_json, report, seaweed
 from seaweeds.construct import Composition
@@ -130,6 +133,13 @@ def sweep_bytes(family, n, seed, bound=10**6):
     return report(classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True))
 
 
+def checked_sweep_bytes(family, n, seed, bound):
+    """``sweep_bytes``, once ``check_partners`` holds on the sweep."""
+    records = classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True)
+    check_partners(family, n, records)
+    return report(records)
+
+
 def declining(monkeypatch):
     for name in REFUTATIONS:
         monkeypatch.setattr(contact_module, name, lambda *args: False)
@@ -151,7 +161,9 @@ SMALL_BOUND_SWEEPS = [(family, n, seed, bound) for family, n in SMALL_SWEEPS for
 def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
     # at bounds 1-3 many first draws are refused: the refutation runs on
     # each, declines on almost all, and where it ends a search the full
-    # search runs out too
+    # search runs out too.  Transpose partners search nothing, so a third
+    # seed keeps the count of declined refutations over 500; each partner
+    # is theta of its searched record in both runs
     tried, refuted = [0], [0]
     line = contact_module._line
 
@@ -167,24 +179,27 @@ def test_reports_are_the_full_searches_at_small_bounds(monkeypatch):
 
         return wrapped
 
-    sweeps = SMALL_BOUND_SWEEPS
+    sweeps = SMALL_BOUND_SWEEPS + [(family, n, 7, bound) for family, n in SMALL_SWEEPS for bound in (1, 2, 3)]
     with monkeypatch.context() as patch:
         patch.setattr(contact_module, "_line", counted_line)
         for name in REFUTATIONS:
             patch.setattr(contact_module, name, counted(getattr(contact_module, name)))
-        refuting = [sweep_bytes(*sweep) for sweep in sweeps]
+        refuting = [checked_sweep_bytes(*sweep) for sweep in sweeps]
     assert tried[0] - refuted[0] >= 500 and refuted[0] > 0
     declining(monkeypatch)
     for sweep, text in zip(sweeps, refuting):
-        assert sweep_bytes(*sweep) == text, sweep
+        assert checked_sweep_bytes(*sweep) == text, sweep
 
 
 def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
     # the oracle for the sweep's one search: at bounds 1-3 some stable forms
-    # are not contact, and a record's statuses and certificates are still
-    # those of the contact and the stability search run apart on its seed
+    # are not contact, and a searched record's statuses and certificates
+    # are still those of the contact and the stability search run apart on
+    # its seed.  A transpose partner's are theta of its searched record's,
+    # [ker, g] among them at bounds 1 and 2.
     fallbacks = []
     fallback = classify_module.find_contact_form
+    mapped_spans = set()
 
     def counted(*args):
         fallbacks.append(args)
@@ -192,8 +207,13 @@ def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
 
     monkeypatch.setattr(classify_module, "find_contact_form", counted)
     for family, n, seed, bound in SMALL_BOUND_SWEEPS:
-        for r in classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True):
-            if r.index != 1:
+        records = classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True)
+        partners = check_partners(family, n, records)
+        for i in partners:
+            if "bracket_span" in (records[i].certificates or {}).get("stability", {}):
+                mapped_spans.add(bound)
+        for i, r in enumerate(records):
+            if r.index != 1 or i in partners:
                 continue
             g = seaweed(family, n, Composition(r.top), Composition(r.bottom))
             search_seed = r.seed ^ classify_module._CONTACT_SALT
@@ -206,6 +226,7 @@ def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
                 assert status == ("NOT_FOUND" if alone is None else "FOUND"), (family, n, r.top, r.bottom)
                 assert certs.get(kind) == (None if alone is None else certificate_to_json(alone))
     assert fallbacks
+    assert {1, 2} <= mapped_spans
 
 
 @pytest.mark.parametrize("seed", [0, 23])

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -234,6 +235,22 @@ def test_the_environment_sets_no_input(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == unset
 
 
+def test_the_former_environment_defaults_change_no_report_byte(tmp_path):
+    # two fresh interpreters, as a shell runs the console script: one with
+    # no SEAWEEDS_* variable, one with each at a value its option refuses
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SEAWEEDS_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    reports = []
+    for extra in ({}, FORMER_ENV_DEFAULTS):
+        out = tmp_path / f"r{len(reports)}.json"
+        argv = ["classify", "--family", "GL", "--n", "5", "--embed", "--out", str(out)]
+        script = f"import sys; from seaweeds.cli import main; sys.exit(main({argv!r}))"
+        done = subprocess.run([sys.executable, "-c", script], env={**env, **extra}, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and json.loads(reports[0])["records"]
+
+
 def test_identical_invocations_give_identical_bytes(capsys):
     args = ("classify", "--family", "SL", "--n", "3", "--embed", "--seed", "4")
     first = run(capsys, *args)
@@ -303,6 +320,44 @@ def test_verify_exit_2_on_a_zero_denominator_in_a_report(capsys, tmp_path):
     record["certificates"]["stability"]["kernel"]["basis"][0][-1] = "1/0"
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert code == 2 and not out and "zero denominator" in err
+
+
+# field -> (certificate kind, a setter of its first coordinate)
+COORDINATE_FIELDS = {
+    "form": ("contact", lambda cert, value: cert["form"].__setitem__(0, value)),
+    "reeb": ("contact", lambda cert, value: cert["reeb"].__setitem__(0, value)),
+    "pairing": ("contact", lambda cert, value: cert.__setitem__("pairing", value)),
+    "kernel basis": ("stability", lambda cert, value: cert["kernel"]["basis"][0].__setitem__(0, value)),
+    "bracket span": ("stability", lambda cert, value: cert["bracket_span"]["basis"][0].__setitem__(0, value)),
+}
+
+
+@pytest.mark.parametrize("value,reason", [("abc", "is not a rational"), ("1/x", "is not a rational"), ("1/0", "has a zero denominator")])
+@pytest.mark.parametrize("field", sorted(COORDINATE_FIELDS))
+@pytest.mark.parametrize("document", ["certificate", "report"])
+def test_verify_names_the_field_of_a_coordinate_that_does_not_parse(capsys, tmp_path, document, field, value, reason):
+    kind, change = COORDINATE_FIELDS[field]
+    if document == "certificate":
+        pair = "2,1|3" if kind == "contact" else "3|3"
+        code, out, _ = run(capsys, "contact" if kind == "contact" else "stable", pair, "--family", "GL", "--format", "json")
+        doc = json.loads(out)
+        cert, label = doc["certificates"][0], f"GL3[{pair}]"
+    else:
+        # at bound 1 some stable forms are not contact, and one SO5 record's
+        # [ker, g] is not 0
+        code, out, _ = run(capsys, "classify", "--family", "SO", "--n", "5", "--bound", "1", "--embed")
+        doc = json.loads(out)
+        record = next(
+            r for r in doc["records"]
+            if kind in (r.get("certificates") or {}) and r["certificates"]["stability"].get("bracket_span", {}).get("basis")
+        )
+        cert = record["certificates"][kind]
+        label = f"SO5[{','.join(map(str, record['top'])) or 0}|{','.join(map(str, record['bottom'])) or 0}]"
+    assert code == 0
+    change(cert, value)
+    code, out, err = run(capsys, "verify", write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {label} {kind} {field} {value!r} {reason}\n"
 
 
 def _certificate(doc, kind):

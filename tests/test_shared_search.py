@@ -3,7 +3,10 @@ draws one stream, one skew elimination per drawn form (besides those of a
 line refutation, which ``test_bracket_refusal.py`` covers), the contact
 test takes each stable certificate's form with its kernel, no form is
 drawn for any other seaweed, and certificates are written from integer
-rows exactly as the rational route writes them."""
+rows exactly as the rational route writes them.  In a GL or SL sweep the
+transpose partner (b|a) of a searched record (a|b) draws nothing: it takes
+that record's statuses and verdict, and its certificates are theta(X) =
+-X^T applied to that record's (``transpose_reference``)."""
 
 import importlib
 import json
@@ -12,6 +15,7 @@ from fractions import Fraction
 
 import fraction_reference as ref
 import pytest
+from transpose_reference import check_partners
 
 from seaweeds import report, seaweed
 from seaweeds.construct import Composition
@@ -84,19 +88,22 @@ def first_draw(record, bound):
     return tuple(rng.randint(-bound, bound) for _ in range(record.dim))
 
 
-def check_searches(records, tested, eliminations, bound):
-    """Every index-one record's stability search tests its stream from the
-    first draw on, with coordinates within the bound.  A stable certificate
-    without [ker, g] sends its form, and that form only, to the contact
-    test; any other stable certificate sends the record to the contact
-    search, which tests the same stream from the first draw on; no stable
-    form sends nothing.  Each form drawn costs one elimination, and no
-    other record draws a form.  Returns how many records fell back to the
-    contact search."""
+def check_searches(family, n, records, tested, eliminations, bound):
+    """Every searched record's stability search tests its stream from the
+    first draw on, with coordinates within the bound; the searched records
+    are the index-one records but the transpose partners, which
+    ``check_partners`` checks.  A stable certificate without [ker, g]
+    sends its form, and that form only, to the contact test; any other
+    stable certificate sends the record to the contact search, which tests
+    the same stream from the first draw on; no stable form sends nothing.
+    Each form drawn costs one elimination, and no other record draws a
+    form.  Returns how many records fell back to the contact search, and
+    the partner records' ordinals."""
+    partners = check_partners(family, n, records)
     drawn = fallbacks = 0
-    for r in records:
+    for i, r in enumerate(records):
         forms = tested.get(r.seed)
-        if r.index != 1:
+        if r.index != 1 or i in partners:
             assert forms is None
             continue
         stable, contact = forms["is_stable_form"], forms.get("is_contact_form", [])
@@ -115,7 +122,7 @@ def check_searches(records, tested, eliminations, bound):
             assert longer[: len(shorter)] == shorter  # one stream, in one order
             drawn += len(contact)
     assert eliminations == drawn
-    return fallbacks
+    return fallbacks, partners
 
 
 @pytest.mark.parametrize("seed", [0, 23])
@@ -125,7 +132,12 @@ def test_one_search_draws_one_stream_and_contact_takes_its_kernel(monkeypatch, f
     index_one = [r for r in records if r.index == 1]
     assert index_one and all(r.trial_kernel_dims == () for r in records)
     # at the default bound every stable form drawn is contact: no fallback
-    assert check_searches(records, tested, eliminations, 10**6) == 0
+    fallbacks, partners = check_searches(family, n, records, tested, eliminations, 10**6)
+    assert fallbacks == 0
+    # in a type-A sweep, half of the index-one records with top != bottom
+    # are transpose partners; (a|a) is its own transpose and is searched
+    unpaired = sum(r.top != r.bottom for r in index_one)
+    assert len(partners) == (unpaired // 2 if family in ("GL", "SL") else 0)
     for r in index_one:
         certs = r.certificates or {}
         if (r.contact, r.stable) == ("FOUND", "FOUND"):
@@ -140,9 +152,12 @@ def test_one_search_draws_one_stream_and_contact_takes_its_kernel(monkeypatch, f
 def test_a_small_bound_draws_within_it(monkeypatch):
     # at bound 1 each coordinate is -1, 0 or 1, and the searches still find
     # forms, some stable ones not contact, which send their records to the
-    # contact search; no index trial is drawn at any bound
+    # contact search; no index trial is drawn at any bound.  Some of those
+    # certificates carry [ker, g] to a transpose partner.
     records, tested, eliminations = traced_sweep(monkeypatch, "GL", 4, 0, bound=1)
-    assert check_searches(records, tested, eliminations, 1) >= 1
+    fallbacks, partners = check_searches("GL", 4, records, tested, eliminations, 1)
+    assert fallbacks >= 1
+    assert any("bracket_span" in (records[i].certificates or {}).get("stability", {}) for i in partners)
     assert any(r.contact == "FOUND" for r in records)
 
 
