@@ -33,7 +33,6 @@ from .construct import Composition, enumerate_compositions, parse_pair, seaweed
 from .contact import (
     ContactCertificate,
     StabilityCertificate,
-    contact_volume_nonzero,
     find_contact_form,
     find_stable_form,
     is_contact_form,
@@ -61,7 +60,6 @@ __all__ = [
     "census",
     "certificate_to_json",
     "classify",
-    "contact_volume_nonzero",
     "enumerate_compositions",
     "exit_status",
     "find_contact_form",

@@ -13,7 +13,9 @@ form within ``bound``, which ``verify`` checks.  A contact form is stable
   ``is_contact_form`` certifies from its form and kernel with no new
   elimination;
 * a stable form that is not contact sends the record to
-  ``find_contact_form`` on the same seed;
+  ``find_contact_form`` on the same seed.  Its refutation proves that no
+  stable form exists, so here it can never hold: the search finds a
+  contact form or runs its full budget;
 * no stable form, whether the budget ran out or the line refuted the
   search, means no contact form among those draws: contact NOT_FOUND.
 
@@ -41,10 +43,9 @@ any other.  Verdict policy:
   equivalence forbids.  It cannot arise here: contact is looked for only
   once a stable form is found.  ``verify`` keeps the branch, to refuse a
   report that claims it.
-* contact NOT_FOUND, stable FOUND: UNRESOLVED.  A NOT_FOUND is a proof
-  only when the line through the search's first draw refuted the test
-  (``contact``), and a record does not say whether it was, so
-  non-contactness is never claimed.
+* contact NOT_FOUND, stable FOUND: UNRESOLVED.  Once a stable form is
+  found the contact search cannot be refuted (above), so its NOT_FOUND
+  is only the budget spent, and non-contactness is never claimed.
 * both NOT_FOUND: CONSISTENT, neither property present.  On the six
   non-contact SO7 and SO8 seaweeds that is proved on a line after one draw
   (``contact``); otherwise it is evidence, the budget spent.

@@ -1,19 +1,13 @@
 """Contact and stability analysis of one-forms on Lie algebras.
 
 A one-form phi on an odd-dimensional algebra is contact when the top wedge
-power phi ^ (d phi)^k is a volume form.  Every form here is given by its
-integer coordinates on the dual basis, a sequence of dim ints (``_form``
-refuses anything else): a rational form and its multiple over a common
-denominator have the same kernel and the same verdicts.  Two independent
-tests are provided:
-
-* ``is_contact_form`` uses the kernel characterization: the Kirillov kernel
-  must be a line C.x with phi(x) != 0, in which case the Reeb vector
-  x / phi(x) is the canonical kernel generator with phi(reeb) = 1.
-* ``contact_volume_nonzero`` borders the Kirillov matrix with the
-  coordinates of phi and tests nonsingularity, which is the top-wedge
-  condition itself: the Pfaffian of the bordered matrix is the coefficient
-  of phi ^ (d phi)^k up to a harmless sign and scale.
+power phi ^ (d phi)^k is a volume form, that is, when the Kirillov kernel
+ker B_phi is a line C.x with phi(x) != 0 (``is_contact_form``); the Reeb
+vector x / phi(x) is then the canonical kernel generator with
+phi(reeb) = 1.  Every form here is given by its integer coordinates on the
+dual basis, a sequence of dim ints (``_form`` refuses anything else): a
+rational form and its multiple over a common denominator have the same
+kernel and the same verdicts.
 
 Stability uses the kernel-bracket criterion: phi is stable iff
 [ker B_phi, g] meets ker B_phi only in 0.  Certificates carry everything
@@ -28,65 +22,61 @@ its kernel alone: the certificate holds the one kernel row and no
 stability search thus succeeds no later than a contact search on the same
 draws, and only stable => contact can fail; the sweep searches for a
 stable form alone and reads contact off its certificate (``classify``).
+By the same lemma, a proof that no form is stable proves that none is
+contact, so both searches end on one refutation.
 
-All three tests, and the re-checks in ``serialize.verify_certificate``,
-run on integer rows.  The Kirillov matrix and the bordered matrix are skew,
-so they go through the skew elimination of ``linalg``: the kernel comes as
-canonical primitive integer rows (``linalg.skew_kernel_int_rows`` of
-``LieAlgebra.kirillov_int_rows``) and the bordered test is one
-``linalg.skew_rank_int_rows``.  [ker, g] is not skew.  For a form that is
-not contact, the kernel-bracket test (``kernel_bracket_span``) decides
-with one general forward elimination of the brackets of the kernel rows
-(``linalg.echelon_int_rows``) and one general integer rank for the meet,
-with the echelon rows first so that only the kernel rows are reduced;
-only an issued certificate pays for the canonical rows of [ker, g], which
-the echelon rows give by upward elimination alone.  The certificate check
-in ``serialize`` runs the same test on the kernel it takes, for a
-certificate that carries [ker, g], and compares the rows of [ker, g] it
-issues.
+Both tests, and the re-checks in ``serialize.verify_certificate``, run on
+integer rows.  The Kirillov matrix is skew, so its kernel comes from the
+skew elimination of ``linalg`` as canonical primitive integer rows
+(``linalg.skew_kernel_int_rows`` of ``LieAlgebra.kirillov_int_rows``).
+[ker, g] is not skew.  For a form that is not contact, the kernel-bracket
+test (``kernel_bracket_span``) decides with one general forward
+elimination of the brackets of the kernel rows (``linalg.echelon_int_rows``)
+and one general integer rank for the meet, with the echelon rows first so
+that only the kernel rows are reduced; only an issued certificate pays for
+the canonical rows of [ker, g], which the echelon rows give by upward
+elimination alone.  The certificate check in ``serialize`` runs the same
+test on the kernel it takes, for a certificate that carries [ker, g], and
+compares the rows of [ker, g] it issues.
 
 A search that runs out proves nothing by itself; a few exact ranks on a
-line do.  When a search's first draw phi0 is refused and its kernel is one
-row k0, ``_line`` takes psi = e_r* for a coordinate r with k0[r] != 0 whose
-B_{e_r} has the least skew rank 2d.  On the line phi_t = phi0 + t psi,
-B_{phi_t} = B_phi0 + t B_{e_r}, so every Pfaffian of a principal minor of
-B_{phi_t} has degree at most d in t.  The orbit of phi0 under the adjoint
-group G has tangent space {xi : xi(k0) = 0}, which psi misses, so the
-G-orbits through the line near phi0 fill a neighbourhood of phi0 in g*,
-and a G-stable condition that holds there holds on an open set:
+line do (``_no_stable_form``).  When a search's first draw phi0 is refused
+and its kernel is one row k0, ``_line`` takes psi = e_r* for a coordinate
+r with k0[r] != 0 whose B_{e_r} has the least skew rank 2d.  On the line
+phi_t = phi0 + t psi, B_{phi_t} = B_phi0 + t B_{e_r}, so every Pfaffian of
+a principal minor of B_{phi_t} has degree at most d in t.  The orbit of
+phi0 under the adjoint group G has tangent space {xi : xi(k0) = 0}, which
+psi misses, so the G-orbits through the line near phi0 fill a
+neighbourhood of phi0 in g*, and a G-stable condition that holds there
+holds on an open set.  Let s = rank ad_k0.  The signed Pfaffians of the
+principal minors of size dim - 1 give a kernel vector k(t) of degree at
+most d, which spans ker B_{phi_t} where that is a line and is 0
+elsewhere, so the (s+1)-minors of [ad_k(t) | k(t)] have degree at most
+(s+1)d.  They vanish when k0 lies in [k0, g] at t = 0, and, at
+t = 1, ..., (s+1)d, the kernel is not a line or rank [ad_k | k] <= s.
+Near t = 0 rank ad_k(t) >= s, so k(t) lies in [k(t), g] and phi_t is not
+stable.  Stable forms are G-stable and Zariski-open (Tauvel-Yu), so none
+exists, and so no contact form either.
 
-* No contact form (``_no_contact_form``).  The bordered Pfaffian P is a
-  semi-invariant (an automorphism A scales phi ^ (d phi)^k by 1/det A), so
-  if P vanishes on the line it vanishes on an open set, and everywhere.
-  Its degree on the line is at most d + 1, so d + 2 zeros suffice:
-  phi0(k0) = 0 at t = 0, and the bordered skew rank falls short of
-  dim + 1 at t = 1, ..., d + 1.
-* No stable form (``_no_stable_form``).  Let s = rank ad_k0.  The signed
-  Pfaffians of the principal minors of size dim - 1 give a kernel vector
-  k(t) of degree at most d, which spans ker B_{phi_t} where that is a line
-  and is 0 elsewhere, so the (s+1)-minors of [ad_k(t) | k(t)] have degree
-  at most (s+1)d.  They vanish when k0 lies in [k0, g] at t = 0, and, at
-  t = 1, ..., (s+1)d, the kernel is not a line or rank [ad_k | k] <= s.
-  Near t = 0 rank ad_k(t) >= s, so k(t) lies in [k(t), g] and phi_t is not
-  stable.  Stable forms are G-stable and Zariski-open (Tauvel-Yu), so
-  none exists.
+A refuted search takes (s+1)d + 1 skew eliminations, its first draw's
+among them.  On the six non-contact SO7 and SO8 seaweeds d = 1, which
+gives 9 on SO7 and 11 on SO8, against 49 and 81 at the generic degree
+(dim - 1) / 2.  The contact search pays this too: a bordered-Pfaffian
+refutation of contact alone would take d + 2 (3 on SO7), but it would be
+a second proof, and this one serves both searches.  A refutation that
+holds ends the search with None, the answer its full budget gives, since
+every later draw would be refused; one that fails decides nothing, and the
+search goes on over the same draws.
 
-On the six non-contact SO7 and SO8 seaweeds d = 1: 3 points decide
-contact and (s+1) + 1 decide stability (9 on SO7), against 8 and 49 at
-the generic degree (dim - 1) / 2.  A refutation that holds ends the search
-with None, the answer its full budget gives, since every later draw would
-be refused; one that fails decides nothing, and the search goes on over
-the same draws.
-
-Both tests take an optional kernel, so a caller that has it pays no
-second elimination.  There is one search loop (``_search``): it tests the
-first ``attempts`` draws of ``form_draws``, each drawn form with its
-integer coordinates and its kernel, until its test issues a certificate or
-the line through its first draw refutes the test.  ``find_contact_form``
-and ``find_stable_form`` are that loop with the contact or the stability
-test and refutation.  Certificates hold integer rows only: the form's
-coordinates, the Reeb vector over phi(k), and canonical primitive rows of
-ker B_phi and, for a stable form that is not contact, of [ker, g].
+Both tests take an optional kernel, so a caller that has it pays no second
+elimination.  There is one search loop (``_search``): it tests the first
+``attempts`` draws of ``form_draws``, each drawn form with its integer
+coordinates and its kernel, until its test issues a certificate or the
+line through its first draw refutes stability.  ``find_contact_form`` and
+``find_stable_form`` are that loop with the contact or the stability test.
+Certificates hold integer rows only: the form's coordinates, the Reeb
+vector over phi(k), and canonical primitive rows of ker B_phi and, for a
+stable form that is not contact, of [ker, g].
 ``serialize.certificate_to_json`` writes them as the rationals a
 computation over Q gives, without a Fraction: canonical rows are unique,
 and the Reeb vector is k / phi(k) for any generator k of the kernel line.
@@ -114,7 +104,6 @@ from .linalg import (
     meets_trivially_int_rows,
     rank_int_rows,
     skew_kernel_int_rows,
-    skew_rank_int_rows,
     span_int_rows,
 )
 from .lie import DEFAULT_BOUND, LieAlgebra
@@ -212,23 +201,6 @@ def is_contact_form(g: LieAlgebra, form, kernel=None) -> ContactCertificate | No
     return ContactCertificate(tuple(ints), tuple(k), value)  # reeb = k / form(k)
 
 
-def contact_volume_nonzero(g: LieAlgebra, form) -> bool:
-    """Top-wedge volume test via the bordered Kirillov matrix; ``form`` is
-    integer coordinates.
-
-    The (dim+1)-square skew matrix [[0, phi], [-phi, B_phi]] is nonsingular
-    exactly when phi ^ (d phi)^k is a volume form, which is the defining
-    contact condition; this route never looks at kernels or Reeb vectors.
-    It is built on integer rows and ranked by skew elimination.
-    """
-    _require_odd(g)
-    ints = _form(g, form)
-    bordered = [[0, *ints]]
-    for c, row in zip(ints, g.kirillov_int_rows(ints)):
-        bordered.append([-c, *row])
-    return skew_rank_int_rows(bordered) == g.dim + 1
-
-
 def _bracket_rows(g: LieAlgebra, kernel) -> list:
     # [k, x_j] for the integer rows k spanning K and all j
     return [row for k in kernel for row in g.ad_int_rows(k)]
@@ -266,7 +238,7 @@ def is_stable_form(g: LieAlgebra, form, kernel=None) -> StabilityCertificate | N
 
 
 def _line(g: LieAlgebra, kernel):
-    """(r, d) for the line phi0 + t e_r* of the refutations (module
+    """(r, d) for the line phi0 + t e_r* of the refutation (module
     docstring) through a form with kernel rows ``kernel``: r a coordinate
     where the one kernel row is nonzero, and B_{e_r} of the least rank 2d
     among them (B_{e_r} is skew, so its rank is even).  None unless the
@@ -285,22 +257,6 @@ def _line(g: LieAlgebra, kernel):
     return r, two_d // 2
 
 
-def _on_line(ints, r, t) -> list:
-    point = list(ints)
-    point[r] += t
-    return point
-
-
-def _no_contact_form(g: LieAlgebra, ints, kernel, r: int, d: int) -> bool:
-    """True when the bordered Pfaffian vanishes at t = 0, 1, ..., d + 1 on
-    the line ``ints`` + t e_r*, ``kernel`` the one kernel row at t = 0,
-    which proves that g has no contact form (module docstring)."""
-    (k,) = kernel
-    if pairing(ints, k):
-        return False
-    return not any(contact_volume_nonzero(g, _on_line(ints, r, t)) for t in range(1, d + 2))
-
-
 def _no_stable_form(g: LieAlgebra, ints, kernel, r: int, d: int) -> bool:
     """True when, with s = rank ad_k0 for the one kernel row k0 at t = 0,
     k0 lies in [k0, g] and every point t = 1, ..., (s+1)d of the line
@@ -312,8 +268,10 @@ def _no_stable_form(g: LieAlgebra, ints, kernel, r: int, d: int) -> bool:
     s = len(echelon)
     if meets_trivially_int_rows(echelon, kernel):
         return False
-    for t in range(1, (s + 1) * d + 1):
-        at_t = _kernel(g, _on_line(ints, r, t), None)
+    point = list(ints)
+    for _ in range((s + 1) * d):
+        point[r] += 1  # t = 1, ..., (s+1)d in turn
+        at_t = _kernel(g, point, None)
         if len(at_t) == 1 and rank_int_rows(g.ad_int_rows(at_t[0]) + at_t) > s:
             return False
     return True
@@ -348,19 +306,20 @@ def form_draws(g: LieAlgebra, seed: int, bound: int):
         yield ints, skew_kernel_int_rows(g.kirillov_int_rows(ints))
 
 
-def _search(g: LieAlgebra, draws, attempts: int, test, refutes):
+def _search(g: LieAlgebra, draws, attempts: int, test):
     """The search loop: the first certificate ``test`` issues for one of the
     first ``attempts`` draws, each tested with its own kernel; None when
-    the budget runs out, or as soon as ``refutes`` proves, on the line
-    through a refused first draw (``_line``), that no form passes ``test``
-    and so that the budget would run out."""
+    the budget runs out, or as soon as ``_no_stable_form`` proves, on the
+    line through a refused first draw (``_line``), that no form is stable,
+    hence that none passes ``test`` (a contact form is stable), and so
+    that the budget would run out."""
     for i, (form, kernel) in enumerate(islice(draws, attempts)):
         cert = test(g, form, kernel)
         if cert is not None:
             return cert
         if not i and attempts > 1:
             line = _line(g, kernel)
-            if line is not None and refutes(g, form, kernel, *line):
+            if line is not None and _no_stable_form(g, form, kernel, *line):
                 return None
     return None
 
@@ -373,8 +332,10 @@ def find_contact_form(
 ) -> ContactCertificate | None:
     """Randomized search for a contact form; None means budget exhausted,
     or that the line through the first draw proved that no form is
-    contact (``_no_contact_form``), after which every draw of the budget
-    would have been refused.
+    stable (``_no_stable_form``), hence none contact, after which every
+    draw of the budget would have been refused.  Where a stable form
+    exists that refutation cannot hold, and a search that finds no
+    contact form runs its full budget.
 
     Tests ``form_draws(g, seed, bound)``.  Exhaustion alone is not a proof
     of non-contactness, only one-sided evidence; the classifier corroborates
@@ -383,7 +344,7 @@ def find_contact_form(
     """
     _require_odd(g)
     _require_budget(attempts, bound)
-    return _search(g, form_draws(g, seed, bound), attempts, is_contact_form, _no_contact_form)
+    return _search(g, form_draws(g, seed, bound), attempts, is_contact_form)
 
 
 def find_stable_form(
@@ -397,4 +358,4 @@ def find_stable_form(
     (``_no_stable_form``).  Draws as ``find_contact_form``.  A budget of 0
     finds nothing; a negative one, or a bound below 1, raises ValueError."""
     _require_budget(attempts, bound)
-    return _search(g, form_draws(g, seed, bound), attempts, is_stable_form, _no_stable_form)
+    return _search(g, form_draws(g, seed, bound), attempts, is_stable_form)

@@ -24,22 +24,21 @@ dimension over rational forms equals its minimum over complex forms.  Every
 witness found here is rational, so the same certificate proves the claim
 over C.
 
-Skew-symmetric matrices, the Kirillov matrices B_phi and the bordered
-matrices of the contact test, go through their own elimination
-(`skew_rank_int_rows`, `skew_kernel_int_rows`).  It takes 2x2 pivots
-[[0, p], [-p, 0]] and updates only the strict upper triangle, so a step
-costs half of a general one and the matrix stays skew.  It is fraction-free:
-after the pivots (i_1, j_1), ..., (i_s, j_s) every remaining entry (k, l) is
-the Pfaffian of the principal minor on i_1, j_1, ..., i_s, j_s, k, l, an
-integer, and the next step divides by the previous pivot exactly, by the
-Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
-Electron. J. Combin. 3(2), 1996).  A kernel, `skew_kernel_int_rows`, is that
-one elimination, `_skew_pivots`, followed in the same function by
-back-substitution through its steps.  The general routines serve every other
-matrix (ambient bases, spans, kernels, meets).  They share one forward
-elimination, `echelon_int_rows`: a rank is the length of its result, and
-`rref_int_rows` is its result reduced upward, so echelon rows that are
-kept give the canonical rows by upward elimination alone.
+The Kirillov matrices B_phi are skew-symmetric and go through their own
+elimination (`skew_rank_int_rows`, `skew_kernel_int_rows`).  It takes 2x2
+pivots [[0, p], [-p, 0]] and updates only the strict upper triangle, so a
+step costs half of a general one and the matrix stays skew.  It is
+fraction-free: after the pivots (i_1, j_1), ..., (i_s, j_s) every remaining
+entry (k, l) is the Pfaffian of the principal minor on i_1, j_1, ..., i_s,
+j_s, k, l, an integer, and the next step divides by the previous pivot
+exactly, by the Pfaffian form of Sylvester's identity (Knuth, "Overlapping
+Pfaffians", Electron. J. Combin. 3(2), 1996).  A kernel,
+`skew_kernel_int_rows`, is that one elimination, `_skew_pivots`, followed in
+the same function by back-substitution through its steps.  The general
+routines serve every other matrix (ambient bases, spans, kernels, meets).
+They share one forward elimination, `echelon_int_rows`: a rank is the length
+of its result, and `rref_int_rows` is its result reduced upward, so echelon
+rows that are kept give the canonical rows by upward elimination alone.
 """
 
 from __future__ import annotations

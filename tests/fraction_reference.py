@@ -14,7 +14,9 @@ from the rational condition matrix (``ambient_basis``, which the
 full-check reference also builds its ambient supports and table from); the
 tests hold both routes to the same certificates, the same verdicts and the
 same bases, and ``clear_denominators`` turns the rational forms they draw
-into the integer forms the package takes.  Its certificates are
+into the integer forms the package takes.  ``contact_volume_nonzero``
+tests contactness by the top wedge power instead, on the bordered
+Kirillov matrix, a route the package does not take.  Its certificates are
 rational values, written to JSON from their Fractions
 (``certificate_json``), against which ``matches`` holds the integer rows
 of the package's certificates and their JSON.  Every rank, span,
@@ -265,6 +267,18 @@ def is_contact_kernel(form, kernel):
     """True iff ``kernel`` = ker B_form is a line on which the form does not
     vanish, as for a contact form."""
     return kernel.dim == 1 and pair(form, kernel.basis[0]) != 0
+
+
+def contact_volume_nonzero(g, form):
+    """The top-wedge test of contactness, which never looks at a kernel:
+    phi ^ (d phi)^k is a volume form iff the bordered skew matrix
+    [[0, phi], [-phi, B_phi]] is nonsingular, its Pfaffian being that
+    coefficient up to a harmless sign and scale.  The bordered matrix is
+    rational and ranked by ``rref``."""
+    form = tuple(map(Fraction, form))
+    b = kirillov_matrix(g, form)
+    bordered = Matrix(((Fraction(0), *form),) + tuple((-c, *row) for c, row in zip(form, b.rows)))
+    return rank(bordered) == g.dim + 1
 
 
 def is_stable_form(g, form):

@@ -1,11 +1,13 @@
-"""The searches' line refutation: after a refused first draw, a few exact
-ranks on a line through it prove that no contact or stable form exists,
-and the search ends there.  It ends every search on the six non-contact
-SO7 and SO8 seaweeds after one draw, the rational route refuses every draw
-those searches would have tested, and it changes no report byte where it
-declines.  In a GL or SL sweep a transpose partner runs no search, and
-its record is theta(X) = -X^T applied to its partner's
-(``transpose_reference``), with or without the refutation."""
+"""The searches' one line refutation: after a refused first draw, a few
+exact ranks on a line through it prove that no stable form exists, hence
+no contact form, and the search ends there.  On the six non-contact SO7
+and SO8 seaweeds it ends the sweep's search, and the contact and the
+stability search run on their own, after one draw; the rational route
+refuses every draw those searches would have tested, and the refutation
+changes no report byte where it declines.  In a GL or SL sweep a
+transpose partner runs no search, and its record is theta(X) = -X^T
+applied to its partner's (``transpose_reference``), with or without the
+refutation."""
 
 import importlib
 from itertools import islice
@@ -26,26 +28,33 @@ RECORDS = {
     ("SO", 8): [((1, 2), ()), ((), (2, 1)), ((1, 2, 1), ()), ((), (1, 2, 1))],
 }
 REFUTED = [(family, n, pair) for (family, n), pairs in RECORDS.items() for pair in pairs if pair != ((), (3,))]
-REFUTATIONS = ("_no_contact_form", "_no_stable_form")
+REFUTATIONS = ("_no_stable_form",)
+
+
+def search_seed(family, n, seed, pair):
+    """The seed ``classify`` gives the search of composition pair ``pair``."""
+    ordinal = {(a.parts, b.parts): i for i, (a, b) in enumerate(classify_module.composition_pairs(family, n))}
+    return seed ^ ordinal[pair] ^ classify_module._CONTACT_SALT
 
 
 def search_streams(family, n, seed):
     """For each refuted record of the sweep, its algebra and the first 64
     draws of its search stream, as ``classify`` seeds it."""
-    ordinal = {(a.parts, b.parts): i for i, (a, b) in enumerate(classify_module.composition_pairs(family, n))}
     streams = {}
     for fam, m, (top, bottom) in REFUTED:
         if (fam, m) == (family, n):
             g = seaweed(family, n, Composition(top), Composition(bottom))
-            search_seed = seed ^ ordinal[(top, bottom)] ^ classify_module._CONTACT_SALT
-            draws = contact_module.form_draws(g, search_seed, 10**6)
+            draws = contact_module.form_draws(g, search_seed(family, n, seed, (top, bottom)), 10**6)
             streams[(top, bottom)] = g, [next(draws) for _ in range(64)]
     return streams
 
 
-def search_decisions(monkeypatch, family, n, seed):
-    """The sweep's records, and for each composition pair the forms each of
-    its two tests was given, in order, with whether each was certified."""
+def search_decisions(monkeypatch, family, n, seed, route):
+    """For each composition pair, its (contact, stable) statuses and the
+    forms each of its two tests was given, in order, with whether each was
+    certified: in the sweep (``route`` "sweep"), or in ``find_contact_form``
+    and ``find_stable_form`` run on their own for each pair of ``RECORDS``
+    on the seed the sweep gives it (``route`` "searches")."""
     decisions, current = {}, [None]
     build = classify_module.seaweed
 
@@ -64,23 +73,39 @@ def search_decisions(monkeypatch, family, n, seed):
     monkeypatch.setattr(classify_module, "seaweed", seaweed_of)
     for kind in ("is_contact_form", "is_stable_form"):
         monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
-    return classify_module.classify(family, n, seed=seed), decisions
+    if route == "sweep":
+        records = classify_module.classify(family, n, seed=seed)
+        assert all(r.index == 1 for r in records if (r.top, r.bottom) in RECORDS[(family, n)])
+        return {(r.top, r.bottom): (r.contact, r.stable) for r in records}, decisions
+    statuses = {}
+    for top, bottom in RECORDS[(family, n)]:
+        g = seaweed_of(family, n, Composition(top), Composition(bottom))
+        record_seed = search_seed(family, n, seed, (top, bottom))
+        searches = (contact_module.find_contact_form, contact_module.find_stable_form)
+        found = [search(g, record_seed) is not None for search in searches]
+        statuses[(top, bottom)] = tuple("FOUND" if f else "NOT_FOUND" for f in found)
+    return statuses, decisions
 
 
+@pytest.mark.parametrize("route", ["sweep", "searches"])
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", sorted(RECORDS))
-def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed):
-    records, decisions = search_decisions(monkeypatch, family, n, seed)
-    by_pair = {(r.top, r.bottom): r for r in records}
+def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed, route):
+    # in the sweep a refuted record runs the stability search alone; on
+    # their own, the contact search and the stability search each end
+    # after one draw on the one refutation, and on SO7 0|3 each certifies
+    # its first draw
+    statuses, decisions = search_decisions(monkeypatch, family, n, seed, route)
     rational = {"is_contact_form": ref.is_contact_form, "is_stable_form": ref.is_stable_form}
     for pair in RECORDS[(family, n)]:
-        r = by_pair[pair]
-        assert r.index == 1
+        if route == "searches":
+            assert set(decisions[pair]) == set(rational)
         for kind, tested in decisions[pair].items():
             if pair == ((), (3,)):
+                assert statuses[pair] == ("FOUND", "FOUND")
                 assert [ok for *_, ok in tested] == [True]
             else:
-                assert (r.contact, r.stable) == ("NOT_FOUND", "NOT_FOUND")
+                assert statuses[pair] == ("NOT_FOUND", "NOT_FOUND")
                 assert len(tested) == 1
             for g, ints, certified in tested:
                 assert certified == (rational[kind](g, ints) is not None), (pair, kind, ints)
@@ -114,7 +139,7 @@ def test_the_line_has_degree_one_and_the_generic_bound_refutes_too(family, n, pa
 def test_a_contact_seaweed_is_refuted_on_no_line():
     # SO7 0|3 is contact, so no line may refute it: take the bound-1 draws
     # whose kernel is a line on which the form vanishes (they are neither
-    # contact nor stable), and both refutations decline on each
+    # contact nor stable), and the refutation declines on each
     g = seaweed("SO", 7, Composition(()), Composition((3,)))
     draws = contact_module.form_draws(g, 0, 1)
     refused = [
@@ -216,13 +241,13 @@ def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
             if r.index != 1 or i in partners:
                 continue
             g = seaweed(family, n, Composition(r.top), Composition(r.bottom))
-            search_seed = r.seed ^ classify_module._CONTACT_SALT
+            record_seed = r.seed ^ classify_module._CONTACT_SALT
             certs = r.certificates or {}
             for status, kind, search in (
                 (r.contact, "contact", contact_module.find_contact_form),
                 (r.stable, "stability", contact_module.find_stable_form),
             ):
-                alone = search(g, search_seed, r.attempts, bound)
+                alone = search(g, record_seed, r.attempts, bound)
                 assert status == ("NOT_FOUND" if alone is None else "FOUND"), (family, n, r.top, r.bottom)
                 assert certs.get(kind) == (None if alone is None else certificate_to_json(alone))
     assert fallbacks
@@ -231,9 +256,9 @@ def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", sorted(RECORDS))
-def test_a_refuted_record_takes_one_line_and_no_contact_refutation(monkeypatch, family, n, seed):
+def test_a_refuted_record_takes_one_line(monkeypatch, family, n, seed):
     # no stable form proves no contact form, so each refuted record runs the
-    # line once, for the stability search, and the contact refutation never
+    # line once, for its one search
     lines, current = [], [None]
     build, line = classify_module.seaweed, contact_module._line
 
@@ -245,12 +270,8 @@ def test_a_refuted_record_takes_one_line_and_no_contact_refutation(monkeypatch, 
         lines.append(current[0])
         return line(g, kernel)
 
-    def no_contact_form(*args):
-        raise AssertionError("the contact refutation ran")
-
     monkeypatch.setattr(classify_module, "seaweed", seaweed_of)
     monkeypatch.setattr(contact_module, "_line", counted)
-    monkeypatch.setattr(contact_module, "_no_contact_form", no_contact_form)
     records = classify_module.classify(family, n, seed=seed)
     refuted = [(r.top, r.bottom) for r in records if r.index == 1 and r.stable == "NOT_FOUND"]
     assert sorted(lines) == sorted(refuted) == sorted(pair for fam, m, pair in REFUTED if (fam, m) == (family, n))

@@ -33,9 +33,8 @@ SWEEPS += [("SP", 2), ("SP", 3)] + [("SO", n) for n in (5, 6, 7)]
 def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     """``classify --embed`` of one sweep, with what its searches did: the
     forms each test was given, in order, keyed by record seed, and the
-    number of skew eliminations outside the line refutations (``_line``,
-    ``_no_contact_form``, ``_no_stable_form``).  The sweep calls no
-    ``lie.index``."""
+    number of skew eliminations outside the line refutation (``_line``,
+    ``_no_stable_form``).  The sweep calls no ``lie.index``."""
     tested, eliminations = {}, [0]
     current, refuting = [None], [False]
 
@@ -76,7 +75,7 @@ def traced_sweep(monkeypatch, family, n, seed, bound=10**6):
     for kind in ("is_contact_form", "is_stable_form"):
         monkeypatch.setattr(contact_module, kind, recorded(kind, getattr(contact_module, kind)))
     monkeypatch.setattr(linalg_module, "_skew_pivots", counted)
-    for name in ("_line", "_no_contact_form", "_no_stable_form"):
+    for name in ("_line", "_no_stable_form"):
         monkeypatch.setattr(contact_module, name, uncounted(getattr(contact_module, name)))
     records = classify_module.classify(family, n, seed=seed, bound=bound, embed_certificates=True)
     return records, tested, eliminations[0]
