@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from seaweeds.construct import matrix_size
+from seaweeds.contact import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,13 @@ def contact_volume_nonzero(g, form):
     phi ^ (d phi)^k is a volume form iff the bordered skew matrix
     [[0, phi], [-phi, B_phi]] is nonsingular, its Pfaffian being that
     coefficient up to a harmless sign and scale.  The bordered matrix is
-    rational and ranked by ``rref``."""
+    rational and ranked by ``rref``.  Like the package's contact test it
+    refuses an even-dimensional algebra, and it refuses a form whose length
+    is not the dimension, which the bordering would otherwise misalign."""
+    if g.dim % 2 == 0:
+        raise PreconditionError("a contact form needs an odd-dimensional algebra")
+    if len(form) != g.dim:
+        raise ValueError("form length does not match algebra dimension")
     form = tuple(map(Fraction, form))
     b = kirillov_matrix(g, form)
     bordered = Matrix(((Fraction(0), *form),) + tuple((-c, *row) for c, row in zip(form, b.rows)))

@@ -87,14 +87,10 @@ def search_decisions(monkeypatch, family, n, seed, route):
     return statuses, decisions
 
 
-@pytest.mark.parametrize("route", ["sweep", "searches"])
-@pytest.mark.parametrize("seed", [0, 23])
-@pytest.mark.parametrize("family,n", sorted(RECORDS))
-def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed, route):
-    # in the sweep a refuted record runs the stability search alone; on
-    # their own, the contact search and the stability search each end
-    # after one draw on the one refutation, and on SO7 0|3 each certifies
-    # its first draw
+def check_one_draw_decided_as_the_rational_test(monkeypatch, family, n, seed, route):
+    """Each refuted search of ``route`` tests one draw and certifies none,
+    each search of SO7 0|3 certifies its first draw, and each tested draw
+    is certified exactly when the rational test certifies it."""
     statuses, decisions = search_decisions(monkeypatch, family, n, seed, route)
     rational = {"is_contact_form": ref.is_contact_form, "is_stable_form": ref.is_stable_form}
     for pair in RECORDS[(family, n)]:
@@ -109,6 +105,21 @@ def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(
                 assert len(tested) == 1
             for g, ints, certified in tested:
                 assert certified == (rational[kind](g, ints) is not None), (pair, kind, ints)
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", sorted(RECORDS))
+def test_each_refuted_search_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed):
+    # in the sweep a refuted record runs the stability search alone
+    check_one_draw_decided_as_the_rational_test(monkeypatch, family, n, seed, "sweep")
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("family,n", sorted(RECORDS))
+def test_each_search_on_its_own_tests_one_draw_and_decides_it_as_the_rational_test(monkeypatch, family, n, seed):
+    # on their own, the contact search and the stability search each end
+    # after one draw on the one refutation
+    check_one_draw_decided_as_the_rational_test(monkeypatch, family, n, seed, "searches")
 
 
 @pytest.mark.parametrize("seed", [0, 23])
@@ -256,9 +267,9 @@ def test_each_record_is_what_both_searches_find_on_their_own(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 23])
 @pytest.mark.parametrize("family,n", sorted(RECORDS))
-def test_a_refuted_record_takes_one_line(monkeypatch, family, n, seed):
+def test_a_refuted_record_takes_one_line_and_no_contact_refutation(monkeypatch, family, n, seed):
     # no stable form proves no contact form, so each refuted record runs the
-    # line once, for its one search
+    # line once, for its one search, and no separate contact refutation
     lines, current = [], [None]
     build, line = classify_module.seaweed, contact_module._line
 

@@ -106,6 +106,20 @@ def test_volume_zero_form():
         assert not contact_volume_nonzero(g, [0] * g.dim)
 
 
+def test_volume_even_dimension_rejected():
+    g = gln_seaweed(C(2), C(2))
+    with pytest.raises(PreconditionError):
+        contact_volume_nonzero(g, [0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("bad", ["long", "short"])
+def test_volume_refuses_a_form_of_the_wrong_length(bad):
+    g = gln_seaweed(C(2, 1), C(3))
+    make, error = BAD_FORMS[bad]
+    with pytest.raises(error):
+        contact_volume_nonzero(g, make(g.dim))
+
+
 def test_volume_agrees_with_kernel_characterization():
     import random
 
