@@ -72,7 +72,7 @@ import json
 from typing import NamedTuple
 
 from . import contact
-from .construct import LIMITS, check_limit, composition_pairs, seaweed, transpose_map
+from .construct import LIMITS, Composition, check_limit, composition_pairs, seaweed, seaweed_label, transpose_map
 from .contact import (
     CONSISTENT,
     DEFAULT_ATTEMPTS,
@@ -92,7 +92,7 @@ from .lie import DEFAULT_BOUND, DEFAULT_TRIALS, parity
 from .lie import index  # noqa: F401  (perfbench/spans.py traces calls of this name as lie.index; the sweep makes none)
 from .linalg import span_int_rows
 from .meander import index_formula
-from .serialize import REPORT_SCHEMA, _parts, certificate_to_json
+from .serialize import REPORT_SCHEMA, certificate_to_json
 
 _CONTACT_SALT = 0xC047AC7
 
@@ -257,13 +257,13 @@ def report(records, fmt: str = "json", meta: dict | None = None) -> str:
         writer.writerow(_CSV_FIELDS)
         for r in records:
             row = [getattr(r, name) for name in _CSV_FIELDS]
-            writer.writerow([_parts(v) if isinstance(v, tuple) else v for v in row])
+            writer.writerow([str(Composition(v)) if isinstance(v, tuple) else v for v in row])
         return buf.getvalue()
     if fmt == "text":
         lines = []
         for r in records:
             lines.append(
-                f"{r.family}{r.n}[{_parts(r.top)}|{_parts(r.bottom)}] dim={r.dim} "
+                f"{seaweed_label(r.family, r.n, Composition(r.top), Composition(r.bottom))} dim={r.dim} "
                 f"index={r.index} contact={r.contact} stable={r.stable} verdict={r.verdict}"
             )
         lines.append("")

@@ -7,7 +7,9 @@ default, and the environment sets none of them.  Exit codes: classify
 returns 0 on success, 4 when any COUNTEREXAMPLE record exists, 3 under
 --strict when only UNRESOLVED records spoil the run (5 is reserved);
 contact/stable return 1 when the search comes up empty; verify returns 0
-for valid, 1 for invalid, 2 for unreadable input.  index prints the index
+for valid, 1 for invalid, 2 for unreadable input (a file that cannot be
+opened, is not UTF-8 JSON or nests too deeply to parse gets the one line
+``error: cannot read certificate file: REASON``).  index prints the index
 by formula (``meander`` states the index rule) next to a randomized
 witness form.  The sweep limits (``construct.LIMITS``) bound classify
 unless --force is given, and index, contact and stable always, since the
@@ -257,9 +259,9 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
         _error(f"cannot read certificate file: {exc}")
         return 2
     try:

@@ -23,6 +23,10 @@ ambient algebra to them: a walk over the kept elements' rows of the
 ambient table that checks closure under the bracket and inherits the
 ambient's other identities.
 
+Every seaweed has one name, ``seaweed_label``: the family, the matrix
+size N, not the rank (SP4[0|1] is an SP seaweed of rank 2), and the pair
+in the CLI's text form.  Every output that names a seaweed uses it.
+
 In GL and SL, theta(X) = -X^T permutes the ambient basis up to sign
 (``_transpose``) and maps the seaweed of (a|b) onto that of (b|a)
 (``transpose_map``), which lets a sweep search one of the two.
@@ -298,7 +302,13 @@ def seaweed(family: str, n: int, a: Composition, b: Composition) -> LieAlgebra:
     them.
     """
     kept = _kept_elements(family, n, a, b)
-    return _ambient(family, n)[0].restrict(kept, f"{family}{matrix_size(family, n)}[{a}|{b}]")
+    return _ambient(family, n)[0].restrict(kept, seaweed_label(family, n, a, b))
+
+
+def seaweed_label(family: str, n: int, a: Composition, b: Composition) -> str:
+    """The name of ``seaweed(family, n, a, b)`` (module docstring), e.g.
+    GL3[2,1|3]."""
+    return f"{family}{matrix_size(family, n)}[{a}|{b}]"
 
 
 @lru_cache(maxsize=None)

@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .construct import Composition, check_limit, composition_pairs, matrix_size, seaweed, seaweed_dim
+from .construct import Composition, check_limit, composition_pairs, matrix_size, seaweed, seaweed_dim, seaweed_label
 from .contact import (
     CONSISTENT,
     FOUND,
@@ -281,22 +281,19 @@ def _evidence(record: dict) -> set:
     return {kind for status, kind in _EVIDENCE.items() if record[status] == FOUND}
 
 
-def _parts(composition) -> str:
-    """A composition in the CLI's text form, "0" for the empty one."""
-    return ",".join(map(str, composition)) or "0"
-
-
 def unembedded_found(doc: dict) -> tuple | None:
-    """(ordinal, FAMILYn[top|bottom]) of the first FOUND record of a report
-    whose records carry no certificate, as ``classify`` writes it without
-    ``embed_certificates``; None for any other document, malformed too."""
+    """(ordinal, label) of the first FOUND record of a report whose records
+    carry no certificate, as ``classify`` writes it without
+    ``embed_certificates``, the label as ``seaweed_label`` names the
+    record's seaweed; None for any other document, malformed too."""
     try:
         records = doc.get("records") or ()
         if not any(r.get("certificates") for r in records):
             for ordinal, r in enumerate(records):
                 if _evidence(r):
-                    return ordinal, f"{r['family']}{r['n']}[{_parts(r['top'])}|{_parts(r['bottom'])}]"
-    except (AttributeError, KeyError, TypeError):
+                    top, bottom = (Composition(tuple(r[key])) for key in ("top", "bottom"))
+                    return ordinal, seaweed_label(r["family"], r["n"], top, bottom)
+    except (AttributeError, KeyError, TypeError, ValueError):
         pass
     return None
 

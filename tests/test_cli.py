@@ -28,10 +28,15 @@ def test_exit_0_on_success(capsys):
     assert code == 0 and "index 1" in out and not err
 
 
-def test_exit_1_when_search_comes_up_empty(capsys):
+@pytest.mark.parametrize("argv,line", [
     # GL3[2,1|3] has index one, but a zero budget cannot find a contact form
-    code, out, _ = run(capsys, "contact", "2,1|3", "--family", "GL", "--attempts", "0")
-    assert code == 1 and "no contact form found" in out
+    (("contact", "2,1|3", "--family", "GL", "--attempts", "0"), "GL3[2,1|3]: no contact form found in 0 attempts"),
+    # SO7[1,2|0] has index one and no stable form, so no contact form either
+    (("contact", "1,2|0", "--family", "SO", "--n", "7"), "SO7[1,2|0]: no contact form found in 64 attempts"),
+    (("stable", "1,2|0", "--family", "SO", "--n", "7"), "SO7[1,2|0]: no stable form found in 64 attempts"),
+], ids=["zero-budget", "refuted-contact", "refuted-stable"])
+def test_exit_1_when_search_comes_up_empty(capsys, argv, line):
+    assert run(capsys, *argv) == (1, line + "\n", "")
 
 
 def test_exit_3_on_unresolved_under_strict(capsys):
@@ -68,6 +73,7 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
     "argv",
     [
         ("classify", "--family", "GL", "--n", "9"),
+        ("classify", "--family", "GL", "--n", "99"),
         ("index", "2,x|3"),
         ("index", "3|3", "--family", "SP"),
         ("index", "--top", "2,1"),
@@ -275,22 +281,34 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
     doc["certificates"][0]["pairing"] = "2/1"
     assert run(capsys, "verify", write(tmp_path, doc))[:2] == (1, "INVALID\n")
-    (tmp_path / "junk.json").write_text("{")
-    assert run(capsys, "verify", str(tmp_path / "junk.json"))[0] == 2
+    # not JSON, nested past the parser's recursion limit, not UTF-8
+    for name, data in (("junk.json", b"{"), ("deep.json", b"[" * 200000 + b"]" * 200000), ("latin.json", b"\xff\xfe{")):
+        (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, "verify", str(tmp_path / name))
+        assert (code, out) == (2, "") and err.count("\n") == 1, name
+        assert err.startswith("error: cannot read certificate file"), name
 
 
-def test_verify_names_the_first_found_record_of_a_report_written_without_embed(capsys, tmp_path):
-    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "4")
+@pytest.mark.parametrize("family,n,name", [("SL", "4", "SL4"), ("SP", "2", "SP4")])
+def test_verify_names_the_first_found_record_of_a_report_written_without_embed(capsys, tmp_path, family, n, name):
+    code, out, _ = run(capsys, "classify", "--family", family, "--n", n)
     assert code == 0
     doc = json.loads(out)
     ordinal = next(i for i, r in enumerate(doc["records"]) if "FOUND" in (r["contact"], r["stable"]))
     record = doc["records"][ordinal]
-    label = f"SL4[{','.join(map(str, record['top']))}|{','.join(map(str, record['bottom']))}]"
+    # the record's seaweed has one name, the one ``seaweeds stable`` prints
+    # and the text report gives it: SP by its matrix size
+    pair = "|".join(",".join(map(str, record[key])) or "0" for key in ("top", "bottom"))
+    code, out, _ = run(capsys, "stable", pair, "--family", family, "--n", n)
+    label = out.split(":")[0]
+    assert code == 0 and label == f"{name}[{pair}]"
+    code, out, _ = run(capsys, "classify", "--family", family, "--n", n, "--format", "text")
+    assert code == 0 and out.splitlines()[ordinal].startswith(f"{label} dim=")
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert (code, out) == (1, "INVALID\n")
     assert err.count("\n") == 1 and f"record {ordinal} ({label})" in err and "--embed" in err
     # a report that carries certificates gets no such line when it fails
-    code, out, _ = run(capsys, "classify", "--family", "SL", "--n", "4", "--embed")
+    code, out, _ = run(capsys, "classify", "--family", family, "--n", n, "--embed")
     doc = json.loads(out)
     doc["summary"]["consistent"] += 1
     assert run(capsys, "verify", write(tmp_path, doc)) == (1, "INVALID\n", "")
@@ -441,7 +459,7 @@ def test_verify_holds_a_certificate_to_the_seaweed_its_document_names(capsys, tm
     assert run(capsys, "verify", write(tmp_path, doc)) == (1, "INVALID\n", "")
 
 
-@pytest.mark.parametrize("field,value", [("family", "E8"), ("family", "gl"), ("n", 2), ("top", [2, 2])])
+@pytest.mark.parametrize("field,value", [("family", "E8"), ("family", "gl"), ("n", 2), ("n", 99), ("top", [2, 2])])
 def test_verify_exit_2_on_a_seaweed_that_does_not_exist(capsys, tmp_path, field, value):
     doc = contact_document(capsys)
     doc[field] = value
@@ -495,6 +513,8 @@ def test_verify_refuses_an_embedded_algebra_labelled_as_a_seaweed(capsys, tmp_pa
     ["stable", "0|3,1", "--family", "SO", "--n", "8"],
     ["stable", "1|1,1", "--family", "SP", "--n", "2"],
     ["contact", "3,1|1,2,1", "--family", "SL"],
+    ["stable", "0|3", "--family", "SO", "--n", "7"],
+    ["stable", "3|3"],
 ])
 def test_every_certificate_document_the_searches_write_verifies(capsys, tmp_path, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -502,6 +522,15 @@ def test_every_certificate_document_the_searches_write_verifies(capsys, tmp_path
     doc = json.loads(out)
     assert list(doc) == ["schema", "family", "n", "top", "bottom", "certificates"]
     assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+    (cert,) = doc["certificates"]
+    if cert["kind"] == "stability":
+        # [ker, g] meets ker in 0, and only a contact line may leave [ker, g]
+        # out (GL3[3|3] has index 3, so its certificate holds one)
+        bad = [{**cert, "intersection_dim": 1}]
+        if "bracket_span" in cert:
+            bad.append({key: value for key, value in cert.items() if key != "bracket_span"})
+        for tampered in bad:
+            assert run(capsys, "verify", write(tmp_path, {**doc, "certificates": [tampered]})) == (1, "INVALID\n", "")
 
 
 @pytest.mark.parametrize("write_args", [

@@ -12,13 +12,19 @@ and the summary are equal as JSON values.  The GL and SL digests were
 re-pinned once more when a transpose partner (b|a) came to take theta(X) =
 -X^T of its searched record's certificates: against the earlier report,
 each differs only in those partners' certificates.
+
+Each pinned report is also verified, as ``seaweeds verify`` reads it: the
+digests pin the bytes, and ``verify_document`` re-checks every claim in
+them.  Of the heavy-tier SO8 report, the test also states what it finds:
+four refuted index-one records, and contact FOUND exactly where stable is.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from seaweeds import classify, report
+from seaweeds import classify, report, verify_document
 
 ATTEMPTS, BOUND, TRIALS = 64, 10**6, 3
 
@@ -49,7 +55,8 @@ SEEDED_DIGESTS = {
 }
 
 
-def report_digest(family, n, seed):
+def report_text(family, n, seed):
+    """The ``classify --embed`` json report."""
     records = classify(
         family, n, seed=seed, attempts=ATTEMPTS, bound=BOUND, trials=TRIALS, embed_certificates=True
     )
@@ -59,15 +66,35 @@ def report_digest(family, n, seed):
         "seed": seed,
         "budgets": {"attempts": ATTEMPTS, "bound": BOUND, "trials": TRIALS},
     }
-    text = report(records, "json", meta=meta)
+    return report(records, "json", meta=meta)
+
+
+def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("family,n", sorted(DIGESTS))
 def test_seed0_report_digest(family, n):
-    assert report_digest(family, n, 0) == DIGESTS[(family, n)]
+    text = report_text(family, n, 0)
+    assert digest(text) == DIGESTS[(family, n)]
+    assert verify_document(json.loads(text)) is True
 
 
 @pytest.mark.parametrize("family,n,seed", sorted(SEEDED_DIGESTS))
 def test_seeded_report_digest(family, n, seed):
-    assert report_digest(family, n, seed) == SEEDED_DIGESTS[(family, n, seed)]
+    assert digest(report_text(family, n, seed)) == SEEDED_DIGESTS[(family, n, seed)]
+
+
+def test_so8_refutes_four_records_and_each_contact_form_is_its_stable_form():
+    records = json.loads(report_text("SO", 8, 0))["records"]
+    pairs = sorted(
+        "|".join(",".join(map(str, r[key])) or "0" for key in ("top", "bottom"))
+        for r in records if "NOT_FOUND" in (r["contact"], r["stable"])
+    )
+    assert pairs == ["0|1,2,1", "0|2,1", "1,2,1|0", "1,2|0"]
+    assert all(r["contact"] == r["stable"] for r in records)
+    # one search: a contact certificate's form is its stability certificate's,
+    # which is then the short shape, without [ker, g]
+    found = [r["certificates"] for r in records if "contact" in (r.get("certificates") or {})]
+    assert found and all(c["contact"]["form"] == c["stability"]["form"] for c in found)
+    assert not any("bracket_span" in c["stability"] for c in found)

@@ -1,11 +1,16 @@
-"""Index defects that small draw bounds once showed, pinned as mended.
+"""Known defects of the program, each run as a user would meet it.
 
+The index defects that small draw bounds once showed are pinned as mended.
 Before the index was a formula (``meander.index_formula``), it was the
 least kernel dimension of a few random Kirillov forms: at a small
 ``--bound`` an SP/SO record could carry an index above its true one, which
-``verify`` accepted, and a GL/SL sweep could miss its meander index.  Each
-test runs the commands as a user would, at the bounds where the defects
-showed, and states the behaviour the program has now.
+``verify`` accepted, and a GL/SL sweep could miss its meander index.  Those
+tests run the commands at the bounds where the defects showed, and state
+the behaviour the program has now.
+
+One open defect is pinned as a strict xfail: ``verify`` accepts a NOT_FOUND
+that no evidence backs.  The change that mends it turns the xfail into a
+pass, which fails the strict marker until the test is flipped.
 """
 
 import json
@@ -71,3 +76,24 @@ def test_a_bound_2_sweep_carries_the_formula_index(capsys, tmp_path, family, n):
         assert index_formula(family, n, *map(Composition, pair)) == formula != once
         assert records[pair]["index"] == formula
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="verify accepts an unproved absence: a NOT_FOUND needs no evidence and NOT_FOUND/NOT_FOUND reads "
+    "CONSISTENT; mended by 'Every verdict certified' (a refuted status that verify re-checks) or by "
+    "'The paper's own equivalence' (the type-A rule as a report check)",
+)
+def test_verify_refuses_index_one_records_rewritten_to_unproved_absences(capsys, tmp_path):
+    # every index-one GL seaweed is contact (type A is quasi-reductive), so a
+    # report that finds none of them contradicts the paper
+    out = tmp_path / "gl5.json"
+    assert main(["classify", "--family", "GL", "--n", "5", "--embed", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    index_one = [r for r in doc["records"] if r["index"] == 1]
+    assert len(index_one) == 34 and all(r["verdict"] == "CONSISTENT" for r in index_one)
+    for r in index_one:
+        r["contact"] = r["stable"] = "NOT_FOUND"
+        del r["certificates"]
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1

@@ -139,7 +139,7 @@ def test_a_refused_map_is_a_one_line_exit_2(monkeypatch, capsys):
 
 @pytest.mark.parametrize("family,index_one", [("GL", 150), ("SL", 764)])
 def test_heavy_tier_reports_verify_and_agree_with_their_transposes(capsys, tmp_path, family, index_one):
-    # the console block's GL7 and SL7 checks, through the CLI's entry point
+    # the heavy-tier GL7 and SL7 sweeps, through the CLI's entry point
     out = tmp_path / "r.json"
     assert main(["classify", "--family", family, "--n", "7", "--embed", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
@@ -149,3 +149,8 @@ def test_heavy_tier_reports_verify_and_agree_with_their_transposes(capsys, tmp_p
     claims = ("dim", "index", "contact", "stable", "verdict")
     for (top, bottom), r in records.items():
         assert [r[k] for k in claims] == [records[(bottom, top)][k] for k in claims], (top, bottom)
+    # one search: a contact certificate's form is its stability certificate's,
+    # which is then the short shape, without [ker, g]
+    found = [r["certificates"] for r in records.values() if "contact" in (r.get("certificates") or {})]
+    assert len(found) == index_one and all(c["contact"]["form"] == c["stability"]["form"] for c in found)
+    assert not any("bracket_span" in c["stability"] for c in found)
