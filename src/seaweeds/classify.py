@@ -159,7 +159,6 @@ def classify(
     attempts: int = DEFAULT_ATTEMPTS,
     bound: int = DEFAULT_BOUND,
     trials: int = DEFAULT_TRIALS,
-    force: bool = False,
     embed_certificates: bool = False,
 ) -> list[ClassificationRecord]:
     """Classify every seaweed of the family at rank n; deterministic per seed.
@@ -173,8 +172,7 @@ def classify(
     _require_budget(attempts, bound)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not force:
-        check_limit(family, n, "; pass force=True (CLI: --force) to override")
+    check_limit(family, n)
     records = []
     searched = {}  # (top, bottom) -> (contact, stable) certificates, awaiting (bottom|top)
     for ordinal, (a, b) in enumerate(composition_pairs(family, n)):
@@ -238,15 +236,19 @@ def _record_to_json(r: ClassificationRecord) -> dict:
     return doc
 
 
-def report(records, fmt: str = "json", meta: dict | None = None) -> str:
+def report(records, fmt: str = "json") -> str:
     """Render records as a stable-field-order document, ``fmt`` being
     json, csv or text, in lower case.  JSON is compact, one line with no
-    spaces, which the C encoder writes."""
+    spaces, which the C encoder writes.  Its header names the sweep:
+    family, n, seed and budgets, all read off record 0, whose seed is the
+    sweep's (seed XOR ordinal 0); ``verify`` holds every record to it."""
     summary = count_verdicts([r.verdict for r in records])
     if fmt == "json":
         doc = {"schema": REPORT_SCHEMA}
-        if meta:
-            doc.update(meta)
+        if records:
+            first = records[0]
+            budgets = {key: getattr(first, key) for key in ("attempts", "bound", "trials")}
+            doc.update(family=first.family, n=first.n, seed=first.seed, budgets=budgets)
         doc["records"] = [_record_to_json(r) for r in records]
         doc["summary"] = summary
         return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -11,14 +11,14 @@ for valid, 1 for invalid, 2 for unreadable input (a file that cannot be
 opened, is not UTF-8 JSON or nests too deeply to parse gets the one line
 ``error: cannot read certificate file: REASON``).  index prints the index
 by formula (``meander`` states the index rule) next to a randomized
-witness form.  The sweep limits (``construct.LIMITS``) bound classify
-unless --force is given, and index, contact and stable always, since the
-ambient build grows as about n^4 and verify refuses a certificate
-document over them; the json documents of contact and stable name the
-seaweed, which verify rebuilds (``serialize``).  A report holding a FOUND
-record verifies only when it was written with --embed: verify re-checks
-the certificate behind every FOUND, and a report without them reads
-INVALID, with one stderr line naming its first FOUND record and --embed.
+witness form.  The sweep limits (``construct.LIMITS``) bound every
+command, since the ambient build grows as about n^4, and verify refuses
+a document of either kind that names a rank over them; the json
+documents of contact and stable name the seaweed, which verify rebuilds
+(``serialize``).  A report holding a FOUND record verifies only when it
+was written with --embed: verify re-checks the certificate behind every
+FOUND, and a report without them reads INVALID, with one stderr line
+naming its first FOUND record and --embed.
 Bad input (an unknown subcommand or flag, a value outside an option's
 choices, a malformed or missing pair, a missing --n, a rank over the
 sweep limits, a negative --attempts, a --bound or --trials below 1,
@@ -244,16 +244,9 @@ def _cmd_classify(args):
         attempts=args.attempts,
         bound=args.bound,
         trials=args.trials,
-        force=args.force,
         embed_certificates=args.embed,
     )
-    meta = {
-        "family": args.family,
-        "n": args.n,
-        "seed": args.seed,
-        "budgets": {"attempts": args.attempts, "bound": args.bound, "trials": args.trials},
-    }
-    _emit(report(records, args.format, meta=meta), args.out)
+    _emit(report(records, args.format), args.out)
     return exit_status(records, strict=args.strict)
 
 
@@ -313,21 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="sweep all composition pairs of a family")
     p.add_argument("--family", default="GL", choices=sorted(LIMITS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    _add_common(p, formats=("json", "csv", "text"), with_search=True)
     p.add_argument(
         "--trials", type=int, default=DEFAULT_TRIALS,
         help="written into each record; the index is a formula, so no index trial is drawn",
     )
-    p.add_argument("--format", default="json", choices=("json", "csv", "text"))
-    p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 3 on unresolved records")
     p.add_argument(
         "--embed", action="store_true",
         help="embed certificates in records (json only), so verify can re-check each FOUND",
     )
-    p.add_argument("--force", action="store_true", help="override the rank limits")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(

@@ -52,7 +52,7 @@ from .lie import LieAlgebra, StructureError, _commutator
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
-# The largest rank of each family a sweep runs by default (``check_limit``).
+# The largest rank of each family any command or document names (``check_limit``).
 LIMITS = {"GL": 7, "SL": 7, "SP": 4, "SO": 8}
 
 
@@ -60,11 +60,11 @@ class LimitError(ValueError):
     """Requested rank exceeds the sweep limits."""
 
 
-def check_limit(family: str, n: int, override: str = "") -> None:
-    """Raise LimitError, its message ending in ``override``, when rank n of
-    ``family`` (a name in FAMILIES) is over ``LIMITS``."""
+def check_limit(family: str, n: int) -> None:
+    """Raise LimitError when rank n of ``family`` (a name in FAMILIES) is
+    over ``LIMITS``."""
     if n > LIMITS[family]:
-        raise LimitError(f"{family} rank {n} is over the sweep limit n <= {LIMITS[family]}{override}")
+        raise LimitError(f"{family} rank {n} is over the sweep limit n <= {LIMITS[family]}")
 
 
 def _immutable(self, name, value=None):

@@ -25,33 +25,64 @@ stable`` in json, input of ``seaweeds verify``)::
     {"schema": CERTIFICATE_SCHEMA, "family": "GL", "n": 3,
      "top": [2, 1], "bottom": [3], "certificates": [cert, ...]}
 
-Certificate schema 3 is the first that names its seaweed (schema 2
-embedded a rational table, which was checked in place of its label).  A
-rank over ``construct.LIMITS`` is refused before anything is built
-(``_named_seaweed``), since the ambient build grows as about n^4.
+Classification report (output of ``seaweeds classify --format json``,
+the header written by ``classify.report`` from the records)::
 
-Classification reports (``seaweeds classify --embed``) carry the same
-certificate objects per record, and each record names its seaweed by the
-same fields.  Reports carry ``"schema": REPORT_SCHEMA``; schema 3
-(certificate schema 2) is the first whose stability certificate of a
-contact form omits ``bracket_span``, and schema 4 the first whose index
-is ``meander.index_formula`` (the index rule), with no index trial drawn:
-``trial_kernel_dims`` is always empty.  ``verify`` refuses a report of any
-other schema, as it refuses a certificate document whose schema is not
-``CERTIFICATE_SCHEMA``, each with the command that writes a new one.
-``verify_*`` recomputes every invariant from scratch, so tampered data
-fails either here (False) or already at seaweed reconstruction
-(ValueError).  A form or Reeb vector whose length is not the named
-seaweed's dimension is a wrong claim, which ``verify_document`` reads as
-invalid (``verify_certificate`` raises ValueError).  Every integer field
-(dimensions, indices, seeds, budgets, counts, ranks, composition parts)
-must hold a JSON integer, and every rational a string or an integer: a
-bool or a float in one is a malformed document (``linalg.as_int``,
-``_int_row``), since Python holds True and 1.0 equal to 1 and a
-comparison alone would let it pass.  A rational that does not parse, or
-has a zero denominator, is unreadable input too, and its error names the
-seaweed, the certificate kind and the field (form, reeb, pairing, kernel
-basis or bracket span).
+    {"schema": REPORT_SCHEMA, "family": "SO", "n": 7, "seed": 0,
+     "budgets": {"attempts": 64, "bound": 1000000, "trials": 3},
+     "records": [record, ...], "summary": {...}}
+
+Each record names its seaweed by the same fields as a certificate
+document, and ``--embed`` puts the same certificate objects in it.
+Certificate schema 3 is the first that names its seaweed (schema 2
+embedded a rational table, which was checked in place of its label).
+Report schema 3 (certificate schema 2) is the first whose stability
+certificate of a contact form omits ``bracket_span``, and schema 4 the
+first whose index is ``meander.index_formula`` (the index rule), with no
+index trial drawn: ``trial_kernel_dims`` is always empty.
+
+``verify_document`` reads a document as malformed, and raises ValueError
+(the CLI's exit 2), when it is of another schema (the error names the
+command that writes a new one) or of the wrong shape: a missing field,
+among them a report's header; an integer field (dimensions, indices,
+seeds, budgets, counts, ranks, composition parts) that holds anything
+but a JSON integer, a bool or a float included, since Python holds True
+and 1.0 equal to 1 (``linalg.as_int``); a rational that is not a string
+or an integer, does not parse or has a zero denominator, whose error
+names the seaweed, the certificate kind and the field (``_int_row``); an
+unknown family, a rank below the family's least or over
+``construct.LIMITS``, or a certificate document's compositions that the
+family does not admit.  One rule names the family and rank of both
+kinds, a certificate document's and a report header's
+(``_family_and_rank``), before anything is enumerated or built, since
+the ambient build grows as about n^4.
+
+It reads a well-formed document as invalid (False) when it gives nothing
+to check (no records, no certificates), or when any claim fails:
+
+* the header's budgets are not ones ``classify`` accepts (attempts >= 0,
+  bound >= 1, trials >= 1), checked once;
+* the records are not the whole sweep the header names, in order: each
+  names its family, n and budgets, its seed is the header's XOR its
+  ordinal, and its (top, bottom) is that ordinal's
+  ``composition_pairs(family, n)`` (``_sweep_holds``);
+* a record's index is not its ``meander.index_formula``, its parity not
+  that of its dimension, or its ``trial_kernel_dims`` not empty;
+* its statuses are not SKIPPED/CONSISTENT off index one, or on index one
+  not FOUND or NOT_FOUND, FOUND under a zero budget, or with a verdict
+  other than ``search_verdict`` of its statuses and budget
+  (``_index_claims_hold``);
+* its certificate keys are not exactly the kinds its FOUND statuses name
+  (``_evidence``), or a certificate's kind is not its key; so a report
+  written without ``--embed`` fails at its first FOUND record, which
+  ``unembedded_found`` names;
+* its dimension is not that of the seaweed it names (the rebuilt
+  seaweed's where certificates are embedded, else ``seaweed_dim``);
+* a certificate form is not one its record's search could draw (integer
+  coordinates within its bound), or a form or Reeb vector is not of the
+  seaweed's dimension (``verify_certificate`` raises ValueError on this);
+* a certificate's invariants do not hold (below);
+* the summary is not ``count_verdicts`` of the records' verdicts.
 
 Certificates are written and checked on integer rows, as the searches run.
 ``certificate_to_json`` writes each "num/den" from a certificate's integer
@@ -74,12 +105,7 @@ matches a canonical row only when it clears to it and its leading entry is
 form is refused.  When a report record's two certificates carry one form,
 as the sweep's shared search issues them, ker B_phi is taken once and
 serves both checks, and the form is parsed once if it is all strings (so
-a bool or a float in either is still refused).  A record's certificates
-are exactly those its FOUND statuses name (``_evidence``), each of the
-kind of its key, so a report written without ``--embed`` fails at its
-first FOUND record, which ``unembedded_found`` names; and every
-certificate form in a report must be one its record's search could draw:
-integer coordinates within its bound.
+a bool or a float in either is still refused).
 """
 
 from __future__ import annotations
@@ -300,17 +326,14 @@ def unembedded_found(doc: dict) -> tuple | None:
 
 def _index_claims_hold(record: dict, formula: int) -> bool:
     """The index is ``formula``, the record's ``meander.index_formula``,
-    the parity is that of the dimension, no index trial is listed, the
-    trial count, attempt budget and bound are ones ``classify`` accepts,
-    and the statuses and verdict follow from the index (the searches run
-    on index-one seaweeds only, a budget below one finds nothing, and the
+    the parity is that of the dimension, no index trial is listed, and the
+    statuses and verdict follow from the index (the searches run on
+    index-one seaweeds only, a budget below one finds nothing, and the
     verdict is ``search_verdict`` of the statuses and budget)."""
     contact, stable = record["contact"], record["stable"]
     if record["index"] != formula or record["parity"] != parity(record["dim"]):
         return False
-    if record["trial_kernel_dims"] != [] or record["trials"] < 1:
-        return False
-    if record["attempts"] < 0 or record["bound"] < 1:
+    if record["trial_kernel_dims"] != []:
         return False
     if record["index"] != 1:
         return {contact, stable} == {SKIPPED} and record["verdict"] == CONSISTENT
@@ -326,10 +349,9 @@ def _require_report_ints(doc: dict) -> None:
     own or its records', holds anything but a JSON integer; checked before
     any claim is compared."""
     for field in ("schema", "n", "seed"):
-        if field in doc:
-            as_int(doc[field], field)
+        as_int(doc[field], field)
     for part in ("budgets", "summary"):
-        for field, value in doc.get(part, {}).items():
+        for field, value in doc[part].items():
             as_int(value, f"{part}.{field}")
     for record in doc["records"]:
         for field in ("n", "seed", "dim", "index", "attempts", "bound", "trials"):
@@ -345,25 +367,20 @@ def _budgets(record: dict) -> dict:
 
 def _sweep_holds(doc: dict) -> list | None:
     """The ``seaweed`` arguments (family, n, top, bottom) of each record if
-    the records are one whole sweep, in order, else None.  They share one
-    family, by its upper-case name, one n and one (attempts, bound, trials)
-    budget (the report's, where it names them), their (top, bottom) are
-    ``composition_pairs(family, n)``, and each record's seed is the sweep
-    seed XOR its ordinal, the report's seed where it names one.  The record
-    count is held against the closed form 4^k of that enumeration first, so
-    a report naming a huge rank is refused without enumerating it."""
-    records = doc["records"]
-    family, n, seed = records[0]["family"], records[0]["n"], records[0]["seed"]
-    sweep = (family, n, seed, _budgets(records[0]))
-    if tuple(doc.get(key, named) for key, named in zip(("family", "n", "seed", "budgets"), sweep)) != sweep:
+    the header's budgets are ones ``classify`` accepts and the records are
+    the whole sweep the header names, in order (module docstring), else
+    None.  The header's family and rank are refused over the limits
+    (``_family_and_rank``) before the sweep is enumerated."""
+    family, n = _family_and_rank(doc)
+    budgets, records = doc["budgets"], doc["records"]
+    if budgets["attempts"] < 0 or budgets["bound"] < 1 or budgets["trials"] < 1:
         return None
-    upper = family.upper()
-    size = matrix_size(upper, n)  # an unknown family or rank raises ValueError
-    k = size - 1 if upper in ("GL", "SL") else size // 2
-    if upper != family or not 0 <= k < len(records).bit_length() or len(records) != 4**k:
+    pairs = composition_pairs(family, n)
+    if len(records) != len(pairs):
         return None
+    sweep = (family, n, doc["seed"], budgets)
     named = []
-    for ordinal, (record, (top, bottom)) in enumerate(zip(records, composition_pairs(family, n))):
+    for ordinal, (record, (top, bottom)) in enumerate(zip(records, pairs)):
         if (record["family"], record["n"], record["seed"] ^ ordinal, _budgets(record)) != sweep:
             return None
         if (tuple(record["top"]), tuple(record["bottom"])) != (top.parts, bottom.parts):
@@ -372,46 +389,22 @@ def _sweep_holds(doc: dict) -> list | None:
     return named
 
 
-def _named_seaweed(doc: dict) -> tuple:
-    """The ``seaweed`` arguments (family, n, top, bottom) a certificate
-    document names, each integer checked (``as_int``), and the rank held
-    to the family's least (``matrix_size``) and to ``construct.LIMITS``
-    before anything is built."""
+def _family_and_rank(doc: dict) -> tuple[str, int]:
+    """The family and rank a certificate document or a report header
+    names, the rank checked as an integer (``as_int``) and held to the
+    family's least (``matrix_size``, which refuses an unknown family) and
+    to ``construct.LIMITS`` (``check_limit``): ValueError, before anything
+    is enumerated or built."""
     family, n = doc["family"], as_int(doc["n"], "n")
     matrix_size(family, n)
     check_limit(family, n)
-    top, bottom = (Composition(tuple(as_int(p, key) for p in doc[key])) for key in ("top", "bottom"))
-    return family, n, top, bottom
+    return family, n
 
 
 def verify_document(doc: dict) -> bool:
-    """Verify every certificate in a certificate document or a report.
-
-    Each names its seaweed by family, rank and compositions, a certificate
-    document once and a report per record, and the seaweed is rebuilt.  A
-    document is invalid when it gives nothing to check (no records, no
-    certificates), when a record's index is not its
-    ``meander.index_formula``, its parity not that of its dimension, its
-    ``trial_kernel_dims`` not empty, its trial count below 1, its attempt
-    budget negative or its bound below 1, when its statuses or verdict
-    disagree with its index, or an index-one verdict is not the one its
-    statuses and budget give (``_index_claims_hold``), when a record's
-    certificate keys are not exactly the kinds its FOUND statuses name or
-    a certificate's kind is not its key (so a record whose index is not
-    one, whose searches are SKIPPED, carries none), when a record's
-    dimension is not that of the seaweed it names (the rebuilt seaweed's
-    where certificates are embedded, else the count of ambient basis
-    matrices the flags keep), when a certificate's form is not one the
-    record's search could draw (a coordinate that is not an integer or
-    exceeds the record's bound in absolute value) or a form or Reeb vector
-    is not of the seaweed's dimension, when a report's summary counts
-    disagree with its records' verdicts, or when its records are not one
-    whole sweep in order, with one budget (``_sweep_holds``).  A
-    document of the wrong shape (an integer field that holds no JSON
-    integer among them), of another schema, naming an unknown family or
-    rank or compositions the family does not admit, or a certificate
-    document over ``construct.LIMITS``, raises ValueError.
-    """
+    """Verify every claim of a certificate document or a report: True when
+    all hold, False when one fails, and ValueError on a malformed document
+    (the rules are the module docstring's)."""
     try:
         return _verify_document(doc)
     except _WrongLength:
@@ -472,7 +465,9 @@ def _verify_document(doc: dict) -> bool:
             f"certificate schema {doc.get('schema')!r} is not {CERTIFICATE_SCHEMA}: run contact or stable again"
         )
     as_int(doc["schema"], "schema")
-    g = seaweed(*_named_seaweed(doc))
+    family, n = _family_and_rank(doc)
+    top, bottom = (Composition(tuple(as_int(p, key) for p in doc[key])) for key in ("top", "bottom"))
+    g = seaweed(family, n, top, bottom)
     certs = doc.get("certificates")
     if not certs:
         return False

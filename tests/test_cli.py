@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from seaweeds.classify import classify, exit_status
+from seaweeds.classify import classify, exit_status, report
 from seaweeds.cli import main
 from seaweeds.contact import COUNTEREXAMPLE, UNRESOLVED
 from seaweeds.serialize import verify_document
@@ -74,6 +74,7 @@ def test_exit_4_on_counterexample_sweep(capsys, monkeypatch):
     [
         ("classify", "--family", "GL", "--n", "9"),
         ("classify", "--family", "GL", "--n", "99"),
+        ("classify", "--family", "GL", "--n", "8", "--force"),
         ("index", "2,x|3"),
         ("index", "3|3", "--family", "SP"),
         ("index", "--top", "2,1"),
@@ -262,6 +263,17 @@ def test_identical_invocations_give_identical_bytes(capsys):
     first = run(capsys, *args)
     assert first[0] == 0 and json.loads(first[1])["seed"] == 4
     assert run(capsys, *args) == first
+
+
+def test_the_api_report_is_the_cli_report(capsys):
+    # ``report`` writes the header from the records: the CLI's bytes, off
+    # the default seed and budgets too
+    flags = ("--seed", "-5", "--attempts", "3", "--bound", "7", "--trials", "2")
+    code, out, _ = run(capsys, "classify", "--family", "SO", "--n", "7", "--embed", *flags)
+    records = classify("SO", 7, seed=-5, attempts=3, bound=7, trials=2, embed_certificates=True)
+    assert code == 0 and out == report(records, "json")
+    header = {key: value for key, value in json.loads(out).items() if key not in ("records", "summary")}
+    assert header == {"schema": 4, "family": "SO", "n": 7, "seed": -5, "budgets": {"attempts": 3, "bound": 7, "trials": 2}}
 
 
 def write(tmp_path, doc):
@@ -479,14 +491,33 @@ def test_verify_exit_2_on_a_bool_or_a_float_naming_the_seaweed(capsys, tmp_path,
     assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
 
 
-@pytest.mark.parametrize("family,n,pair", [("GL", 8, ([8], [8])), ("GL", 24, ([24], [24])), ("SO", 9, ([], [3]))])
-def test_verify_refuses_a_rank_over_the_limits_before_building(capsys, tmp_path, monkeypatch, family, n, pair):
-    def no_ambient(*args):
-        raise AssertionError("an ambient algebra was built")
+# (kind, family, n, pair): certificate documents keep their first ids
+OVER_THE_LIMITS = {
+    "GL-8-pair0": ("document", "GL", 8, ([8], [8])),
+    "GL-24-pair1": ("document", "GL", 24, ([24], [24])),
+    "SO-9-pair2": ("document", "SO", 9, ([], [3])),
+    "report-GL-8": ("report", "GL", 8, ([8], [8])),
+    "report-SO-9": ("report", "SO", 9, ([], [3])),
+}
 
-    doc = contact_document(capsys)
-    doc.update(family=family, n=n, top=pair[0], bottom=pair[1])
-    monkeypatch.setattr("seaweeds.construct._ambient", no_ambient)
+
+@pytest.mark.parametrize("kind,family,n,pair", OVER_THE_LIMITS.values(), ids=OVER_THE_LIMITS.keys())
+def test_verify_refuses_a_rank_over_the_limits_before_building(capsys, tmp_path, monkeypatch, kind, family, n, pair):
+    # one limit rule for both kinds: a certificate document, and a
+    # one-record report whose header names the rank
+    def no_work(*args):
+        raise AssertionError("the sweep was enumerated or an ambient built")
+
+    if kind == "document":
+        doc = contact_document(capsys)
+        doc.update(family=family, n=n, top=pair[0], bottom=pair[1])
+    else:
+        doc = json.loads(run(capsys, "classify", "--family", "GL", "--n", "1", "--embed")[1])
+        assert len(doc["records"]) == 1
+        doc.update(family=family, n=n)
+        doc["records"][0].update(family=family, n=n, top=pair[0], bottom=pair[1])
+    monkeypatch.setattr("seaweeds.construct._ambient", no_work)
+    monkeypatch.setattr("seaweeds.serialize.composition_pairs", no_work)
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert (code, out) == (2, "") and err.count("\n") == 1 and "over the sweep limit" in err
 

@@ -60,13 +60,7 @@ def report_text(family, n, seed):
     records = classify(
         family, n, seed=seed, attempts=ATTEMPTS, bound=BOUND, trials=TRIALS, embed_certificates=True
     )
-    meta = {
-        "family": family,
-        "n": n,
-        "seed": seed,
-        "budgets": {"attempts": ATTEMPTS, "bound": BOUND, "trials": TRIALS},
-    }
-    return report(records, "json", meta=meta)
+    return report(records, "json")
 
 
 def digest(text):

@@ -257,12 +257,16 @@ def test_verify_rederives_the_index_one_verdict():
 
 
 def test_verify_rejects_found_statuses_under_a_zero_budget():
-    # the budget is the sweep's, so it changes on every record at once
+    # the budget is the sweep's, so it changes in the header and on every
+    # record at once; every index-one verdict is the one a zero budget
+    # gives, so only the FOUND statuses and their certificates are wrong
     doc, record = _index_one_report()
     assert (record["contact"], record["stable"]) == ("FOUND", "FOUND")
-    record["verdict"] = "UNRESOLVED"
+    doc["budgets"]["attempts"] = 0
     for r in doc["records"]:
         r["attempts"] = 0
+        if r["index"] == 1:
+            r["verdict"] = "UNRESOLVED"
     assert not verify_document(_recounted(doc))
     # what a zero budget does report: nothing found, nothing decided
     for r in doc["records"]:
@@ -274,24 +278,26 @@ def test_verify_rejects_found_statuses_under_a_zero_budget():
 
 
 def test_verify_rejects_a_negative_budget():
-    # the budget is the sweep's, so it changes on every record at once; the
-    # first record checked has a search on SL2 and none on GL3
+    # the budget is the sweep's, so it changes in the header and on every
+    # record at once; the first record has a search on SL2 and none on GL3
     for family, n in (("SL", 2), ("GL", 3)):
         doc = json.loads(report(classify(family, n, seed=5, attempts=0, embed_certificates=True), "json"))
         assert verify_document(doc)
         assert (doc["records"][0]["index"] == 1) == (family == "SL")
+        doc["budgets"]["attempts"] = -1
         for record in doc["records"]:
             record["attempts"] = -1
         assert not verify_document(doc)
 
 
-def test_verify_rejects_a_bound_below_one(tmp_path):
-    # the bound is the sweep's, so it changes on every record and in the
-    # report's budgets at once; no sweep draws forms from an empty range
-    out = tmp_path / "so5.json"
-    assert main(["classify", "--family", "SO", "--n", "5", "--seed", "5", "--embed", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
+def test_verify_rejects_a_bound_below_one():
+    # the bound is the sweep's, so it changes in the header and on every
+    # record at once; no sweep draws forms from an empty range.  A zero
+    # attempt budget leaves no certificate, whose forms the bound would
+    # also refuse, so only the bound rule is left to refuse it
+    doc = json.loads(report(classify("SL", 3, seed=5, attempts=0, embed_certificates=True), "json"))
     assert verify_document(doc)
+    assert not any(r.get("certificates") for r in doc["records"])
     for bound in (0, -5):
         doc["budgets"]["bound"] = bound
         for record in doc["records"]:
@@ -330,9 +336,12 @@ def test_verify_rejects_a_certificate_form_that_is_not_integral():
 
 
 def test_verify_rejects_an_unknown_index_one_status():
+    # the stability certificate goes with the FOUND it stood for, so the
+    # evidence rule holds, and the verdict is what the verdict rule gives
     doc, record = _index_one_report()
     record["stable"] = "MAYBE"
-    record["verdict"] = "COUNTEREXAMPLE"  # what the verdict rule gives for it
+    del record["certificates"]["stability"]
+    record["verdict"] = "COUNTEREXAMPLE"
     assert not verify_document(_recounted(doc))
 
 
@@ -437,8 +446,9 @@ def test_verify_refuses_any_trial_kernel_dims():
     assert all(r["trial_kernel_dims"] == [] for r in doc["records"])
     record["trial_kernel_dims"] = [record["index"]]
     assert not verify_document(doc)
-    # a trial count classify refuses, on every record as the sweep budget
+    # a trial count classify refuses, in the header and on every record
     doc = _so5_report()
+    doc["budgets"]["trials"] = 0
     for record in doc["records"]:
         record["trials"] = 0
     assert not verify_document(doc)
@@ -489,6 +499,10 @@ def test_verify_rejects_a_report_missing_a_record():
     doc = _so5_report()
     del doc["records"][3]
     assert not verify_document(_recounted(doc))
+    # the last one, so every record left is in its place
+    doc = _so5_report()
+    del doc["records"][-1]
+    assert not verify_document(_recounted(doc))
 
 
 def test_verify_rejects_a_duplicated_record():
@@ -519,12 +533,18 @@ def test_verify_rejects_records_with_swapped_tops():
 
 
 def test_verify_holds_the_records_to_the_sweep_the_report_names():
-    records = classify("SO", 5, seed=5, embed_certificates=True)
-    for key, wrong in (("family", "SP"), ("n", 6), ("seed", 6)):
-        doc = json.loads(report(records, "json", meta={"family": "SO", "n": 5, "seed": 5}))
+    # SL5 and SO6 are within the limits, so the records refuse them
+    for key, wrong in (("family", "SL"), ("n", 6), ("seed", 6)):
+        doc = _so5_report()
         assert verify_document(doc)
         doc[key] = wrong
         assert not verify_document(doc), key
+    # SP5 is over the limits, and E8 no family: the header is refused
+    for family, error in (("SP", "over the sweep limit"), ("E8", "family must be one of")):
+        doc = _so5_report()
+        doc["family"] = family
+        with pytest.raises(ValueError, match=error):
+            verify_document(doc)
     # records of one family under a name the sweep never writes
     doc = _so5_report()
     for record in doc["records"]:
@@ -532,19 +552,27 @@ def test_verify_holds_the_records_to_the_sweep_the_report_names():
     assert not verify_document(doc)
 
 
-def test_verify_counts_the_records_before_enumerating_them(monkeypatch):
-    def no_enumeration(*args):
-        raise AssertionError("the composition pairs were enumerated")
+def test_verify_refuses_a_header_over_the_limits_before_enumerating_or_building(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep was enumerated or an ambient built")
 
-    monkeypatch.setattr("seaweeds.serialize.composition_pairs", no_enumeration)
-    doc = _so5_report()
-    del doc["records"][0]
-    assert not verify_document(_recounted(doc))
     # a rank whose sweep has 4^20 records
     doc = _so5_report()
+    doc["n"] = 41
     for record in doc["records"]:
         record["n"] = 41
-    assert not verify_document(doc)
+    monkeypatch.setattr("seaweeds.serialize.composition_pairs", no_work)
+    monkeypatch.setattr("seaweeds.construct._ambient", no_work)
+    with pytest.raises(ValueError, match="SO rank 41 is over the sweep limit n <= 8"):
+        verify_document(doc)
+
+
+@pytest.mark.parametrize("key", ["family", "n", "seed", "budgets"])
+def test_verify_refuses_a_report_without_its_header(key):
+    doc = _so5_report()
+    del doc[key]
+    with pytest.raises(ValueError, match="malformed document"):
+        verify_document(doc)
 
 
 def _sl4_report(tmp_path):

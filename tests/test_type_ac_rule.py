@@ -14,8 +14,7 @@ import pytest
 
 from seaweeds import classify, report
 from seaweeds.classify import LIMITS
-from seaweeds.contact import DEFAULT_ATTEMPTS, FOUND
-from seaweeds.lie import DEFAULT_BOUND, DEFAULT_TRIALS
+from seaweeds.contact import FOUND
 from seaweeds.serialize import verify_document
 
 SWEEPS = [("GL", n) for n in range(2, LIMITS["GL"] + 1)]
@@ -29,10 +28,4 @@ def test_every_index_one_type_a_or_c_record_is_contact(family, n):
     records = classify(family, n, seed=0, embed_certificates=True)
     missed = [(r.top, r.bottom) for r in records if r.index == 1 and r.contact != FOUND]
     assert not missed, missed
-    meta = {
-        "family": family,
-        "n": n,
-        "seed": 0,
-        "budgets": {"attempts": DEFAULT_ATTEMPTS, "bound": DEFAULT_BOUND, "trials": DEFAULT_TRIALS},
-    }
-    assert verify_document(json.loads(report(records, "json", meta=meta)))
+    assert verify_document(json.loads(report(records, "json")))
