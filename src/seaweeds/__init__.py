@@ -8,13 +8,14 @@ stability analysis with machine-checkable certificates; and an
 exhaustive small-rank classifier testing the equivalence "index-one
 seaweed is contact iff it admits a stable form" on enumerated composition
 pairs.  All exact linear algebra, from Kirillov matrices and kernels to
-certificate checks, runs on ints (``linalg``): an algebra's structure
-constants and realization are ints (``lie``), and rationals appear only
-as the "num/den" strings of JSON, parsed straight into integer rows.  No
-module builds a Fraction.  The package keeps what the ``seaweeds``
-commands reach; the block picture of type-A seaweeds, the rational
-Kirillov matrix, rational elimination and the small stock algebras the
-tests build (Heisenberg, abelian) live under ``tests``.  A contact form
+certificate checks, runs on ints (``linalg``): an algebra is its integer
+matrices, with its structure constants read off their commutators
+(``lie``), and rationals appear only as the "num/den" strings of JSON,
+parsed straight into integer rows.  No module builds a Fraction.  The
+package keeps what the ``seaweeds`` commands reach; the block picture of
+type-A seaweeds, the rational Kirillov matrix, rational elimination and
+the small stock algebras the tests build (Heisenberg, abelian) live under
+``tests``.  A contact form
 is stable (``contact`` proves it), so the classifier searches for a
 stable form alone and reads contact off its certificate; it cannot reach
 a COUNTEREXAMPLE, and the sweep tests stable => contact.  In type A it

@@ -12,10 +12,13 @@ opened, is not UTF-8 JSON or nests too deeply to parse gets the one line
 ``error: cannot read certificate file: REASON``).  index prints the index
 by formula (``meander`` states the index rule) next to a randomized
 witness form.  The sweep limits (``construct.LIMITS``) bound every
-command, since the ambient build grows as about n^4, and verify refuses
-a document of either kind that names a rank over them; the json
-documents of contact and stable name the seaweed, which verify rebuilds
-(``serialize``).  A report holding a FOUND record verifies only when it
+command that builds an algebra (index, contact, stable, classify and
+verify), since the ambient build grows as about n^4, and verify refuses
+a document of either kind that names a rank over them.  meander builds
+none and takes compositions of any total, so its output grows with
+them: ``seaweeds meander "1000000|1000000" --format json`` writes about
+40 MB.  The json documents of contact and stable name the seaweed, which
+verify rebuilds (``serialize``).  A report holding a FOUND record verifies only when it
 was written with --embed: verify re-checks the certificate behind every
 FOUND, and a report without them reads INVALID, with one stderr line
 naming its first FOUND record and --embed.

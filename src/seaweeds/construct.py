@@ -10,11 +10,10 @@ coordinates for prefix sums q of b).  Stabilizing them kills a set of
 off-diagonal matrix entries.
 
 Each family and rank is built once, by ``_ambient``: its basis is the
-integer kernel of the family's condition rows, its table is read off the
-sparse commutators of the basis matrices, and the ordinary constructor
-checks the realization, which implies Jacobi (``lie``).  No off-diagonal
-entry is shared by two ambient basis matrices, and each has a private
-entry: GL ones are elementary, SL ones off-diagonal elementary or
+integer kernel of the family's condition rows, as matrices, and
+``LieAlgebra`` reads its table off their commutators (``lie``).  No
+off-diagonal entry is shared by two ambient basis matrices, and each has a
+private entry: GL ones are elementary, SL ones off-diagonal elementary or
 e_ii - e_{N-1,N-1}, and each SP/SO one lives on one orbit {(i,j),
 (N-1-j, N-1-i)}.  So the stabilizer is spanned by the ambient basis
 matrices whose support avoids the killed entries, tested with one AND of
@@ -48,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linalg import kernel_int_rows
-from .lie import LieAlgebra, StructureError, _commutator
+from .lie import LieAlgebra, StructureError
 
 FAMILIES = ("GL", "SL", "SP", "SO")
 
@@ -207,13 +206,11 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
     vectorized (row-major) matrices: none for GL, the trace row for SL, and
     X^T S + S X = 0 for SP/SO.  S is antidiagonal, S[i][N-1-i] = s_i, so
     entry (i, j) of the condition reads
-    s_{N-1-j} X[N-1-j][i] + s_i X[N-1-i][j] = 0.  Every kernel row has pivot
-    1 (its first nonzero entry), so the integer rows are the rational RREF
-    basis, and the coordinates of any member are its values at the pivots;
-    a row with another pivot raises StructureError.  The table is read off
-    the sparse commutators that way, and ``LieAlgebra`` checks that the
-    basis matrices, each kernel row cut into N integer rows, realize the
-    table, which is the one check of each commutator and implies Jacobi.
+    s_{N-1-j} X[N-1-j][i] + s_i X[N-1-i][j] = 0.  The kernel rows are the
+    rational RREF basis, so each basis matrix, a kernel row cut into N
+    integer rows, is 1 at its pivot and every other is 0 there: the pivot
+    rule of ``LieAlgebra``, which reads the table off the commutators at
+    the pivots and checks that the basis closes under the bracket.
     """
     size = matrix_size(family, n)
     rows = []
@@ -228,26 +225,13 @@ def _ambient(family: str, n: int) -> tuple[LieAlgebra, tuple[int, ...], int]:
                 row[(size - 1 - i) * size + j] += sign[i]  # (S X)[i][j]
                 rows.append(row)
     basis = kernel_int_rows(rows, size * size)
-    sparse = [{divmod(e, size): c for e, c in enumerate(row) if c} for row in basis]
-    owner = {}
-    for k, entries in enumerate(sparse):
-        pivot = min(entries)
-        if entries[pivot] != 1:
-            raise StructureError(f"ambient basis row {k} has pivot {entries[pivot]}, not 1")
-        owner[pivot] = k
-    table = {}
-    for i, x in enumerate(sparse):
-        for j in range(i + 1, len(sparse)):
-            coords = {owner[e]: c for e, c in _commutator(x, sparse[j]).items() if c and e in owner}
-            if coords:
-                table[(i, j)] = coords
     mats = [[row[u * size:(u + 1) * size] for u in range(size)] for row in basis]
     supports = tuple(sum(1 << e for e, c in enumerate(row) if c) for row in basis)
     seen = shared = 0
     for support in supports:
         shared |= seen & support
         seen |= support
-    return LieAlgebra(len(mats), table, realization=mats), supports, shared
+    return LieAlgebra(mats), supports, shared
 
 
 @lru_cache(maxsize=None)

@@ -88,8 +88,9 @@ stable"; the classifier assigns it and report verification re-derives it.
 The module certifies that contact and stable forms exist; it builds no
 normal-form basis for them.
 
-All operations accept any ``LieAlgebra``, not just seaweeds: any
-finite-dimensional algebra over Q, on an integral basis (``lie``).
+All operations accept any ``LieAlgebra``, not just seaweeds: any span of
+integer matrices closed under the commutator, each 1 at a pivot where
+the others are 0 (``lie``).
 """
 
 from __future__ import annotations

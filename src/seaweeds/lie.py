@@ -1,42 +1,27 @@
 """Finite-dimensional Lie algebras over Q, held on an integral basis.
 
-An algebra is a structure-constant table: [x_i, x_j] = sum_r c_ijr x_r over a
-fixed basis x_0..x_{dim-1}, optionally carrying a matrix realization of each
-basis element.  Every downstream computation silently depends on
-antisymmetry, the Jacobi identity and (when present) compatibility of the
-realization with the table.  An algebra built from a table
-(``LieAlgebra(dim, structure, ...)``) is checked for all three at
-construction, always, the realization first.  A faithful realization
-(each basis matrix has an entry no other one touches, so they are
-linearly independent) that matches the table is an injective map into
-gl(N) carrying the table's bracket to the commutator, which satisfies
-Jacobi, so the table does too and its Jacobi sum is skipped; every
-ambient's realization is faithful.  An algebra cut out of a checked one
-(``LieAlgebra.restrict``) is checked for closure under the bracket and
-inherits the rest: its identities are the parent's, restricted to a closed
-set of basis elements.  A restriction walks a row index of the parent's
-table, built on first use, for the kept elements only, so its cost grows
-with the brackets among kept elements, not with the parent's table.
+An algebra is its matrices: ``LieAlgebra(realization)`` takes square
+integer matrices X_0..X_{dim-1} of one size as its basis, bracketed by the
+commutator.  One rule makes them a basis whose coordinates are read
+directly: each matrix has a pivot, its first nonzero entry in row-major
+order, the pivot is 1, and every other matrix is 0 at that entry.  The
+matrices are then linearly independent, and a matrix in their span has
+its values at the pivots as its coordinates.  The constructor computes
+[X_i, X_j] for each pair whose supports meet (every other pair commutes),
+reads its coordinates c_ijr at the pivots, which gives the structure
+constants [x_i, x_j] = sum_r c_ijr x_r, and requires the residual
+[X_i, X_j] - sum_r c_ijr X_r to be zero: the span is closed under the
+commutator.  Antisymmetry and the Jacobi identity follow, since the
+bracket is the commutator of linearly independent matrices.  For gl(n)
+seaweeds, whose basis matrices have one nonzero entry, O(n^3) pairs meet.
+Realization entries are ints; anything else (a bool, a float, a Fraction)
+raises TypeError (``linalg.as_int``).
 
-Both checks are sparse: their cost grows with the nonzero structure constants
-and matrix entries, not with all pairs and triples of basis elements.  The
-Jacobi check sums only the triples reached from a nonzero structure constant
-c_ijr through a neighbour of x_r, the only triples with a nonzero term; that
-is O(sum over c_ijr != 0 of deg(x_r)) triples, where deg counts the basis
-elements that bracket nontrivially with x_r (for gl(n) seaweeds O(n^4)
-triples, not C(n^2, 3)).  The realization check turns each matrix into its
-nonzero entries once, then computes [X_i, X_j] - sum_r c_ijr X_r as a sparse
-commutator only for the pairs in the table and the pairs whose supports meet
-(O(n^3) pairs for gl(n) seaweeds, whose basis matrices have one nonzero
-entry), each in O(nnz_i * nnz_j + sum_r nnz_r).  Every other pair of matrices
-commutes and is absent from the table.
-
-A realization is a tuple of matrices, each a tuple of row tuples.
-Structure constants and realization entries are ints; anything else (a
-bool, a float, a Fraction) raises TypeError (``linalg.as_int``).  Any
-algebra over Q becomes integral by scaling its basis: for D a common
-denominator of its constants and matrix entries, y_i = D x_i has
-[y_i, y_j] = sum_r (D c_ijr) y_r and matrices D X_i.
+An algebra cut out of a built one (``LieAlgebra.restrict``) is checked for
+closure under the bracket and inherits the rest.  A restriction walks a
+row index of the parent's table, built on first use, for the kept
+elements only, so its cost grows with the brackets among kept elements,
+not with the parent's table.
 
 The Kirillov form of a one-form phi is the skew matrix
 B_phi[i][j] = phi([x_i, x_j]), and the index of the algebra is the minimal
@@ -73,7 +58,8 @@ DEFAULT_BOUND = 10**6
 
 
 class StructureError(ValueError):
-    """Structure constants violate antisymmetry, Jacobi, or the realization."""
+    """A realization breaks the pivot rule or is not closed under the
+    bracket (module docstring)."""
 
 
 def _sparse_matrix(m) -> dict:
@@ -94,63 +80,65 @@ def _commutator(x: dict, y: dict) -> dict:
     return out
 
 
-class LieAlgebra:
-    """Immutable Lie algebra given by structure constants.
+def _read_table(sparse: list) -> dict:
+    """The table of the sparse matrices ``sparse`` (module docstring): the
+    pivot rule, checked matrix by matrix, then, for the pairs i < j whose
+    supports meet, in sorted order, the commutator's values at the pivots,
+    sorted by target, and its residual."""
+    at, in_row, in_col = {}, {}, {}
+    for k, entries in enumerate(sparse):
+        for u, v in entries:
+            at.setdefault((u, v), []).append(k)
+            in_row.setdefault(u, []).append(k)
+            in_col.setdefault(v, []).append(k)
+    pivots = {}
+    for k, entries in enumerate(sparse):
+        if not entries:
+            raise StructureError(f"basis matrix {k} is zero")
+        pivot = min(entries)
+        if entries[pivot] != 1:
+            raise StructureError(f"basis matrix {k} has pivot {entries[pivot]}, not 1")
+        for j in at[pivot]:
+            if j != k:
+                raise StructureError(f"basis matrix {j} is nonzero at the pivot of basis matrix {k}")
+        pivots[pivot] = k
+    table = {}
+    for i, x in enumerate(sparse):
+        for j in sorted({j for u, v in x for j in (*in_row.get(v, ()), *in_col.get(u, ())) if j > i}):
+            comm = _commutator(x, sparse[j])
+            terms = tuple(sorted((pivots[e], c) for e, c in comm.items() if c and e in pivots))
+            for r, c in terms:
+                for e, y in sparse[r].items():
+                    comm[e] = comm.get(e, 0) - c * y
+            if any(comm.values()):
+                raise StructureError(f"realization is not closed under bracket ({i},{j})")
+            if terms:
+                table[(i, j)] = terms
+    return table
 
-    ``structure`` maps basis index pairs (i, j) to {r: c} with
-    [x_i, x_j] = sum_r c x_r.  Either or both orientations of a pair may be
-    given; they must agree up to sign.  Every constant c and every
-    realization entry is an int; anything else raises TypeError.
+
+class LieAlgebra:
+    """Immutable Lie algebra spanned by integer matrices under the
+    commutator.
+
+    ``realization`` holds one square integer matrix per basis element, each
+    a sequence of rows, all of one size, under the module docstring's pivot
+    rule, and is kept as a tuple of row tuples.  An entry that is not an
+    int raises TypeError; matrices of other shapes, a broken pivot rule or
+    a span not closed under the commutator raise StructureError.
     """
 
     __slots__ = ("dim", "label", "_table", "_rows", "realization")
 
-    def __init__(self, dim, structure, realization=None, label=""):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = int(dim)
+    def __init__(self, realization, label=""):
+        mats = tuple(tuple(tuple(as_int(x, "realization entry") for x in row) for row in m) for m in realization)
+        if any(len(m) != len(mats[0]) or any(len(row) != len(mats[0]) for row in m) for m in mats):
+            raise StructureError("realization matrices must be square of equal size")
+        self.dim = len(mats)
         self.label = label
-
-        full = {}
-        for (i, j), terms in structure.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise StructureError(f"basis index out of range in pair ({i},{j})")
-            cleaned = {}
-            for r, c in terms.items():
-                if not 0 <= r < dim:
-                    raise StructureError(f"target index {r} out of range")
-                if as_int(c, "structure constant"):
-                    cleaned[r] = c
-            if i == j:
-                if cleaned:
-                    raise StructureError(f"[x_{i},x_{i}] must vanish")
-                continue
-            full[(i, j)] = cleaned  # kept when empty: it still has to agree
-        table = {}
-        for (i, j), terms in full.items():
-            if i < j:
-                if terms:
-                    table[(i, j)] = tuple(sorted(terms.items()))
-            elif (j, i) in full:
-                if {r: -c for r, c in full[(j, i)].items()} != terms:
-                    raise StructureError(f"antisymmetry violated on pair ({j},{i})")
-            elif terms:
-                table[(j, i)] = tuple(sorted((r, -c) for r, c in terms.items()))
-        self._table = table
+        self.realization = mats
+        self._table = _read_table([_sparse_matrix(m) for m in mats])
         self._rows = None
-
-        self.realization = None
-        try:
-            if realization is not None:
-                self.realization = tuple(
-                    tuple(tuple(as_int(x, "realization entry") for x in row) for row in m) for m in realization
-                )
-                if self._check_realization():
-                    return  # faithful, so Jacobi follows (see the module docstring)
-        except (TypeError, ValueError):
-            self._check_jacobi()  # a table failing both reports Jacobi, as with no realization
-            raise
-        self._check_jacobi()
 
     def restrict(self, kept, label=""):
         """The subalgebra spanned by the basis elements ``kept``, re-indexed
@@ -160,14 +148,11 @@ class LieAlgebra:
         ``kept`` must be strictly increasing basis indices.  Only the rows
         of the kept elements are walked (``_row_index``), so the cost grows
         with the brackets of kept elements with larger ones, not with the
-        parent's table; the table's pairs come out in sorted order, which is
-        the parent's order when its table is sorted, as an ambient table
-        is.  Raises StructureError when a bracket of two kept elements has a
-        term outside ``kept``.  Nothing else is checked again:
-        antisymmetry, Jacobi and the realization's compatibility with the
-        table are identities of the parent, checked when it was built, and a
-        restriction to a set closed under the bracket satisfies them term by
-        term.
+        parent's table; the table's pairs come out in sorted order, the
+        parent's order.  Raises StructureError when a bracket of two kept
+        elements has a term outside ``kept``.  Nothing else is checked
+        again: a subset of matrices under the pivot rule keeps it, and a
+        set closed under the bracket has the parent's constants.
         """
         kept = list(kept)
         bounds = [-1, *kept, self.dim]
@@ -192,8 +177,7 @@ class LieAlgebra:
         sub.label = label
         sub._table = table
         sub._rows = None
-        mats = self.realization
-        sub.realization = None if mats is None else tuple(mats[k] for k in kept)
+        sub.realization = tuple(self.realization[k] for k in kept)
         return sub
 
     def _row_index(self):
@@ -205,71 +189,6 @@ class LieAlgebra:
                 rows[i].append((j, self._table[(i, j)]))
             self._rows = rows
         return self._rows
-
-    # -- construction-time checks -------------------------------------------
-
-    def _check_jacobi(self):
-        """Sum the triples {i, j, k} with c_ijr != 0 and x_k a neighbour of
-        x_r: in every other triple each nested bracket
-        [x_k, [x_i, x_j]] = sum_r c_ijr [x_k, x_r] vanishes."""
-        bracket, neighbours = {}, {}
-        for (i, j), terms in self._table.items():
-            bracket[(i, j)] = terms
-            bracket[(j, i)] = tuple((r, -c) for r, c in terms)
-            neighbours.setdefault(i, []).append(j)
-            neighbours.setdefault(j, []).append(i)
-        triples = set()
-        for (i, j), terms in self._table.items():
-            for r, _ in terms:
-                for k in neighbours.get(r, ()):
-                    if k != i and k != j:
-                        triples.add(tuple(sorted((i, j, k))))
-        for i, j, k in sorted(triples):
-            # [x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] = 0
-            acc = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for r, x in bracket.get((b, c), ()):
-                    for t, y in bracket.get((a, r), ()):
-                        acc[t] = acc.get(t, 0) + x * y
-            if any(acc.values()):
-                raise StructureError(f"Jacobi identity fails on triple ({i},{j},{k})")
-
-    def _check_realization(self) -> bool:
-        """Every matrix must have n rows of n entries each, n the first
-        matrix's row count, and [X_i, X_j] must equal sum_r c_ijr X_r for
-        every pair i < j; pairs absent from the table must commute.  Besides
-        the table's pairs, only pairs where a row of one support meets a
-        column of the other can fail to commute.  Returns whether the
-        realization is faithful: each matrix has an entry no other touches."""
-        mats = self.realization
-        if len(mats) != self.dim:
-            raise StructureError("realization must have one matrix per basis element")
-        if self.dim == 0:
-            return True
-        n = len(mats[0])
-        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
-            raise StructureError("realization matrices must be square of equal size")
-        sparse = [_sparse_matrix(m) for m in mats]
-        in_row, in_col, owner = {}, {}, {}
-        for k, entries in enumerate(sparse):
-            for u, v in entries:
-                in_row.setdefault(u, []).append(k)
-                in_col.setdefault(v, []).append(k)
-                owner[(u, v)] = k if (u, v) not in owner else None
-        pairs = set(self._table)
-        for i, entries in enumerate(sparse):
-            for u, v in entries:
-                for j in (*in_row.get(v, ()), *in_col.get(u, ())):
-                    if i < j:
-                        pairs.add((i, j))
-        for i, j in sorted(pairs):
-            comm = _commutator(sparse[i], sparse[j])
-            for r, c in self._table.get((i, j), ()):
-                for e, x in sparse[r].items():
-                    comm[e] = comm.get(e, 0) - c * x
-            if any(comm.values()):
-                raise StructureError(f"realization incompatible with table on pair ({i},{j})")
-        return len(set(owner.values()) - {None}) == self.dim
 
     # -- basic structure access ---------------------------------------------
 

@@ -47,12 +47,16 @@ command that writes a new one) or of the wrong shape: a missing field,
 among them a report's header; an integer field (dimensions, indices,
 seeds, budgets, counts, ranks, composition parts) that holds anything
 but a JSON integer, a bool or a float included, since Python holds True
-and 1.0 equal to 1 (``linalg.as_int``); a rational that is not a string
-or an integer, does not parse or has a zero denominator, whose error
-names the seaweed, the certificate kind and the field (``_int_row``); an
-unknown family, a rank below the family's least or over
-``construct.LIMITS``, or a certificate document's compositions that the
-family does not admit.  One rule names the family and rank of both
+and 1.0 equal to 1 (``linalg.as_int``); a list field (records,
+compositions, ``trial_kernel_dims``, a certificate document's
+certificates, a form, a Reeb vector, a basis and each of its rows) that
+holds anything but a JSON list (``_as_list``), or a record's
+certificates, when present, that are not an object; a rational that is
+not a string or an integer, does not parse or has a zero denominator,
+whose error names the seaweed, the certificate kind and the field
+(``_int_row``); an unknown family, a rank below the family's least or
+over ``construct.LIMITS``, or a certificate document's compositions that
+the family does not admit.  One rule names the family and rank of both
 kinds, a certificate document's and a report header's
 (``_family_and_rank``), before anything is enumerated or built, since
 the ambient build grows as about n^4.
@@ -227,20 +231,31 @@ def _int_row(data, what: str = "coordinate") -> tuple[list, int]:
     return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
+def _as_list(value, what: str) -> list:
+    """``value`` if it is a JSON list; anything else raises TypeError naming
+    ``what``.  A dict, a string or a number would otherwise read as a
+    sequence: ``tuple({}) == tuple("") == ()``, and a string of digits
+    iterates as one-digit rationals."""
+    if type(value) is not list:
+        raise TypeError(f"{what} is {value!r}, not a list")
+    return value
+
+
 class _WrongLength(ValueError):
     """A form or Reeb vector not of the named seaweed's dimension: a wrong
     claim, which ``verify_document`` reads as invalid, not as malformed."""
 
 
 def _coords_row(g: LieAlgebra, data, what: str) -> tuple[list, int]:
-    row, den = _int_row(data, what)
+    row, den = _int_row(_as_list(data, what), what)
     if len(row) != g.dim:
         raise _WrongLength("coordinate length does not match algebra dimension")
     return row, den
 
 
 def _basis_rows(doc: dict, what: str) -> tuple:
-    return as_int(doc["ambient_dim"], "ambient_dim"), [_int_row(v, what) for v in doc["basis"]]
+    rows = [_int_row(_as_list(v, what), what) for v in _as_list(doc["basis"], what)]
+    return as_int(doc["ambient_dim"], "ambient_dim"), rows
 
 
 def _field(g: LieAlgebra, kind: str, field: str) -> str:
@@ -344,9 +359,11 @@ def _index_claims_hold(record: dict, formula: int) -> bool:
     return record["verdict"] == search_verdict(contact, stable, record["attempts"])
 
 
-def _require_report_ints(doc: dict) -> None:
-    """Refuse (``linalg.as_int``) a report any of whose integer fields, its
-    own or its records', holds anything but a JSON integer; checked before
+def _require_report_shape(doc: dict) -> None:
+    """Refuse (TypeError) a report any of whose integer fields, its own or
+    its records', holds anything but a JSON integer (``linalg.as_int``),
+    whose list fields hold anything but a list (``_as_list``), or a record
+    whose certificates, when present, are not an object; checked before
     any claim is compared."""
     for field in ("schema", "n", "seed"):
         as_int(doc[field], field)
@@ -357,8 +374,10 @@ def _require_report_ints(doc: dict) -> None:
         for field in ("n", "seed", "dim", "index", "attempts", "bound", "trials"):
             as_int(record[field], field)
         for field in ("top", "bottom", "trial_kernel_dims"):
-            for value in record[field]:
+            for value in _as_list(record[field], field):
                 as_int(value, field)
+        if type(record.get("certificates", {})) is not dict:
+            raise TypeError(f"certificates is {record['certificates']!r}, not an object")
 
 
 def _budgets(record: dict) -> dict:
@@ -422,13 +441,13 @@ def _drawn_within(form: tuple, bound: int) -> bool:
 
 def _verify_document(doc: dict) -> bool:
     if "records" in doc:
-        if not doc["records"]:
+        if not _as_list(doc["records"], "records"):
             return False
         if doc.get("schema") != REPORT_SCHEMA:
             raise ValueError(
                 f"report schema {doc.get('schema')!r} is not {REPORT_SCHEMA}: classify the sweep again"
             )
-        _require_report_ints(doc)
+        _require_report_shape(doc)
         named = _sweep_holds(doc)
         if named is None:
             return False
@@ -437,7 +456,7 @@ def _verify_document(doc: dict) -> bool:
             if not _index_claims_hold(record, index_formula(*args)):
                 return False
             # the certificates are exactly the kinds the FOUND statuses name
-            certs = record.get("certificates") or {}
+            certs = record.get("certificates", {})
             found = _evidence(record)
             if certs.keys() != found or any(cert["kind"] != kind for kind, cert in certs.items()):
                 return False
@@ -466,9 +485,9 @@ def _verify_document(doc: dict) -> bool:
         )
     as_int(doc["schema"], "schema")
     family, n = _family_and_rank(doc)
-    top, bottom = (Composition(tuple(as_int(p, key) for p in doc[key])) for key in ("top", "bottom"))
+    top, bottom = (Composition(tuple(as_int(p, key) for p in _as_list(doc[key], key))) for key in ("top", "bottom"))
     g = seaweed(family, n, top, bottom)
-    certs = doc.get("certificates")
+    certs = _as_list(doc.get("certificates", []), "certificates")
     if not certs:
         return False
     return all(verify_certificate(g, cert) for cert in certs)

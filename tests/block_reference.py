@@ -4,7 +4,8 @@
 matrices whose support avoids the entries two coordinate flags kill.  This
 version writes the block picture out directly: e_ij belongs to the seaweed
 when blockA(i) <= blockA(j) and blockB(i) >= blockB(j), and its table comes
-from [e_ij, e_kl] = d_jk e_il - d_li e_kj.  The tests hold both routes to
+from [e_ij, e_kl] = d_jk e_il - d_li e_kj, held to the table ``LieAlgebra``
+reads off the same elementary matrices.  The tests hold both routes to
 the same basis, table and realization.  ``matrix_span`` is the subspace a
 realization spans, from the Fraction Gauss-Jordan of ``fraction_reference``.
 """
@@ -33,7 +34,8 @@ def gln_seaweed(a, b):
     in row-major order (which is also the canonical echelon order of the
     vectorized span).  Structure constants come from
     [e_ij, e_kl] = d_jk e_il - d_li e_kj; both targets stay inside the basis
-    because the block conditions are transitive.
+    because the block conditions are transitive.  They must equal the
+    table the constructor reads off the elementary matrices.
     """
     n = a.total
     if n != b.total:
@@ -64,15 +66,14 @@ def gln_seaweed(a, b):
             acc = {r: c for r, c in acc.items() if c}
             if acc:
                 structure[(t1, t2)] = acc
-    mats = tuple(_elementary(n, i, j) for i, j in pairs)
-    return LieAlgebra(len(pairs), structure, realization=mats, label=f"GL{n}[{a}|{b}]")
+    g = LieAlgebra(tuple(_elementary(n, i, j) for i, j in pairs), label=f"GL{n}[{a}|{b}]")
+    assert {pair: dict(terms) for pair, terms in g._table.items()} == structure, g
+    return g
 
 
 def matrix_span(g):
     """Canonical subspace of the ambient matrix space spanned by the
     realization (for cross-constructor comparisons)."""
-    if g.realization is None:
-        raise ValueError("algebra has no matrix realization")
     if not g.realization:
         raise ValueError("empty realization")
     size = len(g.realization[0])

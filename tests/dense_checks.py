@@ -1,9 +1,13 @@
-"""Dense reference versions of LieAlgebra's construction-time checks.
+"""Dense reference versions of LieAlgebra's construction.
 
-These are the checks as first written: the Jacobi identity summed over all
-C(dim, 3) triples, and the realization compared with dense n^3 products for
-every basis pair.  ``LieAlgebra`` runs sparse versions of both; the tests
-hold the two to the same verdicts and the same error messages.
+``read_table`` is the constructor written out densely: the pivot rule on
+every matrix, then every pair's commutator as dense n^3 products, its
+values at the pivots and its residual.  ``LieAlgebra`` does the same
+sparsely, over the pairs whose supports meet; the tests hold the two to
+the same tables, the same verdicts and the same error messages.  On a
+table the constructor accepts, ``check_jacobi`` sums the Jacobi identity
+over all C(dim, 3) triples and ``check_realization`` compares every pair's
+commutator with the table, the identities the constructor derives.
 
 ``table`` has ``LieAlgebra._table``'s shape: (i, j) with i < j maps to the
 sorted nonzero terms ((r, c), ...) of [x_i, x_j].
@@ -74,20 +78,49 @@ def check_realization(dim, table, mats):
                         )
 
 
-def verdict(dim, structure, realization=None):
-    """None when both dense checks pass, else the StructureError message.
+def _product(a, b, n):
+    return [[sum(a[u][k] * b[k][v] for k in range(n)) for v in range(n)] for u in range(n)]
 
-    ``structure`` maps pairs (i, j) with i < j to {r: c}.
-    """
+
+def read_table(mats):
+    """The table ``LieAlgebra(mats)`` reads, or its StructureError."""
+    dim = len(mats)
+    n = len(mats[0]) if mats else 0
+    for m in mats:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise StructureError("realization matrices must be square of equal size")
+    cells = [(u, v) for u in range(n) for v in range(n)]
+    pivots = []
+    for k, m in enumerate(mats):
+        nonzero = [(u, v) for u, v in cells if m[u][v]]
+        if not nonzero:
+            raise StructureError(f"basis matrix {k} is zero")
+        u, v = nonzero[0]
+        if m[u][v] != 1:
+            raise StructureError(f"basis matrix {k} has pivot {m[u][v]}, not 1")
+        for j in range(dim):
+            if j != k and mats[j][u][v]:
+                raise StructureError(f"basis matrix {j} is nonzero at the pivot of basis matrix {k}")
+        pivots.append((u, v))
     table = {}
-    for pair, terms in structure.items():
-        nonzero = tuple(sorted((r, c) for r, c in terms.items() if c))
-        if nonzero:
-            table[pair] = nonzero
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ij, ji = _product(mats[i], mats[j], n), _product(mats[j], mats[i], n)
+            comm = [[ij[u][v] - ji[u][v] for v in range(n)] for u in range(n)]
+            terms = tuple((r, comm[u][v]) for r, (u, v) in enumerate(pivots) if comm[u][v])
+            for u, v in cells:
+                if comm[u][v] != sum(c * mats[r][u][v] for r, c in terms):
+                    raise StructureError(f"realization is not closed under bracket ({i},{j})")
+            if terms:
+                table[(i, j)] = terms
+    return table
+
+
+def verdict(mats):
+    """None when ``read_table`` accepts ``mats``, else its StructureError
+    message."""
     try:
-        check_jacobi(dim, table)
-        if realization is not None:
-            check_realization(dim, table, realization)
+        read_table(mats)
     except StructureError as exc:
         return str(exc)
     return None

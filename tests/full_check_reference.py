@@ -3,17 +3,18 @@
 ``seaweed`` selects the kept ambient basis matrices with bit masks and
 restricts one checked ambient algebra per family and rank
 (``LieAlgebra.restrict``), which walks only the kept elements' rows of its
-table, checks closure and inherits the ambient's Jacobi and realization
-identities.  This version keeps the first route throughout:
-``killed_entry_kept`` collects the killed entries as a set of (row, column)
-pairs and tests each support against it, ``full_walk_restriction`` walks the
-whole parent table, and ``full_check_seaweed`` hands the re-indexed table to
-``LieAlgebra(...)``, so antisymmetry, Jacobi and the realization are checked
-again for every seaweed; the tests hold both routes to the same table and
-realization.  The ambient supports, shared entries and table come from the
-rational basis of ``fraction_reference.ambient_basis``, whose entries are
-integers, and this module's own sparse commutators, so nothing here is
-taken from ``construct``'s ambient.
+table, checks closure and inherits the rest from the ambient.  This
+version keeps the first route throughout: ``killed_entry_kept`` collects
+the killed entries as a set of (row, column) pairs and tests each support
+against it, ``full_walk_restriction`` walks the whole parent table, and
+``full_check_seaweed`` builds every seaweed afresh from its kept matrices
+with ``LieAlgebra(...)``, which checks the pivot rule and closure again
+and reads a table that must equal the re-indexed ambient table; the tests
+hold both routes to the same table and realization.  The ambient supports,
+shared entries and table come from the rational basis of
+``fraction_reference.ambient_basis``, whose entries are integers, and this
+module's own sparse commutators, so nothing here is taken from
+``construct``'s ambient.
 """
 
 from functools import lru_cache
@@ -41,7 +42,7 @@ def _commutator(x, y):
 
 def _ints(m):
     """A rational matrix of integer entries as int rows, as ``LieAlgebra``
-    takes a realization."""
+    takes its matrices."""
     assert all(x.denominator == 1 for row in m for x in row), m
     return tuple(tuple(int(x) for x in row) for row in m)
 
@@ -108,9 +109,6 @@ def full_check_seaweed(family, n, a, b):
             if not position.keys() >= terms.keys():
                 raise StructureError("flag stabilizer is not closed under bracket")
             structure[(position[i], position[j])] = {position[r]: c for r, c in terms.items()}
-    return LieAlgebra(
-        len(kept),
-        structure,
-        realization=tuple(mats[k] for k in kept),
-        label=f"{family}{matrix_size(family, n)}[{a}|{b}]",
-    )
+    g = LieAlgebra(tuple(mats[k] for k in kept), label=f"{family}{matrix_size(family, n)}[{a}|{b}]")
+    assert {pair: dict(terms) for pair, terms in g._table.items()} == structure, g
+    return g

@@ -10,13 +10,13 @@ def heisenberg(label: str = "heisenberg") -> LieAlgebra:
     e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     e23 = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
     e13 = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
-    return LieAlgebra(3, {(0, 1): {2: 1}}, realization=(e12, e23, e13), label=label)
+    return LieAlgebra((e12, e23, e13), label=label)
 
 
 def abelian(n: int, label: str = "") -> LieAlgebra:
     """Abelian algebra of dimension n, realized as diagonal matrices."""
     mats = [[[int(u == v == i) for v in range(n)] for u in range(n)] for i in range(n)]
-    return LieAlgebra(n, {}, realization=mats, label=label or f"abelian({n})")
+    return LieAlgebra(mats, label=label or f"abelian({n})")
 
 
 def unit(g: LieAlgebra, i: int) -> list:

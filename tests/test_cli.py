@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from seaweeds import Composition, certificate_to_json, is_contact_form, seaweed
 from seaweeds.classify import classify, exit_status, report
 from seaweeds.cli import main
 from seaweeds.contact import COUNTEREXAMPLE, UNRESOLVED
@@ -458,6 +459,74 @@ def test_verify_refuses_a_float_or_a_bool_in_one_of_two_equal_forms(capsys, tmp_
     certs[holder]["form"][t] = bad(1)
     code, out, err = run(capsys, "verify", write(tmp_path, doc))
     assert (code, out) == (2, "") and err.count("\n") == 1 and "malformed document" in err
+
+
+@pytest.fixture(scope="module")
+def so5_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("so5") / "r.json"
+    assert main(["classify", "--family", "SO", "--n", "5", "--embed", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def so5_document(report):
+    """A certificate document of the certificates of the report's first
+    FOUND record, SO5[0|1]."""
+    found = next(r for r in report["records"] if r.get("certificates"))
+    certs = list(found["certificates"].values())
+    return {"schema": 3, "family": "SO", "n": 5, "top": found["top"], "bottom": found["bottom"], "certificates": certs}
+
+
+# (document, the dict or list that holds a list field, its key, the
+# field's name in the error); record 0 of the SO5 report is 0|0, whose
+# compositions are empty lists
+LIST_FIELDS = [
+    ("report", lambda doc: doc, "records", "records"),
+    ("report", lambda doc: doc["records"][0], "top", "top"),
+    ("report", lambda doc: doc["records"][0], "bottom", "bottom"),
+    ("report", lambda doc: doc["records"][0], "trial_kernel_dims", "trial_kernel_dims"),
+    ("report", lambda doc: _found_found(doc)["contact"], "form", "SO5[0|1] contact form"),
+    ("report", lambda doc: _found_found(doc)["contact"], "reeb", "SO5[0|1] contact reeb"),
+    ("report", lambda doc: _found_found(doc)["stability"]["kernel"], "basis", "SO5[0|1] stability kernel basis"),
+    ("report", lambda doc: _found_found(doc)["stability"]["kernel"]["basis"], 0, "SO5[0|1] stability kernel basis"),
+    ("document", lambda doc: doc, "top", "top"),
+    ("document", lambda doc: doc, "bottom", "bottom"),
+    ("document", lambda doc: doc, "certificates", "certificates"),
+    ("document", lambda doc: doc["certificates"][0], "form", "SO5[0|1] contact form"),
+]
+
+
+@pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+@pytest.mark.parametrize("document,holder,key,name", LIST_FIELDS, ids=[f"{d}-{n}-{k}" for d, _, k, n in LIST_FIELDS])
+def test_verify_exit_2_on_anything_but_a_list_in_a_list_field(capsys, tmp_path, so5_report, document, holder, key, name, value):
+    # tuple({}), tuple("") and tuple([]) are equal, so an empty composition
+    # written as {} or "" once verified
+    doc = json.loads(so5_report)
+    if document == "document":
+        doc = so5_document(doc)
+    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+    holder(doc)[key] = value
+    line = f"error: malformed document: TypeError: {name} is {value!r}, not a list\n"
+    assert run(capsys, "verify", write(tmp_path, doc)) == (2, "", line)
+
+
+def test_verify_exit_2_on_a_form_written_as_one_string_of_digits(capsys, tmp_path):
+    # a string iterates as one-character strings, which parse as digits
+    g = seaweed("GL", 3, Composition((2, 1)), Composition((3,)))
+    doc = contact_document(capsys)
+    doc["certificates"] = [certificate_to_json(is_contact_form(g, [7, 5, 1, 8, 8, 3, 6]))]
+    assert run(capsys, "verify", write(tmp_path, doc)) == (0, "valid\n", "")
+    doc["certificates"][0]["form"] = "7518836"
+    line = "error: malformed document: TypeError: GL3[2,1|3] contact form is '7518836', not a list\n"
+    assert run(capsys, "verify", write(tmp_path, doc)) == (2, "", line)
+
+
+@pytest.mark.parametrize("value", [[], "", 0], ids=["list", "string", "zero"])
+def test_verify_exit_2_on_record_certificates_that_are_not_an_object(capsys, tmp_path, so5_report, value):
+    # each once read as "no certificates" on a record that needs none
+    doc = json.loads(so5_report)
+    doc["records"][0]["certificates"] = value
+    line = f"error: malformed document: TypeError: certificates is {value!r}, not an object\n"
+    assert run(capsys, "verify", write(tmp_path, doc)) == (2, "", line)
 
 
 # A certificate document names its seaweed, and verify rebuilds it.

@@ -196,17 +196,17 @@ def cold_ambients():
 
 def test_ambient_basis_not_closed_under_bracket_raises_when_built(cold_ambients, monkeypatch):
     # e00, e01 + e10, e11: [e00, e01 + e10] = e01 - e10, which the pivot
-    # coordinates read as e01 + e10, so only the realization check sees it
+    # coordinates read as e01 + e10, so only the residual sees it
     rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
     monkeypatch.setattr(construct, "kernel_int_rows", lambda *args: rows)
-    with pytest.raises(StructureError, match=r"^realization incompatible with table on pair \(0,1\)$"):
+    with pytest.raises(StructureError, match=r"^realization is not closed under bracket \(0,1\)$"):
         seaweed("GL", 2, C(2), C(2))
 
 
 def test_ambient_basis_row_without_pivot_one_raises(cold_ambients, monkeypatch):
     rows = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # 2 e00, e01, e10, e11
     monkeypatch.setattr(construct, "kernel_int_rows", lambda *args: rows)
-    with pytest.raises(StructureError, match=r"^ambient basis row 0 has pivot 2, not 1$"):
+    with pytest.raises(StructureError, match=r"^basis matrix 0 has pivot 2, not 1$"):
         seaweed("GL", 2, C(2), C(2))
 
 
@@ -219,9 +219,10 @@ def test_flag_refuses_a_shared_killed_entry(cold_ambients, monkeypatch):
 
 
 def test_flag_refuses_a_table_term_outside_the_kept_set(cold_ambients, monkeypatch):
-    # a checked algebra whose [x0, x1] = x2 leaves GL2[1,1|2]'s kept 0, 1, 3
+    # a checked algebra whose [x0, x1] = x2 leaves GL2[1,1|2]'s kept 0, 1, 3:
+    # the Heisenberg algebra and the identity
     _, supports, shared = construct._ambient("GL", 2)
-    bad = LieAlgebra(4, {(0, 1): {2: 1}})
+    bad = LieAlgebra((*heisenberg().realization, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     monkeypatch.setattr(construct, "_ambient", lambda family, n: (bad, supports, shared))
     with pytest.raises(StructureError, match=r"^kept elements are not closed under bracket \(0,1\)$"):
         seaweed("GL", 2, C(1, 1), C(2))

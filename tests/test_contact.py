@@ -33,7 +33,7 @@ def aff1():
     """2-dimensional nonabelian algebra [x, y] = y."""
     x = ((1, 0), (0, 0))
     y = ((0, 1), (0, 0))
-    return LieAlgebra(2, {(0, 1): {1: 1}}, realization=(x, y), label="aff(1)")
+    return LieAlgebra((x, y), label="aff(1)")
 
 
 def leibniz_det(m):

@@ -1,5 +1,5 @@
-"""LieAlgebra's sparse construction-time checks against the dense reference,
-and tamper detection on every small seaweed."""
+"""LieAlgebra's sparse construction against the dense reference, on random
+integer matrices and on every small seaweed's matrices, tampered with."""
 
 import dense_checks
 import pytest
@@ -19,19 +19,19 @@ coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
 entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
 
 
-def structure_of(g):
-    out = {}
-    for i, j, r, c in g.structure_items():
-        out.setdefault((i, j), {})[r] = c
-    return out
-
-
-def sparse_verdict(dim, structure, realization=None):
+def agrees_with_dense_reference(mats):
+    """The constructor and ``dense_checks.read_table`` give one verdict, and
+    on acceptance one table, on which the dense Jacobi sum and realization
+    check hold.  Returns whether the matrices were accepted."""
     try:
-        LieAlgebra(dim, structure, realization=realization)
+        g = LieAlgebra(mats)
     except StructureError as exc:
-        return str(exc)
-    return None
+        assert str(exc) == dense_checks.verdict(mats)
+        return False
+    assert list(g._table.items()) == list(dense_checks.read_table(mats).items())
+    dense_checks.check_jacobi(g.dim, g._table)
+    dense_checks.check_realization(g.dim, g._table, g.realization)
+    return True
 
 
 def with_entry(m, u, v, x):
@@ -42,128 +42,72 @@ def with_entry(m, u, v, x):
 
 @st.composite
 def random_algebras(draw):
+    """Random dense integer matrices, or elementary matrices at distinct
+    entries, which keep the pivot rule so that closure is tested, with
+    one entry changed or not."""
+    n = draw(st.integers(1, 3))
     dim = draw(st.integers(0, 5))
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    structure = {}
-    if pairs:
-        terms = st.dictionaries(st.integers(0, dim - 1), coefficients, max_size=2)
-        for pair in draw(st.lists(st.sampled_from(pairs), max_size=4)):
-            structure[pair] = draw(terms)
-    realization = None
     if draw(st.booleans()):
-        n = draw(st.integers(1, 3))
-        matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-        realization = tuple(draw(matrix) for _ in range(dim))
-    return dim, structure, realization
+        dense = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        return tuple(draw(dense) for _ in range(dim))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=dim, unique=True))
+    mats = [with_entry([[0] * n for _ in range(n)], u, v, 1) for u, v in cells]
+    if mats and draw(st.booleans()):
+        k, u, v = draw(st.integers(0, len(mats) - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mats[k] = with_entry(mats[k], u, v, mats[k][u][v] + draw(coefficients))
+    return tuple(mats)
 
 
 @st.composite
 def tampered_seaweeds(draw):
     g = draw(st.sampled_from(SEAWEEDS))
-    structure = structure_of(g)
     mats = list(g.realization)
     for _ in range(draw(st.integers(0, 2))):
-        if g.dim < 2:
+        if g.dim < 1:
             break
-        if draw(st.booleans()):
-            i = draw(st.integers(0, g.dim - 2))
-            j = draw(st.integers(i + 1, g.dim - 1))
-            r = draw(st.integers(0, g.dim - 1))
-            structure.setdefault((i, j), {})[r] = draw(st.sampled_from([0, 1, -1, 2]))
-        else:
-            k = draw(st.integers(0, g.dim - 1))
-            size = len(mats[k])
-            u, v = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
-            mats[k] = with_entry(mats[k], u, v, mats[k][u][v] + draw(coefficients))
-    return g.dim, structure, tuple(mats)
+        k = draw(st.integers(0, g.dim - 1))
+        size = len(mats[k])
+        u, v = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        mats[k] = with_entry(mats[k], u, v, mats[k][u][v] + draw(coefficients))
+    return tuple(mats)
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_algebras())
-def test_sparse_checks_agree_with_dense_reference_on_random_algebras(case):
-    assert sparse_verdict(*case) == dense_checks.verdict(*case)
+def test_sparse_checks_agree_with_dense_reference_on_random_algebras(mats):
+    agrees_with_dense_reference(mats)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tampered_seaweeds())
-def test_sparse_checks_agree_with_dense_reference_on_tampered_seaweeds(case):
-    assert sparse_verdict(*case) == dense_checks.verdict(*case)
+def test_sparse_checks_agree_with_dense_reference_on_tampered_seaweeds(mats):
+    agrees_with_dense_reference(mats)
 
 
 def test_dense_reference_accepts_every_small_seaweed():
     for g in SEAWEEDS:
-        assert dense_checks.verdict(g.dim, structure_of(g), g.realization) is None
-
-
-def test_every_changed_table_coefficient_is_refused():
-    """Every stored coefficient, and one absent coefficient of every pair."""
-    for g in SEAWEEDS:
-        structure = structure_of(g)
-        changes = [(i, j, r, c + 1) for i, j, r, c in g.structure_items()]
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                absent = [r for r in range(g.dim) if r not in structure.get((i, j), {})]
-                if absent:
-                    changes.append((i, j, absent[0], 1))
-        for i, j, r, c in changes:
-            changed = {pair: dict(terms) for pair, terms in structure.items()}
-            changed.setdefault((i, j), {})[r] = c
-            assert sparse_verdict(g.dim, changed, g.realization) is not None, (g, i, j, r)
-
-
-def _still_realizes(g, structure, k, u, v):
-    """Does X_k + E_uv, with every other matrix kept, still realize the table?
-
-    Only when x_k is not a term of a bracket [x_i, x_j] with k not in {i, j}
-    (that right-hand side would move by E_uv while its left-hand side stays),
-    and [E_uv, X_j] equals E_uv times the x_k-coefficient of [x_k, x_j] for
-    every j != k.
-    """
-    for (i, j), terms in structure.items():
-        if k not in (i, j) and terms.get(k):
-            return False
-    for j, m in enumerate(g.realization):
-        if j == k:
-            continue
-        if k < j:
-            own = structure.get((k, j), {}).get(k, 0)
-        else:
-            own = -structure.get((j, k), {}).get(k, 0)
-        size = len(m)
-        # [E_uv, X] = E_uv X - X E_uv: row v of X moved to row u, minus
-        # column u of X moved to column v
-        comm = {}
-        for b in range(size):
-            comm[(u, b)] = comm.get((u, b), 0) + m[v][b]
-        for a in range(size):
-            comm[(a, v)] = comm.get((a, v), 0) - m[a][u]
-        comm[(u, v)] -= own
-        if any(comm.values()):
-            return False
-    return True
+        assert list(dense_checks.read_table(g.realization).items()) == list(g._table.items()), g
 
 
 def test_a_changed_realization_entry_is_refused_unless_it_still_realizes_the_table():
+    """Every entry of every matrix of every small seaweed, raised by one:
+    the verdict, and the table read on acceptance, are the dense ones."""
     refused = kept = 0
     for g in SEAWEEDS:
-        structure = structure_of(g)
         for k, m in enumerate(g.realization):
             for u in range(len(m)):
                 for v in range(len(m[u])):
                     mats = list(g.realization)
                     mats[k] = with_entry(m, u, v, m[u][v] + 1)
-                    verdict = sparse_verdict(g.dim, structure, mats)
-                    if _still_realizes(g, structure, k, u, v):
-                        assert verdict is None, (g, k, u, v)
+                    if agrees_with_dense_reference(mats):
                         kept += 1
                     else:
-                        assert verdict is not None, (g, k, u, v)
                         refused += 1
     # abelian pieces (tori, so(2)) keep some changes; most are refused
     assert refused > 10 * kept > 0
 
 
-# -- Jacobi from a faithful realization ----------------------------------------
+# -- the ambients under the dense identities -------------------------------------
 
 LEAST = {"GL": 1, "SL": 2, "SP": 1, "SO": 2}
 
@@ -179,27 +123,9 @@ def has_private_entries(mats):
 
 @pytest.mark.parametrize("family,n", [(f, n) for f, top in sorted(LIMITS.items()) for n in range(LEAST[f], top + 1)])
 def test_every_ambient_realization_is_faithful_and_its_table_satisfies_jacobi(family, n):
-    # LieAlgebra skips the Jacobi sum on a faithful realization; the sum
-    # it skips still holds, run here as the oracle
+    # LieAlgebra derives both identities from closure; the dense sums run
+    # here as the oracle
     g = _ambient(family, n)[0]
     assert has_private_entries(g.realization)
-    assert g._check_realization() is True
-    g._check_jacobi()
-
-
-# [x0, x1] = x2 and [x0, x2] = x0 fail Jacobi on (0, 1, 2)
-NOT_JACOBI = {(0, 1): {2: 1}, (0, 2): {0: 1}}
-JACOBI_MESSAGE = "Jacobi identity fails on triple (0,1,2)"
-
-
-@pytest.mark.parametrize("realization", [
-    (((1,),), ((0.5,),), ((0,),)),  # an entry that is not an int (TypeError alone)
-    (((0,),), ((0,),), ((1,),)),  # [X0, X1] = 0 is not X2
-    (((0,),), ((0,),)),  # one matrix short
-    (((0,),), ((0,),), ((0,),)),  # realizes the table, but with no private entry
-], ids=["float", "incompatible", "short", "unfaithful"])
-def test_a_table_failing_jacobi_reports_jacobi_whatever_its_realization(realization):
-    assert dense_checks.verdict(3, NOT_JACOBI) == JACOBI_MESSAGE
-    with pytest.raises(StructureError) as caught:
-        LieAlgebra(3, NOT_JACOBI, realization=realization)
-    assert str(caught.value) == JACOBI_MESSAGE
+    dense_checks.check_realization(g.dim, g._table, g.realization)
+    dense_checks.check_jacobi(g.dim, g._table)
